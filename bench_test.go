@@ -133,6 +133,53 @@ func BenchmarkRebuildLatency(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(syms), "ns/symbol")
 }
 
+// BenchmarkMaterialize measures the input side of a rebuild: turning a
+// store back into its documents. "bulk" is what rebuilds run — one BWT
+// inversion per store (fmindex.Index.AppendDocs); "per-document" is one
+// Extract per document, the path every index without a bulk reader (and
+// the query API) still takes. The corpus is the repo benchmark's:
+// textgen defaults, documents of 64–4096 symbols. Extract's cost per
+// symbol does not depend on how many documents are read, so above 1 MiB
+// the per-document side reads every 8th document per iteration (a
+// different eighth each time) to keep an iteration under a quarter
+// second.
+func BenchmarkMaterialize(b *testing.B) {
+	for _, size := range []int{64 << 10, 1 << 20, 4 << 20} {
+		gen := textgen.NewCollection(textgen.CollectionOptions{MinLen: 64, MaxLen: 4096, Seed: 29})
+		gen.GenerateTotal(size)
+		idx := fmindex.Build(gen.Docs, fmindex.Options{})
+		all := make([]int, idx.DocCount())
+		for i := range all {
+			all[i] = i
+		}
+		perSymbol := func(b *testing.B, syms int) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(syms), "ns/symbol")
+		}
+		b.Run(fmt.Sprintf("%dKiB/bulk", size>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			dst := make([]doc.Doc, 0, len(all))
+			for i := 0; i < b.N; i++ {
+				idx.AppendDocs(all, dst)
+			}
+			perSymbol(b, b.N*idx.SymbolCount())
+		})
+		b.Run(fmt.Sprintf("%dKiB/per-document", size>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			stride := 1
+			if size > 1<<20 {
+				stride = 8
+			}
+			syms := 0
+			for i := 0; i < b.N; i++ {
+				for d := i % stride; d < len(all); d += stride {
+					syms += len(idx.Extract(d, 0, idx.DocLen(d)))
+				}
+			}
+			perSymbol(b, syms)
+		})
+	}
+}
+
 // --- Table 2: dynamic count/locate/update, ours vs baseline ---
 
 type bench2Index interface {

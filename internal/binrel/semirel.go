@@ -269,26 +269,39 @@ func (r *semiRel) countObjects(label uint64) int {
 }
 
 // pairsFunc streams the live pairs; stops when fn returns false,
-// reporting whether enumeration ran to completion.
+// reporting whether enumeration ran to completion. Live positions are
+// visited in increasing order, so the labels come off the wavelet
+// tree's sequential decoder (no rank walk per pair; dead positions are
+// skipped through it) and the owning object off a running index into
+// starts. Every relation and graph rebuild reads its sources this way,
+// through LiveItems.
 func (r *semiRel) pairsFunc(fn func(Pair) bool) bool {
-	if r.s.Len() == 0 {
+	n := r.s.Len()
+	if n == 0 {
 		return true
 	}
+	dec := r.s.NewDecoder()
+	next, oi := 0, 0 // next undecoded position; object whose range holds the last visited one
+	visit := func(pos int) bool {
+		dec.Skip(pos - next)
+		next = pos + 1
+		for int(r.starts[oi+1]) <= pos {
+			oi++
+		}
+		return fn(Pair{Object: r.objects[oi], Label: r.labels[dec.Next()]})
+	}
 	if r.alive == nil { // no deletions: every position is live
-		for pos := 0; pos < r.s.Len(); pos++ {
-			if !fn(Pair{Object: r.objectAt(pos), Label: r.labels[r.s.Access(pos)]}) {
+		for pos := 0; pos < n; pos++ {
+			if !visit(pos) {
 				return false
 			}
 		}
 		return true
 	}
 	ok := true
-	r.alive.Report(0, r.alive.Len()-1, func(pos int) bool {
-		if !fn(Pair{Object: r.objectAt(pos), Label: r.labels[r.s.Access(pos)]}) {
-			ok = false
-			return false
-		}
-		return true
+	r.alive.Report(0, n-1, func(pos int) bool {
+		ok = visit(pos)
+		return ok
 	})
 	return ok
 }

@@ -269,6 +269,40 @@ func (s *SemiDynamic) LiveKeys() []uint64 {
 	return out
 }
 
+// docAppender is the optional bulk materialization path: an index that
+// can decompress many of its documents in one pass (fmindex.Index
+// inverts its BWT once) instead of paying textract per symbol. Indexes
+// without it are read document by document through Extract.
+type docAppender interface {
+	AppendDocs(docIdxs []int, dst []doc.Doc) []doc.Doc
+}
+
+// liveDocIdxs lists the live documents' indices in ascending order, so
+// what a rebuild reads — and with it the bytes of the store it writes —
+// does not depend on map iteration order.
+func (s *SemiDynamic) liveDocIdxs() []int {
+	idxs := make([]int, 0, len(s.byID))
+	for _, d := range s.byID {
+		idxs = append(idxs, d)
+	}
+	slices.Sort(idxs)
+	return idxs
+}
+
+// appendDocs appends the documents idxs of idx to dst.
+func appendDocs(idx StaticIndex, idxs []int, dst []doc.Doc) []doc.Doc {
+	if a, ok := idx.(docAppender); ok {
+		return a.AppendDocs(idxs, dst)
+	}
+	for _, di := range idxs {
+		dst = append(dst, doc.Doc{
+			ID:   idx.DocID(di),
+			Data: idx.Extract(di, 0, idx.DocLen(di)),
+		})
+	}
+	return dst
+}
+
 // Snapshot captures the live document indices so their payloads can be
 // extracted later — possibly on another goroutine — from the immutable
 // static index (engine.Snapshotter). Lazy deletions touch only the
@@ -276,36 +310,18 @@ func (s *SemiDynamic) LiveKeys() []uint64 {
 // race-free; documents deleted after the snapshot are weeded out when
 // the build result is installed.
 func (s *SemiDynamic) Snapshot() engine.Snapshot[doc.Doc] {
-	idxs := make([]int, 0, len(s.byID))
-	for _, d := range s.byID {
-		idxs = append(idxs, d)
-	}
-	idx := s.idx
+	idxs, idx := s.liveDocIdxs(), s.idx
 	return engine.Snapshot[doc.Doc]{
 		Count: len(idxs),
 		Materialize: func(dst []doc.Doc) []doc.Doc {
-			for _, di := range idxs {
-				dst = append(dst, doc.Doc{
-					ID:   idx.DocID(di),
-					Data: idx.Extract(di, 0, idx.DocLen(di)),
-				})
-			}
-			return dst
+			return appendDocs(idx, idxs, dst)
 		},
 	}
 }
 
 // LiveItems materializes the live documents (engine.Store).
 func (s *SemiDynamic) LiveItems() []doc.Doc {
-	out := make([]doc.Doc, 0, len(s.byID))
-	for i := 0; i < s.idx.DocCount(); i++ {
-		id := s.idx.DocID(i)
-		if _, ok := s.byID[id]; !ok {
-			continue
-		}
-		out = append(out, doc.Doc{ID: id, Data: s.idx.Extract(i, 0, s.idx.DocLen(i))})
-	}
-	return out
+	return appendDocs(s.idx, s.liveDocIdxs(), make([]doc.Doc, 0, len(s.byID)))
 }
 
 // SizeBits estimates the footprint (engine.Store).

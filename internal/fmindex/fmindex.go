@@ -40,11 +40,12 @@ import (
 // text, BWT bytes, inverse suffix array, and the SA-IS workspace — so
 // the engine's repeated rebuilds recycle their scratch instead of
 // re-allocating O(n) memory per merge. Each build goroutine checks one
-// scratch out of the pool for the duration of its build.
+// scratch out of the pool for the duration of its build; a rebuild's
+// input side (AppendDocs) checks one out for its LF array.
 type buildScratch struct {
 	text []byte
 	bwt  []byte
-	inv  []int32
+	inv  []int32 // row-indexed int32 table: CSA inverse SA, FM separator rows, AppendDocs' LF array
 	psi  []int32 // CSA builds only
 	saws sa.Workspace
 }
@@ -211,17 +212,26 @@ func Build(docs []Doc, opts Options) *Index {
 		}
 	}
 
-	// Exact LF targets for separator rows, via the inverse suffix array.
-	isa := sa.Grow(sc.inv, idx.n)
-	for i, p := range suff {
-		isa[p] = int32(i)
+	// Exact LF targets for separator rows. The separator is the smallest
+	// byte, so the separator suffixes are exactly rows 0 … DocCount-1:
+	// those rows alone say which row each document's separator sorts to.
+	// A row whose BWT symbol is the separator holds a document start, and
+	// its LF target is the row of the preceding document's separator
+	// (cyclically) — a DocCount-entry table, not a full inverse array.
+	nDocs := len(docs)
+	sepRowOf := sa.Grow(sc.inv, nDocs)
+	sc.inv = sepRowOf
+	for row, p := range suff[:nDocs] {
+		d, _ := idx.posToDoc(int(p))
+		sepRowOf[d] = int32(row)
 	}
-	sc.inv = isa
+	idx.sepRows = make([]int32, 0, nDocs)
+	idx.sepTargets = make([]int32, 0, nDocs)
 	for row, b := range bwtBytes {
 		if b == Sep {
+			d, _ := idx.posToDoc(int(suff[row]))
 			idx.sepRows = append(idx.sepRows, int32(row))
-			prev := (int(suff[row]) + idx.n - 1) % idx.n
-			idx.sepTargets = append(idx.sepTargets, isa[prev])
+			idx.sepTargets = append(idx.sepTargets, sepRowOf[(d+nDocs-1)%nDocs])
 		}
 	}
 	idx.bwt = <-treeDone
@@ -343,19 +353,22 @@ func (x *Index) SuffixRank(doc, off int) int {
 	if pos < 0 || pos >= x.n {
 		panic(fmt.Sprintf("fmindex: SuffixRank position %d out of range", pos))
 	}
-	// Start from the nearest ISA sample at or after pos and walk LF.
-	j := (pos + x.s - 1) / x.s * x.s
-	var row int
-	if j >= x.n {
-		j = x.n - 1
-		row = int(x.isaSamp[len(x.isaSamp)-1])
-	} else {
-		row = int(x.isaSamp[j/x.s])
-	}
+	j, row := x.isaSampleAfter(pos)
 	for ; j > pos; j-- {
 		row = x.lf(row)
 	}
 	return row
+}
+
+// isaSampleAfter returns the nearest sampled text position j ≥ pos and
+// the suffix-array row of the suffix starting there; pos is at most s
+// LF steps before it.
+func (x *Index) isaSampleAfter(pos int) (j, row int) {
+	j = (pos + x.s - 1) / x.s * x.s
+	if j >= x.n {
+		return x.n - 1, int(x.isaSamp[len(x.isaSamp)-1])
+	}
+	return j, int(x.isaSamp[j/x.s])
 }
 
 // charAtRow returns the first character of the suffix at the given row:

@@ -2,10 +2,14 @@ package fmindex
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyncoll/internal/doc"
+	"dyncoll/internal/sa"
 	"dyncoll/internal/snap"
 )
 
@@ -182,5 +186,61 @@ func TestMarshalCorrupt(t *testing.T) {
 			_ = decode(mut)
 		}
 		_ = snap.ErrBadSnapshot
+	}
+}
+
+// TestBuildSeparatorTargetsUnchanged guards the builder's separator
+// bookkeeping, which reads the rows of documents' separators off SA rows
+// 0 … DocCount-1 instead of filling an n-entry inverse suffix array.
+// The digests are the AppendBinary output of the inverse-array builder
+// on this file's fixture; the reference below is that builder's rule,
+// run on collections with empty and byte-identical documents.
+func TestBuildSeparatorTargetsUnchanged(t *testing.T) {
+	fixture := testDocs(30, rand.New(rand.NewSource(7)))
+	for s, want := range map[int]string{
+		4:  "76c8cbfd6c77644ddcac697d1f848d5e61eca5ecca767f2c095c886865ddd610",
+		16: "ccb95be84090166a49c3af48725ca8fb6dcf52b82dcb2c66351cb9fd44799ab7",
+	} {
+		wire, err := Build(fixture, Options{SampleRate: s}).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != want {
+			t.Errorf("s=%d: AppendBinary digest %s, want %s", s, got, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 50; round++ {
+		docs := testDocs(1+rng.Intn(40), rng)
+		for i := range docs {
+			switch rng.Intn(5) {
+			case 0:
+				docs[i].Data = nil
+			case 1:
+				docs[i].Data = docs[rng.Intn(i+1)].Data
+			}
+		}
+		var text []byte
+		for _, d := range docs {
+			text = append(append(text, d.Data...), Sep)
+		}
+		suff := sa.SuffixArray(text)
+		inv := make([]int32, len(text))
+		for row, p := range suff {
+			inv[p] = int32(row)
+		}
+		var rows, targets []int32
+		for row, p := range suff {
+			prev := (int(p) + len(text) - 1) % len(text)
+			if text[prev] == Sep {
+				rows = append(rows, int32(row))
+				targets = append(targets, inv[prev])
+			}
+		}
+		x := Build(docs, Options{})
+		if !slices.Equal(x.sepRows, rows) || !slices.Equal(x.sepTargets, targets) {
+			t.Fatalf("round %d: separator rows %v → %v, want %v → %v", round, x.sepRows, x.sepTargets, rows, targets)
+		}
 	}
 }

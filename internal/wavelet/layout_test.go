@@ -116,6 +116,32 @@ func checkAgainstSequence(t *testing.T, tr *Tree, seq []uint32, sigma int) {
 		counts[c]++
 	}
 	rng := fixtureRNG(7)
+	// The sequential decoder: front to back one symbol at a time, in
+	// random skips, and in bulk through the byte path.
+	dec, hop := tr.NewDecoder(), tr.NewDecoder()
+	for i, at := 0, 0; i < len(seq); i++ {
+		if got := dec.Next(); got != seq[i] {
+			t.Fatalf("Decoder.Next at %d = %d, want %d", i, got, seq[i])
+		}
+		if i == at {
+			if got := hop.Next(); got != seq[i] {
+				t.Fatalf("Decoder.Next after Skip to %d = %d, want %d", i, got, seq[i])
+			}
+			k := int(rng.next() % 600)
+			k = min(k, len(seq)-i-1)
+			hop.Skip(k)
+			at = i + 1 + k
+		}
+	}
+	if sigma <= 256 {
+		got := make([]byte, len(seq))
+		bulk := tr.NewDecoder()
+		bulk.ReadBytes(got[:len(seq)/3])
+		bulk.ReadBytes(got[len(seq)/3:])
+		if !bytes.Equal(got, symsToBytes(seq)) {
+			t.Fatal("Decoder.ReadBytes differs from the sequence")
+		}
+	}
 	for trial := 0; trial < 200; trial++ {
 		c := uint32(rng.next() % uint64(sigma))
 		i := int(rng.next() % uint64(len(seq)+1))
@@ -195,5 +221,14 @@ func TestFlatLayoutRandomized(t *testing.T) {
 			t.Fatal("round-trip decode failed")
 		}
 		checkAgainstSequence(t, rt, seq, sigma)
+
+		// And through the mapped form, whose levels alias the payload.
+		var me snap.MapEncoder
+		tr.EncodeMapped(&me)
+		mt := ViewMapped(snap.NewMapView(me.Bytes()))
+		if mt == nil {
+			t.Fatal("mapped view failed")
+		}
+		checkAgainstSequence(t, mt, seq, sigma)
 	}
 }
