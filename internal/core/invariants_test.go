@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"dyncoll/internal/doc"
+	"dyncoll/internal/sparsebits"
 	"dyncoll/internal/textgen"
 )
 
@@ -220,8 +221,14 @@ func TestSemiDynamicDirect(t *testing.T) {
 		{ID: 20, Data: []byte("swiss")},
 		{ID: 30, Data: []byte("miss")},
 	}
-	for _, counting := range []bool{false, true} {
-		s := NewSemiDynamic(fmBuilder(docs), 4, counting)
+	// τ = 4 keeps the deletion bitmap in Lemma 2's dense form, τ = 64 in
+	// Lemma 3's zero lists.
+	for i, counting := range []bool{false, true, false, true} {
+		tau := []int{4, 64}[i/2]
+		s := NewSemiDynamic(fmBuilder(docs), tau, counting)
+		if _, dense := s.alive.(*sparsebits.Dense); dense != (tau < 64) {
+			t.Fatalf("τ=%d: deletion bitmap is a %T", tau, s.alive)
+		}
 		if s.DocCount() != 3 {
 			t.Fatalf("DocCount = %d", s.DocCount())
 		}
@@ -260,6 +267,42 @@ func TestSemiDynamicDirect(t *testing.T) {
 		if s.DeadWeight() != len("swiss") {
 			t.Fatalf("DeadWeight = %d", s.DeadWeight())
 		}
+	}
+}
+
+// BenchmarkSemiDynamicDelete deletes every document of a 1 MiB store at
+// the engine's τ = 6 with the deletion bitmap in each of its two forms:
+// dense is what newRowBitmap picks there, compressed what it picked
+// before the choice existed. One op is one document; building the bitmap
+// is in the figure, building the index is not.
+func BenchmarkSemiDynamicDelete(b *testing.B) {
+	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 6}).GenerateTotal(1 << 20)
+	idx := fmBuilder(docs)
+	forms := []struct {
+		name      string
+		newBitmap func(n int) rowBitmap
+	}{
+		{"dense", func(n int) rowBitmap { return newRowBitmap(n, 6) }},
+		{"compressed", func(n int) rowBitmap { return sparsebits.NewCompressed(n, 6) }},
+	}
+	for _, f := range forms {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var s *SemiDynamic
+			symbols := 0
+			for i := 0; i < b.N; i++ {
+				if i%len(docs) == 0 {
+					s = NewSemiDynamicDeferred(idx, 6, false)
+					s.alive = f.newBitmap(idx.SALen())
+				}
+				n, ok := s.Delete(docs[i%len(docs)].ID)
+				if !ok {
+					b.Fatal("delete failed")
+				}
+				symbols += n
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(symbols), "ns/symbol")
+		})
 	}
 }
 

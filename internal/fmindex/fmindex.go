@@ -48,6 +48,7 @@ type buildScratch struct {
 	inv  []int32 // row-indexed int32 table: CSA inverse SA, FM separator rows, AppendDocs' LF array
 	psi  []int32 // CSA builds only
 	saws sa.Workspace
+	wt   wavelet.BuildScratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -165,7 +166,7 @@ func Build(docs []Doc, opts Options) *Index {
 	// The wavelet tree over the BWT and the sample tables below depend
 	// only on bwtBytes/suff, so the tree builds concurrently with them.
 	treeDone := make(chan *wavelet.Tree, 1)
-	go func() { treeDone <- wavelet.NewHuffmanBytes(bwtBytes, 256) }()
+	go func() { treeDone <- wavelet.NewHuffmanBytesScratch(bwtBytes, 256, &sc.wt) }()
 
 	var counts [256]int
 	for _, b := range bwtBytes {
@@ -291,8 +292,14 @@ func (x *Index) lf(row int) int {
 // pattern yields the full interval; an absent pattern yields lo == hi.
 // Patterns containing the separator byte never match.
 func (x *Index) Range(pattern []byte) (lo, hi int) {
-	lo, hi = 0, x.n
-	for i := len(pattern) - 1; i >= 0 && lo < hi; i-- {
+	if len(pattern) == 0 {
+		return 0, x.n
+	}
+	// From the full interval the first backward step needs no rank: the
+	// rows whose suffix starts with b are c[b] … c[b+1] by definition.
+	last := len(pattern) - 1
+	lo, hi = x.c[pattern[last]], x.c[int(pattern[last])+1]
+	for i := last - 1; i >= 0 && lo < hi; i-- {
 		b := pattern[i]
 		// Both interval endpoints rank the same symbol, so one fused
 		// walk shares the node path and bit-vector directory loads.

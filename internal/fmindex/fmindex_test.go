@@ -188,6 +188,58 @@ func TestEmptyPatternMatchesEverything(t *testing.T) {
 	}
 }
 
+// TestRangeFirstStepFromCounts holds Range, which reads its first
+// backward step off the C array, to the interval the textbook loop gives
+// when it ranks both ends of every step — for every single byte
+// (separator and absent bytes included), planted and random longer
+// patterns, and patterns ending in the separator, over all three forms
+// of an index.
+func TestRangeFirstStepFromCounts(t *testing.T) {
+	byRank := func(x *Index, pattern []byte) (lo, hi int) {
+		lo, hi = 0, x.n
+		for i := len(pattern) - 1; i >= 0 && lo < hi; i-- {
+			b := pattern[i]
+			lo, hi = x.c[b]+x.bwt.Rank(uint32(b), lo), x.c[b]+x.bwt.Rank(uint32(b), hi)
+		}
+		return lo, hi
+	}
+	rng := rand.New(rand.NewSource(15))
+	col := randomDocs(rng, 40, 200, 5)
+	col = append(col, Doc{ID: 9001}, Doc{ID: 9002, Data: []byte{255, 254, 255}})
+	var pats [][]byte
+	for b := 0; b < 256; b++ {
+		pats = append(pats, []byte{byte(b)})
+	}
+	for i := 0; i < 200; i++ {
+		d := col[rng.Intn(len(col))].Data
+		if len(d) == 0 {
+			continue
+		}
+		off := rng.Intn(len(d))
+		p := bytes.Clone(d[off : off+rng.Intn(min(8, len(d)-off))+1])
+		switch i % 4 {
+		case 1:
+			p[rng.Intn(len(p))] = byte(1 + rng.Intn(6)) // mostly absent
+		case 2:
+			p = append(p, Sep)
+		case 3:
+			p = append([]byte{Sep}, p...)
+		}
+		pats = append(pats, p)
+	}
+	for form, x := range indexForms(t, col, 4) {
+		for _, p := range pats {
+			lo, hi := x.Range(p)
+			if wlo, whi := byRank(x, p); lo != wlo || hi != whi {
+				t.Fatalf("%s: Range(%v) = [%d,%d), rank-both-ends gives [%d,%d)", form, p, lo, hi, wlo, whi)
+			}
+		}
+		if lo, hi := x.Range(nil); lo != 0 || hi != x.n {
+			t.Fatalf("%s: Range(nil) = [%d,%d), want [0,%d)", form, lo, hi, x.n)
+		}
+	}
+}
+
 func TestSuffixRankRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	docs := randomDocs(rng, 10, 100, 8)

@@ -3,6 +3,7 @@ package sa
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -237,13 +238,57 @@ func TestQuickBWTRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWorkspaceReuse pins what the workspace is for: once it has built a
+// text, building one no larger — at any recursion depth — allocates
+// nothing. Period-3 text recurses; the random one does not.
+func TestWorkspaceReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	texts := [][]byte{
+		randomText(rng, 1<<14, 64),
+		bytes.Repeat([]byte{1, 1, 2}, 5000),
+		randomText(rng, 1<<13, 2),
+	}
+	for i, text := range texts {
+		var ws Workspace
+		want := SuffixArray(text)
+		if got := SuffixArrayWS(text, &ws); !slices.Equal(got, want) {
+			t.Fatalf("text %d: workspace build differs from SuffixArray", i)
+		}
+		if avg := testing.AllocsPerRun(5, func() { SuffixArrayWS(text, &ws) }); avg != 0 {
+			t.Errorf("text %d: rebuild through a warm workspace allocates %v times, want 0", i, avg)
+		}
+		half := text[:len(text)/2]
+		if avg := testing.AllocsPerRun(5, func() { SuffixArrayWS(half, &ws) }); avg != 0 {
+			t.Errorf("text %d: smaller build through a warm workspace allocates %v times, want 0", i, avg)
+		}
+		if got := SuffixArrayWS(half, &ws); !slices.Equal(got, SuffixArray(half)) {
+			t.Fatalf("text %d: smaller build through a used workspace is wrong", i)
+		}
+	}
+}
+
 func BenchmarkSAIS(b *testing.B) {
 	text := randomText(rand.New(rand.NewSource(6)), 1<<20, 64)
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SuffixArray(text)
-	}
+	b.Run("fresh", func(b *testing.B) {
+		b.SetBytes(int64(len(text)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			SuffixArray(text)
+		}
+	})
+	b.Run("workspace", func(b *testing.B) {
+		var ws Workspace
+		SuffixArrayWS(text, &ws)
+		b.SetBytes(int64(len(text)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			SuffixArrayWS(text, &ws)
+		}
+		if a := testing.AllocsPerRun(1, func() { SuffixArrayWS(text, &ws) }); a != 0 {
+			b.Fatalf("warm workspace build allocates %v times, want 0", a)
+		}
+	})
 }
 
 func BenchmarkDoubling(b *testing.B) {

@@ -23,43 +23,21 @@ package sa
 // with buffer reuse. The zero value is ready to use. A Workspace is
 // not safe for concurrent use; pool one per build goroutine.
 type Workspace struct {
-	t, sa []int32   // top-level text and suffix buffers
-	ints  [][]int32 // free list for recursion scratch
-	bools [][]bool
+	t, sa []int32 // top-level text and suffix buffers
+	// levels[d] is the scratch of recursion depth d. Every level's
+	// buffers stay live while the levels below it run, so nothing can be
+	// shared between depths; giving each depth its own named buffers
+	// makes a second build of the same text allocation-free by
+	// construction. Each level at least halves the text, so 32 depths
+	// cover any int32-indexed input.
+	levels [32]levelScratch
 }
 
-func (w *Workspace) getInts(n int) []int32 {
-	for i := len(w.ints) - 1; i >= 0; i-- {
-		if cap(w.ints[i]) >= n {
-			b := w.ints[i][:n]
-			w.ints = append(w.ints[:i], w.ints[i+1:]...)
-			return b
-		}
-	}
-	return make([]int32, n)
-}
-
-func (w *Workspace) putInts(b []int32) {
-	if cap(b) > 0 && len(w.ints) < 16 {
-		w.ints = append(w.ints, b[:0])
-	}
-}
-
-func (w *Workspace) getBools(n int) []bool {
-	for i := len(w.bools) - 1; i >= 0; i-- {
-		if cap(w.bools[i]) >= n {
-			b := w.bools[i][:n]
-			w.bools = append(w.bools[:i], w.bools[i+1:]...)
-			return b
-		}
-	}
-	return make([]bool, n)
-}
-
-func (w *Workspace) putBools(b []bool) {
-	if cap(b) > 0 && len(w.bools) < 16 {
-		w.bools = append(w.bools, b[:0])
-	}
+type levelScratch struct {
+	isS                        []bool
+	cnt, bkt                   []int32 // per-symbol counts and bucket cursors
+	lmsPos, reduced, sortedLMS []int32
+	sub                        []int32 // the reduced problem's suffix array
 }
 
 // Grow returns buf resized to n, reallocating only when capacity is
@@ -105,7 +83,7 @@ func SuffixArrayWS(text []byte, ws *Workspace) []int32 {
 	}
 	t[n] = 0
 	ws.sa = Grow(ws.sa, n+1)
-	saIS(t, ws.sa, 257, ws)
+	saIS(t, ws.sa, 257, ws, 0)
 	// sa[0] is the sentinel suffix; drop it.
 	return ws.sa[1:]
 }
@@ -127,7 +105,7 @@ func SuffixArrayInts(text []int32, sigma int) []int32 {
 	}
 	t[n] = 0
 	sa := make([]int32, n+1)
-	saIS(t, sa, sigma+1, &Workspace{})
+	saIS(t, sa, sigma+1, &Workspace{}, 0)
 	out := make([]int32, n)
 	copy(out, sa[1:])
 	return out
@@ -135,16 +113,18 @@ func SuffixArrayInts(text []int32, sigma int) []int32 {
 
 // saIS computes the suffix array of t into sa. t must end with a unique
 // smallest sentinel (value 0 occurring exactly once, at the end), and
-// symbols lie in [0, sigma). Scratch buffers come from ws and return to
-// it, across recursion levels too.
-func saIS(t []int32, sa []int32, sigma int, ws *Workspace) {
+// symbols lie in [0, sigma). Scratch comes from ws's buffers for this
+// recursion depth.
+func saIS(t []int32, sa []int32, sigma int, ws *Workspace, depth int) {
 	n := len(t)
 	if n == 1 {
 		sa[0] = 0
 		return
 	}
+	lv := &ws.levels[depth]
 	// Classify suffixes: S-type (true) or L-type (false).
-	isS := ws.getBools(n)
+	lv.isS = Grow(lv.isS, n)
+	isS := lv.isS
 	isS[n-1] = true
 	for i := n - 2; i >= 0; i-- {
 		isS[i] = t[i] < t[i+1] || (t[i] == t[i+1] && isS[i+1])
@@ -154,14 +134,14 @@ func saIS(t []int32, sa []int32, sigma int, ws *Workspace) {
 	// Count symbol frequencies once; bucket heads/tails are O(sigma)
 	// prefix sums over the counts, so re-deriving them for every induce
 	// pass no longer costs an O(n) recount each time.
-	cnt := ws.getInts(sigma)
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	lv.cnt = Grow(lv.cnt, sigma)
+	cnt := lv.cnt
+	clear(cnt)
 	for _, c := range t {
 		cnt[c]++
 	}
-	bkt := ws.getInts(sigma)
+	lv.bkt = Grow(lv.bkt, sigma)
+	bkt := lv.bkt
 	bucketHeads := func() {
 		var s int32
 		for c := 0; c < sigma; c++ {
@@ -250,8 +230,9 @@ func saIS(t []int32, sa []int32, sigma int, ws *Workspace) {
 		names[pos/2] = name
 	}
 	// Collect names in text order.
-	lmsPos := ws.getInts(nLMS)[:0]
-	reduced := ws.getInts(nLMS)[:0]
+	lv.lmsPos = Grow(lv.lmsPos, nLMS)
+	lv.reduced = Grow(lv.reduced, nLMS)
+	lmsPos, reduced := lv.lmsPos[:0], lv.reduced[:0]
 	for i := 1; i < n; i++ {
 		if isLMS(i) {
 			lmsPos = append(lmsPos, int32(i))
@@ -260,17 +241,17 @@ func saIS(t []int32, sa []int32, sigma int, ws *Workspace) {
 	}
 
 	// Step 3: sort the reduced problem.
-	sortedLMS := ws.getInts(nLMS)
+	lv.sortedLMS = Grow(lv.sortedLMS, nLMS)
+	sortedLMS := lv.sortedLMS
 	if int(name)+1 == nLMS {
 		// All names unique: order directly.
 		for i, nm := range reduced {
 			sortedLMS[nm] = int32(i)
 		}
 	} else {
-		sub := ws.getInts(nLMS)
-		saIS(reduced, sub, int(name)+1, ws)
-		copy(sortedLMS, sub)
-		ws.putInts(sub)
+		lv.sub = Grow(lv.sub, nLMS)
+		saIS(reduced, lv.sub, int(name)+1, ws, depth+1)
+		copy(sortedLMS, lv.sub)
 	}
 
 	// Step 4: place LMS suffixes in their final relative order, induce.
@@ -284,10 +265,4 @@ func saIS(t []int32, sa []int32, sigma int, ws *Workspace) {
 		sa[bkt[t[j]]] = j
 	}
 	induce()
-	ws.putInts(lmsPos)
-	ws.putInts(reduced)
-	ws.putInts(sortedLMS)
-	ws.putInts(bkt)
-	ws.putInts(cnt)
-	ws.putBools(isS)
 }

@@ -121,6 +121,31 @@ func (d *Dense) Report(s, e int, fn func(pos int) bool) {
 	}
 }
 
+// Count1 returns the number of set bits in [s, e]: one popcount per
+// machine word of the span, no directory probe and no callback.
+func (d *Dense) Count1(s, e int) int {
+	if s < 0 {
+		s = 0
+	}
+	if e >= d.n {
+		e = d.n - 1
+	}
+	if s > e {
+		return 0
+	}
+	ws, we := s>>6, e>>6
+	first := ^uint64(0) << uint(s&63)
+	last := ^uint64(0) >> uint(63-e&63)
+	if ws == we {
+		return bits.OnesCount64(d.words[ws] & first & last)
+	}
+	n := bits.OnesCount64(d.words[ws]&first) + bits.OnesCount64(d.words[we]&last)
+	for _, w := range d.words[ws+1 : we] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // AppendRange appends all set positions in [s, e] to dst and returns it.
 func (d *Dense) AppendRange(dst []int, s, e int) []int {
 	d.Report(s, e, func(pos int) bool {

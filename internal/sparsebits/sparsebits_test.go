@@ -14,6 +14,7 @@ type reporter interface {
 	Get(i int) bool
 	Zero(i int)
 	AppendRange(dst []int, s, e int) []int
+	Count1(s, e int) int
 }
 
 // refVec is the reference model.
@@ -88,6 +89,15 @@ func driveAgainstModel(t *testing.T, name string, mk func(n int) reporter) {
 				want := ref.report(s, e)
 				if !equalInts(got, want) {
 					t.Fatalf("%s n=%d: Report(%d,%d)=%v, want %v", name, n, s, e, got, want)
+				}
+				// Count1 clamps like Report, so widen the span past
+				// both ends now and then.
+				if op%5 == 0 {
+					s, e = s-3, e+70
+					want = ref.report(s, e)
+				}
+				if c := v.Count1(s, e); c != len(want) {
+					t.Fatalf("%s n=%d: Count1(%d,%d)=%d, want %d", name, n, s, e, c, len(want))
 				}
 			}
 		}

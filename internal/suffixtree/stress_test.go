@@ -57,8 +57,8 @@ func TestSharedPrefixForest(t *testing.T) {
 	}
 }
 
-// TestByteExtremes uses payload bytes 1 and 255 (the boundary values the
-// int32 symbol mapping must keep distinct from terminators ≥ 256).
+// TestByteExtremes uses payload bytes 1 and 255, the boundary values on
+// either side of 0x00, which every terminator reads as.
 func TestByteExtremes(t *testing.T) {
 	tr := New()
 	tr.Insert(doc.Doc{ID: 1, Data: []byte{255, 1, 255, 255, 1}})

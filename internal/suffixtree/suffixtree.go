@@ -3,10 +3,10 @@
 // for the sub-collection C0 (Section A.2).
 //
 // Documents are inserted with Ukkonen's online algorithm in O(|T|)
-// amortized time; each document is terminated with a per-document unique
-// symbol so every suffix corresponds to exactly one leaf. Pattern queries
-// descend from the root in O(|P|) and report occurrences in O(1) per
-// occurrence by walking the locus subtree.
+// amortized time; each document ends in a terminator unequal to every
+// other symbol, so every suffix corresponds to exactly one leaf. Pattern
+// queries descend from the root in O(|P|) and report occurrences in O(1)
+// per occurrence by walking the locus subtree.
 //
 // Deletion follows the paper's lazy strategy for C0's small size budget:
 // a deleted document is unlinked from the live set immediately (queries
@@ -15,24 +15,63 @@
 // deleted symbol. DESIGN.md §2 records this substitution for the
 // McCreight leaf-surgery deletion sketched in the paper.
 //
-// Child dictionaries are Go maps — the hashing variant the paper itself
-// prescribes for large alphabets (randomized update costs, Section A.2).
+// Layout: the tree holds no pointers. Nodes are fixed-size records of
+// int32 indices in a slab that grows by whole chunks and never moves;
+// child lookup is one open-addressing table for the whole tree keyed by
+// (node, symbol) — the hashing variant the paper itself prescribes for
+// large alphabets (randomized update costs, Section A.2) — and the text
+// of all documents is one byte arena. Terminators are never stored: the
+// symbol at a document's payload length reads as the reserved byte 0x00,
+// which compares unequal to everything, itself included. A rebuild
+// compacts the arena and re-threads the same slab and table, so inserts
+// into a warm tree allocate only when one of the three outgrows its
+// capacity.
 package suffixtree
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"dyncoll/internal/doc"
 )
 
-// termBase is the first terminator symbol; document bytes occupy [1,255].
-const termBase int32 = 256
+const (
+	// Nodes are allocated in chunks so that growth never copies a node
+	// and a *node stays valid while others are created.
+	chunkShift = 9
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+
+	// A table slot packs (parent, symbol, child) into one word:
+	// parent<<36 | symbol<<28 | child. Child 0 would be the root, which is
+	// nobody's child, so the zero word is the empty slot.
+	childBits = 28
+	childMask = 1<<childBits - 1
+	maxNodes  = 1 << childBits
+
+	minTable = 1 << 8
+	hashMult = 0x9E3779B97F4A7C15
+
+	// Sizes for SizeBits: a node, and a document's table entry together
+	// with its ID-map entry.
+	nodeBits = 32 * 8
+	docBits  = (24 + 16) * 8
+)
 
 // Tree is a generalized suffix tree over a dynamic document collection.
+// The zero state allocates nothing; slabs appear with the first Insert.
 type Tree struct {
-	root *node
-	docs []*docEntry // indexed by sequence number
-	byID map[uint64]int
+	chunks    []*[chunkSize]node
+	nodeCount int      // nodes in use; node 0 is the root
+	table     []uint64 // open addressing, linear probing, len a power of two
+	shift     uint     // 64 - log2(len(table))
+	edges     int      // occupied table slots
+
+	text []byte     // payloads of docs, back to back
+	docs []docEntry // indexed by sequence number
+	byID map[uint64]int32
 
 	liveSymbols    int // payload symbols of live documents
 	deletedSymbols int // payload symbols of deleted documents
@@ -40,32 +79,24 @@ type Tree struct {
 
 type docEntry struct {
 	id      uint64
-	data    []int32 // payload symbols plus trailing terminator
-	rawLen  int     // payload length (len(data)-1)
+	off, n  int32 // payload is text[off : off+n]; symbol n is the terminator
 	deleted bool
 }
 
+// node is one tree node. Index 0 means "none" in every link field except
+// link itself, where it means the root.
 type node struct {
-	// Edge label: docs[doc].data[start:end]; end == -1 denotes
-	// "to the growing end" during the owning document's construction.
-	doc   int32
-	start int32
-	end   int32
-
-	children    map[int32]*node
-	link        *node
-	suffixStart int32 // for leaves: start of the suffix; -1 for internal nodes
+	// Edge label: symbols [start, end) of docs[doc].
+	doc, start, end int32
+	link            int32 // suffix link (internal nodes)
+	// Children form a doubly linked list in unspecified order, so that a
+	// split can put the new internal node in its child's place in O(1).
+	firstChild, nextSibling, prevSibling int32
+	suffixStart                          int32 // leaves: offset of the suffix in its document; -1 for internal nodes
 }
-
-func (n *node) isLeaf() bool { return n.suffixStart >= 0 }
 
 // New returns an empty tree.
-func New() *Tree {
-	return &Tree{
-		root: &node{suffixStart: -1, children: make(map[int32]*node)},
-		byID: make(map[uint64]int),
-	}
-}
+func New() *Tree { return &Tree{} }
 
 // Len reports the number of live payload symbols.
 func (t *Tree) Len() int { return t.liveSymbols }
@@ -92,16 +123,17 @@ func (t *Tree) Insert(d doc.Doc) {
 	if !d.Valid() {
 		panic("suffixtree: document contains the reserved byte 0x00")
 	}
-	seq := len(t.docs)
-	data := make([]int32, len(d.Data)+1)
-	for i, b := range d.Data {
-		data[i] = int32(b)
+	if len(t.text)+len(d.Data) >= math.MaxInt32 {
+		panic("suffixtree: text exceeds 2^31 symbols")
 	}
-	data[len(d.Data)] = termBase + int32(seq)
-	e := &docEntry{id: d.ID, data: data, rawLen: len(d.Data)}
-	t.docs = append(t.docs, e)
+	if t.byID == nil {
+		t.byID = make(map[uint64]int32)
+	}
+	seq := int32(len(t.docs))
+	t.docs = append(t.docs, docEntry{id: d.ID, off: int32(len(t.text)), n: int32(len(d.Data))})
+	t.text = append(t.text, d.Data...)
 	t.byID[d.ID] = seq
-	t.liveSymbols += e.rawLen
+	t.liveSymbols += len(d.Data)
 	t.ukkonen(seq)
 }
 
@@ -112,40 +144,59 @@ func (t *Tree) Delete(id uint64) bool {
 	if !ok {
 		return false
 	}
-	e := t.docs[seq]
+	e := &t.docs[seq]
 	e.deleted = true
 	delete(t.byID, id)
-	t.liveSymbols -= e.rawLen
-	t.deletedSymbols += e.rawLen
+	t.liveSymbols -= int(e.n)
+	t.deletedSymbols += int(e.n)
 	if t.deletedSymbols > t.liveSymbols && t.deletedSymbols > 64 {
 		t.rebuild()
 	}
 	return true
 }
 
-// rebuild reconstructs the tree from live documents only.
+// rebuild reconstructs the tree from live documents only, in place:
+// the arena and the document table are compacted, and the nodes and the
+// table are re-threaded over the memory they already hold.
 func (t *Tree) rebuild() {
-	live := t.LiveDocs()
-	fresh := New()
-	for _, d := range live {
-		fresh.Insert(d)
+	live, w := 0, int32(0)
+	for _, e := range t.docs {
+		if e.deleted {
+			continue
+		}
+		copy(t.text[w:], t.text[e.off:e.off+e.n])
+		e.off = w
+		w += e.n
+		t.docs[live] = e
+		t.byID[e.id] = int32(live)
+		live++
 	}
-	*t = *fresh
+	t.docs = t.docs[:live]
+	t.text = t.text[:w]
+	t.deletedSymbols = 0
+	t.nodeCount = 0
+	clear(t.table)
+	t.edges = 0
+	for seq := range t.docs {
+		t.ukkonen(int32(seq))
+	}
 }
+
+func (t *Tree) payload(e *docEntry) []byte { return t.text[e.off : e.off+e.n] }
 
 // LiveDocs returns the live documents in insertion order. Payload slices
 // are fresh copies.
 func (t *Tree) LiveDocs() []doc.Doc {
 	out := make([]doc.Doc, 0, len(t.byID))
-	for _, e := range t.docs {
+	slab := make([]byte, 0, t.liveSymbols)
+	for i := range t.docs {
+		e := &t.docs[i]
 		if e.deleted {
 			continue
 		}
-		data := make([]byte, e.rawLen)
-		for i := 0; i < e.rawLen; i++ {
-			data[i] = byte(e.data[i])
-		}
-		out = append(out, doc.Doc{ID: e.id, Data: data})
+		at := len(slab)
+		slab = append(slab, t.payload(e)...)
+		out = append(out, doc.Doc{ID: e.id, Data: slab[at:len(slab):len(slab)]})
 	}
 	return out
 }
@@ -167,24 +218,13 @@ func (t *Tree) Extract(id uint64, off, length int) (data []byte, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	e := t.docs[seq]
-	if off < 0 {
-		off = 0
-	}
-	if off > e.rawLen {
-		off = e.rawLen
-	}
-	if off+length > e.rawLen {
-		length = e.rawLen - off
-	}
+	p := t.payload(&t.docs[seq])
+	off = min(max(off, 0), len(p))
+	length = min(length, len(p)-off)
 	if length <= 0 {
 		return nil, true
 	}
-	out := make([]byte, length)
-	for i := 0; i < length; i++ {
-		out[i] = byte(e.data[off+i])
-	}
-	return out, true
+	return bytes.Clone(p[off : off+length]), true
 }
 
 // DocLen returns the payload length of the live document id; ok is false
@@ -194,7 +234,7 @@ func (t *Tree) DocLen(id uint64) (n int, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	return t.docs[seq].rawLen, true
+	return int(t.docs[seq].n), true
 }
 
 // Occurrence is one pattern match: the document ID and the offset of the
@@ -218,11 +258,9 @@ func (t *Tree) Find(pattern []byte) []Occurrence {
 // FindFunc calls fn for every occurrence of pattern; if fn returns false
 // enumeration stops early.
 func (t *Tree) FindFunc(pattern []byte, fn func(Occurrence) bool) {
-	locus := t.locus(pattern)
-	if locus == nil {
-		return
+	if locus := t.locus(pattern); locus >= 0 {
+		t.collect(locus, len(pattern), fn)
 	}
-	t.collect(locus, len(pattern), fn)
 }
 
 // Count returns the number of occurrences of pattern in live documents.
@@ -235,187 +273,260 @@ func (t *Tree) Count(pattern []byte) int {
 	return n
 }
 
-// locus returns the highest node whose path covers pattern, or nil if the
+// locus returns the highest node whose path covers pattern, or -1 if the
 // pattern does not occur. A locus in the middle of an edge is represented
 // by the edge's lower node.
-func (t *Tree) locus(pattern []byte) *node {
-	nd := t.root
-	i := 0
-	for i < len(pattern) {
-		child := nd.children[int32(pattern[i])]
-		if child == nil {
-			return nil
-		}
-		label := t.label(child)
-		for j := 0; j < len(label); j++ {
-			if i == len(pattern) {
-				return child
-			}
-			if label[j] != int32(pattern[i]) {
-				return nil
-			}
-			i++
-		}
-		nd = child
+func (t *Tree) locus(pattern []byte) int32 {
+	if t.nodeCount == 0 {
+		return -1
 	}
-	return nd
+	at := int32(0)
+	for len(pattern) > 0 {
+		child, _ := t.lookup(at, pattern[0])
+		if child == 0 {
+			return -1
+		}
+		nd := t.node(child)
+		e := &t.docs[nd.doc]
+		// The label's payload part. One that runs on into the terminator
+		// belongs to a leaf, below which the next lookup finds nothing.
+		label := t.text[e.off+nd.start : e.off+min(nd.end, e.n)]
+		if len(pattern) <= len(label) {
+			if !bytes.Equal(label[:len(pattern)], pattern) {
+				return -1
+			}
+			return child
+		}
+		if !bytes.Equal(label, pattern[:len(label)]) {
+			return -1
+		}
+		pattern = pattern[len(label):]
+		at = child
+	}
+	return at
 }
 
-// label returns the (frozen) edge label of nd.
-func (t *Tree) label(nd *node) []int32 {
-	e := t.docs[nd.doc]
-	end := nd.end
-	if end < 0 {
-		end = int32(len(e.data))
-	}
-	return e.data[nd.start:end]
-}
-
-// collect walks the subtree of nd reporting live leaves whose suffix has
-// at least patLen payload symbols before the terminator.
-func (t *Tree) collect(nd *node, patLen int, fn func(Occurrence) bool) bool {
-	if nd.isLeaf() {
-		e := t.docs[nd.doc]
-		if e.deleted {
-			return true
-		}
+// collect walks the subtree of node i reporting live leaves whose suffix
+// has at least patLen payload symbols before the terminator.
+func (t *Tree) collect(i int32, patLen int, fn func(Occurrence) bool) bool {
+	nd := t.node(i)
+	if nd.suffixStart >= 0 {
+		e := &t.docs[nd.doc]
 		off := int(nd.suffixStart)
 		// A match must start inside the payload and fit before the
-		// terminator; the off < rawLen guard excludes the terminator-only
+		// terminator; the off < n guard excludes the terminator-only
 		// suffix when the pattern is empty.
-		if off < e.rawLen && off+patLen <= e.rawLen {
+		if !e.deleted && off < int(e.n) && off+patLen <= int(e.n) {
 			return fn(Occurrence{DocID: e.id, Off: off})
 		}
 		return true
 	}
-	for _, child := range nd.children {
-		if !t.collect(child, patLen, fn) {
+	for c := nd.firstChild; c != 0; c = t.node(c).nextSibling {
+		if !t.collect(c, patLen, fn) {
 			return false
 		}
 	}
 	return true
 }
 
-// ukkonen inserts all suffixes of docs[seq] with Ukkonen's algorithm.
-func (t *Tree) ukkonen(seq int) {
-	data := t.docs[seq].data
-	var leaves []*node
-	active := t.root
-	activeEdge := 0 // index into data
-	activeLength := 0
-	remaining := 0
+func (t *Tree) node(i int32) *node { return &t.chunks[i>>chunkShift][i&chunkMask] }
 
-	for pos := 0; pos < len(data); pos++ {
+// newNode stores nd in the next free slot, adding a chunk when the last
+// one is full. Existing nodes do not move.
+func (t *Tree) newNode(nd node) int32 {
+	i := t.nodeCount
+	if i>>chunkShift == len(t.chunks) {
+		if i == maxNodes {
+			panic("suffixtree: tree exceeds 2^28 nodes")
+		}
+		t.chunks = append(t.chunks, new([chunkSize]node))
+	}
+	t.chunks[i>>chunkShift][i&chunkMask] = nd
+	t.nodeCount++
+	return int32(i)
+}
+
+// addChild links child, whose edge starts with sym, at the head of
+// parent's child list and enters it in the table.
+func (t *Tree) addChild(parent int32, sym byte, child int32) {
+	p, c := t.node(parent), t.node(child)
+	c.nextSibling = p.firstChild
+	if p.firstChild != 0 {
+		t.node(p.firstChild).prevSibling = child
+	}
+	p.firstChild = child
+	t.enter(parent, sym, child)
+}
+
+// enter records child under (parent, sym) in the table, unless sym is a
+// terminator: nothing ever looks one up, since an insert searches only
+// for its own document's symbols and a pattern has none.
+func (t *Tree) enter(parent int32, sym byte, child int32) {
+	if sym == 0 {
+		return
+	}
+	if (t.edges+1)*4 > len(t.table)*3 {
+		t.growTable()
+	}
+	t.place(slotKey(parent, sym)<<childBits | uint64(child))
+	t.edges++
+}
+
+func slotKey(parent int32, sym byte) uint64 { return uint64(parent)<<8 | uint64(sym) }
+
+// lookup returns the child of parent whose edge starts with sym, or 0,
+// and the slot that holds it.
+func (t *Tree) lookup(parent int32, sym byte) (child int32, slot int) {
+	if len(t.table) == 0 {
+		return 0, 0
+	}
+	key := slotKey(parent, sym)
+	mask := len(t.table) - 1
+	for i := int(key * hashMult >> t.shift); ; i = (i + 1) & mask {
+		s := t.table[i]
+		if s == 0 {
+			return 0, i
+		}
+		if s>>childBits == key {
+			return int32(s & childMask), i
+		}
+	}
+}
+
+// place stores an occupied slot word at the first free position of its
+// probe sequence.
+func (t *Tree) place(s uint64) {
+	mask := len(t.table) - 1
+	i := int((s >> childBits) * hashMult >> t.shift)
+	for t.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.table[i] = s
+}
+
+// growTable quadruples the table. Against doubling that is a third of
+// the rehashing and shorter probe sequences, for about the same memory
+// over the fill-once life C0 leads: the last table is larger, but the
+// outgrown ones add up to a third of it instead of all of it.
+func (t *Tree) growTable() {
+	old := t.table
+	t.table = make([]uint64, max(4*len(old), minTable))
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.table))))
+	for _, s := range old {
+		if s != 0 {
+			t.place(s)
+		}
+	}
+}
+
+// labelSym returns the k-th symbol of nd's edge label: a payload byte,
+// or 0 for the owning document's terminator.
+func (t *Tree) labelSym(nd *node, k int) byte {
+	e := &t.docs[nd.doc]
+	if i := nd.start + int32(k); i < e.n {
+		return t.text[e.off+i]
+	}
+	return 0
+}
+
+// ukkonen inserts all suffixes of docs[seq] with Ukkonen's algorithm.
+// The whole document is known up front, so a leaf's edge runs to the
+// terminator from the moment it is created and needs no later fix-up.
+func (t *Tree) ukkonen(seq int32) {
+	if t.nodeCount == 0 {
+		t.newNode(node{suffixStart: -1})
+	}
+	text := t.payload(&t.docs[seq])
+	n := len(text)
+	// symAt reads the document being inserted; position n is its
+	// terminator.
+	symAt := func(i int) byte {
+		if i < n {
+			return text[i]
+		}
+		return 0
+	}
+	active := int32(0)
+	activeEdge, activeLength, remaining := 0, 0, 0
+
+	for pos := 0; pos <= n; pos++ {
+		c := symAt(pos)
 		remaining++
-		var lastNew *node
+		lastNew := int32(0)
 		for remaining > 0 {
 			if activeLength == 0 {
 				activeEdge = pos
 			}
-			first := data[activeEdge]
-			next := active.children[first]
-			if next == nil {
-				leaf := &node{
-					doc:         int32(seq),
-					start:       int32(activeEdge),
-					end:         -1,
-					suffixStart: int32(pos - remaining + 1),
-				}
-				active.children[first] = leaf
-				leaves = append(leaves, leaf)
-				if lastNew != nil {
-					lastNew.link = active
-					lastNew = nil
+			first := symAt(activeEdge)
+			var next int32
+			var slot int
+			if first != 0 { // its own terminator is under no node yet
+				next, slot = t.lookup(active, first)
+			}
+			if next == 0 {
+				leaf := t.newNode(node{doc: seq, start: int32(activeEdge), end: int32(n + 1), suffixStart: int32(pos - remaining + 1)})
+				t.addChild(active, first, leaf)
+				if lastNew != 0 {
+					t.node(lastNew).link = active
+					lastNew = 0
 				}
 			} else {
-				el := t.edgeLen(next, pos)
-				if activeLength >= el {
+				nd := t.node(next)
+				if el := int(nd.end - nd.start); activeLength >= el {
 					activeEdge += el
 					activeLength -= el
 					active = next
 					continue
 				}
-				if t.symAt(next, activeLength) == data[pos] {
+				if b := t.labelSym(nd, activeLength); b != 0 && b == c {
 					activeLength++
-					if lastNew != nil {
-						lastNew.link = active
-						lastNew = nil
+					if lastNew != 0 {
+						t.node(lastNew).link = active
+						lastNew = 0
 					}
 					break
 				}
-				// Split the edge.
-				split := &node{
-					doc:         next.doc,
-					start:       next.start,
-					end:         next.start + int32(activeLength),
-					children:    make(map[int32]*node, 2),
+				// Split the edge: the new internal node takes next's
+				// place under active, in the sibling list and in the
+				// table, and next becomes its first child.
+				split := t.newNode(node{
+					doc: nd.doc, start: nd.start, end: nd.start + int32(activeLength),
+					firstChild: next, nextSibling: nd.nextSibling, prevSibling: nd.prevSibling,
 					suffixStart: -1,
+				})
+				if nd.prevSibling != 0 {
+					t.node(nd.prevSibling).nextSibling = split
+				} else {
+					t.node(active).firstChild = split
 				}
-				active.children[first] = split
-				leaf := &node{
-					doc:         int32(seq),
-					start:       int32(pos),
-					end:         -1,
-					suffixStart: int32(pos - remaining + 1),
+				if nd.nextSibling != 0 {
+					t.node(nd.nextSibling).prevSibling = split
 				}
-				split.children[data[pos]] = leaf
-				leaves = append(leaves, leaf)
-				next.start += int32(activeLength)
-				split.children[t.symAt(next, 0)] = next
-				if lastNew != nil {
-					lastNew.link = split
+				t.table[slot] = t.table[slot]&^childMask | uint64(split)
+				nd.start += int32(activeLength)
+				nd.nextSibling, nd.prevSibling = 0, 0
+				t.enter(split, t.labelSym(nd, 0), next)
+				leaf := t.newNode(node{doc: seq, start: int32(pos), end: int32(n + 1), suffixStart: int32(pos - remaining + 1)})
+				t.addChild(split, c, leaf)
+				if lastNew != 0 {
+					t.node(lastNew).link = split
 				}
 				lastNew = split
 			}
 			remaining--
-			if active == t.root && activeLength > 0 {
+			if active == 0 && activeLength > 0 {
 				activeLength--
 				activeEdge = pos - remaining + 1
-			} else if active != t.root {
-				if active.link != nil {
-					active = active.link
-				} else {
-					active = t.root
-				}
+			} else if active != 0 {
+				active = t.node(active).link
 			}
 		}
 	}
-	// Freeze the leaves created for this document.
-	for _, leaf := range leaves {
-		leaf.end = int32(len(data))
-	}
 }
 
-// edgeLen returns the current length of nd's edge during phase pos of the
-// owning document's construction.
-func (t *Tree) edgeLen(nd *node, pos int) int {
-	if nd.end >= 0 {
-		return int(nd.end - nd.start)
-	}
-	return pos + 1 - int(nd.start)
-}
-
-// symAt returns the k-th symbol of nd's edge label.
-func (t *Tree) symAt(nd *node, k int) int32 {
-	return t.docs[nd.doc].data[int(nd.start)+k]
-}
-
-// SizeBits roughly estimates the memory footprint in bits: documents plus
-// a constant number of words per node.
+// SizeBits estimates the memory footprint in bits from the lengths in
+// use: nodes, the child table, the text arena and the document table.
 func (t *Tree) SizeBits() int64 {
-	var nodes int64
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		nodes++
-		for _, c := range nd.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	var symbols int64
-	for _, e := range t.docs {
-		symbols += int64(len(e.data))
-	}
-	// ~6 words per node (label, link, map header) + 32 bits per symbol.
-	return nodes*6*64 + symbols*32
+	return int64(t.nodeCount)*nodeBits + int64(len(t.table))*64 +
+		int64(len(t.text))*8 + int64(len(t.docs))*docBits
 }

@@ -129,13 +129,24 @@ func NewBalancedBytes(s []byte, sigma int) *Tree {
 			panic(fmt.Sprintf("wavelet: symbol %d outside alphabet [0,%d)", c, sigma))
 		}
 	}
-	return buildSeq(s, sigma, codes)
+	return buildSeq(s, sigma, codes, nil)
 }
 
 // NewHuffmanBytes builds a Huffman-shaped tree over a byte string with
 // alphabet [0, sigma). The byte path skips the []uint32 conversion the
 // general constructors pay, so index rebuilds feed the BWT in directly.
 func NewHuffmanBytes(s []byte, sigma int) *Tree {
+	return NewHuffmanBytesScratch(s, sigma, nil)
+}
+
+// BuildScratch holds the two symbol buffers a byte-string build
+// partitions back and forth between, for a caller that builds tree after
+// tree. The zero value is ready to use; not safe for concurrent builds.
+type BuildScratch [2][]byte
+
+// NewHuffmanBytesScratch is NewHuffmanBytes with its transient buffers
+// taken from (and left in) sc, which may be nil.
+func NewHuffmanBytesScratch(s []byte, sigma int, sc *BuildScratch) *Tree {
 	if sigma < 1 {
 		panic("wavelet: sigma must be ≥ 1")
 	}
@@ -147,7 +158,7 @@ func NewHuffmanBytes(s []byte, sigma int) *Tree {
 		freq[c]++
 	}
 	codes := huffman.Build(freq)
-	return buildSeq(s, sigma, codes)
+	return buildSeq(s, sigma, codes, (*[2][]byte)(sc))
 }
 
 func build(s []uint32, sigma int, codes []huffman.Code) *Tree {
@@ -156,7 +167,7 @@ func build(s []uint32, sigma int, codes []huffman.Code) *Tree {
 			panic(fmt.Sprintf("wavelet: symbol %d outside alphabet [0,%d)", c, sigma))
 		}
 	}
-	return buildSeq(s, sigma, codes)
+	return buildSeq(s, sigma, codes, nil)
 }
 
 // buildSeq constructs the flat tree breadth-first. Two ping-pong symbol
@@ -164,8 +175,10 @@ func build(s []uint32, sigma int, codes []huffman.Code) *Tree {
 // stable partition of each internal node's segment writes its zeros
 // then its ones, which is exactly the level-order segment layout of the
 // children. The whole build allocates the node slice, one bit vector
-// per level, and two symbol buffers — independent of the node count.
-func buildSeq[S byte | uint32](s []S, sigma int, codes []huffman.Code) *Tree {
+// per level — sized once, from the segments that will write to it — and
+// two symbol buffers, which it takes from bufs when the caller has some
+// to lend.
+func buildSeq[S byte | uint32](s []S, sigma int, codes []huffman.Code, bufs *[2][]S) *Tree {
 	t := &Tree{sigma: sigma, n: len(s), codes: codes}
 	if len(s) == 0 {
 		return t
@@ -174,9 +187,16 @@ func buildSeq[S byte | uint32](s []S, sigma int, codes []huffman.Code) *Tree {
 		node       int32
 		start, end int32
 	}
-	cur := make([]S, len(s))
+	if bufs == nil {
+		bufs = new([2][]S)
+	}
+	for i, b := range bufs {
+		if cap(b) < len(s) {
+			bufs[i] = make([]S, len(s))
+		}
+	}
+	cur, next := bufs[0][:len(s)], bufs[1][:len(s)]
 	copy(cur, s)
-	next := make([]S, len(s))
 	segs := []segment{{node: 0, start: 0, end: int32(len(s))}}
 	var nextSegs []segment
 	t.nodes = append(t.nodes, node{zero: -1, one: -1, leaf: -1})
@@ -190,9 +210,20 @@ func buildSeq[S byte | uint32](s []S, sigma int, codes []huffman.Code) *Tree {
 				bitAt[c] = uint8(code.Bits >> uint(int32(code.Len)-depth-1) & 1)
 			}
 		}
-		lv := bitvec.New(0)
+		// A segment whose symbols have used up their code is one symbol:
+		// a leaf. Every other segment writes one bit per symbol.
+		isLeaf := func(sg segment) bool {
+			l := int32(codes[cur[sg.start]].Len)
+			return l == depth || l == 0
+		}
+		levelBits := 0
+		for _, sg := range segs {
+			if !isLeaf(sg) {
+				levelBits += int(sg.end - sg.start)
+			}
+		}
+		lv := bitvec.New(levelBits)
 		levelOnes := int32(0)
-		hasBits := false
 		nextSegs = nextSegs[:0]
 		nextPos := int32(0)
 		for _, sg := range segs {
@@ -201,15 +232,11 @@ func buildSeq[S byte | uint32](s []S, sigma int, codes []huffman.Code) *Tree {
 			nd := t.nodes[sg.node]
 			nd.depth = depth
 			nd.count = sg.end - sg.start
-			first := codes[cur[sg.start]]
-			if int32(first.Len) == depth || first.Len == 0 {
-				// All symbols in the segment share the full code prefix,
-				// so they are one symbol: a leaf.
+			if isLeaf(sg) {
 				nd.leaf = int32(cur[sg.start])
 				t.nodes[sg.node] = nd
 				continue
 			}
-			hasBits = true
 			nd.off = int32(lv.Len())
 			nd.onesBefore = levelOnes
 			// First pass: emit the code bits at this depth, 64 at a time.
@@ -256,7 +283,7 @@ func buildSeq[S byte | uint32](s []S, sigma int, codes []huffman.Code) *Tree {
 			}
 			t.nodes[sg.node] = nd
 		}
-		if hasBits {
+		if levelBits > 0 {
 			lv.Seal()
 			t.levels = append(t.levels, lv)
 		}
