@@ -10,6 +10,7 @@ package dyncoll
 import (
 	"testing"
 
+	"dyncoll/internal/fmindex"
 	"dyncoll/internal/textgen"
 )
 
@@ -60,6 +61,27 @@ func TestCountZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state Count allocates %.1f objects/op, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestIndexBuildAllocs pins what one static-index build allocates. A
+// build's allocations are the index's own arrays, a handful per wavelet
+// level and alphabet-sized tables for the code book and node layout;
+// all O(n) scratch comes from the pool. The count does not depend on
+// timing, so a build that starts allocating per node, per level pass or
+// per document fails here rather than in a noisy benchmark.
+func TestIndexBuildAllocs(t *testing.T) {
+	gen := textgen.NewCollection(textgen.CollectionOptions{Seed: 77})
+	docs := gen.GenerateTotal(1 << 16)
+	fmindex.Build(docs, fmindex.Options{}) // warm the scratch pool
+	avg := testing.AllocsPerRun(10, func() { fmindex.Build(docs, fmindex.Options{}) })
+	// 73 when committed (the build before it: 360, one per Huffman heap
+	// push and pop). Four per bit vector — a dozen wavelet levels and
+	// the mark bits — are half of it; 96 leaves room for a few more
+	// tables but not for one allocation per level, node or symbol.
+	const ceiling = 96
+	if avg > ceiling {
+		t.Fatalf("fmindex.Build of %d documents allocates %.0f objects, ceiling %d", len(docs), avg, ceiling)
 	}
 }
 

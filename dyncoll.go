@@ -259,6 +259,10 @@ type IndexStats struct {
 	Tops          int
 	TopSizes      []int
 	PendingBuilds int
+	// BuiltWeight is the weight handed to the static-index builder since
+	// the structure was created, by cause; its total over the weight
+	// inserted is the write amplification of the transformation.
+	BuiltWeight BuiltWeight
 	// Tau is the lazy-deletion parameter currently in effect.
 	Tau int
 	// Shards is the number of shards (0 for an unsharded structure).
@@ -272,6 +276,12 @@ type IndexStats struct {
 	MappedBytes int64
 	HeapBytes   int64
 }
+
+// BuiltWeight splits the weight a structure has built into static
+// indexes by cause: level merges, new top collections, purges of
+// deleted items, whole-structure rebalances, and (worst-case
+// transformation) builds done synchronously inside an update.
+type BuiltWeight = core.BuiltWeight
 
 // fillResidency splits the estimated footprint into mapped (snapshot
 // pages served in place) and heap parts. Mapped payload bytes count
@@ -295,6 +305,7 @@ func indexStatsFrom(st core.Stats) IndexStats {
 		Tops:           st.Tops,
 		TopSizes:       st.TopSizes,
 		PendingBuilds:  st.PendingBuilds,
+		BuiltWeight:    st.BuiltWeight,
 		Tau:            st.Tau,
 	}
 }

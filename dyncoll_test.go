@@ -343,13 +343,20 @@ func TestCollectionDocIDs(t *testing.T) {
 func TestCollectionStats(t *testing.T) {
 	a := mustCollection(t, WithTransformation(Amortized))
 	w := mustCollection(t, WithTransformation(WorstCase), WithSyncRebuilds())
+	sh := mustCollection(t, WithTransformation(WorstCase), WithSyncRebuilds(), WithShards(3))
 	for i := uint64(1); i <= 120; i++ {
 		d := Document{ID: i, Data: []byte("some document payload for stats testing")}
 		mustInsert(t, a, d)
 		mustInsert(t, w, d)
+		mustInsert(t, sh, d)
 	}
-	for _, c := range []*Collection{a, w} {
+	for _, c := range []*Collection{a, w, sh} {
 		st := c.Stats()
+		// Every symbol enters at least one static index once the ladder
+		// has cascaded, and shards add up.
+		if built := st.BuiltWeight.Total(); built < int64(c.Len()-st.LevelSizes[0]) {
+			t.Fatalf("built %d symbols with %d outside C0: %+v", built, c.Len()-st.LevelSizes[0], st)
+		}
 		if st.Levels < 1 || len(st.LevelSizes) != len(st.LevelCaps) {
 			t.Fatalf("malformed stats: %+v", st)
 		}

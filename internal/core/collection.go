@@ -14,6 +14,9 @@ import (
 // regimes (WorstStats is a legacy alias).
 type Stats = engine.Stats
 
+// BuiltWeight is the per-cause build tally inside Stats.
+type BuiltWeight = engine.BuiltWeight
+
 // WorstStats is an alias of Stats kept for callers of the pre-engine
 // API, where the worst-case transformation had its own counter struct.
 type WorstStats = engine.Stats

@@ -48,6 +48,7 @@ type Amortized[K comparable, I any] struct {
 	rebuilds       int // level rebuilds
 	globalRebuilds int
 	purges         int // deletion-triggered level purges
+	built          BuiltWeight
 }
 
 // NewAmortized creates an empty ladder with amortized update bounds.
@@ -207,6 +208,7 @@ func (a *Amortized[K, I]) mergeInto(j int, extra []I) {
 		}
 	}
 	items = append(items, extra...)
+	a.built.LevelMerge += weightOf(items, a.cfg.Weight)
 	lvl := a.cfg.Build(items, a.tau)
 	a.levels[j] = lvl
 	for _, it := range items {
@@ -249,6 +251,7 @@ func (a *Amortized[K, I]) globalRebuild(extra []I) {
 		return
 	}
 	top := len(a.maxes) - 1
+	a.built.Rebalance += int64(n)
 	lvl := a.cfg.Build(items, a.tau)
 	a.levels[top] = lvl
 	owner := make(map[K]Store[K, I], len(items))
@@ -323,6 +326,7 @@ func (a *Amortized[K, I]) purgeLevel(lvl Store[K, I]) {
 			a.purges++
 			return
 		}
+		a.built.Purge += weightOf(items, a.cfg.Weight)
 		fresh := a.cfg.Build(items, a.tau)
 		a.levels[j] = fresh
 		for _, it := range items {
@@ -401,6 +405,7 @@ func (a *Amortized[K, I]) Stats() Stats {
 		Levels:         len(a.maxes),
 		NF:             a.nf,
 		Tau:            a.tau,
+		BuiltWeight:    a.built,
 	}
 	st.LevelSizes = append(st.LevelSizes, a.c0.LiveWeight())
 	st.LevelCaps = append(st.LevelCaps, a.maxes[0])

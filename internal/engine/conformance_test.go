@@ -12,6 +12,7 @@ package engine_test
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"dyncoll/internal/binrel"
@@ -337,4 +338,59 @@ func TestGenericWorstCaseMachineryEngages(t *testing.T) {
 			t.Fatal("relation payload never rebalanced (Section A.3)")
 		}
 	})
+}
+
+// TestBuiltWeightCountsEveryBuild checks Stats.BuiltWeight against the
+// builder's own tally: every symbol handed to Config.Build is counted
+// under exactly one cause, in every regime, and churn that merges,
+// purges and rebalances shows up under those causes.
+func TestBuiltWeightCountsEveryBuild(t *testing.T) {
+	dp := docPayload()
+	for _, r := range regimes {
+		t.Run(r.name, func(t *testing.T) {
+			var handed atomic.Int64
+			builder := func(docs []doc.Doc) core.StaticIndex {
+				for _, d := range docs {
+					handed.Add(int64(len(d.Data)))
+				}
+				return fmindex.Build(docs, fmindex.Options{SampleRate: 4})
+			}
+			eng := core.NewLadder(core.Options{Builder: builder, Inline: r.inline, Tau: 4}, r.worstCase)
+			inserted := 0
+			for i := 0; i < 1500; i++ {
+				it := dp.item(i)
+				inserted += len(it.Data)
+				if err := eng.Insert(it); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 1200; i++ {
+				eng.Delete(dp.key(i))
+			}
+			batch := make([]doc.Doc, 0, 400)
+			for i := 2000; i < 2400; i++ {
+				batch = append(batch, dp.item(i))
+				inserted += len(batch[len(batch)-1].Data)
+			}
+			if err := eng.InsertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			eng.WaitIdle()
+			bw := eng.Stats().BuiltWeight
+			if got, want := bw.Total(), handed.Load(); got != want {
+				t.Fatalf("BuiltWeight %+v totals %d, builder was handed %d", bw, got, want)
+			}
+			if bw.Total() < int64(inserted) {
+				t.Fatalf("built %d symbols for %d inserted: write amplification below 1", bw.Total(), inserted)
+			}
+			// Which background build a deletion lands in depends on timing;
+			// the exact regimes must show every cause.
+			if exact := r.inline || !r.worstCase; exact && (bw.LevelMerge == 0 || bw.Purge == 0 || bw.Rebalance == 0) {
+				t.Fatalf("churn left a cause at zero: %+v", bw)
+			}
+			if r.worstCase == (bw.Sync == 0) {
+				t.Fatalf("Sync = %d under %s", bw.Sync, r.name)
+			}
+		})
+	}
 }

@@ -166,6 +166,51 @@ type Stats struct {
 	// in effect since then.
 	NF  int
 	Tau int
+
+	BuiltWeight BuiltWeight
+}
+
+// BuiltWeight is the weight handed to Config.Build since the ladder was
+// created, by what each build was for. Its total over the weight
+// inserted is the ladder's write amplification — the u(n) factor of the
+// paper's update bounds, paid once per level an item passes through
+// and again at every purge and rebalance.
+type BuiltWeight struct {
+	// LevelMerge: a level slot rebuilt from the slots below it.
+	LevelMerge int64 `json:"level_merge"`
+	// Top: ladder overflow built into new top collections (worst-case).
+	Top int64 `json:"top"`
+	// Purge: a store rebuilt without its deleted items.
+	Purge int64 `json:"purge"`
+	// Rebalance: the whole structure rebuilt — the amortized global
+	// rebuild, the worst-case Section A.3 rebalance.
+	Rebalance int64 `json:"rebalance"`
+	// Sync: built by the worst-case engine on the caller's goroutine,
+	// under its lock: parked temps, heavy items, oversized batches.
+	Sync int64 `json:"sync"`
+}
+
+// Total is the weight built for any reason.
+func (b BuiltWeight) Total() int64 {
+	return b.LevelMerge + b.Top + b.Purge + b.Rebalance + b.Sync
+}
+
+// Add accumulates o into b.
+func (b *BuiltWeight) Add(o BuiltWeight) {
+	b.LevelMerge += o.LevelMerge
+	b.Top += o.Top
+	b.Purge += o.Purge
+	b.Rebalance += o.Rebalance
+	b.Sync += o.Sync
+}
+
+// weightOf sums the weights of items.
+func weightOf[I any](items []I, weight func(I) int) int64 {
+	var n int64
+	for _, it := range items {
+		n += int64(weight(it))
+	}
+	return n
 }
 
 // Ladder is the interface shared by the Amortized and WorstCase

@@ -98,7 +98,9 @@ type buildTask[K comparable, I any] struct {
 	eager   []I
 	lazy    []Snapshot[I]
 	sources []Store[K, I]
-	split   int // buildTop/buildRebalance: max weight per resulting top (0 = no split)
+	split   int   // buildTop/buildRebalance: max weight per resulting top (0 = no split)
+	purge   bool  // a buildTop that rebuilds one top without its dead items
+	built   int64 // weight handed to Build; written before done is sent
 	done    chan []Store[K, I]
 
 	// tombstones records items deleted from the sources while the build
@@ -272,6 +274,7 @@ func (w *WorstCase[K, I]) launch(t *buildTask[K, I]) {
 		for _, l := range t.lazy {
 			items = l.Materialize(items)
 		}
+		t.built = weightOf(items, w.cfg.Weight)
 		var out []Store[K, I]
 		if t.split > 0 {
 			for _, chunk := range splitItems(items, w.cfg.Weight, t.split) {
@@ -504,12 +507,19 @@ func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 			panic("engine: level build target occupied")
 		}
 		w.levels[t.target] = out[0]
+		w.stats.BuiltWeight.LevelMerge += t.built
 	case buildTop:
 		w.tops = append(w.tops, out...)
+		if t.purge {
+			w.stats.BuiltWeight.Purge += t.built
+		} else {
+			w.stats.BuiltWeight.Top += t.built
+		}
 	case buildRebalance:
 		w.tops = append(w.tops, out...)
 		w.rebalancing = false
 		w.stats.Rebalances++
+		w.stats.BuiltWeight.Rebalance += t.built
 	}
 	w.dropEmptyTops()
 	if len(w.tops) > w.stats.MaxTops {
@@ -624,6 +634,12 @@ func (w *WorstCase[K, I]) Insert(item I) error {
 	return nil
 }
 
+// buildSync builds items on the caller's goroutine, under w.mu.
+func (w *WorstCase[K, I]) buildSync(items []I) Store[K, I] {
+	w.stats.BuiltWeight.Sync += weightOf(items, w.cfg.Weight)
+	return w.cfg.Build(items, w.tau)
+}
+
 // placeOne routes a validated item: into C0 if it fits, into its own
 // top collection if huge, through the ladder otherwise. Callers hold
 // w.mu and run checkRebalance afterwards.
@@ -638,7 +654,7 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 		// A huge item becomes its own top collection immediately; the
 		// build cost is proportional to the inserted data.
 		w.invalidateStores()
-		tp := w.cfg.Build([]I{item}, w.tau)
+		tp := w.buildSync([]I{item})
 		w.tops = append(w.tops, tp)
 		w.owner[w.cfg.Key(item)] = tp
 		w.stats.SyncBuilds++
@@ -691,7 +707,7 @@ func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 		// immediately rebuilding the freshly built tops a second time.
 		w.reschedule(w.lenLocked() + total)
 		for _, chunk := range splitItems(items, w.cfg.Weight, w.topCap()) {
-			tp := w.cfg.Build(chunk, w.tau)
+			tp := w.buildSync(chunk)
 			w.tops = append(w.tops, tp)
 			for _, it := range chunk {
 				w.owner[w.cfg.Key(it)] = tp
@@ -740,7 +756,7 @@ func (w *WorstCase[K, I]) insertViaLadder(item I) {
 				return
 			}
 			w.invalidateStores()
-			tmp := w.cfg.Build([]I{item}, w.tau)
+			tmp := w.buildSync([]I{item})
 			w.temps[j+1] = append(w.temps[j+1], tmp)
 			w.owner[w.cfg.Key(item)] = tmp
 			w.stats.TempParks++
@@ -756,7 +772,7 @@ func (w *WorstCase[K, I]) insertViaLadder(item I) {
 				w.levels[j+1] = nil
 			}
 			items = append(items, item)
-			lvl := w.cfg.Build(items, w.tau)
+			lvl := w.buildSync(items)
 			w.levels[j+1] = lvl
 			for _, it := range items {
 				w.owner[w.cfg.Key(it)] = lvl
@@ -787,7 +803,7 @@ func (w *WorstCase[K, I]) insertViaLadder(item I) {
 			task.addStore(tmp)
 		}
 		w.temps[target] = nil
-		tmp := w.cfg.Build([]I{item}, w.tau)
+		tmp := w.buildSync([]I{item})
 		w.owner[w.cfg.Key(item)] = tmp
 		task.addStore(tmp)
 		// The fresh temp rides along as a source so it is retired when the
@@ -1022,7 +1038,7 @@ func (w *WorstCase[K, I]) maybeSweepTops() {
 		if w.isBuildSource(worst) {
 			continue
 		}
-		task := &buildTask[K, I]{kind: buildTop, split: w.topCap()}
+		task := &buildTask[K, I]{kind: buildTop, split: w.topCap(), purge: true}
 		task.addStore(worst)
 		w.launch(task)
 		w.stats.TopPurges++

@@ -2,6 +2,8 @@ package fmindex
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -73,7 +75,7 @@ func TestFMSuffixRankLocateRoundTrip(t *testing.T) {
 		{ID: 2, Data: []byte("sip")},
 		{ID: 3, Data: []byte("p")},
 	}
-	for _, s := range []int{1, 2, 4, 16} {
+	for _, s := range []int{1, 2, 3, 4, 7, 16, 1000} {
 		x := Build(docs, Options{SampleRate: s})
 		for d := 0; d < x.DocCount(); d++ {
 			for off := 0; off < x.DocLen(d); off++ {
@@ -83,6 +85,29 @@ func TestFMSuffixRankLocateRoundTrip(t *testing.T) {
 					t.Fatalf("s=%d: Locate(SuffixRank(%d,%d)) = (%d,%d)", s, d, off, gd, go_)
 				}
 			}
+		}
+	}
+}
+
+// TestDividesMatchesRemainder holds the build's multiply-and-compare
+// sampling test to the % it replaced, across the int32 range.
+func TestDividesMatchesRemainder(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, s := range []int{1, 2, 3, 7, 16, 1000, 1 << 20, 1<<31 - 1} {
+		m := reciprocal(s)
+		check := func(p int32) {
+			if got, want := divides(m, p), int(p)%s == 0; got != want {
+				t.Fatalf("divides(%d | %d) = %v", s, p, got)
+			}
+		}
+		for p := int32(0); p < 5000; p++ {
+			check(p)
+			check(math.MaxInt32 - p)
+		}
+		for i := 0; i < 200000; i++ {
+			p := rng.Int31()
+			check(p)
+			check(p / int32(s) * int32(s)) // a multiple near p
 		}
 	}
 }

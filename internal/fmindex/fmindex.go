@@ -48,7 +48,6 @@ type buildScratch struct {
 	inv  []int32 // row-indexed int32 table: CSA inverse SA, FM separator rows, AppendDocs' LF array
 	psi  []int32 // CSA builds only
 	saws sa.Workspace
-	wt   wavelet.BuildScratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -113,10 +112,7 @@ func (o Options) withDefaults() Options {
 // not contain the separator byte 0x00.
 //
 // Construction recycles its scratch (concat buffer, SA-IS workspace,
-// BWT bytes) through a pool shared across builds, and overlaps the two
-// independent stages after the suffix array is known: the wavelet tree
-// is built on a separate goroutine while this one derives the SA/ISA
-// samples and separator targets.
+// BWT bytes) through a pool shared across builds.
 func Build(docs []Doc, opts Options) *Index {
 	opts = opts.withDefaults()
 	total := 0
@@ -151,94 +147,78 @@ func Build(docs []Doc, opts Options) *Index {
 	}
 
 	suff := sa.SuffixArrayWS(text, &sc.saws)
-	// Cyclic BWT over the concatenation itself (its last byte is a
-	// separator, so suffix order is well defined; see package comment).
-	bwtBytes := sa.Grow(sc.bwt, idx.n)
-	for i, p := range suff {
-		if p == 0 {
-			bwtBytes[i] = text[idx.n-1]
-		} else {
-			bwtBytes[i] = text[p-1]
-		}
-	}
-	sc.bwt = bwtBytes
+	n, rate, nDocs := idx.n, idx.s, len(docs)
 
-	// The wavelet tree over the BWT and the sample tables below depend
-	// only on bwtBytes/suff, so the tree builds concurrently with them.
-	treeDone := make(chan *wavelet.Tree, 1)
-	go func() { treeDone <- wavelet.NewHuffmanBytesScratch(bwtBytes, 256, &sc.wt) }()
-
-	var counts [256]int
-	for _, b := range bwtBytes {
-		counts[b]++
-	}
-	sum := 0
-	for b := 0; b < 256; b++ {
-		idx.c[b] = sum
-		sum += counts[b]
-	}
-	idx.c[256] = sum
-	idx.buildSymTable()
-
-	// SA samples at rows whose suffix position is ≡ 0 (mod s); one pass
-	// fills the mark bits (bulk-appended per word) and the sample table.
-	mv := bitvec.New(idx.n)
-	idx.saSamp = make([]int32, 0, idx.n/idx.s+1)
-	var reg uint64
-	shift := uint(0)
-	for _, p := range suff {
-		if int(p)%idx.s == 0 {
-			reg |= 1 << shift
-			idx.saSamp = append(idx.saSamp, p)
-		}
-		if shift++; shift == 64 {
-			mv.AppendWord(reg, 64)
-			reg, shift = 0, 0
-		}
-	}
-	if shift > 0 {
-		mv.AppendWord(reg, int(shift))
-	}
-	mv.Seal()
-	idx.marked = mv
-
-	// ISA samples at positions 0, s, 2s, … and n-1.
-	idx.isaSamp = make([]int32, (idx.n-1)/idx.s+2)
-	for row, p := range suff {
-		if int(p)%idx.s == 0 {
-			idx.isaSamp[int(p)/idx.s] = int32(row)
-		}
-		if int(p) == idx.n-1 {
-			idx.isaSamp[len(idx.isaSamp)-1] = int32(row)
-		}
-	}
-
-	// Exact LF targets for separator rows. The separator is the smallest
-	// byte, so the separator suffixes are exactly rows 0 … DocCount-1:
-	// those rows alone say which row each document's separator sorts to.
-	// A row whose BWT symbol is the separator holds a document start, and
-	// its LF target is the row of the preceding document's separator
-	// (cyclically) — a DocCount-entry table, not a full inverse array.
-	nDocs := len(docs)
+	// The separator is the smallest byte, so the separator suffixes are
+	// exactly rows 0 … nDocs-1: those rows alone say which row each
+	// document's separator sorts to — a DocCount-entry table, not a full
+	// inverse array — and the last document's is the row of position n-1.
 	sepRowOf := sa.Grow(sc.inv, nDocs)
 	sc.inv = sepRowOf
 	for row, p := range suff[:nDocs] {
 		d, _ := idx.posToDoc(int(p))
 		sepRowOf[d] = int32(row)
 	}
+
+	// Everything else the index keeps comes out of one pass over suff:
+	// the cyclic BWT over the concatenation itself (its last byte is a
+	// separator, so suffix order is well defined; see package comment)
+	// and its symbol counts, which give C and the Huffman code lengths;
+	// SA samples and mark bits at rows whose suffix position is ≡ 0
+	// (mod s) and ISA samples at positions 0, s, 2s, … and n-1; and the
+	// exact LF target of every row whose BWT symbol is the separator —
+	// such a row holds a document start, and its target is the row of
+	// the preceding document's separator (cyclically).
+	bwtBytes := sa.Grow(sc.bwt, n)
+	sc.bwt = bwtBytes
+	var freq [256]int64
+	marks := make([]uint64, (n+63)/64)
+	idx.saSamp = make([]int32, 0, (n-1)/rate+1)
+	idx.isaSamp = make([]int32, (n-1)/rate+2)
+	idx.isaSamp[len(idx.isaSamp)-1] = sepRowOf[nDocs-1]
 	idx.sepRows = make([]int32, 0, nDocs)
 	idx.sepTargets = make([]int32, 0, nDocs)
-	for row, b := range bwtBytes {
+	m := reciprocal(rate)
+	for row, p := range suff {
+		before := int(p) - 1
+		if before < 0 {
+			before = n - 1
+		}
+		b := text[before]
+		bwtBytes[row] = b
+		freq[b]++
+		if divides(m, p) {
+			marks[row>>6] |= 1 << (uint(row) & 63)
+			idx.saSamp = append(idx.saSamp, p)
+			idx.isaSamp[int(p)/rate] = int32(row)
+		}
 		if b == Sep {
-			d, _ := idx.posToDoc(int(suff[row]))
+			d, _ := idx.posToDoc(int(p))
 			idx.sepRows = append(idx.sepRows, int32(row))
 			idx.sepTargets = append(idx.sepTargets, sepRowOf[(d+nDocs-1)%nDocs])
 		}
 	}
-	idx.bwt = <-treeDone
+	sum := 0
+	for b, f := range freq {
+		idx.c[b] = sum
+		sum += int(f)
+	}
+	idx.c[256] = sum
+	idx.buildSymTable()
+	idx.marked = bitvec.FromWords(marks, n)
+	idx.bwt = wavelet.NewHuffmanBytesCounted(bwtBytes, freq[:])
 	scratchPool.Put(sc)
 	return idx
 }
+
+// reciprocal returns m = ⌈2⁶⁴/s⌉ mod 2⁶⁴, with which divides tests
+// s | p by one multiply: p·m wraps to at most m-1 exactly when p is a
+// multiple of s (Lemire, Kaser & Kurz, "Faster remainder by direct
+// computation", 2019; exact for any 32-bit p and s ≥ 1). It keeps the
+// division off every row of a build but the sampled ones.
+func reciprocal(s int) uint64 { return ^uint64(0)/uint64(s) + 1 }
+
+func divides(m uint64, p int32) bool { return uint64(p)*m <= m-1 }
 
 // SALen reports the number of suffix-array rows (the universe of the
 // deletion bitmap kept by the semi-dynamic wrapper).

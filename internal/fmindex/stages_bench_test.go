@@ -1,0 +1,48 @@
+package fmindex
+
+import (
+	"fmt"
+	"testing"
+
+	"dyncoll/internal/sa"
+	"dyncoll/internal/textgen"
+	"dyncoll/internal/wavelet"
+)
+
+// BenchmarkRebuildStages prices the stages of one store rebuild — read
+// the source store back (materialize), suffix-sort it (sa), and build
+// the index around the suffix array (build; the wavelet tree over the
+// BWT is also timed alone, so BWT + samples is build − sa − wavelet) —
+// on the bench corpus at the store sizes the ladder builds. DESIGN.md's
+// "what a rebuild costs" table is this benchmark's output.
+func BenchmarkRebuildStages(b *testing.B) {
+	for _, size := range []int{26 << 10, 108 << 10, 460 << 10, 2 << 20} {
+		docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(size)
+		idx := Build(docs, Options{})
+		all := make([]int, idx.DocCount())
+		for i := range all {
+			all[i] = i
+		}
+		var text []byte
+		for _, d := range docs {
+			text = append(append(text, d.Data...), Sep)
+		}
+		bwt := make([]byte, len(text))
+		for row, p := range sa.SuffixArray(text) {
+			bwt[row] = text[(int(p)+len(text)-1)%len(text)]
+		}
+		stage := func(name string, fn func()) {
+			b.Run(fmt.Sprintf("%s/%d", name, size), func(b *testing.B) {
+				b.SetBytes(int64(len(text)))
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+			})
+		}
+		var ws sa.Workspace
+		stage("materialize", func() { idx.AppendDocs(all, nil) })
+		stage("sa", func() { sa.SuffixArrayWS(text, &ws) })
+		stage("wavelet", func() { wavelet.NewHuffmanBytes(bwt, 256) })
+		stage("build", func() { Build(docs, Options{}) })
+	}
+}

@@ -14,7 +14,6 @@
 package huffman
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -33,23 +32,55 @@ type item struct {
 	index  int // tree node index
 }
 
+// less orders items by weight, ties by node index: a strict total
+// order, so the merge sequence — and with it every code length — is
+// fixed by the frequencies alone.
+func (a item) less(b item) bool {
+	if a.weight != b.weight {
+		return a.weight < b.weight
+	}
+	return a.index < b.index
+}
+
+// itemHeap is a binary min-heap of items. It is written out instead of
+// going through container/heap, whose interface{} elements cost one
+// allocation per push and pop.
 type itemHeap []item
 
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].weight != h[j].weight {
-		return h[i].weight < h[j].weight
+func (h *itemHeap) push(x item) {
+	*h = append(*h, x)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s[i].less(s[up]) {
+			break
+		}
+		s[i], s[up] = s[up], s[i]
+		i = up
 	}
-	return h[i].index < h[j].index
 }
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *itemHeap) pop() item {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if s[c].less(s[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	return top
 }
 
 // CodeLengths returns the Huffman code length for each symbol given its
@@ -57,18 +88,15 @@ func (h *itemHeap) Pop() interface{} {
 // symbol occurs it is assigned length 1.
 func CodeLengths(freq []int64) []int {
 	lens := make([]int, len(freq))
-	var h itemHeap
-	parent := make([]int, 0, 2*len(freq))
+	nLeaves := 0
 	for s, f := range freq {
 		if f < 0 {
 			panic(fmt.Sprintf("huffman: negative frequency for symbol %d", s))
 		}
 		if f > 0 {
-			parent = append(parent, -1)
-			heap.Push(&h, item{weight: f, index: len(parent) - 1})
+			nLeaves++
 		}
 	}
-	nLeaves := len(parent)
 	if nLeaves == 0 {
 		return lens
 	}
@@ -80,14 +108,21 @@ func CodeLengths(freq []int64) []int {
 		}
 		return lens
 	}
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(item)
-		b := heap.Pop(&h).(item)
+	h := make(itemHeap, 0, nLeaves)
+	parent := make([]int, 0, 2*nLeaves-1)
+	for _, f := range freq {
+		if f > 0 {
+			parent = append(parent, -1)
+			h.push(item{weight: f, index: len(parent) - 1})
+		}
+	}
+	for len(h) > 1 {
+		a, b := h.pop(), h.pop()
 		parent = append(parent, -1)
 		ni := len(parent) - 1
 		parent[a.index] = ni
 		parent[b.index] = ni
-		heap.Push(&h, item{weight: a.weight + b.weight, index: ni})
+		h.push(item{weight: a.weight + b.weight, index: ni})
 	}
 	// Depth of each leaf = code length.
 	depth := make([]int, len(parent))

@@ -123,6 +123,68 @@ func TestPathologicalTexts(t *testing.T) {
 	}
 }
 
+// TestByteTextsAgainstDoubling drives the top level's byte path — the
+// text read in place, every byte value an ordinary symbol, the sentinel
+// virtual — over the shapes that stress it, against prefix doubling.
+// One workspace serves them all, so stale scratch would show.
+func TestByteTextsAgainstDoubling(t *testing.T) {
+	fa, fb := []byte{0xff}, []byte{0xff, 0x00}
+	for len(fb) < 3000 {
+		fa, fb = fb, append(slices.Clone(fb), fa...)
+	}
+	rng := rand.New(rand.NewSource(11))
+	docs := make([]byte, 0, 4096) // documents over {1,2,3} ended by 0x00, empty ones included
+	for len(docs) < 4000 {
+		for k := rng.Intn(12); k > 0; k-- {
+			docs = append(docs, byte(1+rng.Intn(3)))
+		}
+		docs = append(docs, bytes.Repeat([]byte{0}, 1+rng.Intn(4))...)
+	}
+	extremes := make([]byte, 2500) // only the smallest and largest bytes
+	for i := range extremes {
+		extremes[i] = byte(rng.Intn(2) * 255)
+	}
+	texts := map[string][]byte{
+		"all 0x00":           make([]byte, 1000),
+		"all 0xff":           bytes.Repeat([]byte{0xff}, 1000),
+		"single byte":        {0},
+		"a^n b":              append(bytes.Repeat([]byte("a"), 2000), 'b'),
+		"b^n a":              append(bytes.Repeat([]byte("b"), 2000), 'a'),
+		"a b^n":              append([]byte("a"), bytes.Repeat([]byte("b"), 2000)...),
+		"fibonacci":          fb,
+		"separator runs":     docs,
+		"last byte repeated": append(slices.Clone(docs), 0, 0, 0),
+		"extremes":           extremes,
+		"ends on its max":    append(slices.Clone(extremes), 0xff),
+	}
+	var ws Workspace
+	for name, text := range texts {
+		want := SuffixArrayDoubling(text)
+		if got := SuffixArray(text); !slices.Equal(got, want) {
+			t.Errorf("%s: SuffixArray differs from doubling", name)
+		}
+		if got := SuffixArrayWS(text, &ws); !slices.Equal(got, want) {
+			t.Errorf("%s: SuffixArrayWS differs from doubling", name)
+		}
+	}
+}
+
+// FuzzSuffixArray checks SA-IS against prefix doubling on arbitrary
+// bytes.
+func FuzzSuffixArray(f *testing.F) {
+	f.Add([]byte("mississippi"))
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 0})
+	f.Add([]byte{255, 0, 255, 0, 255})
+	f.Fuzz(func(t *testing.T, text []byte) {
+		if len(text) > 4096 {
+			text = text[:4096]
+		}
+		if got, want := SuffixArray(text), SuffixArrayDoubling(text); !slices.Equal(got, want) {
+			t.Fatalf("SuffixArray(%v) = %v, doubling says %v", text, got, want)
+		}
+	})
+}
+
 func TestSuffixArrayInts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, sigma := range []int{2, 300, 100000} {
@@ -285,6 +347,10 @@ func BenchmarkSAIS(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			SuffixArrayWS(text, &ws)
 		}
+		// Off the clock: AllocsPerRun builds twice more, which at the ten
+		// or so iterations this benchmark gets read as the warm path
+		// being 15–20 % slower than fresh allocation.
+		b.StopTimer()
 		if a := testing.AllocsPerRun(1, func() { SuffixArrayWS(text, &ws) }); a != 0 {
 			b.Fatalf("warm workspace build allocates %v times, want 0", a)
 		}

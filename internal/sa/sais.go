@@ -23,7 +23,7 @@ package sa
 // with buffer reuse. The zero value is ready to use. A Workspace is
 // not safe for concurrent use; pool one per build goroutine.
 type Workspace struct {
-	t, sa []int32 // top-level text and suffix buffers
+	sa []int32 // top-level suffix buffer
 	// levels[d] is the scratch of recursion depth d. Every level's
 	// buffers stay live while the levels below it run, so nothing can be
 	// shared between depths; giving each depth its own named buffers
@@ -34,10 +34,11 @@ type Workspace struct {
 }
 
 type levelScratch struct {
-	isS                        []bool
-	cnt, bkt                   []int32 // per-symbol counts and bucket cursors
-	lmsPos, reduced, sortedLMS []int32
-	sub                        []int32 // the reduced problem's suffix array
+	typ      []uint8 // 1 = S-type, 0 = L-type; typ[n] is the sentinel's
+	cnt, bkt []int32 // per-symbol counts and bucket cursors
+	lms      []int32 // LMS positions in text order, packed at the back
+	reduced  []int32 // the reduced problem's text ...
+	sub      []int32 // ... and its suffix array
 }
 
 // Grow returns buf resized to n, reallocating only when capacity is
@@ -57,13 +58,12 @@ func Grow[T any](buf []T, n int) []T {
 // ordering treats the end of the text as smaller than any byte (the usual
 // sentinel convention).
 func SuffixArray(text []byte) []int32 {
-	n := len(text)
-	if n == 0 {
+	if len(text) == 0 {
 		return nil
 	}
-	out := make([]int32, n)
-	copy(out, SuffixArrayWS(text, &Workspace{}))
-	return out
+	sa := make([]int32, len(text)+1)
+	saIS(text, sa, 256, &Workspace{}, 0)
+	return sa[1:]
 }
 
 // SuffixArrayWS is SuffixArray computed through a reusable workspace.
@@ -71,20 +71,11 @@ func SuffixArray(text []byte) []int32 {
 // build through the same workspace, and callers must copy anything they
 // keep.
 func SuffixArrayWS(text []byte, ws *Workspace) []int32 {
-	n := len(text)
-	if n == 0 {
+	if len(text) == 0 {
 		return nil
 	}
-	// Shift the alphabet by one so 0 is free for the sentinel.
-	ws.t = Grow(ws.t, n+1)
-	t := ws.t
-	for i, b := range text {
-		t[i] = int32(b) + 1
-	}
-	t[n] = 0
-	ws.sa = Grow(ws.sa, n+1)
-	saIS(t, ws.sa, 257, ws, 0)
-	// sa[0] is the sentinel suffix; drop it.
+	ws.sa = Grow(ws.sa, len(text)+1)
+	saIS(text, ws.sa, 256, ws, 0)
 	return ws.sa[1:]
 }
 
@@ -92,177 +83,192 @@ func SuffixArrayWS(text []byte, ws *Workspace) []int32 {
 // [0, sigma). The end of the text is treated as a sentinel smaller than
 // any symbol.
 func SuffixArrayInts(text []int32, sigma int) []int32 {
-	n := len(text)
-	if n == 0 {
+	if len(text) == 0 {
 		return nil
 	}
-	t := make([]int32, n+1)
-	for i, v := range text {
+	for _, v := range text {
 		if v < 0 || int(v) >= sigma {
 			panic("sa: symbol out of alphabet range")
 		}
-		t[i] = v + 1
 	}
-	t[n] = 0
-	sa := make([]int32, n+1)
-	saIS(t, sa, sigma+1, &Workspace{}, 0)
-	out := make([]int32, n)
-	copy(out, sa[1:])
-	return out
+	sa := make([]int32, len(text)+1)
+	saIS(text, sa, sigma, &Workspace{}, 0)
+	return sa[1:]
 }
 
-// saIS computes the suffix array of t into sa. t must end with a unique
-// smallest sentinel (value 0 occurring exactly once, at the end), and
-// symbols lie in [0, sigma). Scratch comes from ws's buffers for this
-// recursion depth.
-func saIS(t []int32, sa []int32, sigma int, ws *Workspace, depth int) {
+// saIS computes the suffix array of t followed by a virtual sentinel —
+// position n = len(t), smaller than every symbol — into sa, which has
+// n+1 entries; sa[0] is always n. Symbols lie in [0, sigma). The text is
+// read as the caller holds it: the top level runs over the []byte
+// itself, the recursion over []int32 names. Scratch comes from ws's
+// buffers for this recursion depth.
+func saIS[T byte | int32](t []T, sa []int32, sigma int, ws *Workspace, depth int) {
 	n := len(t)
-	if n == 1 {
+	if n == 0 {
 		sa[0] = 0
 		return
 	}
 	lv := &ws.levels[depth]
-	// Classify suffixes: S-type (true) or L-type (false).
-	lv.isS = Grow(lv.isS, n)
-	isS := lv.isS
-	isS[n-1] = true
-	for i := n - 2; i >= 0; i-- {
-		isS[i] = t[i] < t[i+1] || (t[i] == t[i+1] && isS[i+1])
-	}
-	isLMS := func(i int) bool { return i > 0 && isS[i] && !isS[i-1] }
-
-	// Count symbol frequencies once; bucket heads/tails are O(sigma)
-	// prefix sums over the counts, so re-deriving them for every induce
-	// pass no longer costs an O(n) recount each time.
+	lv.typ = Grow(lv.typ, n+1)
 	lv.cnt = Grow(lv.cnt, sigma)
-	cnt := lv.cnt
-	clear(cnt)
-	for _, c := range t {
-		cnt[c]++
-	}
 	lv.bkt = Grow(lv.bkt, sigma)
-	bkt := lv.bkt
-	bucketHeads := func() {
-		var s int32
-		for c := 0; c < sigma; c++ {
-			bkt[c] = s
-			s += cnt[c]
-		}
-	}
-	bucketTails := func() {
-		var s int32
-		for c := 0; c < sigma; c++ {
-			s += cnt[c]
-			bkt[c] = s
-		}
-	}
+	// At most every other position is LMS; one more for the sentinel
+	// and one for the write that runs ahead of the cursor below.
+	lv.lms = Grow(lv.lms, n/2+2)
+	typ, cnt, bkt, lms := lv.typ, lv.cnt, lv.bkt, lv.lms
 
-	induce := func() {
-		// Induce L-type suffixes left to right.
-		bucketHeads()
-		for i := 0; i < n; i++ {
-			j := sa[i] - 1
-			if sa[i] > 0 && !isS[j] {
-				sa[bkt[t[j]]] = j
-				bkt[t[j]]++
+	// One right-to-left pass classifies every suffix, counts symbols
+	// (bucket heads and tails are prefix sums over the counts) and
+	// collects the LMS positions. A suffix's type changes only where
+	// adjacent symbols differ, and position i+1 is LMS exactly when the
+	// type steps from L at i to S at i+1; its position is written
+	// unconditionally and kept by moving the cursor, so the pass has no
+	// data-dependent branch beyond the symbol comparison.
+	clear(cnt)
+	w := len(lms) - 1
+	lms[w] = int32(n) // the sentinel: S-type after an L-type, always LMS
+	typ[n], typ[n-1] = 1, 0
+	next, s := t[n-1], uint8(0)
+	cnt[next]++
+	for i := n - 2; i >= 0; i-- {
+		c := t[i]
+		cnt[c]++
+		after := s
+		if c != next {
+			s = 0
+			if c < next {
+				s = 1
 			}
 		}
-		// Induce S-type suffixes right to left.
-		bucketTails()
-		for i := n - 1; i >= 0; i-- {
-			j := sa[i] - 1
-			if sa[i] > 0 && isS[j] {
-				bkt[t[j]]--
-				sa[bkt[t[j]]] = j
-			}
-		}
+		typ[i] = s
+		lms[w-1] = int32(i + 1)
+		w -= int(after &^ s)
+		next = c
 	}
+	lms = lms[w:]
+	m := len(lms) // LMS suffixes, the sentinel included
 
 	// Step 1: place LMS suffixes at bucket tails in text order, induce.
-	for i := range sa {
-		sa[i] = -1
+	fill(sa, -1)
+	bucketTails(bkt, cnt)
+	for _, p := range lms[:m-1] {
+		c := t[p]
+		bkt[c]--
+		sa[bkt[c]] = p
 	}
-	bucketTails()
-	for i := 1; i < n; i++ {
-		if isLMS(i) {
-			bkt[t[i]]--
-			sa[bkt[t[i]]] = int32(i)
-		}
-	}
-	induce()
+	sa[0] = int32(n)
+	induce(t, sa, typ, cnt, bkt)
 
-	// Step 2: compact the sorted LMS substrings and name them.
-	nLMS := 0
-	for i := 0; i < n; i++ {
-		if isLMS(int(sa[i])) {
-			sa[nLMS] = sa[i]
-			nLMS++
+	// Step 2: compact the sorted LMS substrings and name them. Names
+	// live in the upper half of sa, indexed by position/2 (LMS positions
+	// are at least two apart). The slot first carries its substring's
+	// length — through the next LMS position inclusive, 0 for the two
+	// that reach the sentinel and so equal nothing — so two substrings
+	// are equal when their lengths and then their symbols are: equal
+	// symbols ending on an S-after-L step force equal types throughout.
+	k := 0
+	for _, p := range sa {
+		sa[k] = p
+		if p > 0 {
+			k += int(typ[p] &^ typ[p-1])
 		}
 	}
-	// Name buffer in the upper half of sa.
-	names := sa[nLMS:]
-	for i := range names {
-		names[i] = -1
+	names := sa[m:]
+	for i, p := range lms[:m-1] {
+		names[p/2] = lms[i+1] - p + 1
 	}
-	lmsEqual := func(a, b int) bool {
-		// Compare LMS substrings starting at a and b.
-		if t[a] != t[b] {
-			return false
-		}
-		for i := 1; ; i++ {
-			aEnd, bEnd := isLMS(a+i), isLMS(b+i)
-			if aEnd && bEnd {
-				return true
-			}
-			if aEnd != bEnd || t[a+i] != t[b+i] {
-				return false
-			}
-		}
+	names[n/2] = 0
+	if m > 1 {
+		names[lms[m-2]/2] = 0
 	}
-	var name int32 = -1
-	prev := -1
-	for i := 0; i < nLMS; i++ {
-		pos := int(sa[i])
-		if prev < 0 || !lmsEqual(prev, pos) {
+	name := int32(-1)
+	var prev, prevLen int32
+	for _, p := range sa[:m] {
+		l := names[p/2]
+		same := l != 0 && l == prevLen
+		for i := int32(0); same && i < l; i++ {
+			same = t[p+i] == t[prev+i]
+		}
+		if !same {
 			name++
 		}
-		prev = pos
-		names[pos/2] = name
-	}
-	// Collect names in text order.
-	lv.lmsPos = Grow(lv.lmsPos, nLMS)
-	lv.reduced = Grow(lv.reduced, nLMS)
-	lmsPos, reduced := lv.lmsPos[:0], lv.reduced[:0]
-	for i := 1; i < n; i++ {
-		if isLMS(i) {
-			lmsPos = append(lmsPos, int32(i))
-			reduced = append(reduced, names[i/2])
-		}
+		prev, prevLen = p, l
+		names[p/2] = name
 	}
 
-	// Step 3: sort the reduced problem.
-	lv.sortedLMS = Grow(lv.sortedLMS, nLMS)
-	sortedLMS := lv.sortedLMS
-	if int(name)+1 == nLMS {
+	// Step 3: sort the reduced problem — the names in text order, less
+	// the sentinel's (name 0, unique and last), which the recursion
+	// supplies itself.
+	lv.reduced = Grow(lv.reduced, m-1)
+	lv.sub = Grow(lv.sub, m)
+	reduced, sub := lv.reduced, lv.sub
+	for i, p := range lms[:m-1] {
+		reduced[i] = names[p/2] - 1
+	}
+	if int(name)+1 == m {
 		// All names unique: order directly.
+		sub[0] = int32(m - 1)
 		for i, nm := range reduced {
-			sortedLMS[nm] = int32(i)
+			sub[nm+1] = int32(i)
 		}
 	} else {
-		lv.sub = Grow(lv.sub, nLMS)
-		saIS(reduced, lv.sub, int(name)+1, ws, depth+1)
-		copy(sortedLMS, lv.sub)
+		saIS(reduced, sub, int(name), ws, depth+1)
 	}
 
 	// Step 4: place LMS suffixes in their final relative order, induce.
-	for i := range sa {
-		sa[i] = -1
+	fill(sa, -1)
+	bucketTails(bkt, cnt)
+	for i := m - 1; i >= 1; i-- {
+		p := lms[sub[i]]
+		c := t[p]
+		bkt[c]--
+		sa[bkt[c]] = p
 	}
-	bucketTails()
-	for i := nLMS - 1; i >= 0; i-- {
-		j := lmsPos[sortedLMS[i]]
-		bkt[t[j]]--
-		sa[bkt[t[j]]] = j
+	sa[0] = int32(n)
+	induce(t, sa, typ, cnt, bkt)
+}
+
+func fill(s []int32, v int32) {
+	for i := range s {
+		s[i] = v
 	}
-	induce()
+}
+
+// bucketHeads and bucketTails set bkt[c] to the first row of symbol c's
+// bucket, or one past its last; row 0 is the sentinel's.
+func bucketHeads(bkt, cnt []int32) {
+	s := int32(1)
+	for c, k := range cnt {
+		bkt[c] = s
+		s += k
+	}
+}
+
+func bucketTails(bkt, cnt []int32) {
+	s := int32(1)
+	for c, k := range cnt {
+		s += k
+		bkt[c] = s
+	}
+}
+
+// induce sorts the L-type suffixes left to right from the LMS suffixes
+// already placed, then the S-type suffixes right to left from those.
+func induce[T byte | int32](t []T, sa []int32, typ []uint8, cnt, bkt []int32) {
+	bucketHeads(bkt, cnt)
+	for i := 0; i < len(sa); i++ {
+		if j := sa[i] - 1; j >= 0 && typ[j] == 0 {
+			c := t[j]
+			sa[bkt[c]] = j
+			bkt[c]++
+		}
+	}
+	bucketTails(bkt, cnt)
+	for i := len(sa) - 1; i >= 0; i-- {
+		if j := sa[i] - 1; j >= 0 && typ[j] == 1 {
+			c := t[j]
+			bkt[c]--
+			sa[bkt[c]] = j
+		}
+	}
 }

@@ -61,6 +61,10 @@ type LadderVarz struct {
 	Rebuilds       int `json:"rebuilds"`
 	GlobalRebuilds int `json:"global_rebuilds"`
 	PendingBuilds  int `json:"pending_builds"`
+	// Built is the weight handed to the static-index builder so far, by
+	// cause; Built.Total() over the weight inserted is the structure's
+	// write amplification.
+	Built dyncoll.BuiltWeight `json:"built_weight"`
 	// Levels is the sub-collection ladder, level 0 the uncompressed C0.
 	Levels []LevelVarz `json:"levels"`
 	// TopSizes lists live weights of the worst-case top collections.
@@ -102,6 +106,7 @@ func NewLadderVarz(st dyncoll.IndexStats, unit string, live int, sizeBits int64)
 		Rebuilds:       st.Rebuilds,
 		GlobalRebuilds: st.GlobalRebuilds,
 		PendingBuilds:  st.PendingBuilds,
+		Built:          st.BuiltWeight,
 		TopSizes:       st.TopSizes,
 	}
 	for j, sz := range st.LevelSizes {
@@ -126,6 +131,8 @@ func (v *LadderVarz) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "%-10s τ=%d, rebuilds=%d, global=%d, pending builds=%d\n",
 		"engine:", v.Tau, v.Rebuilds, v.GlobalRebuilds, v.PendingBuilds)
+	fmt.Fprintf(w, "%-10s %d %ss: level merges %d, tops %d, purges %d, rebalances %d, sync %d\n",
+		"built:", v.Built.Total(), v.Unit, v.Built.LevelMerge, v.Built.Top, v.Built.Purge, v.Built.Rebalance, v.Built.Sync)
 	fmt.Fprintf(w, "%-10s %d slots (occupancy/capacity, level 0 = uncompressed C0)\n", "ladder:", len(v.Levels))
 	for j, lv := range v.Levels {
 		fmt.Fprintf(w, "  level %-3d %12d / %d\n", j, lv.Size, lv.Cap)

@@ -79,6 +79,7 @@ func aggStats(n int, get func(i int) core.Stats) core.Stats {
 		agg.TopSizes = append(agg.TopSizes, st.TopSizes...)
 		agg.TopDead = append(agg.TopDead, st.TopDead...)
 		agg.NF += st.NF
+		agg.BuiltWeight.Add(st.BuiltWeight)
 	}
 	return agg
 }
