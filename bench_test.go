@@ -672,60 +672,88 @@ func BenchmarkIngestSharded(b *testing.B) {
 // --- v2.4 query layer: regex search and ranked top-k ---
 
 // BenchmarkRegexSearch measures regex execution against the planner's
-// two regimes over the same preloaded sharded corpus. "planned" is a
-// selective expression built around a planted literal, so the required-
-// literal analysis filters candidates through the index and only a few
+// two regimes over the same preloaded corpus. "planned" is a selective
+// expression built around a planted literal, so the required-literal
+// analysis filters candidates through the index and only a few
 // documents are verified. "scan" is an expression the analysis cannot
 // extract literals from (case-folded letters are rejected), so every
 // document is verified with the regexp engine — the fallback's full
 // price.
+//
+// Two corpus shapes: the original 131 k symbols in one InsertBatch over
+// four shards (a handful of stores, short literals that occur in every
+// one), and "manystore", 524 k symbols ingested unsharded in 96 batches
+// — one top collection per batch, the ladder batched ingest leaves in
+// production — queried with literals long enough to be absent from most
+// stores, which is where deciding the filter store by store pays.
 func BenchmarkRegexSearch(b *testing.B) {
-	docs := benchDocs(1<<17, 16, 41)
-	ps := textgen.NewPatternSampler(docs, 42)
-	pats := ps.PlantedSet(16, 8)
-	c := shardedBench(b, 4, docs)
-	exprs := []struct{ name, expr string }{}
-	for i, p := range pats[:4] {
-		// p[4] generalizes to a wildcard: still selective, still planned.
-		expr := "(?s)" + regexp.QuoteMeta(string(p[:4])) + "." + regexp.QuoteMeta(string(p[5:]))
-		exprs = append(exprs, struct{ name, expr string }{fmt.Sprintf("planned/%d", i), expr})
+	few := benchDocs(1<<17, 16, 41)
+	many := benchDocs(1<<19, 16, 41)
+	manyStores, err := NewCollection(WithSyncRebuilds())
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, e := range exprs {
-		it, err := c.FindRegexp(e.expr)
-		if err != nil {
+	for batch := range slices.Chunk(many, (len(many)+95)/96) {
+		if err := manyStores.InsertBatch(batch); err != nil {
 			b.Fatal(err)
 		}
-		n := 0
-		for range it {
-			n++
-		}
-		if n == 0 {
-			b.Fatalf("%s: planted pattern found no matches", e.name)
-		}
 	}
-	b.Run("planned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			it, err := c.FindRegexp(exprs[i%len(exprs)].expr)
+	if st := manyStores.Stats(); st.Tops < 64 {
+		b.Fatalf("batched ingest left %d tops, want ≥ 64", st.Tops)
+	}
+	for _, shape := range []struct {
+		prefix string
+		c      *Collection
+		pats   [][]byte
+	}{
+		{"", shardedBench(b, 4, few), textgen.NewPatternSampler(few, 42).PlantedSet(16, 8)},
+		{"manystore/", manyStores, textgen.NewPatternSampler(many, 42).PlantedSet(16, 16)},
+	} {
+		c := shape.c
+		var exprs []string
+		for _, p := range shape.pats[:4] {
+			// The middle byte generalizes to a wildcard: still selective,
+			// still planned, two required literals.
+			mid := len(p) / 2
+			exprs = append(exprs, "(?s)"+regexp.QuoteMeta(string(p[:mid]))+"."+regexp.QuoteMeta(string(p[mid+1:])))
+		}
+		for _, expr := range exprs {
+			it, err := c.FindRegexp(expr)
 			if err != nil {
 				b.Fatal(err)
 			}
+			n := 0
 			for range it {
+				n++
+			}
+			if n == 0 {
+				b.Fatalf("%s%s: planted pattern found no matches", shape.prefix, expr)
 			}
 		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// (?i) folds the literal, which the analysis must reject; the
-			// alphabet is 1..16 so the expression matches nothing and the
-			// measured cost is pure per-document verification.
-			it, err := c.FindRegexp(`(?i)zzzq`)
-			if err != nil {
-				b.Fatal(err)
+		b.Run(shape.prefix+"planned", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				it, err := c.FindRegexp(exprs[i%len(exprs)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				for range it {
+				}
 			}
-			for range it {
+		})
+		b.Run(shape.prefix+"scan", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// (?i) folds the literal, which the analysis must reject; the
+				// alphabet is 1..16 so the expression matches nothing and the
+				// measured cost is pure per-document verification.
+				it, err := c.FindRegexp(`(?i)zzzq`)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for range it {
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkTopK measures the ranked pipeline's k-bound win: FindTopK

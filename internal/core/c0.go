@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"dyncoll/internal/doc"
 	"dyncoll/internal/suffixtree"
 )
@@ -41,16 +44,35 @@ func (c *c0store) DeadWeight() int { return c.t.DeletedSymbols() }
 // SizeBits estimates the footprint (engine.Store).
 func (c *c0store) SizeBits() int64 { return c.t.SizeBits() }
 
-func (c *c0store) findFunc(pattern []byte, fn func(Occurrence) bool) {
+// FindFunc streams the tree's occurrences of pattern (Part).
+func (c *c0store) FindFunc(pattern []byte, fn func(Occurrence) bool) {
 	c.t.FindFunc(pattern, func(o suffixtree.Occurrence) bool {
 		return fn(Occurrence{DocID: o.DocID, Off: o.Off})
 	})
 }
 
-func (c *c0store) count(pattern []byte) int { return c.t.Count(pattern) }
+// FindGroupedFunc imposes the grouped order on a tree that can only
+// stream: collect everything, sort by (document, offset), replay.
+func (c *c0store) FindGroupedFunc(pattern []byte, fn func(Occurrence) bool) {
+	var occs []Occurrence
+	c.FindFunc(pattern, func(o Occurrence) bool {
+		occs = append(occs, o)
+		return true
+	})
+	slices.SortFunc(occs, func(a, b Occurrence) int {
+		return cmp.Or(cmp.Compare(a.DocID, b.DocID), a.Off-b.Off)
+	})
+	for _, o := range occs {
+		if !fn(o) {
+			return
+		}
+	}
+}
 
-func (c *c0store) extract(id uint64, off, length int) ([]byte, bool) {
+func (c *c0store) Count(pattern []byte) int { return c.t.Count(pattern) }
+
+func (c *c0store) Extract(id uint64, off, length int) ([]byte, bool) {
 	return c.t.Extract(id, off, length)
 }
 
-func (c *c0store) docLen(id uint64) (int, bool) { return c.t.DocLen(id) }
+func (c *c0store) DocLen(id uint64) (int, bool) { return c.t.DocLen(id) }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"dyncoll/internal/doc"
 	"dyncoll/internal/engine"
@@ -155,85 +154,35 @@ func (c *collection) Len() int { return c.eng.Len() }
 // DocCount reports the number of live documents.
 func (c *collection) DocCount() int { return c.eng.Count() }
 
+// Parts calls visit for each sub-collection of the ladder — C0, levels,
+// locked and retiring build sources, parked temps, tops — under one
+// engine view, until visit returns false. Every live document is in
+// exactly one part, so a query answered part by part and unioned is
+// answered exactly. The worst-case engine holds its mutex throughout:
+// visit must not re-enter the ladder.
+func (c *collection) Parts(visit func(Part) bool) {
+	c.eng.View(func(stores []engine.Store[uint64, doc.Doc]) {
+		for _, s := range stores {
+			if !visit(s.(Part)) {
+				return
+			}
+		}
+	})
+}
+
 // FindFunc calls fn for every occurrence of pattern across all live
 // documents; enumeration stops early if fn returns false. An empty
 // pattern matches at every live position.
 func (c *collection) FindFunc(pattern []byte, fn func(Occurrence) bool) {
-	c.eng.View(func(stores []engine.Store[uint64, doc.Doc]) {
-		stop := false
-		wrapped := func(o Occurrence) bool {
-			if !fn(o) {
-				stop = true
-				return false
-			}
-			return true
-		}
-		for _, s := range stores {
-			s.(docStore).findFunc(pattern, wrapped)
-			if stop {
-				return
-			}
-		}
-	})
-}
-
-// groupedStore is the optional store-level grouped enumeration; stores
-// without it (the C0 suffix tree) fall back to collect-and-sort.
-type groupedStore interface {
-	findGroupedFunc(pattern []byte, fn func(Occurrence) bool)
-}
-
-// FindGroupedFunc calls fn for every occurrence of pattern, grouped by
-// document: each document's occurrences arrive contiguously with
-// offsets ascending (the order ranked search aggregates over; group
-// order across documents is unspecified). Grouping per store suffices
-// globally because every live document is owned by exactly one store in
-// the view. Enumeration stops early if fn returns false.
-func (c *collection) FindGroupedFunc(pattern []byte, fn func(Occurrence) bool) {
-	c.eng.View(func(stores []engine.Store[uint64, doc.Doc]) {
-		stop := false
-		wrapped := func(o Occurrence) bool {
-			if !fn(o) {
-				stop = true
-				return false
-			}
-			return true
-		}
-		for _, s := range stores {
-			if gs, ok := s.(groupedStore); ok {
-				gs.findGroupedFunc(pattern, wrapped)
-			} else {
-				groupedFallback(s.(docStore), pattern, wrapped)
-			}
-			if stop {
-				return
-			}
-		}
-	})
-}
-
-// groupedFallback imposes the grouped order on a store that can only
-// stream: collect everything, sort by (document, offset), replay.
-func groupedFallback(ds docStore, pattern []byte, fn func(Occurrence) bool) {
-	var occs []Occurrence
-	ds.findFunc(pattern, func(o Occurrence) bool {
-		occs = append(occs, o)
-		return true
-	})
-	slices.SortFunc(occs, func(a, b Occurrence) int {
-		if a.DocID != b.DocID {
-			if a.DocID < b.DocID {
-				return -1
-			}
-			return 1
-		}
-		return a.Off - b.Off
-	})
-	for _, o := range occs {
-		if !fn(o) {
-			return
-		}
+	more := true
+	each := func(o Occurrence) bool {
+		more = fn(o)
+		return more
 	}
+	c.Parts(func(p Part) bool {
+		p.FindFunc(pattern, each)
+		return more
+	})
 }
 
 // Find returns every occurrence of pattern.
@@ -250,7 +199,7 @@ func (c *collection) Find(pattern []byte) []Occurrence {
 // pattern as an argument (rather than capturing it) keeps the steady-
 // state Count path free of closure allocations.
 func countStore(s engine.Store[uint64, doc.Doc], pattern []byte) int {
-	return s.(docStore).count(pattern)
+	return s.(Part).Count(pattern)
 }
 
 // Count returns the number of occurrences of pattern (Theorem 1 when
@@ -267,7 +216,7 @@ func (c *collection) Extract(id uint64, off, length int) ([]byte, bool) {
 	var data []byte
 	ok := false
 	found := c.eng.ViewOwner(id, func(st engine.Store[uint64, doc.Doc]) {
-		data, ok = st.(docStore).extract(id, off, length)
+		data, ok = st.(Part).Extract(id, off, length)
 	})
 	return data, found && ok
 }
@@ -278,7 +227,7 @@ func (c *collection) DocLen(id uint64) (int, bool) {
 	var n int
 	ok := false
 	found := c.eng.ViewOwner(id, func(st engine.Store[uint64, doc.Doc]) {
-		n, ok = st.(docStore).docLen(id)
+		n, ok = st.(Part).DocLen(id)
 	})
 	return n, found && ok
 }

@@ -95,14 +95,25 @@ type Occurrence struct {
 	Off   int    // offset of the match within the document payload
 }
 
-// docStore is the query surface shared by the C0 suffix tree and the
-// semi-dynamic wrapper. The generic engine hands sub-collections back as
-// opaque stores; the adapter narrows them here to run document queries.
-type docStore interface {
-	findFunc(pattern []byte, fn func(Occurrence) bool)
-	count(pattern []byte) int
-	extract(id uint64, off, length int) ([]byte, bool)
-	docLen(id uint64) (int, bool)
+// Part is one sub-collection of a ladder as queries see it: the C0
+// suffix tree or a semi-dynamic static index. The generic engine hands
+// sub-collections back as opaque stores; the adapter narrows them here
+// to run document queries, and a query plan is evaluated part by part
+// (collection.Parts) because every live document is in exactly one.
+type Part interface {
+	// FindFunc streams the part's occurrences of pattern in unspecified
+	// order; FindGroupedFunc groups them by document, offsets ascending.
+	// Both stop when fn returns false.
+	FindFunc(pattern []byte, fn func(Occurrence) bool)
+	FindGroupedFunc(pattern []byte, fn func(Occurrence) bool)
+	Count(pattern []byte) int
+	// Extract clamps the range to the payload.
+	Extract(id uint64, off, length int) ([]byte, bool)
+	DocLen(id uint64) (int, bool)
+	// LiveKeys and LiveWeight are the part's live documents and their
+	// symbol total (shared with engine.Store).
+	LiveKeys() []uint64
+	LiveWeight() int
 }
 
 // Options configure a dynamized collection.

@@ -232,7 +232,7 @@ func TestSemiDynamicDirect(t *testing.T) {
 		if s.DocCount() != 3 {
 			t.Fatalf("DocCount = %d", s.DocCount())
 		}
-		if got := s.count([]byte("ss")); got != 4 {
+		if got := s.Count([]byte("ss")); got != 4 {
 			t.Fatalf("count(ss) = %d, want 4", got)
 		}
 		if wt, ok := s.Delete(20); !ok || wt != len("swiss") {
@@ -241,11 +241,11 @@ func TestSemiDynamicDirect(t *testing.T) {
 		if _, ok := s.Delete(20); ok {
 			t.Fatal("double delete succeeded")
 		}
-		if got := s.count([]byte("ss")); got != 3 {
+		if got := s.Count([]byte("ss")); got != 3 {
 			t.Fatalf("count(ss) after delete = %d, want 3", got)
 		}
 		var occs []Occurrence
-		s.findFunc([]byte("miss"), func(o Occurrence) bool {
+		s.FindFunc([]byte("miss"), func(o Occurrence) bool {
 			occs = append(occs, o)
 			return true
 		})
@@ -309,11 +309,11 @@ func BenchmarkSemiDynamicDelete(b *testing.B) {
 // TestSemiDynamicEmptyPattern checks the all-positions semantics.
 func TestSemiDynamicEmptyPattern(t *testing.T) {
 	s := NewSemiDynamic(fmBuilder([]doc.Doc{{ID: 1, Data: []byte("abc")}}), 4, false)
-	if got := s.count(nil); got != 3 {
+	if got := s.Count(nil); got != 3 {
 		t.Fatalf("count(nil) = %d, want 3", got)
 	}
 	n := 0
-	s.findFunc(nil, func(Occurrence) bool { n++; return true })
+	s.FindFunc(nil, func(Occurrence) bool { n++; return true })
 	if n != 3 {
 		t.Fatalf("findFunc(nil) visited %d", n)
 	}

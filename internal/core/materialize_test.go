@@ -86,9 +86,9 @@ func TestMaterializeRaceFree(t *testing.T) {
 		if i%2 == 0 {
 			s.Delete(d.ID)
 		}
-		s.count(d.Data[:3])
-		s.findFunc(d.Data[:4], func(Occurrence) bool { return true })
-		s.extract(d.ID, 0, 10)
+		s.Count(d.Data[:3])
+		s.FindFunc(d.Data[:4], func(Occurrence) bool { return true })
+		s.Extract(d.ID, 0, 10)
 	}
 	wg.Wait()
 	for b, got := range results {

@@ -161,7 +161,9 @@ func (s *SemiDynamic) Delete(id uint64) (int, bool) {
 	return dl, true
 }
 
-func (s *SemiDynamic) findFunc(pattern []byte, fn func(Occurrence) bool) {
+// FindFunc reports the live occurrences of pattern in suffix-array
+// order (Part).
+func (s *SemiDynamic) FindFunc(pattern []byte, fn func(Occurrence) bool) {
 	if len(pattern) == 0 {
 		s.findEverything(fn)
 		return
@@ -192,12 +194,12 @@ type positionLister interface {
 	AppendPositions(lo, hi int, dst []uint64) []uint64
 }
 
-// findGroupedFunc reports the occurrences of pattern grouped by
+// FindGroupedFunc reports the occurrences of pattern grouped by
 // document, offsets ascending within each document. It materializes the
 // match positions as packed docIndex<<32|offset words and sorts them —
 // the suffix-array range arrives in lexicographic row order, so the
 // grouping has to be imposed; one flat uint64 sort is the cheapest way.
-func (s *SemiDynamic) findGroupedFunc(pattern []byte, fn func(Occurrence) bool) {
+func (s *SemiDynamic) FindGroupedFunc(pattern []byte, fn func(Occurrence) bool) {
 	if len(pattern) == 0 {
 		// Every live position, already contiguous per document.
 		s.findEverything(fn)
@@ -245,7 +247,8 @@ func (s *SemiDynamic) findEverything(fn func(Occurrence) bool) {
 	}
 }
 
-func (s *SemiDynamic) count(pattern []byte) int {
+// Count is the number of live occurrences of pattern (Part).
+func (s *SemiDynamic) Count(pattern []byte) int {
 	if len(pattern) == 0 {
 		return s.live
 	}
@@ -265,15 +268,19 @@ func (s *SemiDynamic) count(pattern []byte) int {
 	return s.alive.Count1(lo, hi-1)
 }
 
-func (s *SemiDynamic) extract(id uint64, off, length int) ([]byte, bool) {
+// Extract reads a live document's payload. The wrapper clamps the
+// length, so reading a whole document needs no DocLen call first and
+// holds for an index whose Extract does not clamp.
+func (s *SemiDynamic) Extract(id uint64, off, length int) ([]byte, bool) {
 	d, ok := s.byID[id]
 	if !ok {
 		return nil, false
 	}
-	return s.idx.Extract(d, off, length), true
+	return s.idx.Extract(d, off, min(length, s.idx.DocLen(d)-off)), true
 }
 
-func (s *SemiDynamic) docLen(id uint64) (int, bool) {
+// DocLen is the payload length of a live document (Part).
+func (s *SemiDynamic) DocLen(id uint64) (int, bool) {
 	d, ok := s.byID[id]
 	if !ok {
 		return 0, false

@@ -1,29 +1,24 @@
 package query
 
 import (
+	"math"
 	"slices"
 
 	"dyncoll/internal/core"
 )
 
-// Source is the slice of a document store the single-level executor
-// queries: pattern enumeration, pattern counting, and random-access
-// extraction. The core transformations satisfy it directly; the facade
-// adapts anything else.
+// Source is what the single-level executor queries: a ladder as its
+// sub-collections, plus random-access extraction. The core
+// transformations satisfy it directly.
 type Source interface {
-	// FindFunc streams occurrences of pattern in unspecified order;
-	// enumeration stops when fn returns false.
-	FindFunc(pattern []byte, fn func(core.Occurrence) bool)
-	// FindGroupedFunc streams occurrences grouped by document, offsets
-	// ascending within each document, each document's group contiguous
-	// (the position-ordered enumeration ranked plans aggregate over).
-	FindGroupedFunc(pattern []byte, fn func(core.Occurrence) bool)
-	Count(pattern []byte) int
+	// Parts calls visit for each sub-collection under one consistent
+	// view, until visit returns false. Every live document is in exactly
+	// one part, which is what lets each plan be evaluated part by part.
+	// visit must not call back into the Source: the worst-case engine
+	// holds its lock while it runs.
+	Parts(visit func(core.Part) bool)
+	// Extract clamps the range to the payload.
 	Extract(id uint64, off, length int) ([]byte, bool)
-	DocLen(id uint64) (int, bool)
-	DocIDs() []uint64
-	DocCount() int
-	Len() int
 }
 
 // Executor runs a compiled plan at one level of the serving hierarchy,
@@ -93,42 +88,52 @@ func limited(k int, emit func(Match) bool) func(Match) bool {
 // exactStream is the classic workload: every occurrence of the pattern.
 func (e Single) exactStream(p *Plan, emit func(Match) bool) {
 	fn := limited(p.K(), emit)
-	e.src.FindFunc(p.pattern, func(o core.Occurrence) bool {
-		return fn(Match{Doc: o.DocID, Off: o.Off, Len: len(p.pattern)})
+	more := true
+	each := func(o core.Occurrence) bool {
+		more = fn(Match{Doc: o.DocID, Off: o.Off, Len: len(p.pattern)})
+		return more
+	}
+	e.src.Parts(func(pt core.Part) bool {
+		pt.FindFunc(p.pattern, each)
+		return more
 	})
 }
 
-// exactRanked aggregates the grouped enumeration per document — match
-// count and earliest offset are exactly what the scorer needs, and the
-// grouped order delivers both in O(1) state per document. Scoring
-// (which reads DocLen) runs only after the enumeration completes:
-// re-entering the source from inside its own callback deadlocks the
-// worst-case engine, whose view holds the internal lock while yielding.
+// exactRanked aggregates each part's grouped enumeration per document —
+// match count and earliest offset are exactly what the scorer needs, and
+// the grouped order delivers both in O(1) state per document. A document
+// is scored as soon as its group ends: the part that enumerates it also
+// knows its length, so nothing re-enters the ladder.
 func (e Single) exactRanked(p *Plan, emit func(Match) bool) {
-	type docAgg struct {
-		doc      uint64
-		count    int
-		firstOff int
+	top := NewTopK(p.K())
+	var (
+		pt    core.Part
+		cur   Match // the document whose group is being read
+		count int   // its matches so far; 0 = no open group
+	)
+	flush := func() {
+		if count > 0 {
+			n, _ := pt.DocLen(cur.Doc)
+			cur.Score = Score(n, count, cur.Off)
+			top.Add(cur)
+			count = 0
+		}
 	}
-	var aggs []docAgg
-	e.src.FindGroupedFunc(p.pattern, func(o core.Occurrence) bool {
-		if n := len(aggs); n > 0 && aggs[n-1].doc == o.DocID {
-			aggs[n-1].count++
+	each := func(o core.Occurrence) bool {
+		if count > 0 && cur.Doc == o.DocID {
+			count++
 			return true
 		}
-		aggs = append(aggs, docAgg{doc: o.DocID, count: 1, firstOff: o.Off})
+		flush()
+		cur, count = Match{Doc: o.DocID, Off: o.Off, Len: len(p.pattern)}, 1
+		return true
+	}
+	e.src.Parts(func(part core.Part) bool {
+		pt = part
+		pt.FindGroupedFunc(p.pattern, each)
+		flush()
 		return true
 	})
-	top := NewTopK(p.K())
-	for _, a := range aggs {
-		n, _ := e.src.DocLen(a.doc)
-		top.Add(Match{
-			Doc:   a.doc,
-			Off:   a.firstOff,
-			Len:   len(p.pattern),
-			Score: Score(n, a.count, a.firstOff),
-		})
-	}
 	emitSorted(top, emit)
 }
 
@@ -179,94 +184,92 @@ func emitSorted(top *TopK, emit func(Match) bool) {
 	}
 }
 
-// docText extracts a document's full payload for verification. A
-// failed extract means the document vanished between enumeration and
-// verification (possible only through a caller-level race; the shard
-// layer holds its read lock across Execute) — skipping it is the same
-// outcome as running a moment earlier.
+// docText extracts a document's full payload for verification, in one
+// call: Extract clamps. A failed extract means the document vanished
+// between enumeration and verification (possible only through a
+// caller-level race; the shard layer holds its read lock across Execute)
+// — skipping it is the same outcome as running a moment earlier.
 func (e Single) docText(id uint64) ([]byte, bool) {
-	n, ok := e.src.DocLen(id)
-	if !ok {
-		return nil, false
-	}
-	return e.src.Extract(id, 0, n)
+	return e.src.Extract(id, 0, math.MaxInt)
 }
 
 // candidateDocs returns the ascending list of documents a regex plan
-// must verify. With required literals it is index-filtered: every match
-// contains at least one literal of each group, so documents containing
-// no literal of some group are skipped without verification. Without
-// usable literals — or when the cheapest group is so common that
-// filtering would enumerate a constant fraction of the corpus anyway —
-// it degrades to every live document (the scan fallback).
+// must verify: the union of each part's candidates. Only the index work
+// runs inside the view; extraction and the regexp engine run after it,
+// so a pathological expression never extends the engine's lock hold.
 func (e Single) candidateDocs(p *Plan) []uint64 {
-	if p.Regex() && !p.scan {
-		if docs, ok := e.filterDocs(p.groups); ok {
-			return docs
-		}
-	}
-	docs := e.src.DocIDs()
+	var docs []uint64
+	e.src.Parts(func(pt core.Part) bool {
+		docs = p.partCandidates(pt, docs)
+		return true
+	})
 	slices.Sort(docs)
 	return docs
 }
 
-// filterDocs runs the literal filter; ok is false when the index
-// suggests scanning is cheaper.
-func (e Single) filterDocs(groups [][][]byte) ([]uint64, bool) {
-	// Count every group first: occurrence totals order the groups by
-	// selectivity, and any all-zero group proves there are no matches.
-	totals := make([]int, len(groups))
-	order := make([]int, len(groups))
-	for i, g := range groups {
+// partCandidates appends to docs the documents of one part that a regex
+// plan must verify. Every match contains at least one literal of each
+// group, and a document's text lies in one part, so the conjunction is
+// decided inside the part: a part that lacks any group holds no
+// candidate at all. Without usable literals — or when the part's
+// cheapest group is so common that enumerating it costs as much as
+// scanning — it degrades to all of the part's live documents.
+func (p *Plan) partCandidates(pt core.Part, docs []uint64) []uint64 {
+	if p.scan {
+		return append(docs, pt.LiveKeys()...)
+	}
+	// Count the groups, strongest first. The first one with no occurrence
+	// here ends the visit, which is how most parts are left after a single
+	// backward search; the totals order the rest by selectivity.
+	var totals [maxGroups]int
+	cheap := 0
+	for i, g := range p.groups {
 		for _, lit := range g {
-			totals[i] += e.src.Count(lit)
+			totals[i] += pt.Count(lit)
 		}
 		if totals[i] == 0 {
-			return nil, true
+			return docs
 		}
-		order[i] = i
+		if totals[i] < totals[cheap] {
+			cheap = i
+		}
 	}
-	slices.SortFunc(order, func(a, b int) int { return totals[a] - totals[b] })
-
-	// If even the most selective group matches a constant fraction of
-	// the corpus, enumerating its occurrences costs as much as scanning.
-	if cheap := totals[order[0]]; cheap*4 > e.src.Len() {
-		return nil, false
+	if totals[cheap]*4 > pt.LiveWeight() {
+		return append(docs, pt.LiveKeys()...)
 	}
 
-	cands := e.groupDocs(groups[order[0]])
-	for _, gi := range order[1:] {
+	base := len(docs)
+	docs = appendGroupDocs(docs, pt, p.groups[cheap])
+	for i, g := range p.groups {
 		// Intersecting with a further group is worth an index walk only
 		// while its occurrence list is comparable to the surviving
 		// candidate set; skipping the intersection is always sound.
-		if len(cands) == 0 || totals[gi] > 4*len(cands)+256 {
-			break
+		if n := len(docs) - base; i == cheap || n == 0 || totals[i] > 4*n+256 {
+			continue
 		}
-		other := e.groupDocs(groups[gi])
-		for id := range cands {
-			if _, ok := other[id]; !ok {
-				delete(cands, id)
+		other := appendGroupDocs(nil, pt, g)
+		kept := docs[:base]
+		for _, id := range docs[base:] {
+			if _, ok := slices.BinarySearch(other, id); ok {
+				kept = append(kept, id)
 			}
 		}
+		docs = kept
 	}
-
-	docs := make([]uint64, 0, len(cands))
-	for id := range cands {
-		docs = append(docs, id)
-	}
-	slices.Sort(docs)
-	return docs, true
+	return docs
 }
 
-// groupDocs is the set of documents containing at least one of the
-// group's literals.
-func (e Single) groupDocs(group [][]byte) map[uint64]struct{} {
-	set := make(map[uint64]struct{})
-	for _, lit := range group {
-		e.src.FindFunc(lit, func(o core.Occurrence) bool {
-			set[o.DocID] = struct{}{}
-			return true
-		})
+// appendGroupDocs appends, ascending and distinct, the documents of pt
+// that contain at least one of the group's literals.
+func appendGroupDocs(dst []uint64, pt core.Part, group [][]byte) []uint64 {
+	base := len(dst)
+	each := func(o core.Occurrence) bool {
+		dst = append(dst, o.DocID)
+		return true
 	}
-	return set
+	for _, lit := range group {
+		pt.FindFunc(lit, each)
+	}
+	slices.Sort(dst[base:])
+	return dst[:base+len(slices.Compact(dst[base:]))]
 }

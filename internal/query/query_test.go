@@ -14,7 +14,8 @@ import (
 
 // fakeSource is a naive reference Source over an in-memory doc map —
 // brute-force substring scans, no index — so executor behavior can be
-// checked without dragging the whole engine in.
+// checked without dragging the whole engine in. It is its own single
+// part.
 type fakeSource struct {
 	ids  []uint64 // insertion order
 	docs map[uint64][]byte
@@ -28,6 +29,8 @@ func newFakeSource(docs map[uint64][]byte) *fakeSource {
 	slices.Sort(f.ids)
 	return f
 }
+
+func (f *fakeSource) Parts(visit func(core.Part) bool) { visit(f) }
 
 func (f *fakeSource) FindFunc(pattern []byte, fn func(core.Occurrence) bool) {
 	for _, id := range f.ids {
@@ -62,10 +65,10 @@ func (f *fakeSource) Count(pattern []byte) int {
 
 func (f *fakeSource) Extract(id uint64, off, length int) ([]byte, bool) {
 	d, ok := f.docs[id]
-	if !ok || off < 0 || off+length > len(d) {
+	if !ok || off < 0 || off > len(d) {
 		return nil, false
 	}
-	return d[off : off+length], true
+	return d[off : off+min(length, len(d)-off)], true
 }
 
 func (f *fakeSource) DocLen(id uint64) (int, bool) {
@@ -73,9 +76,8 @@ func (f *fakeSource) DocLen(id uint64) (int, bool) {
 	return len(d), ok
 }
 
-func (f *fakeSource) DocIDs() []uint64 { return slices.Clone(f.ids) }
-func (f *fakeSource) DocCount() int    { return len(f.ids) }
-func (f *fakeSource) Len() int {
+func (f *fakeSource) LiveKeys() []uint64 { return slices.Clone(f.ids) }
+func (f *fakeSource) LiveWeight() int {
 	n := 0
 	for _, d := range f.docs {
 		n += len(d)
@@ -388,7 +390,7 @@ func TestExecRegex(t *testing.T) {
 	} {
 		re := regexp.MustCompile(expr)
 		var want []Match
-		for _, id := range src.DocIDs() {
+		for _, id := range src.ids {
 			for _, loc := range re.FindAllIndex(docs[id], -1) {
 				want = append(want, Match{Doc: id, Off: loc[0], Len: loc[1] - loc[0]})
 			}

@@ -37,13 +37,12 @@ const (
 // literalGroups runs the analysis over a simplified syntax tree. A nil
 // result means no usable literal exists.
 func literalGroups(re *syntax.Regexp) [][][]byte {
+	// Longer minimum literal first: the executor counts the groups in
+	// this order and leaves a sub-collection at the first one it lacks,
+	// and only the maxGroups most selective are kept.
 	groups := analyze(re)
-	if len(groups) > maxGroups {
-		// Keep the most selective groups: longer minimum literal first.
-		sortGroupsByStrength(groups)
-		groups = groups[:maxGroups]
-	}
-	return groups
+	sortGroupsByStrength(groups)
+	return groups[:min(len(groups), maxGroups)]
 }
 
 // analyze returns the required-literal groups of one subtree (nil =

@@ -2,7 +2,6 @@ package dyncoll
 
 import (
 	"iter"
-	"slices"
 
 	"dyncoll/internal/core"
 	"dyncoll/internal/query"
@@ -116,43 +115,15 @@ func (c *Collection) planIter(p *query.Plan) iter.Seq[Match] {
 	}
 }
 
-// sourceOf presents an unsharded implementation as a query.Source. The
-// core transformations satisfy the interface directly; anything else
-// (no current implementation) goes through the collect-and-sort
-// adapter.
-func sourceOf(impl collImpl) query.Source {
-	if src, ok := impl.(query.Source); ok {
-		return src
-	}
-	return sourceAdapter{impl}
-}
+// sourceOf presents an unsharded implementation — one ladder, which
+// both core transformations are — as the query.Source plans execute
+// over.
+func sourceOf(impl collImpl) query.Source { return impl.(query.Source) }
 
-// sourceAdapter derives FindGroupedFunc from plain FindFunc: collect,
-// sort by (document, offset), replay. Sound for any collImpl because a
-// live document has exactly one owner, so grouping is a pure reorder.
-type sourceAdapter struct{ collImpl }
-
-func (a sourceAdapter) FindGroupedFunc(pattern []byte, fn func(core.Occurrence) bool) {
-	var occs []core.Occurrence
-	a.collImpl.FindFunc(pattern, func(o core.Occurrence) bool {
-		occs = append(occs, o)
-		return true
-	})
-	slices.SortFunc(occs, func(x, y core.Occurrence) int {
-		if x.DocID != y.DocID {
-			if x.DocID < y.DocID {
-				return -1
-			}
-			return 1
-		}
-		return x.Off - y.Off
-	})
-	for _, o := range occs {
-		if !fn(o) {
-			return
-		}
-	}
-}
+var (
+	_ query.Source = (*core.Amortized)(nil)
+	_ query.Source = (*core.WorstCase)(nil)
+)
 
 // ObjectsLimit returns at most k objects related to label — the fan-out
 // prefix fast path matching Collection.FindLimit. k ≤ 0 returns nil;

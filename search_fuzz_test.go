@@ -2,6 +2,7 @@ package dyncoll
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"regexp"
@@ -27,7 +28,9 @@ func newSearchPlanForTest(expr string) (*query.Plan, error) {
 //     contains at least one literal of every group (the candidate set
 //     the index filters with is a superset of the true match set);
 //   - compiling and executing never panics (malformed regexes reject
-//     with ErrBadPattern).
+//     with ErrBadPattern);
+//   - all of it holds on many-store ladders (one InsertBatch per few
+//     documents), with background builds in flight.
 //
 // Run open-ended with `go test -fuzz=FuzzRegexPlan`.
 func FuzzRegexPlan(f *testing.F) {
@@ -38,6 +41,7 @@ func FuzzRegexPlan(f *testing.F) {
 	f.Add(".*", []byte("anything at all"), uint8(4))
 	f.Add("[ab]{2}c", []byte("abc bac aac zzc"), uint8(5))
 	f.Add("x{1,3}y", []byte("xy xxy xxxy xxxxy"), uint8(0))
+	f.Add("needle.{0,2}hay", bytes.Repeat([]byte("straw needle hay straw hay needle.hay chaff "), 24), uint8(2))
 	f.Fuzz(func(t *testing.T, expr string, corpus []byte, cfg uint8) {
 		if len(expr) > 64 || len(corpus) > 4096 {
 			return
@@ -73,24 +77,43 @@ func FuzzRegexPlan(f *testing.F) {
 			}
 		}
 
-		layouts := [][]Option{
-			{WithTransformation(Amortized)},
-			{WithTransformation(WorstCase), WithSyncRebuilds()},
-			{WithTransformation(AmortizedFastInsert)},
-			{WithTransformation(Amortized), WithShards(2)},
-			{WithTransformation(WorstCase), WithSyncRebuilds(), WithShards(3)},
-			{WithTransformation(AmortizedFastInsert), WithShards(2)},
+		// batch > 0 ingests that many documents per InsertBatch over a
+		// small C0, so a worst-case ladder ends as one top per batch and an
+		// amortized one as a full set of levels — the many-store shape
+		// batched ingest leaves in production, where a plan is decided
+		// sub-collection by sub-collection. The async layout is queried
+		// with its background builds still in flight.
+		layouts := []struct {
+			opts  []Option
+			batch int
+			async bool
+		}{
+			{opts: []Option{WithTransformation(Amortized)}},
+			{opts: []Option{WithTransformation(WorstCase), WithSyncRebuilds()}},
+			{opts: []Option{WithTransformation(AmortizedFastInsert)}},
+			{opts: []Option{WithTransformation(Amortized), WithShards(2)}},
+			{opts: []Option{WithTransformation(WorstCase), WithSyncRebuilds(), WithShards(3)}},
+			{opts: []Option{WithTransformation(AmortizedFastInsert), WithShards(2)}},
+			{opts: []Option{WithTransformation(WorstCase), WithSyncRebuilds(), WithMinCapacity(16)}, batch: 3},
+			{opts: []Option{WithTransformation(Amortized), WithMinCapacity(16)}, batch: 3},
+			{opts: []Option{WithTransformation(WorstCase), WithMinCapacity(16), WithShards(2)}, batch: 5, async: true},
 		}
-		for li, opts := range layouts {
-			c := mustCollection(t, opts...)
+		for li, l := range layouts {
+			c := mustCollection(t, l.opts...)
 			var batch []Document
-			for id, d := range docs {
-				batch = append(batch, Document{ID: id, Data: d})
+			for _, id := range slices.Sorted(mapKeys(docs)) {
+				batch = append(batch, Document{ID: id, Data: docs[id]})
 			}
-			if err := c.InsertBatch(batch); err != nil {
-				t.Fatal(err)
+			for b := range slices.Chunk(batch, cmp.Or(l.batch, len(batch))) {
+				if err := c.InsertBatch(b); err != nil {
+					t.Fatal(err)
+				}
 			}
-			c.WaitIdle()
+			if l.async {
+				defer c.WaitIdle()
+			} else {
+				c.WaitIdle()
+			}
 
 			it, err := c.FindRegexp(expr)
 			if err != nil {
