@@ -191,10 +191,7 @@ func (d *durable) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	spines, secs, err := d.dumpAll(d.segReuse)
-	if err != nil {
-		return err
-	}
+	spines, secs := d.dumpAll()
 	ck := d.ckSeq
 	d.ckSeq++
 	metas := make([][]segMeta, len(secs))
@@ -223,7 +220,7 @@ func (d *durable) checkpointLocked() error {
 		}
 	}
 	spineName := ckptName(ck)
-	spineBytes := encodeCkptSpine(d.cfg(), ck, spines, metas)
+	spineBytes := encodeCkptSpine(d.s.config(), ck, spines, metas)
 	if err := writeDurFile(d.fs, filepath.Join(d.dir, spineName), spineBytes); err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"dyncoll/internal/core"
+	"dyncoll/internal/fanout"
 	"dyncoll/internal/snap"
 	"dyncoll/internal/wal"
 )
@@ -92,20 +92,7 @@ type durable struct {
 	segs   []map[uint64]segMeta // per shard: gen → current checkpoint segment
 	rec    RecoveryStats
 
-	cfg     func() config
-	dumpAll func(reuse func(shard, level int, gen uint64, dead int) bool) ([][]byte, [][]snap.Section, error)
-}
-
-// collSectImpl is implemented by the unsharded collection cores.
-type collSectImpl interface {
-	DumpSections(fastPath bool, reuse func(level int, gen uint64, dead int) bool) ([]byte, []snap.Section)
-	RestoreSections(spine []byte, secs []snap.Section, decode core.IndexDecoder) error
-}
-
-// relSectImpl is implemented by the unsharded relation and graph cores.
-type relSectImpl interface {
-	DumpSections(reuse func(level int, gen uint64, dead int) bool) ([]byte, []snap.Section)
-	RestoreSections(spine []byte, secs []snap.Section) error
+	s structure // what is being made durable: config, shard cores, replay
 }
 
 // recoveredCkpt is a checkpoint loaded and verified from disk.
@@ -154,10 +141,44 @@ func openRecoveryPoint(fs wal.FS, dir string, kind structKind) (wal.Manifest, *r
 	return man, ck, nil
 }
 
-// newDurable opens the WAL for appending and assembles the durability
-// core; the caller has already restored the checkpoint and replayed
-// the tail.
-func newDurable(fsi wal.FS, dir string, wopts WALOptions, man wal.Manifest, ck *recoveredCkpt, st wal.ReplayStats, dur time.Duration) (*durable, error) {
+// openDurable makes the empty structure s durable in dir: the newest
+// checkpoint is restored into it (or, with none, it is built from
+// opts), the WAL tail replayed, and the WAL reopened for appending.
+func openDurable(s structure, dir string, wopts WALOptions, opts []Option) (d *durable, err error) {
+	defer guard(&err)
+	start := time.Now()
+	fsi := wopts.FS
+	if fsi == nil {
+		fsi = wal.OS
+	}
+	kind := s.config().kind
+	man, ck, err := openRecoveryPoint(fsi, dir, kind)
+	if err != nil {
+		return nil, err
+	}
+	var cfg config
+	if ck != nil {
+		cfg = ck.cfg
+	} else if cfg, err = newConfig(kind, opts); err != nil {
+		return nil, err
+	}
+	f, commit, err := s.fresh(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if ck != nil {
+		if err := f.restore(func(i int, c ladderCore) error {
+			return c.RestoreSections(ck.spines[i], ck.secs[i])
+		}); err != nil {
+			return nil, err
+		}
+	}
+	commit()
+	st, err := wal.Replay(fsi, dir, man.WALStart, s.applyRecord)
+	if err != nil {
+		return nil, err
+	}
+	dur := time.Since(start)
 	log, err := wal.Open(dir, man.WALStart, wal.Options{SyncWindow: wopts.SyncWindow, FS: fsi})
 	if err != nil {
 		return nil, err
@@ -169,7 +190,7 @@ func newDurable(fsi wal.FS, dir string, wopts WALOptions, man wal.Manifest, ck *
 	case ckEvery < 0:
 		ckEvery = 0
 	}
-	d := &durable{fs: fsi, dir: dir, log: log, ckEvery: ckEvery, ckSeq: 1}
+	d = &durable{fs: fsi, dir: dir, log: log, ckEvery: ckEvery, ckSeq: 1, s: s}
 	if ck != nil {
 		d.ckSeq = ck.seq + 1
 		d.segs = segMaps(ck.metas)
@@ -182,7 +203,26 @@ func newDurable(fsi wal.FS, dir string, wopts WALOptions, man wal.Manifest, ck *
 		TornTailTruncated: st.TornTail,
 		Duration:          dur,
 	}
+	d.gcLocked(man)
 	return d, nil
+}
+
+// mutate runs one mutation under the mutation mutex. apply performs it
+// in memory and returns the WAL record that logs it — nil when there is
+// nothing to log — or the error that refused it; only after mutate
+// returns nil may the mutation be acknowledged.
+func (d *durable) mutate(apply func() ([]byte, error)) error {
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return ErrClosed
+	}
+	rec, err := apply()
+	if err != nil || rec == nil {
+		d.mu.Unlock()
+		return err
+	}
+	return d.commitUnlock(rec)
 }
 
 // commitUnlock appends the already-applied mutation's record, releases
@@ -231,8 +271,7 @@ func (d *durable) close() error {
 	return d.log.Close()
 }
 
-// segReuse is the predicate checkpointLocked hands to dumpAll: a
-// section is reusable when the current checkpoint already holds a
+// segReuse is dumpAll's reuse predicate: a section is reusable when the current checkpoint already holds a
 // segment for the same store (generation) at the same slot with the
 // same dead weight.
 func (d *durable) segReuse(shard, level int, gen uint64, dead int) bool {
@@ -241,6 +280,24 @@ func (d *durable) segReuse(shard, level int, gen uint64, dead int) bool {
 	}
 	m, ok := d.segs[shard][gen]
 	return ok && m.level == level && m.dead == dead
+}
+
+// dumpAll captures every shard in sectioned form, skipping the stores
+// segReuse says are already on disk. The shard read locks make it one
+// consistent cut (mutations are already excluded by d.mu; the locks
+// shut out misuse that bypasses the durable facade).
+func (d *durable) dumpAll() ([][]byte, [][]snap.Section) {
+	f := d.s.front()
+	f.rlock()
+	defer f.runlock()
+	spines := make([][]byte, len(f.cores))
+	secs := make([][]snap.Section, len(f.cores))
+	fanout.ForEach(len(f.cores), func(i int) {
+		spines[i], secs[i] = f.cores[i].DumpSections(func(level int, gen uint64, dead int) bool {
+			return d.segReuse(i, level, gen, dead)
+		})
+	})
+	return spines, secs
 }
 
 // --- DurableCollection ---
@@ -261,113 +318,11 @@ type DurableCollection struct {
 // on reopen the stored configuration wins, exactly like LoadFile.
 // Corrupt files fail with ErrBadSnapshot and never panic.
 func OpenDurableCollection(dir string, wopts WALOptions, opts ...Option) (dc *DurableCollection, err error) {
-	defer guard(&err)
-	start := time.Now()
-	fsi := wopts.FS
-	if fsi == nil {
-		fsi = wal.OS
-	}
-	man, ck, err := openRecoveryPoint(fsi, dir, kindCollection)
-	if err != nil {
+	dc = &DurableCollection{Collection: &Collection{cfg: config{kind: kindCollection}}}
+	if dc.d, err = openDurable(dc.Collection, dir, wopts, opts); err != nil {
 		return nil, err
 	}
-	var coll *Collection
-	if ck != nil {
-		if _, err := lookupIndex(ck.cfg.index); err != nil {
-			return nil, err
-		}
-		decode := lookupDecoder(ck.cfg.index)
-		impl, err := newCollAnyImpl(ck.cfg)
-		if err != nil {
-			return nil, err
-		}
-		if sh, ok := impl.(*shardedColl); ok {
-			if err := parallelShards(len(sh.shards), func(i int) (err error) {
-				defer guard(&err)
-				si, ok := sh.shards[i].impl.(collSectImpl)
-				if !ok {
-					return fmt.Errorf("dyncoll: collection shard does not support checkpoints")
-				}
-				return si.RestoreSections(ck.spines[i], ck.secs[i], decode)
-			}); err != nil {
-				return nil, err
-			}
-		} else {
-			si, ok := impl.(collSectImpl)
-			if !ok {
-				return nil, fmt.Errorf("dyncoll: collection does not support checkpoints")
-			}
-			if err := si.RestoreSections(ck.spines[0], ck.secs[0], decode); err != nil {
-				return nil, err
-			}
-		}
-		coll = &Collection{impl: impl, cfg: ck.cfg}
-	} else {
-		cfg, cerr := newConfig(kindCollection, opts)
-		if cerr != nil {
-			return nil, cerr
-		}
-		coll, err = newCollection(cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	st, err := wal.Replay(fsi, dir, man.WALStart, func(p []byte) error {
-		return applyCollRecord(coll, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	d, err := newDurable(fsi, dir, wopts, man, ck, st, time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	dc = &DurableCollection{Collection: coll, d: d}
-	d.cfg = func() config { return dc.cfg }
-	d.dumpAll = dc.dumpSections
-	d.gcLocked(man)
 	return dc, nil
-}
-
-// dumpSections captures every shard in sectioned form, holding shard
-// read locks for a consistent cut (mutations are already excluded by
-// d.mu; the locks shut out misuse that bypasses the durable facade).
-func (c *DurableCollection) dumpSections(reuse func(shard, level int, gen uint64, dead int) bool) ([][]byte, [][]snap.Section, error) {
-	fast := lookupDecoder(c.cfg.index) != nil
-	if sh, ok := c.impl.(*shardedColl); ok {
-		p := len(sh.shards)
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		defer func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}()
-		spines := make([][]byte, p)
-		secs := make([][]snap.Section, p)
-		if err := parallelShards(p, func(i int) error {
-			si, ok := sh.shards[i].impl.(collSectImpl)
-			if !ok {
-				return fmt.Errorf("dyncoll: collection shard does not support checkpoints")
-			}
-			spines[i], secs[i] = si.DumpSections(fast, func(level int, gen uint64, dead int) bool {
-				return reuse(i, level, gen, dead)
-			})
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		return spines, secs, nil
-	}
-	si, ok := c.impl.(collSectImpl)
-	if !ok {
-		return nil, nil, fmt.Errorf("dyncoll: collection does not support checkpoints")
-	}
-	spine, ss := si.DumpSections(fast, func(level int, gen uint64, dead int) bool {
-		return reuse(0, level, gen, dead)
-	})
-	return [][]byte{spine}, [][]snap.Section{ss}, nil
 }
 
 // Insert adds a document durably; it is acknowledged only after its
@@ -380,20 +335,12 @@ func (c *DurableCollection) Insert(d Document) error {
 // batch travels as one WAL record, so after any crash it is either
 // fully present or fully absent.
 func (c *DurableCollection) InsertBatch(docs []Document) error {
-	c.d.mu.Lock()
-	if c.d.closed {
-		c.d.mu.Unlock()
-		return ErrClosed
-	}
-	if err := c.Collection.InsertBatch(docs); err != nil {
-		c.d.mu.Unlock()
-		return err
-	}
-	if len(docs) == 0 {
-		c.d.mu.Unlock()
-		return nil
-	}
-	return c.d.commitUnlock(encodeInsertBatch(docs))
+	return c.d.mutate(func() ([]byte, error) {
+		if err := c.Collection.InsertBatch(docs); err != nil || len(docs) == 0 {
+			return nil, err
+		}
+		return encodeInsertBatch(docs), nil
+	})
 }
 
 // Delete removes a document durably. It fails with ErrNotFound if no
@@ -414,20 +361,14 @@ func (c *DurableCollection) Delete(id uint64) error {
 // non-nil error means durability was not established (though the
 // in-memory deletion did happen and will be re-lost on reopen).
 func (c *DurableCollection) DeleteBatch(ids []uint64) (int, error) {
-	c.d.mu.Lock()
-	if c.d.closed {
-		c.d.mu.Unlock()
-		return 0, ErrClosed
-	}
-	n := c.Collection.DeleteBatch(ids)
-	if n == 0 {
-		c.d.mu.Unlock()
-		return 0, nil
-	}
-	if err := c.d.commitUnlock(encodeDeleteBatch(ids)); err != nil {
-		return n, err
-	}
-	return n, nil
+	n := 0
+	err := c.d.mutate(func() ([]byte, error) {
+		if n = c.Collection.DeleteBatch(ids); n == 0 {
+			return nil, nil
+		}
+		return encodeDeleteBatch(ids), nil
+	})
+	return n, err
 }
 
 // Checkpoint forces an incremental checkpoint: only levels rebuilt (or
@@ -455,134 +396,27 @@ type DurableRelation struct {
 // OpenDurableRelation opens (or creates) the durable relation stored
 // in dir; see OpenDurableCollection for semantics.
 func OpenDurableRelation(dir string, wopts WALOptions, opts ...Option) (dr *DurableRelation, err error) {
-	defer guard(&err)
-	start := time.Now()
-	fsi := wopts.FS
-	if fsi == nil {
-		fsi = wal.OS
-	}
-	man, ck, err := openRecoveryPoint(fsi, dir, kindRelation)
-	if err != nil {
+	dr = &DurableRelation{Relation: &Relation{cfg: config{kind: kindRelation}}}
+	if dr.d, err = openDurable(dr.Relation, dir, wopts, opts); err != nil {
 		return nil, err
 	}
-	var rel *Relation
-	if ck != nil {
-		impl := newRelAnyImpl(ck.cfg)
-		if err := restoreRelShards(impl, ck); err != nil {
-			return nil, err
-		}
-		rel = &Relation{rel: impl, cfg: ck.cfg}
-	} else {
-		cfg, cerr := newConfig(kindRelation, opts)
-		if cerr != nil {
-			return nil, cerr
-		}
-		rel = &Relation{rel: newRelAnyImpl(cfg), cfg: cfg}
-	}
-	st, err := wal.Replay(fsi, dir, man.WALStart, func(p []byte) error {
-		return applyRelRecord(rel, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	d, err := newDurable(fsi, dir, wopts, man, ck, st, time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	dr = &DurableRelation{Relation: rel, d: d}
-	d.cfg = func() config { return dr.cfg }
-	d.dumpAll = dr.dumpSections
-	d.gcLocked(man)
 	return dr, nil
-}
-
-// restoreRelShards installs a recovered checkpoint into a fresh
-// relation implementation.
-func restoreRelShards(impl relationImpl, ck *recoveredCkpt) error {
-	if sh, ok := impl.(*shardedRelation); ok {
-		return parallelShards(len(sh.shards), func(i int) (err error) {
-			defer guard(&err)
-			si, ok := sh.shards[i].rel.(relSectImpl)
-			if !ok {
-				return fmt.Errorf("dyncoll: relation shard does not support checkpoints")
-			}
-			return si.RestoreSections(ck.spines[i], ck.secs[i])
-		})
-	}
-	si, ok := impl.(relSectImpl)
-	if !ok {
-		return fmt.Errorf("dyncoll: relation does not support checkpoints")
-	}
-	return si.RestoreSections(ck.spines[0], ck.secs[0])
-}
-
-// dumpSections captures every shard in sectioned form; see the
-// collection counterpart.
-func (r *DurableRelation) dumpSections(reuse func(shard, level int, gen uint64, dead int) bool) ([][]byte, [][]snap.Section, error) {
-	if sh, ok := r.rel.(*shardedRelation); ok {
-		p := len(sh.shards)
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		defer func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}()
-		spines := make([][]byte, p)
-		secs := make([][]snap.Section, p)
-		if err := parallelShards(p, func(i int) error {
-			si, ok := sh.shards[i].rel.(relSectImpl)
-			if !ok {
-				return fmt.Errorf("dyncoll: relation shard does not support checkpoints")
-			}
-			spines[i], secs[i] = si.DumpSections(func(level int, gen uint64, dead int) bool {
-				return reuse(i, level, gen, dead)
-			})
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		return spines, secs, nil
-	}
-	si, ok := r.rel.(relSectImpl)
-	if !ok {
-		return nil, nil, fmt.Errorf("dyncoll: relation does not support checkpoints")
-	}
-	spine, ss := si.DumpSections(func(level int, gen uint64, dead int) bool {
-		return reuse(0, level, gen, dead)
-	})
-	return [][]byte{spine}, [][]snap.Section{ss}, nil
 }
 
 // Add inserts the pair (object, label) durably. It fails with
 // ErrDuplicatePair if the pair is already related.
 func (r *DurableRelation) Add(object, label uint64) error {
-	r.d.mu.Lock()
-	if r.d.closed {
-		r.d.mu.Unlock()
-		return ErrClosed
-	}
-	if !r.rel.Add(object, label) {
-		r.d.mu.Unlock()
-		return fmt.Errorf("dyncoll: add (%d, %d): %w", object, label, ErrDuplicatePair)
-	}
-	return r.d.commitUnlock(encodePairOp(opRelAdd, object, label))
+	return r.d.mutate(func() ([]byte, error) {
+		return encodePairOp(opRelAdd, object, label), r.Relation.Add(object, label)
+	})
 }
 
 // Delete removes the pair (object, label) durably. It fails with
 // ErrNotFound if the pair is not related.
 func (r *DurableRelation) Delete(object, label uint64) error {
-	r.d.mu.Lock()
-	if r.d.closed {
-		r.d.mu.Unlock()
-		return ErrClosed
-	}
-	if !r.rel.Delete(object, label) {
-		r.d.mu.Unlock()
-		return fmt.Errorf("dyncoll: delete (%d, %d): %w", object, label, ErrNotFound)
-	}
-	return r.d.commitUnlock(encodePairOp(opRelDelete, object, label))
+	return r.d.mutate(func() ([]byte, error) {
+		return encodePairOp(opRelDelete, object, label), r.Relation.Delete(object, label)
+	})
 }
 
 // Checkpoint forces an incremental checkpoint; see
@@ -607,126 +441,27 @@ type DurableGraph struct {
 // OpenDurableGraph opens (or creates) the durable graph stored in dir;
 // see OpenDurableCollection for semantics.
 func OpenDurableGraph(dir string, wopts WALOptions, opts ...Option) (dg *DurableGraph, err error) {
-	defer guard(&err)
-	start := time.Now()
-	fsi := wopts.FS
-	if fsi == nil {
-		fsi = wal.OS
-	}
-	man, ck, err := openRecoveryPoint(fsi, dir, kindGraph)
-	if err != nil {
+	dg = &DurableGraph{Graph: &Graph{r: Relation{cfg: config{kind: kindGraph}}}}
+	if dg.d, err = openDurable(&dg.r, dir, wopts, opts); err != nil {
 		return nil, err
 	}
-	var g *Graph
-	if ck != nil {
-		impl := newGraphAnyImpl(ck.cfg)
-		if err := restoreGraphShards(impl, ck); err != nil {
-			return nil, err
-		}
-		g = &Graph{g: impl, cfg: ck.cfg}
-	} else {
-		cfg, cerr := newConfig(kindGraph, opts)
-		if cerr != nil {
-			return nil, cerr
-		}
-		g = &Graph{g: newGraphAnyImpl(cfg), cfg: cfg}
-	}
-	st, err := wal.Replay(fsi, dir, man.WALStart, func(p []byte) error {
-		return applyGraphRecord(g, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	d, err := newDurable(fsi, dir, wopts, man, ck, st, time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	dg = &DurableGraph{Graph: g, d: d}
-	d.cfg = func() config { return dg.cfg }
-	d.dumpAll = dg.dumpSections
-	d.gcLocked(man)
 	return dg, nil
-}
-
-// restoreGraphShards installs a recovered checkpoint into a fresh
-// graph implementation.
-func restoreGraphShards(impl graphImpl, ck *recoveredCkpt) error {
-	if sh, ok := impl.(*shardedGraph); ok {
-		return parallelShards(len(sh.shards), func(i int) (err error) {
-			defer guard(&err)
-			return sh.shards[i].g.RestoreSections(ck.spines[i], ck.secs[i])
-		})
-	}
-	si, ok := impl.(relSectImpl)
-	if !ok {
-		return fmt.Errorf("dyncoll: graph does not support checkpoints")
-	}
-	return si.RestoreSections(ck.spines[0], ck.secs[0])
-}
-
-// dumpSections captures every shard in sectioned form; see the
-// collection counterpart.
-func (g *DurableGraph) dumpSections(reuse func(shard, level int, gen uint64, dead int) bool) ([][]byte, [][]snap.Section, error) {
-	if sh, ok := g.g.(*shardedGraph); ok {
-		p := len(sh.shards)
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		defer func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}()
-		spines := make([][]byte, p)
-		secs := make([][]snap.Section, p)
-		if err := parallelShards(p, func(i int) error {
-			spines[i], secs[i] = sh.shards[i].g.DumpSections(func(level int, gen uint64, dead int) bool {
-				return reuse(i, level, gen, dead)
-			})
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		return spines, secs, nil
-	}
-	si, ok := g.g.(relSectImpl)
-	if !ok {
-		return nil, nil, fmt.Errorf("dyncoll: graph does not support checkpoints")
-	}
-	spine, ss := si.DumpSections(func(level int, gen uint64, dead int) bool {
-		return reuse(0, level, gen, dead)
-	})
-	return [][]byte{spine}, [][]snap.Section{ss}, nil
 }
 
 // AddEdge inserts the edge u→v durably. It fails with ErrDuplicateEdge
 // if the edge already exists.
 func (g *DurableGraph) AddEdge(u, v uint64) error {
-	g.d.mu.Lock()
-	if g.d.closed {
-		g.d.mu.Unlock()
-		return ErrClosed
-	}
-	if !g.g.AddEdge(u, v) {
-		g.d.mu.Unlock()
-		return fmt.Errorf("dyncoll: add edge %d→%d: %w", u, v, ErrDuplicateEdge)
-	}
-	return g.d.commitUnlock(encodePairOp(opGraphAdd, u, v))
+	return g.d.mutate(func() ([]byte, error) {
+		return encodePairOp(opGraphAdd, u, v), g.Graph.AddEdge(u, v)
+	})
 }
 
 // DeleteEdge removes the edge u→v durably. It fails with ErrNotFound
 // if the edge does not exist.
 func (g *DurableGraph) DeleteEdge(u, v uint64) error {
-	g.d.mu.Lock()
-	if g.d.closed {
-		g.d.mu.Unlock()
-		return ErrClosed
-	}
-	if !g.g.DeleteEdge(u, v) {
-		g.d.mu.Unlock()
-		return fmt.Errorf("dyncoll: delete edge %d→%d: %w", u, v, ErrNotFound)
-	}
-	return g.d.commitUnlock(encodePairOp(opGraphDelete, u, v))
+	return g.d.mutate(func() ([]byte, error) {
+		return encodePairOp(opGraphDelete, u, v), g.Graph.DeleteEdge(u, v)
+	})
 }
 
 // Checkpoint forces an incremental checkpoint; see

@@ -371,143 +371,6 @@ func TestDurableFacadeErrors(t *testing.T) {
 	}
 }
 
-// TestDurableRelationReopen covers the relation facade incl. a
-// checkpoint in the middle of the stream.
-func TestDurableRelationReopen(t *testing.T) {
-	for _, tr := range []Transformation{Amortized, WorstCase} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("tr%d/shards%d", tr, shards), func(t *testing.T) {
-				fs := wal.NewMemFS()
-				opts := durTestOpts(tr, shards)
-				dr, err := OpenDurableRelation("dur", WALOptions{FS: fs, CheckpointEvery: -1}, opts...)
-				if err != nil {
-					t.Fatalf("OpenDurableRelation: %v", err)
-				}
-				defer dr.Close()
-				model, err := NewRelation(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snapRelationCorpus(t, dr.Add, dr.Delete)
-				snapRelationCorpus(t, model.Add, model.Delete)
-				if err := dr.Checkpoint(); err != nil {
-					t.Fatalf("Checkpoint: %v", err)
-				}
-				if err := dr.Add(1000, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := model.Add(1000, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := dr.Delete(1, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := model.Delete(1, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := dr.Close(); err != nil {
-					t.Fatal(err)
-				}
-
-				re, err := OpenDurableRelation("dur", WALOptions{FS: fs, CheckpointEvery: -1})
-				if err != nil {
-					t.Fatalf("reopen: %v", err)
-				}
-				defer re.Close()
-				rec := re.RecoveryStats()
-				if !rec.CheckpointLoaded || rec.WALRecords != 2 {
-					t.Fatalf("stats = %+v, want checkpoint + 2-record tail", rec)
-				}
-				re.WaitIdle()
-				model.WaitIdle()
-				if re.Len() != model.Len() {
-					t.Fatalf("Len = %d, want %d", re.Len(), model.Len())
-				}
-				for o := uint64(1); o <= 41; o++ {
-					if !slices.Equal(re.Labels(o), model.Labels(o)) {
-						t.Fatalf("Labels(%d) diverge", o)
-					}
-				}
-				for _, l := range []uint64{1, 2, 101, 1} {
-					if !slices.Equal(re.Objects(l), model.Objects(l)) {
-						t.Fatalf("Objects(%d) diverge", l)
-					}
-				}
-				// Error contract survives the reopen.
-				if err := re.Add(1000, 1); !errors.Is(err, ErrDuplicatePair) {
-					t.Fatalf("duplicate Add = %v", err)
-				}
-				if err := re.Delete(1, 1); !errors.Is(err, ErrNotFound) {
-					t.Fatalf("absent Delete = %v", err)
-				}
-			})
-		}
-	}
-}
-
-// TestDurableGraphReopen covers the graph facade.
-func TestDurableGraphReopen(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			fs := wal.NewMemFS()
-			opts := durTestOpts(Amortized, shards)
-			dg, err := OpenDurableGraph("dur", WALOptions{FS: fs, CheckpointEvery: -1}, opts...)
-			if err != nil {
-				t.Fatalf("OpenDurableGraph: %v", err)
-			}
-			defer dg.Close()
-			for u := uint64(1); u <= 30; u++ {
-				for v := u + 1; v <= u+3; v++ {
-					if err := dg.AddEdge(u, v); err != nil {
-						t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
-					}
-				}
-			}
-			if err := dg.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := dg.DeleteEdge(1, 2); err != nil {
-				t.Fatal(err)
-			}
-			if err := dg.AddEdge(100, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := dg.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			re, err := OpenDurableGraph("dur", WALOptions{FS: fs, CheckpointEvery: -1})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer re.Close()
-			rec := re.RecoveryStats()
-			if !rec.CheckpointLoaded || rec.WALRecords != 2 {
-				t.Fatalf("stats = %+v", rec)
-			}
-			re.WaitIdle()
-			if got, want := re.EdgeCount(), 30*3-1+1; got != want {
-				t.Fatalf("EdgeCount = %d, want %d", got, want)
-			}
-			if re.HasEdge(1, 2) {
-				t.Error("deleted edge survived")
-			}
-			if !re.HasEdge(100, 1) || !re.HasEdge(1, 3) {
-				t.Error("edges lost")
-			}
-			if !slices.Equal(re.Neighbors(2), []uint64{3, 4, 5}) {
-				t.Fatalf("Neighbors(2) = %v", re.Neighbors(2))
-			}
-			if err := re.AddEdge(100, 1); !errors.Is(err, ErrDuplicateEdge) {
-				t.Fatalf("duplicate AddEdge = %v", err)
-			}
-			if err := re.DeleteEdge(1, 2); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("absent DeleteEdge = %v", err)
-			}
-		})
-	}
-}
-
 // TestDurableOnDisk exercises the real-filesystem path end to end once.
 func TestDurableOnDisk(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "dur")

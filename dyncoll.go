@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 
-	"dyncoll/internal/baseline"
 	"dyncoll/internal/core"
 	"dyncoll/internal/doc"
 )
@@ -59,9 +58,16 @@ type collImpl interface {
 	Stats() core.Stats
 }
 
+// collCore is collImpl as the unsharded cores provide it: one ladder,
+// which can also bind itself to the persistence walkers.
+type collCore interface {
+	collImpl
+	Persister(core.IndexDecoder, core.IndexOpener) core.Persister
+}
+
 var (
-	_ collImpl = (*core.Amortized)(nil)
-	_ collImpl = (*core.WorstCase)(nil)
+	_ collCore = (*core.Amortized)(nil)
+	_ collCore = (*core.WorstCase)(nil)
 	_ collImpl = (*shardedColl)(nil)
 )
 
@@ -105,6 +111,19 @@ func newCollection(cfg config) (*Collection, error) {
 	return &Collection{impl: impl, cfg: cfg}, nil
 }
 
+// config, front and fresh make the collection a persistable structure
+// (snapshot.go). fresh resolves the index by name before anything is
+// built, which is where a never-registered custom index fails.
+func (c *Collection) config() config { return c.cfg }
+func (c *Collection) front() front   { return collFront(c.impl, c.cfg.index) }
+func (c *Collection) fresh(cfg config) (front, func(), error) {
+	impl, err := newCollAnyImpl(cfg)
+	if err != nil {
+		return front{}, nil, err
+	}
+	return collFront(impl, cfg.index), func() { c.impl, c.cfg = impl, cfg }, nil
+}
+
 // newCollAnyImpl builds the sharded or unsharded implementation for cfg.
 func newCollAnyImpl(cfg config) (collImpl, error) {
 	if cfg.shards > 0 {
@@ -114,7 +133,7 @@ func newCollAnyImpl(cfg config) (collImpl, error) {
 }
 
 // newCollImpl builds one unsharded core implementation for cfg.
-func newCollImpl(cfg config) (collImpl, error) {
+func newCollImpl(cfg config) (collCore, error) {
 	builder, err := lookupIndex(cfg.index)
 	if err != nil {
 		return nil, err
@@ -314,9 +333,7 @@ func indexStatsFrom(st core.Stats) IndexStats {
 // On a sharded collection the counters are aggregated across shards.
 func (c *Collection) Stats() IndexStats {
 	st := indexStatsFrom(c.impl.Stats())
-	if sh, ok := c.impl.(*shardedColl); ok {
-		st.Shards = len(sh.shards)
-	}
+	st.Shards = c.cfg.shards
 	st.fillResidency(c.mapped, c.SizeBits())
 	return st
 }
@@ -338,62 +355,3 @@ func (c *Collection) ShardSizes() []int {
 	}
 	return out
 }
-
-// BaselineCollection is the pre-paper state of the art: a dynamic
-// FM-index whose every query symbol costs a dynamic rank (Θ(log n)).
-// It exists for comparison benchmarks; prefer Collection.
-type BaselineCollection struct {
-	fm *baseline.DynFM
-}
-
-// NewBaselineCollection creates the dynamic-rank baseline index with
-// suffix-array sample rate s.
-func NewBaselineCollection(s int) *BaselineCollection {
-	return &BaselineCollection{fm: baseline.NewDynFM(s)}
-}
-
-// Insert adds a document. It fails with ErrDuplicateID or
-// ErrReservedByte on invalid input.
-func (b *BaselineCollection) Insert(d Document) error { return b.fm.Insert(d) }
-
-// Delete removes document id; ErrNotFound if absent.
-func (b *BaselineCollection) Delete(id uint64) error {
-	if b.fm.Delete(id) {
-		return nil
-	}
-	return fmt.Errorf("dyncoll: baseline delete id %d: %w", id, ErrNotFound)
-}
-
-// Has reports whether document id is live.
-func (b *BaselineCollection) Has(id uint64) bool { return b.fm.Has(id) }
-
-// Count returns the number of occurrences of pattern.
-func (b *BaselineCollection) Count(pattern []byte) int { return b.fm.Count(pattern) }
-
-// Find returns every occurrence of pattern.
-func (b *BaselineCollection) Find(pattern []byte) []Occurrence {
-	var out []Occurrence
-	b.fm.FindFunc(pattern, func(o baseline.Occurrence) bool {
-		out = append(out, Occurrence{DocID: o.DocID, Off: o.Off})
-		return true
-	})
-	return out
-}
-
-// FindIter returns a lazy iterator over the occurrences of pattern.
-func (b *BaselineCollection) FindIter(pattern []byte) iter.Seq[Occurrence] {
-	return func(yield func(Occurrence) bool) {
-		b.fm.FindFunc(pattern, func(o baseline.Occurrence) bool {
-			return yield(Occurrence{DocID: o.DocID, Off: o.Off})
-		})
-	}
-}
-
-// Len reports live payload symbols.
-func (b *BaselineCollection) Len() int { return b.fm.Len() }
-
-// DocCount reports the number of live documents.
-func (b *BaselineCollection) DocCount() int { return b.fm.DocCount() }
-
-// SizeBits estimates the index footprint in bits.
-func (b *BaselineCollection) SizeBits() int64 { return b.fm.SizeBits() }

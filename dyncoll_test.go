@@ -255,53 +255,6 @@ func TestGraphFacade(t *testing.T) {
 	}
 }
 
-func TestBaselineFacade(t *testing.T) {
-	b := NewBaselineCollection(8)
-	if err := b.Insert(Document{ID: 1, Data: []byte("banana")}); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Count([]byte("an")); got != 2 {
-		t.Fatalf("baseline Count = %d", got)
-	}
-	n := 0
-	for range b.FindIter([]byte("an")) {
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("baseline FindIter visited %d", n)
-	}
-	if err := b.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if b.Has(1) {
-		t.Fatal("baseline delete wrong")
-	}
-}
-
-func TestDeprecatedShims(t *testing.T) {
-	c, err := NewCollectionFromOptions(CollectionOptions{Index: PlainSA, SyncRebuilds: true})
-	if err != nil {
-		t.Fatalf("NewCollectionFromOptions: %v", err)
-	}
-	mustInsert(t, c, Document{ID: 1, Data: []byte("shimmed")})
-	if c.Count([]byte("him")) != 1 {
-		t.Fatal("v1 collection shim broken")
-	}
-	r := NewRelationFromOptions(RelationOptions{})
-	if err := r.Add(1, 2); err != nil || !r.Related(1, 2) {
-		t.Fatal("v1 relation shim broken")
-	}
-	w := NewWorstCaseRelation(WorstCaseRelationOptions{Inline: true})
-	if err := w.Add(3, 4); err != nil || !w.Related(3, 4) {
-		t.Fatal("v1 worst-case relation shim broken")
-	}
-	w.WaitIdle()
-	g := NewGraphFromOptions(GraphOptions{})
-	if err := g.AddEdge(1, 2); err != nil || !g.HasEdge(1, 2) {
-		t.Fatal("v1 graph shim broken")
-	}
-}
-
 func ExampleCollection() {
 	c, _ := NewCollection(WithSyncRebuilds())
 	_ = c.Insert(Document{ID: 1, Data: []byte("the quick brown fox")})

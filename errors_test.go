@@ -115,38 +115,6 @@ func TestOptionErrors(t *testing.T) {
 	}
 }
 
-// TestV1IndexKindRejected is the regression test for the silent
-// IndexKind fallback: the v1 constructor used to map any out-of-range
-// enum value (IndexKind(7), IndexKind(-1), …) onto the FM index through
-// its default switch branch, violating the documented "invalid
-// configuration is never silently ignored" contract. It must fail with
-// ErrUnknownIndex instead, while every documented enum value still
-// works.
-func TestV1IndexKindRejected(t *testing.T) {
-	for _, k := range []IndexKind{IndexKind(7), IndexKind(-1), IndexKind(3)} {
-		c, err := NewCollectionFromOptions(CollectionOptions{Index: k})
-		if !errors.Is(err, ErrUnknownIndex) {
-			t.Fatalf("IndexKind(%d): got (%v, %v), want ErrUnknownIndex", int(k), c, err)
-		}
-	}
-	for _, k := range []IndexKind{CompressedFM, PlainSA, CompressedCSA} {
-		c, err := NewCollectionFromOptions(CollectionOptions{Index: k, SyncRebuilds: true})
-		if err != nil {
-			t.Fatalf("IndexKind(%d): %v", int(k), err)
-		}
-		if err := c.Insert(Document{ID: 1, Data: []byte("ok")}); err != nil {
-			t.Fatalf("IndexKind(%d) insert: %v", int(k), err)
-		}
-	}
-	// The other v1 option fields are validated too, not silently clamped.
-	if _, err := NewCollectionFromOptions(CollectionOptions{Transformation: Transformation(9)}); !errors.Is(err, ErrInvalidOption) {
-		t.Fatalf("bad transformation: got %v, want ErrInvalidOption", err)
-	}
-	if _, err := NewCollectionFromOptions(CollectionOptions{Tau: -3}); !errors.Is(err, ErrInvalidOption) {
-		t.Fatalf("negative tau: got %v, want ErrInvalidOption", err)
-	}
-}
-
 func TestRegisterIndexErrors(t *testing.T) {
 	dummy := func(docs []Document, cfg IndexConfig) StaticIndex { return nil }
 	if err := RegisterIndex("", dummy); !errors.Is(err, ErrInvalidOption) {

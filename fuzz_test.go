@@ -209,6 +209,16 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 
+		// Save∘Load∘Save is a fixed point: a snapshot is a function of
+		// the structure, not of how it got there.
+		var cagain, ragain bytes.Buffer
+		if err := errors.Join(lc.Save(&cagain), lr.Save(&ragain)); err != nil {
+			t.Fatalf("re-Save: %v", err)
+		}
+		if !bytes.Equal(cagain.Bytes(), cbuf.Bytes()) || !bytes.Equal(ragain.Bytes(), rbuf.Bytes()) {
+			t.Fatal("Save∘Load∘Save is not a fixed point")
+		}
+
 		// Mutations must never panic.
 		for _, data := range [][]byte{cbuf.Bytes(), rbuf.Bytes()} {
 			if len(data) == 0 {

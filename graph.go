@@ -3,35 +3,6 @@ package dyncoll
 import (
 	"fmt"
 	"iter"
-
-	"dyncoll/internal/binrel"
-	"dyncoll/internal/graph"
-)
-
-// graphImpl is the slice of the internal graph API the facade needs;
-// *graph.Graph satisfies it directly and shardedGraph satisfies it by
-// fanning out over p of them.
-type graphImpl interface {
-	AddEdge(u, v uint64) bool
-	DeleteEdge(u, v uint64) bool
-	HasEdge(u, v uint64) bool
-	EdgeCount() int
-	NeighborsFunc(u uint64, fn func(v uint64) bool)
-	ReverseNeighborsFunc(v uint64, fn func(u uint64) bool)
-	Neighbors(u uint64) []uint64
-	ReverseNeighbors(v uint64) []uint64
-	OutDegree(u uint64) int
-	InDegree(v uint64) int
-	Edges() []binrel.Pair
-	EdgesFunc(fn func(binrel.Pair) bool)
-	WaitIdle()
-	SizeBits() int64
-	Stats() binrel.Stats
-}
-
-var (
-	_ graphImpl = (*graph.Graph)(nil)
-	_ graphImpl = (*shardedGraph)(nil)
 )
 
 // Graph is a dynamic compressed directed graph (Theorem 3). A digraph is
@@ -45,22 +16,11 @@ var (
 // (Predecessors, ReverseNeighbors, InDegree) fan out across shards in
 // parallel.
 type Graph struct {
-	g      graphImpl
-	cfg    config      // resolved construction config, recorded in snapshots
-	mapped *mappedFile // v2 snapshot mapping, nil unless LoadMappedFile
-}
-
-// newGraphImpl builds one unsharded graph for cfg. As in the paper,
-// the graph inherits its transformation machinery from the relation
-// (and thus from the generic engine).
-func newGraphImpl(cfg config) *graph.Graph {
-	return graph.New(graph.Options{
-		Tau:         cfg.tau,
-		Epsilon:     cfg.epsilon,
-		MinCapacity: cfg.minCapacity,
-		WorstCase:   cfg.transformation == WorstCase,
-		Inline:      cfg.syncRebuilds,
-	})
+	// The implementation is inherited too: a Graph is a Relation under
+	// edge names. The two differ only where they must not be confused —
+	// the kind their snapshots and checkpoints record (r.cfg.kind is
+	// kindGraph), their WAL op codes, and their typed errors.
+	r Relation
 }
 
 // NewGraph creates an empty dynamic compressed directed graph. The
@@ -72,21 +32,13 @@ func NewGraph(opts ...Option) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{g: newGraphAnyImpl(cfg), cfg: cfg}, nil
-}
-
-// newGraphAnyImpl builds the sharded or unsharded implementation for cfg.
-func newGraphAnyImpl(cfg config) graphImpl {
-	if cfg.shards > 0 {
-		return newShardedGraph(cfg)
-	}
-	return newGraphImpl(cfg)
+	return &Graph{r: Relation{rel: newRelAnyImpl(cfg), cfg: cfg}}, nil
 }
 
 // AddEdge inserts the edge u→v. It fails with ErrDuplicateEdge if the
 // edge already exists.
 func (g *Graph) AddEdge(u, v uint64) error {
-	if g.g.AddEdge(u, v) {
+	if g.r.rel.Add(u, v) {
 		return nil
 	}
 	return fmt.Errorf("dyncoll: add edge %d→%d: %w", u, v, ErrDuplicateEdge)
@@ -95,17 +47,17 @@ func (g *Graph) AddEdge(u, v uint64) error {
 // DeleteEdge removes the edge u→v. It fails with ErrNotFound if the edge
 // does not exist.
 func (g *Graph) DeleteEdge(u, v uint64) error {
-	if g.g.DeleteEdge(u, v) {
+	if g.r.rel.Delete(u, v) {
 		return nil
 	}
 	return fmt.Errorf("dyncoll: delete edge %d→%d: %w", u, v, ErrNotFound)
 }
 
 // HasEdge reports whether the edge u→v exists.
-func (g *Graph) HasEdge(u, v uint64) bool { return g.g.HasEdge(u, v) }
+func (g *Graph) HasEdge(u, v uint64) bool { return g.r.rel.Related(u, v) }
 
 // EdgeCount reports the number of edges.
-func (g *Graph) EdgeCount() int { return g.g.EdgeCount() }
+func (g *Graph) EdgeCount() int { return g.r.rel.Len() }
 
 // Successors returns a lazy iterator over the out-neighbors of u;
 // breaking out of the range loop stops the underlying enumeration.
@@ -119,7 +71,7 @@ func (g *Graph) EdgeCount() int { return g.g.EdgeCount() }
 // a shard whose read lock the iterator holds.
 func (g *Graph) Successors(u uint64) iter.Seq[uint64] {
 	return func(yield func(uint64) bool) {
-		g.g.NeighborsFunc(u, yield)
+		g.r.rel.LabelsOf(u, yield)
 	}
 }
 
@@ -127,7 +79,7 @@ func (g *Graph) Successors(u uint64) iter.Seq[uint64] {
 // same re-entrancy rule as Successors applies.
 func (g *Graph) Predecessors(v uint64) iter.Seq[uint64] {
 	return func(yield func(uint64) bool) {
-		g.g.ReverseNeighborsFunc(v, yield)
+		g.r.rel.ObjectsOf(v, yield)
 	}
 }
 
@@ -137,51 +89,44 @@ func (g *Graph) Predecessors(v uint64) iter.Seq[uint64] {
 // rule as Successors applies.
 func (g *Graph) EdgesIter() iter.Seq[Pair] {
 	return func(yield func(Pair) bool) {
-		g.g.EdgesFunc(yield)
+		g.r.rel.PairsFunc(yield)
 	}
 }
 
 // NeighborsFunc streams the out-neighbors of u; stops when fn returns
 // false.
-func (g *Graph) NeighborsFunc(u uint64, fn func(v uint64) bool) { g.g.NeighborsFunc(u, fn) }
+func (g *Graph) NeighborsFunc(u uint64, fn func(v uint64) bool) { g.r.rel.LabelsOf(u, fn) }
 
 // ReverseNeighborsFunc streams the in-neighbors of v.
 func (g *Graph) ReverseNeighborsFunc(v uint64, fn func(u uint64) bool) {
-	g.g.ReverseNeighborsFunc(v, fn)
+	g.r.rel.ObjectsOf(v, fn)
 }
 
 // Neighbors returns the sorted out-neighbors of u.
-func (g *Graph) Neighbors(u uint64) []uint64 { return g.g.Neighbors(u) }
+func (g *Graph) Neighbors(u uint64) []uint64 { return g.r.rel.Labels(u) }
 
 // ReverseNeighbors returns the sorted in-neighbors of v.
-func (g *Graph) ReverseNeighbors(v uint64) []uint64 { return g.g.ReverseNeighbors(v) }
+func (g *Graph) ReverseNeighbors(v uint64) []uint64 { return g.r.rel.Objects(v) }
 
 // OutDegree counts the out-neighbors of u.
-func (g *Graph) OutDegree(u uint64) int { return g.g.OutDegree(u) }
+func (g *Graph) OutDegree(u uint64) int { return g.r.rel.CountLabels(u) }
 
 // InDegree counts the in-neighbors of v.
-func (g *Graph) InDegree(v uint64) int { return g.g.InDegree(v) }
+func (g *Graph) InDegree(v uint64) int { return g.r.rel.CountObjects(v) }
 
 // Edges returns every edge as (object=u, label=v) pairs.
-func (g *Graph) Edges() []Pair { return g.g.Edges() }
+func (g *Graph) Edges() []Pair { return g.r.rel.Pairs() }
 
 // WaitIdle blocks until background rebuilds (WorstCase scheduling only)
 // have completed — across every shard when the graph is sharded;
 // otherwise it returns immediately.
-func (g *Graph) WaitIdle() { g.g.WaitIdle() }
+func (g *Graph) WaitIdle() { g.r.rel.WaitIdle() }
 
 // Stats reports the graph's engine-level ladder state and rebuild
 // counters, in the same shape Collection.Stats uses (sizes are edge
 // counts). On a sharded graph the counters are aggregated across
 // shards.
-func (g *Graph) Stats() IndexStats {
-	st := indexStatsFrom(g.g.Stats())
-	if sh, ok := g.g.(*shardedGraph); ok {
-		st.Shards = len(sh.shards)
-	}
-	st.fillResidency(g.mapped, g.SizeBits())
-	return st
-}
+func (g *Graph) Stats() IndexStats { return g.r.Stats() }
 
 // SizeBits estimates the total footprint.
-func (g *Graph) SizeBits() int64 { return g.g.SizeBits() }
+func (g *Graph) SizeBits() int64 { return g.r.rel.SizeBits() }

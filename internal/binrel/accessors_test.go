@@ -23,7 +23,7 @@ func TestRelationAccessors(t *testing.T) {
 }
 
 func TestWorstCaseRelationAccessors(t *testing.T) {
-	w := NewWorstCase(WCOptions{Tau: 5, Inline: true})
+	w := New(Options{WorstCase: true, Tau: 5, Inline: true})
 	if w.Tau() != 5 {
 		t.Fatalf("Tau = %d", w.Tau())
 	}
@@ -50,7 +50,7 @@ func TestWorstCaseRelationAccessors(t *testing.T) {
 func TestWorstCaseRelationDeferredMerge(t *testing.T) {
 	// Background (non-inline) mode so builds stay in flight while more
 	// deletions arrive.
-	w := NewWorstCase(WCOptions{Tau: 2, MinCapacity: 16})
+	w := New(Options{WorstCase: true, Tau: 2, MinCapacity: 16})
 	m := newRelModel()
 	rng := rand.New(rand.NewSource(888))
 	for i := 0; i < 3000; i++ {

@@ -60,16 +60,8 @@ type Options struct {
 	Inline bool
 }
 
-// WCOptions is a legacy alias of Options from when the worst-case
-// relation was a separate implementation with its own option struct.
-type WCOptions = Options
-
-// Stats reports the engine's ladder state and rebuild counters; WCStats
-// is a legacy alias from the pre-engine split.
-type (
-	Stats   = engine.Stats
-	WCStats = engine.Stats
-)
+// Stats reports the engine's ladder state and rebuild counters.
+type Stats = engine.Stats
 
 // c0rel is the uncompressed fully-dynamic store (the relation's C0):
 // forward and reverse adjacency in hash maps, O(log n) bits per pair.
@@ -250,20 +242,9 @@ type Relation struct {
 	eng engine.Ladder[Pair, Pair]
 }
 
-// WorstCaseRelation is a legacy alias from when the worst-case relation
-// was a separate implementation.
-type WorstCaseRelation = Relation
-
 // New creates an empty dynamic relation.
 func New(opts Options) *Relation {
 	return &Relation{eng: NewLadder(opts)}
-}
-
-// NewWorstCase creates an empty worst-case dynamic relation (legacy
-// constructor; equivalent to New with Options.WorstCase set).
-func NewWorstCase(opts WCOptions) *Relation {
-	opts.WorstCase = true
-	return New(opts)
 }
 
 // Len reports the number of live pairs.

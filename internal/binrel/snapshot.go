@@ -1,19 +1,46 @@
 package binrel
 
 import (
+	"cmp"
+	"slices"
+
 	"dyncoll/internal/engine"
 	"dyncoll/internal/snap"
+	"dyncoll/internal/wavelet"
 )
 
-// Snapshot adapter for the pair payload. Every pair weighs 1 and the
-// compressed encoding (semiRel) is rebuilt from its live pairs in
-// O(n log n), so pair levels always use the raw-items form: the ladder
-// section is just the schedule anchors plus one pair list per store.
-// (The binary fast path exists for document collections, whose static
-// indexes cost O(n·u(n)) to rebuild; see internal/core.)
+// The pair payload's persistence codec (engine.Codec); the ladder walk
+// around it is the engine's. Every pair weighs 1 and the compressed
+// encoding (semiRel) is rebuilt from its live pairs in O(n log n), so
+// in v1 a store is just its pair list. (The binary fast path exists for
+// document collections, whose static indexes cost O(n·u(n)) to rebuild;
+// see internal/core.) The v2 mapped form writes the already-built
+// structure — object and label tables, the N boundaries, and the
+// Huffman-shaped wavelet tree of S — so a mapped open is an aliasing
+// pass plus O(σ) table validation, with deletion bitmaps deferred until
+// the first Delete.
 
-// encodePairs appends a length-prefixed pair list.
-func encodePairs(e *snap.Encoder, pairs []Pair) {
+// Persister is the engine's format walkers bound to a relation.
+type Persister = engine.Persister[Pair, Pair]
+
+// Persister binds the relation's ladder to the pair codec.
+func (r *Relation) Persister() Persister {
+	return Persister{Ladder: r.eng, Codec: pairCodec{}}
+}
+
+type pairCodec struct{}
+
+// EncodeItems appends a length-prefixed pair list, sorted in place by
+// (object, label): a store lists its pairs in that order anyway, but
+// C0's come out of a Go map, and a snapshot should be a function of
+// the relation, not of map iteration order.
+func (pairCodec) EncodeItems(e *snap.Encoder, pairs []Pair) {
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if a.Object != b.Object {
+			return cmp.Compare(a.Object, b.Object)
+		}
+		return cmp.Compare(a.Label, b.Label)
+	})
 	e.Uvarint(uint64(len(pairs)))
 	for _, p := range pairs {
 		e.Uvarint(p.Object)
@@ -21,8 +48,8 @@ func encodePairs(e *snap.Encoder, pairs []Pair) {
 	}
 }
 
-// decodePairs reads a pair list.
-func decodePairs(dec *snap.Decoder) []Pair {
+// DecodeItems reads a pair list.
+func (pairCodec) DecodeItems(dec *snap.Decoder) []Pair {
 	n := dec.Count(2)
 	if dec.Err() != nil {
 		return nil
@@ -37,137 +64,134 @@ func decodePairs(dec *snap.Decoder) []Pair {
 	return pairs
 }
 
-// encodeSpine writes the ladder's schedule anchors and raw C0 pairs.
-func encodeSpine(e *snap.Encoder, d *engine.Dump[Pair, Pair]) {
-	e.Uvarint(uint64(d.NF))
-	e.Uvarint(uint64(d.Tau))
-	encodePairs(e, d.C0)
+func (c pairCodec) EncodeStore(e *snap.Encoder, st engine.Store[Pair, Pair]) {
+	c.EncodeItems(e, st.LiveItems())
 }
 
-// encodeStore writes one static store's section: slot plus live pairs.
-func encodeStore(e *snap.Encoder, ds engine.StoreDump[Pair, Pair]) {
-	e.Varint(int64(ds.Level))
-	encodePairs(e, ds.Store.LiveItems())
-}
-
-// EncodeSnapshot writes the relation's quiesced ladder into e.
-func (r *Relation) EncodeSnapshot(e *snap.Encoder) {
-	d := r.eng.Dump()
-	encodeSpine(e, &d)
-	e.Uvarint(uint64(len(d.Stores)))
-	for _, ds := range d.Stores {
-		encodeStore(e, ds)
-	}
-}
-
-// DumpSections captures the quiesced ladder as a spine (schedule
-// anchors + C0 pairs) plus one Section per static store, encoded
-// exactly as EncodeSnapshot would; see the collection counterpart in
-// internal/core for the reuse contract.
-func (r *Relation) DumpSections(reuse func(level int, gen uint64, dead int) bool) ([]byte, []snap.Section) {
-	d := r.eng.Dump()
-	var se snap.Encoder
-	encodeSpine(&se, &d)
-	secs := make([]snap.Section, 0, len(d.Stores))
-	for _, ds := range d.Stores {
-		dead := ds.Store.DeadWeight()
-		sec := snap.Section{Level: ds.Level, Gen: ds.Gen, Dead: dead}
-		if reuse == nil || !reuse(ds.Level, ds.Gen, dead) {
-			var e snap.Encoder
-			encodeStore(&e, ds)
-			sec.Bytes = e.Bytes()
-		}
-		secs = append(secs, sec)
-	}
-	return se.Bytes(), secs
-}
-
-// DecodeSnapshot reads a ladder section from dec and installs it into
-// the relation's (empty) engine, rebuilding each compressed level from
-// its pairs. Corrupt input fails with an error wrapping
-// snap.ErrBadSnapshot and never panics; the relation must be discarded
-// on error.
-func (r *Relation) DecodeSnapshot(dec *snap.Decoder) error {
-	var d engine.Dump[Pair, Pair]
-	if err := decodeSpine(dec, &d); err != nil {
-		return err
-	}
-	nStores := dec.Count(2)
+func (c pairCodec) DecodeStore(dec *snap.Decoder, level, tau int) (engine.Store[Pair, Pair], error) {
+	pairs := c.DecodeItems(dec)
 	if err := dec.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	for i := 0; i < nStores; i++ {
-		ds, err := decodeStore(dec, d.Tau)
-		if err != nil {
-			return err
-		}
-		if ds.Store == nil {
-			// An empty store contributes nothing (and the compressed
-			// encoding requires a non-empty alphabet).
-			continue
-		}
-		d.Stores = append(d.Stores, ds)
-	}
-	return r.eng.Restore(d)
+	return c.BuildStore(pairs, level, tau)
 }
 
-// decodeSpine reads the schedule anchors and C0 pairs.
-func decodeSpine(dec *snap.Decoder, d *engine.Dump[Pair, Pair]) error {
-	d.NF = dec.Int()
-	d.Tau = dec.Int()
-	d.C0 = decodePairs(dec)
-	return dec.Err()
-}
-
-// decodeStore reads one static store's section, rebuilding the
-// compressed level from its pairs. An empty pair list yields a zero
-// StoreDump (nil Store) the caller must skip. tau is the ladder's
-// lazy-deletion parameter (buildSemi clamps out-of-range values
-// itself).
-func decodeStore(dec *snap.Decoder, tau int) (engine.StoreDump[Pair, Pair], error) {
-	var zero engine.StoreDump[Pair, Pair]
-	level := int(dec.Varint())
-	pairs := decodePairs(dec)
-	if err := dec.Err(); err != nil {
-		return zero, err
-	}
+// BuildStore rebuilds the compressed level from its pairs. An empty
+// store contributes nothing (and the compressed encoding requires a
+// non-empty alphabet). tau is the ladder's lazy-deletion parameter
+// (buildSemi clamps out-of-range values itself).
+func (pairCodec) BuildStore(pairs []Pair, _, tau int) (engine.Store[Pair, Pair], error) {
 	if len(pairs) == 0 {
-		return zero, nil
+		return nil, nil
 	}
-	return engine.StoreDump[Pair, Pair]{
-		Level: level,
-		Store: buildSemi(pairs, tau),
-	}, nil
+	return buildSemi(pairs, tau), nil
 }
 
-// RestoreSections is DecodeSnapshot for the sectioned form: spine bytes
-// plus one Section per store, as produced by DumpSections (possibly
-// reassembled from checkpoint segment files). Each section's Gen is
-// installed into the engine so the next incremental checkpoint can
-// reuse the very segments this relation was loaded from.
-func (r *Relation) RestoreSections(spine []byte, secs []snap.Section) error {
-	dec := snap.NewDecoder(spine)
-	var d engine.Dump[Pair, Pair]
-	if err := decodeSpine(dec, &d); err != nil {
-		return err
+func (c pairCodec) EncodeMapped(meta *snap.Encoder, st engine.Store[Pair, Pair]) []byte {
+	sr, ok := st.(*semiRel)
+	if !ok || sr.s.Len() == 0 {
+		return nil
 	}
-	if n := dec.Remaining(); n != 0 {
-		return snap.Corruptf("%d trailing spine bytes", n)
+	c.EncodeItems(meta, sr.deadPairs())
+	var me snap.MapEncoder
+	sr.encodeMapped(&me)
+	return me.Bytes()
+}
+
+func (c pairCodec) OpenMapped(meta *snap.Decoder, payload []byte, level, tau int) (engine.Store[Pair, Pair], error) {
+	dead := c.DecodeItems(meta)
+	if err := meta.Err(); err != nil {
+		return nil, err
 	}
-	for _, s := range secs {
-		sdec := snap.NewDecoder(s.Bytes)
-		ds, err := decodeStore(sdec, d.Tau)
-		if err != nil {
-			return err
-		}
-		if n := sdec.Remaining(); n != 0 {
-			return snap.Corruptf("%d trailing section bytes at level %d", n, ds.Level)
-		}
-		if ds.Store == nil {
-			continue
-		}
-		ds.Gen = s.Gen
-		d.Stores = append(d.Stores, ds)
+	mv := snap.NewMapView(payload)
+	sr := openMappedSemi(mv, tau)
+	if sr == nil {
+		return nil, snap.Corruptf("level %d mapped relation: %v", level, mv.Err())
 	}
-	return r.eng.Restore(d)
+	for _, p := range dead {
+		if _, ok := sr.Delete(p); !ok {
+			return nil, snap.Corruptf("level %d deletes unknown pair (%d,%d)", level, p.Object, p.Label)
+		}
+	}
+	return sr, nil
+}
+
+// encodeMapped writes the static relation structure in mapped form.
+func (r *semiRel) encodeMapped(e *snap.MapEncoder) {
+	e.Words(r.objects)
+	e.Words(r.labels)
+	e.Int32s(r.starts)
+	r.s.EncodeMapped(e)
+}
+
+// deadPairs lists the lazily-deleted pairs so their deletions can be
+// replayed at open — the relation analog of SemiDynamic.deadIDs. Nil
+// bitmaps mean no deletions.
+func (r *semiRel) deadPairs() []Pair {
+	if r.alive == nil || r.dead == 0 {
+		return nil
+	}
+	out := make([]Pair, 0, r.dead)
+	for pos := 0; pos < r.s.Len(); pos++ {
+		if !r.alive.Get(pos) {
+			out = append(out, Pair{Object: r.objectAt(pos), Label: r.labels[r.s.Access(pos)]})
+		}
+	}
+	return out
+}
+
+// openMappedSemi reconstructs a semiRel over a mapped payload. The
+// tables are validated structurally (sorted, consistent boundaries,
+// alphabet size matching the wavelet tree) in O(σ + objects).
+func openMappedSemi(mv *snap.MapView, tau int) *semiRel {
+	if tau < 2 {
+		tau = 2
+	}
+	if tau > 4096 {
+		tau = 4096
+	}
+	objects := mv.Words()
+	labels := mv.Words()
+	starts := mv.Int32s()
+	s := wavelet.ViewMapped(mv)
+	if mv.Err() != nil {
+		return nil
+	}
+	if mv.Remaining() != 0 {
+		mv.Fail("relation: %d trailing bytes in mapped payload", mv.Remaining())
+		return nil
+	}
+	n := s.Len()
+	if n == 0 || len(objects) == 0 {
+		mv.Fail("relation: mapped store is empty")
+		return nil
+	}
+	if s.Sigma() != len(labels) {
+		mv.Fail("relation: %d labels for alphabet of %d", len(labels), s.Sigma())
+		return nil
+	}
+	if len(starts) != len(objects)+1 || starts[0] != 0 || int(starts[len(objects)]) != n {
+		mv.Fail("relation: boundary table of %d for %d objects over %d pairs", len(starts), len(objects), n)
+		return nil
+	}
+	for i := 0; i < len(objects); i++ {
+		if starts[i] >= starts[i+1] {
+			mv.Fail("relation: empty or unordered range for object %d", i)
+			return nil
+		}
+		if i > 0 && objects[i] <= objects[i-1] {
+			mv.Fail("relation: object table not sorted at %d", i)
+			return nil
+		}
+	}
+	for i := 1; i < len(labels); i++ {
+		if labels[i] <= labels[i-1] {
+			mv.Fail("relation: label table not sorted at %d", i)
+			return nil
+		}
+	}
+	return &semiRel{
+		objects: objects, labels: labels, starts: starts,
+		s: s, tau: tau, live: n,
+	}
 }

@@ -8,15 +8,15 @@ import (
 
 func wcVariants() []struct {
 	name string
-	mk   func() *WorstCaseRelation
+	mk   func() *Relation
 } {
 	return []struct {
 		name string
-		mk   func() *WorstCaseRelation
+		mk   func() *Relation
 	}{
-		{"inline", func() *WorstCaseRelation { return NewWorstCase(WCOptions{Inline: true}) }},
-		{"background", func() *WorstCaseRelation { return NewWorstCase(WCOptions{}) }},
-		{"tau8", func() *WorstCaseRelation { return NewWorstCase(WCOptions{Tau: 8, Inline: true}) }},
+		{"inline", func() *Relation { return New(Options{WorstCase: true, Inline: true}) }},
+		{"background", func() *Relation { return New(Options{WorstCase: true}) }},
+		{"tau8", func() *Relation { return New(Options{WorstCase: true, Tau: 8, Inline: true}) }},
 	}
 }
 
@@ -75,7 +75,7 @@ func TestWorstCaseRelationRandomOps(t *testing.T) {
 }
 
 func TestWorstCaseRelationBasics(t *testing.T) {
-	w := NewWorstCase(WCOptions{Inline: true})
+	w := New(Options{WorstCase: true, Inline: true})
 	if w.Delete(1, 1) {
 		t.Fatal("Delete on empty succeeded")
 	}
@@ -99,7 +99,7 @@ func TestWorstCaseRelationBasics(t *testing.T) {
 func TestWorstCaseRelationChurnBackground(t *testing.T) {
 	// Heavy churn with real background builds; queries must stay exact
 	// while builds are in flight.
-	w := NewWorstCase(WCOptions{})
+	w := New(Options{WorstCase: true})
 	m := newRelModel()
 	rng := rand.New(rand.NewSource(601))
 	for i := 0; i < 5000; i++ {
@@ -132,7 +132,7 @@ func TestWorstCaseRelationChurnBackground(t *testing.T) {
 }
 
 func TestWorstCaseRelationDrainAll(t *testing.T) {
-	w := NewWorstCase(WCOptions{Inline: true})
+	w := New(Options{WorstCase: true, Inline: true})
 	for i := 0; i < 800; i++ {
 		w.Add(uint64(i), uint64(i%17))
 	}
@@ -152,7 +152,7 @@ func TestWorstCaseRelationDrainAll(t *testing.T) {
 
 func TestWorstCaseRelationQuick(t *testing.T) {
 	f := func(ops []uint16) bool {
-		w := NewWorstCase(WCOptions{MinCapacity: 8, Inline: true})
+		w := New(Options{WorstCase: true, MinCapacity: 8, Inline: true})
 		m := newRelModel()
 		for _, op := range ops {
 			o := uint64(op>>8) % 12
@@ -183,7 +183,7 @@ func TestWorstCaseRelationQuick(t *testing.T) {
 }
 
 func TestWorstCaseRelationEarlyStop(t *testing.T) {
-	w := NewWorstCase(WCOptions{Inline: true})
+	w := New(Options{WorstCase: true, Inline: true})
 	for i := 0; i < 200; i++ {
 		w.Add(3, uint64(i))
 		w.Add(uint64(i+500), 7)

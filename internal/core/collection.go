@@ -10,15 +10,11 @@ import (
 
 // Stats reports the engine's ladder state and rebuild counters; it is
 // the generic engine's unified stats type, shared by both scheduling
-// regimes (WorstStats is a legacy alias).
+// regimes.
 type Stats = engine.Stats
 
 // BuiltWeight is the per-cause build tally inside Stats.
 type BuiltWeight = engine.BuiltWeight
-
-// WorstStats is an alias of Stats kept for callers of the pre-engine
-// API, where the worst-case transformation had its own counter struct.
-type WorstStats = engine.Stats
 
 // ladderConfig assembles the engine's payload contract for documents:
 // keys are document IDs, weights are payload symbol counts, C0 is the

@@ -6,20 +6,28 @@ import (
 	"dyncoll/internal/snap"
 )
 
-// Snapshot adapter for the document payload: serializes an engine dump
-// level by level. C0 travels as raw documents and is re-ingested at
-// load. Compressed levels take the fast path — the wrapped static
-// index's own binary form plus the IDs of its lazily-deleted documents
-// — when the index implements binaryIndex AND the loader will have a
-// registered decoder; otherwise they fall back to raw live documents
-// and are rebuilt through the configured Builder at load. Custom
-// registry indexes therefore round-trip by name with zero extra work,
-// and built-ins skip the O(n·u(n)) reconstruction.
+// The document payload's persistence codec (engine.Codec): how
+// documents and SemiDynamic stores are written; the ladder walk around
+// them is the engine's. C0 travels as raw documents and is re-ingested
+// at load. A static store has three forms. The v1 fast path is the
+// wrapped index's own binary form plus the IDs of its lazily-deleted
+// documents, taken when the index implements binaryIndex AND the
+// loader will have a registered decoder. The v2 mapped form is a pure
+// MapEncoder payload the loader serves in place from a page-aligned
+// mapped section. Everything else — custom registry indexes — falls
+// back to raw live documents, rebuilt through the configured Builder
+// at load: they round-trip by name with zero extra work, they just do
+// not skip the O(n·u(n)) reconstruction.
 
-// binaryIndex is the optional fast-path contract a StaticIndex may
+// binaryIndex is the optional v1 fast-path contract a StaticIndex may
 // implement (the built-in fm, sa and csa indexes all do).
 type binaryIndex interface {
 	AppendBinary(buf []byte) ([]byte, error)
+}
+
+// mappedIndex is the optional mapped fast-path contract (likewise).
+type mappedIndex interface {
+	EncodeMapped(e *snap.MapEncoder)
 }
 
 // IndexDecoder reconstructs a StaticIndex from the bytes its
@@ -27,8 +35,31 @@ type binaryIndex interface {
 // registry by name; nil means no fast-path decoding is available.
 type IndexDecoder func(data []byte) (StaticIndex, error)
 
-// encodeDocs appends a length-prefixed document list.
-func encodeDocs(e *snap.Encoder, docs []doc.Doc) {
+// IndexOpener reconstructs a StaticIndex view over the payload bytes
+// its EncodeMapped produced. nil means the index has no mapped open
+// support.
+type IndexOpener func(mv *snap.MapView) (StaticIndex, error)
+
+// Persister is the engine's format walkers bound to a collection.
+type Persister = engine.Persister[uint64, doc.Doc]
+
+// Persister binds the collection's ladder to the document codec.
+// decode and open are the index's registered binary decoder and mapped
+// opener. A nil decode also turns the binary form off on the way out
+// (the loader would not be able to read it), and binary or mapped
+// stores in the input fail with ErrBadSnapshot when theirs is nil.
+func (c *collection) Persister(decode IndexDecoder, open IndexOpener) Persister {
+	return Persister{Ladder: c.eng, Codec: docCodec{c.opts, decode, open}}
+}
+
+type docCodec struct {
+	opts   Options
+	decode IndexDecoder
+	open   IndexOpener
+}
+
+// EncodeItems appends a length-prefixed document list.
+func (docCodec) EncodeItems(e *snap.Encoder, docs []doc.Doc) {
 	e.Uvarint(uint64(len(docs)))
 	for _, d := range docs {
 		e.Uvarint(d.ID)
@@ -36,10 +67,10 @@ func encodeDocs(e *snap.Encoder, docs []doc.Doc) {
 	}
 }
 
-// decodeDocs reads a document list, copying payloads out of the input
+// DecodeItems reads a document list, copying payloads out of the input
 // buffer and rejecting payloads with the reserved separator byte (the
 // builders would panic on them).
-func decodeDocs(dec *snap.Decoder) []doc.Doc {
+func (docCodec) DecodeItems(dec *snap.Decoder) []doc.Doc {
 	n := dec.Count(2)
 	if dec.Err() != nil {
 		return nil
@@ -61,23 +92,11 @@ func decodeDocs(dec *snap.Decoder) []doc.Doc {
 	return docs
 }
 
-// encodeSpine writes the ladder's schedule anchors and raw C0 items —
-// everything except the static stores.
-func encodeSpine(e *snap.Encoder, d *engine.Dump[uint64, doc.Doc]) {
-	e.Uvarint(uint64(d.NF))
-	e.Uvarint(uint64(d.Tau))
-	encodeDocs(e, d.C0)
-}
-
-// encodeStore writes one static store's section: slot, mode byte, and
-// the mode's payload.
-func encodeStore(e *snap.Encoder, ds engine.StoreDump[uint64, doc.Doc], fastPath bool) {
-	e.Varint(int64(ds.Level))
-	sd, isSemi := ds.Store.(*SemiDynamic)
-	if fastPath && isSemi {
+// EncodeStore writes a mode byte and the mode's payload.
+func (c docCodec) EncodeStore(e *snap.Encoder, st engine.Store[uint64, doc.Doc]) {
+	if sd, ok := st.(*SemiDynamic); ok && c.decode != nil {
 		if bi, ok := sd.idx.(binaryIndex); ok {
-			blob, err := bi.AppendBinary(nil)
-			if err == nil {
+			if blob, err := bi.AppendBinary(nil); err == nil {
 				e.Byte(snap.ModeBinary)
 				e.Blob(blob)
 				e.Uint64s(sd.deadIDs())
@@ -86,49 +105,96 @@ func encodeStore(e *snap.Encoder, ds engine.StoreDump[uint64, doc.Doc], fastPath
 		}
 	}
 	e.Byte(snap.ModeItems)
-	encodeDocs(e, ds.Store.LiveItems())
+	c.EncodeItems(e, st.LiveItems())
 }
 
-// EncodeSnapshot writes the collection's quiesced ladder into e.
-// fastPath enables the binary index encoding; pass false when the
-// loader will not have a decoder for the collection's index name.
-func (c *collection) EncodeSnapshot(e *snap.Encoder, fastPath bool) {
-	d := c.eng.Dump()
-	encodeSpine(e, &d)
-	e.Uvarint(uint64(len(d.Stores)))
-	for _, ds := range d.Stores {
-		encodeStore(e, ds, fastPath)
+func (c docCodec) DecodeStore(dec *snap.Decoder, level, tau int) (engine.Store[uint64, doc.Doc], error) {
+	mode := dec.Byte()
+	if err := dec.Err(); err != nil {
+		return nil, err
 	}
-}
-
-// DumpSections captures the quiesced ladder as a spine (schedule
-// anchors + C0) plus one Section per static store, encoded exactly as
-// EncodeSnapshot would. reuse, when non-nil, is asked per store
-// whether the checkpoint writer already holds an identical persisted
-// section (same build generation, same dead weight); a reused store's
-// Section carries nil Bytes and is never serialized — the incremental
-// part of incremental checkpoints.
-func (c *collection) DumpSections(fastPath bool, reuse func(level int, gen uint64, dead int) bool) ([]byte, []snap.Section) {
-	d := c.eng.Dump()
-	var se snap.Encoder
-	encodeSpine(&se, &d)
-	secs := make([]snap.Section, 0, len(d.Stores))
-	for _, ds := range d.Stores {
-		dead := ds.Store.DeadWeight()
-		sec := snap.Section{Level: ds.Level, Gen: ds.Gen, Dead: dead}
-		if reuse == nil || !reuse(ds.Level, ds.Gen, dead) {
-			var e snap.Encoder
-			encodeStore(&e, ds, fastPath)
-			sec.Bytes = e.Bytes()
+	switch mode {
+	case snap.ModeItems:
+		docs := c.DecodeItems(dec)
+		if err := dec.Err(); err != nil {
+			return nil, err
 		}
-		secs = append(secs, sec)
+		return c.BuildStore(docs, level, tau)
+	case snap.ModeBinary:
+		blob := dec.Blob()
+		dead := dec.Uint64s()
+		if err := dec.Err(); err != nil {
+			return nil, err
+		}
+		if c.decode == nil {
+			return nil, snap.Corruptf("binary level %d but index has no registered decoder", level)
+		}
+		idx, err := c.decode(blob)
+		if err != nil {
+			return nil, snap.Corruptf("level %d index: %v", level, err)
+		}
+		return adopt(NewSemiDynamic(idx, tau, c.opts.Counting), idx.DocCount(), dead, level)
+	default:
+		return nil, snap.Corruptf("unknown store mode %d", mode)
 	}
-	return se.Bytes(), secs
+}
+
+// BuildStore rebuilds a store through the configured Builder. tau is
+// the ladder's lazy-deletion parameter (NewSemiDynamic clamps
+// out-of-range values itself).
+func (c docCodec) BuildStore(docs []doc.Doc, level, tau int) (engine.Store[uint64, doc.Doc], error) {
+	return adopt(NewSemiDynamic(c.opts.Builder(docs), tau, c.opts.Counting), len(docs), nil, level)
+}
+
+func (docCodec) EncodeMapped(meta *snap.Encoder, st engine.Store[uint64, doc.Doc]) []byte {
+	sd, ok := st.(*SemiDynamic)
+	if !ok {
+		return nil
+	}
+	mi, ok := sd.idx.(mappedIndex)
+	if !ok {
+		return nil
+	}
+	meta.Uint64s(sd.deadIDs())
+	var me snap.MapEncoder
+	mi.EncodeMapped(&me)
+	return me.Bytes()
+}
+
+func (c docCodec) OpenMapped(meta *snap.Decoder, payload []byte, level, tau int) (engine.Store[uint64, doc.Doc], error) {
+	dead := meta.Uint64s()
+	if err := meta.Err(); err != nil {
+		return nil, err
+	}
+	if c.open == nil {
+		return nil, snap.Corruptf("mapped level %d but index has no mapped opener", level)
+	}
+	idx, err := c.open(snap.NewMapView(payload))
+	if err != nil {
+		return nil, snap.Corruptf("level %d mapped index: %v", level, err)
+	}
+	return adopt(NewSemiDynamicDeferred(idx, tau, c.opts.Counting), idx.DocCount(), dead, level)
+}
+
+// adopt vets a freshly wrapped index that should hold docs documents
+// and replays its recorded lazy deletions, which rebuilds the alive
+// bitmaps exactly. A repeated doc ID collapses in the wrapper's byID
+// map, so the engine's ownership check would never see the second copy
+// — queries would double-report it instead.
+func adopt(sd *SemiDynamic, docs int, dead []uint64, level int) (engine.Store[uint64, doc.Doc], error) {
+	if len(sd.byID) != docs {
+		return nil, snap.Corruptf("level %d repeats document IDs", level)
+	}
+	for _, id := range dead {
+		if _, ok := sd.Delete(id); !ok {
+			return nil, snap.Corruptf("level %d deletes unknown document %d", level, id)
+		}
+	}
+	return sd, nil
 }
 
 // deadIDs lists the documents the wrapped index contains but that have
-// been lazily deleted — the complement of byID. Replaying their
-// deletions at load rebuilds the alive bitmaps exactly.
+// been lazily deleted — the complement of byID.
 func (s *SemiDynamic) deadIDs() []uint64 {
 	var out []uint64
 	for i := 0; i < s.idx.DocCount(); i++ {
@@ -138,122 +204,4 @@ func (s *SemiDynamic) deadIDs() []uint64 {
 		}
 	}
 	return out
-}
-
-// DecodeSnapshot reads a ladder section from dec and installs it into
-// the collection's (empty) engine. decode, when non-nil, reconstructs
-// binary-encoded static indexes; binary levels in the input with a nil
-// decode fail with ErrBadSnapshot. Any corruption — framing, invalid
-// documents, duplicate ownership — fails with an error wrapping
-// snap.ErrBadSnapshot and never panics; the collection must be
-// discarded on error.
-func (c *collection) DecodeSnapshot(dec *snap.Decoder, decode IndexDecoder) error {
-	var d engine.Dump[uint64, doc.Doc]
-	if err := decodeSpine(dec, &d); err != nil {
-		return err
-	}
-	nStores := dec.Count(2)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nStores; i++ {
-		ds, err := c.decodeStore(dec, d.Tau, decode)
-		if err != nil {
-			return err
-		}
-		d.Stores = append(d.Stores, ds)
-	}
-	return c.eng.Restore(d)
-}
-
-// decodeSpine reads the schedule anchors and C0 items.
-func decodeSpine(dec *snap.Decoder, d *engine.Dump[uint64, doc.Doc]) error {
-	d.NF = dec.Int()
-	d.Tau = dec.Int()
-	d.C0 = decodeDocs(dec)
-	return dec.Err()
-}
-
-// decodeStore reads one static store's section (slot, mode, payload)
-// and reconstructs the store. tau is the ladder's lazy-deletion
-// parameter (NewSemiDynamic clamps out-of-range values itself).
-func (c *collection) decodeStore(dec *snap.Decoder, tau int, decode IndexDecoder) (engine.StoreDump[uint64, doc.Doc], error) {
-	var zero engine.StoreDump[uint64, doc.Doc]
-	level := int(dec.Varint())
-	mode := dec.Byte()
-	if err := dec.Err(); err != nil {
-		return zero, err
-	}
-	var st engine.Store[uint64, doc.Doc]
-	switch mode {
-	case snap.ModeItems:
-		docs := decodeDocs(dec)
-		if err := dec.Err(); err != nil {
-			return zero, err
-		}
-		sd := NewSemiDynamic(c.opts.Builder(docs), tau, c.opts.Counting)
-		// A repeated doc ID collapses in the wrapper's byID map, so
-		// the engine's ownership check would never see the second
-		// copy — queries would double-report it instead.
-		if len(sd.byID) != len(docs) {
-			return zero, snap.Corruptf("level %d repeats document IDs", level)
-		}
-		st = sd
-	case snap.ModeBinary:
-		blob := dec.Blob()
-		dead := dec.Uint64s()
-		if err := dec.Err(); err != nil {
-			return zero, err
-		}
-		if decode == nil {
-			return zero, snap.Corruptf("binary level %d but index has no registered decoder", level)
-		}
-		idx, err := decode(blob)
-		if err != nil {
-			return zero, snap.Corruptf("level %d index: %v", level, err)
-		}
-		sd := NewSemiDynamic(idx, tau, c.opts.Counting)
-		if len(sd.byID) != idx.DocCount() {
-			return zero, snap.Corruptf("level %d index repeats document IDs", level)
-		}
-		for _, id := range dead {
-			if _, ok := sd.Delete(id); !ok {
-				return zero, snap.Corruptf("level %d deletes unknown document %d", level, id)
-			}
-		}
-		st = sd
-	default:
-		return zero, snap.Corruptf("unknown store mode %d", mode)
-	}
-	return engine.StoreDump[uint64, doc.Doc]{Level: level, Store: st}, nil
-}
-
-// RestoreSections is DecodeSnapshot for the sectioned form: spine bytes
-// plus one Section per store, as produced by DumpSections (possibly
-// reassembled from checkpoint segment files). Each section's Gen is
-// installed into the engine so the next incremental checkpoint can
-// reuse the very segments this collection was loaded from. The error
-// contract matches DecodeSnapshot.
-func (c *collection) RestoreSections(spine []byte, secs []snap.Section, decode IndexDecoder) error {
-	dec := snap.NewDecoder(spine)
-	var d engine.Dump[uint64, doc.Doc]
-	if err := decodeSpine(dec, &d); err != nil {
-		return err
-	}
-	if n := dec.Remaining(); n != 0 {
-		return snap.Corruptf("%d trailing spine bytes", n)
-	}
-	for _, s := range secs {
-		sdec := snap.NewDecoder(s.Bytes)
-		ds, err := c.decodeStore(sdec, d.Tau, decode)
-		if err != nil {
-			return err
-		}
-		if n := sdec.Remaining(); n != 0 {
-			return snap.Corruptf("%d trailing section bytes at level %d", n, ds.Level)
-		}
-		ds.Gen = s.Gen
-		d.Stores = append(d.Stores, ds)
-	}
-	return c.eng.Restore(d)
 }

@@ -5,12 +5,15 @@
 // updates, and (with Options.WorstCase) background builds, top-collection
 // sweeps and WaitIdle — is inherited from package binrel, exactly as the
 // paper derives Theorem 3 as a corollary of Theorem 2.
+//
+// The package is only the vocabulary — edges, neighbors, degrees — over
+// one unsharded binrel.Relation, for the experiment drivers that measure
+// a bare ladder. The public dyncoll.Graph is the same renaming applied
+// to the relation facade, which is where sharding, snapshots and
+// durability live.
 package graph
 
-import (
-	"dyncoll/internal/binrel"
-	"dyncoll/internal/snap"
-)
+import "dyncoll/internal/binrel"
 
 // Graph is a compressed dynamic directed graph. Nodes are arbitrary
 // uint64 identifiers; a node exists while it has at least one incident
@@ -20,30 +23,11 @@ type Graph struct {
 	rel *binrel.Relation
 }
 
-// Options configure a graph.
-type Options struct {
-	// Tau, Epsilon, MinCapacity as in binrel.Options.
-	Tau         int
-	Epsilon     float64
-	MinCapacity int
-	// WorstCase selects Transformation 2-style update scheduling
-	// (bounded foreground work, background rebuilds) instead of the
-	// amortized cascades.
-	WorstCase bool
-	// Inline forces worst-case background builds to run synchronously.
-	Inline bool
-}
+// Options configure a graph: the relation's, unchanged.
+type Options = binrel.Options
 
 // New creates an empty dynamic graph.
-func New(opts Options) *Graph {
-	return &Graph{rel: binrel.New(binrel.Options{
-		Tau:         opts.Tau,
-		Epsilon:     opts.Epsilon,
-		MinCapacity: opts.MinCapacity,
-		WorstCase:   opts.WorstCase,
-		Inline:      opts.Inline,
-	})}
-}
+func New(opts Options) *Graph { return &Graph{rel: binrel.New(opts)} }
 
 // AddEdge inserts the edge u→v; false if already present.
 func (g *Graph) AddEdge(u, v uint64) bool { return g.rel.Add(u, v) }
@@ -89,36 +73,6 @@ func (g *Graph) EdgesFunc(fn func(binrel.Pair) bool) { g.rel.PairsFunc(fn) }
 // WaitIdle blocks until background rebuilds (WorstCase scheduling only)
 // have completed; otherwise it returns immediately.
 func (g *Graph) WaitIdle() { g.rel.WaitIdle() }
-
-// EncodeSnapshot writes the graph's quiesced ladder into e (edges are
-// pairs, so the encoding is the relation's).
-func (g *Graph) EncodeSnapshot(e *snap.Encoder) { g.rel.EncodeSnapshot(e) }
-
-// DecodeSnapshot reads a ladder section and installs it into the empty
-// graph; corrupt input fails with snap.ErrBadSnapshot, never a panic.
-func (g *Graph) DecodeSnapshot(dec *snap.Decoder) error { return g.rel.DecodeSnapshot(dec) }
-
-// DumpSections captures the quiesced ladder in the sectioned form used
-// by incremental checkpoints; see binrel.Relation.DumpSections.
-func (g *Graph) DumpSections(reuse func(level int, gen uint64, dead int) bool) ([]byte, []snap.Section) {
-	return g.rel.DumpSections(reuse)
-}
-
-// RestoreSections installs a sectioned dump into the empty graph; see
-// binrel.Relation.RestoreSections.
-func (g *Graph) RestoreSections(spine []byte, secs []snap.Section) error {
-	return g.rel.RestoreSections(spine, secs)
-}
-
-// DumpMapped captures the quiesced ladder in the v2 mapped form; see
-// binrel.Relation.DumpMapped.
-func (g *Graph) DumpMapped() ([]byte, []binrel.MappedStore) { return g.rel.DumpMapped() }
-
-// RestoreMapped installs a v2 mapped dump into the empty graph; see
-// binrel.Relation.RestoreMapped.
-func (g *Graph) RestoreMapped(spine []byte, stores []binrel.MappedStore, retain binrel.RetainFunc) error {
-	return g.rel.RestoreMapped(spine, stores, retain)
-}
 
 // Stats returns the underlying engine's rebuild counters and ladder
 // layout.

@@ -65,6 +65,19 @@ type Section struct {
 	Bytes []byte
 }
 
+// MappedStore is one static store of a v2 snapshot: a small
+// heap-decoded meta record and the payload section served in place.
+type MappedStore struct {
+	Meta    []byte // slot, gen, mode, then the dead list or the raw items
+	Payload []byte // mapped in place; empty for item-mode stores
+}
+
+// RetainFunc is told about every store opened in place: payload is the
+// exact mapped byte range backing it and store the object whose
+// lifetime controls when those pages can be released. The facade uses
+// it for residency accounting and to madvise superseded sections away.
+type RetainFunc func(payload []byte, store any)
+
 // ErrBadSnapshot reports snapshot bytes that are not a well-formed
 // snapshot of the expected kind and version: wrong magic, unknown
 // version, truncation, or any internal inconsistency. Match with

@@ -21,30 +21,15 @@ package dyncoll
 // structure that is written to gradually migrates off the file.
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"sync"
 
-	"dyncoll/internal/binrel"
-	"dyncoll/internal/core"
+	"dyncoll/internal/fanout"
 	"dyncoll/internal/mmap"
 	"dyncoll/internal/snap"
 )
-
-// collMappedImpl is implemented by the unsharded collection core.
-type collMappedImpl interface {
-	DumpMapped() ([]byte, []core.MappedStore)
-	RestoreMapped(spine []byte, stores []core.MappedStore, open core.IndexOpener, retain core.RetainFunc) error
-}
-
-// relMappedImpl is implemented by the unsharded relation and graph
-// cores.
-type relMappedImpl interface {
-	DumpMapped() ([]byte, []binrel.MappedStore)
-	RestoreMapped(spine []byte, stores []binrel.MappedStore, retain binrel.RetainFunc) error
-}
 
 // MappedOption configures a mapped open.
 type MappedOption func(*mappedOpenConfig)
@@ -75,20 +60,17 @@ type mappedFile struct {
 	closed bool
 }
 
-// retainFunc adapts the file into the core/binrel retain contract. The
-// finalizer closure deliberately captures only the payload slice and
-// the file — capturing the store would keep it reachable forever.
-func (f *mappedFile) retainFunc() func(payload []byte, store any) {
-	return func(payload []byte, store any) {
-		if len(payload) == 0 || store == nil {
-			return
-		}
-		f.mu.Lock()
-		f.live += int64(len(payload))
-		f.mu.Unlock()
-		p := payload
-		runtime.SetFinalizer(store, func(any) { f.release(p) })
+// retain is the file's snap.RetainFunc. The finalizer closure
+// deliberately captures only the payload slice and the file — capturing
+// the store would keep it reachable forever.
+func (f *mappedFile) retain(payload []byte, store any) {
+	if len(payload) == 0 || store == nil {
+		return
 	}
+	f.mu.Lock()
+	f.live += int64(len(payload))
+	f.mu.Unlock()
+	runtime.SetFinalizer(store, func(any) { f.release(payload) })
 }
 
 func (f *mappedFile) release(p []byte) {
@@ -176,18 +158,10 @@ func (s *mappedShardSecs) payloadAt(k int) []byte {
 	return nil
 }
 
-func (s *mappedShardSecs) coreStores() []core.MappedStore {
-	out := make([]core.MappedStore, len(s.metas))
+func (s *mappedShardSecs) stores() []snap.MappedStore {
+	out := make([]snap.MappedStore, len(s.metas))
 	for k, m := range s.metas {
-		out[k] = core.MappedStore{Meta: m, Payload: s.payloadAt(k)}
-	}
-	return out
-}
-
-func (s *mappedShardSecs) relStores() []binrel.MappedStore {
-	out := make([]binrel.MappedStore, len(s.metas))
-	for k, m := range s.metas {
-		out[k] = binrel.MappedStore{Meta: m, Payload: s.payloadAt(k)}
+		out[k] = snap.MappedStore{Meta: m, Payload: s.payloadAt(k)}
 	}
 	return out
 }
@@ -315,26 +289,26 @@ func openV2Snapshot(data []byte, kind structKind, oc mappedOpenConfig) (config, 
 	return cfg, shards, nil
 }
 
-// mappedDump is one shard's DumpMapped output in neutral form.
-type mappedDump struct {
-	spine  []byte
-	stores []struct{ meta, payload []byte }
-}
-
-// writeMappedSnapshot lays the header, spines and store sections into
-// a v2 container and writes it to path atomically (temp file +
-// rename, like SaveFile).
-func writeMappedSnapshot(path string, cfg config, dumps []mappedDump) error {
+// saveMappedFile lays s out as a v2 container — header, then per shard
+// the spine and every store's meta and payload sections — and writes it
+// to path atomically (temp file + rename, like SaveFile).
+func saveMappedFile(s structure, path string) error {
+	f := s.front()
+	f.rlock()
+	defer f.runlock()
+	spines := make([][]byte, len(f.cores))
+	stores := make([][]snap.MappedStore, len(f.cores))
+	fanout.ForEach(len(f.cores), func(i int) { spines[i], stores[i] = f.cores[i].DumpMapped() })
 	w := snap.NewV2Writer()
 	he := &snap.Encoder{}
-	encodeHeader(he, cfg)
+	encodeHeader(he, s.config())
 	w.Add(snap.SecHeader, 0, 0, he.Bytes())
-	for i, d := range dumps {
-		w.Add(snap.SecSpine, uint32(i), 0, d.spine)
-		for k, st := range d.stores {
-			w.Add(snap.SecStoreMeta, uint32(i), uint32(k), st.meta)
-			if len(st.payload) > 0 {
-				w.Add(snap.SecStorePayload, uint32(i), uint32(k), st.payload)
+	for i, spine := range spines {
+		w.Add(snap.SecSpine, uint32(i), 0, spine)
+		for k, st := range stores[i] {
+			w.Add(snap.SecStoreMeta, uint32(i), uint32(k), st.Meta)
+			if len(st.Payload) > 0 {
+				w.Add(snap.SecStorePayload, uint32(i), uint32(k), st.Payload)
 			}
 		}
 	}
@@ -344,20 +318,37 @@ func writeMappedSnapshot(path string, cfg config, dumps []mappedDump) error {
 	})
 }
 
-func coreDump(spine []byte, stores []core.MappedStore) mappedDump {
-	d := mappedDump{spine: spine}
-	for _, st := range stores {
-		d.stores = append(d.stores, struct{ meta, payload []byte }{st.Meta, st.Payload})
+// loadMapped replaces s with the v2 snapshot in data — the mapping mf
+// owns — serving static stores in place; s is left exactly as it was
+// on any error.
+func loadMapped(s structure, data []byte, mf *mappedFile, opts []MappedOption) (err error) {
+	defer guard(&err)
+	var oc mappedOpenConfig
+	for _, o := range opts {
+		o(&oc)
 	}
-	return d
+	cfg, shards, err := openV2Snapshot(data, s.config().kind, oc)
+	if err != nil {
+		return err
+	}
+	f, commit, err := s.fresh(cfg)
+	if err != nil {
+		return err
+	}
+	if err := f.restore(func(i int, c ladderCore) error {
+		return c.RestoreMapped(shards[i].spine, shards[i].stores(), mf.retain)
+	}); err != nil {
+		return err
+	}
+	commit()
+	return nil
 }
 
-func relDump(spine []byte, stores []binrel.MappedStore) mappedDump {
-	d := mappedDump{spine: spine}
-	for _, st := range stores {
-		d.stores = append(d.stores, struct{ meta, payload []byte }{st.Meta, st.Payload})
-	}
-	return d
+// loadMappedFile maps the file at path and loads it into s.
+func loadMappedFile(s structure, path string, opts []MappedOption) (*mappedFile, error) {
+	return openMappedFile(path, func(data []byte, mf *mappedFile) error {
+		return loadMapped(s, data, mf, opts)
+	})
 }
 
 // --- Collection ---
@@ -369,40 +360,7 @@ func relDump(spine []byte, stores []binrel.MappedStore) mappedDump {
 // registry indexes) are embedded as raw items and rebuilt at open, so
 // the file is complete either way. v1 Save/Load and v2 files are
 // distinct formats, each rejecting the other's magic.
-func (c *Collection) SaveMappedFile(path string) error {
-	var impls []collMappedImpl
-	if sh, ok := c.impl.(*shardedColl); ok {
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		defer func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}()
-		for _, s := range sh.shards {
-			mi, ok := s.impl.(collMappedImpl)
-			if !ok {
-				return fmt.Errorf("dyncoll: collection does not support mapped snapshots")
-			}
-			impls = append(impls, mi)
-		}
-	} else {
-		mi, ok := c.impl.(collMappedImpl)
-		if !ok {
-			return fmt.Errorf("dyncoll: collection does not support mapped snapshots")
-		}
-		impls = []collMappedImpl{mi}
-	}
-	dumps := make([]mappedDump, len(impls))
-	if err := parallelShards(len(impls), func(i int) error {
-		dumps[i] = coreDump(impls[i].DumpMapped())
-		return nil
-	}); err != nil {
-		return err
-	}
-	return writeMappedSnapshot(path, c.cfg, dumps)
-}
+func (c *Collection) SaveMappedFile(path string) error { return saveMappedFile(c, path) }
 
 // LoadMappedFile replaces the collection with the v2 snapshot at path,
 // serving static stores directly from a read-only mapping of the file.
@@ -416,55 +374,11 @@ func (c *Collection) SaveMappedFile(path string) error {
 // collector retires them. Not safe to call concurrently with other
 // operations on the receiver.
 func (c *Collection) LoadMappedFile(path string, opts ...MappedOption) error {
-	mf, err := openMappedFile(path, func(data []byte, mf *mappedFile) error {
-		return c.loadMapped(data, mf, opts...)
-	})
+	mf, err := loadMappedFile(c, path, opts)
 	if err != nil {
 		return err
 	}
 	c.mapped = mf
-	return nil
-}
-
-func (c *Collection) loadMapped(data []byte, mf *mappedFile, opts ...MappedOption) (err error) {
-	defer guard(&err)
-	var oc mappedOpenConfig
-	for _, o := range opts {
-		o(&oc)
-	}
-	cfg, shards, err := openV2Snapshot(data, kindCollection, oc)
-	if err != nil {
-		return err
-	}
-	if _, err := lookupIndex(cfg.index); err != nil {
-		return err
-	}
-	open := lookupMappedOpener(cfg.index)
-	impl, err := newCollAnyImpl(cfg)
-	if err != nil {
-		return err
-	}
-	retain := mf.retainFunc()
-	restore := func(ci collImpl, secs *mappedShardSecs) (err error) {
-		defer guard(&err)
-		mi, ok := ci.(collMappedImpl)
-		if !ok {
-			return fmt.Errorf("dyncoll: collection does not support mapped snapshots")
-		}
-		return mi.RestoreMapped(secs.spine, secs.coreStores(), open, retain)
-	}
-	if sh, ok := impl.(*shardedColl); ok {
-		if err := parallelShards(len(sh.shards), func(i int) error {
-			return restore(sh.shards[i].impl, &shards[i])
-		}); err != nil {
-			return err
-		}
-	} else {
-		if err := restore(impl, &shards[0]); err != nil {
-			return err
-		}
-	}
-	c.impl, c.cfg = impl, cfg
 	return nil
 }
 
@@ -500,129 +414,20 @@ func (c *Collection) Close() error {
 
 // --- Relation ---
 
-// relMappedImpls collects the per-shard mapped cores of a relation or
-// graph impl, taking every shard read lock; unlock releases them.
-func relMappedImpls(impl any) (impls []relMappedImpl, unlock func(), err error) {
-	unlock = func() {}
-	switch sh := impl.(type) {
-	case *shardedRelation:
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		unlock = func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}
-		for _, s := range sh.shards {
-			mi, ok := s.rel.(relMappedImpl)
-			if !ok {
-				unlock()
-				return nil, func() {}, fmt.Errorf("dyncoll: relation does not support mapped snapshots")
-			}
-			impls = append(impls, mi)
-		}
-	case *shardedGraph:
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		unlock = func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}
-		for _, s := range sh.shards {
-			impls = append(impls, s.g)
-		}
-	default:
-		mi, ok := impl.(relMappedImpl)
-		if !ok {
-			return nil, unlock, fmt.Errorf("dyncoll: structure does not support mapped snapshots")
-		}
-		impls = []relMappedImpl{mi}
-	}
-	return impls, unlock, nil
-}
-
-// saveMappedRel is the shared save path for relations and graphs.
-func saveMappedRel(path string, cfg config, impl any) error {
-	impls, unlock, err := relMappedImpls(impl)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	dumps := make([]mappedDump, len(impls))
-	if err := parallelShards(len(impls), func(i int) error {
-		dumps[i] = relDump(impls[i].DumpMapped())
-		return nil
-	}); err != nil {
-		return err
-	}
-	return writeMappedSnapshot(path, cfg, dumps)
-}
-
 // SaveMappedFile writes the relation as a v2 mapped snapshot; see
 // Collection.SaveMappedFile.
-func (r *Relation) SaveMappedFile(path string) error {
-	return saveMappedRel(path, r.cfg, r.rel)
-}
+func (r *Relation) SaveMappedFile(path string) error { return saveMappedFile(r, path) }
 
 // LoadMappedFile replaces the relation with the v2 snapshot at path,
 // served in place from a read-only mapping; see
 // Collection.LoadMappedFile for the open-cost and error contract.
 func (r *Relation) LoadMappedFile(path string, opts ...MappedOption) error {
-	mf, err := openMappedFile(path, func(data []byte, mf *mappedFile) error {
-		return r.loadMapped(data, mf, opts...)
-	})
+	mf, err := loadMappedFile(r, path, opts)
 	if err != nil {
 		return err
 	}
 	r.mapped = mf
 	return nil
-}
-
-func (r *Relation) loadMapped(data []byte, mf *mappedFile, opts ...MappedOption) (err error) {
-	defer guard(&err)
-	var oc mappedOpenConfig
-	for _, o := range opts {
-		o(&oc)
-	}
-	cfg, shards, err := openV2Snapshot(data, kindRelation, oc)
-	if err != nil {
-		return err
-	}
-	impl := newRelAnyImpl(cfg)
-	if err := restoreMappedRel(impl, shards, mf); err != nil {
-		return err
-	}
-	r.rel, r.cfg = impl, cfg
-	return nil
-}
-
-// restoreMappedRel installs shard section groups into a fresh relation
-// or graph impl.
-func restoreMappedRel(impl any, shards []mappedShardSecs, mf *mappedFile) error {
-	retain := mf.retainFunc()
-	restore := func(ri any, secs *mappedShardSecs) (err error) {
-		defer guard(&err)
-		mi, ok := ri.(relMappedImpl)
-		if !ok {
-			return fmt.Errorf("dyncoll: structure does not support mapped snapshots")
-		}
-		return mi.RestoreMapped(secs.spine, secs.relStores(), retain)
-	}
-	switch sh := impl.(type) {
-	case *shardedRelation:
-		return parallelShards(len(sh.shards), func(i int) error {
-			return restore(sh.shards[i].rel, &shards[i])
-		})
-	case *shardedGraph:
-		return parallelShards(len(sh.shards), func(i int) error {
-			return restore(sh.shards[i].g, &shards[i])
-		})
-	default:
-		return restore(impl, &shards[0])
-	}
 }
 
 // OpenMappedRelation opens the v2 snapshot at path as a new relation;
@@ -654,40 +459,13 @@ func (r *Relation) Close() error {
 
 // SaveMappedFile writes the graph as a v2 mapped snapshot; see
 // Collection.SaveMappedFile.
-func (g *Graph) SaveMappedFile(path string) error {
-	return saveMappedRel(path, g.cfg, g.g)
-}
+func (g *Graph) SaveMappedFile(path string) error { return g.r.SaveMappedFile(path) }
 
 // LoadMappedFile replaces the graph with the v2 snapshot at path,
 // served in place from a read-only mapping; see
 // Collection.LoadMappedFile for the open-cost and error contract.
 func (g *Graph) LoadMappedFile(path string, opts ...MappedOption) error {
-	mf, err := openMappedFile(path, func(data []byte, mf *mappedFile) error {
-		return g.loadMapped(data, mf, opts...)
-	})
-	if err != nil {
-		return err
-	}
-	g.mapped = mf
-	return nil
-}
-
-func (g *Graph) loadMapped(data []byte, mf *mappedFile, opts ...MappedOption) (err error) {
-	defer guard(&err)
-	var oc mappedOpenConfig
-	for _, o := range opts {
-		o(&oc)
-	}
-	cfg, shards, err := openV2Snapshot(data, kindGraph, oc)
-	if err != nil {
-		return err
-	}
-	impl := newGraphAnyImpl(cfg)
-	if err := restoreMappedRel(impl, shards, mf); err != nil {
-		return err
-	}
-	g.g, g.cfg = impl, cfg
-	return nil
+	return g.r.LoadMappedFile(path, opts...)
 }
 
 // OpenMappedGraph opens the v2 snapshot at path as a new graph; see
@@ -705,12 +483,4 @@ func OpenMappedGraph(path string, opts ...MappedOption) (*Graph, error) {
 
 // Close releases the snapshot mapping behind a mapped graph; see
 // Collection.Close.
-func (g *Graph) Close() error {
-	mf := g.mapped
-	g.mapped = nil
-	if mf == nil {
-		return nil
-	}
-	g.g = newGraphAnyImpl(g.cfg)
-	return mf.close()
-}
+func (g *Graph) Close() error { return g.r.Close() }

@@ -108,45 +108,6 @@ func relationsEqual(t *testing.T, label string, a, b *Relation) {
 	}
 }
 
-// TestMappedRelationMatrix covers Relation × transformation × sharding
-// through the mapped path, with post-open mutations.
-func TestMappedRelationMatrix(t *testing.T) {
-	for _, tr := range []Transformation{Amortized, WorstCase} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("tr%d/shards%d", tr, shards), func(t *testing.T) {
-				opts := []Option{WithTransformation(tr), WithSyncRebuilds(), WithMinCapacity(16)}
-				if shards > 0 {
-					opts = append(opts, WithShards(shards))
-				}
-				r, err := NewRelation(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snapRelationCorpus(t, r.Add, r.Delete)
-				r.WaitIdle()
-
-				path := saveMapped(t, r.SaveMappedFile)
-				m, err := OpenMappedRelation(path, MappedVerify())
-				if err != nil {
-					t.Fatalf("OpenMappedRelation: %v", err)
-				}
-				defer m.Close()
-				relationsEqual(t, "mapped", r, m)
-
-				for _, rr := range []*Relation{r, m} {
-					if err := rr.Add(999, 7); err != nil {
-						t.Fatalf("post-open Add: %v", err)
-					}
-					if err := rr.Delete(1, 101); err != nil {
-						t.Fatalf("post-open Delete: %v", err)
-					}
-				}
-				relationsEqual(t, "mapped/mutated", r, m)
-			})
-		}
-	}
-}
-
 // graphsEqual compares query answers between two graphs over the
 // snapRelationCorpus key space.
 func graphsEqual(t *testing.T, label string, a, b *Graph) {
@@ -170,45 +131,6 @@ func graphsEqual(t *testing.T, label string, a, b *Graph) {
 		}
 		if a.InDegree(v) != b.InDegree(v) {
 			t.Fatalf("%s: InDegree(%d) diverges", label, v)
-		}
-	}
-}
-
-// TestMappedGraphMatrix covers Graph × transformation × sharding
-// through the mapped path, with post-open mutations.
-func TestMappedGraphMatrix(t *testing.T) {
-	for _, tr := range []Transformation{Amortized, WorstCase} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("tr%d/shards%d", tr, shards), func(t *testing.T) {
-				opts := []Option{WithTransformation(tr), WithSyncRebuilds(), WithMinCapacity(16)}
-				if shards > 0 {
-					opts = append(opts, WithShards(shards))
-				}
-				g, err := NewGraph(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snapRelationCorpus(t, g.AddEdge, g.DeleteEdge)
-				g.WaitIdle()
-
-				path := saveMapped(t, g.SaveMappedFile)
-				m, err := OpenMappedGraph(path, MappedVerify())
-				if err != nil {
-					t.Fatalf("OpenMappedGraph: %v", err)
-				}
-				defer m.Close()
-				graphsEqual(t, "mapped", g, m)
-
-				for _, gg := range []*Graph{g, m} {
-					if err := gg.AddEdge(999, 998); err != nil {
-						t.Fatalf("post-open AddEdge: %v", err)
-					}
-					if err := gg.DeleteEdge(1, 101); err != nil {
-						t.Fatalf("post-open DeleteEdge: %v", err)
-					}
-				}
-				graphsEqual(t, "mapped/mutated", g, m)
-			})
 		}
 	}
 }
@@ -351,15 +273,15 @@ func TestMappedCorruptInput(t *testing.T) {
 	load := map[string]func(data []byte, opts ...MappedOption) error{
 		"collection": func(data []byte, opts ...MappedOption) error {
 			fresh := mustCollection(t)
-			return fresh.loadMapped(data, &mappedFile{}, opts...)
+			return loadMapped(fresh, data, &mappedFile{}, opts)
 		},
 		"relation": func(data []byte, opts ...MappedOption) error {
 			fresh, _ := NewRelation()
-			return fresh.loadMapped(data, &mappedFile{}, opts...)
+			return loadMapped(fresh, data, &mappedFile{}, opts)
 		},
 		"graph": func(data []byte, opts ...MappedOption) error {
 			fresh, _ := NewGraph()
-			return fresh.loadMapped(data, &mappedFile{}, opts...)
+			return loadMapped(&fresh.r, data, &mappedFile{}, opts)
 		},
 	}
 	for name, data := range bytesFor {
@@ -449,10 +371,10 @@ func FuzzMappedOpen(f *testing.F) {
 			}
 		}
 		fc, _ := NewCollection()
-		check("collection", fc.loadMapped(data, &mappedFile{}))
+		check("collection", loadMapped(fc, data, &mappedFile{}, nil))
 		fr, _ := NewRelation()
-		check("relation", fr.loadMapped(data, &mappedFile{}))
+		check("relation", loadMapped(fr, data, &mappedFile{}, nil))
 		fg, _ := NewGraph()
-		check("graph", fg.loadMapped(data, &mappedFile{}))
+		check("graph", loadMapped(&fg.r, data, &mappedFile{}, nil))
 	})
 }

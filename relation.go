@@ -56,7 +56,7 @@ type Relation struct {
 // newRelationImpl builds one unsharded relation for cfg. Both update
 // regimes come from the same generic engine, so the transformation is
 // just an option on the one constructor.
-func newRelationImpl(cfg config) relationImpl {
+func newRelationImpl(cfg config) *binrel.Relation {
 	return binrel.New(binrel.Options{
 		Tau:         cfg.tau,
 		Epsilon:     cfg.epsilon,
@@ -85,6 +85,15 @@ func newRelAnyImpl(cfg config) relationImpl {
 		return newShardedRelation(cfg)
 	}
 	return newRelationImpl(cfg)
+}
+
+// config, front and fresh make the relation — and the graph that wraps
+// one — a persistable structure (snapshot.go).
+func (r *Relation) config() config { return r.cfg }
+func (r *Relation) front() front   { return relFront(r.rel) }
+func (r *Relation) fresh(cfg config) (front, func(), error) {
+	impl := newRelAnyImpl(cfg)
+	return relFront(impl), func() { r.rel, r.cfg = impl, cfg }, nil
 }
 
 // Add inserts the pair (object, label). It fails with ErrDuplicatePair
@@ -189,9 +198,7 @@ func (r *Relation) WaitIdle() { r.rel.WaitIdle() }
 // shards.
 func (r *Relation) Stats() IndexStats {
 	st := indexStatsFrom(r.rel.Stats())
-	if sh, ok := r.rel.(*shardedRelation); ok {
-		st.Shards = len(sh.shards)
-	}
+	st.Shards = r.cfg.shards
 	st.fillResidency(r.mapped, r.SizeBits())
 	return st
 }

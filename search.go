@@ -144,13 +144,5 @@ func (r *Relation) ObjectsLimit(label uint64, k int) []uint64 {
 // the fan-out prefix fast path matching Collection.FindLimit. k ≤ 0
 // returns nil; which sources arrive is unspecified.
 func (g *Graph) ReverseNeighborsLimit(v uint64, k int) []uint64 {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]uint64, 0, min(k, 64))
-	g.g.ReverseNeighborsFunc(v, func(u uint64) bool {
-		out = append(out, u)
-		return len(out) < k
-	})
-	return out
+	return g.r.ObjectsLimit(v, k)
 }

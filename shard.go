@@ -25,7 +25,6 @@ import (
 	"dyncoll/internal/core"
 	"dyncoll/internal/doc"
 	"dyncoll/internal/fanout"
-	"dyncoll/internal/graph"
 	"dyncoll/internal/query"
 	"dyncoll/internal/shardmap"
 )
@@ -93,7 +92,7 @@ func aggStats(n int, get func(i int) core.Stats) core.Stats {
 // write lock.
 type collShard struct {
 	mu   sync.RWMutex
-	impl collImpl
+	impl collCore
 }
 
 // shardedColl implements collImpl over p collShards keyed by document
@@ -117,6 +116,23 @@ func newShardedColl(cfg config) (*shardedColl, error) {
 
 func (s *shardedColl) shard(id uint64) *collShard {
 	return s.shards[shardOf(id, len(s.shards))]
+}
+
+// collFront is the persistence view of a collection implementation:
+// every shard core bound to the codec of the named index, or the one
+// core of an unsharded collection.
+func collFront(impl collImpl, index string) front {
+	decode, open := lookupDecoder(index), lookupMappedOpener(index)
+	sh, ok := impl.(*shardedColl)
+	if !ok {
+		return front{cores: []ladderCore{impl.(collCore).Persister(decode, open)}}
+	}
+	var f front
+	for _, s := range sh.shards {
+		f.cores = append(f.cores, s.impl.Persister(decode, open))
+		f.mus = append(f.mus, &s.mu)
+	}
+	return f
 }
 
 func (s *shardedColl) Insert(d doc.Doc) error {
@@ -367,7 +383,7 @@ func (s *shardedColl) Stats() core.Stats {
 // relShard is one partition of a sharded relation, keyed by object.
 type relShard struct {
 	mu  sync.RWMutex
-	rel relationImpl
+	rel *binrel.Relation
 }
 
 // shardedRelation implements relationImpl over p relShards keyed by
@@ -387,6 +403,21 @@ func newShardedRelation(cfg config) *shardedRelation {
 
 func (s *shardedRelation) shard(object uint64) *relShard {
 	return s.shards[shardOf(object, len(s.shards))]
+}
+
+// relFront is the persistence view of a relation (or graph)
+// implementation; see collFront.
+func relFront(impl relationImpl) front {
+	sh, ok := impl.(*shardedRelation)
+	if !ok {
+		return front{cores: []ladderCore{impl.(*binrel.Relation).Persister()}}
+	}
+	var f front
+	for _, s := range sh.shards {
+		f.cores = append(f.cores, s.rel.Persister())
+		f.mus = append(f.mus, &s.mu)
+	}
+	return f
 }
 
 func (s *shardedRelation) Add(object, label uint64) bool {
@@ -530,163 +561,4 @@ func (s *shardedRelation) Stats() binrel.Stats {
 		defer sh.mu.RUnlock()
 		return sh.rel.Stats()
 	})
-}
-
-// --- Graph ---
-
-// graphShard is one partition of a sharded graph, keyed by edge source.
-type graphShard struct {
-	mu sync.RWMutex
-	g  *graph.Graph
-}
-
-// shardedGraph implements graphImpl over p graph shards keyed by edge
-// source u: out-edge operations route to shard(u); in-edge queries
-// (Predecessors, InDegree, …) fan out, since u→v edges with the same v
-// live wherever their u hashes.
-type shardedGraph struct {
-	shards []*graphShard
-}
-
-func newShardedGraph(cfg config) *shardedGraph {
-	s := &shardedGraph{shards: make([]*graphShard, cfg.shards)}
-	for i := range s.shards {
-		s.shards[i] = &graphShard{g: newGraphImpl(cfg)}
-	}
-	return s
-}
-
-func (s *shardedGraph) shard(u uint64) *graphShard {
-	return s.shards[shardOf(u, len(s.shards))]
-}
-
-func (s *shardedGraph) AddEdge(u, v uint64) bool {
-	sh := s.shard(u)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.g.AddEdge(u, v)
-}
-
-func (s *shardedGraph) DeleteEdge(u, v uint64) bool {
-	sh := s.shard(u)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.g.DeleteEdge(u, v)
-}
-
-func (s *shardedGraph) HasEdge(u, v uint64) bool {
-	sh := s.shard(u)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.g.HasEdge(u, v)
-}
-
-func (s *shardedGraph) EdgeCount() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += sh.g.EdgeCount()
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-func (s *shardedGraph) NeighborsFunc(u uint64, fn func(v uint64) bool) {
-	sh := s.shard(u)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sh.g.NeighborsFunc(u, fn)
-}
-
-// ReverseNeighborsFunc fans out across all shards in parallel: an edge
-// into v may originate from a source on any shard. Order is unspecified.
-func (s *shardedGraph) ReverseNeighborsFunc(v uint64, fn func(u uint64) bool) {
-	fanout.FanOut(len(s.shards), func(i int, emit func(uint64) bool) {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		sh.g.ReverseNeighborsFunc(v, emit)
-	}, fn)
-}
-
-func (s *shardedGraph) Neighbors(u uint64) []uint64 {
-	sh := s.shard(u)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.g.Neighbors(u)
-}
-
-// ReverseNeighbors gathers per-shard results in parallel and sorts the
-// union to keep the documented "sorted" contract.
-func (s *shardedGraph) ReverseNeighbors(v uint64) []uint64 {
-	out := fanout.Gather(len(s.shards), func(i int) []uint64 {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.g.ReverseNeighbors(v)
-	})
-	slices.Sort(out)
-	return out
-}
-
-func (s *shardedGraph) OutDegree(u uint64) int {
-	sh := s.shard(u)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.g.OutDegree(u)
-}
-
-func (s *shardedGraph) InDegree(v uint64) int {
-	var total atomic.Int64
-	fanout.ForEach(len(s.shards), func(i int) {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		total.Add(int64(sh.g.InDegree(v)))
-	})
-	return int(total.Load())
-}
-
-func (s *shardedGraph) Edges() []binrel.Pair {
-	return fanout.Gather(len(s.shards), func(i int) []binrel.Pair {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.g.Edges()
-	})
-}
-
-func (s *shardedGraph) EdgesFunc(fn func(binrel.Pair) bool) {
-	fanout.FanOut(len(s.shards), func(i int, emit func(binrel.Pair) bool) {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		sh.g.EdgesFunc(emit)
-	}, fn)
-}
-
-func (s *shardedGraph) WaitIdle() {
-	for _, sh := range s.shards {
-		sh.g.WaitIdle()
-	}
-}
-
-// Stats aggregates per-shard engine stats through aggStats.
-func (s *shardedGraph) Stats() binrel.Stats {
-	return aggStats(len(s.shards), func(i int) core.Stats {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.g.Stats()
-	})
-}
-
-func (s *shardedGraph) SizeBits() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += sh.g.SizeBits()
-		sh.mu.RUnlock()
-	}
-	return n
 }

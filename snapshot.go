@@ -2,14 +2,13 @@ package dyncoll
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 
-	"dyncoll/internal/core"
 	"dyncoll/internal/fanout"
 	"dyncoll/internal/mmap"
 	"dyncoll/internal/snap"
@@ -53,16 +52,74 @@ import (
 // header, so corrupt input cannot demand a billion shard structures.
 const maxSnapshotShards = 4096
 
-// collSnapImpl is implemented by the unsharded collection cores.
-type collSnapImpl interface {
-	EncodeSnapshot(e *snap.Encoder, fastPath bool)
-	DecodeSnapshot(dec *snap.Decoder, decode core.IndexDecoder) error
+// ladderCore is what persistence needs of one unsharded core: the
+// engine's format walkers bound to the core's ladder and payload codec
+// (engine.Persister, which both payloads instantiate).
+type ladderCore interface {
+	DumpStream() []byte
+	RestoreStream(dec *snap.Decoder) error
+	DumpSections(reuse func(level int, gen uint64, dead int) bool) ([]byte, []snap.Section)
+	RestoreSections(spine []byte, secs []snap.Section) error
+	DumpMapped() ([]byte, []snap.MappedStore)
+	RestoreMapped(spine []byte, stores []snap.MappedStore, retain snap.RetainFunc) error
 }
 
-// relSnapImpl is implemented by the unsharded relation and graph cores.
-type relSnapImpl interface {
-	EncodeSnapshot(e *snap.Encoder)
-	DecodeSnapshot(dec *snap.Decoder) error
+// front is a structure's persistence view: its cores in shard order and
+// the read lock of each — exactly one core and no lock when the
+// structure is unsharded, whose callers serialize access themselves.
+// Every format is written and read once, over a front; nothing below
+// this type knows which structure, or how many shards, it is handling.
+type front struct {
+	cores []ladderCore
+	mus   []*sync.RWMutex
+}
+
+// rlock takes every shard's read lock, so a pass over the cores is one
+// consistent cut — concurrent readers proceed, writers wait.
+func (f front) rlock() {
+	for _, mu := range f.mus {
+		mu.RLock()
+	}
+}
+
+func (f front) runlock() {
+	for _, mu := range f.mus {
+		mu.RUnlock()
+	}
+}
+
+// restore runs fn over every core in parallel and returns the first
+// error, converting a panic in any of them into ErrBadSnapshot (see
+// guard; a goroutine's panic cannot be recovered by its caller).
+func (f front) restore(fn func(i int, c ladderCore) error) error {
+	errs := make([]error, len(f.cores))
+	fanout.ForEach(len(f.cores), func(i int) {
+		defer guard(&errs[i])
+		errs[i] = fn(i, f.cores[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// structure is a facade as the persistence paths see it; Collection
+// and Relation implement it, and a Graph persists as the Relation it
+// wraps.
+type structure interface {
+	// config is the resolved construction config, recorded in headers;
+	// its kind is the only kind the structure will read back.
+	config() config
+	// front is the persistence view of the current contents.
+	front() front
+	// fresh builds an empty implementation for cfg and returns its
+	// front together with the commit that installs it in the receiver,
+	// which stays exactly as it was until commit runs.
+	fresh(cfg config) (f front, commit func(), err error)
+	// applyRecord replays one WAL record (walop.go).
+	applyRecord(payload []byte) error
 }
 
 // encodeHeader writes the config header for kind.
@@ -168,19 +225,6 @@ func shardBlobs(dec *snap.Decoder, want int) ([][]byte, error) {
 	return blobs, nil
 }
 
-// writeSnapshot assembles header + shard blobs and writes them in one
-// call.
-func writeSnapshot(w io.Writer, cfg config, blobs [][]byte) error {
-	e := &snap.Encoder{}
-	encodeHeader(e, cfg)
-	e.Uvarint(uint64(len(blobs)))
-	for _, b := range blobs {
-		e.Blob(b)
-	}
-	_, err := w.Write(e.Bytes())
-	return err
-}
-
 // guard converts a decode-path panic into ErrBadSnapshot. Load's
 // decoders validate everything they read, but persistence is a trust
 // boundary: a crafted input that slips past validation must surface as
@@ -189,20 +233,6 @@ func guard(err *error) {
 	if r := recover(); r != nil {
 		*err = snap.Corruptf("decode panic: %v", r)
 	}
-}
-
-// parallelShards runs fn for every shard index and returns the first
-// error. It reuses the shard fan-out helper so a single shard runs
-// inline.
-func parallelShards(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	fanout.ForEach(n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // atomicWriteFile writes data via a temp file in the target directory
@@ -277,6 +307,54 @@ func loadFile(path string, load func(r io.Reader) error) error {
 	return load(f)
 }
 
+// saveSnapshot writes s as a v1 snapshot: the config header, then one
+// length-prefixed ladder stream per shard, in one Write.
+func saveSnapshot(s structure, w io.Writer) error {
+	f := s.front()
+	f.rlock()
+	defer f.runlock()
+	blobs := make([][]byte, len(f.cores))
+	fanout.ForEach(len(blobs), func(i int) { blobs[i] = f.cores[i].DumpStream() })
+	e := &snap.Encoder{}
+	encodeHeader(e, s.config())
+	e.Uvarint(uint64(len(blobs)))
+	for _, b := range blobs {
+		e.Blob(b)
+	}
+	_, err := w.Write(e.Bytes())
+	return err
+}
+
+// loadSnapshot replaces s with the v1 snapshot read from r; s is left
+// exactly as it was on any error.
+func loadSnapshot(s structure, r io.Reader) (err error) {
+	defer guard(&err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	dec := snap.NewDecoder(data)
+	cfg, err := decodeHeader(dec, s.config().kind)
+	if err != nil {
+		return err
+	}
+	f, commit, err := s.fresh(cfg)
+	if err != nil {
+		return err
+	}
+	blobs, err := shardBlobs(dec, len(f.cores))
+	if err != nil {
+		return err
+	}
+	if err := f.restore(func(i int, c ladderCore) error {
+		return c.RestoreStream(snap.NewDecoder(blobs[i]))
+	}); err != nil {
+		return err
+	}
+	commit()
+	return nil
+}
+
 // --- Collection ---
 
 // Save writes the collection as a versioned binary snapshot. Background
@@ -284,43 +362,7 @@ func loadFile(path string, load func(r io.Reader) error) error {
 // self-contained. On a sharded collection every shard's read lock is
 // held for the duration, making the snapshot one consistent cut; on an
 // unsharded collection the caller must not write concurrently.
-func (c *Collection) Save(w io.Writer) error {
-	fast := lookupDecoder(c.cfg.index) != nil
-	var blobs [][]byte
-	if sh, ok := c.impl.(*shardedColl); ok {
-		p := len(sh.shards)
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		defer func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}()
-		blobs = make([][]byte, p)
-		if err := parallelShards(p, func(i int) error {
-			impl, ok := sh.shards[i].impl.(collSnapImpl)
-			if !ok {
-				return fmt.Errorf("dyncoll: collection shard does not support snapshots")
-			}
-			e := &snap.Encoder{}
-			impl.EncodeSnapshot(e, fast)
-			blobs[i] = e.Bytes()
-			return nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		impl, ok := c.impl.(collSnapImpl)
-		if !ok {
-			return fmt.Errorf("dyncoll: collection does not support snapshots")
-		}
-		e := &snap.Encoder{}
-		impl.EncodeSnapshot(e, fast)
-		blobs = [][]byte{e.Bytes()}
-	}
-	return writeSnapshot(w, c.cfg, blobs)
-}
+func (c *Collection) Save(w io.Writer) error { return saveSnapshot(c, w) }
 
 // Load replaces the collection's configuration and contents with a
 // snapshot written by Save. The header is validated against the index
@@ -328,46 +370,7 @@ func (c *Collection) Save(w io.Writer) error {
 // with ErrUnknownIndex, corrupt bytes with ErrBadSnapshot, and on any
 // error the receiver is unchanged. Load is not safe to call
 // concurrently with other operations on the same receiver.
-func (c *Collection) Load(r io.Reader) (err error) {
-	defer guard(&err)
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	dec := snap.NewDecoder(data)
-	cfg, err := decodeHeader(dec, kindCollection)
-	if err != nil {
-		return err
-	}
-	// Resolve the index by name before touching the ladder; this is
-	// also where a never-registered custom index fails.
-	if _, err := lookupIndex(cfg.index); err != nil {
-		return err
-	}
-	decode := lookupDecoder(cfg.index)
-	blobs, err := shardBlobs(dec, max(cfg.shards, 1))
-	if err != nil {
-		return err
-	}
-	impl, err := newCollAnyImpl(cfg)
-	if err != nil {
-		return err
-	}
-	if sh, ok := impl.(*shardedColl); ok {
-		if err := parallelShards(len(sh.shards), func(i int) (err error) {
-			defer guard(&err)
-			return sh.shards[i].impl.(collSnapImpl).DecodeSnapshot(snap.NewDecoder(blobs[i]), decode)
-		}); err != nil {
-			return err
-		}
-	} else {
-		if err := impl.(collSnapImpl).DecodeSnapshot(snap.NewDecoder(blobs[0]), decode); err != nil {
-			return err
-		}
-	}
-	c.impl, c.cfg = impl, cfg
-	return nil
-}
+func (c *Collection) Load(r io.Reader) (err error) { return loadSnapshot(c, r) }
 
 // SaveFile writes the collection snapshot to path atomically: the bytes
 // land in a temp file in the same directory which is then renamed over
@@ -385,76 +388,11 @@ func (c *Collection) LoadFile(path string) error {
 
 // Save writes the relation as a versioned binary snapshot; see
 // Collection.Save for quiescing and locking behaviour.
-func (r *Relation) Save(w io.Writer) error {
-	var blobs [][]byte
-	if sh, ok := r.rel.(*shardedRelation); ok {
-		p := len(sh.shards)
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		defer func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}()
-		blobs = make([][]byte, p)
-		if err := parallelShards(p, func(i int) error {
-			impl, ok := sh.shards[i].rel.(relSnapImpl)
-			if !ok {
-				return fmt.Errorf("dyncoll: relation shard does not support snapshots")
-			}
-			e := &snap.Encoder{}
-			impl.EncodeSnapshot(e)
-			blobs[i] = e.Bytes()
-			return nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		impl, ok := r.rel.(relSnapImpl)
-		if !ok {
-			return fmt.Errorf("dyncoll: relation does not support snapshots")
-		}
-		e := &snap.Encoder{}
-		impl.EncodeSnapshot(e)
-		blobs = [][]byte{e.Bytes()}
-	}
-	return writeSnapshot(w, r.cfg, blobs)
-}
+func (r *Relation) Save(w io.Writer) error { return saveSnapshot(r, w) }
 
 // Load replaces the relation's configuration and contents with a
 // snapshot written by Save; see Collection.Load for the error contract.
-func (r *Relation) Load(rd io.Reader) (err error) {
-	defer guard(&err)
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return err
-	}
-	dec := snap.NewDecoder(data)
-	cfg, err := decodeHeader(dec, kindRelation)
-	if err != nil {
-		return err
-	}
-	blobs, err := shardBlobs(dec, max(cfg.shards, 1))
-	if err != nil {
-		return err
-	}
-	impl := newRelAnyImpl(cfg)
-	if sh, ok := impl.(*shardedRelation); ok {
-		if err := parallelShards(len(sh.shards), func(i int) (err error) {
-			defer guard(&err)
-			return sh.shards[i].rel.(relSnapImpl).DecodeSnapshot(snap.NewDecoder(blobs[i]))
-		}); err != nil {
-			return err
-		}
-	} else {
-		if err := impl.(relSnapImpl).DecodeSnapshot(snap.NewDecoder(blobs[0])); err != nil {
-			return err
-		}
-	}
-	r.rel, r.cfg = impl, cfg
-	return nil
-}
+func (r *Relation) Load(rd io.Reader) (err error) { return loadSnapshot(r, rd) }
 
 // SaveFile writes the relation snapshot to path atomically (temp file +
 // rename).
@@ -471,80 +409,15 @@ func (r *Relation) LoadFile(path string) error {
 
 // Save writes the graph as a versioned binary snapshot; see
 // Collection.Save for quiescing and locking behaviour.
-func (g *Graph) Save(w io.Writer) error {
-	var blobs [][]byte
-	if sh, ok := g.g.(*shardedGraph); ok {
-		p := len(sh.shards)
-		for _, s := range sh.shards {
-			s.mu.RLock()
-		}
-		defer func() {
-			for _, s := range sh.shards {
-				s.mu.RUnlock()
-			}
-		}()
-		blobs = make([][]byte, p)
-		if err := parallelShards(p, func(i int) error {
-			e := &snap.Encoder{}
-			sh.shards[i].g.EncodeSnapshot(e)
-			blobs[i] = e.Bytes()
-			return nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		impl, ok := g.g.(relSnapImpl)
-		if !ok {
-			return fmt.Errorf("dyncoll: graph does not support snapshots")
-		}
-		e := &snap.Encoder{}
-		impl.EncodeSnapshot(e)
-		blobs = [][]byte{e.Bytes()}
-	}
-	return writeSnapshot(w, g.cfg, blobs)
-}
+func (g *Graph) Save(w io.Writer) error { return g.r.Save(w) }
 
 // Load replaces the graph's configuration and contents with a snapshot
 // written by Save; see Collection.Load for the error contract.
-func (g *Graph) Load(r io.Reader) (err error) {
-	defer guard(&err)
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	dec := snap.NewDecoder(data)
-	cfg, err := decodeHeader(dec, kindGraph)
-	if err != nil {
-		return err
-	}
-	blobs, err := shardBlobs(dec, max(cfg.shards, 1))
-	if err != nil {
-		return err
-	}
-	impl := newGraphAnyImpl(cfg)
-	if sh, ok := impl.(*shardedGraph); ok {
-		if err := parallelShards(len(sh.shards), func(i int) (err error) {
-			defer guard(&err)
-			return sh.shards[i].g.DecodeSnapshot(snap.NewDecoder(blobs[i]))
-		}); err != nil {
-			return err
-		}
-	} else {
-		if err := impl.(relSnapImpl).DecodeSnapshot(snap.NewDecoder(blobs[0])); err != nil {
-			return err
-		}
-	}
-	g.g, g.cfg = impl, cfg
-	return nil
-}
+func (g *Graph) Load(r io.Reader) (err error) { return g.r.Load(r) }
 
 // SaveFile writes the graph snapshot to path atomically (temp file +
 // rename).
-func (g *Graph) SaveFile(path string) error {
-	return atomicWriteFile(path, g.Save)
-}
+func (g *Graph) SaveFile(path string) error { return g.r.SaveFile(path) }
 
 // LoadFile replaces the graph with the snapshot stored at path.
-func (g *Graph) LoadFile(path string) error {
-	return loadFile(path, g.Load)
-}
+func (g *Graph) LoadFile(path string) error { return g.r.LoadFile(path) }

@@ -165,123 +165,6 @@ func snapRelationCorpus(t *testing.T, add func(o, l uint64) error, del func(o, l
 	}
 }
 
-// TestRelationSnapshotRoundTrip covers Relation × transformation ×
-// sharding.
-func TestRelationSnapshotRoundTrip(t *testing.T) {
-	for _, tr := range []Transformation{Amortized, WorstCase} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("tr%d/shards%d", tr, shards), func(t *testing.T) {
-				opts := []Option{WithTransformation(tr), WithSyncRebuilds(), WithMinCapacity(16)}
-				if shards > 0 {
-					opts = append(opts, WithShards(shards))
-				}
-				r, err := NewRelation(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snapRelationCorpus(t, r.Add, r.Delete)
-				r.WaitIdle()
-
-				var buf bytes.Buffer
-				if err := r.Save(&buf); err != nil {
-					t.Fatalf("Save: %v", err)
-				}
-				loaded, err := NewRelation()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := loaded.Load(bytes.NewReader(buf.Bytes())); err != nil {
-					t.Fatalf("Load: %v", err)
-				}
-				loaded.WaitIdle()
-				if loaded.Len() != r.Len() {
-					t.Fatalf("Len = %d, want %d", loaded.Len(), r.Len())
-				}
-				for o := uint64(1); o <= 41; o++ {
-					if !slices.Equal(loaded.Labels(o), r.Labels(o)) {
-						t.Fatalf("Labels(%d) diverge", o)
-					}
-					if loaded.CountLabels(o) != r.CountLabels(o) {
-						t.Fatalf("CountLabels(%d) diverges", o)
-					}
-				}
-				for l := uint64(1); l <= 8; l++ {
-					if !slices.Equal(loaded.Objects(l), r.Objects(l)) {
-						t.Fatalf("Objects(%d) diverge", l)
-					}
-					if loaded.CountObjects(l) != r.CountObjects(l) {
-						t.Fatalf("CountObjects(%d) diverges", l)
-					}
-				}
-				for o := uint64(1); o <= 40; o++ {
-					if loaded.Related(o, 1) != r.Related(o, 1) {
-						t.Fatalf("Related(%d,1) diverges", o)
-					}
-				}
-				// Still mutable after load.
-				if err := loaded.Add(999, 999); err != nil {
-					t.Fatalf("post-load Add: %v", err)
-				}
-			})
-		}
-	}
-}
-
-// TestGraphSnapshotRoundTrip covers Graph × transformation × sharding.
-func TestGraphSnapshotRoundTrip(t *testing.T) {
-	for _, tr := range []Transformation{Amortized, WorstCase} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("tr%d/shards%d", tr, shards), func(t *testing.T) {
-				opts := []Option{WithTransformation(tr), WithSyncRebuilds(), WithMinCapacity(16)}
-				if shards > 0 {
-					opts = append(opts, WithShards(shards))
-				}
-				g, err := NewGraph(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snapRelationCorpus(t, g.AddEdge, g.DeleteEdge)
-				g.WaitIdle()
-
-				var buf bytes.Buffer
-				if err := g.Save(&buf); err != nil {
-					t.Fatalf("Save: %v", err)
-				}
-				loaded, err := NewGraph()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := loaded.Load(bytes.NewReader(buf.Bytes())); err != nil {
-					t.Fatalf("Load: %v", err)
-				}
-				loaded.WaitIdle()
-				if loaded.EdgeCount() != g.EdgeCount() {
-					t.Fatalf("EdgeCount = %d, want %d", loaded.EdgeCount(), g.EdgeCount())
-				}
-				for u := uint64(1); u <= 41; u++ {
-					if !slices.Equal(loaded.Neighbors(u), g.Neighbors(u)) {
-						t.Fatalf("Successors(%d) diverge", u)
-					}
-					if loaded.OutDegree(u) != g.OutDegree(u) {
-						t.Fatalf("OutDegree(%d) diverges", u)
-					}
-				}
-				for v := uint64(1); v <= 8; v++ {
-					if !slices.Equal(loaded.ReverseNeighbors(v), g.ReverseNeighbors(v)) {
-						t.Fatalf("Predecessors(%d) diverge", v)
-					}
-					if loaded.InDegree(v) != g.InDegree(v) {
-						t.Fatalf("InDegree(%d) diverges", v)
-					}
-				}
-				if err := loaded.AddEdge(999, 998); err != nil {
-					t.Fatalf("post-load AddEdge: %v", err)
-				}
-			})
-		}
-	}
-}
-
 // TestSnapshotUnknownIndex checks that loading a snapshot whose index
 // name has no registered builder fails with ErrUnknownIndex and leaves
 // the receiver untouched.

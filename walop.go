@@ -45,11 +45,11 @@ func encodePairOp(op byte, a, b uint64) []byte {
 	return e.Bytes()
 }
 
-// applyCollRecord replays one WAL record into a collection. Replay is
+// applyRecord replays one WAL record into a collection. Replay is
 // tolerant of operations that are already reflected in the state —
 // inserts of live IDs are skipped and deletes of absent IDs are no-ops
 // — so a record straddling a recovery point can never fail the open.
-func applyCollRecord(c *Collection, payload []byte) error {
+func (c *Collection) applyRecord(payload []byte) error {
 	dec := snap.NewDecoder(payload)
 	op := dec.Byte()
 	if err := dec.Err(); err != nil {
@@ -98,71 +98,31 @@ func applyCollRecord(c *Collection, payload []byte) error {
 	}
 }
 
-// decodePair reads the two operands of a pair-shaped record and
-// rejects trailing bytes.
-func decodePair(dec *snap.Decoder) (a, b uint64, err error) {
-	a = dec.Uvarint()
-	b = dec.Uvarint()
+// applyRecord replays one WAL record into a relation — or, with the
+// graph's op codes, into the relation a graph wraps; the other kind's
+// records are corruption. Duplicate adds and absent deletes are no-ops,
+// as for collections.
+func (r *Relation) applyRecord(payload []byte) error {
+	add, del := opRelAdd, opRelDelete
+	if r.cfg.kind == kindGraph {
+		add, del = opGraphAdd, opGraphDelete
+	}
+	dec := snap.NewDecoder(payload)
+	op := dec.Byte()
+	if dec.Err() == nil && op != add && op != del {
+		return snap.Corruptf("wal record: op %d on a %v", op, r.cfg.kind)
+	}
+	a, b := dec.Uvarint(), dec.Uvarint()
 	if err := dec.Err(); err != nil {
-		return 0, 0, err
+		return err
 	}
 	if dec.Remaining() != 0 {
-		return 0, 0, snap.Corruptf("wal record: %d trailing bytes", dec.Remaining())
+		return snap.Corruptf("wal record: %d trailing bytes", dec.Remaining())
 	}
-	return a, b, nil
-}
-
-// applyRelRecord replays one WAL record into a relation; duplicate
-// adds and absent deletes are no-ops, as for collections.
-func applyRelRecord(r *Relation, payload []byte) error {
-	dec := snap.NewDecoder(payload)
-	op := dec.Byte()
-	if err := dec.Err(); err != nil {
-		return err
+	if op == add {
+		r.rel.Add(a, b)
+	} else {
+		r.rel.Delete(a, b)
 	}
-	switch op {
-	case opRelAdd:
-		obj, lab, err := decodePair(dec)
-		if err != nil {
-			return err
-		}
-		r.rel.Add(obj, lab)
-		return nil
-	case opRelDelete:
-		obj, lab, err := decodePair(dec)
-		if err != nil {
-			return err
-		}
-		r.rel.Delete(obj, lab)
-		return nil
-	default:
-		return snap.Corruptf("wal record: op %d on a relation", op)
-	}
-}
-
-// applyGraphRecord replays one WAL record into a graph.
-func applyGraphRecord(g *Graph, payload []byte) error {
-	dec := snap.NewDecoder(payload)
-	op := dec.Byte()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	switch op {
-	case opGraphAdd:
-		u, v, err := decodePair(dec)
-		if err != nil {
-			return err
-		}
-		g.g.AddEdge(u, v)
-		return nil
-	case opGraphDelete:
-		u, v, err := decodePair(dec)
-		if err != nil {
-			return err
-		}
-		g.g.DeleteEdge(u, v)
-		return nil
-	default:
-		return snap.Corruptf("wal record: op %d on a graph", op)
-	}
+	return nil
 }
