@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dyncoll/internal/doc"
+	"dyncoll/internal/fmindex"
 	"dyncoll/internal/sparsebits"
 	"dyncoll/internal/textgen"
 )
@@ -280,10 +282,14 @@ func BenchmarkSemiDynamicDelete(b *testing.B) {
 	idx := fmBuilder(docs)
 	forms := []struct {
 		name      string
+		idx       StaticIndex
 		newBitmap func(n int) rowBitmap
 	}{
-		{"dense", func(n int) rowBitmap { return newRowBitmap(n, 6) }},
-		{"compressed", func(n int) rowBitmap { return sparsebits.NewCompressed(n, 6) }},
+		{"dense", idx, func(n int) rowBitmap { return newRowBitmap(n, 6) }},
+		{"compressed", idx, func(n int) rowBitmap { return sparsebits.NewCompressed(n, 6) }},
+		// The walk an index without ForDocRows gets: one SuffixRank per
+		// offset.
+		{"dense/per-offset", hideRowWalker{idx}, func(n int) rowBitmap { return newRowBitmap(n, 6) }},
 	}
 	for _, f := range forms {
 		b.Run(f.name, func(b *testing.B) {
@@ -292,7 +298,7 @@ func BenchmarkSemiDynamicDelete(b *testing.B) {
 			symbols := 0
 			for i := 0; i < b.N; i++ {
 				if i%len(docs) == 0 {
-					s = NewSemiDynamicDeferred(idx, 6, false)
+					s = NewSemiDynamicDeferred(f.idx, 6, false)
 					s.alive = f.newBitmap(idx.SALen())
 				}
 				n, ok := s.Delete(docs[i%len(docs)].ID)
@@ -303,6 +309,41 @@ func BenchmarkSemiDynamicDelete(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(symbols), "ns/symbol")
 		})
+	}
+}
+
+// hideRowWalker is an index without the bulk delete walk, so a
+// SemiDynamic over it clears a document's rows one SuffixRank at a time.
+type hideRowWalker struct{ StaticIndex }
+
+// TestDeleteWalkClearsSameRows deletes every document, in a shuffled
+// order, from stores over the same FM-index with and without its bulk
+// ForDocRows walk, and asserts after each delete that both deletion
+// bitmaps hold exactly the same live rows and that the count fell by
+// the document's length plus its separator.
+func TestDeleteWalkClearsSameRows(t *testing.T) {
+	docs := textgen.NewCollection(textgen.CollectionOptions{Sigma: 4, MinLen: 1, MaxLen: 90, Seed: 26}).GenerateTotal(4000)
+	docs = append(docs, doc.Doc{ID: 1 << 40}, doc.Doc{ID: 1<<40 + 1, Data: []byte{3}})
+	for _, s := range []int{1, 4, 16} {
+		idx := fmindex.Build(docs, fmindex.Options{SampleRate: s})
+		lanes := NewSemiDynamic(idx, 4, false)
+		perOffset := NewSemiDynamic(hideRowWalker{idx}, 4, false)
+		live := idx.SALen()
+		for _, k := range rand.New(rand.NewSource(int64(s))).Perm(len(docs)) {
+			id := docs[k].ID
+			n, _ := lanes.Delete(id)
+			perOffset.Delete(id)
+			live -= n + 1
+			if got := lanes.alive.Count1(0, idx.SALen()-1); got != live {
+				t.Fatalf("s=%d: after deleting %d, %d rows live, want %d", s, id, got, live)
+			}
+			var a, b []int
+			lanes.alive.Report(0, idx.SALen()-1, func(r int) bool { a = append(a, r); return true })
+			perOffset.alive.Report(0, idx.SALen()-1, func(r int) bool { b = append(b, r); return true })
+			if !slices.Equal(a, b) {
+				t.Fatalf("s=%d: after deleting %d the two walks left different rows live", s, id)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 
 	"dyncoll/internal/doc"
 	"dyncoll/internal/dynbits"
@@ -35,6 +36,11 @@ type SemiDynamic struct {
 	byID    map[uint64]int // live doc ID → doc index within idx
 	live    int            // live payload symbols
 	deleted int            // deleted payload symbols
+
+	// zeroRow clears one row in alive and cnt. Delete hands it to the
+	// index through an interface, which would heap-allocate a closure
+	// made per call; this one is made once per wrapper.
+	zeroRow func(row int)
 }
 
 // rowBitmap is the deletion bitmap V: all ones at first, bits only ever
@@ -58,11 +64,24 @@ func newRowBitmap(n, tau int) rowBitmap {
 	return sparsebits.NewCompressed(n, tau)
 }
 
-// lfStepper is the optional fast-deletion interface: LF maps a suffix
-// row to the row of the suffix one position earlier.
-type lfStepper interface {
-	LF(row int) int
+// docRowWalker is the optional bulk delete path: an index that can list
+// a document's suffix-array rows in one walk (fmindex.Index runs its LF
+// lanes over the document) instead of one SuffixRank per offset.
+type docRowWalker interface {
+	ForDocRows(d int, fn func(row int))
 }
+
+// rowLocator is the optional bulk locate: an index that locates many
+// rows at once (fmindex.Index walks them as parallel LF lanes), each
+// replaced in place by its location packed as docIndex<<32 | offset.
+type rowLocator interface {
+	LocateRows(rows []uint64)
+}
+
+// locateChunk is how many rows FindFunc hands the index per bulk
+// locate: enough to fill its lanes, few enough that a stop after the
+// first occurrence wastes little.
+const locateChunk = 16
 
 // NewSemiDynamic wraps idx. tau sets the Lemma 3 word width; counting
 // attaches the Theorem 1 rank structure.
@@ -90,6 +109,12 @@ func NewSemiDynamicDeferred(idx StaticIndex, tau int, counting bool) *SemiDynami
 		tau:      tau,
 		counting: counting,
 		byID:     make(map[uint64]int, idx.DocCount()),
+	}
+	s.zeroRow = func(row int) {
+		s.alive.Zero(row)
+		if s.cnt != nil {
+			s.cnt.Set(row, false)
+		}
 	}
 	for i := 0; i < idx.DocCount(); i++ {
 		s.byID[idx.DocID(i)] = i
@@ -132,28 +157,12 @@ func (s *SemiDynamic) Delete(id uint64) (int, bool) {
 	s.materialize()
 	dl := s.idx.DocLen(d)
 	// Clear every suffix row of the document, separator included, so
-	// neither reporting nor counting ever sees it again. When the index
-	// exposes the LF mapping, one O(dl) walk from the separator row visits
-	// them all; otherwise fall back to dl separate SuffixRank calls.
-	if lf, ok := s.idx.(lfStepper); ok {
-		row := s.idx.SuffixRank(d, dl)
-		for off := dl; ; off-- {
-			s.alive.Zero(row)
-			if s.cnt != nil {
-				s.cnt.Set(row, false)
-			}
-			if off == 0 {
-				break
-			}
-			row = lf.LF(row)
-		}
+	// neither reporting nor counting ever sees it again.
+	if w, ok := s.idx.(docRowWalker); ok {
+		w.ForDocRows(d, s.zeroRow)
 	} else {
 		for off := 0; off <= dl; off++ {
-			row := s.idx.SuffixRank(d, off)
-			s.alive.Zero(row)
-			if s.cnt != nil {
-				s.cnt.Set(row, false)
-			}
+			s.zeroRow(s.idx.SuffixRank(d, off))
 		}
 	}
 	s.live -= dl
@@ -172,26 +181,56 @@ func (s *SemiDynamic) FindFunc(pattern []byte, fn func(Occurrence) bool) {
 	if lo >= hi {
 		return
 	}
+	// Live rows are located a chunk at a time and reported in row order,
+	// so a stop wastes less than one chunk of locates.
+	c := chunkPool.Get().(*rowChunk)
+	defer chunkPool.Put(c)
+	*c = rowChunk{}
 	if s.alive == nil { // no deletions: every row of the range is live
-		for row := lo; row < hi; row++ {
-			d, off := s.idx.Locate(row)
-			if !fn(Occurrence{DocID: s.idx.DocID(d), Off: off}) {
-				return
-			}
+		for row := lo; row < hi && c.add(s, row, fn); row++ {
 		}
-		return
+	} else {
+		s.alive.Report(lo, hi-1, func(row int) bool { return c.add(s, row, fn) })
 	}
-	s.alive.Report(lo, hi-1, func(row int) bool {
-		d, off := s.idx.Locate(row)
-		return fn(Occurrence{DocID: s.idx.DocID(d), Off: off})
-	})
+	if !c.stopped {
+		c.flush(s, fn)
+	}
 }
 
-// positionLister is the optional position-ordered enumeration fast
-// path: an index that can pack a row range's (docIndex, offset) pairs
-// into sortable uint64 words without per-row interface dispatch.
-type positionLister interface {
-	AppendPositions(lo, hi int, dst []uint64) []uint64
+// rowChunk gathers FindFunc's live rows for one bulk locate. It goes to
+// the index through an interface, which would put a new one on the heap
+// for every part of every query, so chunkPool recycles them.
+type rowChunk struct {
+	rows    [locateChunk]uint64
+	n       int
+	stopped bool // fn has returned false
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(rowChunk) }}
+
+// add queues row and reports the chunk once it is full; it returns
+// false once fn has.
+func (c *rowChunk) add(s *SemiDynamic, row int, fn func(Occurrence) bool) bool {
+	c.rows[c.n] = uint64(row)
+	if c.n++; c.n < locateChunk {
+		return true
+	}
+	return c.flush(s, fn)
+}
+
+// flush locates the queued rows in place and passes their occurrences
+// to fn in order.
+func (c *rowChunk) flush(s *SemiDynamic, fn func(Occurrence) bool) bool {
+	rows := c.rows[:c.n]
+	c.n = 0
+	s.locate(rows)
+	for _, p := range rows {
+		if !fn(s.occurrence(p)) {
+			c.stopped = true
+			return false
+		}
+	}
+	return true
 }
 
 // FindGroupedFunc reports the occurrences of pattern grouped by
@@ -209,30 +248,44 @@ func (s *SemiDynamic) FindGroupedFunc(pattern []byte, fn func(Occurrence) bool) 
 	if lo >= hi {
 		return
 	}
-	var packed []uint64
-	if pl, ok := s.idx.(positionLister); ok && s.alive == nil {
-		packed = pl.AppendPositions(lo, hi, make([]uint64, 0, hi-lo))
+	// The live rows, then their locations in place: one bulk locate over
+	// the whole range.
+	packed := make([]uint64, 0, hi-lo)
+	if s.alive == nil {
+		for row := lo; row < hi; row++ {
+			packed = append(packed, uint64(row))
+		}
 	} else {
-		packed = make([]uint64, 0, hi-lo)
-		collect := func(row int) bool {
-			d, off := s.idx.Locate(row)
-			packed = append(packed, uint64(d)<<32|uint64(uint32(off)))
+		s.alive.Report(lo, hi-1, func(row int) bool {
+			packed = append(packed, uint64(row))
 			return true
-		}
-		if s.alive == nil {
-			for row := lo; row < hi; row++ {
-				collect(row)
-			}
-		} else {
-			s.alive.Report(lo, hi-1, collect)
-		}
+		})
 	}
+	s.locate(packed)
 	slices.Sort(packed)
 	for _, p := range packed {
-		if !fn(Occurrence{DocID: s.idx.DocID(int(p >> 32)), Off: int(uint32(p))}) {
+		if !fn(s.occurrence(p)) {
 			return
 		}
 	}
+}
+
+// locate replaces each rows[k], a suffix-array row, by its location
+// packed as docIndex<<32 | offset.
+func (s *SemiDynamic) locate(rows []uint64) {
+	if l, ok := s.idx.(rowLocator); ok {
+		l.LocateRows(rows)
+		return
+	}
+	for k, row := range rows {
+		d, off := s.idx.Locate(int(row))
+		rows[k] = uint64(d)<<32 | uint64(uint32(off))
+	}
+}
+
+// occurrence unpacks a located row.
+func (s *SemiDynamic) occurrence(p uint64) Occurrence {
+	return Occurrence{DocID: s.idx.DocID(int(p >> 32)), Off: int(uint32(p))}
 }
 
 // findEverything reports every live position (empty-pattern semantics).
@@ -269,14 +322,20 @@ func (s *SemiDynamic) Count(pattern []byte) int {
 }
 
 // Extract reads a live document's payload. The wrapper clamps the
-// length, so reading a whole document needs no DocLen call first and
-// holds for an index whose Extract does not clamp.
+// request as C0 does (doc.Clamp), so reading a whole document needs no
+// DocLen call first, any request reads the same bytes in every part,
+// and an index whose Extract does not clamp is only asked for bytes it
+// has.
 func (s *SemiDynamic) Extract(id uint64, off, length int) ([]byte, bool) {
 	d, ok := s.byID[id]
 	if !ok {
 		return nil, false
 	}
-	return s.idx.Extract(d, off, min(length, s.idx.DocLen(d)-off)), true
+	off, length = doc.Clamp(off, length, s.idx.DocLen(d))
+	if length == 0 {
+		return nil, true
+	}
+	return s.idx.Extract(d, off, length), true
 }
 
 // DocLen is the payload length of a live document (Part).

@@ -22,3 +22,13 @@ func (d Doc) Valid() bool {
 
 // Len returns the payload length in bytes.
 func (d Doc) Len() int { return len(d.Data) }
+
+// Clamp fits an extract request to a payload of n bytes: off into
+// [0, n] and length into [0, n-off]. Every Extract clamps through it, so
+// the same request reads the same bytes whichever sub-collection holds
+// the document, and no int request — math.MinInt and math.MaxInt
+// included — overflows on the way.
+func Clamp(off, length, n int) (int, int) {
+	off = min(max(off, 0), n)
+	return off, min(max(length, 0), n-off)
+}

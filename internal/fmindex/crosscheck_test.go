@@ -112,7 +112,7 @@ func TestDividesMatchesRemainder(t *testing.T) {
 	}
 }
 
-// TestFMLFWalk verifies the exposed LF mapping traverses a document's
+// TestFMLFWalk verifies the reference LF mapping traverses a document's
 // suffix rows in decreasing offset order.
 func TestFMLFWalk(t *testing.T) {
 	docs := []doc.Doc{{ID: 7, Data: []byte("abracadabra")}}
@@ -120,7 +120,7 @@ func TestFMLFWalk(t *testing.T) {
 	dl := x.DocLen(0)
 	row := x.SuffixRank(0, dl) // separator row
 	for off := dl; off > 0; off-- {
-		next := x.LF(row)
+		next := x.scalarLF(row)
 		d, o := x.Locate(next)
 		if d != 0 || o != off-1 {
 			t.Fatalf("LF from off %d landed at (%d,%d)", off, d, o)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dyncoll/internal/bitvec"
+	"dyncoll/internal/doc"
 	"dyncoll/internal/sa"
 )
 
@@ -295,27 +296,14 @@ func (x *CSA) SuffixRank(doc, off int) int {
 	return r
 }
 
-// Psi walks move forward in the text, so the framework's fast-deletion
-// hook (which needs backward LF) is not available; SemiDynamic falls back
-// to per-offset SuffixRank walks of O(s) each.
-
-// Extract returns length payload symbols of doc starting at off: one ISA
-// jump then one Ψ step per symbol (O(s + ℓ)).
-func (x *CSA) Extract(doc, off, length int) []byte {
-	dl := x.DocLen(doc)
-	if off < 0 {
-		off = 0
-	}
-	if off > dl {
-		off = dl
-	}
-	if off+length > dl {
-		length = dl - off
-	}
-	if length <= 0 {
+// Extract returns length payload symbols of document d starting at off:
+// one ISA jump then one Ψ step per symbol (O(s + ℓ)).
+func (x *CSA) Extract(d, off, length int) []byte {
+	off, length = doc.Clamp(off, length, x.DocLen(d))
+	if length == 0 {
 		return nil
 	}
-	r := x.SuffixRank(doc, off)
+	r := x.SuffixRank(d, off)
 	out := make([]byte, length)
 	for i := 0; i < length; i++ {
 		out[i] = x.firstSymbol(r)

@@ -246,27 +246,6 @@ func (x *Index) DocLen(i int) int {
 // SampleRate reports the SA sampling rate s.
 func (x *Index) SampleRate() int { return x.s }
 
-// lf is the last-to-first mapping: the row of the suffix starting one
-// position earlier in the text (cyclically).
-// LF maps a suffix-array row to the row of the suffix starting one text
-// position earlier (the classic last-to-first mapping). Exposed so
-// deletion machinery can clear a document's rows in one O(len) walk
-// instead of len separate O(s) SuffixRank calls.
-func (x *Index) LF(row int) int { return x.lf(row) }
-
-func (x *Index) lf(row int) int {
-	// One fused walk yields the BWT symbol and its rank at the row; the
-	// pointer-era code paid two full wavelet traversals here.
-	b, r := x.bwt.AccessRank(row)
-	if byte(b) == Sep {
-		i := sort.Search(len(x.sepRows), func(i int) bool {
-			return x.sepRows[i] >= int32(row)
-		})
-		return int(x.sepTargets[i])
-	}
-	return x.c[b] + r
-}
-
 // Range returns the half-open suffix-array interval [lo, hi) of rows
 // whose suffixes start with pattern, via backward search. An empty
 // pattern yields the full interval; an absent pattern yields lo == hi.
@@ -297,32 +276,9 @@ func (x *Index) Locate(row int) (doc, off int) {
 	if row < 0 || row >= x.n {
 		panic(fmt.Sprintf("fmindex: Locate(%d) out of range [0,%d)", row, x.n))
 	}
-	steps := 0
-	for !x.marked.Get(row) {
-		row = x.lf(row)
-		steps++
-	}
-	pos := int(x.saSamp[x.marked.Rank1(row)]) + steps
-	return x.posToDoc(pos)
-}
-
-// AppendPositions locates every row of [lo, hi) and appends the results
-// to dst, each packed as docIndex<<32 | offset — so sorting the packed
-// words ascending yields the rows in text-position order: grouped by
-// document, offsets ascending within each document. This is the
-// position-ordered enumeration ranked search aggregates over; packing
-// keeps the sort a plain uint64 sort with no per-element indirection.
-func (x *Index) AppendPositions(lo, hi int, dst []uint64) []uint64 {
-	if cap(dst)-len(dst) < hi-lo {
-		grown := make([]uint64, len(dst), len(dst)+(hi-lo))
-		copy(grown, dst)
-		dst = grown
-	}
-	for row := lo; row < hi; row++ {
-		d, off := x.Locate(row)
-		dst = append(dst, uint64(d)<<32|uint64(uint32(off)))
-	}
-	return dst
+	loc := [1]uint64{uint64(row)}
+	x.LocateRows(loc[:])
+	return int(loc[0] >> 32), int(uint32(loc[0]))
 }
 
 func (x *Index) posToDoc(pos int) (doc, off int) {
@@ -340,58 +296,22 @@ func (x *Index) SuffixRank(doc, off int) int {
 	if pos < 0 || pos >= x.n {
 		panic(fmt.Sprintf("fmindex: SuffixRank position %d out of range", pos))
 	}
-	j, row := x.isaSampleAfter(pos)
-	for ; j > pos; j-- {
-		row = x.lf(row)
-	}
+	row := 0
+	x.walkRange(pos, pos+1, func(_, r int, _ byte) { row = r })
 	return row
 }
 
-// isaSampleAfter returns the nearest sampled text position j ≥ pos and
-// the suffix-array row of the suffix starting there; pos is at most s
-// LF steps before it.
-func (x *Index) isaSampleAfter(pos int) (j, row int) {
-	j = (pos + x.s - 1) / x.s * x.s
-	if j >= x.n {
-		return x.n - 1, int(x.isaSamp[len(x.isaSamp)-1])
-	}
-	return j, int(x.isaSamp[j/x.s])
-}
-
-// charAtRow returns the first character of the suffix at the given row:
-// the symbol b with c[b] ≤ row < c[b+1], via the sampled row→symbol
-// table (the closure-driven binary search this replaces was the hot
-// inner step of Extract).
-func (x *Index) charAtRow(row int) byte {
-	return x.sym.at(row)
-}
-
-// Extract returns length symbols of document doc starting at offset off.
-// It clamps the range to the document payload.
-func (x *Index) Extract(doc, off, length int) []byte {
-	dl := x.DocLen(doc)
-	if off < 0 {
-		off = 0
-	}
-	if off > dl {
-		off = dl
-	}
-	if off+length > dl {
-		length = dl - off
-	}
-	if length <= 0 {
+// Extract returns length symbols of document d starting at offset off,
+// clamped to the document payload. The symbols are the BWT symbols its
+// LF lanes read, written right to left within each lane.
+func (x *Index) Extract(d, off, length int) []byte {
+	off, length = doc.Clamp(off, length, x.DocLen(d))
+	if length == 0 {
 		return nil
 	}
-	// Walk LF from the row of the last wanted position, emitting text
-	// right to left.
-	row := x.SuffixRank(doc, off+length-1)
+	lo := int(x.docStarts[d]) + off
 	out := make([]byte, length)
-	for i := length - 1; i >= 0; i-- {
-		out[i] = x.charAtRow(row)
-		if i > 0 {
-			row = x.lf(row)
-		}
-	}
+	x.walkRange(lo, lo+length, func(q, _ int, b byte) { out[q-lo] = b })
 	return out
 }
 

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -273,7 +274,13 @@ func TestExtractFullDocs(t *testing.T) {
 
 func TestExtractClamping(t *testing.T) {
 	docs := collection{{ID: 1, Data: []byte("hello")}}
+	builders := map[string]func(docs []Doc) searcher{
+		"csa": func(docs []Doc) searcher { return BuildCSA(docs, Options{SampleRate: 4}) },
+	}
 	for name, mk := range indexBuilders {
+		builders[name] = mk
+	}
+	for name, mk := range builders {
 		x := mk(docs)
 		if got := x.Extract(0, 3, 100); !bytes.Equal(got, []byte("lo")) {
 			t.Fatalf("%s: clamped extract = %q", name, got)
@@ -283,6 +290,16 @@ func TestExtractClamping(t *testing.T) {
 		}
 		if got := x.Extract(0, 2, 0); got != nil {
 			t.Fatalf("%s: zero-length extract = %q", name, got)
+		}
+		// Requests whose end overflows an int clamp like any other.
+		if got := x.Extract(0, 1, math.MaxInt); !bytes.Equal(got, []byte("ello")) {
+			t.Fatalf("%s: Extract(0, 1, MaxInt) = %q", name, got)
+		}
+		if got := x.Extract(0, math.MinInt, 2); !bytes.Equal(got, []byte("he")) {
+			t.Fatalf("%s: Extract(0, MinInt, 2) = %q", name, got)
+		}
+		if got := x.Extract(0, math.MaxInt, math.MaxInt); got != nil {
+			t.Fatalf("%s: Extract(0, MaxInt, MaxInt) = %q", name, got)
 		}
 	}
 }

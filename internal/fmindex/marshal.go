@@ -148,8 +148,9 @@ func (x *Index) UnmarshalBinary(data []byte) error {
 			}
 		}
 	}
-	// Every separator row must be listed with an LF target, or lf()
-	// would index past the target table; listed rows strictly increase
+	// Every separator row must be listed with an LF target, or the LF
+	// step, which indexes the target table by the row's rank among the
+	// separators, would index past it; listed rows strictly increase
 	// and must actually carry the separator, so equal counts pin the
 	// listed set to exactly the BWT's separator positions.
 	if d.Err() == nil {

@@ -16,8 +16,8 @@ import (
 //     touches no rank directory, and in the same pass a counting sort
 //     over the C array turns each row's symbol into its LF target —
 //     row's symbol b is the k-th b so far, so LF(row) = c[b] + k. The
-//     separator rows are then patched from sepTargets, exactly where
-//     lf() consults them.
+//     separator rows are then patched from sepTargets, as the LF step
+//     (lfSteps) patches them.
 //  2. Each wanted document is recovered right to left by following that
 //     flat array from its separator's row; the symbol at each step is
 //     the first column of the row reached.
@@ -49,11 +49,12 @@ func (x *Index) AppendDocs(docIdxs []int, dst []Doc) []Doc {
 }
 
 const (
-	// walkLanes is how many text segments walk is recovering at any
-	// moment. Every step of a walk is a load from a random row of an
-	// array far larger than cache, and each depends on the one before, so
-	// a single walk runs at one memory latency per symbol; independent
-	// walks advanced in lockstep keep that many misses in flight instead.
+	// walkLanes is how many LF walks advance together, here and in the
+	// query-time lanes (lanes.go). Every step of a walk is a load from a
+	// random row of an array far larger than cache, and each depends on
+	// the one before, so a single walk runs at one memory latency per
+	// step; independent walks advanced in lockstep keep that many misses
+	// in flight instead.
 	walkLanes = 8
 	// walkSeg caps a segment's length, so one long document is still
 	// split across lanes. Starting a segment costs at most s extra steps
@@ -83,7 +84,8 @@ func (x *Index) walk(lf []int32, docIdxs []int, out []Doc) {
 			}
 			// SuffixRank of the segment's end, over the flat array.
 			end := int(x.docStarts[docIdxs[k]]) + rest
-			j, row := x.isaSampleAfter(end)
+			j := sampleAfter(end, x.s, x.n)
+			row := x.sampleRow(j)
 			for ; j > end; j-- {
 				row = int(lf[row])
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 
+	"dyncoll/internal/doc"
 	"dyncoll/internal/sa"
 )
 
@@ -122,21 +123,12 @@ func (x *SAIndex) SuffixRank(doc, off int) int {
 }
 
 // Extract copies length symbols of doc starting at off.
-func (x *SAIndex) Extract(doc, off, length int) []byte {
-	dl := x.DocLen(doc)
-	if off < 0 {
-		off = 0
-	}
-	if off > dl {
-		off = dl
-	}
-	if off+length > dl {
-		length = dl - off
-	}
-	if length <= 0 {
+func (x *SAIndex) Extract(d, off, length int) []byte {
+	off, length = doc.Clamp(off, length, x.DocLen(d))
+	if length == 0 {
 		return nil
 	}
-	start := int(x.docStarts[doc]) + off
+	start := int(x.docStarts[d]) + off
 	out := make([]byte, length)
 	copy(out, x.text[start:start+length])
 	return out

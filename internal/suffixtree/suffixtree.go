@@ -219,9 +219,8 @@ func (t *Tree) Extract(id uint64, off, length int) (data []byte, ok bool) {
 		return nil, false
 	}
 	p := t.payload(&t.docs[seq])
-	off = min(max(off, 0), len(p))
-	length = min(length, len(p)-off)
-	if length <= 0 {
+	off, length = doc.Clamp(off, length, len(p))
+	if length == 0 {
 		return nil, true
 	}
 	return bytes.Clone(p[off : off+length]), true

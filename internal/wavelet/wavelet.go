@@ -274,21 +274,8 @@ func (t *Tree) Sigma() int { return t.sigma }
 
 // Access returns the symbol at position i.
 func (t *Tree) Access(i int) uint32 {
-	if i < 0 || i >= t.n {
-		panic(fmt.Sprintf("wavelet: Access(%d) out of range [0,%d)", i, t.n))
-	}
-	nd := &t.nodes[0]
-	for nd.leaf < 0 {
-		bit, r1 := t.getRank1(nd, i)
-		if bit {
-			i = r1
-			nd = &t.nodes[nd.one]
-		} else {
-			i = i - r1
-			nd = &t.nodes[nd.zero]
-		}
-	}
-	return uint32(nd.leaf)
+	c, _ := t.AccessRank(i)
+	return c
 }
 
 // AccessRank returns the symbol c at position i together with
@@ -296,23 +283,52 @@ func (t *Tree) Access(i int) uint32 {
 // maintains at each level is exactly the node-local rank, so when the
 // walk reaches the leaf it has already computed the symbol's rank. The
 // FM-index LF mapping (one Access plus one Rank on the same row) is
-// this operation, so fusing it halves every LF step.
+// this operation, so fusing it halves every LF step. It is AccessRanks
+// at one position.
 func (t *Tree) AccessRank(i int) (uint32, int) {
-	if i < 0 || i >= t.n {
-		panic(fmt.Sprintf("wavelet: AccessRank(%d) out of range [0,%d)", i, t.n))
+	pos, sym := [1]int{i}, [1]uint32{}
+	t.AccessRanks(pos[:], sym[:])
+	return sym[0], pos[0]
+}
+
+// AccessRanks is AccessRank at several positions at once: it sets
+// sym[k] to the symbol at pos[k] and replaces pos[k] by that symbol's
+// rank there. The walks advance level by level, each level stepping
+// every position not yet at its leaf, so the directory and word loads
+// of independent positions are in flight together where one walk is a
+// chain of dependent cache misses. The step loads both children before
+// the bit is known, so the child and the projected position are picked
+// by conditional moves rather than a branch on the bit read, which
+// would mispredict half the time and turn the walks back into that
+// chain. len(sym) must be at least len(pos).
+func (t *Tree) AccessRanks(pos []int, sym []uint32) {
+	sym = sym[:len(pos)]
+	for k, i := range pos {
+		if i < 0 || i >= t.n {
+			panic(fmt.Sprintf("wavelet: AccessRanks position %d out of range [0,%d)", i, t.n))
+		}
+		sym[k] = 0 // the node each walk is at; the root first
 	}
-	nd := &t.nodes[0]
-	for nd.leaf < 0 {
-		bit, r1 := t.getRank1(nd, i)
-		if bit {
-			i = r1
-			nd = &t.nodes[nd.one]
-		} else {
-			i = i - r1
-			nd = &t.nodes[nd.zero]
+	for walking := true; walking; {
+		walking = false
+		for k, ni := range sym {
+			nd := &t.nodes[ni]
+			if nd.leaf >= 0 {
+				continue
+			}
+			walking = true
+			zero, one := nd.zero, nd.one
+			bit, r1 := t.getRank1(nd, pos[k])
+			i, next := pos[k]-r1, zero
+			if bit {
+				i, next = r1, one
+			}
+			pos[k], sym[k] = i, uint32(next)
 		}
 	}
-	return uint32(nd.leaf), i
+	for k, ni := range sym {
+		sym[k] = uint32(t.nodes[ni].leaf)
+	}
 }
 
 // Rank returns the number of occurrences of symbol c in positions [0, i).

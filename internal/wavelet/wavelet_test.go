@@ -44,6 +44,40 @@ var builders = map[string]func(s []uint32, sigma int) *Tree{
 	"huffman":  NewHuffman,
 }
 
+// TestAccessRanksMatchScan holds the level-synchronous walk to a scan of
+// the sequence: for batches of every size up to 17 positions (lanes that
+// reach their leaves at different depths, repeats included), each
+// position's symbol and that symbol's rank there, in both tree shapes,
+// one- and many-symbol alphabets, skewed and uniform.
+func TestAccessRanksMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for name, mk := range builders {
+		for _, sigma := range []int{1, 2, 5, 64, 300} {
+			s := randomSeq(rng, 2000, sigma)
+			for i := range s[:1000] {
+				s[i] %= 3 // skew: deep and shallow Huffman leaves
+			}
+			tr := mk(s, sigma)
+			for batch := 0; batch <= 17; batch++ {
+				pos := make([]int, batch)
+				want := make([]int, batch)
+				for k := range pos {
+					pos[k] = rng.Intn(len(s))
+					want[k] = pos[k]
+				}
+				sym := make([]uint32, batch)
+				tr.AccessRanks(pos, sym)
+				for k, i := range want {
+					if sym[k] != s[i] || pos[k] != s.rank(s[i], i) {
+						t.Fatalf("%s σ=%d batch %d: position %d gave (%d, %d), want (%d, %d)",
+							name, sigma, batch, i, sym[k], pos[k], s[i], s.rank(s[i], i))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEmptySequence(t *testing.T) {
 	for name, mk := range builders {
 		tr := mk(nil, 5)
