@@ -42,6 +42,9 @@ func TestCountZeroAllocs(t *testing.T) {
 		{"worstcase", nil},
 		{"worstcase+counting", []Option{WithCounting()}},
 		{"amortized", []Option{WithTransformation(Amortized)}},
+		// One shard: the union of one core is read inline, with no
+		// fan-out closure or goroutine.
+		{"shards=1", []Option{WithShards(1)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, pats := allocCollection(t, tc.opts...)
@@ -61,6 +64,32 @@ func TestCountZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state Count allocates %.1f objects/op, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestKeyedReadAllocs pins the routed reads of an unsharded collection:
+// they reach the one core directly, so Has allocates nothing and
+// Extract only what the core's owner lookup and the result need (4 when
+// pinned).
+func TestKeyedReadAllocs(t *testing.T) {
+	c, _ := allocCollection(t)
+	ids := c.DocIDs()
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		if !c.Has(ids[i%len(ids)]) {
+			t.Fatalf("Has(%d) = false for a live document", ids[i%len(ids)])
+		}
+		i++
+	}); avg != 0 {
+		t.Errorf("Has allocates %.1f objects/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, ok := c.Extract(ids[i%len(ids)], 3, 16); !ok {
+			t.Fatalf("Extract(%d) failed for a live document", ids[i%len(ids)])
+		}
+		i++
+	}); avg > 4 {
+		t.Errorf("Extract allocates %.1f objects/op, want ≤ 4", avg)
 	}
 }
 

@@ -167,7 +167,7 @@ func openDurable(s structure, dir string, wopts WALOptions, opts []Option) (d *d
 		return nil, err
 	}
 	if ck != nil {
-		if err := f.restore(func(i int, c ladderCore) error {
+		if err := restore(f, func(i int, c ladderCore) error {
 			return c.RestoreSections(ck.spines[i], ck.secs[i])
 		}); err != nil {
 			return nil, err

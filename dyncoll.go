@@ -6,6 +6,7 @@ import (
 
 	"dyncoll/internal/core"
 	"dyncoll/internal/doc"
+	"dyncoll/internal/query"
 )
 
 // Document is one document: an application-chosen ID and a byte payload.
@@ -36,10 +37,11 @@ const (
 	AmortizedFastInsert
 )
 
-// collImpl is the slice of the core API the facade needs; the amortized
-// and worst-case transformations satisfy it directly, and shardedColl
-// satisfies it by fanning out over p of them.
-type collImpl interface {
+// docCore is one core of a Collection: a ladder of either
+// transformation, which is also the source query plans execute over and
+// binds itself to the persistence walkers.
+type docCore interface {
+	query.Source
 	Insert(doc.Doc) error
 	InsertBatch([]doc.Doc) error
 	Delete(id uint64) bool
@@ -49,26 +51,18 @@ type collImpl interface {
 	Find(pattern []byte) []core.Occurrence
 	FindFunc(pattern []byte, fn func(core.Occurrence) bool)
 	Count(pattern []byte) int
-	Extract(id uint64, off, length int) ([]byte, bool)
 	DocLen(id uint64) (int, bool)
 	Len() int
 	DocCount() int
 	SizeBits() int64
 	WaitIdle()
 	Stats() core.Stats
-}
-
-// collCore is collImpl as the unsharded cores provide it: one ladder,
-// which can also bind itself to the persistence walkers.
-type collCore interface {
-	collImpl
 	Persister(core.IndexDecoder, core.IndexOpener) core.Persister
 }
 
 var (
-	_ collCore = (*core.Amortized)(nil)
-	_ collCore = (*core.WorstCase)(nil)
-	_ collImpl = (*shardedColl)(nil)
+	_ docCore = (*core.Amortized)(nil)
+	_ docCore = (*core.WorstCase)(nil)
 )
 
 // Collection is a dynamic compressed document collection.
@@ -78,9 +72,9 @@ var (
 // WithShards(p) is safe for concurrent readers and writers: every shard
 // carries its own sync.RWMutex and fan-out queries take only read locks.
 type Collection struct {
-	impl   collImpl
-	cfg    config      // resolved construction config, recorded in snapshots
-	mapped *mappedFile // v2 snapshot mapping, nil unless LoadMappedFile
+	union  union[docCore] // the cores; no locks when unsharded
+	cfg    config         // resolved construction config, recorded in snapshots
+	mapped *mappedFile    // v2 snapshot mapping, nil unless LoadMappedFile
 }
 
 // NewCollection creates an empty dynamic document collection. The zero
@@ -104,39 +98,43 @@ func NewCollection(opts ...Option) (*Collection, error) {
 }
 
 func newCollection(cfg config) (*Collection, error) {
-	impl, err := newCollAnyImpl(cfg)
+	u, err := newDocCores(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Collection{impl: impl, cfg: cfg}, nil
+	return &Collection{union: u, cfg: cfg}, nil
 }
 
 // config, front and fresh make the collection a persistable structure
 // (snapshot.go). fresh resolves the index by name before anything is
 // built, which is where a never-registered custom index fails.
 func (c *Collection) config() config { return c.cfg }
-func (c *Collection) front() front   { return collFront(c.impl, c.cfg.index) }
+func (c *Collection) front() front   { return collFront(c.union, c.cfg.index) }
 func (c *Collection) fresh(cfg config) (front, func(), error) {
-	impl, err := newCollAnyImpl(cfg)
+	u, err := newDocCores(cfg)
 	if err != nil {
 		return front{}, nil, err
 	}
-	return collFront(impl, cfg.index), func() { c.impl, c.cfg = impl, cfg }, nil
+	return collFront(u, cfg.index), func() { c.union, c.cfg = u, cfg }, nil
 }
 
-// newCollAnyImpl builds the sharded or unsharded implementation for cfg.
-func newCollAnyImpl(cfg config) (collImpl, error) {
-	if cfg.shards > 0 {
-		return newShardedColl(cfg)
+// collFront is the persistence view of a collection's cores: each bound
+// to the codec of the named index, under the same locks.
+func collFront(u union[docCore], index string) front {
+	decode, open := lookupDecoder(index), lookupMappedOpener(index)
+	f := front{mus: u.mus}
+	for _, x := range u.cores {
+		f.cores = append(f.cores, x.Persister(decode, open))
 	}
-	return newCollImpl(cfg)
+	return f
 }
 
-// newCollImpl builds one unsharded core implementation for cfg.
-func newCollImpl(cfg config) (collCore, error) {
+// newDocCores builds the cores cfg describes: one per shard, or one for
+// an unsharded collection.
+func newDocCores(cfg config) (union[docCore], error) {
 	builder, err := lookupIndex(cfg.index)
 	if err != nil {
-		return nil, err
+		return union[docCore]{}, err
 	}
 	icfg := IndexConfig{SampleRate: cfg.sampleRate}
 	co := core.Options{
@@ -145,34 +143,38 @@ func newCollImpl(cfg config) (collCore, error) {
 		Epsilon:     cfg.epsilon,
 		MinCapacity: cfg.minCapacity,
 		Counting:    cfg.counting,
+		Ratio2:      cfg.transformation == AmortizedFastInsert,
 		Inline:      cfg.syncRebuilds,
 	}
-	switch cfg.transformation {
-	case Amortized:
-		return core.NewAmortized(co), nil
-	case AmortizedFastInsert:
-		co.Ratio2 = true
-		return core.NewAmortized(co), nil
-	default:
-		return core.NewWorstCase(co), nil
-	}
+	return newUnion(cfg, func() docCore {
+		if cfg.transformation == WorstCase {
+			return core.NewWorstCase(co)
+		}
+		return core.NewAmortized(co)
+	}), nil
 }
 
 // Insert adds a document. It fails with ErrDuplicateID if the ID is
 // already live and ErrReservedByte if the payload contains 0x00.
-func (c *Collection) Insert(d Document) error { return c.impl.Insert(d) }
+func (c *Collection) Insert(d Document) error {
+	x, h := c.union.owner(d.ID, true)
+	defer h.release()
+	return x.Insert(d)
+}
 
 // InsertBatch adds many documents in one ingest: the whole batch is
 // validated up front (on error nothing is inserted) and placed with at
 // most one rebuild cascade, instead of the cascade-per-document cost of
 // looped Insert calls. It fails with ErrDuplicateID — also for IDs
 // repeated within the batch — or ErrReservedByte.
-func (c *Collection) InsertBatch(docs []Document) error { return c.impl.InsertBatch(docs) }
+func (c *Collection) InsertBatch(docs []Document) error { return insertBatch(&c.union, docs) }
 
 // Delete removes the document with the given ID. It fails with
 // ErrNotFound if no such document is live.
 func (c *Collection) Delete(id uint64) error {
-	if c.impl.Delete(id) {
+	x, h := c.union.owner(id, true)
+	defer h.release()
+	if x.Delete(id) {
 		return nil
 	}
 	return fmt.Errorf("dyncoll: delete id %d: %w", id, ErrNotFound)
@@ -182,15 +184,21 @@ func (c *Collection) Delete(id uint64) error {
 // number actually removed; IDs that are absent (or repeated) are
 // skipped. Purge checks and rebuild triggers run once for the whole
 // batch.
-func (c *Collection) DeleteBatch(ids []uint64) int { return c.impl.DeleteBatch(ids) }
+func (c *Collection) DeleteBatch(ids []uint64) int { return deleteBatch(&c.union, ids) }
 
 // Has reports whether a live document with the given ID exists.
-func (c *Collection) Has(id uint64) bool { return c.impl.Has(id) }
+func (c *Collection) Has(id uint64) bool {
+	x, h := c.union.owner(id, false)
+	defer h.release()
+	return x.Has(id)
+}
 
 // Find returns every occurrence of pattern across all live documents.
 // For large result sets prefer FindIter, which never materializes the
 // slice.
-func (c *Collection) Find(pattern []byte) []Occurrence { return c.impl.Find(pattern) }
+func (c *Collection) Find(pattern []byte) []Occurrence {
+	return gather(&c.union, pattern, docCore.Find)
+}
 
 // FindIter returns a single-use iterator over the occurrences of
 // pattern. Enumeration is lazy — breaking out of the range loop stops
@@ -214,43 +222,53 @@ func (c *Collection) Find(pattern []byte) []Occurrence { return c.impl.Find(patt
 // writers).
 func (c *Collection) FindIter(pattern []byte) iter.Seq[Occurrence] {
 	return func(yield func(Occurrence) bool) {
-		c.impl.FindFunc(pattern, yield)
+		c.FindFunc(pattern, yield)
 	}
 }
 
 // FindFunc streams occurrences of pattern; enumeration stops when fn
 // returns false.
 func (c *Collection) FindFunc(pattern []byte, fn func(Occurrence) bool) {
-	c.impl.FindFunc(pattern, fn)
+	stream(&c.union, pattern, docCore.FindFunc, fn)
 }
 
 // Count returns the number of occurrences of pattern.
-func (c *Collection) Count(pattern []byte) int { return c.impl.Count(pattern) }
+func (c *Collection) Count(pattern []byte) int { return sum(&c.union, pattern, docCore.Count) }
 
 // Extract returns length payload bytes of document id starting at off.
 func (c *Collection) Extract(id uint64, off, length int) ([]byte, bool) {
-	return c.impl.Extract(id, off, length)
+	x, h := c.union.owner(id, false)
+	defer h.release()
+	return x.Extract(id, off, length)
 }
 
 // DocLen returns the payload length of document id.
-func (c *Collection) DocLen(id uint64) (int, bool) { return c.impl.DocLen(id) }
+func (c *Collection) DocLen(id uint64) (int, bool) {
+	x, h := c.union.owner(id, false)
+	defer h.release()
+	return x.DocLen(id)
+}
 
 // DocIDs returns the IDs of all live documents in unspecified order.
-func (c *Collection) DocIDs() []uint64 { return c.impl.DocIDs() }
+func (c *Collection) DocIDs() []uint64 { return gather(&c.union, docCore.DocIDs, apply) }
 
 // Len reports the total number of live payload symbols.
-func (c *Collection) Len() int { return c.impl.Len() }
+func (c *Collection) Len() int { return sum(&c.union, docCore.Len, apply) }
 
 // DocCount reports the number of live documents.
-func (c *Collection) DocCount() int { return c.impl.DocCount() }
+func (c *Collection) DocCount() int { return sum(&c.union, docCore.DocCount, apply) }
 
 // SizeBits estimates the index footprint in bits (for space accounting).
-func (c *Collection) SizeBits() int64 { return c.impl.SizeBits() }
+func (c *Collection) SizeBits() int64 { return sum(&c.union, docCore.SizeBits, apply) }
 
 // WaitIdle blocks until background rebuilds (WorstCase transformation
 // only) have completed — across every shard when the collection is
 // sharded; other transformations return immediately.
-func (c *Collection) WaitIdle() { c.impl.WaitIdle() }
+func (c *Collection) WaitIdle() {
+	for _, x := range c.union.cores {
+		x.WaitIdle()
+	}
+}
 
 // IndexStats describes a structure's engine-level layout: the
 // sub-collection ladder of the paper's transformations plus rebuild
@@ -332,7 +350,7 @@ func indexStatsFrom(st core.Stats) IndexStats {
 // Stats reports the collection's internal layout and rebuild counters.
 // On a sharded collection the counters are aggregated across shards.
 func (c *Collection) Stats() IndexStats {
-	st := indexStatsFrom(c.impl.Stats())
+	st := indexStatsFrom(aggStats(perCore(&c.union, docCore.Stats, apply)))
 	st.Shards = c.cfg.shards
 	st.fillResidency(c.mapped, c.SizeBits())
 	return st
@@ -343,15 +361,8 @@ func (c *Collection) Stats() IndexStats {
 // key hash is spreading the corpus. It returns nil for an unsharded
 // collection.
 func (c *Collection) ShardSizes() []int {
-	sh, ok := c.impl.(*shardedColl)
-	if !ok {
+	if c.union.mus == nil {
 		return nil
 	}
-	out := make([]int, len(sh.shards))
-	for i, s := range sh.shards {
-		s.mu.RLock()
-		out[i] = s.impl.Len()
-		s.mu.RUnlock()
-	}
-	return out
+	return perCore(&c.union, docCore.Len, apply)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"dyncoll/internal/core"
+	"dyncoll/internal/fanout"
 )
 
 // Source is what the single-level executor queries: a ladder as its
@@ -21,40 +22,16 @@ type Source interface {
 	Extract(id uint64, off, length int) ([]byte, bool)
 }
 
-// Executor runs a compiled plan at one level of the serving hierarchy,
-// emitting matches until the plan is exhausted or emit returns false.
-// Ranked plans emit documents best-first; streaming plans emit
-// occurrences in unspecified order. Execute itself enforces the plan's
-// k-bound, so callers see at most k matches from any level.
-//
-// Implementations: Single (one ladder), the sharded structure in the
-// facade package (fan-out over per-shard Singles), and the dyndocd
-// frontend (fan-out over per-backend /v1/search streams).
-type Executor interface {
-	Execute(p *Plan, emit func(Match) bool) error
-}
-
 // Single executes plans against one Source.
 type Single struct{ src Source }
 
 // Over returns the single-level executor for src.
 func Over(src Source) Single { return Single{src: src} }
 
-// Collect runs p against src and returns the emitted matches — for a
-// ranked plan, the level's exact local top-k list in emission order,
-// the unit the shard and fleet layers merge with MergeRanked.
-func Collect(src Source, p *Plan) []Match {
-	var out []Match
-	Over(src).Execute(p, func(m Match) bool {
-		out = append(out, m)
-		return true
-	})
-	return out
-}
-
-// Execute implements Executor. It never fails on a compiled plan; the
-// error return exists for the networked executors sharing the
-// interface.
+// Execute runs p against the source, emitting matches until the plan is
+// exhausted or emit returns false: ranked plans emit documents
+// best-first, streaming plans occurrences in unspecified order, and at
+// most k of either. It never fails on a compiled plan.
 func (e Single) Execute(p *Plan, emit func(Match) bool) error {
 	switch {
 	case !p.Regex() && !p.Ranked():
@@ -67,6 +44,33 @@ func (e Single) Execute(p *Plan, emit func(Match) bool) error {
 		e.regexRanked(p, emit)
 	}
 	return nil
+}
+
+// Union executes p over n disjoint sources — the shards of a
+// collection, the collections a backend hosts — where run(i, emit)
+// executes p over source i, so each source emits at most k matches.
+// Streaming plans merge through fanout.FanOut with k enforced at the
+// merge, so the early break reaches every source mid-enumeration.
+// Ranked plans collect every source's exact local top-k in parallel and
+// merge them with MergeRanked: scores are document-local and the
+// sources disjoint, so the merge is the exact global top-k. A single
+// source runs inline.
+func Union(p *Plan, n int, run func(i int, emit func(Match) bool), emit func(Match) bool) {
+	switch {
+	case n == 1:
+		run(0, emit)
+	case p.Ranked():
+		lists := make([][]Match, n)
+		fanout.ForEach(n, func(i int) {
+			run(i, func(m Match) bool {
+				lists[i] = append(lists[i], m)
+				return true
+			})
+		})
+		MergeRanked(lists, p.K(), emit)
+	default:
+		fanout.FanOut(n, run, limited(p.K(), emit))
+	}
 }
 
 // limited bounds a streaming emit at the plan's k (0 = unlimited); the

@@ -108,7 +108,7 @@ func TestRegexWorkGate(t *testing.T) {
 		for _, x := range built {
 			x.ranges, x.locates = 0, 0
 		}
-		got := Collect(lad, p)
+		got := collect(lad, p)
 		if c.want != nil && fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Fatalf("%q: matches = %v, want %v", c.expr, got, c.want)
 		}
@@ -148,7 +148,7 @@ func TestRegexCrossStoreTrap(t *testing.T) {
 		if cands := Over(lad).candidateDocs(p); len(cands) != 0 {
 			t.Errorf("%q: candidate documents %v, want none", spec.Pattern, cands)
 		}
-		if got := Collect(lad, p); len(got) != 0 {
+		if got := collect(lad, p); len(got) != 0 {
 			t.Errorf("%q: matches %v, want none", spec.Pattern, got)
 		}
 	}

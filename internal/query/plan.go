@@ -1,17 +1,17 @@
 // Package query is the module's unified query-execution layer: a Plan
 // describes one search request (exact or regex, streaming or ranked
-// top-k), compiled once per request, and an Executor runs it at some
-// level of the serving hierarchy — a single sub-collection ladder, a
-// sharded structure, or a fleet of networked backends.
+// top-k), compiled once per request; Single runs it over one
+// sub-collection ladder, and Union over the union of several sources —
+// the shards of a structure, or the collections a backend hosts.
 //
 // The same compiled plan executes identically at every level because
 // each level is just a union of static sub-collections (the paper's
 // transformation argument): a ladder answers a query as the union over
 // its levels, a sharded structure as the union over its shards, and a
 // backend fleet as the union over its backends. A plan therefore pushes
-// down unchanged — the shard layer hands it to per-shard executors, the
-// frontend serializes it (Spec is the wire form) and each backend hands
-// it to its own sharded executor — and only the merge differs:
+// down unchanged — a sharded collection hands it to a Single per shard,
+// the frontend serializes it (Spec is the wire form) and each backend
+// hands it to its own collections — and only the merge differs:
 // streaming plans merge with propagated early break, ranked plans merge
 // per-level top-k lists (ranking is document-local, so top-k commutes
 // with union).

@@ -85,6 +85,16 @@ func (f *fakeSource) LiveWeight() int {
 	return n
 }
 
+// collect runs p against src and returns the emitted matches.
+func collect(src Source, p *Plan) []Match {
+	var out []Match
+	Over(src).Execute(p, func(m Match) bool {
+		out = append(out, m)
+		return true
+	})
+	return out
+}
+
 func TestCompileErrors(t *testing.T) {
 	for _, spec := range []Spec{
 		{Pattern: "a", K: -1},
@@ -331,7 +341,7 @@ func TestExecExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Collect(src, p)
+	got := collect(src, p)
 	if len(got) != 7 {
 		t.Fatalf("streaming: %d matches, want 7", len(got))
 	}
@@ -343,14 +353,14 @@ func TestExecExact(t *testing.T) {
 
 	// k-bound.
 	p, _ = Compile(Spec{Pattern: "an", K: 3})
-	if got := Collect(src, p); len(got) != 3 {
+	if got := collect(src, p); len(got) != 3 {
 		t.Fatalf("limited: %d matches, want 3", len(got))
 	}
 
 	// Ranked: doc 2 (4 matches, offset 0, shortest-ish) must beat doc 1
 	// (2 matches at offset 1); every matching doc appears once.
 	p, _ = Compile(Spec{Pattern: "an", Ranked: true, K: 10})
-	ranked := Collect(src, p)
+	ranked := collect(src, p)
 	if len(ranked) != 3 {
 		t.Fatalf("ranked: %d docs, want 3", len(ranked))
 	}
@@ -365,8 +375,53 @@ func TestExecExact(t *testing.T) {
 
 	// k=1 keeps only the best.
 	p, _ = Compile(Spec{Pattern: "an", Ranked: true, K: 1})
-	if got := Collect(src, p); len(got) != 1 || got[0].Doc != 2 {
+	if got := collect(src, p); len(got) != 1 || got[0].Doc != 2 {
 		t.Errorf("ranked k=1 = %v, want doc 2 only", got)
+	}
+}
+
+// TestUnion runs plans over three disjoint sources: the union's answer
+// is one source's answer over all their documents, with k applied to
+// the merged stream, not per source.
+func TestUnion(t *testing.T) {
+	docs := []map[uint64][]byte{
+		{1: []byte("banana"), 2: []byte("an an an an a")},
+		{3: []byte("nothing here")},
+		{4: []byte("ancient"), 5: []byte("anan")},
+	}
+	all := map[uint64][]byte{}
+	var srcs []Source
+	for _, d := range docs {
+		srcs = append(srcs, newFakeSource(d))
+		for id, b := range d {
+			all[id] = b
+		}
+	}
+	for _, spec := range []Spec{
+		{Pattern: "an"}, {Pattern: "an", K: 3}, {Pattern: "an", Ranked: true}, {Pattern: "an", Ranked: true, K: 2},
+	} {
+		p, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Match
+		Union(p, len(srcs), func(i int, emit func(Match) bool) { Over(srcs[i]).Execute(p, emit) },
+			func(m Match) bool { got = append(got, m); return true })
+		want := collect(newFakeSource(all), p)
+		if !spec.Ranked {
+			if spec.K > 0 {
+				if len(got) != spec.K {
+					t.Errorf("%+v: %d matches, want %d", spec, len(got), spec.K)
+				}
+				continue
+			}
+			sortByDoc := func(a, b Match) int { return int(a.Doc) - int(b.Doc) }
+			slices.SortStableFunc(got, sortByDoc)
+			slices.SortStableFunc(want, sortByDoc)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%+v: union = %v, want %v", spec, got, want)
+		}
 	}
 }
 
@@ -399,7 +454,7 @@ func TestExecRegex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", expr, err)
 		}
-		got := Collect(src, p)
+		got := collect(src, p)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%q: got %v, want %v (scan=%v)", expr, got, want, p.ScanFallback())
 		}
@@ -407,7 +462,7 @@ func TestExecRegex(t *testing.T) {
 
 	// Ranked regex: every matching doc exactly once, best first.
 	p, _ := Compile(Spec{Pattern: `qu.ck`, Regex: true, Ranked: true, K: 10})
-	ranked := Collect(src, p)
+	ranked := collect(src, p)
 	if len(ranked) != 2 {
 		t.Fatalf("ranked regex: %d docs, want 2", len(ranked))
 	}
@@ -424,7 +479,7 @@ func TestExecRegexNoMatchGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Collect(src, p); len(got) != 0 {
+	if got := collect(src, p); len(got) != 0 {
 		t.Errorf("got %v, want none", got)
 	}
 }

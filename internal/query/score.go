@@ -91,16 +91,6 @@ func (t *TopK) Add(m Match) {
 	t.down(0)
 }
 
-// Threshold returns the score a new match must beat to enter a full
-// accumulator, and whether the accumulator is full. Executors use it to
-// skip scoring work that cannot change the result.
-func (t *TopK) Threshold() (float64, bool) {
-	if t.k <= 0 || len(t.h) < t.k {
-		return 0, false
-	}
-	return t.h[0].Score, true
-}
-
 // Sorted drains the accumulator: matches in emission order (best
 // first). The accumulator must not be reused afterwards.
 func (t *TopK) Sorted() []Match {
@@ -145,7 +135,7 @@ func (t *TopK) down(i int) {
 }
 
 // MergeRanked merges per-level ranked result lists (each sorted best
-// first, as Collect produces) and emits the k best overall (k ≤ 0:
+// first, as a ranked plan emits them) and emits the k best overall (k ≤ 0:
 // all), stopping early when emit returns false. Because scores are
 // document-local and every document lives at exactly one level, the
 // merge of exact per-level top-k lists is the exact global top-k.

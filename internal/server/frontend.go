@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -14,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dyncoll"
 	"dyncoll/internal/fanout"
 	"dyncoll/internal/query"
 	"dyncoll/internal/shardmap"
@@ -452,21 +450,10 @@ func (f *Frontend) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: int(deleted.Load())})
 }
 
-// handleFind fans the query out one request per assignment row — each
-// row's stream served by one live replica, retried on a sibling while
-// nothing was emitted — and merges the NDJSON streams. Early break
-// propagates in both directions: when this frontend's client
-// disconnects (or the merged limit is reached), every row request is
-// cancelled, which each backend observes as a client disconnect and
-// stops its enumeration — the in-process early-break contract, lifted
-// to processes.
-//
-// A row that fails after its stream started cannot change the
-// already-streaming 200 status; the failure is reported in-band as a
-// final NDJSON line with "error" set and "partial":true. With nothing
-// streamed yet the reply is a real 502 — unless the client opted into
-// degraded reads with ?partial=true, in which case whatever the live
-// rows produced is served, with the same explicit trailer.
+// handleFind fans the query out one request per assignment row and
+// merges the NDJSON streams through relay; each row's limit mirrors the
+// merged limit, since no single row can satisfy more than the whole
+// query needs.
 func (f *Frontend) handleFind(w http.ResponseWriter, r *http.Request) {
 	pattern, ok := queryPattern(w, r)
 	if !ok {
@@ -476,57 +463,10 @@ func (f *Frontend) handleFind(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	partialOK := boolParam(r.URL.Query().Get("partial"))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
-	ctx := r.Context()
-	n := 0
-	var failures atomic.Int32
-	var firstFault atomic.Pointer[backendFault]
-	fanout.FanOut(f.asg.Rows(), func(row int, emit func([]byte) bool) {
-		cctx, cancel := context.WithCancel(ctx)
-		defer cancel() // early break → cancel → backend stops enumerating
-		// Each row's limit mirrors the merged limit: no single row can
-		// satisfy more than the whole query needs.
-		tail := "/v1/find?" + findQuery(pattern, limit) + f.rangeSuffix("&", row)
-		bf := f.streamRow(cctx, row, func(rctx context.Context, base string) (*http.Request, error) {
-			return http.NewRequestWithContext(rctx, http.MethodGet, base+tail, nil)
-		}, emit)
-		if bf != nil {
-			failures.Add(1)
-			firstFault.CompareAndSwap(nil, bf)
-		}
-	}, func(line []byte) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		if _, err := w.Write(line); err != nil {
-			return false
-		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
-			return false
-		}
-		n++
-		if n%fanout.Chunk == 0 {
-			if rc.Flush() != nil {
-				return false
-			}
-		}
-		return limit == 0 || n < limit
-	})
-	if bf := firstFault.Load(); bf != nil && ctx.Err() == nil {
-		// In-band trailer; with no results streamed yet the status can
-		// still change, so prefer a real 502 then (unless the client asked
-		// for degraded reads).
-		if n == 0 && !partialOK {
-			writeError(w, http.StatusBadGateway, CodeUnreachable, bf.message())
-			return
-		}
-		json.NewEncoder(w).Encode(FindResult{
-			Err:     fmt.Sprintf("%s (%d row(s) failed)", bf.message(), failures.Load()),
-			Partial: true,
-		})
-	}
+	tail := "/v1/find?" + findQuery(pattern, limit)
+	n := f.relay(w, r, limit, func(ctx context.Context, row int, base string) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, base+tail+f.rangeSuffix("&", row), nil)
+	}, func(msg string) any { return FindResult{Err: msg, Partial: true} })
 	f.met.AddStreamed("find", n)
 }
 
@@ -535,115 +475,108 @@ func (f *Frontend) handleFind(w http.ResponseWriter, r *http.Request) {
 // backend compiles and executes the same plan the frontend's client
 // sent), and only the merge differs by variant — the union-over-
 // sub-collections contract with the fleet as the outermost union.
+// Unranked per-row streams merge through relay exactly like find's,
+// bounded by the plan's k.
 func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
-	spec, ok := parseSearchSpec(w, r)
+	p, ok := parseSearchSpec(w, r)
 	if !ok {
 		return
 	}
-	if spec.Ranked {
-		f.searchRanked(w, r, spec)
-		return
-	}
-	f.searchStream(w, r, spec)
-}
-
-// searchStream merges unranked per-row streams exactly like handleFind:
-// lines relay as they arrive, the plan's k bounds the merged stream,
-// and the early break cancels every row request mid-enumeration.
-func (f *Frontend) searchStream(w http.ResponseWriter, r *http.Request, spec dyncoll.SearchPlan) {
-	raw, err := json.Marshal(spec)
+	raw, err := json.Marshal(p.Spec())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
+	if p.Ranked() {
+		f.searchRanked(w, r, p.K(), raw)
+		return
+	}
+	n := f.relay(w, r, p.K(), func(ctx context.Context, row int, base string) (*http.Request, error) {
+		return f.searchRequest(ctx, row, base, raw)
+	}, func(msg string) any { return SearchResult{Err: msg, Partial: true} })
+	f.met.AddStreamed("search", n)
+}
+
+// relay fans one request per assignment row out — each row's stream
+// served by one live replica, retried on a sibling while nothing was
+// emitted — and relays the merged NDJSON lines to the client as they
+// arrive, flushing every fanout.Chunk lines. Early break propagates in
+// both directions: when the client disconnects or limit lines (0 =
+// unlimited) were relayed, every row request is cancelled, which each
+// backend observes as a client disconnect and stops its enumeration —
+// the in-process early-break contract, lifted to processes.
+//
+// A row that fails after its stream started cannot change the
+// already-streaming 200 status; the failure is reported in-band as a
+// final NDJSON line, built by trailer, with "error" set and
+// "partial":true. With nothing streamed yet the reply is a real 502 —
+// unless the client opted into degraded reads with ?partial=true, in
+// which case whatever the live rows produced is served, with the same
+// explicit trailer. relay returns the number of lines relayed.
+func (f *Frontend) relay(w http.ResponseWriter, r *http.Request, limit int,
+	newReq func(ctx context.Context, row int, base string) (*http.Request, error), trailer func(msg string) any) int {
 	partialOK := boolParam(r.URL.Query().Get("partial"))
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
 	ctx := r.Context()
 	n := 0
+	write := ndjsonLines(w, r, &n, func(line []byte) error {
+		_, err := w.Write(append(line, '\n'))
+		return err
+	})
 	var failures atomic.Int32
 	var firstFault atomic.Pointer[backendFault]
 	fanout.FanOut(f.asg.Rows(), func(row int, emit func([]byte) bool) {
 		cctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		tail := "/v1/search" + f.rangeSuffix("?", row)
+		defer cancel() // early break → cancel → backend stops enumerating
 		bf := f.streamRow(cctx, row, func(rctx context.Context, base string) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(rctx, http.MethodPost, base+tail, bytes.NewReader(raw))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/json")
-			return req, nil
+			return newReq(rctx, row, base)
 		}, emit)
 		if bf != nil {
 			failures.Add(1)
 			firstFault.CompareAndSwap(nil, bf)
 		}
-	}, func(line []byte) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		if _, err := w.Write(line); err != nil {
-			return false
-		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
-			return false
-		}
-		n++
-		if n%fanout.Chunk == 0 {
-			if rc.Flush() != nil {
-				return false
-			}
-		}
-		return spec.K == 0 || n < spec.K
-	})
+	}, func(line []byte) bool { return write(line) && (limit == 0 || n < limit) })
 	if bf := firstFault.Load(); bf != nil && ctx.Err() == nil {
 		if n == 0 && !partialOK {
 			writeError(w, http.StatusBadGateway, CodeUnreachable, bf.message())
-			return
+			return n
 		}
-		json.NewEncoder(w).Encode(SearchResult{
-			Err:     fmt.Sprintf("%s (%d row(s) failed)", bf.message(), failures.Load()),
-			Partial: true,
-		})
+		json.NewEncoder(w).Encode(trailer(fmt.Sprintf("%s (%d row(s) failed)", bf.message(), failures.Load())))
 	}
-	f.met.AddStreamed("search", n)
+	return n
 }
 
-// collectSearch gathers one row's exact local top-k list from backend b
-// (bounded: at most k lines travel).
-func (f *Frontend) collectSearch(ctx context.Context, b, row int, raw []byte) ([]query.Match, error) {
-	url := f.backends[b] + "/v1/search" + f.rangeSuffix("?", row)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
+// searchRequest builds the POST /v1/search of the wire spec raw to row
+// on the backend at base.
+func (f *Frontend) searchRequest(ctx context.Context, row int, base string, raw []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/search"+f.rangeSuffix("?", row), bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(req)
+	return req, nil
+}
+
+// collectSearch gathers one row's exact local top-k list from backend b
+// (bounded: at most k lines travel), read by the same stream reader the
+// relay uses.
+func (f *Frontend) collectSearch(ctx context.Context, b, row int, raw []byte) ([]query.Match, error) {
+	var out []query.Match
+	var bad error
+	err := f.streamOnce(ctx, b, func(ctx context.Context, base string) (*http.Request, error) {
+		return f.searchRequest(ctx, row, base, raw)
+	}, func(line []byte) bool {
+		var m query.Match
+		if bad = json.Unmarshal(line, &m); bad != nil {
+			return false
+		}
+		out = append(out, m)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var out []query.Match
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var m query.Match
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, bad
 }
 
 // searchRanked gathers each row's exact local top-k list (at most k
@@ -655,12 +588,7 @@ func (f *Frontend) collectSearch(ctx context.Context, b, row int, raw []byte) ([
 // wrong, which is worse than unavailable — unless the client opted into
 // ?partial=true, which serves the merge of the live rows with an
 // explicit partial trailer.
-func (f *Frontend) searchRanked(w http.ResponseWriter, r *http.Request, spec dyncoll.SearchPlan) {
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
+func (f *Frontend) searchRanked(w http.ResponseWriter, r *http.Request, k int, raw []byte) {
 	partialOK := boolParam(r.URL.Query().Get("partial"))
 	rows := f.asg.Rows()
 	lists := make([][]query.Match, rows)
@@ -690,12 +618,9 @@ func (f *Frontend) searchRanked(w http.ResponseWriter, r *http.Request, spec dyn
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	streamed := 0
-	query.MergeRanked(lists, spec.K, func(m query.Match) bool {
-		if enc.Encode(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score}) != nil {
-			return false
-		}
-		streamed++
-		return true
+	write := ndjsonLines(w, r, &streamed, enc.Encode)
+	query.MergeRanked(lists, k, func(m query.Match) bool {
+		return write(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score})
 	})
 	if fault != nil {
 		enc.Encode(SearchResult{

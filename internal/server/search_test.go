@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"dyncoll"
 )
 
 // searchLines GETs or POSTs a /v1/search request and decodes the NDJSON
@@ -90,6 +93,36 @@ func TestBackendSearch(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || lines != 3 {
 		t.Fatalf("POST ranked regex: status %d, %d docs, want 3 (docs 1, 2, 4)", resp.StatusCode, lines)
+	}
+}
+
+// TestBackendSearchUnionK: an unscoped search on a backend hosting
+// several rows runs over the union of its collections, and k bounds the
+// union's stream, not each collection's.
+func TestBackendSearchUnionK(t *testing.T) {
+	newColl := func() (Coll, error) {
+		c, err := dyncoll.NewCollection(dyncoll.WithShards(2), dyncoll.WithSyncRebuilds())
+		return PlainColl{c}, err
+	}
+	def, err := newColl()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBackend(def).EnableRanges(func(int) (Coll, error) { return newColl() })
+	ts := httptest.NewServer(b.Handler())
+	t.Cleanup(ts.Close)
+	for rng, id := range []int{1, 2} {
+		url := fmt.Sprintf("%s/v1/insert?range=%d", ts.URL, rng)
+		if status, out := postJSON(t, url, fmt.Sprintf(`{"docs":[{"id":%d,"text":"abcabcabcabc"}]}`, id)); status != http.StatusOK {
+			t.Fatalf("insert into range %d: %d %v", rng, status, out)
+		}
+	}
+	for q, want := range map[string]int{
+		"q=abc&k=3": 3, "q=abc&k=3&range=0": 3, "q=a.c&k=3&regex=1": 3, "q=abc&k=1&ranked=1": 1,
+	} {
+		if got := searchLines(t, ts.URL+"/v1/search?"+q); len(got) != want {
+			t.Errorf("search?%s: %d results, want %d", q, len(got), want)
+		}
 	}
 }
 

@@ -507,65 +507,61 @@ func (b *Backend) handleFind(w http.ResponseWriter, r *http.Request) {
 	}
 	colls := b.readColls(rng, present)
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	n := 0
+	enc := json.NewEncoder(w)
 	if limit > 0 {
 		// Bounded results go through the FindLimit fast path: the
-		// enumeration stops at the limit-th match, and the result is small
-		// enough that streaming flushes buy nothing.
-		enc := json.NewEncoder(w)
-		n := 0
+		// enumeration stops at the limit-th match (a collection asked for
+		// none returns none), and the result is small enough that
+		// streaming flushes buy nothing.
+	fill:
 		for _, coll := range colls {
-			occs := coll.FindLimit(pattern, limit-n)
-			for _, o := range occs {
+			for _, o := range coll.FindLimit(pattern, limit-n) {
 				if enc.Encode(FindResult{Doc: o.DocID, Off: o.Off}) != nil {
-					b.met.AddStreamed("find", n)
-					return
+					break fill
 				}
 				n++
 			}
-			if n >= limit {
-				break
-			}
 		}
-		b.met.AddStreamed("find", n)
-		return
+	} else {
+		write := ndjsonLines(w, r, &n, enc.Encode)
+		// One hosted collection is the common case (range-scoped reads)
+		// and streams inline; the unscoped union fans out with the same
+		// merge contract the in-process shards use.
+		fanout.FanOut(len(colls), func(i int, emit func(dyncoll.Occurrence) bool) {
+			colls[i].FindFunc(pattern, emit)
+		}, func(o dyncoll.Occurrence) bool { return write(FindResult{Doc: o.DocID, Off: o.Off}) })
 	}
+	b.met.AddStreamed("find", n)
+}
+
+// ndjsonLines returns the emit every NDJSON stream of this package —
+// backend or frontend — writes through: put writes one line, a flush
+// follows every fanout.Chunk lines, and it returns false, which stops
+// the enumeration feeding it, once the client has gone or a write
+// fails. *n counts the lines written.
+func ndjsonLines[T any](w http.ResponseWriter, r *http.Request, n *int, put func(T) error) func(T) bool {
 	rc := http.NewResponseController(w)
 	ctx := r.Context()
-	enc := json.NewEncoder(w)
-	n := 0
-	// One hosted collection is the common case (range-scoped reads) and
-	// streams inline; the unscoped union fans out with the same merge
-	// contract the in-process shards use.
-	fanout.FanOut(len(colls), func(i int, emit func(dyncoll.Occurrence) bool) {
-		colls[i].FindFunc(pattern, emit)
-	}, func(o dyncoll.Occurrence) bool {
-		if ctx.Err() != nil {
+	return func(line T) bool {
+		if ctx.Err() != nil || put(line) != nil {
 			return false
 		}
-		if enc.Encode(FindResult{Doc: o.DocID, Off: o.Off}) != nil {
-			return false
-		}
-		n++
-		if n%fanout.Chunk == 0 {
-			if rc.Flush() != nil {
-				return false
-			}
-		}
-		return true
-	})
-	b.met.AddStreamed("find", n)
+		*n++
+		return *n%fanout.Chunk != 0 || rc.Flush() == nil
+	}
 }
 
 // parseSearchSpec reads a search plan from the request: the JSON body
 // on POST (the exact wire form of dyncoll.SearchPlan), query parameters
-// q / regex / ranked / k on GET. The spec is validated by compiling it,
-// so malformed regexes and negative k reject with 400 here rather than
-// surfacing mid-stream.
-func parseSearchSpec(w http.ResponseWriter, r *http.Request) (dyncoll.SearchPlan, bool) {
+// q / regex / ranked / k on GET. The spec is compiled here, so malformed
+// regexes and negative k reject with 400 rather than surfacing
+// mid-stream.
+func parseSearchSpec(w http.ResponseWriter, r *http.Request) (*query.Plan, bool) {
 	var spec dyncoll.SearchPlan
 	if r.Method == http.MethodPost {
 		if !decodeBody(w, r, &spec) {
-			return spec, false
+			return nil, false
 		}
 	} else {
 		q := r.URL.Query()
@@ -576,89 +572,49 @@ func parseSearchSpec(w http.ResponseWriter, r *http.Request) (dyncoll.SearchPlan
 			k, err := strconv.Atoi(s)
 			if err != nil || k < 0 {
 				writeError(w, http.StatusBadRequest, CodeBadRequest, "k must be a non-negative integer")
-				return spec, false
+				return nil, false
 			}
 			spec.K = k
 		}
 	}
-	if _, err := query.Compile(spec); err != nil {
+	p, err := query.Compile(spec)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return spec, false
+		return nil, false
 	}
-	return spec, true
+	return p, true
 }
 
 // boolParam interprets a query-string boolean.
 func boolParam(s string) bool { return s == "1" || s == "true" }
 
-// handleSearch executes a search plan and streams its matches as
-// NDJSON. Streaming plans deliver matches as they are found with the
-// find endpoint's flush-and-cancel contract; ranked plans deliver at
-// most k documents, best first. The same plan object a library caller
-// would compile runs here — the endpoint is the wire level of the
-// plan/execute hierarchy.
+// handleSearch executes a search plan over the hosted collections it
+// addresses and streams the matches as NDJSON. Streaming plans deliver
+// matches as they are found with the find endpoint's flush-and-cancel
+// contract; ranked plans deliver at most k documents, best first. The
+// same plan object a library caller would compile runs here, merged
+// over the collections by the same routine a sharded collection merges
+// its shards with — the endpoint is the wire level of the plan/execute
+// hierarchy.
 func (b *Backend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	rng, present, okR := queryRange(w, r)
 	if !okR {
 		return
 	}
-	spec, ok := parseSearchSpec(w, r)
+	p, ok := parseSearchSpec(w, r)
 	if !ok {
 		return
 	}
 	colls := b.readColls(rng, present)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
-	ctx := r.Context()
-	enc := json.NewEncoder(w)
 	n := 0
-	emitLine := func(m dyncoll.Match) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		if enc.Encode(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score}) != nil {
-			return false
-		}
-		n++
-		if n%fanout.Chunk == 0 {
-			if rc.Flush() != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if len(colls) == 1 {
-		colls[0].Search(spec, emitLine)
-		b.met.AddStreamed("search", n)
-		return
-	}
-	if spec.Ranked {
-		// Ranked over the union: gather each collection's top-k (already
-		// best-first) and merge, the same plan the frontend runs over
-		// backends.
-		lists := make([][]query.Match, len(colls))
-		fanout.ForEach(len(colls), func(i int) {
-			lists[i] = collectMatches(colls[i], spec)
-		})
-		query.MergeRanked(lists, spec.K, emitLine)
-		b.met.AddStreamed("search", n)
-		return
-	}
-	fanout.FanOut(len(colls), func(i int, emit func(dyncoll.Match) bool) {
-		colls[i].Search(spec, emit)
-	}, emitLine)
-	b.met.AddStreamed("search", n)
-}
-
-// collectMatches gathers one collection's search results into a slice
-// (ranked merge input).
-func collectMatches(c Coll, spec dyncoll.SearchPlan) []query.Match {
-	var out []query.Match
-	c.Search(spec, func(m dyncoll.Match) bool {
-		out = append(out, query.Match(m))
-		return true
+	write := ndjsonLines(w, r, &n, json.NewEncoder(w).Encode)
+	query.Union(p, len(colls), func(i int, emit func(query.Match) bool) {
+		colls[i].Search(p.Spec(), emit)
+	}, func(m query.Match) bool {
+		return write(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score})
 	})
-	return out
+	b.met.AddStreamed("search", n)
 }
 
 func (b *Backend) handleCount(w http.ResponseWriter, r *http.Request) {

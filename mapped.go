@@ -335,7 +335,7 @@ func loadMapped(s structure, data []byte, mf *mappedFile, opts []MappedOption) (
 	if err != nil {
 		return err
 	}
-	if err := f.restore(func(i int, c ladderCore) error {
+	if err := restore(f, func(i int, c ladderCore) error {
 		return c.RestoreMapped(shards[i].spine, shards[i].stores(), mf.retain)
 	}); err != nil {
 		return err
@@ -406,8 +406,8 @@ func (c *Collection) Close() error {
 	if mf == nil {
 		return nil
 	}
-	if impl, err := newCollAnyImpl(c.cfg); err == nil {
-		c.impl = impl
+	if u, err := newDocCores(c.cfg); err == nil {
+		c.union = u
 	}
 	return mf.close()
 }
@@ -451,7 +451,7 @@ func (r *Relation) Close() error {
 	if mf == nil {
 		return nil
 	}
-	r.rel = newRelAnyImpl(r.cfg)
+	r.union = newRelCores(r.cfg)
 	return mf.close()
 }
 

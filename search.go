@@ -3,7 +3,6 @@ package dyncoll
 import (
 	"iter"
 
-	"dyncoll/internal/core"
 	"dyncoll/internal/query"
 )
 
@@ -39,17 +38,18 @@ func (c *Collection) Search(plan SearchPlan, fn func(Match) bool) error {
 	if err != nil {
 		return err
 	}
-	return c.execute(p, fn)
+	c.execute(p, fn)
+	return nil
 }
 
-// execute routes a compiled plan to the right executor level: the
-// sharded fan-out merge, or a single-source executor for an unsharded
-// collection.
-func (c *Collection) execute(p *query.Plan, fn func(Match) bool) error {
-	if sh, ok := c.impl.(*shardedColl); ok {
-		return sh.execute(p, fn)
-	}
-	return query.Over(sourceOf(c.impl)).Execute(p, fn)
+// execute runs a compiled plan over the union of the cores, each core
+// executing it under its read lock.
+func (c *Collection) execute(p *query.Plan, fn func(Match) bool) {
+	query.Union(p, len(c.union.cores), func(i int, emit func(Match) bool) {
+		x, h := c.union.at(i, false)
+		defer h.release()
+		query.Over(x).Execute(p, emit)
+	}, fn)
 }
 
 // FindLimit returns at most k occurrences of pattern — the prefix fast
@@ -62,7 +62,7 @@ func (c *Collection) FindLimit(pattern []byte, k int) []Occurrence {
 		return nil
 	}
 	out := make([]Occurrence, 0, min(k, 64))
-	c.impl.FindFunc(pattern, func(o Occurrence) bool {
+	c.FindFunc(pattern, func(o Occurrence) bool {
 		out = append(out, o)
 		return len(out) < k
 	})
@@ -115,16 +115,6 @@ func (c *Collection) planIter(p *query.Plan) iter.Seq[Match] {
 	}
 }
 
-// sourceOf presents an unsharded implementation — one ladder, which
-// both core transformations are — as the query.Source plans execute
-// over.
-func sourceOf(impl collImpl) query.Source { return impl.(query.Source) }
-
-var (
-	_ query.Source = (*core.Amortized)(nil)
-	_ query.Source = (*core.WorstCase)(nil)
-)
-
 // ObjectsLimit returns at most k objects related to label — the fan-out
 // prefix fast path matching Collection.FindLimit. k ≤ 0 returns nil;
 // which objects arrive is unspecified.
@@ -133,7 +123,7 @@ func (r *Relation) ObjectsLimit(label uint64, k int) []uint64 {
 		return nil
 	}
 	out := make([]uint64, 0, min(k, 64))
-	r.rel.ObjectsOf(label, func(object uint64) bool {
+	r.ObjectsOf(label, func(object uint64) bool {
 		out = append(out, object)
 		return len(out) < k
 	})

@@ -22,7 +22,7 @@ import (
 // kept as the reference the per-part evaluation is compared against:
 // the two may verify different candidate sets, but must emit the same
 // matches in the same order with the same k-cut.
-type globalExec struct{ impl collImpl }
+type globalExec struct{ c *Collection }
 
 func (g globalExec) run(p *query.Plan) []Match {
 	var out []Match
@@ -33,13 +33,13 @@ func (g globalExec) run(p *query.Plan) []Match {
 	pattern := p.Spec().PatternBytes()
 	switch {
 	case !p.Regex() && !p.Ranked():
-		g.impl.FindFunc(pattern, func(o Occurrence) bool {
+		g.c.FindFunc(pattern, func(o Occurrence) bool {
 			return emit(Match{Doc: o.DocID, Off: o.Off, Len: len(pattern)})
 		})
 	case !p.Regex():
 		type agg struct{ n, first int }
 		aggs := map[uint64]*agg{}
-		g.impl.FindFunc(pattern, func(o Occurrence) bool {
+		g.c.FindFunc(pattern, func(o Occurrence) bool {
 			a := aggs[o.DocID]
 			if a == nil {
 				a = &agg{first: math.MaxInt}
@@ -50,7 +50,7 @@ func (g globalExec) run(p *query.Plan) []Match {
 		})
 		top := query.NewTopK(p.K())
 		for id, a := range aggs {
-			n, _ := g.impl.DocLen(id)
+			n, _ := g.c.DocLen(id)
 			top.Add(Match{Doc: id, Off: a.first, Len: len(pattern), Score: query.Score(n, a.n, a.first)})
 		}
 		out = top.Sorted()
@@ -59,11 +59,11 @@ func (g globalExec) run(p *query.Plan) []Match {
 		top := query.NewTopK(p.K())
 	docs:
 		for _, id := range g.candidateDocs(p) {
-			n, ok := g.impl.DocLen(id)
+			n, ok := g.c.DocLen(id)
 			if !ok {
 				continue
 			}
-			text, _ := g.impl.Extract(id, 0, n)
+			text, _ := g.c.Extract(id, 0, n)
 			locs := re.FindAllIndex(text, -1)
 			if p.Ranked() {
 				if len(locs) > 0 {
@@ -91,7 +91,7 @@ func (g globalExec) candidateDocs(p *query.Plan) []uint64 {
 			return docs
 		}
 	}
-	docs := g.impl.DocIDs()
+	docs := g.c.DocIDs()
 	slices.Sort(docs)
 	return docs
 }
@@ -101,7 +101,7 @@ func (g globalExec) filterDocs(groups [][][]byte) ([]uint64, bool) {
 	order := make([]int, len(groups))
 	for i, grp := range groups {
 		for _, lit := range grp {
-			totals[i] += g.impl.Count(lit)
+			totals[i] += g.c.Count(lit)
 		}
 		if totals[i] == 0 {
 			return nil, true
@@ -109,7 +109,7 @@ func (g globalExec) filterDocs(groups [][][]byte) ([]uint64, bool) {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int { return totals[a] - totals[b] })
-	if cheap := totals[order[0]]; cheap*4 > g.impl.Len() {
+	if cheap := totals[order[0]]; cheap*4 > g.c.Len() {
 		return nil, false
 	}
 	cands := g.groupDocs(groups[order[0]])
@@ -135,7 +135,7 @@ func (g globalExec) filterDocs(groups [][][]byte) ([]uint64, bool) {
 func (g globalExec) groupDocs(group [][]byte) map[uint64]struct{} {
 	set := make(map[uint64]struct{})
 	for _, lit := range group {
-		g.impl.FindFunc(lit, func(o Occurrence) bool {
+		g.c.FindFunc(lit, func(o Occurrence) bool {
 			set[o.DocID] = struct{}{}
 			return true
 		})
@@ -210,10 +210,10 @@ func checkPlansAgainstGlobal(t *testing.T, c *Collection, ordered bool) {
 		if err := c.Search(spec, func(m Match) bool { got = append(got, m); return true }); err != nil {
 			t.Fatal(err)
 		}
-		want := globalExec{c.impl}.run(p)
+		want := globalExec{c}.run(p)
 		if !ordered && !spec.Ranked {
 			if spec.K > 0 {
-				all := globalExec{c.impl}.run(mustCompile(t, SearchPlan{Pattern: spec.Pattern, Regex: spec.Regex}))
+				all := globalExec{c}.run(mustCompile(t, SearchPlan{Pattern: spec.Pattern, Regex: spec.Regex}))
 				if len(got) != len(want) {
 					t.Errorf("%+v: %d matches, want %d", spec, len(got), len(want))
 				}
@@ -384,7 +384,7 @@ func TestSearchPartsDuringBackgroundBuilds(t *testing.T) {
 				checkPlansAgainstGlobal(t, c, false)
 				checkPartsExclusive(t, c, live)
 			}
-			if st := c.impl.Stats(); st.PendingBuilds == 0 || st.TempParks == 0 {
+			if st := aggStats(perCore(&c.union, docCore.Stats, apply)); st.PendingBuilds == 0 || st.TempParks == 0 {
 				t.Fatalf("%d builds in flight and %d temps parked: the scenario tests nothing", st.PendingBuilds, st.TempParks)
 			}
 			release()
@@ -400,17 +400,10 @@ func TestSearchPartsDuringBackgroundBuilds(t *testing.T) {
 // exactly the live set, and their weights add up to the whole.
 func checkPartsExclusive(t *testing.T, c *Collection, live []uint64) {
 	t.Helper()
-	ladders := []collImpl{c.impl}
-	if sh, ok := c.impl.(*shardedColl); ok {
-		ladders = ladders[:0]
-		for _, s := range sh.shards {
-			ladders = append(ladders, s.impl)
-		}
-	}
 	seen := map[uint64]bool{}
 	weight := 0
-	for _, lad := range ladders {
-		sourceOf(lad).Parts(func(p core.Part) bool {
+	for _, lad := range c.union.cores {
+		lad.Parts(func(p core.Part) bool {
 			weight += p.LiveWeight()
 			for _, id := range p.LiveKeys() {
 				if seen[id] {

@@ -8,10 +8,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"dyncoll/internal/core"
 )
 
 func TestWithShardsValidation(t *testing.T) {
@@ -521,6 +525,86 @@ func TestShardedStats(t *testing.T) {
 	}
 	if un := mustCollection(t, WithSyncRebuilds()); un.Stats().Shards != 0 {
 		t.Fatal("unsharded Stats.Shards must be 0")
+	}
+}
+
+// TestAggStatsEveryField fills every field of two engine stats with
+// distinct non-zero values and checks the merge field by field through
+// reflection: counters sum, per-level slices sum element-wise, top lists
+// concatenate, Levels is the larger and Tau the first. Every structure's
+// Stats, sharded or not, goes through aggStats, so a field it forgot
+// would vanish everywhere; here it fails instead.
+func TestAggStatsEveryField(t *testing.T) {
+	next := int64(1)
+	var fill func(v reflect.Value, n int)
+	fill = func(v reflect.Value, n int) {
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(next)
+			next++
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			for i := 0; i < n; i++ {
+				fill(v.Index(i), n)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i), n)
+			}
+		default:
+			t.Fatalf("engine stats field of kind %v: teach this test how it aggregates", v.Kind())
+		}
+	}
+	var a, b core.Stats
+	fill(reflect.ValueOf(&a).Elem(), 2)
+	fill(reflect.ValueOf(&b).Elem(), 3) // one level more than a
+
+	var merge func(w, x, y reflect.Value, name string)
+	merge = func(w, x, y reflect.Value, name string) {
+		switch {
+		case name == "Levels":
+			w.SetInt(max(x.Int(), y.Int()))
+		case name == "Tau":
+			w.SetInt(x.Int())
+		case w.Kind() == reflect.Struct:
+			for i := 0; i < w.NumField(); i++ {
+				merge(w.Field(i), x.Field(i), y.Field(i), w.Type().Field(i).Name)
+			}
+		case w.Kind() == reflect.Slice && strings.HasPrefix(name, "Top"):
+			w.Set(reflect.AppendSlice(reflect.AppendSlice(w, x), y))
+		case w.Kind() == reflect.Slice: // per level; b, y here, has more
+			w.Set(reflect.MakeSlice(w.Type(), y.Len(), y.Len()))
+			for i := 0; i < y.Len(); i++ {
+				v := y.Index(i).Int()
+				if i < x.Len() {
+					v += x.Index(i).Int()
+				}
+				w.Index(i).SetInt(v)
+			}
+		default:
+			w.SetInt(x.Int() + y.Int())
+		}
+	}
+	var want core.Stats
+	merge(reflect.ValueOf(&want).Elem(), reflect.ValueOf(a), reflect.ValueOf(b), "")
+	if got := aggStats([]core.Stats{a, b}); !reflect.DeepEqual(got, want) {
+		t.Errorf("aggStats:\n got %+v\nwant %+v", got, want)
+	}
+
+	// One core's stats come back unchanged, sharded or not.
+	for _, opts := range [][]Option{nil, {WithShards(1)}} {
+		c := mustCollection(t, append(opts, WithSyncRebuilds(), WithMinCapacity(64))...)
+		for i := uint64(1); i <= 200; i++ {
+			mustInsert(t, c, Document{ID: i, Data: []byte(fmt.Sprintf("stats payload %d", i))})
+		}
+		c.DeleteBatch([]uint64{3, 5, 7, 11, 13})
+		x := c.union.cores[0]
+		want := indexStatsFrom(x.Stats())
+		want.Shards = c.cfg.shards
+		want.fillResidency(nil, x.SizeBits())
+		if got := c.Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards: Stats() = %+v, want the core's own %+v", c.cfg.shards, got, want)
+		}
 	}
 }
 

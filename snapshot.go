@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"syscall"
 
 	"dyncoll/internal/fanout"
@@ -64,34 +63,17 @@ type ladderCore interface {
 	RestoreMapped(spine []byte, stores []snap.MappedStore, retain snap.RetainFunc) error
 }
 
-// front is a structure's persistence view: its cores in shard order and
-// the read lock of each — exactly one core and no lock when the
-// structure is unsharded, whose callers serialize access themselves.
-// Every format is written and read once, over a front; nothing below
-// this type knows which structure, or how many shards, it is handling.
-type front struct {
-	cores []ladderCore
-	mus   []*sync.RWMutex
-}
+// front is a structure's persistence view: the union of its cores (see
+// shard.go), each bound to its payload codec, under the structure's own
+// locks. Every format is written and read once, over a front; nothing
+// below this type knows which structure, or how many shards, it is
+// handling.
+type front = union[ladderCore]
 
-// rlock takes every shard's read lock, so a pass over the cores is one
-// consistent cut — concurrent readers proceed, writers wait.
-func (f front) rlock() {
-	for _, mu := range f.mus {
-		mu.RLock()
-	}
-}
-
-func (f front) runlock() {
-	for _, mu := range f.mus {
-		mu.RUnlock()
-	}
-}
-
-// restore runs fn over every core in parallel and returns the first
-// error, converting a panic in any of them into ErrBadSnapshot (see
-// guard; a goroutine's panic cannot be recovered by its caller).
-func (f front) restore(fn func(i int, c ladderCore) error) error {
+// restore runs fn over every core of f in parallel and returns the
+// first error, converting a panic in any of them into ErrBadSnapshot
+// (see guard; a goroutine's panic cannot be recovered by its caller).
+func restore(f front, fn func(i int, c ladderCore) error) error {
 	errs := make([]error, len(f.cores))
 	fanout.ForEach(len(f.cores), func(i int) {
 		defer guard(&errs[i])
@@ -346,7 +328,7 @@ func loadSnapshot(s structure, r io.Reader) (err error) {
 	if err != nil {
 		return err
 	}
-	if err := f.restore(func(i int, c ladderCore) error {
+	if err := restore(f, func(i int, c ladderCore) error {
 		return c.RestoreStream(snap.NewDecoder(blobs[i]))
 	}); err != nil {
 		return err

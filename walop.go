@@ -120,9 +120,9 @@ func (r *Relation) applyRecord(payload []byte) error {
 		return snap.Corruptf("wal record: %d trailing bytes", dec.Remaining())
 	}
 	if op == add {
-		r.rel.Add(a, b)
+		r.add(a, b)
 	} else {
-		r.rel.Delete(a, b)
+		r.del(a, b)
 	}
 	return nil
 }
