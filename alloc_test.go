@@ -8,8 +8,11 @@ package dyncoll
 // quietly reintroduce per-query garbage.
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"dyncoll/internal/fanout"
 	"dyncoll/internal/fmindex"
 	"dyncoll/internal/textgen"
 )
@@ -65,6 +68,55 @@ func TestCountZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// A ladder of about a hundred parts, where a Count's pass borrows a
+	// helper: the team is its one allocation, and a helper's goroutine
+	// one more when the runtime has no dead goroutine to reuse.
+	// testing.AllocsPerRun runs at GOMAXPROCS 1, where there is no
+	// helper to borrow, so the mallocs are counted here at 2 or more.
+	t.Run("manystore", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+		docs := benchDocs(1<<19, 16, 41)
+		c := manyStoreCollection(t, docs)
+		pats := textgen.NewPatternSampler(docs, 43).PlantedSet(16, 8)
+		want := make([]int, len(pats))
+		for i, p := range pats {
+			want[i] = c.Count(p)
+		}
+		// Warm up: the runtime's free list of dead goroutines, from which
+		// a helper's goroutine is taken, fills over the first few hundred.
+		for i := 0; i < 500; i++ {
+			c.Count(pats[i%len(pats)])
+		}
+		// The mallocs are the process's: a goroutine an earlier test left
+		// behind can only add to them, so the least of three rounds counts.
+		const runs = 500
+		before := fanout.ReadTeamCounts()
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				if got := c.Count(pats[i%len(pats)]); got != want[i%len(pats)] {
+					t.Fatalf("Count(%q) drifted: %d != %d", pats[i%len(pats)], got, want[i%len(pats)])
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.Mallocs-m0.Mallocs)
+		}
+		if avg := float64(least) / runs; avg > 2 {
+			t.Fatalf("Count over a team allocates %.3f objects/op, want ≤ 2", avg)
+		}
+		// A helper ran: one that starts after the caller has claimed the
+		// last part visits nothing, so count on until one has visited a part.
+		for i := 0; fanout.ReadTeamCounts().HelperParts == before.HelperParts && i < 10000; i++ {
+			c.Count(pats[i%len(pats)])
+		}
+		after := fanout.ReadTeamCounts()
+		if after.Passes == before.Passes || after.HelperParts == before.HelperParts {
+			t.Fatalf("%d team passes, %d parts visited by helpers: no helper ran",
+				after.Passes-before.Passes, after.HelperParts-before.HelperParts)
+		}
+	})
 }
 
 // TestKeyedReadAllocs pins the routed reads of an unsharded collection:

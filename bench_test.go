@@ -682,25 +682,13 @@ func BenchmarkIngestSharded(b *testing.B) {
 //
 // Two corpus shapes: the original 131 k symbols in one InsertBatch over
 // four shards (a handful of stores, short literals that occur in every
-// one), and "manystore", 524 k symbols ingested unsharded in 96 batches
-// — one top collection per batch, the ladder batched ingest leaves in
-// production — queried with literals long enough to be absent from most
-// stores, which is where deciding the filter store by store pays.
+// one), and "manystore" (manyStoreCollection), queried with literals
+// long enough to be absent from most stores, which is where deciding
+// the filter store by store pays.
 func BenchmarkRegexSearch(b *testing.B) {
 	few := benchDocs(1<<17, 16, 41)
 	many := benchDocs(1<<19, 16, 41)
-	manyStores, err := NewCollection(WithSyncRebuilds())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for batch := range slices.Chunk(many, (len(many)+95)/96) {
-		if err := manyStores.InsertBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if st := manyStores.Stats(); st.Tops < 64 {
-		b.Fatalf("batched ingest left %d tops, want ≥ 64", st.Tops)
-	}
+	manyStores := manyStoreCollection(b, many)
 	for _, shape := range []struct {
 		prefix string
 		c      *Collection
@@ -753,6 +741,40 @@ func BenchmarkRegexSearch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// manyStoreCollection ingests docs unsharded in 96 batches — one top
+// collection per batch, the ladder batched ingest leaves in production —
+// so a pass over its parts is long enough to get a team.
+func manyStoreCollection(tb testing.TB, docs []Document) *Collection {
+	tb.Helper()
+	c, err := NewCollection(WithSyncRebuilds())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for batch := range slices.Chunk(docs, (len(docs)+95)/96) {
+		if err := c.InsertBatch(batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Tops < 2*fanout.PartsPerWorker {
+		tb.Fatalf("batched ingest left %d tops, want ≥ %d", st.Tops, 2*fanout.PartsPerWorker)
+	}
+	return c
+}
+
+// BenchmarkCountManyStores counts planted patterns over the manystore
+// ladder, about a hundred parts: at -cpu 1 the caller visits every part,
+// at -cpu 2 and 4 the pass borrows helpers.
+func BenchmarkCountManyStores(b *testing.B) {
+	docs := benchDocs(1<<19, 16, 41)
+	c := manyStoreCollection(b, docs)
+	pats := textgen.NewPatternSampler(docs, 43).PlantedSet(64, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Count(pats[i%len(pats)])
 	}
 }
 

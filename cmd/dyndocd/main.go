@@ -380,6 +380,28 @@ func runFrontend(cfg frontendConfig) {
 	serveUntilSignal("frontend", cfg.listen, f.Handler(), cfg.drainTimeout, nil)
 }
 
+// Slow-client bounds, the same for both modes: a client has
+// readHeaderTimeout to send its request line and headers, which may
+// total at most maxHeaderBytes, and a keep-alive connection is closed
+// after idleTimeout without a request. The frontend keeps its idle
+// backend connections for 90 s and drops one the backend has closed.
+// Response writes are not bounded here.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 10 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer is the server both modes run h on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // serveUntilSignal runs the HTTP server until SIGTERM/SIGINT, then
 // drains: stop accepting, finish in-flight requests (bounded by
 // drainTimeout), run the optional onDrained hook (snapshot), exit 0.
@@ -388,7 +410,7 @@ func serveUntilSignal(role, listen string, h http.Handler, drainTimeout time.Dur
 	if err != nil {
 		log.Fatalf("dyndocd: listen %s: %v", listen, err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := newHTTPServer(h)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -6,6 +6,7 @@ import (
 
 	"dyncoll/internal/doc"
 	"dyncoll/internal/engine"
+	"dyncoll/internal/fanout"
 )
 
 // Stats reports the engine's ladder state and rebuild counters; it is
@@ -150,34 +151,29 @@ func (c *collection) Len() int { return c.eng.Len() }
 // DocCount reports the number of live documents.
 func (c *collection) DocCount() int { return c.eng.Count() }
 
-// Parts calls visit for each sub-collection of the ladder — C0, levels,
-// locked and retiring build sources, parked temps, tops — under one
-// engine view, until visit returns false. Every live document is in
-// exactly one part, so a query answered part by part and unioned is
-// answered exactly. The worst-case engine holds its mutex throughout:
-// visit must not re-enter the ladder.
-func (c *collection) Parts(visit func(Part) bool) {
+// Parts runs fn under one engine view with the ladder's sub-collections
+// — C0, levels, locked and retiring build sources, parked temps, tops —
+// as part(0) … part(n−1). Every live document is in exactly one part, so
+// a query answered part by part and unioned is answered exactly. A
+// caller visits the parts on a team (fanout.Reduce, fanout.Stream), so
+// part(i) may be called from helper goroutines while fn runs. The
+// worst-case engine holds its mutex throughout: fn must not re-enter the
+// ladder.
+func (c *collection) Parts(fn func(n int, part func(i int) Part)) {
 	c.eng.View(func(stores []engine.Store[uint64, doc.Doc]) {
-		for _, s := range stores {
-			if !visit(s.(Part)) {
-				return
-			}
-		}
+		fn(len(stores), func(i int) Part { return stores[i].(Part) })
 	})
 }
 
 // FindFunc calls fn for every occurrence of pattern across all live
 // documents; enumeration stops early if fn returns false. An empty
-// pattern matches at every live position.
+// pattern matches at every live position. The parts are enumerated by a
+// team whose streams merge into fn on the caller's goroutine.
 func (c *collection) FindFunc(pattern []byte, fn func(Occurrence) bool) {
-	more := true
-	each := func(o Occurrence) bool {
-		more = fn(o)
-		return more
-	}
-	c.Parts(func(p Part) bool {
-		p.FindFunc(pattern, each)
-		return more
+	c.Parts(func(n int, part func(int) Part) {
+		fanout.Stream(n, func(i int, emit func(Occurrence) bool) {
+			part(i).FindFunc(pattern, emit)
+		}, fn)
 	})
 }
 

@@ -363,11 +363,7 @@ func (a *Amortized[K, I]) View(fn func(stores []Store[K, I])) {
 
 // Query sums fn over every queryable store (see Ladder.Query).
 func (a *Amortized[K, I]) Query(arg []byte, fn func(st Store[K, I], arg []byte) int) int {
-	n := 0
-	for _, s := range a.stores() {
-		n += fn(s, arg)
-	}
-	return n
+	return sumStores(a.stores(), arg, fn)
 }
 
 // ViewOwner runs fn on the store holding key, if live.

@@ -33,6 +33,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+
+	"dyncoll/internal/fanout"
 )
 
 // ErrDuplicateKey reports an insert whose key is already live. Adapters
@@ -245,7 +247,9 @@ type Ladder[K comparable, I any] interface {
 	// query path free of closure allocations (View requires a capturing
 	// closure to carry the pattern and accumulator); combined with the
 	// engines' cached store lists this makes counting queries
-	// zero-allocation. fn must not re-enter the ladder.
+	// zero-allocation. The stores are summed by a team (sumStores), so fn
+	// may run on a helper goroutine: it must not re-enter the ladder, and
+	// must keep no state but its result.
 	Query(arg []byte, fn func(st Store[K, I], arg []byte) int) int
 	// WaitIdle blocks until background builds have landed (worst-case
 	// engine; a no-op for the amortized engine).
@@ -257,6 +261,22 @@ type Ladder[K comparable, I any] interface {
 	Tau() int
 	SizeBits() int64
 	Stats() Stats
+}
+
+// storeSum is Query's pass: fn summed over the stores by a team of
+// workers (fanout.Reduce), each adding up the stores it claims. It is
+// passed by value, so a pass without helpers allocates nothing.
+type storeSum[K comparable, I any] struct {
+	stores []Store[K, I]
+	arg    []byte
+	fn     func(st Store[K, I], arg []byte) int
+}
+
+func (s storeSum[K, I]) Fold(n, i int) int  { return n + s.fn(s.stores[i], s.arg) }
+func (s storeSum[K, I]) Merge(a, b int) int { return a + b }
+
+func sumStores[K comparable, I any](stores []Store[K, I], arg []byte, fn func(st Store[K, I], arg []byte) int) int {
+	return fanout.Reduce[int](len(stores), storeSum[K, I]{stores, arg, fn})
 }
 
 // autoTau computes τ = max(2, log₂ n / log₂ log₂ n) as the paper's

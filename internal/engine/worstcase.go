@@ -1128,11 +1128,7 @@ func (w *WorstCase[K, I]) View(fn func(stores []Store[K, I])) {
 func (w *WorstCase[K, I]) Query(arg []byte, fn func(st Store[K, I], arg []byte) int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := 0
-	for _, s := range w.allStores() {
-		n += fn(s, arg)
-	}
-	return n
+	return sumStores(w.allStores(), arg, fn)
 }
 
 // ViewOwner runs fn (under the engine mutex) on the store holding key,

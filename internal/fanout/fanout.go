@@ -4,7 +4,8 @@
 // (dyncoll.WithShards) uses it to merge per-shard query streams; the
 // networked frontend (internal/server) uses the identical contract to
 // merge per-backend NDJSON streams — a backend is one more shard level,
-// so the merge semantics must be the same in both places.
+// so the merge semantics must be the same in both places. team.go runs
+// the parts of one ladder on a team of workers under the same contract.
 package fanout
 
 import (

@@ -3,10 +3,12 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dyncoll/internal/core"
 	"dyncoll/internal/doc"
+	"dyncoll/internal/fanout"
 	"dyncoll/internal/fmindex"
 )
 
@@ -32,11 +34,11 @@ func (x *countingIndex) Locate(row int) (int, int) {
 // gateTops is the number of top collections of the work gate's ladder.
 const gateTops = 32
 
-// gateLadder builds a fixed ladder of gateTops tops, the way batched
-// ingest leaves one: every InsertBatch larger than C0 becomes a top of
-// its own. plant[b] is appended to the first document of batch b; the
+// gateLadder builds a fixed ladder of tops tops, the way batched ingest
+// leaves one: every InsertBatch larger than C0 becomes a top of its
+// own. plant[b] is appended to the first document of batch b; the
 // filler alphabet shares no byte with any planted text.
-func gateLadder(t *testing.T, plant map[int]string) (*core.WorstCase, []*countingIndex) {
+func gateLadder(t *testing.T, tops int, plant map[int]string) (*core.WorstCase, []*countingIndex) {
 	t.Helper()
 	var built []*countingIndex
 	lad := core.NewWorstCase(core.Options{
@@ -49,7 +51,7 @@ func gateLadder(t *testing.T, plant map[int]string) (*core.WorstCase, []*countin
 	})
 	rng := rand.New(rand.NewSource(19))
 	id := uint64(1)
-	for b := 0; b < gateTops; b++ {
+	for b := 0; b < tops; b++ {
 		batch := make([]doc.Doc, 6)
 		for i := range batch {
 			data := make([]byte, 40)
@@ -66,8 +68,8 @@ func gateLadder(t *testing.T, plant map[int]string) (*core.WorstCase, []*countin
 			t.Fatal(err)
 		}
 	}
-	if st := lad.Stats(); st.Tops != gateTops || len(built) != gateTops {
-		t.Fatalf("ladder has %d tops from %d builds, want %d of each", st.Tops, len(built), gateTops)
+	if st := lad.Stats(); st.Tops != tops || len(built) != tops {
+		t.Fatalf("ladder has %d tops from %d builds, want %d of each", st.Tops, len(built), tops)
 	}
 	return lad, built
 }
@@ -83,7 +85,7 @@ func gateLadder(t *testing.T, plant map[int]string) (*core.WorstCase, []*countin
 // the bound also holds the planner to counting its longest literals
 // first.
 func TestRegexWorkGate(t *testing.T) {
-	lad, built := gateLadder(t, map[int]string{
+	lad, built := gateLadder(t, gateTops, map[int]string{
 		5:  "NEEDLE..HAYSTK", // both rare groups: a match
 		20: "HAYSTK NEEDLE",  // both rare groups: a candidate that fails verification
 		9:  "NEEDLE",         // the first only
@@ -131,12 +133,56 @@ func TestRegexWorkGate(t *testing.T) {
 	}
 }
 
+// TestRegexWorkGateTeam: on a ladder of three times the gate's tops,
+// where a plan's pass gets a team, every store does exactly the index
+// work it does when the caller visits every part alone. The work is
+// distributed, not added.
+func TestRegexWorkGateTeam(t *testing.T) {
+	lad, built := gateLadder(t, 3*gateTops, map[int]string{
+		5: "NEEDLE..HAYSTK", 20: "HAYSTK NEEDLE", 9: "NEEDLE", 13: "HAYSTK",
+		70: "NEEDLE..HAYSTK", 81: "NEEDLE",
+	})
+	p, err := Compile(Spec{Pattern: `NEEDLE.{0,2}HAYSTK`, Regex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := func() ([]int, []Match) {
+		for _, x := range built {
+			x.ranges, x.locates = 0, 0
+		}
+		got := collect(lad, p)
+		var w []int
+		for _, x := range built {
+			w = append(w, x.ranges, x.locates)
+		}
+		return w, got
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, want := work()
+	runtime.GOMAXPROCS(4)
+	// A helper that starts after the caller has claimed every part does
+	// nothing; repeat until helpers did visit parts.
+	before := fanout.ReadTeamCounts().HelperParts
+	for r := 0; r < 200 && fanout.ReadTeamCounts().HelperParts == before; r++ {
+		team, got := work()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("matches with a team %v, serial %v", got, want)
+		}
+		if fmt.Sprint(team) != fmt.Sprint(serial) {
+			t.Fatalf("per-store (backward searches, locates) with a team:\n%v\nserial:\n%v", team, serial)
+		}
+	}
+	if fanout.ReadTeamCounts().HelperParts == before {
+		t.Fatal("no helper visited a part in 200 passes")
+	}
+}
+
 // TestRegexCrossStoreTrap: a literal of each group occurs somewhere in
 // the ladder, but never two in one sub-collection. Counted over the
 // whole ladder both groups are present and one of them is enumerated;
 // decided per part there is no candidate and nothing is enumerated.
 func TestRegexCrossStoreTrap(t *testing.T) {
-	lad, built := gateLadder(t, map[int]string{3: "TRAPAA", 7: "TRAPBB"})
+	lad, built := gateLadder(t, gateTops, map[int]string{3: "TRAPAA", 7: "TRAPBB"})
 	for _, spec := range []Spec{
 		{Pattern: `TRAPAA.*TRAPBB`, Regex: true},
 		{Pattern: `TRAPBB.*TRAPAA`, Regex: true, Ranked: true, K: 3},
@@ -163,7 +209,7 @@ func TestRegexCrossStoreTrap(t *testing.T) {
 // costs a backward search and no memory — no set, no list — so a plan's
 // allocations do not grow with the number of sub-collections it prunes.
 func TestRegexPrunedPartsAllocateNothing(t *testing.T) {
-	lad, _ := gateLadder(t, map[int]string{9: "NEEDLE"})
+	lad, _ := gateLadder(t, gateTops, map[int]string{9: "NEEDLE"})
 	p, err := Compile(Spec{Pattern: `HAYSTK.*NEEDLE`, Regex: true})
 	if err != nil {
 		t.Fatal(err)

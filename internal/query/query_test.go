@@ -30,7 +30,9 @@ func newFakeSource(docs map[uint64][]byte) *fakeSource {
 	return f
 }
 
-func (f *fakeSource) Parts(visit func(core.Part) bool) { visit(f) }
+func (f *fakeSource) Parts(fn func(n int, part func(int) core.Part)) {
+	fn(1, func(int) core.Part { return f })
+}
 
 func (f *fakeSource) FindFunc(pattern []byte, fn func(core.Occurrence) bool) {
 	for _, id := range f.ids {

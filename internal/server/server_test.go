@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"dyncoll"
+	"dyncoll/internal/fanout"
 )
 
 // newTestBackend builds a small sharded collection behind a Backend and
@@ -304,6 +306,35 @@ func TestVarz(t *testing.T) {
 	}
 	if v.Endpoints["find"].Requests != 0 {
 		t.Fatalf("find endpoint should have 0 requests, got %+v", v.Endpoints["find"])
+	}
+}
+
+// onePass is a Reduce pass that sums its part indices.
+type onePass struct{}
+
+func (onePass) Fold(acc, i int) int { return acc + i }
+func (onePass) Merge(a, b int) int  { return a + b }
+
+// TestVarzTeams: /varz serves the process-wide team counters beside
+// built_weight, so an operator can see whether reads used a second core.
+func TestVarzTeams(t *testing.T) {
+	_, ts := newTestBackend(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	before := fanout.ReadTeamCounts()
+	if got, n := fanout.Reduce[int](4*fanout.PartsPerWorker, onePass{}), 4*fanout.PartsPerWorker; got != n*(n-1)/2 {
+		t.Fatalf("team pass summed %d", got)
+	}
+	var raw struct {
+		Ladder struct {
+			Teams map[string]uint64 `json:"teams"`
+		} `json:"ladder"`
+	}
+	getJSON(t, ts.URL+"/varz", &raw)
+	if q, ok := raw.Ladder.Teams["team_queries"]; !ok || q <= before.Passes {
+		t.Fatalf("varz teams %v: want team_queries above %d after a team pass", raw.Ladder.Teams, before.Passes)
+	}
+	if _, ok := raw.Ladder.Teams["helper_parts"]; !ok {
+		t.Fatalf("varz teams %v: no helper_parts", raw.Ladder.Teams)
 	}
 }
 

@@ -403,15 +403,17 @@ func checkPartsExclusive(t *testing.T, c *Collection, live []uint64) {
 	seen := map[uint64]bool{}
 	weight := 0
 	for _, lad := range c.union.cores {
-		lad.Parts(func(p core.Part) bool {
-			weight += p.LiveWeight()
-			for _, id := range p.LiveKeys() {
-				if seen[id] {
-					t.Errorf("document %d is live in two parts", id)
+		lad.Parts(func(n int, part func(int) core.Part) {
+			for i := range n {
+				p := part(i)
+				weight += p.LiveWeight()
+				for _, id := range p.LiveKeys() {
+					if seen[id] {
+						t.Errorf("document %d is live in two parts", id)
+					}
+					seen[id] = true
 				}
-				seen[id] = true
 			}
-			return true
 		})
 	}
 	if len(seen) != len(live) || weight != c.Len() {
