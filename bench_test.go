@@ -859,7 +859,11 @@ func BenchmarkTopK(b *testing.B) {
 
 // BenchmarkInsertBatch measures the headline batch win: one InsertBatch
 // call validates up front and triggers at most one rebuild cascade,
-// where the equivalent Insert loop pays a cascade per document.
+// where the equivalent Insert loop pays a cascade per document. The
+// stream mode is bulk ingest as a loader runs it: 64 over-C0 batches
+// with builds in the background, then WaitIdle. Each batch parks, and
+// up to GOMAXPROCS builds run at once, so run it at -cpu 1,2 to read
+// the scaling.
 func BenchmarkInsertBatch(b *testing.B) {
 	for _, nDocs := range []int{256, 1024} {
 		gen := textgen.NewCollection(textgen.CollectionOptions{
@@ -871,18 +875,29 @@ func BenchmarkInsertBatch(b *testing.B) {
 			docs[i] = gen.NextDoc()
 			syms += len(docs[i].Data)
 		}
-		for _, mode := range []string{"looped", "batch"} {
+		for _, mode := range []string{"looped", "batch", "stream"} {
 			b.Run(fmt.Sprintf("%s/docs=%d", mode, nDocs), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					c, err := NewCollection(WithSyncRebuilds())
+					opts := []Option{WithSyncRebuilds()}
+					if mode == "stream" {
+						opts = nil
+					}
+					c, err := NewCollection(opts...)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if mode == "batch" {
+					switch mode {
+					case "batch":
 						if err := c.InsertBatch(docs); err != nil {
 							b.Fatal(err)
 						}
-					} else {
+					case "stream":
+						for k := range 64 {
+							if err := c.InsertBatch(docs[k*nDocs/64 : (k+1)*nDocs/64]); err != nil {
+								b.Fatal(err)
+							}
+						}
+					default:
 						for _, d := range docs {
 							if err := c.Insert(d); err != nil {
 								b.Fatal(err)

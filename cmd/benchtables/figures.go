@@ -120,8 +120,8 @@ func fig23(quick bool) {
 		pct(t2, 0.5), pct(t2, 0.9), pct(t2, 0.99), t2[len(t2)-1])
 
 	st := w.Stats()
-	fmt.Printf("\nT2 machinery counters: background builds=%d sync builds=%d temp parks=%d\n",
-		st.BackgroundBuilds, st.SyncBuilds, st.TempParks)
+	fmt.Printf("\nT2 machinery counters: background builds=%d temp parks=%d\n",
+		st.BackgroundBuilds, st.TempParks)
 	fmt.Printf("top collections: %d (max %d), purge sweeps=%d, rebalances=%d\n",
 		st.Tops, st.MaxTops, st.TopPurges, st.Rebalances)
 	worstDead := 0.0

@@ -285,8 +285,8 @@ type IndexStats struct {
 	// index 0 is the uncompressed C0.
 	LevelSizes []int
 	LevelCaps  []int
-	// Rebuilds counts level rebuilds (amortized) or background + sync
-	// builds (worst-case); GlobalRebuilds counts whole-structure
+	// Rebuilds counts level rebuilds (amortized) or background builds
+	// (worst-case); GlobalRebuilds counts whole-structure
 	// rebuilds/rebalances.
 	Rebuilds       int
 	GlobalRebuilds int
@@ -296,6 +296,10 @@ type IndexStats struct {
 	Tops          int
 	TopSizes      []int
 	PendingBuilds int
+	// Parked is the weight an update parked unbuilt (worst-case
+	// transformation): queryable by scanning until the background builds
+	// replacing it land.
+	Parked int
 	// BuiltWeight is the weight handed to the static-index builder since
 	// the structure was created, by cause; its total over the weight
 	// inserted is the write amplification of the transformation.
@@ -316,8 +320,7 @@ type IndexStats struct {
 
 // BuiltWeight splits the weight a structure has built into static
 // indexes by cause: level merges, new top collections, purges of
-// deleted items, whole-structure rebalances, and (worst-case
-// transformation) builds done synchronously inside an update.
+// deleted items and whole-structure rebalances.
 type BuiltWeight = core.BuiltWeight
 
 // fillResidency splits the estimated footprint into mapped (snapshot
@@ -337,11 +340,12 @@ func indexStatsFrom(st core.Stats) IndexStats {
 		Levels:         st.Levels,
 		LevelSizes:     st.LevelSizes,
 		LevelCaps:      st.LevelCaps,
-		Rebuilds:       st.LevelRebuilds + st.BackgroundBuilds + st.SyncBuilds,
+		Rebuilds:       st.LevelRebuilds + st.BackgroundBuilds,
 		GlobalRebuilds: st.GlobalRebuilds + st.Rebalances,
 		Tops:           st.Tops,
 		TopSizes:       st.TopSizes,
 		PendingBuilds:  st.PendingBuilds,
+		Parked:         st.Parked,
 		BuiltWeight:    st.BuiltWeight,
 		Tau:            st.Tau,
 	}

@@ -19,8 +19,9 @@ type BuiltWeight = engine.BuiltWeight
 
 // ladderConfig assembles the engine's payload contract for documents:
 // keys are document IDs, weights are payload symbol counts, C0 is the
-// uncompressed generalized suffix tree, and static sub-collections are
-// SemiDynamic wrappers over the configured index builder.
+// uncompressed generalized suffix tree, static sub-collections are
+// SemiDynamic wrappers over the configured index builder, and an update
+// the worst-case engine cannot put into C0 is parked unbuilt (parked).
 func ladderConfig(opts Options) engine.Config[uint64, doc.Doc] {
 	return engine.Config[uint64, doc.Doc]{
 		Key:    func(d doc.Doc) uint64 { return d.ID },
@@ -28,6 +29,9 @@ func ladderConfig(opts Options) engine.Config[uint64, doc.Doc] {
 		NewC0:  func() engine.Mutable[uint64, doc.Doc] { return newC0() },
 		Build: func(docs []doc.Doc, tau int) engine.Store[uint64, doc.Doc] {
 			return NewSemiDynamic(opts.Builder(docs), tau, opts.Counting)
+		},
+		Park: func(docs []doc.Doc) engine.Store[uint64, doc.Doc] {
+			return newParked(docs)
 		},
 		Tau:         opts.Tau,
 		Epsilon:     opts.Epsilon,

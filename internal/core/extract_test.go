@@ -24,10 +24,10 @@ func (x strictIndex) Extract(d, off, length int) []byte {
 }
 
 // TestExtractClampAcrossParts holds every kind of part to one clamp: the
-// C0 suffix tree and a semi-dynamic store over each built-in index, and
-// over a custom index that does not clamp, return the same bytes for
-// the same request — extreme ints included — and nothing panics or
-// overflows. A document reads the same whichever part holds it.
+// C0 suffix tree, a parked payload, a semi-dynamic store over each
+// built-in index, and over a custom index that does not clamp, return
+// the same bytes for the same request — extreme ints included — and
+// nothing panics or overflows. A document reads the same whichever part holds it.
 func TestExtractClampAcrossParts(t *testing.T) {
 	payload := []byte("hello")
 	docs := []doc.Doc{{ID: 7, Data: payload}, {ID: 8, Data: []byte("world!")}}
@@ -35,7 +35,7 @@ func TestExtractClampAcrossParts(t *testing.T) {
 	for _, d := range docs {
 		c0.Insert(d)
 	}
-	parts := map[string]Part{"c0": c0}
+	parts := map[string]Part{"c0": c0, "parked": newParked(docs)}
 	for name, build := range map[string]Builder{"fm": fmBuilder, "sa": saBuilder, "csa": csaBuilder} {
 		parts[name] = NewSemiDynamic(build(docs), 4, false)
 	}

@@ -98,6 +98,13 @@ type Config[K comparable, I any] struct {
 	// Build constructs a deletion-only static payload over items; tau
 	// is the lazy-deletion parameter in effect (Lemma 3 word width).
 	Build func(items []I, tau int) Store[K, I]
+	// Park makes items queryable without building anything: the
+	// worst-case engine holds an update's items in a parked store while
+	// the build that replaces it runs in the background. The store must
+	// not keep the caller's item buffers, and if it implements
+	// Snapshotter it must yield the items in the order given. nil means a
+	// fresh C0 filled with the items.
+	Park func(items []I) Store[K, I]
 
 	// Tau is the space/overhead trade-off parameter τ: a structure is
 	// purged once a 1/τ fraction of its weight is dead. 0 means
@@ -130,6 +137,16 @@ func (c Config[K, I]) withDefaults() Config[K, I] {
 	if c.Tau < 0 {
 		panic(fmt.Sprintf("engine: negative Tau %d", c.Tau))
 	}
+	if c.Park == nil {
+		newC0 := c.NewC0
+		c.Park = func(items []I) Store[K, I] {
+			m := newC0()
+			for _, it := range items {
+				m.Insert(it)
+			}
+			return m
+		}
+	}
 	return c
 }
 
@@ -153,7 +170,6 @@ type Stats struct {
 
 	// Worst-case counters.
 	BackgroundBuilds int
-	SyncBuilds       int
 	TempParks        int
 	TopPurges        int
 	Rebalances       int
@@ -163,6 +179,9 @@ type Stats struct {
 	MaxTops       int
 	TopSizes      []int
 	TopDead       []int
+	// Parked is the live weight held unbuilt (Config.Park), answered by
+	// scanning until the builds that replace it land.
+	Parked int
 
 	// NF is the weight at the last global rebuild/rebalance; Tau the τ
 	// in effect since then.
@@ -187,14 +206,11 @@ type BuiltWeight struct {
 	// Rebalance: the whole structure rebuilt — the amortized global
 	// rebuild, the worst-case Section A.3 rebalance.
 	Rebalance int64 `json:"rebalance"`
-	// Sync: built by the worst-case engine on the caller's goroutine,
-	// under its lock: parked temps, heavy items, oversized batches.
-	Sync int64 `json:"sync"`
 }
 
 // Total is the weight built for any reason.
 func (b BuiltWeight) Total() int64 {
-	return b.LevelMerge + b.Top + b.Purge + b.Rebalance + b.Sync
+	return b.LevelMerge + b.Top + b.Purge + b.Rebalance
 }
 
 // Add accumulates o into b.
@@ -203,7 +219,6 @@ func (b *BuiltWeight) Add(o BuiltWeight) {
 	b.Top += o.Top
 	b.Purge += o.Purge
 	b.Rebalance += o.Rebalance
-	b.Sync += o.Sync
 }
 
 // weightOf sums the weights of items.

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -35,8 +37,11 @@ import (
 // new item in a per-level temp payload (cost proportional to the item)
 // or defers the merge until the build lands. Foreground work per update
 // therefore stays proportional to the update itself, which is the
-// guarantee Transformation 2 exists to provide. Config.Inline forces
-// synchronous completion for deterministic tests.
+// guarantee Transformation 2 exists to provide. No update builds an
+// index itself: whatever it cannot put into C0 it parks (Config.Park) —
+// an unbuilt store that answers queries by scanning — and Config.Build
+// runs only inside launch. Config.Inline forces synchronous completion
+// for deterministic tests.
 //
 // Unlike Amortized, WorstCase serializes every operation on an internal
 // mutex and is safe for concurrent use.
@@ -102,6 +107,10 @@ type buildTask[K comparable, I any] struct {
 	purge   bool  // a buildTop that rebuilds one top without its dead items
 	built   int64 // weight handed to Build; written before done is sent
 	done    chan []Store[K, I]
+
+	// parkedTop marks a buildTop over one parked store: an over-C0
+	// batch chunk or a big item. These install in launch order.
+	parkedTop bool
 
 	// tombstones records items deleted from the sources while the build
 	// is in flight. The background goroutine applies the ones it sees
@@ -237,10 +246,8 @@ func (w *WorstCase[K, I]) slotBusy(j int) bool {
 // would consume at rungs j and j+1 — the level occupants and parked
 // temps — feeds an in-flight build. A build targeting level j keeps
 // levels[j] (and ride-along temps at slot j) queryable in place while
-// sourcing them, which slotBusy(j) does not see; taking such a store
-// (takeLevelItems, a synchronous rebuild) would install its items a
-// second time while the old store still answers queries through the
-// retiring list, double-counting every item until the build lands.
+// sourcing them, which slotBusy(j) does not see; enlisting such a store
+// in a second build would install its items twice.
 func (w *WorstCase[K, I]) ladderBusy(j int) bool {
 	if w.targetBusy(j) {
 		return true
@@ -306,29 +313,79 @@ func (w *WorstCase[K, I]) launch(t *buildTask[K, I]) {
 }
 
 // drainLocked absorbs finished builds; if wait is true it blocks until
-// all in-flight builds complete. Callers hold w.mu.
+// all in-flight builds complete. Parked tops install in launch order: a
+// finished one waits while an older one is still running, so the tops
+// of a bulk ingest sit in the same order whichever build finished
+// first. Callers hold w.mu.
 func (w *WorstCase[K, I]) drainLocked(wait bool) {
+	parkedRunning := false // an older parked top is still building
 	for i := 0; i < len(w.builds); {
 		t := w.builds[i]
 		var out []Store[K, I]
 		if wait {
 			out = <-t.done
+		} else if t.parkedTop && parkedRunning {
+			i++
+			continue
 		} else {
 			select {
 			case out = <-t.done:
 			default:
+				parkedRunning = parkedRunning || t.parkedTop
 				i++
 				continue
 			}
 		}
-		w.finish(t, out)
-		w.builds = append(w.builds[:i], w.builds[i+1:]...)
+		w.install(i, out)
 	}
 	w.reconcile()
 	if w.needsReb && !w.rebalancing {
 		w.needsReb = false
 		w.startRebalance()
 	}
+}
+
+// install finishes w.builds[i] with its result and drops it from the
+// in-flight list.
+func (w *WorstCase[K, I]) install(i int, out []Store[K, I]) {
+	w.finish(w.builds[i], out)
+	w.builds = slices.Delete(w.builds, i, i+1)
+}
+
+// launchParkedTop parks items and launches the build of one new top
+// collection over them. At most GOMAXPROCS of these builds are in
+// flight: one more first installs the oldest, so a caller that outruns
+// every core waits for a build to land — the only wait an update has.
+func (w *WorstCase[K, I]) launchParkedTop(items []I) {
+	for {
+		oldest, n := -1, 0
+		for i, b := range w.builds {
+			if b.parkedTop {
+				if n == 0 {
+					oldest = i
+				}
+				n++
+			}
+		}
+		if n < runtime.GOMAXPROCS(0) {
+			break
+		}
+		w.install(oldest, <-w.builds[oldest].done)
+	}
+	task := &buildTask[K, I]{kind: buildTop, parkedTop: true}
+	task.addStore(w.park(items))
+	w.launch(task)
+}
+
+// park makes items queryable in a parked store (Config.Park) that
+// owns them until a build replaces it.
+func (w *WorstCase[K, I]) park(items []I) Store[K, I] {
+	w.invalidateStores()
+	st := w.cfg.Park(items)
+	for _, it := range items {
+		w.owner[w.cfg.Key(it)] = st
+	}
+	return st
 }
 
 // reconcile launches deferred work once slots free up: parked temp
@@ -361,16 +418,14 @@ func (w *WorstCase[K, I]) reconcile() {
 func (w *WorstCase[K, I]) foldTemps(t int) {
 	task := &buildTask[K, I]{}
 	size := 0
-	kept := w.temps[t][:0]
-	for _, tmp := range w.temps[t] {
+	w.temps[t] = slices.DeleteFunc(w.temps[t], func(tmp Store[K, I]) bool {
 		if w.isBuildSource(tmp) {
-			kept = append(kept, tmp)
-			continue
+			return false
 		}
 		task.addStore(tmp)
 		size += tmp.LiveWeight()
-	}
-	w.temps[t] = kept
+		return true
+	})
 	tookLevel := false
 	if t < len(w.maxes) && w.levels[t] != nil && !w.isBuildSource(w.levels[t]) {
 		task.addStore(w.levels[t])
@@ -399,36 +454,34 @@ func (w *WorstCase[K, I]) foldTemps(t int) {
 // detachForBuild removes sources from temp lists but leaves them
 // queryable via the retiring list (finish clears level/locked slots).
 func (w *WorstCase[K, I]) detachForBuild(sources []Store[K, I]) {
-	isSrc := make(map[Store[K, I]]bool, len(sources))
-	for _, s := range sources {
-		isSrc[s] = true
-	}
+	isSrc := storeSet(sources)
 	for j := range w.temps {
-		kept := w.temps[j][:0]
-		for _, tmp := range w.temps[j] {
-			if !isSrc[tmp] {
-				kept = append(kept, tmp)
-			}
-		}
-		w.temps[j] = kept
+		w.temps[j] = slices.DeleteFunc(w.temps[j], isSrc.has)
 	}
 }
+
+// storeSetOf indexes stores for membership tests. Filters drop
+// members with slices.DeleteFunc, which zeroes the vacated tail: a
+// retired store must not stay reachable through a slice's spare
+// capacity.
+type storeSetOf[K comparable, I any] map[Store[K, I]]bool
+
+func storeSet[K comparable, I any](stores []Store[K, I]) storeSetOf[K, I] {
+	set := make(storeSetOf[K, I], len(stores))
+	for _, s := range stores {
+		set[s] = true
+	}
+	return set
+}
+
+func (set storeSetOf[K, I]) has(s Store[K, I]) bool { return set[s] }
 
 // clearSlots drops empty retired structures from every slot.
 func (w *WorstCase[K, I]) clearSlots(sources []Store[K, I]) {
 	w.invalidateStores()
-	isSrc := make(map[Store[K, I]]bool, len(sources))
-	for _, s := range sources {
-		isSrc[s] = true
-	}
+	isSrc := storeSet(sources)
 	for j := range w.temps {
-		kept := w.temps[j][:0]
-		for _, tmp := range w.temps[j] {
-			if !isSrc[tmp] {
-				kept = append(kept, tmp)
-			}
-		}
-		w.temps[j] = kept
+		w.temps[j] = slices.DeleteFunc(w.temps[j], isSrc.has)
 		if w.levels[j] != nil && isSrc[w.levels[j]] {
 			w.levels[j] = nil
 		}
@@ -440,10 +493,7 @@ func (w *WorstCase[K, I]) clearSlots(sources []Store[K, I]) {
 // source structures are retired.
 func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 	w.invalidateStores()
-	isSource := make(map[Store[K, I]]bool, len(t.sources))
-	for _, s := range t.sources {
-		isSource[s] = true
-	}
+	isSource := storeSet(t.sources)
 	// Apply straggler tombstones the builder missed after its seal point.
 	t.tmu.Lock()
 	for _, key := range t.tombstones[t.applied:] {
@@ -474,32 +524,14 @@ func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 		if w.levels[j] != nil && isSource[w.levels[j]] {
 			w.levels[j] = nil
 		}
-		kept := w.temps[j][:0]
-		for _, tmp := range w.temps[j] {
-			if !isSource[tmp] {
-				kept = append(kept, tmp)
-			}
-		}
-		w.temps[j] = kept
+		w.temps[j] = slices.DeleteFunc(w.temps[j], isSource.has)
 	}
-	kept := w.tops[:0]
-	for _, tp := range w.tops {
-		if !isSource[tp] {
-			kept = append(kept, tp)
-		}
-	}
-	w.tops = kept
+	w.tops = slices.DeleteFunc(w.tops, isSource.has)
 	if isSource[w.c0] {
 		// Only rebalance retires C0; a fresh one was installed at launch.
 		panic("engine: C0 retired outside rebalance")
 	}
-	ret := w.retiring[:0]
-	for _, s := range w.retiring {
-		if !isSource[s] {
-			ret = append(ret, s)
-		}
-	}
-	w.retiring = ret
+	w.retiring = slices.DeleteFunc(w.retiring, isSource.has)
 
 	switch t.kind {
 	case buildLevel:
@@ -528,16 +560,11 @@ func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 }
 
 func (w *WorstCase[K, I]) dropEmptyTops() {
-	kept := w.tops[:0]
-	for _, tp := range w.tops {
-		if tp.LiveWeight() > 0 {
-			kept = append(kept, tp)
-		}
-	}
-	if len(kept) != len(w.tops) {
+	n := len(w.tops)
+	w.tops = slices.DeleteFunc(w.tops, func(tp Store[K, I]) bool { return tp.LiveWeight() == 0 })
+	if len(w.tops) != n {
 		w.invalidateStores()
 	}
-	w.tops = kept
 }
 
 // Len reports the total live weight.
@@ -555,8 +582,12 @@ func (w *WorstCase[K, I]) lenLocked() int {
 	return n
 }
 
-// invalidateStores marks the cached store list stale.
-func (w *WorstCase[K, I]) invalidateStores() { w.storesDirty = true }
+// invalidateStores marks the cached store list stale and clears it, so
+// a store that leaves the ladder is not kept reachable by the cache.
+func (w *WorstCase[K, I]) invalidateStores() {
+	clear(w.storeCache)
+	w.storesDirty = true
+}
 
 // allStores lists every queryable store exactly once, memoized until
 // the next store-set mutation.
@@ -634,12 +665,6 @@ func (w *WorstCase[K, I]) Insert(item I) error {
 	return nil
 }
 
-// buildSync builds items on the caller's goroutine, under w.mu.
-func (w *WorstCase[K, I]) buildSync(items []I) Store[K, I] {
-	w.stats.BuiltWeight.Sync += weightOf(items, w.cfg.Weight)
-	return w.cfg.Build(items, w.tau)
-}
-
 // placeOne routes a validated item: into C0 if it fits, into its own
 // top collection if huge, through the ladder otherwise. Callers hold
 // w.mu and run checkRebalance afterwards.
@@ -651,13 +676,9 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 		w.owner[w.cfg.Key(item)] = w.c0
 
 	case w.bigItem(weight):
-		// A huge item becomes its own top collection immediately; the
-		// build cost is proportional to the inserted data.
-		w.invalidateStores()
-		tp := w.buildSync([]I{item})
-		w.tops = append(w.tops, tp)
-		w.owner[w.cfg.Key(item)] = tp
-		w.stats.SyncBuilds++
+		// A huge item becomes its own top collection, parked until its
+		// build lands.
+		w.launchParkedTop([]I{item})
 
 	default:
 		w.insertViaLadder(item)
@@ -666,10 +687,11 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 
 // InsertBatch adds many items in one ingest. The whole batch is
 // validated first — on any ErrDuplicateKey nothing is inserted. A batch
-// larger than C0's capacity is bulk-built directly into top collections
-// (split at the top-capacity bound), so the per-item ladder cascades of
-// looped Insert calls collapse into one build pass followed by at most
-// one rebalance. Smaller batches route through the normal placement
+// larger than C0's capacity is parked and bulk-built in the background
+// directly into top collections (split at the top-capacity bound), so
+// the per-item ladder cascades of looped Insert calls collapse into one
+// build per chunk, run on as many cores as there are, followed by at
+// most one rebalance. Smaller batches route through the normal placement
 // machinery: the first overflow empties C0 into the ladder and the rest
 // of the batch fits in the fresh C0, so C0 keeps draining and tops
 // never accumulate per call.
@@ -707,19 +729,7 @@ func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 		// immediately rebuilding the freshly built tops a second time.
 		w.reschedule(w.lenLocked() + total)
 		for _, chunk := range splitItems(items, w.cfg.Weight, w.topCap()) {
-			tp := w.buildSync(chunk)
-			w.tops = append(w.tops, tp)
-			for _, it := range chunk {
-				w.owner[w.cfg.Key(it)] = tp
-			}
-			w.stats.SyncBuilds++
-		}
-		// Invalidate after the appends: lenLocked above consumes the
-		// cache, so a pre-mutation invalidation would be re-satisfied
-		// with the not-yet-extended store set.
-		w.invalidateStores()
-		if len(w.tops) > w.stats.MaxTops {
-			w.stats.MaxTops = len(w.tops)
+			w.launchParkedTop(chunk)
 		}
 	}
 	w.checkRebalance()
@@ -729,9 +739,9 @@ func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 // insertViaLadder finds the first Cj+1 that can absorb Cj and the new
 // item, locking Cj and building the replacement in the background. If
 // every candidate slot is busy with an in-flight build, the item is
-// parked in a temp payload (work proportional to the item) and folded
-// in once the build lands — the non-blocking realization of the paper's
-// scheduling lemma.
+// parked in a temp payload (work proportional to the item, no build)
+// and folded in once the build lands — the non-blocking realization of
+// the paper's scheduling lemma.
 func (w *WorstCase[K, I]) insertViaLadder(item I) {
 	weight := w.cfg.Weight(item)
 	r := len(w.maxes) - 1
@@ -749,49 +759,20 @@ func (w *WorstCase[K, I]) insertViaLadder(item I) {
 		if w.slotBusy(j) || w.ladderBusy(j) {
 			// Don't wait for the in-flight build. Small items overflow
 			// into C0 (soft cap 2·max_0, still O(n/log²n) space); larger
-			// ones are parked in a temp payload built in O(|T|·u) time.
+			// ones are parked in a temp payload.
 			if j == 0 && w.c0.LiveWeight()+weight <= 2*w.maxes[0] {
 				w.c0.Insert(item)
 				w.owner[w.cfg.Key(item)] = w.c0
 				return
 			}
-			w.invalidateStores()
-			tmp := w.buildSync([]I{item})
-			w.temps[j+1] = append(w.temps[j+1], tmp)
-			w.owner[w.cfg.Key(item)] = tmp
+			w.temps[j+1] = append(w.temps[j+1], w.park([]I{item}))
 			w.stats.TempParks++
 			return
 		}
-		small := w.maxes[j] / 2
-		if weight >= small && j < r {
-			// Heavy item relative to the level: rebuild synchronously,
-			// cost proportional to the item's weight.
-			items := w.takeLevelItems(j)
-			if w.levels[j+1] != nil {
-				items = append(items, w.levels[j+1].LiveItems()...)
-				w.levels[j+1] = nil
-			}
-			items = append(items, item)
-			lvl := w.buildSync(items)
-			w.levels[j+1] = lvl
-			for _, it := range items {
-				w.owner[w.cfg.Key(it)] = lvl
-			}
-			w.stats.SyncBuilds++
-			return
-		}
-		// Background merge: lock Cj, index the new item alone in a temp,
-		// and build Nj+1 = Lj ∪ Cj+1 ∪ {item} behind the scenes.
+		// Background merge: park the new item alone in a temp, and build
+		// Nj+1 = Lj ∪ Cj+1 ∪ {item} behind the scenes.
 		task := &buildTask[K, I]{kind: buildLevel, target: j + 1}
-		if j == 0 {
-			old := w.c0
-			w.c0 = w.cfg.NewC0()
-			task.addStore(old)
-		} else if w.levels[j] != nil {
-			w.locked[j] = w.levels[j]
-			w.levels[j] = nil
-			task.addStore(w.locked[j])
-		}
+		w.lockLevel(j, task)
 		if j == r {
 			task.kind, task.split = buildTop, w.topCap()
 		} else if w.levels[j+1] != nil {
@@ -803,8 +784,7 @@ func (w *WorstCase[K, I]) insertViaLadder(item I) {
 			task.addStore(tmp)
 		}
 		w.temps[target] = nil
-		tmp := w.buildSync([]I{item})
-		w.owner[w.cfg.Key(item)] = tmp
+		tmp := w.park([]I{item})
 		task.addStore(tmp)
 		// The fresh temp rides along as a source so it is retired when the
 		// merged structure lands; meanwhile it answers queries. Park it in
@@ -833,25 +813,20 @@ func (w *WorstCase[K, I]) levelSize(j int) int {
 	return n
 }
 
-// takeLevelItems removes and returns the live items of Cj, including
-// parked temps.
-func (w *WorstCase[K, I]) takeLevelItems(j int) []I {
+// lockLevel enlists Cj as the first source of task: C0 is swapped for
+// a fresh one, a compressed level moves to its locked slot, where it
+// answers queries as Lj until the build lands.
+func (w *WorstCase[K, I]) lockLevel(j int, task *buildTask[K, I]) {
 	w.invalidateStores()
-	var items []I
 	if j == 0 {
-		items = w.c0.LiveItems()
+		old := w.c0
 		w.c0 = w.cfg.NewC0()
+		task.addStore(old)
 	} else if w.levels[j] != nil {
-		items = w.levels[j].LiveItems()
+		w.locked[j] = w.levels[j]
 		w.levels[j] = nil
+		task.addStore(w.locked[j])
 	}
-	if j > 0 {
-		for _, tmp := range w.temps[j] {
-			items = append(items, tmp.LiveItems()...)
-		}
-		w.temps[j] = nil
-	}
-	return items
 }
 
 // Delete removes the item with the given key (Section 3, "Deletions").
@@ -1176,6 +1151,19 @@ func (w *WorstCase[K, I]) Stats() Stats {
 	st.Levels = len(w.maxes)
 	st.NF = w.nf
 	st.Tau = w.tau
+	// Parked weight sits in the temp lists and in the one source of each
+	// parked-top build. A temp already enlisted in a fold or rebalance
+	// counts as that build's, not as parked.
+	for _, temps := range w.temps {
+		for _, tmp := range temps {
+			st.Parked += tmp.LiveWeight()
+		}
+	}
+	for _, b := range w.builds {
+		if b.parkedTop {
+			st.Parked += b.sources[0].LiveWeight()
+		}
+	}
 	st.LevelSizes = append(st.LevelSizes, w.c0.LiveWeight())
 	st.LevelCaps = append(st.LevelCaps, w.maxes[0])
 	st.LevelDead = append(st.LevelDead, w.c0.DeadWeight())

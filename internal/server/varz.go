@@ -62,6 +62,9 @@ type LadderVarz struct {
 	Rebuilds       int `json:"rebuilds"`
 	GlobalRebuilds int `json:"global_rebuilds"`
 	PendingBuilds  int `json:"pending_builds"`
+	// Parked is the weight held unbuilt, answered by scanning until the
+	// background builds replacing it land.
+	Parked int `json:"parked"`
 	// Built is the weight handed to the static-index builder so far, by
 	// cause; Built.Total() over the weight inserted is the structure's
 	// write amplification.
@@ -111,6 +114,7 @@ func NewLadderVarz(st dyncoll.IndexStats, unit string, live int, sizeBits int64)
 		Rebuilds:       st.Rebuilds,
 		GlobalRebuilds: st.GlobalRebuilds,
 		PendingBuilds:  st.PendingBuilds,
+		Parked:         st.Parked,
 		Built:          st.BuiltWeight,
 		Teams:          fanout.ReadTeamCounts(),
 		TopSizes:       st.TopSizes,
@@ -135,10 +139,10 @@ func (v *LadderVarz) WriteText(w io.Writer) {
 	if v.MappedBytes > 0 {
 		fmt.Fprintf(w, "%-10s %d B mapped, %d B heap\n", "residency:", v.MappedBytes, v.HeapBytes)
 	}
-	fmt.Fprintf(w, "%-10s τ=%d, rebuilds=%d, global=%d, pending builds=%d\n",
-		"engine:", v.Tau, v.Rebuilds, v.GlobalRebuilds, v.PendingBuilds)
-	fmt.Fprintf(w, "%-10s %d %ss: level merges %d, tops %d, purges %d, rebalances %d, sync %d\n",
-		"built:", v.Built.Total(), v.Unit, v.Built.LevelMerge, v.Built.Top, v.Built.Purge, v.Built.Rebalance, v.Built.Sync)
+	fmt.Fprintf(w, "%-10s τ=%d, rebuilds=%d, global=%d, pending builds=%d, parked=%d\n",
+		"engine:", v.Tau, v.Rebuilds, v.GlobalRebuilds, v.PendingBuilds, v.Parked)
+	fmt.Fprintf(w, "%-10s %d %ss: level merges %d, tops %d, purges %d, rebalances %d\n",
+		"built:", v.Built.Total(), v.Unit, v.Built.LevelMerge, v.Built.Top, v.Built.Purge, v.Built.Rebalance)
 	fmt.Fprintf(w, "%-10s %d passes with helpers, %d parts visited by helpers (process-wide)\n",
 		"teams:", v.Teams.Passes, v.Teams.HelperParts)
 	fmt.Fprintf(w, "%-10s %d slots (occupancy/capacity, level 0 = uncompressed C0)\n", "ladder:", len(v.Levels))

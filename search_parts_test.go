@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"regexp"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dyncoll/internal/core"
 	"dyncoll/internal/query"
@@ -305,10 +307,10 @@ func TestSearchPartsMatchGlobal(t *testing.T) {
 	}
 }
 
-// buildGate holds every multi-document index build while closed, so a
-// test can keep the worst-case engine's background builds in flight for
-// as long as it likes. Single-document builds (the temps an update
-// parks in the foreground) pass, or the update itself would block.
+// buildGate holds every index build while closed, so a test can keep
+// the worst-case engine's background builds in flight for as long as it
+// likes. No update builds an index on its own goroutine, so every
+// update must still return while the gate is closed.
 var buildGate struct {
 	once sync.Once
 	hold atomic.Pointer[chan struct{}]
@@ -324,7 +326,7 @@ func registerGatedIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = RegisterIndex(gatedIndex, func(docs []Document, cfg IndexConfig) StaticIndex {
-			if ch := buildGate.hold.Load(); ch != nil && len(docs) > 1 {
+			if ch := buildGate.hold.Load(); ch != nil {
 				<-*ch
 			}
 			return fm(docs, cfg)
@@ -335,12 +337,15 @@ func registerGatedIndex(t *testing.T) {
 	})
 }
 
-// TestSearchPartsDuringBackgroundBuilds holds the worst-case engine's
-// background builds in flight — no Inline, no WaitIdle — while single
-// inserts and deletes pile up locked levels, retiring build sources and
-// parked temps. Every live document must still be in exactly one part,
-// and every plan must still answer as the global reference does: a
-// store visited twice would emit its matches twice.
+// TestSearchPartsDuringBackgroundBuilds holds every build of the
+// worst-case engine — no Inline, no WaitIdle — while over-C0 batches, a
+// big item, single inserts and deletes pile up parked tops, locked
+// levels, retiring build sources and parked temps. It is the gate that
+// no update waits for a build: every update must return (the loop runs
+// under a deadline) with at most GOMAXPROCS parked tops launched, the
+// cap below which none waits. Every live document must still be in
+// exactly one part, and every plan must still answer as the global
+// reference does: a store visited twice would emit its matches twice.
 func TestSearchPartsDuringBackgroundBuilds(t *testing.T) {
 	registerGatedIndex(t)
 	for _, shards := range []int{0, 2} {
@@ -353,13 +358,13 @@ func TestSearchPartsDuringBackgroundBuilds(t *testing.T) {
 			rng := rand.New(rand.NewSource(29))
 			id := uint64(1)
 			var live []uint64
-			insert := func() {
-				mustInsert(t, c, Document{ID: id, Data: partsDoc(rng)})
+			insert := func() error {
 				live = append(live, id)
 				id++
+				return c.Insert(Document{ID: id - 1, Data: partsDoc(rng)})
 			}
 			for i := 0; i < 200; i++ {
-				insert()
+				must(t, insert())
 			}
 			c.WaitIdle()
 
@@ -370,28 +375,88 @@ func TestSearchPartsDuringBackgroundBuilds(t *testing.T) {
 				close(gate)
 			})
 			defer release()
-			for round := 0; round < 3; round++ {
-				for i := 0; i < 80; i++ {
-					insert()
-					if i%3 == 0 {
-						j := rng.Intn(len(live))
-						if err := c.Delete(live[j]); err != nil {
-							t.Fatal(err)
-						}
-						live = slices.Delete(live, j, j+1)
-					}
+			// An over-C0 batch, and a document heavy enough to be its own
+			// top, each launch one parked top per shard at most: a batch
+			// first, the big document next, then more batches.
+			batch := func() error {
+				docs := make([]Document, 24)
+				for i := range docs {
+					docs[i] = Document{ID: id, Data: partsDoc(rng)}
+					live = append(live, id)
+					id++
 				}
+				return c.InsertBatch(docs)
+			}
+			big := func() error {
+				var data []byte
+				for len(data) < 2500 {
+					data = append(data, partsDoc(rng)...)
+				}
+				live = append(live, id)
+				id++
+				return c.Insert(Document{ID: id - 1, Data: data})
+			}
+			bulk := []func() error{batch, big}
+			for len(bulk) < runtime.GOMAXPROCS(0) {
+				bulk = append(bulk, batch)
+			}
+			bulk = bulk[:runtime.GOMAXPROCS(0)]
+			updatesReturn(t, release, bulk...)
+			for round := 0; round < 3; round++ {
+				updatesReturn(t, release, func() error {
+					for i := 0; i < 80; i++ {
+						if err := insert(); err != nil {
+							return err
+						}
+						if i%3 == 0 {
+							j := rng.Intn(len(live))
+							if err := c.Delete(live[j]); err != nil {
+								return err
+							}
+							live = slices.Delete(live, j, j+1)
+						}
+					}
+					return nil
+				})
 				checkPlansAgainstGlobal(t, c, false)
 				checkPartsExclusive(t, c, live)
 			}
-			if st := aggStats(perCore(&c.union, docCore.Stats, apply)); st.PendingBuilds == 0 || st.TempParks == 0 {
-				t.Fatalf("%d builds in flight and %d temps parked: the scenario tests nothing", st.PendingBuilds, st.TempParks)
+			if st := aggStats(perCore(&c.union, docCore.Stats, apply)); st.PendingBuilds == 0 || st.TempParks == 0 || st.Parked == 0 {
+				t.Fatalf("%d builds in flight, %d temps parked, %d symbols parked: the scenario tests nothing", st.PendingBuilds, st.TempParks, st.Parked)
 			}
 			release()
 			c.WaitIdle()
 			checkPlansAgainstGlobal(t, c, false)
 			checkPartsExclusive(t, c, live)
 		})
+	}
+}
+
+// updatesReturn runs updates on a goroutine of their own and fails the
+// test if they have not all returned within a generous deadline — an
+// update that waits for a held build would otherwise hang the test. On
+// a timeout it releases the builds so the stuck update can finish.
+func updatesReturn(t *testing.T, release func(), updates ...func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		for _, u := range updates {
+			if err := u(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		release()
+		<-done
+		t.Fatal("an update waited for a held build")
 	}
 }
 

@@ -278,12 +278,12 @@ func aggStats(sts []core.Stats) core.Stats {
 		agg.GlobalRebuilds += st.GlobalRebuilds
 		agg.Purges += st.Purges
 		agg.BackgroundBuilds += st.BackgroundBuilds
-		agg.SyncBuilds += st.SyncBuilds
 		agg.TempParks += st.TempParks
 		agg.TopPurges += st.TopPurges
 		agg.Rebalances += st.Rebalances
 		agg.PendingBuilds += st.PendingBuilds
 		agg.Tops += st.Tops
+		agg.Parked += st.Parked
 		agg.MaxTops += st.MaxTops
 		agg.TopSizes = append(agg.TopSizes, st.TopSizes...)
 		agg.TopDead = append(agg.TopDead, st.TopDead...)
