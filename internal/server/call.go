@@ -46,108 +46,134 @@ type backendState struct {
 	fails   atomic.Int64 // transport failures, lifetime
 }
 
-// pickReplica returns the first replica of row that is not yet tried
-// and whose breaker admits a request, or -1. The breaker slot is
-// consumed: the caller MUST settle the chosen backend with exactly one
-// Success/Failure/Cancel (attemptOne and the stream/write loops do).
-func (f *Frontend) pickReplica(row int, tried []bool) int {
-	for _, b := range f.asg.Replicas(row) {
-		if tried[b] {
-			continue
+// settle records one attempt's outcome on backend b — the rule every
+// backend call follows. A reply, success or application error, is a
+// health success and, when start is set, a latency sample for the
+// adaptive hedge delay; a caller that gave up (client disconnect, or a
+// hedge already won) cancels the breaker slot without blame; anything
+// else is a transport failure charged to b. It returns the attempt's
+// fault, nil on success.
+func (f *Frontend) settle(ctx context.Context, b int, start time.Time, err error) *backendFault {
+	st := f.states[b]
+	var we *wireError
+	switch {
+	case err == nil || errors.As(err, &we):
+		st.breaker.Success()
+		if !start.IsZero() {
+			f.beLat.Observe(time.Since(start))
 		}
-		if f.states[b].breaker.Allow() {
+		if we != nil {
+			return &backendFault{url: f.backends[b], status: we.status, werr: we.resp}
+		}
+		return nil
+	case ctx.Err() != nil:
+		st.breaker.Cancel()
+	default:
+		st.breaker.Failure()
+		st.fails.Add(1)
+	}
+	return &backendFault{url: f.backends[b], err: err}
+}
+
+// replicaWalk is one row read's walk over the row's replica set.
+type replicaWalk struct {
+	f     *Frontend
+	row   int
+	tried []bool
+	n     int // replicas tried since the last reset
+}
+
+// pick returns the first replica not yet tried whose breaker admits a
+// request, marked tried, or -1. The breaker slot is consumed: the
+// caller MUST settle the chosen backend.
+func (s *replicaWalk) pick() int {
+	for _, b := range s.f.asg.Replicas(s.row) {
+		if !s.tried[b] && s.f.states[b].breaker.Allow() {
+			s.tried[b] = true
+			s.n++
 			return b
 		}
 	}
 	return -1
 }
 
-// attemptOne performs one already-admitted call against backend b under
-// the per-op deadline and settles b's breaker with the outcome.
-func attemptOne[T any](f *Frontend, ctx context.Context, b int, do func(ctx context.Context, b int) (T, error)) (T, error) {
-	actx, cancel := context.WithTimeout(ctx, f.opTimeout)
-	defer cancel()
-	start := time.Now()
-	v, err := do(actx, b)
-	st := f.states[b]
-	if err == nil {
-		st.breaker.Success()
-		f.beLat.Observe(time.Since(start))
-		return v, nil
-	}
-	var we *wireError
-	if errors.As(err, &we) {
-		// The backend answered; an application error is not a health event.
-		st.breaker.Success()
-		f.beLat.Observe(time.Since(start))
-		return v, err
-	}
-	if ctx.Err() != nil {
-		// The caller gave up (client disconnect, or a hedge already won):
-		// the outcome is unknowable and the backend is not at fault.
-		st.breaker.Cancel()
-		return v, err
-	}
-	st.breaker.Failure()
-	st.fails.Add(1)
-	return v, err
-}
-
-// rowGet runs one idempotent JSON read against an assignment row: pick
-// a live replica, enforce the per-op deadline, retry with backoff
-// across replicas (the tried set resets once every replica has been
-// visited, so long outages still probe), and optionally hedge a slow
-// attempt to a second replica. Returns the value or the last fault.
-func rowGet[T any](f *Frontend, ctx context.Context, row int, hedge bool, do func(ctx context.Context, b int) (T, error)) (T, *backendFault) {
-	var zero T
-	replicas := f.asg.Replicas(row)
-	tried := make([]bool, len(f.backends))
-	triedCount := 0
+// onRow is the replica loop every row read runs: up to Attempts rounds
+// with backoff between them, each on a live replica not yet tried (the
+// tried set resets once every replica has been visited, so long outages
+// still probe). try performs one attempt on the admitted backend b and
+// returns its fault, nil when the row is done, and whether the failure
+// may be retried. onRow returns the last fault.
+func (f *Frontend) onRow(ctx context.Context, row int, try func(s *replicaWalk, b int) (*backendFault, bool)) *backendFault {
+	s := &replicaWalk{f: f, row: row, tried: make([]bool, len(f.backends))}
 	var last *backendFault
 	for attempt := 0; attempt < f.retry.Attempts; attempt++ {
-		if attempt > 0 {
-			f.count("retries")
-			if !sleepCtx(ctx, f.retry.Backoff(attempt, rand.Float64)) {
-				break
-			}
+		if attempt > 0 && !f.backoff(ctx, attempt) {
+			break
 		}
-		if triedCount >= len(replicas) {
-			for i := range tried {
-				tried[i] = false
-			}
-			triedCount = 0
+		if s.n >= len(f.asg.Replicas(row)) {
+			clear(s.tried)
+			s.n = 0
 		}
-		b := f.pickReplica(row, tried)
+		b := s.pick()
 		if b < 0 {
 			// Every admissible replica is breaker-open; a later round's
 			// backoff may outlast a cooldown, so keep going.
 			last = &backendFault{url: fmt.Sprintf("row %d", row), err: errNoLiveReplica}
 			continue
 		}
-		tried[b] = true
-		triedCount++
-		v, err := hedgedAttempt(f, ctx, row, b, hedge, tried, &triedCount, do)
-		if err == nil {
-			return v, nil
+		bf, retry := try(s, b)
+		if bf == nil {
+			return nil
 		}
-		var we *wireError
-		if errors.As(err, &we) {
-			return zero, &backendFault{url: f.backends[b], status: we.status, werr: we.resp}
-		}
-		last = &backendFault{url: f.backends[b], err: err}
-		if ctx.Err() != nil {
+		last = bf
+		if !retry || ctx.Err() != nil {
 			break
 		}
 	}
-	return zero, last
+	return last
+}
+
+// backoff counts a retry and sleeps before attempt round attempt; false
+// means ctx ended first.
+func (f *Frontend) backoff(ctx context.Context, attempt int) bool {
+	f.count("retries")
+	return sleepCtx(ctx, f.retry.Backoff(attempt, rand.Float64))
+}
+
+// attemptOne performs one already-admitted call against backend b under
+// the per-op deadline and settles b with the outcome.
+func attemptOne[T any](f *Frontend, ctx context.Context, b int, do func(ctx context.Context, b int) (T, error)) (T, *backendFault) {
+	actx, cancel := context.WithTimeout(ctx, f.opTimeout)
+	defer cancel()
+	start := time.Now()
+	v, err := do(actx, b)
+	return v, f.settle(ctx, b, start, err)
+}
+
+// rowGet runs one idempotent JSON read against an assignment row
+// through onRow, optionally hedging a slow attempt to a second replica.
+// An application error is the row's answer and is not retried —
+// retrying a 409 yields a 409. Returns the value, or the zero value and
+// the last fault.
+func rowGet[T any](f *Frontend, ctx context.Context, row int, hedge bool, do func(ctx context.Context, b int) (T, error)) (T, *backendFault) {
+	var out T
+	bf := f.onRow(ctx, row, func(s *replicaWalk, b int) (*backendFault, bool) {
+		v, bf := hedgedAttempt(f, ctx, s, b, hedge, do)
+		if bf == nil {
+			out = v
+			return nil, false
+		}
+		return bf, bf.werr == nil
+	})
+	return out, bf
 }
 
 // hedgedAttempt runs do against b1 and, if the reply is slower than the
-// hedge delay, races a second copy on another live replica — the
-// classic tail-latency cut: the duplicate read is idempotent, whichever
-// answer arrives first wins, and the loser is cancelled without being
-// charged to its backend's breaker.
-func hedgedAttempt[T any](f *Frontend, ctx context.Context, row, b1 int, hedge bool, tried []bool, triedCount *int, do func(ctx context.Context, b int) (T, error)) (T, error) {
+// hedge delay, races a second copy on another live replica of the walk
+// — the classic tail-latency cut: the duplicate read is idempotent,
+// whichever answer arrives first wins, and the loser is cancelled
+// without being charged to its backend's breaker.
+func hedgedAttempt[T any](f *Frontend, ctx context.Context, s *replicaWalk, b1 int, hedge bool, do func(ctx context.Context, b int) (T, error)) (T, *backendFault) {
 	var zero T
 	delay := time.Duration(-1)
 	if hedge {
@@ -158,45 +184,43 @@ func hedgedAttempt[T any](f *Frontend, ctx context.Context, row, b1 int, hedge b
 	}
 	type res struct {
 		v      T
-		err    error
+		bf     *backendFault
 		hedged bool
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel() // the winner cancels the loser
 	ch := make(chan res, 2)
 	inflight := 1
-	go func() { v, err := attemptOne(f, actx, b1, do); ch <- res{v, err, false} }()
+	go func() { v, bf := attemptOne(f, actx, b1, do); ch <- res{v, bf, false} }()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	hedgeC := timer.C
-	var firstErr error
+	var first *backendFault
 	for {
 		select {
 		case r := <-ch:
-			if r.err == nil {
+			if r.bf == nil {
 				if r.hedged {
 					f.count("hedge_wins")
 				}
 				return r.v, nil
 			}
-			if firstErr == nil {
-				firstErr = r.err
+			if first == nil {
+				first = r.bf
 			}
 			inflight--
 			if inflight == 0 {
-				return zero, firstErr
+				return zero, first
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			if b2 := f.pickReplica(row, tried); b2 >= 0 {
-				tried[b2] = true
-				*triedCount++
+			if b2 := s.pick(); b2 >= 0 {
 				f.count("hedges")
 				inflight++
-				go func() { v, err := attemptOne(f, actx, b2, do); ch <- res{v, err, true} }()
+				go func() { v, bf := attemptOne(f, actx, b2, do); ch <- res{v, bf, true} }()
 			}
 		case <-ctx.Done():
-			return zero, ctx.Err()
+			return zero, &backendFault{url: f.backends[b1], err: ctx.Err()}
 		}
 	}
 }
@@ -223,74 +247,35 @@ func (f *Frontend) hedgeDelay() time.Duration {
 	return d
 }
 
-// streamRow relays one assignment row's NDJSON stream into emit,
-// retrying on a fresh replica only while nothing has been emitted — a
-// retry after relayed lines would duplicate them, so a mid-stream
-// failure surfaces to the caller instead (the in-band trailer's job).
-// A nil return with no emitted fault means the row streamed completely.
-func (f *Frontend) streamRow(ctx context.Context, row int, newReq func(ctx context.Context, base string) (*http.Request, error), emit func([]byte) bool) *backendFault {
-	replicas := f.asg.Replicas(row)
-	tried := make([]bool, len(f.backends))
-	triedCount := 0
-	var last *backendFault
-	for attempt := 0; attempt < f.retry.Attempts; attempt++ {
-		if ctx.Err() != nil {
-			return nil // consumer gone: not a row fault
-		}
-		if attempt > 0 {
-			f.count("retries")
-			if !sleepCtx(ctx, f.retry.Backoff(attempt, rand.Float64)) {
-				return nil
-			}
-		}
-		if triedCount >= len(replicas) {
-			for i := range tried {
-				tried[i] = false
-			}
-			triedCount = 0
-		}
-		b := f.pickReplica(row, tried)
-		if b < 0 {
-			last = &backendFault{url: fmt.Sprintf("row %d", row), err: errNoLiveReplica}
-			continue
-		}
-		tried[b] = true
-		triedCount++
+// streamRow relays one assignment row's NDJSON stream into emit
+// through onRow, retrying on a fresh replica only while nothing has
+// been emitted — a retry after relayed lines would duplicate them, so a
+// mid-stream failure surfaces to the caller instead (the in-band
+// trailer's job). A stream's duration is its length, not the backend's
+// speed, so it feeds no latency sample. A nil return means the row
+// streamed completely or its consumer stopped reading.
+func (f *Frontend) streamRow(ctx context.Context, row int, newReq func(ctx context.Context, b int) (*http.Request, error), emit func([]byte) bool) *backendFault {
+	return f.onRow(ctx, row, func(_ *replicaWalk, b int) (*backendFault, bool) {
 		emitted := false
-		err := f.streamOnce(ctx, b, newReq, func(line []byte) bool {
+		err := f.streamOnce(ctx, func(ctx context.Context) (*http.Request, error) { return newReq(ctx, b) }, func(line []byte) bool {
 			emitted = true
 			return emit(line)
 		})
-		st := f.states[b]
-		if err == nil {
-			st.breaker.Success()
-			return nil
-		}
-		if ctx.Err() != nil {
-			st.breaker.Cancel()
-			return nil
-		}
-		st.breaker.Failure()
-		st.fails.Add(1)
-		last = &backendFault{url: f.backends[b], err: err}
-		if emitted {
-			return last
-		}
-	}
-	return last
+		return f.settle(ctx, b, time.Time{}, err), !emitted
+	})
 }
 
 // streamOnce streams one backend response line by line under a stall
 // watchdog: the per-op timeout applies to PROGRESS, not the whole
 // stream, so an arbitrarily long healthy stream flows freely while a
 // black-holed connection is detected one deadline after its last line.
-func (f *Frontend) streamOnce(ctx context.Context, b int, newReq func(ctx context.Context, base string) (*http.Request, error), perLine func([]byte) bool) error {
+func (f *Frontend) streamOnce(ctx context.Context, newReq func(ctx context.Context) (*http.Request, error), perLine func([]byte) bool) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var stalled atomic.Bool
 	wd := time.AfterFunc(f.opTimeout, func() { stalled.Store(true); cancel() })
 	defer wd.Stop()
-	req, err := newReq(cctx, f.backends[b])
+	req, err := newReq(cctx)
 	if err != nil {
 		return err
 	}
@@ -328,11 +313,14 @@ func (f *Frontend) streamOnce(ctx context.Context, b int, newReq func(ctx contex
 	return nil
 }
 
-// writeOutcome is one replica's result for a row write.
-type writeOutcome struct {
-	backend int
-	count   int
-	fault   *backendFault
+// rowWrite is one row's share of a write: how many items it carried,
+// the fault to report (nil once every replica applied it), whether some
+// replica applied it anyway, and the largest count a replica reported.
+type rowWrite struct {
+	items  int
+	fault  *backendFault
+	someOK bool
+	count  int
 }
 
 // writeRow applies one write to every replica of an assignment row in
@@ -342,49 +330,64 @@ type writeOutcome struct {
 // failures retry only when shouldRetry says the attempt is safe for
 // this operation — a non-idempotent insert whose connection died after
 // the request may have been applied, so it is surfaced, never resent.
-func (f *Frontend) writeRow(ctx context.Context, row int, idempotent bool, post func(ctx context.Context, b int) (int, error)) []writeOutcome {
+func (f *Frontend) writeRow(ctx context.Context, row int, idempotent bool, post func(ctx context.Context, b int) (int, error)) rowWrite {
 	replicas := f.asg.Replicas(row)
-	out := make([]writeOutcome, len(replicas))
+	counts := make([]int, len(replicas))
+	faults := make([]*backendFault, len(replicas))
 	fanout.ForEach(len(replicas), func(i int) {
 		b := replicas[i]
-		out[i] = writeOutcome{backend: b}
-		st := f.states[b]
 		for attempt := 1; ; attempt++ {
-			if !st.breaker.Allow() {
-				out[i].fault = &backendFault{url: f.backends[b], err: errBreakerOpen}
+			if !f.states[b].breaker.Allow() {
+				faults[i] = &backendFault{url: f.backends[b], err: errBreakerOpen}
 				return
 			}
 			actx, cancel := context.WithTimeout(ctx, f.opTimeout)
 			n, err := post(actx, b)
 			cancel()
-			if err == nil {
-				st.breaker.Success()
-				out[i].count = n
+			counts[i], faults[i] = n, f.settle(ctx, b, time.Time{}, err)
+			if faults[i] == nil || faults[i].werr != nil || attempt >= f.retry.Attempts ||
+				!shouldRetry(ctx, idempotent, err) || !f.backoff(ctx, attempt) {
 				return
 			}
-			var we *wireError
-			if errors.As(err, &we) {
-				st.breaker.Success()
-				out[i].fault = &backendFault{url: f.backends[b], status: we.status, werr: we.resp}
-				return
-			}
-			if ctx.Err() != nil {
-				st.breaker.Cancel()
-				out[i].fault = &backendFault{url: f.backends[b], err: err}
-				return
-			}
-			st.breaker.Failure()
-			st.fails.Add(1)
-			out[i].fault = &backendFault{url: f.backends[b], err: err}
-			if attempt >= f.retry.Attempts || !shouldRetry(ctx, idempotent, err) {
-				return
-			}
-			f.count("retries")
-			if !sleepCtx(ctx, f.retry.Backoff(attempt, rand.Float64)) {
-				return
-			}
-			out[i].fault = nil
 		}
+	})
+	var rw rowWrite
+	for i, bf := range faults {
+		if bf != nil {
+			rw.fault = preferFault(rw.fault, bf)
+		} else {
+			rw.someOK = true
+			rw.count = max(rw.count, counts[i])
+		}
+	}
+	return rw
+}
+
+// writeSplit splits items by owning assignment row and writes each
+// row's part to every replica of the row, rows in parallel: post sends
+// one part to the backend URL for path and returns the count the
+// backend reported. The results list the rows that received items, in
+// row order.
+func writeSplit[T any](f *Frontend, ctx context.Context, path string, items []T, key func(T) uint64, idempotent bool,
+	post func(ctx context.Context, url string, part []T) (int, error)) []rowWrite {
+	parts := make([][]T, f.asg.Rows())
+	for _, it := range items {
+		row := f.asg.RowOf(key(it))
+		parts[row] = append(parts[row], it)
+	}
+	var involved []int
+	for row, part := range parts {
+		if part != nil {
+			involved = append(involved, row)
+		}
+	}
+	out := make([]rowWrite, len(involved))
+	fanout.ForEach(len(involved), func(k int) {
+		row := involved[k]
+		out[k] = f.writeRow(ctx, row, idempotent, func(ctx context.Context, b int) (int, error) {
+			return post(ctx, f.rowURL(b, row, path), parts[row])
+		})
+		out[k].items = len(parts[row])
 	})
 	return out
 }

@@ -127,7 +127,7 @@ func NewFrontendConfig(cfg FrontendConfig) (*Frontend, error) {
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		met:    NewMetrics("insert", "delete", "find", "search", "count", "extract"),
+		met:    NewMetrics(apiOps...),
 		states: make([]*backendState, len(norm)),
 	}
 	if f.opTimeout <= 0 {
@@ -168,81 +168,46 @@ func (f *Frontend) Metrics() *Metrics { return f.met }
 // Handler returns the frontend's route table — the same API surface as
 // a backend, so clients need not care which role they talk to.
 func (f *Frontend) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/insert", f.met.Wrap("insert", f.handleInsert))
-	mux.HandleFunc("POST /v1/delete", f.met.Wrap("delete", f.handleDelete))
-	mux.HandleFunc("GET /v1/find", f.met.Wrap("find", f.handleFind))
-	mux.HandleFunc("GET /v1/search", f.met.Wrap("search", f.handleSearch))
-	mux.HandleFunc("POST /v1/search", f.met.Wrap("search", f.handleSearch))
-	mux.HandleFunc("GET /v1/count", f.met.Wrap("count", f.handleCount))
-	mux.HandleFunc("GET /v1/extract", f.met.Wrap("extract", f.handleExtract))
+	mux := newMux(f.met, f)
 	mux.HandleFunc("GET /v1/assignment", f.handleAssignment)
-	mux.HandleFunc("GET /varz", f.handleVarz)
-	mux.HandleFunc("GET /healthz", handleHealth)
-	mux.HandleFunc("GET /readyz", f.handleReadyz)
 	return mux
 }
 
-// rangeSuffix renders the ?range= fragment for a row-scoped backend
-// request; sep is "?" or "&" depending on whether a query string
-// already exists. Trivial tables omit it (see trivialAssignment).
-func (f *Frontend) rangeSuffix(sep string, row int) string {
+// rowURL addresses path (with its query string, if any) on backend b,
+// scoped to row by ?range=; trivial tables omit it (see
+// trivialAssignment).
+func (f *Frontend) rowURL(b, row int, path string) string {
+	u := f.backends[b] + path
 	if !f.ranged {
-		return ""
+		return u
 	}
-	return sep + "range=" + strconv.Itoa(row)
+	sep := "?"
+	if strings.Contains(path, "?") {
+		sep = "&"
+	}
+	return u + sep + "range=" + strconv.Itoa(row)
 }
 
-// postJSON sends one JSON request and decodes the reply; a non-2xx
-// reply is returned as (status, ErrorResponse).
-func (f *Frontend) postJSON(ctx context.Context, url string, body, out any) (int, *ErrorResponse, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) != nil || e.Error == "" {
-			e = ErrorResponse{Error: CodeInternal, Message: fmt.Sprintf("backend returned status %d", resp.StatusCode)}
+// callJSON sends one JSON request to a backend — a POST of body, or a
+// GET when body is nil — and decodes the 200 reply into out; a
+// *json.RawMessage receives the reply's bytes unparsed. Any other
+// status comes back as a *wireError carrying the backend's envelope,
+// the shape settle classifies as an answer, not a transport failure.
+func (f *Frontend) callJSON(ctx context.Context, url string, body, out any) error {
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return err
 		}
-		return resp.StatusCode, &e, nil
+		method, rd = http.MethodPost, bytes.NewReader(raw)
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return 0, nil, err
-		}
-	}
-	return http.StatusOK, nil, nil
-}
-
-// postJSONErr is postJSON with the application error folded into the
-// error return as a *wireError — the shape the call engine classifies.
-func (f *Frontend) postJSONErr(ctx context.Context, url string, body, out any) error {
-	status, werr, err := f.postJSON(ctx, url, body, out)
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return err
 	}
-	if werr != nil {
-		return &wireError{status: status, resp: werr}
-	}
-	return nil
-}
-
-// getJSONErr fetches one JSON reply with the same error folding.
-func (f *Frontend) getJSONErr(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
@@ -255,6 +220,10 @@ func (f *Frontend) getJSONErr(ctx context.Context, url string, out any) error {
 			e = ErrorResponse{Error: CodeInternal, Message: fmt.Sprintf("backend returned status %d", resp.StatusCode)}
 		}
 		return &wireError{status: resp.StatusCode, resp: &e}
+	}
+	if raw, ok := out.(*json.RawMessage); ok {
+		*raw, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -276,13 +245,33 @@ func (bf *backendFault) message() string {
 
 // writeFault maps a backend fault onto the frontend's reply: transport
 // errors become 502 backend_unreachable; application errors keep their
-// backend status and code.
-func writeFault(w http.ResponseWriter, bf *backendFault) {
-	if bf.err != nil {
-		writeError(w, http.StatusBadGateway, CodeUnreachable, bf.message())
-		return
+// backend status and code. The message is the fault's, then note.
+func writeFault(w http.ResponseWriter, bf *backendFault, note string) {
+	status, code := http.StatusBadGateway, CodeUnreachable
+	if bf.err == nil {
+		status, code = bf.status, bf.werr.Error
 	}
-	writeError(w, bf.status, bf.werr.Error, bf.message())
+	writeError(w, status, code, bf.message()+note)
+}
+
+// rowFaults applies the rule count and ranked search share to the rows
+// that did not answer. By default one missing row fails the reply — a
+// sum or a top-k list without one row's documents is indistinguishable
+// from a correct one, which is worse than unavailable — so rowFaults
+// writes the fault and returns false. With ?partial=true the reply goes
+// on over the live rows, and fault and failed label what was left out.
+func rowFaults(w http.ResponseWriter, r *http.Request, faults []*backendFault) (fault *backendFault, failed []string, ok bool) {
+	for row, bf := range faults {
+		if bf != nil {
+			failed = append(failed, fmt.Sprintf("row %d: %s", row, bf.message()))
+			fault = preferFault(fault, bf)
+		}
+	}
+	if fault != nil && !boolParam(r.URL.Query().Get("partial")) {
+		writeFault(w, fault, "")
+		return nil, nil, false
+	}
+	return fault, failed, true
 }
 
 // preferFault picks the fault to report: an application error (it names
@@ -298,13 +287,13 @@ func preferFault(cur, next *backendFault) *backendFault {
 	return cur
 }
 
-// handleInsert splits the batch by owning assignment row, validates the
-// whole batch up front (in-batch duplicate IDs, reserved bytes — the
-// common failure modes reject before any backend is touched), and
-// writes each row's part to ALL of its replicas. A row is acked only
-// when every replica applied it; on any failure the reply says exactly
-// how many documents were fully acked and how many sit in failed rows —
-// partial application is reported, never silent.
+// handleInsert validates the whole batch up front (in-batch duplicate
+// IDs, reserved bytes — the common failure modes reject before any
+// backend is touched), then writes each row's part to ALL of its
+// replicas. A row is acked only when every replica applied it; on any
+// failure the reply says exactly how many documents were fully acked
+// and how many sit in failed rows — partial application is reported,
+// never silent.
 func (f *Frontend) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertRequest
 	if !decodeBody(w, r, &req) {
@@ -314,8 +303,6 @@ func (f *Frontend) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "empty docs batch")
 		return
 	}
-	rows := f.asg.Rows()
-	parts := make([][]DocJSON, rows)
 	seen := make(map[uint64]bool, len(req.Docs))
 	for _, d := range req.Docs {
 		if seen[d.ID] {
@@ -329,125 +316,64 @@ func (f *Frontend) handleInsert(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("document %d contains the reserved byte 0x00", d.ID))
 			return
 		}
-		t := f.asg.RowOf(d.ID)
-		parts[t] = append(parts[t], d)
 	}
-	var involved []int
-	for i, part := range parts {
-		if part != nil {
-			involved = append(involved, i)
-		}
-	}
-	type rowResult struct {
-		fault  *backendFault
-		someOK bool // at least one replica applied: the row is partially written
-		docs   int
-	}
-	results := make([]rowResult, len(involved))
-	fanout.ForEach(len(involved), func(k int) {
-		row := involved[k]
-		outs := f.writeRow(r.Context(), row, false, func(ctx context.Context, b int) (int, error) {
+	rows := writeSplit(f, r.Context(), "/v1/insert", req.Docs, func(d DocJSON) uint64 { return d.ID }, false,
+		func(ctx context.Context, url string, part []DocJSON) (int, error) {
 			var out InsertResponse
-			url := f.backends[b] + "/v1/insert" + f.rangeSuffix("?", row)
-			if err := f.postJSONErr(ctx, url, InsertRequest{Docs: parts[row]}, &out); err != nil {
-				return 0, err
-			}
-			return out.Inserted, nil
+			err := f.callJSON(ctx, url, InsertRequest{Docs: part}, &out)
+			return out.Inserted, err
 		})
-		rr := rowResult{docs: len(parts[row])}
-		for _, o := range outs {
-			if o.fault != nil {
-				rr.fault = preferFault(rr.fault, o.fault)
-			} else {
-				rr.someOK = true
-			}
-		}
-		results[k] = rr
-	})
 	acked, failed := 0, 0
 	partial := false
 	var fault *backendFault
-	for _, rr := range results {
-		if rr.fault == nil {
-			acked += rr.docs
+	for _, rw := range rows {
+		if rw.fault == nil {
+			acked += rw.items
 			continue
 		}
-		failed += rr.docs
-		if rr.someOK {
-			partial = true
-		}
-		fault = preferFault(fault, rr.fault)
+		failed += rw.items
+		partial = partial || rw.someOK
+		fault = preferFault(fault, rw.fault)
 	}
 	if fault != nil {
-		msg := fault.message()
+		note := ""
 		if acked > 0 || partial {
-			msg = fmt.Sprintf("%s; %d document(s) acked on all replicas, %d in failed row(s)", msg, acked, failed)
+			note = fmt.Sprintf("; %d document(s) acked on all replicas, %d in failed row(s)", acked, failed)
 			if partial {
-				msg += " (some applied to only part of their replica set)"
+				note += " (some applied to only part of their replica set)"
 			}
 		}
-		if fault.err != nil {
-			writeError(w, http.StatusBadGateway, CodeUnreachable, msg)
-		} else {
-			writeError(w, fault.status, fault.werr.Error, msg)
-		}
+		writeFault(w, fault, note)
 		return
 	}
 	writeJSON(w, http.StatusOK, InsertResponse{Inserted: acked})
 }
 
-// handleDelete splits the IDs by owning row and deletes from every
-// replica. Deletion is idempotent (absent IDs are skipped), so the
-// engine may retry any transport failure; the reported count per row is
-// the maximum over its replicas (a replica that missed the original
-// insert deletes fewer — the max is what left the logical collection).
+// handleDelete deletes each ID from every replica of its row. Deletion
+// is idempotent (absent IDs are skipped), so the engine may retry any
+// transport failure; the reported count per row is the maximum over its
+// replicas (a replica that missed the original insert deletes fewer —
+// the max is what left the logical collection).
 func (f *Frontend) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req DeleteRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	rows := f.asg.Rows()
-	parts := make([][]uint64, rows)
-	for _, id := range req.IDs {
-		t := f.asg.RowOf(id)
-		parts[t] = append(parts[t], id)
-	}
-	var involved []int
-	for i, part := range parts {
-		if part != nil {
-			involved = append(involved, i)
-		}
-	}
-	faults := make([]*backendFault, len(involved))
-	var deleted atomic.Int64
-	fanout.ForEach(len(involved), func(k int) {
-		row := involved[k]
-		outs := f.writeRow(r.Context(), row, true, func(ctx context.Context, b int) (int, error) {
+	rows := writeSplit(f, r.Context(), "/v1/delete", req.IDs, func(id uint64) uint64 { return id }, true,
+		func(ctx context.Context, url string, part []uint64) (int, error) {
 			var out DeleteResponse
-			url := f.backends[b] + "/v1/delete" + f.rangeSuffix("?", row)
-			if err := f.postJSONErr(ctx, url, DeleteRequest{IDs: parts[row]}, &out); err != nil {
-				return 0, err
-			}
-			return out.Deleted, nil
+			err := f.callJSON(ctx, url, DeleteRequest{IDs: part}, &out)
+			return out.Deleted, err
 		})
-		rowMax := 0
-		for _, o := range outs {
-			faults[k] = preferFault(faults[k], o.fault)
-			if o.fault == nil && o.count > rowMax {
-				rowMax = o.count
-			}
-		}
-		if faults[k] == nil {
-			deleted.Add(int64(rowMax))
-		}
-	})
-	for _, bf := range faults {
-		if bf != nil {
-			writeFault(w, bf)
+	deleted := 0
+	for _, rw := range rows {
+		if rw.fault != nil {
+			writeFault(w, rw.fault, "")
 			return
 		}
+		deleted += rw.count
 	}
-	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: int(deleted.Load())})
+	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: deleted})
 }
 
 // handleFind fans the query out one request per assignment row and
@@ -463,9 +389,12 @@ func (f *Frontend) handleFind(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tail := "/v1/find?" + findQuery(pattern, limit)
-	n := f.relay(w, r, limit, func(ctx context.Context, row int, base string) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, base+tail+f.rangeSuffix("&", row), nil)
+	path := "/v1/find?q=" + url.QueryEscape(string(pattern))
+	if limit > 0 {
+		path += "&limit=" + strconv.Itoa(limit)
+	}
+	n := f.relay(w, r, limit, func(ctx context.Context, row, b int) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, f.rowURL(b, row, path), nil)
 	}, func(msg string) any { return FindResult{Err: msg, Partial: true} })
 	f.met.AddStreamed("find", n)
 }
@@ -476,7 +405,12 @@ func (f *Frontend) handleFind(w http.ResponseWriter, r *http.Request) {
 // sent), and only the merge differs by variant — the union-over-
 // sub-collections contract with the fleet as the outermost union.
 // Unranked per-row streams merge through relay exactly like find's,
-// bounded by the plan's k.
+// bounded by the plan's k. A ranked plan runs through query.Union with
+// the rows as its sources: a row's source is a hedged read of its exact
+// local top-k list (at most k documents — the fleet transfers O(rows·k)
+// results, never the full match set), and the union merges the lists
+// into the exact global top-k. A row fault fails a ranked query by the
+// rule count follows (rowFaults).
 func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	p, ok := parseSearchSpec(w, r)
 	if !ok {
@@ -487,13 +421,50 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	if p.Ranked() {
-		f.searchRanked(w, r, p.K(), raw)
+	newReq := func(ctx context.Context, row, b int) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.rowURL(b, row, "/v1/search"), bytes.NewReader(raw))
+		if err == nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		return req, err
+	}
+	if !p.Ranked() {
+		n := f.relay(w, r, p.K(), newReq, func(msg string) any { return SearchResult{Err: msg, Partial: true} })
+		f.met.AddStreamed("search", n)
 		return
 	}
-	n := f.relay(w, r, p.K(), func(ctx context.Context, row int, base string) (*http.Request, error) {
-		return f.searchRequest(ctx, row, base, raw)
-	}, func(msg string) any { return SearchResult{Err: msg, Partial: true} })
+	faults := make([]*backendFault, f.asg.Rows())
+	var top []query.Match
+	query.Union(p, len(faults), func(row int, emit func(query.Match) bool) {
+		var list []query.Match
+		list, faults[row] = rowGet(f, r.Context(), row, true, func(ctx context.Context, b int) ([]query.Match, error) {
+			return f.collectSearch(ctx, func(ctx context.Context) (*http.Request, error) { return newReq(ctx, row, b) })
+		})
+		for _, m := range list {
+			if !emit(m) {
+				return
+			}
+		}
+	}, func(m query.Match) bool {
+		top = append(top, m)
+		return true
+	})
+	fault, failed, ok := rowFaults(w, r, faults)
+	if !ok {
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	enc := json.NewEncoder(w)
+	n := 0
+	write := ndjsonLines(w, r, &n, enc.Encode)
+	for _, m := range top {
+		if !write(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score}) {
+			break
+		}
+	}
+	if fault != nil {
+		enc.Encode(SearchResult{Err: fmt.Sprintf("%s (%d row(s) failed)", fault.message(), len(failed)), Partial: true})
+	}
 	f.met.AddStreamed("search", n)
 }
 
@@ -514,7 +485,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 // which case whatever the live rows produced is served, with the same
 // explicit trailer. relay returns the number of lines relayed.
 func (f *Frontend) relay(w http.ResponseWriter, r *http.Request, limit int,
-	newReq func(ctx context.Context, row int, base string) (*http.Request, error), trailer func(msg string) any) int {
+	newReq func(ctx context.Context, row, b int) (*http.Request, error), trailer func(msg string) any) int {
 	partialOK := boolParam(r.URL.Query().Get("partial"))
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	ctx := r.Context()
@@ -528,8 +499,8 @@ func (f *Frontend) relay(w http.ResponseWriter, r *http.Request, limit int,
 	fanout.FanOut(f.asg.Rows(), func(row int, emit func([]byte) bool) {
 		cctx, cancel := context.WithCancel(ctx)
 		defer cancel() // early break → cancel → backend stops enumerating
-		bf := f.streamRow(cctx, row, func(rctx context.Context, base string) (*http.Request, error) {
-			return newReq(rctx, row, base)
+		bf := f.streamRow(cctx, row, func(rctx context.Context, b int) (*http.Request, error) {
+			return newReq(rctx, row, b)
 		}, emit)
 		if bf != nil {
 			failures.Add(1)
@@ -546,26 +517,12 @@ func (f *Frontend) relay(w http.ResponseWriter, r *http.Request, limit int,
 	return n
 }
 
-// searchRequest builds the POST /v1/search of the wire spec raw to row
-// on the backend at base.
-func (f *Frontend) searchRequest(ctx context.Context, row int, base string, raw []byte) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/search"+f.rangeSuffix("?", row), bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return req, nil
-}
-
-// collectSearch gathers one row's exact local top-k list from backend b
-// (bounded: at most k lines travel), read by the same stream reader the
-// relay uses.
-func (f *Frontend) collectSearch(ctx context.Context, b, row int, raw []byte) ([]query.Match, error) {
+// collectSearch gathers one row's exact local top-k list (bounded: at
+// most k lines travel), read by the same stream reader the relay uses.
+func (f *Frontend) collectSearch(ctx context.Context, newReq func(ctx context.Context) (*http.Request, error)) ([]query.Match, error) {
 	var out []query.Match
 	var bad error
-	err := f.streamOnce(ctx, b, func(ctx context.Context, base string) (*http.Request, error) {
-		return f.searchRequest(ctx, row, base, raw)
-	}, func(line []byte) bool {
+	err := f.streamOnce(ctx, newReq, func(line []byte) bool {
 		var m query.Match
 		if bad = json.Unmarshal(line, &m); bad != nil {
 			return false
@@ -579,161 +536,65 @@ func (f *Frontend) collectSearch(ctx context.Context, b, row int, raw []byte) ([
 	return out, bad
 }
 
-// searchRanked gathers each row's exact local top-k list (at most k
-// documents each — the fleet transfers O(rows·k) results, never the
-// full match set) through the hedged read path and merges them into the
-// exact global top-k: scores are document-local and rows are disjoint,
-// so the merge commutes with the union. Any row fault fails the query
-// with 502 — a top-k list missing one row's documents is silently
-// wrong, which is worse than unavailable — unless the client opted into
-// ?partial=true, which serves the merge of the live rows with an
-// explicit partial trailer.
-func (f *Frontend) searchRanked(w http.ResponseWriter, r *http.Request, k int, raw []byte) {
-	partialOK := boolParam(r.URL.Query().Get("partial"))
-	rows := f.asg.Rows()
-	lists := make([][]query.Match, rows)
-	faults := make([]*backendFault, rows)
-	fanout.ForEach(rows, func(row int) {
-		v, bf := rowGet(f, r.Context(), row, true, func(ctx context.Context, b int) ([]query.Match, error) {
-			return f.collectSearch(ctx, b, row, raw)
-		})
-		if bf != nil {
-			faults[row] = bf
-			return
-		}
-		lists[row] = v
-	})
-	nFailed := 0
-	var fault *backendFault
-	for _, bf := range faults {
-		if bf != nil {
-			nFailed++
-			fault = preferFault(fault, bf)
-		}
-	}
-	if fault != nil && !partialOK {
-		writeFault(w, fault)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	streamed := 0
-	write := ndjsonLines(w, r, &streamed, enc.Encode)
-	query.MergeRanked(lists, k, func(m query.Match) bool {
-		return write(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score})
-	})
-	if fault != nil {
-		enc.Encode(SearchResult{
-			Err:     fmt.Sprintf("%s (%d row(s) failed)", fault.message(), nFailed),
-			Partial: true,
-		})
-	}
-	f.met.AddStreamed("search", streamed)
-}
-
-// findQuery renders the find query string for a backend request.
-func findQuery(pattern []byte, limit int) string {
-	v := make([]string, 0, 2)
-	v = append(v, "q="+urlEscape(pattern))
-	if limit > 0 {
-		v = append(v, fmt.Sprintf("limit=%d", limit))
-	}
-	return strings.Join(v, "&")
-}
-
-// urlEscape query-escapes a byte pattern.
-func urlEscape(b []byte) string {
-	return url.QueryEscape(string(b))
-}
-
 // handleCount asks each row's live replica for its count (hedged) and
-// sums. By default a single unreachable row fails the whole count — a
-// partial count is indistinguishable from a correct one, so it must not
-// be served silently. With ?partial=true the sum over reachable rows is
-// served instead, explicitly labeled with what failed.
+// sums, under the fault and ?partial rule ranked search follows
+// (rowFaults): a partial count is served only on request, labeled with
+// what failed.
 func (f *Frontend) handleCount(w http.ResponseWriter, r *http.Request) {
 	pattern, ok := queryPattern(w, r)
 	if !ok {
 		return
 	}
-	partialOK := boolParam(r.URL.Query().Get("partial"))
-	rows := f.asg.Rows()
-	counts := make([]int, rows)
-	faults := make([]*backendFault, rows)
-	fanout.ForEach(rows, func(row int) {
-		v, bf := rowGet(f, r.Context(), row, true, func(ctx context.Context, b int) (CountResponse, error) {
+	path := "/v1/count?q=" + url.QueryEscape(string(pattern))
+	counts := make([]int, f.asg.Rows())
+	faults := make([]*backendFault, len(counts))
+	fanout.ForEach(len(counts), func(row int) {
+		var v CountResponse
+		v, faults[row] = rowGet(f, r.Context(), row, true, func(ctx context.Context, b int) (CountResponse, error) {
 			var out CountResponse
-			url := f.backends[b] + "/v1/count?q=" + urlEscape(pattern) + f.rangeSuffix("&", row)
-			err := f.getJSONErr(ctx, url, &out)
+			err := f.callJSON(ctx, f.rowURL(b, row, path), nil, &out)
 			return out, err
 		})
-		if bf != nil {
-			faults[row] = bf
-			return
-		}
 		counts[row] = v.Count
 	})
-	total := 0
-	var failed []string
-	var fault *backendFault
-	for row, bf := range faults {
-		if bf != nil {
-			failed = append(failed, fmt.Sprintf("row %d: %s", row, bf.message()))
-			fault = preferFault(fault, bf)
-			continue
-		}
-		total += counts[row]
-	}
-	if fault != nil && !partialOK {
-		writeFault(w, fault)
+	fault, failed, ok := rowFaults(w, r, faults)
+	if !ok {
 		return
+	}
+	total := 0
+	for _, c := range counts {
+		total += c
 	}
 	writeJSON(w, http.StatusOK, CountResponse{Count: total, Partial: fault != nil, Failed: failed})
 }
 
-// handleExtract routes to the owning row, reads the reply from any live
-// replica through the retry path, and relays it verbatim — status,
-// error envelope and all.
+// handleExtract routes to the owning row and reads the document from
+// any live replica through the retry path. The backend request carries
+// id, off and len only — the row is the frontend's to choose — and the
+// backend's reply, document or error envelope, is relayed undecoded.
 func (f *Frontend) handleExtract(w http.ResponseWriter, r *http.Request) {
-	idStr := r.URL.Query().Get("id")
-	id, err := strconv.ParseUint(idStr, 10, 64)
+	q := r.URL.Query()
+	id, err := strconv.ParseUint(q.Get("id"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "id must be a uint64")
 		return
 	}
 	row := f.asg.RowOf(id)
-	type exReply struct {
-		status int
-		ctype  string
-		body   []byte
-	}
-	v, bf := rowGet(f, r.Context(), row, false, func(ctx context.Context, b int) (exReply, error) {
-		url := f.backends[b] + "/v1/extract?" + r.URL.RawQuery + f.rangeSuffix("&", row)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return exReply{}, err
-		}
-		resp, err := f.client.Do(req)
-		if err != nil {
-			return exReply{}, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-		if err != nil {
-			return exReply{}, err
-		}
-		return exReply{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: body}, nil
+	path := "/v1/extract?" + url.Values{"id": {q.Get("id")}, "off": {q.Get("off")}, "len": {q.Get("len")}}.Encode()
+	v, bf := rowGet(f, r.Context(), row, false, func(ctx context.Context, b int) (json.RawMessage, error) {
+		var out json.RawMessage
+		err := f.callJSON(ctx, f.rowURL(b, row, path), nil, &out)
+		return out, err
 	})
-	if bf != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		writeFault(w, bf)
-		return
+	switch {
+	case bf == nil:
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(v)
+	case bf.werr != nil:
+		writeJSON(w, bf.status, bf.werr)
+	case r.Context().Err() == nil:
+		writeFault(w, bf, "")
 	}
-	w.Header().Set("Content-Type", v.ctype)
-	w.WriteHeader(v.status)
-	w.Write(v.body)
 }
 
 // handleAssignment serves the placement table verbatim: operators and
@@ -788,19 +649,8 @@ func (f *Frontend) handleVarz(w http.ResponseWriter, r *http.Request) {
 		views[i] = BackendVarz{URL: f.backends[i]}
 		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.backends[i]+"/varz", nil)
-		if err != nil {
-			views[i].Error = err.Error()
-			return
-		}
-		resp, err := f.client.Do(req)
-		if err != nil {
-			views[i].Error = err.Error()
-			return
-		}
-		defer resp.Body.Close()
 		var v Varz
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		if err := f.callJSON(ctx, f.backends[i]+"/varz", nil, &v); err != nil {
 			views[i].Error = err.Error()
 			return
 		}

@@ -130,6 +130,22 @@ func TestFrontendMergedQueries(t *testing.T) {
 	if len(seen) != 40 {
 		t.Fatalf("merged find saw %d distinct docs, want 40", len(seen))
 	}
+
+	// R=2 over three ranged backends: every row is answered by one of
+	// its two replicas, so nothing is counted or streamed twice.
+	rts, _ := newRangedCluster(t, 3, 2)
+	postJSON(t, rts.URL+"/v1/insert", `{"docs":[`+strings.Join(docs, ",")+`]}`)
+	if s := getJSON(t, rts.URL+"/v1/count?q=needle", &count); s != http.StatusOK || count.Count != 40 || count.Partial {
+		t.Fatalf("R=2 merged count: status %d %+v, want 40", s, count)
+	}
+	lines, trailer, status := findLines(t, rts.URL+"/v1/find?q=needle")
+	seen = make(map[uint64]bool)
+	for _, r := range lines {
+		seen[r.Doc] = true
+	}
+	if status != http.StatusOK || trailer != nil || len(lines) != 40 || len(seen) != 40 {
+		t.Fatalf("R=2 merged find: status %d trailer %v, %d lines over %d docs, want 40 over 40", status, trailer, len(lines), len(seen))
+	}
 }
 
 // TestFrontendFindLimit: a limit through the frontend bounds the merged
@@ -173,6 +189,35 @@ func TestFrontendFindLimit(t *testing.T) {
 		}
 	}
 	_ = total
+
+	// R=2 over three ranged backends: one request per row, each bounded
+	// by the limit.
+	rts, ranged := newRangedCluster(t, 3, 2)
+	postJSON(t, rts.URL+"/v1/insert", `{"docs":[`+strings.Join(docs, ",")+`]}`)
+	if lines, trailer, status := findLines(t, rts.URL+"/v1/find?q=qq&limit=5"); status != http.StatusOK || trailer != nil || len(lines) != 5 {
+		t.Fatalf("R=2 limit=5: status %d trailer %v, %d lines", status, trailer, len(lines))
+	}
+	rows := 3
+	requests := func() (n int64) {
+		for _, b := range ranged {
+			n += b.Metrics().Requests("find")
+		}
+		return n
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for requests() < int64(rows) {
+		if time.Now().After(deadline) {
+			t.Fatal("R=2 backend find handlers did not finish")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	streamed := int64(0)
+	for _, b := range ranged {
+		streamed += b.Metrics().Streamed("find")
+	}
+	if streamed > int64(5*rows) {
+		t.Errorf("R=2 backends streamed %d occurrences for %d row requests with limit=5", streamed, rows)
+	}
 }
 
 // TestFrontendBatchAtomicityLocalChecks: batches the frontend can reject
@@ -266,5 +311,49 @@ func TestFrontendVarz(t *testing.T) {
 	}
 	if okCount != 1 {
 		t.Fatalf("%d backends healthy after killing one of two", okCount)
+	}
+}
+
+// TestFrontendExtractRouting: the frontend routes an extract by the
+// document's row alone — a range parameter the client adds cannot
+// redirect the backend request to another row.
+func TestFrontendExtractRouting(t *testing.T) {
+	fts, _ := newRangedCluster(t, 3, 2)
+	postJSON(t, fts.URL+"/v1/insert", `{"docs":[{"id":1,"text":"hello world"}]}`)
+	row := shardmap.NewAssignment(3, 2).RowOf(1)
+	for _, rng := range []int{0, 1, 2} {
+		var ex ExtractResponse
+		url := fmt.Sprintf("%s/v1/extract?id=1&off=0&len=5&range=%d", fts.URL, rng)
+		if s := getJSON(t, url, &ex); s != http.StatusOK || string(ex.Data) != "hello" {
+			t.Errorf("extract with range=%d (document in row %d): status %d data %q", rng, row, s, ex.Data)
+		}
+	}
+}
+
+// TestFrontendVarzRanged: under replication a backend's ladder report
+// covers the row collections it hosts, so the frontend sees every
+// backend's symbols.
+func TestFrontendVarzRanged(t *testing.T) {
+	fts, backends := newRangedCluster(t, 2, 2)
+	postJSON(t, fts.URL+"/v1/insert", `{"docs":[{"id":1,"text":"hello"},{"id":2,"text":"world!"}]}`)
+	for i, b := range backends {
+		ts := httptest.NewServer(b.Handler())
+		t.Cleanup(ts.Close)
+		var v Varz
+		getJSON(t, ts.URL+"/varz", &v)
+		if v.Docs != 2 || len(v.RangeDocs) == 0 {
+			t.Fatalf("backend %d: docs %d range_docs %v, want 2 docs in rows", i, v.Docs, v.RangeDocs)
+		}
+		if v.Ladder.Live != 11 || v.Ladder.SizeBits <= 0 || v.Ladder.BitsPerUnit <= 0 {
+			t.Errorf("backend %d ladder: live %d size_bits %d bits_per_unit %v, want 11 live symbols and a size",
+				i, v.Ladder.Live, v.Ladder.SizeBits, v.Ladder.BitsPerUnit)
+		}
+	}
+	var v Varz
+	getJSON(t, fts.URL+"/varz", &v)
+	for _, b := range v.Backends {
+		if b.Symbols != 11 {
+			t.Errorf("frontend varz: backend %s symbols %d, want 11", b.URL, b.Symbols)
+		}
 	}
 }

@@ -233,7 +233,6 @@ func queryLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
 type Coll interface {
 	InsertBatch(docs []dyncoll.Document) error
 	DeleteBatch(ids []uint64) (int, error)
-	FindFunc(pattern []byte, fn func(dyncoll.Occurrence) bool)
 	FindLimit(pattern []byte, k int) []dyncoll.Occurrence
 	Search(plan dyncoll.SearchPlan, fn func(dyncoll.Match) bool) error
 	Count(pattern []byte) int
@@ -284,7 +283,7 @@ func NewBackend(c Coll) *Backend {
 	return &Backend{
 		coll:   c,
 		ranges: make(map[int]Coll),
-		met:    NewMetrics("insert", "delete", "find", "search", "count", "extract"),
+		met:    NewMetrics(apiOps...),
 	}
 }
 
@@ -317,16 +316,6 @@ func (b *Backend) Ranges() map[int]Coll {
 // Collection returns the default collection (the drain path saves it).
 func (b *Backend) Collection() Coll { return b.coll }
 
-// HasDoc reports whether any hosted collection holds id.
-func (b *Backend) HasDoc(id uint64) bool {
-	for _, c := range b.readColls(0, false) {
-		if c.Has(id) {
-			return true
-		}
-	}
-	return false
-}
-
 // DocCountAll sums live documents across every hosted collection.
 func (b *Backend) DocCountAll() int {
 	n := 0
@@ -340,18 +329,48 @@ func (b *Backend) DocCountAll() int {
 func (b *Backend) Metrics() *Metrics { return b.met }
 
 // Handler returns the backend's full route table.
-func (b *Backend) Handler() http.Handler {
+func (b *Backend) Handler() http.Handler { return newMux(b.met, b) }
+
+// apiOps are the operations of the API both roles serve, each
+// instrumented under its name.
+var apiOps = []string{"insert", "delete", "find", "search", "count", "extract"}
+
+// api is the request surface both roles implement.
+type api interface {
+	handleInsert(http.ResponseWriter, *http.Request)
+	handleDelete(http.ResponseWriter, *http.Request)
+	handleFind(http.ResponseWriter, *http.Request)
+	handleSearch(http.ResponseWriter, *http.Request)
+	handleCount(http.ResponseWriter, *http.Request)
+	handleExtract(http.ResponseWriter, *http.Request)
+	handleVarz(http.ResponseWriter, *http.Request)
+	handleReadyz(http.ResponseWriter, *http.Request)
+}
+
+// newMux registers a role's API from the one route table, wrapping
+// every operation in met's instrumentation.
+func newMux(met *Metrics, h api) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/insert", b.met.Wrap("insert", b.handleInsert))
-	mux.HandleFunc("POST /v1/delete", b.met.Wrap("delete", b.handleDelete))
-	mux.HandleFunc("GET /v1/find", b.met.Wrap("find", b.handleFind))
-	mux.HandleFunc("GET /v1/search", b.met.Wrap("search", b.handleSearch))
-	mux.HandleFunc("POST /v1/search", b.met.Wrap("search", b.handleSearch))
-	mux.HandleFunc("GET /v1/count", b.met.Wrap("count", b.handleCount))
-	mux.HandleFunc("GET /v1/extract", b.met.Wrap("extract", b.handleExtract))
-	mux.HandleFunc("GET /varz", b.handleVarz)
-	mux.HandleFunc("GET /healthz", handleHealth)
-	mux.HandleFunc("GET /readyz", b.handleReadyz)
+	for _, rt := range []struct {
+		pattern, op string
+		fn          http.HandlerFunc
+	}{
+		{"POST /v1/insert", "insert", h.handleInsert},
+		{"POST /v1/delete", "delete", h.handleDelete},
+		{"GET /v1/find", "find", h.handleFind},
+		{"GET /v1/search", "search", h.handleSearch},
+		{"POST /v1/search", "search", h.handleSearch},
+		{"GET /v1/count", "count", h.handleCount},
+		{"GET /v1/extract", "extract", h.handleExtract},
+		{"GET /varz", "", h.handleVarz},
+		{"GET /healthz", "", handleHealth},
+		{"GET /readyz", "", h.handleReadyz},
+	} {
+		if rt.op != "" {
+			rt.fn = met.Wrap(rt.op, rt.fn)
+		}
+		mux.HandleFunc(rt.pattern, rt.fn)
+	}
 	return mux
 }
 
@@ -487,14 +506,16 @@ func (b *Backend) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: n})
 }
 
-// handleFind streams matches as NDJSON backed by the collection's lazy
-// enumeration: results are written (and periodically flushed) as the
-// backward search produces them, and a client disconnect cancels the
-// request context, which stops the enumeration at the next match — the
-// early-break contract of FindIter carried over the wire.
+// handleFind streams the occurrences of q as NDJSON: find is the exact
+// streaming plan {q, k: limit}, run by the routine that runs
+// /v1/search, so only the line differs. Results are written (and
+// periodically flushed) as the backward search produces them, and a
+// client disconnect cancels the request context, which stops the
+// enumeration at the next match — the early-break contract of FindIter
+// carried over the wire.
 func (b *Backend) handleFind(w http.ResponseWriter, r *http.Request) {
-	rng, present, okR := queryRange(w, r)
-	if !okR {
+	rng, present, ok := queryRange(w, r)
+	if !ok {
 		return
 	}
 	pattern, ok := queryPattern(w, r)
@@ -505,34 +526,24 @@ func (b *Backend) handleFind(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	colls := b.readColls(rng, present)
+	// An exact plan with a non-negative k always compiles.
+	p, _ := query.Compile(query.Spec{PatternB: pattern, K: limit})
+	b.runPlan(w, r, "find", p, b.readColls(rng, present), func(m query.Match) any { return FindResult{Doc: m.Doc, Off: m.Off} })
+}
+
+// runPlan executes p over colls and streams the matches as NDJSON, one
+// line(m) each, merged over the collections by the routine a sharded
+// collection merges its shards with — the endpoints are the wire level
+// of the plan/execute hierarchy. op names the endpoint whose streamed
+// lines are counted.
+func (b *Backend) runPlan(w http.ResponseWriter, r *http.Request, op string, p *query.Plan, colls []Coll, line func(query.Match) any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	n := 0
-	enc := json.NewEncoder(w)
-	if limit > 0 {
-		// Bounded results go through the FindLimit fast path: the
-		// enumeration stops at the limit-th match (a collection asked for
-		// none returns none), and the result is small enough that
-		// streaming flushes buy nothing.
-	fill:
-		for _, coll := range colls {
-			for _, o := range coll.FindLimit(pattern, limit-n) {
-				if enc.Encode(FindResult{Doc: o.DocID, Off: o.Off}) != nil {
-					break fill
-				}
-				n++
-			}
-		}
-	} else {
-		write := ndjsonLines(w, r, &n, enc.Encode)
-		// One hosted collection is the common case (range-scoped reads)
-		// and streams inline; the unscoped union fans out with the same
-		// merge contract the in-process shards use.
-		fanout.FanOut(len(colls), func(i int, emit func(dyncoll.Occurrence) bool) {
-			colls[i].FindFunc(pattern, emit)
-		}, func(o dyncoll.Occurrence) bool { return write(FindResult{Doc: o.DocID, Off: o.Off}) })
-	}
-	b.met.AddStreamed("find", n)
+	write := ndjsonLines(w, r, &n, json.NewEncoder(w).Encode)
+	query.Union(p, len(colls), func(i int, emit func(query.Match) bool) {
+		colls[i].Search(p.Spec(), emit)
+	}, func(m query.Match) bool { return write(line(m)) })
+	b.met.AddStreamed(op, n)
 }
 
 // ndjsonLines returns the emit every NDJSON stream of this package —
@@ -592,34 +603,24 @@ func boolParam(s string) bool { return s == "1" || s == "true" }
 // addresses and streams the matches as NDJSON. Streaming plans deliver
 // matches as they are found with the find endpoint's flush-and-cancel
 // contract; ranked plans deliver at most k documents, best first. The
-// same plan object a library caller would compile runs here, merged
-// over the collections by the same routine a sharded collection merges
-// its shards with — the endpoint is the wire level of the plan/execute
-// hierarchy.
+// same plan object a library caller would compile runs here.
 func (b *Backend) handleSearch(w http.ResponseWriter, r *http.Request) {
-	rng, present, okR := queryRange(w, r)
-	if !okR {
+	rng, present, ok := queryRange(w, r)
+	if !ok {
 		return
 	}
 	p, ok := parseSearchSpec(w, r)
 	if !ok {
 		return
 	}
-	colls := b.readColls(rng, present)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	n := 0
-	write := ndjsonLines(w, r, &n, json.NewEncoder(w).Encode)
-	query.Union(p, len(colls), func(i int, emit func(query.Match) bool) {
-		colls[i].Search(p.Spec(), emit)
-	}, func(m query.Match) bool {
-		return write(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score})
+	b.runPlan(w, r, "search", p, b.readColls(rng, present), func(m query.Match) any {
+		return SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score}
 	})
-	b.met.AddStreamed("search", n)
 }
 
 func (b *Backend) handleCount(w http.ResponseWriter, r *http.Request) {
-	rng, present, okR := queryRange(w, r)
-	if !okR {
+	rng, present, ok := queryRange(w, r)
+	if !ok {
 		return
 	}
 	pattern, ok := queryPattern(w, r)
@@ -637,8 +638,8 @@ func (b *Backend) handleCount(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *Backend) handleExtract(w http.ResponseWriter, r *http.Request) {
-	rng, present, okR := queryRange(w, r)
-	if !okR {
+	rng, present, ok := queryRange(w, r)
+	if !ok {
 		return
 	}
 	q := r.URL.Query()
@@ -663,17 +664,25 @@ func (b *Backend) handleExtract(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprintf("no document %d or range [%d,%d) out of bounds", id, off, off+length))
 }
 
+// handleVarz reports the backend's metrics. Docs, the ladder's live
+// symbols and its size cover every hosted collection; the ladder's
+// levels and shard sizes describe the default collection.
 func (b *Backend) handleVarz(w http.ResponseWriter, r *http.Request) {
-	lv := NewLadderVarz(b.coll.Stats(), "symbol", b.coll.Len(), b.coll.SizeBits())
-	lv.ShardSizes = b.coll.ShardSizes()
 	v := Varz{
 		Role:          "backend",
 		UptimeSeconds: b.met.Uptime().Seconds(),
 		Endpoints:     b.met.Snapshot(),
-		Docs:          b.DocCountAll(),
-		Ladder:        &lv,
 		Counters:      b.met.Counters(),
 	}
+	live, bits := 0, int64(0)
+	for _, c := range b.readColls(0, false) {
+		v.Docs += c.DocCount()
+		live += c.Len()
+		bits += c.SizeBits()
+	}
+	lv := NewLadderVarz(b.coll.Stats(), "symbol", live, bits)
+	lv.ShardSizes = b.coll.ShardSizes()
+	v.Ladder = &lv
 	if rngs := b.Ranges(); len(rngs) > 0 {
 		v.RangeDocs = make(map[string]int, len(rngs))
 		for rng, c := range rngs {

@@ -43,12 +43,17 @@ type Varz struct {
 type LadderVarz struct {
 	// Unit names the structure's weight unit: "symbol" (collections),
 	// "pair" (relations), or "edge" (graphs).
-	Unit        string  `json:"unit"`
+	Unit string `json:"unit"`
+	// Live, SizeBits and BitsPerUnit measure the whole structure; on a
+	// backend they sum every hosted collection, assignment rows
+	// included.
 	Live        int     `json:"live"`
 	SizeBits    int64   `json:"size_bits"`
 	BitsPerUnit float64 `json:"bits_per_unit"`
 	// Shards is the shard count (0 when unsharded); ShardSizes is the
-	// per-shard live-weight occupancy, when the caller provides it.
+	// per-shard live-weight occupancy, when the caller provides it. On a
+	// backend these, like every field below, describe the default
+	// collection only.
 	Shards     int   `json:"shards,omitempty"`
 	ShardSizes []int `json:"shard_sizes,omitempty"`
 	// MappedBytes/HeapBytes split the footprint into snapshot pages

@@ -175,6 +175,11 @@ done
 body="${body%,}]}"
 out=$(curl -fsS -X POST -d "$body" "http://$FE2/v1/insert")
 echo "$out" | grep -q '"inserted":30' || fail "replicated insert reply: $out"
+# Each backend holds its rows outside the default collection; its ladder
+# report must still count their symbols.
+out=$(curl -fsS "http://$FE2/varz")
+syms=$(echo "$out" | grep -o '"symbols":[1-9][0-9]*' | wc -l)
+[ "$syms" -eq 2 ] || fail "frontend varz shows symbols for $syms of 2 replicated backends: $out"
 status=$(curl -s -o /dev/null -w '%{http_code}' "http://$FE2/readyz")
 [ "$status" = 200 ] || fail "healthy fleet readyz returned $status"
 
