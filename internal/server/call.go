@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +20,9 @@ import (
 // — per-op deadlines derived from the request context, breaker-gated
 // replica selection, idempotent retries with capped backoff and jitter,
 // hedged reads, and the stream stall watchdog. The handlers above it
-// only decide WHAT to ask each assignment row; this layer decides WHOM
-// to ask and how hard to try.
+// only decide WHAT to ask; this layer decides WHOM to ask — a read's
+// cover, one request per group of rows a live backend hosts together —
+// and how hard to try.
 
 var (
 	errNoLiveReplica = errors.New("no live replica (all breakers open)")
@@ -75,62 +77,167 @@ func (f *Frontend) settle(ctx context.Context, b int, start time.Time, err error
 	return &backendFault{url: f.backends[b], err: err}
 }
 
-// replicaWalk is one row read's walk over the row's replica set.
-type replicaWalk struct {
-	f     *Frontend
-	row   int
-	tried []bool
-	n     int // replicas tried since the last reset
+// group is one request of a read's cover: the rows backend b answers
+// together, as the union of their collections. A group with b < 0
+// holds rows that no admissible backend hosts.
+type group struct {
+	b    int
+	rows []int
 }
 
-// pick returns the first replica not yet tried whose breaker admits a
-// request, marked tried, or -1. The breaker slot is consumed: the
-// caller MUST settle the chosen backend.
-func (s *replicaWalk) pick() int {
-	for _, b := range s.f.asg.Replicas(s.row) {
-		if !s.tried[b] && s.f.states[b].breaker.Allow() {
-			s.tried[b] = true
-			s.n++
-			return b
-		}
+// coverWalk is one read's state over the assignment: which replicas
+// each row has tried since the row's last reset, and each row's last
+// fault. Concurrent groups of one walk hold disjoint rows, so each
+// touches only its own rows' entries.
+type coverWalk struct {
+	f      *Frontend
+	tried  []bool          // row*len(backends) + b
+	faults []*backendFault // per row; nil once the row is answered
+}
+
+func (f *Frontend) newWalk() *coverWalk {
+	return &coverWalk{
+		f:      f,
+		tried:  make([]bool, f.asg.Rows()*len(f.backends)),
+		faults: make([]*backendFault, f.asg.Rows()),
 	}
-	return -1
 }
 
-// onRow is the replica loop every row read runs: up to Attempts rounds
-// with backoff between them, each on a live replica not yet tried (the
-// tried set resets once every replica has been visited, so long outages
-// still probe). try performs one attempt on the admitted backend b and
-// returns its fault, nil when the row is done, and whether the failure
-// may be retried. onRow returns the last fault.
-func (f *Frontend) onRow(ctx context.Context, row int, try func(s *replicaWalk, b int) (*backendFault, bool)) *backendFault {
-	s := &replicaWalk{f: f, row: row, tried: make([]bool, len(f.backends))}
-	var last *backendFault
-	for attempt := 0; attempt < f.retry.Attempts; attempt++ {
-		if attempt > 0 && !f.backoff(ctx, attempt) {
+// cover plans one request per group of the asked rows, greedily over
+// the whole table: the backend hosting the most rows still unplaced,
+// among those not yet tried for them, ties to the lowest index, takes
+// them all, until every row is placed or no backend is left; a group is
+// a placement's asked rows. Only asked rows consult their tried sets:
+// the others belong to no attempt of this walk, or to a concurrent
+// group's. A backend that receives asked rows must admit a request
+// through its breaker — the slot is consumed and the backend marked
+// tried for them, so the caller MUST settle (or release) every group —
+// and one that would receive only other rows is judged by its breaker
+// state. Asked rows no admissible backend hosts come back as one group
+// with b = -1. A row's replica thus depends on the table, the breakers
+// and its own tried set, not on which other rows a read asks for: while
+// nothing fails, count, find, search and extract all read a row from
+// the same replica.
+func (w *coverWalk) cover(rows []int) []group {
+	nb := len(w.f.backends)
+	asked := make([]bool, w.f.asg.Rows())
+	for _, row := range rows {
+		asked[row] = true
+	}
+	left := slices.Clone(w.f.all)
+	refused := make([]bool, nb)
+	hosts := make([]int, nb)
+	tried := func(row, b int) bool { return asked[row] && w.tried[row*nb+b] }
+	var out []group
+	for len(left) > 0 {
+		clear(hosts)
+		for _, row := range left {
+			for _, b := range w.f.asg.Replicas(row) {
+				if !refused[b] && !tried(row, b) {
+					hosts[b]++
+				}
+			}
+		}
+		best := -1
+		for b, n := range hosts {
+			if n > 0 && (best < 0 || n > hosts[best]) {
+				best = b
+			}
+		}
+		if best < 0 {
 			break
 		}
-		if s.n >= len(f.asg.Replicas(row)) {
-			clear(s.tried)
-			s.n = 0
+		takes := func(row int) bool {
+			return !tried(row, best) && slices.Contains(w.f.asg.Replicas(row), best)
 		}
-		b := s.pick()
-		if b < 0 {
-			// Every admissible replica is breaker-open; a later round's
-			// backoff may outlast a cooldown, so keep going.
-			last = &backendFault{url: fmt.Sprintf("row %d", row), err: errNoLiveReplica}
+		serves := slices.ContainsFunc(left, func(row int) bool { return asked[row] && takes(row) })
+		if serves && !w.f.states[best].breaker.Allow() || !serves && w.f.states[best].breaker.State() != BreakerClosed {
+			refused[best] = true
 			continue
 		}
-		bf, retry := try(s, b)
-		if bf == nil {
-			return nil
+		g := group{b: best}
+		rest := left[:0]
+		for _, row := range left {
+			switch {
+			case !takes(row):
+				rest = append(rest, row)
+			case asked[row]:
+				w.tried[row*nb+best] = true
+				g.rows = append(g.rows, row)
+			}
 		}
-		last = bf
-		if !retry || ctx.Err() != nil {
-			break
+		if serves {
+			out = append(out, g)
+		}
+		left = rest
+	}
+	var stranded []int
+	for _, row := range left {
+		if asked[row] {
+			stranded = append(stranded, row)
 		}
 	}
-	return last
+	if stranded != nil {
+		out = append(out, group{b: -1, rows: stranded})
+	}
+	return out
+}
+
+// release undoes cover for groups that will not be sent: each breaker
+// slot is cancelled and the rows may try the backend again.
+func (w *coverWalk) release(groups []group) {
+	nb := len(w.f.backends)
+	for _, g := range groups {
+		if g.b < 0 {
+			continue
+		}
+		w.f.states[g.b].breaker.Cancel()
+		for _, row := range g.rows {
+			w.tried[row*nb+g.b] = false
+		}
+	}
+}
+
+// plan starts a round over rows: a row that has tried every replica
+// starts over (so long outages still probe), then the rows are covered.
+func (w *coverWalk) plan(rows []int) []group {
+	nb := len(w.f.backends)
+	for _, row := range rows {
+		tried := w.tried[row*nb : (row+1)*nb]
+		if !slices.ContainsFunc(w.f.asg.Replicas(row), func(b int) bool { return !tried[b] }) {
+			clear(tried)
+		}
+	}
+	return w.cover(rows)
+}
+
+// run is the replica loop every read runs, for one group of a cover
+// from round attempt on: one attempt on the group's backend, and — when
+// try allows it — a backoff and a new round that re-covers exactly the
+// group's rows over replicas not yet tried, running the resulting
+// groups in turn, until the rows are answered or Attempts rounds are
+// spent. try performs one attempt on an admitted group and returns its
+// fault, nil when the rows are answered, and whether they may be
+// retried. Each row's outcome lands in w.faults.
+func (w *coverWalk) run(ctx context.Context, g group, attempt int, try func(g group) (*backendFault, bool)) {
+	// Rows no admissible replica hosts retry too: a later round's
+	// backoff may outlast a breaker's cooldown.
+	var bf *backendFault
+	retry := true
+	if g.b >= 0 {
+		bf, retry = try(g)
+	} else {
+		bf = &backendFault{url: fmt.Sprintf("rows %v", g.rows), err: errNoLiveReplica}
+	}
+	for _, row := range g.rows {
+		w.faults[row] = bf
+	}
+	if bf == nil || !retry || ctx.Err() != nil || attempt+1 >= w.f.retry.Attempts || !w.f.backoff(ctx, attempt+1) {
+		return
+	}
+	for _, sub := range w.plan(g.rows) {
+		w.run(ctx, sub, attempt+1, try)
+	}
 }
 
 // backoff counts a retry and sleeps before attempt round attempt; false
@@ -140,47 +247,60 @@ func (f *Frontend) backoff(ctx context.Context, attempt int) bool {
 	return sleepCtx(ctx, f.retry.Backoff(attempt, rand.Float64))
 }
 
-// attemptOne performs one already-admitted call against backend b under
-// the per-op deadline and settles b with the outcome.
-func attemptOne[T any](f *Frontend, ctx context.Context, b int, do func(ctx context.Context, b int) (T, error)) (T, *backendFault) {
+// attemptOne performs one already-admitted call for group g under the
+// per-op deadline and settles g's backend with the outcome.
+func attemptOne[T any](f *Frontend, ctx context.Context, g group, do func(ctx context.Context, g group) (T, error)) (T, *backendFault) {
 	actx, cancel := context.WithTimeout(ctx, f.opTimeout)
 	defer cancel()
 	start := time.Now()
-	v, err := do(actx, b)
-	return v, f.settle(ctx, b, start, err)
+	v, err := do(actx, g)
+	return v, f.settle(ctx, g.b, start, err)
 }
 
-// rowGet runs one idempotent JSON read against an assignment row
-// through onRow, optionally hedging a slow attempt to a second replica.
-// An application error is the row's answer and is not retried —
-// retrying a 409 yields a 409. Returns the value, or the zero value and
-// the last fault.
-func rowGet[T any](f *Frontend, ctx context.Context, row int, hedge bool, do func(ctx context.Context, b int) (T, error)) (T, *backendFault) {
-	var out T
-	bf := f.onRow(ctx, row, func(s *replicaWalk, b int) (*backendFault, bool) {
-		v, bf := hedgedAttempt(f, ctx, s, b, hedge, do)
-		if bf == nil {
-			out = v
+// readJSON answers rows with one idempotent JSON read per group of
+// their cover, groups in parallel, each optionally hedged: do performs
+// one request for a group on its backend, and got receives every
+// answered group's value, possibly concurrently. An application error
+// is the rows' answer and is not retried — retrying a 409 yields a 409.
+// It returns each row's fault, indexed by row: nil for answered rows
+// and for rows not asked.
+func readJSON[T any](f *Frontend, ctx context.Context, rows []int, hedge bool, do func(ctx context.Context, g group) (T, error), got func(T)) []*backendFault {
+	w := f.newWalk()
+	groups := w.plan(rows)
+	fanout.ForEach(len(groups), func(i int) {
+		w.run(ctx, groups[i], 0, func(g group) (*backendFault, bool) {
+			vs, bf := hedgedAttempt(f, ctx, w, g, hedge, do)
+			if bf != nil {
+				return bf, bf.werr == nil
+			}
+			for _, v := range vs {
+				got(v)
+			}
 			return nil, false
-		}
-		return bf, bf.werr == nil
+		})
 	})
-	return out, bf
+	return w.faults
 }
 
-// hedgedAttempt runs do against b1 and, if the reply is slower than the
-// hedge delay, races a second copy on another live replica of the walk
-// — the classic tail-latency cut: the duplicate read is idempotent,
-// whichever answer arrives first wins, and the loser is cancelled
-// without being charged to its backend's breaker.
-func hedgedAttempt[T any](f *Frontend, ctx context.Context, s *replicaWalk, b1 int, hedge bool, do func(ctx context.Context, b int) (T, error)) (T, *backendFault) {
-	var zero T
+// hedgedAttempt runs do for group g and, if the reply is slower than the
+// hedge delay, races a second cover of g's rows over live replicas not
+// yet tried — the classic tail-latency cut: the duplicate reads are
+// idempotent, whichever alternative answers every row first wins, and
+// the losers are cancelled without being charged to their backends'
+// breakers. No hedge is sent unless the second cover reaches every row,
+// since a group's answer is one union and cannot be assembled from
+// parts of two covers. It returns the winning alternative's values.
+func hedgedAttempt[T any](f *Frontend, ctx context.Context, w *coverWalk, g group, hedge bool, do func(ctx context.Context, g group) (T, error)) ([]T, *backendFault) {
 	delay := time.Duration(-1)
 	if hedge {
 		delay = f.hedgeDelay()
 	}
 	if delay < 0 {
-		return attemptOne(f, ctx, b1, do)
+		v, bf := attemptOne(f, ctx, g, do)
+		if bf != nil {
+			return nil, bf
+		}
+		return []T{v}, nil
 	}
 	type res struct {
 		v      T
@@ -188,39 +308,60 @@ func hedgedAttempt[T any](f *Frontend, ctx context.Context, s *replicaWalk, b1 i
 		hedged bool
 	}
 	actx, cancel := context.WithCancel(ctx)
-	defer cancel() // the winner cancels the loser
-	ch := make(chan res, 2)
-	inflight := 1
-	go func() { v, bf := attemptOne(f, actx, b1, do); ch <- res{v, bf, false} }()
+	defer cancel() // the winner cancels the losers
+	// Room for every send — the first request and at most one hedge per
+	// row — so a loser never blocks after the winner returned.
+	ch := make(chan res, 1+len(g.rows))
+	launch := func(h group, hedged bool) {
+		go func() { v, bf := attemptOne(f, actx, h, do); ch <- res{v, bf, hedged} }()
+	}
+	launch(g, false)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	hedgeC := timer.C
 	var first *backendFault
+	var parts []T                // the hedge's answers so far
+	origLive, pending := true, 0 // pending > 0: hedge requests in flight, none failed
 	for {
 		select {
 		case r := <-ch:
-			if r.bf == nil {
-				if r.hedged {
+			switch {
+			case r.hedged && pending == 0:
+				continue // part of a hedge that already lost
+			case r.bf == nil && !r.hedged:
+				return []T{r.v}, nil
+			case r.bf == nil:
+				parts = append(parts, r.v)
+				if pending--; pending == 0 {
 					f.count("hedge_wins")
+					return parts, nil
 				}
-				return r.v, nil
+				continue
+			case r.hedged:
+				pending = 0
+			default:
+				origLive = false
 			}
 			if first == nil {
 				first = r.bf
 			}
-			inflight--
-			if inflight == 0 {
-				return zero, first
+			if !origLive && pending == 0 {
+				return nil, first
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			if b2 := s.pick(); b2 >= 0 {
-				f.count("hedges")
-				inflight++
-				go func() { v, bf := attemptOne(f, actx, b2, do); ch <- res{v, bf, true} }()
+			hs := w.cover(g.rows)
+			if hs[len(hs)-1].b < 0 {
+				w.release(hs)
+				continue
+			}
+			f.met.CounterAdd("hedges", int64(len(hs)))
+			pending = len(hs)
+			for _, h := range hs {
+				launch(h, true)
 			}
 		case <-ctx.Done():
-			return zero, &backendFault{url: f.backends[b1], err: ctx.Err()}
+			return nil, &backendFault{url: f.backends[g.b], err: ctx.Err()}
 		}
 	}
 }
@@ -247,22 +388,31 @@ func (f *Frontend) hedgeDelay() time.Duration {
 	return d
 }
 
-// streamRow relays one assignment row's NDJSON stream into emit
-// through onRow, retrying on a fresh replica only while nothing has
-// been emitted — a retry after relayed lines would duplicate them, so a
-// mid-stream failure surfaces to the caller instead (the in-band
-// trailer's job). A stream's duration is its length, not the backend's
-// speed, so it feeds no latency sample. A nil return means the row
-// streamed completely or its consumer stopped reading.
-func (f *Frontend) streamRow(ctx context.Context, row int, newReq func(ctx context.Context, b int) (*http.Request, error), emit func([]byte) bool) *backendFault {
-	return f.onRow(ctx, row, func(_ *replicaWalk, b int) (*backendFault, bool) {
-		emitted := false
-		err := f.streamOnce(ctx, func(ctx context.Context) (*http.Request, error) { return newReq(ctx, b) }, func(line []byte) bool {
-			emitted = true
-			return emit(line)
+// streamRows relays every assignment row's NDJSON stream into fn, one
+// request per group of the rows' cover, the groups' lines merged
+// through fanout.FanOut. A group retries — re-covering its rows on
+// fresh replicas — only while it has emitted nothing, since a retry
+// after relayed lines would duplicate them, so a mid-stream failure
+// surfaces to the caller instead (the in-band trailer's job). A
+// stream's duration is its length, not the backend's speed, so it
+// feeds no latency sample. It returns each row's fault; a nil fault
+// means the row streamed completely or its consumer stopped reading.
+func (f *Frontend) streamRows(ctx context.Context, newReq func(ctx context.Context, g group) (*http.Request, error), fn func([]byte) bool) []*backendFault {
+	w := f.newWalk()
+	groups := w.plan(f.all)
+	fanout.FanOut(len(groups), func(i int, emit func([]byte) bool) {
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel() // early break → cancel → backend stops enumerating
+		w.run(cctx, groups[i], 0, func(g group) (*backendFault, bool) {
+			emitted := false
+			err := f.streamOnce(cctx, func(ctx context.Context) (*http.Request, error) { return newReq(ctx, g) }, func(line []byte) bool {
+				emitted = true
+				return emit(line)
+			})
+			return f.settle(cctx, g.b, time.Time{}, err), !emitted
 		})
-		return f.settle(ctx, b, time.Time{}, err), !emitted
-	})
+	}, fn)
+	return w.faults
 }
 
 // streamOnce streams one backend response line by line under a stall
@@ -291,7 +441,10 @@ func (f *Frontend) streamOnce(ctx context.Context, newReq func(ctx context.Conte
 		return fmt.Errorf("status %d", resp.StatusCode)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	// The buffer starts at the scanner's 4 KiB and grows on demand:
+	// result lines are tens of bytes, and a 64 KiB buffer per stream was
+	// a quarter of the frontend's allocated bytes.
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		wd.Reset(f.opTimeout)
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
@@ -385,7 +538,7 @@ func writeSplit[T any](f *Frontend, ctx context.Context, path string, items []T,
 	fanout.ForEach(len(involved), func(k int) {
 		row := involved[k]
 		out[k] = f.writeRow(ctx, row, idempotent, func(ctx context.Context, b int) (int, error) {
-			return post(ctx, f.rowURL(b, row, path), parts[row])
+			return post(ctx, f.rowsURL(b, []int{row}, path), parts[row])
 		})
 		out[k].items = len(parts[row])
 	})

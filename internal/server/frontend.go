@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,11 +24,12 @@ import (
 // row — one of the paper's sub-collections — and every row to its
 // ordered replica set of R backends. Writes go to ALL replicas of the
 // owning row (quorum = all), reads to any single live replica per row,
-// and un-routable queries fan out one request per ROW (not per
-// backend), merging the per-row NDJSON streams through the same fanout
-// contract the in-process sharding layer uses. The table is a pure
-// function of (key, table), so any number of frontend replicas handed
-// the same table agree with no coordination.
+// and un-routable queries fan out over a cover of the rows: one request
+// per group of rows that one live backend hosts together, merging the
+// groups' NDJSON streams through the same fanout contract the
+// in-process sharding layer uses. The table is a pure function of (key,
+// table), so any number of frontend replicas handed the same table
+// agree with no coordination.
 //
 // Every backend call runs through the call engine (call.go): per-op
 // deadline, circuit-breaker gating, idempotent retries with backoff,
@@ -35,7 +37,8 @@ import (
 type Frontend struct {
 	backends  []string // normalized base URLs, index = backend number
 	asg       shardmap.Assignment
-	ranged    bool // false for the trivial 1:1 table: omit ?range=, bytes land in the default collections
+	all       []int // every assignment row: what a fan-out read covers
+	ranged    bool  // false for the trivial 1:1 table: omit ?range=, bytes land in the default collections
 	cfg       FrontendConfig
 	opTimeout time.Duration
 	retry     RetryPolicy
@@ -117,12 +120,14 @@ func NewFrontendConfig(cfg FrontendConfig) (*Frontend, error) {
 	f := &Frontend{
 		backends:  norm,
 		asg:       asg,
+		all:       make([]int, asg.Rows()),
 		ranged:    !trivialAssignment(asg),
 		cfg:       cfg,
 		opTimeout: cfg.OpTimeout,
 		retry:     cfg.Retry.withDefaults(),
 		// Connection pooling matters here: every query opens one request
-		// per row, so idle conns per host must cover the fan-out.
+		// per group of its cover, so idle conns per host must cover the
+		// fan-out.
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
@@ -135,6 +140,9 @@ func NewFrontendConfig(cfg FrontendConfig) (*Frontend, error) {
 	}
 	for i := range f.states {
 		f.states[i] = &backendState{breaker: NewBreaker(cfg.Breaker)}
+	}
+	for row := range f.all {
+		f.all[row] = row
 	}
 	return f, nil
 }
@@ -173,10 +181,10 @@ func (f *Frontend) Handler() http.Handler {
 	return mux
 }
 
-// rowURL addresses path (with its query string, if any) on backend b,
-// scoped to row by ?range=; trivial tables omit it (see
+// rowsURL addresses path (with its query string, if any) on backend b,
+// scoped to rows by one ?range= per row; trivial tables omit it (see
 // trivialAssignment).
-func (f *Frontend) rowURL(b, row int, path string) string {
+func (f *Frontend) rowsURL(b int, rows []int, path string) string {
 	u := f.backends[b] + path
 	if !f.ranged {
 		return u
@@ -185,7 +193,11 @@ func (f *Frontend) rowURL(b, row int, path string) string {
 	if strings.Contains(path, "?") {
 		sep = "&"
 	}
-	return u + sep + "range=" + strconv.Itoa(row)
+	for _, row := range rows {
+		u += sep + "range=" + strconv.Itoa(row)
+		sep = "&"
+	}
+	return u
 }
 
 // callJSON sends one JSON request to a backend — a POST of body, or a
@@ -222,7 +234,15 @@ func (f *Frontend) callJSON(ctx context.Context, url string, body, out any) erro
 		return &wireError{status: resp.StatusCode, resp: &e}
 	}
 	if raw, ok := out.(*json.RawMessage); ok {
-		*raw, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+		// A reply over the cap is refused, never relayed cut: a truncated
+		// body would reach the client as a 200 that does not parse. The
+		// refusal is an answer — the backend is healthy, and every
+		// replica holds the same oversized reply.
+		if *raw, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1)); err == nil && len(*raw) > maxBodyBytes {
+			*raw = nil
+			return &wireError{status: http.StatusBadGateway, resp: &ErrorResponse{Error: CodeInternal,
+				Message: fmt.Sprintf("backend reply exceeds the %d MiB relay limit; extract a shorter range", maxBodyBytes>>20)}}
+		}
 		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
@@ -376,10 +396,10 @@ func (f *Frontend) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: deleted})
 }
 
-// handleFind fans the query out one request per assignment row and
-// merges the NDJSON streams through relay; each row's limit mirrors the
-// merged limit, since no single row can satisfy more than the whole
-// query needs.
+// handleFind fans the query out one request per group of the rows'
+// cover and merges the NDJSON streams through relay; each group's limit
+// mirrors the merged limit, since no part can satisfy more than the
+// whole query needs.
 func (f *Frontend) handleFind(w http.ResponseWriter, r *http.Request) {
 	pattern, ok := queryPattern(w, r)
 	if !ok {
@@ -393,22 +413,22 @@ func (f *Frontend) handleFind(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 {
 		path += "&limit=" + strconv.Itoa(limit)
 	}
-	n := f.relay(w, r, limit, func(ctx context.Context, row, b int) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, f.rowURL(b, row, path), nil)
+	n := f.relay(w, r, limit, func(ctx context.Context, g group) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, f.rowsURL(g.b, g.rows, path), nil)
 	}, func(msg string) any { return FindResult{Err: msg, Partial: true} })
 	f.met.AddStreamed("find", n)
 }
 
 // handleSearch runs a search plan over the fleet. The spec travels to
-// every row's replica verbatim (wire-level plan serialization: each
-// backend compiles and executes the same plan the frontend's client
-// sent), and only the merge differs by variant — the union-over-
-// sub-collections contract with the fleet as the outermost union.
-// Unranked per-row streams merge through relay exactly like find's,
-// bounded by the plan's k. A ranked plan runs through query.Union with
-// the rows as its sources: a row's source is a hedged read of its exact
-// local top-k list (at most k documents — the fleet transfers O(rows·k)
-// results, never the full match set), and the union merges the lists
+// the backend of every group of the rows' cover verbatim (wire-level
+// plan serialization: each backend compiles and executes the same plan
+// the frontend's client sent over the union of the group's rows), and
+// only the merge differs by variant — the union-over-sub-collections
+// contract with the fleet as the outermost union. Unranked group
+// streams merge through relay exactly like find's, bounded by the
+// plan's k. A ranked plan reads each group's exact local top-k list
+// (hedged; at most k documents — the fleet transfers O(groups·k)
+// results, never the full match set), and MergeRanked merges the lists
 // into the exact global top-k. A row fault fails a ranked query by the
 // rule count follows (rowFaults).
 func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -421,8 +441,8 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	newReq := func(ctx context.Context, row, b int) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.rowURL(b, row, "/v1/search"), bytes.NewReader(raw))
+	newReq := func(ctx context.Context, g group) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.rowsURL(g.b, g.rows, "/v1/search"), bytes.NewReader(raw))
 		if err == nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
@@ -433,21 +453,14 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		f.met.AddStreamed("search", n)
 		return
 	}
-	faults := make([]*backendFault, f.asg.Rows())
-	var top []query.Match
-	query.Union(p, len(faults), func(row int, emit func(query.Match) bool) {
-		var list []query.Match
-		list, faults[row] = rowGet(f, r.Context(), row, true, func(ctx context.Context, b int) ([]query.Match, error) {
-			return f.collectSearch(ctx, func(ctx context.Context) (*http.Request, error) { return newReq(ctx, row, b) })
-		})
-		for _, m := range list {
-			if !emit(m) {
-				return
-			}
-		}
-	}, func(m query.Match) bool {
-		top = append(top, m)
-		return true
+	var mu sync.Mutex
+	var lists [][]query.Match
+	faults := readJSON(f, r.Context(), f.all, true, func(ctx context.Context, g group) ([]query.Match, error) {
+		return f.collectSearch(ctx, func(ctx context.Context) (*http.Request, error) { return newReq(ctx, g) })
+	}, func(list []query.Match) {
+		mu.Lock()
+		lists = append(lists, list)
+		mu.Unlock()
 	})
 	fault, failed, ok := rowFaults(w, r, faults)
 	if !ok {
@@ -457,25 +470,24 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	n := 0
 	write := ndjsonLines(w, r, &n, enc.Encode)
-	for _, m := range top {
-		if !write(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score}) {
-			break
-		}
-	}
+	query.MergeRanked(lists, p.K(), func(m query.Match) bool {
+		return write(SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score})
+	})
 	if fault != nil {
 		enc.Encode(SearchResult{Err: fmt.Sprintf("%s (%d row(s) failed)", fault.message(), len(failed)), Partial: true})
 	}
 	f.met.AddStreamed("search", n)
 }
 
-// relay fans one request per assignment row out — each row's stream
-// served by one live replica, retried on a sibling while nothing was
-// emitted — and relays the merged NDJSON lines to the client as they
-// arrive, flushing every fanout.Chunk lines. Early break propagates in
-// both directions: when the client disconnects or limit lines (0 =
-// unlimited) were relayed, every row request is cancelled, which each
-// backend observes as a client disconnect and stops its enumeration —
-// the in-process early-break contract, lifted to processes.
+// relay fans one request per group of the rows' cover out — each
+// group's stream served by one live replica that hosts all its rows,
+// retried on fresh replicas while nothing was emitted — and relays the
+// merged NDJSON lines to the client as they arrive, flushing every
+// fanout.Chunk lines. Early break propagates in both directions: when
+// the client disconnects or limit lines (0 = unlimited) were relayed,
+// every group request is cancelled, which each backend observes as a
+// client disconnect and stops its enumeration — the in-process
+// early-break contract, lifted to processes.
 //
 // A row that fails after its stream started cannot change the
 // already-streaming 200 status; the failure is reported in-band as a
@@ -485,7 +497,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 // which case whatever the live rows produced is served, with the same
 // explicit trailer. relay returns the number of lines relayed.
 func (f *Frontend) relay(w http.ResponseWriter, r *http.Request, limit int,
-	newReq func(ctx context.Context, row, b int) (*http.Request, error), trailer func(msg string) any) int {
+	newReq func(ctx context.Context, g group) (*http.Request, error), trailer func(msg string) any) int {
 	partialOK := boolParam(r.URL.Query().Get("partial"))
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	ctx := r.Context()
@@ -494,25 +506,23 @@ func (f *Frontend) relay(w http.ResponseWriter, r *http.Request, limit int,
 		_, err := w.Write(append(line, '\n'))
 		return err
 	})
-	var failures atomic.Int32
-	var firstFault atomic.Pointer[backendFault]
-	fanout.FanOut(f.asg.Rows(), func(row int, emit func([]byte) bool) {
-		cctx, cancel := context.WithCancel(ctx)
-		defer cancel() // early break → cancel → backend stops enumerating
-		bf := f.streamRow(cctx, row, func(rctx context.Context, b int) (*http.Request, error) {
-			return newReq(rctx, row, b)
-		}, emit)
+	faults := f.streamRows(ctx, newReq, func(line []byte) bool { return write(line) && (limit == 0 || n < limit) })
+	var first *backendFault
+	failures := 0
+	for _, bf := range faults {
 		if bf != nil {
-			failures.Add(1)
-			firstFault.CompareAndSwap(nil, bf)
+			if first == nil {
+				first = bf
+			}
+			failures++
 		}
-	}, func(line []byte) bool { return write(line) && (limit == 0 || n < limit) })
-	if bf := firstFault.Load(); bf != nil && ctx.Err() == nil {
+	}
+	if first != nil && ctx.Err() == nil {
 		if n == 0 && !partialOK {
-			writeError(w, http.StatusBadGateway, CodeUnreachable, bf.message())
+			writeError(w, http.StatusBadGateway, CodeUnreachable, first.message())
 			return n
 		}
-		json.NewEncoder(w).Encode(trailer(fmt.Sprintf("%s (%d row(s) failed)", bf.message(), failures.Load())))
+		json.NewEncoder(w).Encode(trailer(fmt.Sprintf("%s (%d row(s) failed)", first.message(), failures)))
 	}
 	return n
 }
@@ -536,42 +546,35 @@ func (f *Frontend) collectSearch(ctx context.Context, newReq func(ctx context.Co
 	return out, bad
 }
 
-// handleCount asks each row's live replica for its count (hedged) and
-// sums, under the fault and ?partial rule ranked search follows
-// (rowFaults): a partial count is served only on request, labeled with
-// what failed.
+// handleCount asks the backend of each group of the rows' cover for the
+// group's count (hedged) and sums, under the fault and ?partial rule
+// ranked search follows (rowFaults): a partial count is served only on
+// request, labeled with what failed.
 func (f *Frontend) handleCount(w http.ResponseWriter, r *http.Request) {
 	pattern, ok := queryPattern(w, r)
 	if !ok {
 		return
 	}
 	path := "/v1/count?q=" + url.QueryEscape(string(pattern))
-	counts := make([]int, f.asg.Rows())
-	faults := make([]*backendFault, len(counts))
-	fanout.ForEach(len(counts), func(row int) {
-		var v CountResponse
-		v, faults[row] = rowGet(f, r.Context(), row, true, func(ctx context.Context, b int) (CountResponse, error) {
-			var out CountResponse
-			err := f.callJSON(ctx, f.rowURL(b, row, path), nil, &out)
-			return out, err
-		})
-		counts[row] = v.Count
-	})
+	var total atomic.Int64
+	faults := readJSON(f, r.Context(), f.all, true, func(ctx context.Context, g group) (int, error) {
+		var out CountResponse
+		err := f.callJSON(ctx, f.rowsURL(g.b, g.rows, path), nil, &out)
+		return out.Count, err
+	}, func(n int) { total.Add(int64(n)) })
 	fault, failed, ok := rowFaults(w, r, faults)
 	if !ok {
 		return
 	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	writeJSON(w, http.StatusOK, CountResponse{Count: total, Partial: fault != nil, Failed: failed})
+	writeJSON(w, http.StatusOK, CountResponse{Count: int(total.Load()), Partial: fault != nil, Failed: failed})
 }
 
 // handleExtract routes to the owning row and reads the document from
-// any live replica through the retry path. The backend request carries
-// id, off and len only — the row is the frontend's to choose — and the
-// backend's reply, document or error envelope, is relayed undecoded.
+// any live replica through the retry path — a cover of one row. The
+// backend request carries id, off and len only — the row is the
+// frontend's to choose — and the backend's reply, document or error
+// envelope, is relayed undecoded; a reply over maxBodyBytes is refused
+// rather than relayed cut.
 func (f *Frontend) handleExtract(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	id, err := strconv.ParseUint(q.Get("id"), 10, 64)
@@ -581,11 +584,12 @@ func (f *Frontend) handleExtract(w http.ResponseWriter, r *http.Request) {
 	}
 	row := f.asg.RowOf(id)
 	path := "/v1/extract?" + url.Values{"id": {q.Get("id")}, "off": {q.Get("off")}, "len": {q.Get("len")}}.Encode()
-	v, bf := rowGet(f, r.Context(), row, false, func(ctx context.Context, b int) (json.RawMessage, error) {
+	var v json.RawMessage
+	bf := readJSON(f, r.Context(), []int{row}, false, func(ctx context.Context, g group) (json.RawMessage, error) {
 		var out json.RawMessage
-		err := f.callJSON(ctx, f.rowURL(b, row, path), nil, &out)
+		err := f.callJSON(ctx, f.rowsURL(g.b, g.rows, path), nil, &out)
 		return out, err
-	})
+	}, func(out json.RawMessage) { v = out })[row]
 	switch {
 	case bf == nil:
 		w.Header().Set("Content-Type", "application/json")

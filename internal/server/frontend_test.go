@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -190,14 +191,15 @@ func TestFrontendFindLimit(t *testing.T) {
 	}
 	_ = total
 
-	// R=2 over three ranged backends: one request per row, each bounded
+	// R=2 over three ranged backends: one request per group of the rows'
+	// cover — rows {0,2} on backend 0, row {1} on backend 1 — each bounded
 	// by the limit.
 	rts, ranged := newRangedCluster(t, 3, 2)
 	postJSON(t, rts.URL+"/v1/insert", `{"docs":[`+strings.Join(docs, ",")+`]}`)
 	if lines, trailer, status := findLines(t, rts.URL+"/v1/find?q=qq&limit=5"); status != http.StatusOK || trailer != nil || len(lines) != 5 {
 		t.Fatalf("R=2 limit=5: status %d trailer %v, %d lines", status, trailer, len(lines))
 	}
-	rows := 3
+	groups := 2
 	requests := func() (n int64) {
 		for _, b := range ranged {
 			n += b.Metrics().Requests("find")
@@ -205,7 +207,7 @@ func TestFrontendFindLimit(t *testing.T) {
 		return n
 	}
 	deadline = time.Now().Add(5 * time.Second)
-	for requests() < int64(rows) {
+	for requests() < int64(groups) {
 		if time.Now().After(deadline) {
 			t.Fatal("R=2 backend find handlers did not finish")
 		}
@@ -215,8 +217,8 @@ func TestFrontendFindLimit(t *testing.T) {
 	for _, b := range ranged {
 		streamed += b.Metrics().Streamed("find")
 	}
-	if streamed > int64(5*rows) {
-		t.Errorf("R=2 backends streamed %d occurrences for %d row requests with limit=5", streamed, rows)
+	if streamed > int64(5*groups) {
+		t.Errorf("R=2 backends streamed %d occurrences for %d group requests with limit=5", streamed, groups)
 	}
 }
 
@@ -355,5 +357,40 @@ func TestFrontendVarzRanged(t *testing.T) {
 		if b.Symbols != 11 {
 			t.Errorf("frontend varz: backend %s symbols %d, want 11", b.URL, b.Symbols)
 		}
+	}
+}
+
+// TestFrontendExtractOversizedReply: a backend extract reply larger
+// than the frontend relays (maxBodyBytes) is refused with an error
+// envelope, never relayed cut — a truncated body would reach the client
+// as a 200 that does not parse.
+func TestFrontendExtractOversizedReply(t *testing.T) {
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"id":1,"off":0,"data":"`)
+		chunk := strings.Repeat("A", 1<<20)
+		for i := 0; i < maxBodyBytes>>20; i++ {
+			io.WriteString(w, chunk)
+		}
+		io.WriteString(w, strings.Repeat("A", 1<<10)+`"}`+"\n")
+	}))
+	t.Cleanup(fake.Close)
+	fe, err := NewFrontend([]string{fake.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fts := httptest.NewServer(fe.Handler())
+	t.Cleanup(fts.Close)
+	resp, err := http.Get(fts.URL + "/v1/extract?id=1&off=0&len=100000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("status %d, body does not parse: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusBadGateway || e.Error != CodeInternal {
+		t.Fatalf("oversized extract reply: status %d %+v, want 502 %s", resp.StatusCode, e, CodeInternal)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -267,9 +268,12 @@ func (p PlainColl) DeleteBatch(ids []uint64) (int, error) {
 // backends, and keeping rows in separate collections is what lets a
 // replica answer for exactly the rows a frontend asks about — a
 // backend-level count cannot tell which row a document belongs to, so
-// under replication the row must be the addressable unit. Requests
-// without ?range= hit the default collection (writes) or the union of
-// everything hosted (reads), so direct backend access keeps working.
+// under replication the row must be the addressable unit. A read may
+// name several rows (?range=0&range=1) and answers for their union, so
+// a frontend asks one backend once for every row it hosts; writes and
+// extract name at most one. Requests without ?range= hit the default
+// collection (writes) or the union of everything hosted (reads), so
+// direct backend access keeps working.
 type Backend struct {
 	coll    Coll
 	factory func(rng int) (Coll, error)
@@ -319,7 +323,7 @@ func (b *Backend) Collection() Coll { return b.coll }
 // DocCountAll sums live documents across every hosted collection.
 func (b *Backend) DocCountAll() int {
 	n := 0
-	for _, c := range b.readColls(0, false) {
+	for _, c := range b.readColls(nil) {
 		n += c.DocCount()
 	}
 	return n
@@ -385,27 +389,40 @@ func (b *Backend) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ReadyzResponse{Ready: true})
 }
 
-// queryRange parses the optional range parameter naming one assignment
-// row.
-func queryRange(w http.ResponseWriter, r *http.Request) (rng int, present, ok bool) {
-	s := r.URL.Query().Get("range")
-	if s == "" {
-		return 0, false, true
+// queryRanges parses the range parameters, each naming one assignment
+// row. A read may repeat it and covers the union of the named rows;
+// insert, delete and extract (one=true) address at most one row. No
+// range returns nil.
+func queryRanges(w http.ResponseWriter, r *http.Request, one bool) ([]int, bool) {
+	vals := r.URL.Query()["range"]
+	if len(vals) == 0 || len(vals) == 1 && vals[0] == "" {
+		return nil, true
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "range must be a non-negative integer")
-		return 0, false, false
+	if one && len(vals) > 1 {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "range may be given at most once on insert, delete and extract")
+		return nil, false
 	}
-	return n, true, true
+	rngs := make([]int, 0, len(vals))
+	for _, s := range vals {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, CodeBadRequest, "range must be a non-negative integer")
+			return nil, false
+		}
+		if !slices.Contains(rngs, n) {
+			rngs = append(rngs, n)
+		}
+	}
+	return rngs, true
 }
 
 // writeColl resolves the collection a write lands in: the named row
-// (created on first use) or the default collection.
-func (b *Backend) writeColl(rng int, present bool) (Coll, error) {
-	if !present {
+// (created on first use) or, with no row named, the default collection.
+func (b *Backend) writeColl(rngs []int) (Coll, error) {
+	if rngs == nil {
 		return b.coll, nil
 	}
+	rng := rngs[0]
 	b.mu.RLock()
 	c := b.ranges[rng]
 	b.mu.RUnlock()
@@ -429,16 +446,20 @@ func (b *Backend) writeColl(rng int, present bool) (Coll, error) {
 }
 
 // readColls resolves the collections a read covers: exactly the named
-// row (empty if this backend never hosted it — an honest zero, not an
-// error), or the default collection plus every hosted row.
-func (b *Backend) readColls(rng int, present bool) []Coll {
+// rows (a row this backend never hosted contributes nothing — an honest
+// zero, not an error), or with none named the default collection plus
+// every hosted row.
+func (b *Backend) readColls(rngs []int) []Coll {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if present {
-		if c := b.ranges[rng]; c != nil {
-			return []Coll{c}
+	if rngs != nil {
+		out := make([]Coll, 0, len(rngs))
+		for _, rng := range rngs {
+			if c := b.ranges[rng]; c != nil {
+				out = append(out, c)
+			}
 		}
-		return nil
+		return out
 	}
 	out := make([]Coll, 0, 1+len(b.ranges))
 	out = append(out, b.coll)
@@ -449,7 +470,7 @@ func (b *Backend) readColls(rng int, present bool) []Coll {
 }
 
 func (b *Backend) handleInsert(w http.ResponseWriter, r *http.Request) {
-	rng, present, ok := queryRange(w, r)
+	rngs, ok := queryRanges(w, r, true)
 	if !ok {
 		return
 	}
@@ -461,7 +482,7 @@ func (b *Backend) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "empty docs batch")
 		return
 	}
-	coll, err := b.writeColl(rng, present)
+	coll, err := b.writeColl(rngs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
@@ -480,7 +501,7 @@ func (b *Backend) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *Backend) handleDelete(w http.ResponseWriter, r *http.Request) {
-	rng, present, ok := queryRange(w, r)
+	rngs, ok := queryRanges(w, r, true)
 	if !ok {
 		return
 	}
@@ -491,7 +512,7 @@ func (b *Backend) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// A delete addressed to a row this backend never materialized is an
 	// honest zero, not an error — DeleteBatch already skips absent IDs.
 	n := 0
-	for _, coll := range b.readColls(rng, present) {
+	for _, coll := range b.readColls(rngs) {
 		d, err := coll.DeleteBatch(req.IDs)
 		if err != nil {
 			// Durable backends refuse the op when the WAL cannot make it
@@ -514,7 +535,7 @@ func (b *Backend) handleDelete(w http.ResponseWriter, r *http.Request) {
 // enumeration at the next match — the early-break contract of FindIter
 // carried over the wire.
 func (b *Backend) handleFind(w http.ResponseWriter, r *http.Request) {
-	rng, present, ok := queryRange(w, r)
+	rngs, ok := queryRanges(w, r, false)
 	if !ok {
 		return
 	}
@@ -528,7 +549,7 @@ func (b *Backend) handleFind(w http.ResponseWriter, r *http.Request) {
 	}
 	// An exact plan with a non-negative k always compiles.
 	p, _ := query.Compile(query.Spec{PatternB: pattern, K: limit})
-	b.runPlan(w, r, "find", p, b.readColls(rng, present), func(m query.Match) any { return FindResult{Doc: m.Doc, Off: m.Off} })
+	b.runPlan(w, r, "find", p, b.readColls(rngs), func(m query.Match) any { return FindResult{Doc: m.Doc, Off: m.Off} })
 }
 
 // runPlan executes p over colls and streams the matches as NDJSON, one
@@ -605,7 +626,7 @@ func boolParam(s string) bool { return s == "1" || s == "true" }
 // contract; ranked plans deliver at most k documents, best first. The
 // same plan object a library caller would compile runs here.
 func (b *Backend) handleSearch(w http.ResponseWriter, r *http.Request) {
-	rng, present, ok := queryRange(w, r)
+	rngs, ok := queryRanges(w, r, false)
 	if !ok {
 		return
 	}
@@ -613,13 +634,13 @@ func (b *Backend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b.runPlan(w, r, "search", p, b.readColls(rng, present), func(m query.Match) any {
+	b.runPlan(w, r, "search", p, b.readColls(rngs), func(m query.Match) any {
 		return SearchResult{Doc: m.Doc, Off: m.Off, Len: m.Len, Score: m.Score}
 	})
 }
 
 func (b *Backend) handleCount(w http.ResponseWriter, r *http.Request) {
-	rng, present, ok := queryRange(w, r)
+	rngs, ok := queryRanges(w, r, false)
 	if !ok {
 		return
 	}
@@ -627,7 +648,7 @@ func (b *Backend) handleCount(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	colls := b.readColls(rng, present)
+	colls := b.readColls(rngs)
 	counts := make([]int, len(colls))
 	fanout.ForEach(len(colls), func(i int) { counts[i] = colls[i].Count(pattern) })
 	total := 0
@@ -638,7 +659,7 @@ func (b *Backend) handleCount(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *Backend) handleExtract(w http.ResponseWriter, r *http.Request) {
-	rng, present, ok := queryRange(w, r)
+	rngs, ok := queryRanges(w, r, true)
 	if !ok {
 		return
 	}
@@ -654,7 +675,7 @@ func (b *Backend) handleExtract(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "off and len must be non-negative integers")
 		return
 	}
-	for _, coll := range b.readColls(rng, present) {
+	for _, coll := range b.readColls(rngs) {
 		if data, ok := coll.Extract(id, off, length); ok {
 			writeJSON(w, http.StatusOK, ExtractResponse{ID: id, Off: off, Data: data})
 			return
@@ -675,7 +696,7 @@ func (b *Backend) handleVarz(w http.ResponseWriter, r *http.Request) {
 		Counters:      b.met.Counters(),
 	}
 	live, bits := 0, int64(0)
-	for _, c := range b.readColls(0, false) {
+	for _, c := range b.readColls(nil) {
 		v.Docs += c.DocCount()
 		live += c.Len()
 		bits += c.SizeBits()

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -152,4 +154,56 @@ func TestWireShape(t *testing.T) {
 			}
 		})
 	}
+
+	// A backend alone answers a read that names several rows with the
+	// union of the single-row replies, and refuses a repeated range where
+	// one row is addressed: insert, delete and extract.
+	t.Run("backend rows", func(t *testing.T) {
+		factory := func(int) (Coll, error) {
+			c, err := dyncoll.NewCollection(dyncoll.WithShards(2), dyncoll.WithSyncRebuilds(), dyncoll.WithMinCapacity(16))
+			return PlainColl{c}, err
+		}
+		def, err := factory(-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewBackend(def).EnableRanges(factory).Handler())
+		t.Cleanup(ts.Close)
+		wireDo(t, ts.URL+"/v1/insert?range=0", `{"docs":[{"id":1,"text":"the needle in the haystack"},{"id":2,"text":"needle needle"}]}`)
+		wireDo(t, ts.URL+"/v1/insert?range=1", `{"docs":[{"id":3,"text":"no match here"},{"id":4,"text":"a haystack with one needle at its end"}]}`)
+		counted := func(r wireReply) int {
+			var c CountResponse
+			if err := json.Unmarshal([]byte(r.body), &c); err != nil {
+				t.Fatalf("count body %q: %v", r.body, err)
+			}
+			return c.Count
+		}
+		for _, path := range []string{"/v1/count?q=needle", "/v1/count?q=haystack", "/v1/find?q=needle", "/v1/find?q=needle&limit=9",
+			"/v1/search?q=needle", "/v1/search?q=ha.st&regex=1", "/v1/search?q=needle&ranked=1"} {
+			r0, r1 := wireDo(t, ts.URL+path+"&range=0", ""), wireDo(t, ts.URL+path+"&range=1", "")
+			got := wireDo(t, ts.URL+path+"&range=0&range=1", "")
+			want := wireReply{200, ndjson, r0.body + r1.body}
+			if strings.HasPrefix(path, "/v1/count") {
+				want = wireReply{200, plain, fmt.Sprintf(`{"count":%d}`+"\n", counted(r0)+counted(r1))}
+			} else if slices.Equal(sortedLines(got.body), sortedLines(want.body)) {
+				got.body = want.body
+			}
+			if got != want {
+				t.Errorf("backend %s&range=0&range=1:\n got %d %s %q\nwant %d %s %q", path, got.status, got.ctype, got.body, want.status, want.ctype, want.body)
+			}
+		}
+		if got := wireDo(t, ts.URL+"/v1/search?q=needle&ranked=1&range=0&range=1", ""); got.body != rankedAll {
+			t.Errorf("ranked search over rows 0 and 1: %q, want %q", got.body, rankedAll)
+		}
+		once := wireReply{400, plain, `{"error":"bad_request","message":"range may be given at most once on insert, delete and extract"}` + "\n"}
+		for _, tc := range []struct{ path, body string }{
+			{"/v1/insert?range=0&range=1", `{"docs":[{"id":9,"text":"x"}]}`},
+			{"/v1/delete?range=0&range=1", `{"ids":[1]}`},
+			{"/v1/extract?id=1&off=0&len=3&range=0&range=1", ""},
+		} {
+			if got := wireDo(t, ts.URL+tc.path, tc.body); got != once {
+				t.Errorf("backend %s:\n got %d %s %q\nwant %d %s %q", tc.path, got.status, got.ctype, got.body, once.status, once.ctype, once.body)
+			}
+		}
+	})
 }

@@ -183,6 +183,22 @@ syms=$(echo "$out" | grep -o '"symbols":[1-9][0-9]*' | wc -l)
 status=$(curl -s -o /dev/null -w '%{http_code}' "http://$FE2/readyz")
 [ "$status" = 200 ] || fail "healthy fleet readyz returned $status"
 
+# Both rows live on both backends, so one fleet count is one backend
+# request: the rows' cover is a single group.
+count_requests() { # sum of both backends' /v1/count requests
+    n=0
+    for b in "$B4" "$B5"; do
+        r=$(curl -fsS "http://$b/varz" | grep -o '"count":{"requests":[0-9]*' | sed 's/.*://')
+        n=$((n + ${r:-0}))
+    done
+    echo "$n"
+}
+before=$(count_requests)
+out=$(curl -fsS "http://$FE2/v1/count?q=needle")
+echo "$out" | grep -q '"count":30' || fail "healthy replicated count: $out"
+after=$(count_requests)
+[ $((after - before)) -eq 1 ] || fail "one fleet count sent $((after - before)) backend requests, want 1"
+
 kill -9 "$b4_pid"
 wait "$b4_pid" 2>/dev/null || true
 
