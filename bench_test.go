@@ -744,9 +744,9 @@ func BenchmarkRegexSearch(b *testing.B) {
 	}
 }
 
-// manyStoreCollection ingests docs unsharded in 96 batches — one top
-// collection per batch, the ladder batched ingest leaves in production —
-// so a pass over its parts is long enough to get a team.
+// manyStoreCollection ingests docs unsharded in 96 batches, closing the
+// open top after each so every batch is one top collection, so a pass
+// over its parts is long enough to get a team.
 func manyStoreCollection(tb testing.TB, docs []Document) *Collection {
 	tb.Helper()
 	c, err := NewCollection(WithSyncRebuilds())
@@ -757,6 +757,7 @@ func manyStoreCollection(tb testing.TB, docs []Document) *Collection {
 		if err := c.InsertBatch(batch); err != nil {
 			tb.Fatal(err)
 		}
+		c.WaitIdle()
 	}
 	if st := c.Stats(); st.Tops < 2*fanout.PartsPerWorker {
 		tb.Fatalf("batched ingest left %d tops, want ≥ %d", st.Tops, 2*fanout.PartsPerWorker)

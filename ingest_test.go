@@ -2,13 +2,58 @@ package dyncoll
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dyncoll/internal/textgen"
 )
+
+// groupWeight mirrors the engine's G: consecutive over-C0 batches
+// gather in one open top until it weighs this many symbols.
+const groupWeight = 192 << 10
+
+// groupedTops predicts, sorted, the live weights of the tops that
+// over-C0 batches ingested in order leave once WaitIdle has closed the
+// last open top: per shard, a batch's part joins the shard's open top,
+// which closes as soon as it weighs groupWeight. It holds when every
+// part is over C0 and a single chunk, which a τ of 2 (top capacity 2n)
+// guarantees.
+func groupedTops(batches [][]Document, shards int) []int {
+	open := make([]int, max(shards, 1))
+	var tops []int
+	for _, b := range batches {
+		part := make([]int, len(open))
+		for _, d := range b {
+			s := 0
+			if shards > 0 {
+				s = shardOf(d.ID, shards)
+			}
+			part[s] += len(d.Data)
+		}
+		for s, w := range part {
+			if open[s] += w; open[s] >= groupWeight {
+				tops = append(tops, open[s])
+				open[s] = 0
+			}
+		}
+	}
+	for _, w := range open {
+		if w > 0 {
+			tops = append(tops, w)
+		}
+	}
+	slices.Sort(tops)
+	return tops
+}
+
+// sortedTops returns c's top weights, sorted.
+func sortedTops(c *Collection) []int {
+	return slices.Sorted(slices.Values(c.Stats().TopSizes))
+}
 
 // TestBackgroundIngestBytesMatchSync ingests a stream of over-C0
 // batches with builds in the background, then waits for them, and
@@ -20,16 +65,21 @@ import (
 // itself, so the background collection is saved under the synchronous
 // one's header and every other byte is compared.
 func TestBackgroundIngestBytesMatchSync(t *testing.T) {
-	gen := textgen.NewCollection(textgen.CollectionOptions{Sigma: 16, MinLen: 64, MaxLen: 256, Seed: 43})
-	batches := make([][]Document, 12)
+	gen := textgen.NewCollection(textgen.CollectionOptions{Sigma: 16, MinLen: 1024, MaxLen: 4096, Seed: 43})
+	batches := make([][]Document, 16)
 	for b := range batches {
-		for range 64 {
+		for range 80 {
 			batches[b] = append(batches[b], gen.NextDoc())
 		}
 	}
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			want := groupedTops(batches, shards)
+			if len(want) < 3*max(shards, 1) {
+				t.Fatalf("the batches group into %d tops: the scenario builds too few in parallel", len(want))
+			}
 			save := func(name string, opts ...Option) (v1, v2 []byte) {
+				opts = append(opts, WithTau(2))
 				if shards > 0 {
 					opts = append(opts, WithShards(shards))
 				}
@@ -40,8 +90,8 @@ func TestBackgroundIngestBytesMatchSync(t *testing.T) {
 					}
 				}
 				c.WaitIdle()
-				if st := c.Stats(); st.Parked != 0 || st.Tops < len(batches) {
-					t.Fatalf("%s: %d symbols parked and %d tops after WaitIdle, want 0 and ≥ %d", name, st.Parked, st.Tops, len(batches))
+				if st, got := c.Stats(), sortedTops(c); st.Parked != 0 || !slices.Equal(got, want) {
+					t.Fatalf("%s: %d symbols parked and tops %v after WaitIdle, want 0 and %v", name, st.Parked, got, want)
 				}
 				c.cfg.syncRebuilds = true
 				dir := t.TempDir()
@@ -64,4 +114,156 @@ func TestBackgroundIngestBytesMatchSync(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIngestGroupsTops pins, by count, how over-C0 batches share tops:
+// consecutive ones gather in one open top that closes at the engine's
+// groupWeight, so each top built during the ingest weighs between G and
+// G plus one batch; an ordinary insert closes it, so a batch between
+// two is its own top; the open top answers, and takes deletes, as the
+// reference does; and WaitIdle and SaveFile leave nothing parked.
+// Synchronous and background rebuilds group alike.
+func TestIngestGroupsTops(t *testing.T) {
+	const docLen, perBatch = 2048, 32 // 64 KiB batches
+	for _, shards := range []int{0, 2} {
+		for _, mode := range []struct {
+			name string
+			opts []Option
+		}{{"sync", []Option{WithSyncRebuilds()}}, {"background", nil}} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, mode.name), func(t *testing.T) {
+				gen := textgen.NewCollection(textgen.CollectionOptions{Sigma: 16, Seed: 47})
+				batches := make([][]Document, 10)
+				for b := range batches {
+					for range perBatch {
+						batches[b] = append(batches[b], gen.NextDocLen(docLen))
+					}
+				}
+				opts := append([]Option{WithTransformation(WorstCase), WithTau(2)}, mode.opts...)
+				if shards > 0 {
+					opts = append(opts, WithShards(shards))
+				}
+				c := mustCollection(t, opts...)
+				ref := mustCollection(t, WithTransformation(Amortized))
+				for _, b := range batches {
+					for _, x := range []*Collection{c, ref} {
+						if err := x.InsertBatch(b); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				// Synchronously, only the tops that reached G are built by
+				// now; the rest (lighter than G) are open.
+				want := groupedTops(batches, shards)
+				if mode.opts != nil {
+					built := slices.DeleteFunc(slices.Clone(want), func(w int) bool { return w < groupWeight })
+					open := 0
+					for _, w := range want[:len(want)-len(built)] {
+						open += w
+					}
+					st, got := c.Stats(), sortedTops(c)
+					if !slices.Equal(got, built) || st.Parked != open {
+						t.Fatalf("after the ingest: tops %v and %d symbols parked, want %v and %d", got, st.Parked, built, open)
+					}
+					for _, w := range got {
+						if w < groupWeight || w >= groupWeight+perBatch*docLen {
+							t.Errorf("a top built during the ingest weighs %d, want [%d, %d)", w, groupWeight, groupWeight+perBatch*docLen)
+						}
+					}
+				}
+
+				// The open top answers as the reference does, before and
+				// after a delete of one of its documents.
+				last := batches[len(batches)-1]
+				pats := [][]byte{last[3].Data[100:106], last[17].Data[7:11], batches[0][0].Data[50:55], []byte("ZZZZZZZZ")}
+				check := func(when string) {
+					t.Helper()
+					for _, p := range pats {
+						if got, exp := c.Count(p), ref.Count(p); got != exp {
+							t.Fatalf("%s: Count(%q) = %d, reference %d", when, p, got, exp)
+						}
+						if got, exp := findAll(c, p), findAll(ref, p); !slices.Equal(got, exp) {
+							t.Fatalf("%s: FindFunc(%q) gives %d occurrences, reference %d", when, p, len(got), len(exp))
+						}
+					}
+					for _, d := range last {
+						got, ok := c.Extract(d.ID, 1000, 64)
+						exp, refOK := ref.Extract(d.ID, 1000, 64)
+						if ok != refOK || !bytes.Equal(got, exp) {
+							t.Fatalf("%s: Extract(%d) = %q, %v; reference %q, %v", when, d.ID, got, ok, exp, refOK)
+						}
+					}
+				}
+				check("open top parked")
+				for _, x := range []*Collection{c, ref} {
+					must(t, x.Delete(last[3].ID))
+				}
+				check("after a delete from the open top")
+
+				c.WaitIdle()
+				if st, got := c.Stats(), sortedTops(c); st.Parked != 0 || len(got) != len(want) {
+					t.Fatalf("after WaitIdle: %d symbols parked and tops %v, want 0 and %d tops %v", st.Parked, got, len(want), want)
+				}
+				check("after WaitIdle")
+
+				// An ordinary insert closes the open top: batches with one
+				// in every shard between them are a top per shard each,
+				// as they were before grouping.
+				touchShards := func() {
+					hit := make(map[int]bool)
+					for len(hit) < max(shards, 1) {
+						d, s := gen.NextDocLen(16), 0
+						if shards > 0 {
+							s = shardOf(d.ID, shards)
+						}
+						if !hit[s] {
+							hit[s] = true
+							mustInsert(t, c, d)
+						}
+					}
+				}
+				before, exp := c.Stats().Tops, 0
+				touchShards()
+				for range 2 {
+					extra := make([]Document, perBatch)
+					for i := range extra {
+						extra[i] = gen.NextDocLen(docLen)
+					}
+					must(t, c.InsertBatch(extra))
+					touchShards()
+					exp += len(groupedTops([][]Document{extra}, shards))
+				}
+				if st := c.Stats(); mode.opts != nil && st.Parked != 0 {
+					t.Fatalf("%d symbols parked after ordinary inserts, want 0", st.Parked)
+				}
+				c.WaitIdle()
+				if got := c.Stats().Tops - before; got != exp {
+					t.Fatalf("two batches isolated by ordinary inserts left %d tops, want %d", got, exp)
+				}
+
+				// SaveFile closes the open top like WaitIdle.
+				extra := make([]Document, perBatch)
+				for i := range extra {
+					extra[i] = gen.NextDocLen(docLen)
+				}
+				must(t, c.InsertBatch(extra))
+				must(t, c.SaveFile(filepath.Join(t.TempDir(), "grouped.snap")))
+				if st := c.Stats(); st.Parked != 0 {
+					t.Fatalf("%d symbols parked after SaveFile, want 0", st.Parked)
+				}
+			})
+		}
+	}
+}
+
+// findAll collects every occurrence FindFunc reports, sorted.
+func findAll(c *Collection, p []byte) []Occurrence {
+	var occs []Occurrence
+	c.FindFunc(p, func(o Occurrence) bool {
+		occs = append(occs, o)
+		return true
+	})
+	slices.SortFunc(occs, func(x, y Occurrence) int {
+		return cmp.Or(cmp.Compare(x.DocID, y.DocID), cmp.Compare(x.Off, y.Off))
+	})
+	return occs
 }

@@ -159,13 +159,14 @@ func (a *Amortized[K, I]) Restore(d Dump[K, I]) error {
 	return nil
 }
 
-// Dump captures the ladder's structure after quiescing every in-flight
-// background build (so no store is mid-rebuild and the retiring list is
-// empty). The caller must not mutate the ladder until the returned
-// stores have been serialized.
+// Dump captures the ladder's structure after closing the open top and
+// quiescing every in-flight background build (so no store is parked or
+// mid-rebuild and the retiring list is empty). The caller must not
+// mutate the ladder until the returned stores have been serialized.
 func (w *WorstCase[K, I]) Dump() Dump[K, I] {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.closeOpen()
 	for len(w.builds) > 0 || w.needsReb {
 		w.drainLocked(true)
 	}

@@ -20,7 +20,8 @@ import (
 //     and constructs the replacement Nj+1 in the background; small
 //     per-item Temp payloads keep new arrivals queryable meanwhile;
 //   - items too heavy for the ladder (≥ nf/τ) become their own top
-//     collection immediately;
+//     collection immediately, and consecutive over-C0 batches gather in
+//     one open top that builds once it weighs groupWeight;
 //   - deletions are lazy everywhere; a sweep process purges the top
 //     collection holding the most dead weight after every
 //     nf/(2τ·log τ) deleted units, which by Dietz–Sleator (Lemma 1)
@@ -56,6 +57,12 @@ type WorstCase[K comparable, I any] struct {
 	tops   []Store[K, I]   // T1…Tg
 	maxes  []int
 
+	// open holds the parked chunks of the open top: consecutive over-C0
+	// batches that build as one top once they weigh groupWeight, or
+	// when anything else comes first (see closeOpen).
+	open       []Store[K, I]
+	openWeight int
+
 	pendingMerge []bool // deletion-triggered merges waiting for a free slot
 
 	retiring []Store[K, I] // sources of in-flight builds, still queryable
@@ -85,6 +92,13 @@ type WorstCase[K comparable, I any] struct {
 	stats Stats
 }
 
+// groupWeight is G, the weight at which InsertBatch's open top stops
+// taking chunks and builds: consecutive over-C0 batches share one top of
+// G to G + one chunk, so a bulk ingest leaves about n/G tops instead of
+// one per call. Larger tops answer a count with fewer stores but price
+// every extract by their size; DESIGN sizes G against both.
+const groupWeight = 192 << 10
+
 type buildKind int
 
 const (
@@ -108,8 +122,8 @@ type buildTask[K comparable, I any] struct {
 	built   int64 // weight handed to Build; written before done is sent
 	done    chan []Store[K, I]
 
-	// parkedTop marks a buildTop over one parked store: an over-C0
-	// batch chunk or a big item. These install in launch order.
+	// parkedTop marks a buildTop over parked stores only: the open top's
+	// chunks or a big item. These install in launch order.
 	parkedTop bool
 
 	// tombstones records items deleted from the sources while the build
@@ -352,11 +366,12 @@ func (w *WorstCase[K, I]) install(i int, out []Store[K, I]) {
 	w.builds = slices.Delete(w.builds, i, i+1)
 }
 
-// launchParkedTop parks items and launches the build of one new top
-// collection over them. At most GOMAXPROCS of these builds are in
-// flight: one more first installs the oldest, so a caller that outruns
-// every core waits for a build to land — the only wait an update has.
-func (w *WorstCase[K, I]) launchParkedTop(items []I) {
+// launchParkedTop launches the build of parked stores into top
+// collections, split at the top capacity. At most GOMAXPROCS of these
+// builds are in flight: one more first installs the oldest, so a caller
+// that outruns every core waits for a build to land — the only wait an
+// update has.
+func (w *WorstCase[K, I]) launchParkedTop(sources ...Store[K, I]) {
 	for {
 		oldest, n := -1, 0
 		for i, b := range w.builds {
@@ -372,9 +387,24 @@ func (w *WorstCase[K, I]) launchParkedTop(items []I) {
 		}
 		w.install(oldest, <-w.builds[oldest].done)
 	}
-	task := &buildTask[K, I]{kind: buildTop, parkedTop: true}
-	task.addStore(w.park(items))
+	task := &buildTask[K, I]{kind: buildTop, split: w.topCap(), parkedTop: true}
+	for _, s := range sources {
+		task.addStore(s)
+	}
 	w.launch(task)
+}
+
+// closeOpen launches the open top's build, if a top is open. Every
+// update other than an over-C0 batch, a rebalance, WaitIdle and Dump
+// close it first, so where a top ends depends on the operation stream
+// and item weights alone, never on timing.
+func (w *WorstCase[K, I]) closeOpen() {
+	if len(w.open) == 0 {
+		return
+	}
+	sources := w.open
+	w.open, w.openWeight = nil, 0
+	w.launchParkedTop(sources...)
 }
 
 // park makes items queryable in a parked store (Config.Park) that
@@ -606,6 +636,7 @@ func (w *WorstCase[K, I]) allStores() []Store[K, I] {
 		}
 		out = append(out, w.temps[j]...)
 	}
+	out = append(out, w.open...)
 	out = append(out, w.tops...)
 	// Retiring stores not already listed (rebalance sources: old c0,
 	// old levels, old tops were removed from their slots at launch).
@@ -660,6 +691,7 @@ func (w *WorstCase[K, I]) Insert(item I) error {
 		return fmt.Errorf("engine: insert %v: %w", k, ErrDuplicateKey)
 	}
 	w.drainLocked(false)
+	w.closeOpen()
 	w.placeOne(item)
 	w.checkRebalance()
 	return nil
@@ -678,7 +710,7 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 	case w.bigItem(weight):
 		// A huge item becomes its own top collection, parked until its
 		// build lands.
-		w.launchParkedTop([]I{item})
+		w.launchParkedTop(w.park([]I{item}))
 
 	default:
 		w.insertViaLadder(item)
@@ -687,10 +719,11 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 
 // InsertBatch adds many items in one ingest. The whole batch is
 // validated first — on any ErrDuplicateKey nothing is inserted. A batch
-// larger than C0's capacity is parked and bulk-built in the background
-// directly into top collections (split at the top-capacity bound), so
-// the per-item ladder cascades of looped Insert calls collapse into one
-// build per chunk, run on as many cores as there are, followed by at
+// larger than C0's capacity is parked, in chunks of at most the
+// top-capacity bound, in the open top, which is bulk-built in the
+// background directly into top collections once it weighs groupWeight.
+// The per-item ladder cascades of looped Insert calls collapse into one
+// build per open top, run on as many cores as there are, followed by at
 // most one rebalance. Smaller batches route through the normal placement
 // machinery: the first overflow empties C0 into the ladder and the rest
 // of the batch fits in the fresh C0, so C0 keeps draining and tops
@@ -712,6 +745,9 @@ func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 		seen[k] = true
 		total += w.cfg.Weight(it)
 	}
+	if total <= w.maxes[0] {
+		w.closeOpen()
+	}
 	switch {
 	case w.c0.LiveWeight()+total <= w.maxes[0]:
 		for _, it := range items {
@@ -729,7 +765,11 @@ func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 		// immediately rebuilding the freshly built tops a second time.
 		w.reschedule(w.lenLocked() + total)
 		for _, chunk := range splitItems(items, w.cfg.Weight, w.topCap()) {
-			w.launchParkedTop(chunk)
+			st := w.park(chunk)
+			w.open = append(w.open, st)
+			if w.openWeight += st.LiveWeight(); w.openWeight >= groupWeight {
+				w.closeOpen()
+			}
 		}
 	}
 	w.checkRebalance()
@@ -834,6 +874,7 @@ func (w *WorstCase[K, I]) Delete(key K) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.drainLocked(false)
+	w.closeOpen()
 	st, ok := w.owner[key]
 	if !ok {
 		return false
@@ -860,6 +901,7 @@ func (w *WorstCase[K, I]) DeleteBatch(keys []K) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.drainLocked(false)
+	w.closeOpen()
 	n := 0
 	deletedWeight := 0
 	touched := make(map[Store[K, I]]bool)
@@ -1050,6 +1092,7 @@ func (w *WorstCase[K, I]) checkRebalance() {
 }
 
 func (w *WorstCase[K, I]) startRebalance() {
+	w.closeOpen()
 	w.invalidateStores()
 	w.rebalancing = true
 	task := &buildTask[K, I]{kind: buildRebalance}
@@ -1136,6 +1179,7 @@ func (w *WorstCase[K, I]) SizeBits() int64 {
 func (w *WorstCase[K, I]) WaitIdle() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.closeOpen()
 	for len(w.builds) > 0 || w.needsReb {
 		w.drainLocked(true)
 	}
@@ -1151,18 +1195,18 @@ func (w *WorstCase[K, I]) Stats() Stats {
 	st.Levels = len(w.maxes)
 	st.NF = w.nf
 	st.Tau = w.tau
-	// Parked weight sits in the temp lists and in the one source of each
-	// parked-top build. A temp already enlisted in a fold or rebalance
-	// counts as that build's, not as parked.
-	for _, temps := range w.temps {
-		for _, tmp := range temps {
-			st.Parked += tmp.LiveWeight()
-		}
-	}
+	// Parked weight sits in the temp lists, the open top and the sources
+	// of each parked-top build. A temp already enlisted in a fold or
+	// rebalance counts as that build's, not as parked.
+	parked := slices.Concat(w.temps...)
+	parked = append(parked, w.open...)
 	for _, b := range w.builds {
 		if b.parkedTop {
-			st.Parked += b.sources[0].LiveWeight()
+			parked = append(parked, b.sources...)
 		}
+	}
+	for _, s := range parked {
+		st.Parked += s.LiveWeight()
 	}
 	st.LevelSizes = append(st.LevelSizes, w.c0.LiveWeight())
 	st.LevelCaps = append(st.LevelCaps, w.maxes[0])

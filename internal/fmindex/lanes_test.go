@@ -254,28 +254,45 @@ func checkPlan(t *testing.T, lo, hi, s, n int) int {
 	return steps
 }
 
-// BenchmarkFMExtract prices a 256-byte Extract at random offsets on a
-// store of ~135 KB (what most of a 16 MiB ladder's 121 tops hold) and of
-// ~2 MB (a coalesced top), lanes against the scalar chain.
+// BenchmarkFMExtract prices a 256-byte Extract cold, by store size:
+// stores of one size that together hold 16 MiB, as a lib_query-sized
+// ladder does, and each extract from a random store, so the caches hold
+// little of the store it reads. 135 KB is one of that ladder's
+// 256-document batches, 280 KB a top of two of them, 550 and 1100 KB
+// tops of four and eight; DESIGN sizes the engine's groupWeight from
+// this sweep. Lanes against the scalar chain.
 func BenchmarkFMExtract(b *testing.B) {
-	for _, size := range []int{135 << 10, 2 << 20} {
-		docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 3}).GenerateTotal(size)
-		x := Build(docs, Options{})
+	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 3}).GenerateTotal(16 << 20)
+	for _, size := range []int{135 << 10, 280 << 10, 550 << 10, 1100 << 10} {
+		var stores []*Index
+		for rest := docs; len(rest) > 0; {
+			n, sz := 0, 0
+			for ; n < len(rest) && sz < size; n++ {
+				sz += len(rest[n].Data)
+			}
+			stores = append(stores, Build(rest[:n], Options{}))
+			rest = rest[n:]
+		}
 		rng := rand.New(rand.NewSource(5))
-		type req struct{ d, off int }
-		reqs := make([]req, 1024)
+		type req struct {
+			x      *Index
+			d, off int
+		}
+		reqs := make([]req, 4096)
 		for i := range reqs {
+			x := stores[rng.Intn(len(stores))]
 			d := rng.Intn(x.DocCount())
-			reqs[i] = req{d, rng.Intn(max(x.DocLen(d)-256, 0) + 1)}
+			reqs[i] = req{x, d, rng.Intn(max(x.DocLen(d)-256, 0) + 1)}
 		}
 		for _, impl := range []struct {
 			name    string
-			extract func(d, off, length int) []byte
-		}{{"lanes", x.Extract}, {"scalar", x.scalarExtract}} {
+			extract func(x *Index, d, off, length int) []byte
+		}{{"lanes", (*Index).Extract}, {"scalar", (*Index).scalarExtract}} {
 			b.Run(fmt.Sprintf("%s/%dKB", impl.name, size>>10), func(b *testing.B) {
+				b.ReportMetric(float64(len(stores)), "stores")
 				for i := 0; i < b.N; i++ {
-					r := reqs[i&1023]
-					extractSink = impl.extract(r.d, r.off, 256)
+					r := reqs[i&4095]
+					extractSink = impl.extract(r.x, r.d, r.off, 256)
 				}
 			})
 		}

@@ -67,6 +67,7 @@ func gateLadder(t *testing.T, tops int, plant map[int]string) (*core.WorstCase, 
 		if err := lad.InsertBatch(batch); err != nil {
 			t.Fatal(err)
 		}
+		lad.WaitIdle() // closes the open top: one top per batch
 	}
 	if st := lad.Stats(); st.Tops != tops || len(built) != tops {
 		t.Fatalf("ladder has %d tops from %d builds, want %d of each", st.Tops, len(built), tops)

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -39,15 +40,20 @@ func TestFrontendFindAllocBytes(t *testing.T) {
 	for range 20 { // warm the connection pools
 		find()
 	}
+	// TotalAlloc is the process's: a goroutine an earlier test left
+	// behind can only add to it, so the least of three batches counts.
 	const finds = 200
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for range finds {
-		find()
+	per := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range finds {
+			find()
+		}
+		runtime.ReadMemStats(&after)
+		per = min(per, (after.TotalAlloc-before.TotalAlloc)/finds)
 	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / finds
 	t.Logf("%d bytes allocated per find", per)
 	if per > 96<<10 {
 		t.Errorf("a find allocated %d bytes, want at most %d", per, 96<<10)

@@ -282,6 +282,7 @@ func TestSearchPartsMatchGlobal(t *testing.T) {
 				if err := c.InsertBatch(batch); err != nil {
 					t.Fatal(err)
 				}
+				c.WaitIdle() // closes the open top: one top per batch
 			}
 			if st := c.Stats(); st.Tops < cfg.tops {
 				t.Fatalf("batched ingest left %d tops, want ≥ %d", st.Tops, cfg.tops)

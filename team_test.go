@@ -37,6 +37,7 @@ func teamLadder(t *testing.T, shards int, opts ...Option) (*Collection, uint64) 
 		if err := c.InsertBatch(batch); err != nil {
 			t.Fatal(err)
 		}
+		c.WaitIdle() // closes the open top: one top per batch
 	}
 	return c, id
 }
