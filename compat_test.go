@@ -158,7 +158,8 @@ func TestCompatFixtures(t *testing.T) {
 	// beyond answering alike, a fresh build and a re-save of what was
 	// read must both reproduce the parent's files byte for byte.
 	t.Run("collection", func(t *testing.T) {
-		opts := compatOpts(2)
+		// The fixtures predate the 4-ary default: they are "fm" files.
+		opts := append(compatOpts(2), WithIndex(IndexFM))
 		twin := mustCollection(t, opts...)
 		snapCollectionCorpus(t, twin)
 		durable := func(dir string) (*DurableCollection, *Collection) {
@@ -211,4 +212,38 @@ func TestCompatFixtures(t *testing.T) {
 			sameFile(t, "durable directory", filepath.Join(fresh, e.Name()), file(filepath.Join("collection.dur", e.Name())))
 		}
 	})
+}
+
+// TestFM4Deterministic holds the default fm4 index to the rule the
+// fixtures above hold fm to: collection bytes are a pure function of
+// the operation stream. Two fresh builds, a v1 load re-saved and a v2
+// open re-saved all write the same v1 and v2 files.
+func TestFM4Deterministic(t *testing.T) {
+	opts := compatOpts(2)
+	tmp := t.TempDir()
+	save := func(c *Collection, form string) (v1, v2 string) {
+		t.Helper()
+		v1, v2 = filepath.Join(tmp, form+".v1"), filepath.Join(tmp, form+".v2")
+		must(t, c.SaveFile(v1))
+		must(t, c.SaveMappedFile(v2))
+		return v1, v2
+	}
+	first := mustCollection(t, opts...)
+	snapCollectionCorpus(t, first)
+	if got := first.cfg.index; got != IndexFM4 {
+		t.Fatalf("default index %q, want %q", got, IndexFM4)
+	}
+	v1, v2 := save(first, "first")
+	second := mustCollection(t, opts...)
+	snapCollectionCorpus(t, second)
+	loaded := mustCollection(t)
+	must(t, loaded.LoadFile(v1))
+	mapped, err := OpenMappedCollection(v2, MappedVerify())
+	must(t, err)
+	defer mapped.Close()
+	for form, c := range map[string]*Collection{"second build": second, "v1 load": loaded, "v2 open": mapped} {
+		g1, g2 := save(c, form)
+		sameFile(t, form+" saved as v1", g1, v1)
+		sameFile(t, form+" saved as v2", g2, v2)
+	}
 }

@@ -3,8 +3,9 @@
 //
 // Index is an FM-index over a document collection: the Burrows–Wheeler
 // transform of the concatenated documents stored in a Huffman-shaped
-// wavelet tree, plus suffix-array and inverse-suffix-array samples with
-// sampling rate s. It answers
+// wavelet tree — 4-ary by default, binary on request — plus
+// suffix-array and inverse-suffix-array samples with sampling rate s.
+// It answers
 //
 //   - Range (range-finding): the suffix-array interval of a pattern via
 //     backward search, O(|P|) rank operations;
@@ -33,8 +34,26 @@ import (
 	"dyncoll/internal/bitvec"
 	"dyncoll/internal/doc"
 	"dyncoll/internal/sa"
+	"dyncoll/internal/snap"
 	"dyncoll/internal/wavelet"
 )
+
+// sequence is the wavelet tree that holds the BWT: a *wavelet.Quad,
+// the 4-ary tree whose walks visit about half the levels, or the
+// binary *wavelet.Tree that indexes written as "fm" keep. Queries
+// reach it through these methods — Range makes one RankPair call per
+// pattern symbol — and the LF lanes through a two-way type switch
+// (lfSteps), so one Index type serves both shapes.
+type sequence interface {
+	Len() int
+	Count(c uint32) int
+	RankPair(c uint32, i, j int) (int, int)
+	AccessRank(i int) (uint32, int)
+	ByteDecoder() wavelet.ByteDecoder
+	SizeBits() int64
+	EncodeTo(e *snap.Encoder)
+	EncodeMapped(e *snap.MapEncoder)
+}
 
 // buildScratch pools the transient construction buffers — concatenated
 // text, BWT bytes, inverse suffix array, and the SA-IS workspace — so
@@ -62,7 +81,7 @@ type Doc = doc.Doc
 type Index struct {
 	n       int // total length of the concatenation (symbols + one separator per doc)
 	s       int // SA sampling rate
-	bwt     *wavelet.Tree
+	bwt     sequence
 	c       [257]int // c[b] = number of BWT symbols < b; c[256] = n
 	marked  *bitvec.Vector
 	saSamp  []int32 // SA values at marked rows, ordered by row
@@ -99,6 +118,10 @@ type Options struct {
 	// SampleRate is the suffix-array sampling rate s; locate costs O(s)
 	// rank operations and the samples take O(n/s·log n) bits. Default 16.
 	SampleRate int
+	// BinaryTree stores the BWT in the binary Huffman-shaped wavelet
+	// tree instead of the default 4-ary one: the index registered as
+	// "fm", whose files predate the 4-ary tree.
+	BinaryTree bool
 }
 
 func (o Options) withDefaults() Options {
@@ -139,7 +162,7 @@ func Build(docs []Doc, opts Options) *Index {
 	sc.text = text
 	idx.n = len(text)
 	if idx.n == 0 {
-		idx.bwt = wavelet.NewHuffmanBytes(nil, 256)
+		idx.bwt = newSequence(nil, make([]int64, 256), opts.BinaryTree)
 		idx.marked = bitvec.FromBools(nil)
 		idx.buildSymTable()
 		scratchPool.Put(sc)
@@ -206,9 +229,17 @@ func Build(docs []Doc, opts Options) *Index {
 	idx.c[256] = sum
 	idx.buildSymTable()
 	idx.marked = bitvec.FromWords(marks, n)
-	idx.bwt = wavelet.NewHuffmanBytesCounted(bwtBytes, freq[:])
+	idx.bwt = newSequence(bwtBytes, freq[:], opts.BinaryTree)
 	scratchPool.Put(sc)
 	return idx
+}
+
+// newSequence builds the BWT's wavelet tree from its counted bytes.
+func newSequence(bwt []byte, freq []int64, binary bool) sequence {
+	if binary {
+		return wavelet.NewHuffmanBytesCounted(bwt, freq)
+	}
+	return wavelet.NewQuadBytesCounted(bwt, freq)
 }
 
 // reciprocal returns m = ⌈2⁶⁴/s⌉ mod 2⁶⁴, with which divides tests

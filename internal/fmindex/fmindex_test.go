@@ -7,6 +7,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"dyncoll/internal/textgen"
+	"dyncoll/internal/wavelet"
 )
 
 // collection is a reference model over a set of documents.
@@ -58,8 +61,9 @@ type searcher interface {
 }
 
 var indexBuilders = map[string]func(docs []Doc) searcher{
-	"fm":  func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4}) },
+	"fm":  func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4, BinaryTree: true}) },
 	"fm1": func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1}) },
+	"fm4": func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4}) },
 	"sa":  func(docs []Doc) searcher { return BuildSA(docs) },
 }
 
@@ -198,9 +202,10 @@ func TestEmptyPatternMatchesEverything(t *testing.T) {
 func TestRangeFirstStepFromCounts(t *testing.T) {
 	byRank := func(x *Index, pattern []byte) (lo, hi int) {
 		lo, hi = 0, x.n
+		bwt := x.bwt.(interface{ Rank(c uint32, i int) int })
 		for i := len(pattern) - 1; i >= 0 && lo < hi; i-- {
 			b := pattern[i]
-			lo, hi = x.c[b]+x.bwt.Rank(uint32(b), lo), x.c[b]+x.bwt.Rank(uint32(b), hi)
+			lo, hi = x.c[b]+bwt.Rank(uint32(b), lo), x.c[b]+bwt.Rank(uint32(b), hi)
 		}
 		return lo, hi
 	}
@@ -356,19 +361,65 @@ func min(a, b int) int {
 	return b
 }
 
+// treeShapes names the two trees an Index can hold, for benchmarks
+// that price both.
+var treeShapes = []struct {
+	name   string
+	binary bool
+}{{"fm4", false}, {"fm", true}}
+
 func BenchmarkFMRange(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	docs := randomDocs(rng, 50, 4000, 26)
-	x := Build(docs, Options{SampleRate: 16})
 	pats := make([][]byte, 64)
 	for i := range pats {
 		d := rng.Intn(len(docs))
 		off := rng.Intn(len(docs[d].Data) - 8)
 		pats[i] = docs[d].Data[off : off+8]
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Range(pats[i&63])
+	for _, shape := range treeShapes {
+		x := Build(docs, Options{SampleRate: 16, BinaryTree: shape.binary})
+		b.Run(shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				x.Range(pats[i&63])
+			}
+		})
+	}
+}
+
+// BenchmarkRangeDispatch prices Range's one interface call per pattern
+// symbol: Range against the same loop calling the 4-ary tree directly,
+// on a store of the bench corpus.
+func BenchmarkRangeDispatch(b *testing.B) {
+	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(280 << 10)
+	x := Build(docs, Options{})
+	q := x.bwt.(*wavelet.Quad)
+	rng := rand.New(rand.NewSource(5))
+	pats := make([][]byte, 64)
+	for i := range pats {
+		d := docs[rng.Intn(len(docs))].Data
+		off := rng.Intn(len(d) - 8)
+		pats[i] = d[off : off+8]
+	}
+	direct := func(pattern []byte) (lo, hi int) {
+		last := len(pattern) - 1
+		lo, hi = x.c[pattern[last]], x.c[int(pattern[last])+1]
+		for i := last - 1; i >= 0 && lo < hi; i-- {
+			b := pattern[i]
+			rl, rh := q.RankPair(uint32(b), lo, hi)
+			lo, hi = x.c[b]+rl, x.c[b]+rh
+		}
+		return lo, hi
+	}
+	for _, impl := range []struct {
+		name string
+		rng  func([]byte) (int, int)
+	}{{"interface", x.Range}, {"direct", direct}} {
+		b.Run(impl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				impl.rng(pats[i&63])
+			}
+		})
 	}
 }
 

@@ -1,9 +1,11 @@
 package fmindex
 
+import "dyncoll/internal/wavelet"
+
 // LF lanes. Every query-time LF walk — Extract, SuffixRank, a document's
 // rows for deletion, Locate — is cut into walks that do not depend on
 // each other, and walkLanes of them advance together one LF step at a
-// time through wavelet.Tree.AccessRanks, which in turn advances them
+// time through the tree's AccessRanks, which in turn advances them
 // together one tree level at a time. A single walk is a chain of
 // dependent cache misses, a rank-directory probe per level per step;
 // lanes keep that many chains' misses in flight at once.
@@ -74,7 +76,15 @@ func (x *Index) sampleRow(j int) int {
 // separator's rank: sepRows lists those rows in order, so the rank
 // AccessRanks returns is the row's index there.
 func (x *Index) lfSteps(rows []int, sym []uint32) {
-	x.bwt.AccessRanks(rows, sym)
+	// The call goes to the concrete tree: through the sequence
+	// interface the compiler cannot see that AccessRanks keeps neither
+	// slice, and every walk's lane arrays would move to the heap.
+	switch t := x.bwt.(type) {
+	case *wavelet.Quad:
+		t.AccessRanks(rows, sym)
+	case *wavelet.Tree:
+		t.AccessRanks(rows, sym)
+	}
 	for k, b := range sym[:len(rows)] {
 		if byte(b) == Sep {
 			rows[k] = int(x.sepTargets[rows[k]])

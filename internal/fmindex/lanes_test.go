@@ -263,39 +263,47 @@ func checkPlan(t *testing.T, lo, hi, s, n int) int {
 // this sweep. Lanes against the scalar chain.
 func BenchmarkFMExtract(b *testing.B) {
 	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 3}).GenerateTotal(16 << 20)
-	for _, size := range []int{135 << 10, 280 << 10, 550 << 10, 1100 << 10} {
-		var stores []*Index
-		for rest := docs; len(rest) > 0; {
-			n, sz := 0, 0
-			for ; n < len(rest) && sz < size; n++ {
-				sz += len(rest[n].Data)
+	for _, shape := range treeShapes {
+		for _, size := range []int{135 << 10, 280 << 10, 550 << 10, 1100 << 10} {
+			benchExtract(b, shape.name, docs, size, shape.binary)
+		}
+	}
+}
+
+// benchExtract runs BenchmarkFMExtract's sweep at one store size over
+// one tree shape.
+func benchExtract(b *testing.B, shape string, docs []doc.Doc, size int, binary bool) {
+	var stores []*Index
+	for rest := docs; len(rest) > 0; {
+		n, sz := 0, 0
+		for ; n < len(rest) && sz < size; n++ {
+			sz += len(rest[n].Data)
+		}
+		stores = append(stores, Build(rest[:n], Options{BinaryTree: binary}))
+		rest = rest[n:]
+	}
+	rng := rand.New(rand.NewSource(5))
+	type req struct {
+		x      *Index
+		d, off int
+	}
+	reqs := make([]req, 4096)
+	for i := range reqs {
+		x := stores[rng.Intn(len(stores))]
+		d := rng.Intn(x.DocCount())
+		reqs[i] = req{x, d, rng.Intn(max(x.DocLen(d)-256, 0) + 1)}
+	}
+	for _, impl := range []struct {
+		name    string
+		extract func(x *Index, d, off, length int) []byte
+	}{{"lanes", (*Index).Extract}, {"scalar", (*Index).scalarExtract}} {
+		b.Run(fmt.Sprintf("%s/%s/%dKB", shape, impl.name, size>>10), func(b *testing.B) {
+			b.ReportMetric(float64(len(stores)), "stores")
+			for i := 0; i < b.N; i++ {
+				r := reqs[i&4095]
+				extractSink = impl.extract(r.x, r.d, r.off, 256)
 			}
-			stores = append(stores, Build(rest[:n], Options{}))
-			rest = rest[n:]
-		}
-		rng := rand.New(rand.NewSource(5))
-		type req struct {
-			x      *Index
-			d, off int
-		}
-		reqs := make([]req, 4096)
-		for i := range reqs {
-			x := stores[rng.Intn(len(stores))]
-			d := rng.Intn(x.DocCount())
-			reqs[i] = req{x, d, rng.Intn(max(x.DocLen(d)-256, 0) + 1)}
-		}
-		for _, impl := range []struct {
-			name    string
-			extract func(x *Index, d, off, length int) []byte
-		}{{"lanes", (*Index).Extract}, {"scalar", (*Index).scalarExtract}} {
-			b.Run(fmt.Sprintf("%s/%dKB", impl.name, size>>10), func(b *testing.B) {
-				b.ReportMetric(float64(len(stores)), "stores")
-				for i := 0; i < b.N; i++ {
-					r := reqs[i&4095]
-					extractSink = impl.extract(r.x, r.d, r.off, 256)
-				}
-			})
-		}
+		})
 	}
 }
 

@@ -37,14 +37,26 @@ func (x *Index) EncodeMapped(e *snap.MapEncoder) {
 	e.Words(x.docIDs)
 }
 
-// OpenMappedIndex reconstructs an FM-index over a mapped payload.
+// OpenMappedIndex reconstructs an FM-index over the binary tree (the
+// "fm" index) from a mapped payload.
 func OpenMappedIndex(mv *snap.MapView) (*Index, error) {
+	return openMapped(mv, func(mv *snap.MapView) sequence { return wavelet.ViewMapped(mv) })
+}
+
+// OpenMappedQuad reconstructs an FM-index over the 4-ary tree (the
+// "fm4" index) from a mapped payload.
+func OpenMappedQuad(mv *snap.MapView) (*Index, error) {
+	return openMapped(mv, func(mv *snap.MapView) sequence { return wavelet.ViewMappedQuad(mv) })
+}
+
+// openMapped opens an index whose tree viewTree reads.
+func openMapped(mv *snap.MapView, viewTree func(*snap.MapView) sequence) (*Index, error) {
 	nx := &Index{}
 	nx.n = mv.Int()
 	nx.s = mv.Int()
 	nx.symbols = mv.Int()
 	c := mv.Int64s()
-	bwt := wavelet.ViewMapped(mv)
+	bwt := viewTree(mv)
 	marked := bitvec.ViewMapped(mv)
 	nx.saSamp = mv.Int32s()
 	nx.isaSamp = mv.Int32s()

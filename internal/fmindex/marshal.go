@@ -80,10 +80,23 @@ func (x *Index) AppendBinary(buf []byte) ([]byte, error) {
 	return append(buf, e.Bytes()...), nil
 }
 
-// UnmarshalBinary replaces x with the index encoded in data. Corrupt or
+// UnmarshalBinary replaces x with the index encoded in data, one built
+// over the binary tree (Options.BinaryTree, the "fm" index). Corrupt or
 // truncated input returns an error wrapping snap.ErrBadSnapshot; it
 // never panics.
 func (x *Index) UnmarshalBinary(data []byte) error {
+	return x.unmarshal(data, func(d *snap.Decoder) sequence { return wavelet.DecodeFrom(d) })
+}
+
+// UnmarshalQuad is UnmarshalBinary for an index over the default 4-ary
+// tree (the "fm4" index).
+func (x *Index) UnmarshalQuad(data []byte) error {
+	return x.unmarshal(data, func(d *snap.Decoder) sequence { return wavelet.DecodeQuadFrom(d) })
+}
+
+// unmarshal decodes an index whose tree decodeTree reads; the rest of
+// the encoding is the same for both shapes.
+func (x *Index) unmarshal(data []byte, decodeTree func(*snap.Decoder) sequence) error {
 	d := snap.NewDecoder(data)
 	nx := &Index{}
 	nx.n = d.Int()
@@ -92,7 +105,7 @@ func (x *Index) UnmarshalBinary(data []byte) error {
 	for i := range nx.c {
 		nx.c[i] = d.Int()
 	}
-	bwt := wavelet.DecodeFrom(d)
+	bwt := decodeTree(d)
 	marked := bitvec.DecodeFrom(d)
 	nx.saSamp = d.Int32s()
 	nx.isaSamp = d.Int32s()
@@ -158,7 +171,7 @@ func (x *Index) UnmarshalBinary(data []byte) error {
 			d.Fail("fm: %d separator rows listed, BWT holds %d", len(nx.sepRows), bwt.Count(uint32(Sep)))
 		}
 		for _, r := range nx.sepRows {
-			if bwt.Access(int(r)) != uint32(Sep) {
+			if b, _ := bwt.AccessRank(int(r)); b != uint32(Sep) {
 				d.Fail("fm: listed separator row %d is not a separator", r)
 				break
 			}

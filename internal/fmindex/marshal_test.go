@@ -53,7 +53,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 		}
 		fresh func(data []byte) (any, error)
 	}{
-		{"fm", Build(docs, Options{SampleRate: 4}), func(data []byte) (any, error) {
+		{"fm4", Build(docs, Options{SampleRate: 4}), func(data []byte) (any, error) {
+			y := &Index{}
+			return y, y.UnmarshalQuad(data)
+		}},
+		{"fm", Build(docs, Options{SampleRate: 4, BinaryTree: true}), func(data []byte) (any, error) {
 			y := &Index{}
 			return y, y.UnmarshalBinary(data)
 		}},
@@ -122,25 +126,20 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 // TestMarshalEmpty round-trips indexes built over zero documents.
 func TestMarshalEmpty(t *testing.T) {
-	for _, x := range []marshalable{
-		Build(nil, Options{}),
-		BuildSA(nil),
-		BuildCSA(nil, Options{}),
+	for _, c := range []struct {
+		x      marshalable
+		decode func([]byte) error
+	}{
+		{Build(nil, Options{}), new(Index).UnmarshalQuad},
+		{Build(nil, Options{BinaryTree: true}), new(Index).UnmarshalBinary},
+		{BuildSA(nil), new(SAIndex).UnmarshalBinary},
+		{BuildCSA(nil, Options{}), new(CSA).UnmarshalBinary},
 	} {
-		data, err := x.AppendBinary(nil)
+		data, err := c.x.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("empty AppendBinary: %v", err)
 		}
-		var err2 error
-		switch x.(type) {
-		case *Index:
-			err2 = new(Index).UnmarshalBinary(data)
-		case *SAIndex:
-			err2 = new(SAIndex).UnmarshalBinary(data)
-		case *CSA:
-			err2 = new(CSA).UnmarshalBinary(data)
-		}
-		if err2 != nil {
+		if err2 := c.decode(data); err2 != nil {
 			t.Fatalf("empty UnmarshalBinary: %v", err2)
 		}
 	}
@@ -152,27 +151,20 @@ func TestMarshalEmpty(t *testing.T) {
 func TestMarshalCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	docs := testDocs(6, rng)
-	for _, build := range []func() marshalable{
-		func() marshalable { return Build(docs, Options{SampleRate: 4}) },
-		func() marshalable { return BuildSA(docs) },
-		func() marshalable { return BuildCSA(docs, Options{SampleRate: 4}) },
+	for _, c := range []struct {
+		x      marshalable
+		decode func([]byte) error
+	}{
+		{Build(docs, Options{SampleRate: 4}), func(p []byte) error { return new(Index).UnmarshalQuad(p) }},
+		{Build(docs, Options{SampleRate: 4, BinaryTree: true}), func(p []byte) error { return new(Index).UnmarshalBinary(p) }},
+		{BuildSA(docs), func(p []byte) error { return new(SAIndex).UnmarshalBinary(p) }},
+		{BuildCSA(docs, Options{SampleRate: 4}), func(p []byte) error { return new(CSA).UnmarshalBinary(p) }},
 	} {
-		x := build()
-		data, err := x.AppendBinary(nil)
+		data, err := c.x.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decode := func(p []byte) error {
-			switch x.(type) {
-			case *Index:
-				return new(Index).UnmarshalBinary(p)
-			case *SAIndex:
-				return new(SAIndex).UnmarshalBinary(p)
-			case *CSA:
-				return new(CSA).UnmarshalBinary(p)
-			}
-			return nil
-		}
+		decode := c.decode
 		// Truncations.
 		for cut := 0; cut < len(data); cut += 11 {
 			if err := decode(data[:cut]); err == nil {
@@ -193,7 +185,8 @@ func TestMarshalCorrupt(t *testing.T) {
 // bookkeeping, which reads the rows of documents' separators off SA rows
 // 0 … DocCount-1 instead of filling an n-entry inverse suffix array.
 // The digests are the AppendBinary output of the inverse-array builder
-// on this file's fixture; the reference below is that builder's rule,
+// on this file's fixture, over the binary tree whose bytes the "fm"
+// index keeps; the reference below is that builder's rule,
 // run on collections with empty and byte-identical documents.
 func TestBuildSeparatorTargetsUnchanged(t *testing.T) {
 	fixture := testDocs(30, rand.New(rand.NewSource(7)))
@@ -201,7 +194,7 @@ func TestBuildSeparatorTargetsUnchanged(t *testing.T) {
 		4:  "76c8cbfd6c77644ddcac697d1f848d5e61eca5ecca767f2c095c886865ddd610",
 		16: "ccb95be84090166a49c3af48725ca8fb6dcf52b82dcb2c66351cb9fd44799ab7",
 	} {
-		wire, err := Build(fixture, Options{SampleRate: s}).AppendBinary(nil)
+		wire, err := Build(fixture, Options{SampleRate: s, BinaryTree: true}).AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,8 @@ import (
 // does): instead of one wavelet-tree rank walk per symbol it inverts
 // the BWT once.
 //
-//  1. The BWT is decoded front to back through wavelet.Decoder, which
-//     touches no rank directory, and in the same pass a counting sort
+//  1. The BWT is decoded front to back through the tree's ByteDecoder,
+//     which touches no rank directory, and in the same pass a counting sort
 //     over the C array turns each row's symbol into its LF target —
 //     row's symbol b is the k-th b so far, so LF(row) = c[b] + k. The
 //     separator rows are then patched from sepTargets, as the LF step
@@ -127,7 +127,7 @@ func (x *Index) lfArray(sc *buildScratch) []int32 {
 	for b := range next {
 		next[b] = int32(x.c[b])
 	}
-	dec := x.bwt.NewDecoder()
+	dec := x.bwt.ByteDecoder()
 	var chunk [4096]byte
 	for row := 0; row < x.n; {
 		m := min(x.n-row, len(chunk))

@@ -12,25 +12,34 @@ import (
 
 // indexForms returns the three ways an Index comes to exist — built on
 // the heap, decoded from the v1 wire form, and viewed over a mapped (v2)
-// payload — since AppendDocs must read all of them alike.
+// payload — over each tree shape, the binary one's under "fm/", since
+// AppendDocs must read all of them alike.
 func indexForms(t *testing.T, docs []doc.Doc, s int) map[string]*Index {
 	t.Helper()
-	built := Build(docs, Options{SampleRate: s})
-	wire, err := built.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
+	forms := make(map[string]*Index)
+	for _, binary := range []bool{false, true} {
+		built := Build(docs, Options{SampleRate: s, BinaryTree: binary})
+		wire, err := built.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded := &Index{}
+		unmarshal, open, prefix := decoded.UnmarshalQuad, OpenMappedQuad, ""
+		if binary {
+			unmarshal, open, prefix = decoded.UnmarshalBinary, OpenMappedIndex, "fm/"
+		}
+		if err := unmarshal(wire); err != nil {
+			t.Fatal(err)
+		}
+		var enc snap.MapEncoder
+		built.EncodeMapped(&enc)
+		mapped, err := open(snap.NewMapView(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms[prefix+"built"], forms[prefix+"decoded"], forms[prefix+"mapped"] = built, decoded, mapped
 	}
-	decoded := &Index{}
-	if err := decoded.UnmarshalBinary(wire); err != nil {
-		t.Fatal(err)
-	}
-	var enc snap.MapEncoder
-	built.EncodeMapped(&enc)
-	mapped, err := OpenMappedIndex(snap.NewMapView(enc.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Index{"built": built, "decoded": decoded, "mapped": mapped}
+	return forms
 }
 
 // checkAppendDocs compares AppendDocs(idxs) with per-document Extract.

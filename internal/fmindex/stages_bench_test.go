@@ -6,43 +6,55 @@ import (
 
 	"dyncoll/internal/sa"
 	"dyncoll/internal/textgen"
-	"dyncoll/internal/wavelet"
 )
 
 // BenchmarkRebuildStages prices the stages of one store rebuild — read
 // the source store back (materialize), suffix-sort it (sa), and build
 // the index around the suffix array (build; the wavelet tree over the
 // BWT is also timed alone, so BWT + samples is build − sa − wavelet) —
-// on the bench corpus at the store sizes the ladder builds. DESIGN.md's
-// "what a rebuild costs" table is this benchmark's output.
+// on the bench corpus at the store sizes the ladder builds, over each
+// tree shape (fm4's 4-ary tree, fm's binary one). The wavelet stage
+// builds from counted frequencies, as Build does. DESIGN.md's "what a
+// rebuild costs" tables are this benchmark's output.
 func BenchmarkRebuildStages(b *testing.B) {
-	for _, size := range []int{26 << 10, 108 << 10, 460 << 10, 2 << 20} {
-		docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(size)
-		idx := Build(docs, Options{})
-		all := make([]int, idx.DocCount())
-		for i := range all {
-			all[i] = i
+	for _, shape := range treeShapes {
+		for _, size := range []int{26 << 10, 108 << 10, 460 << 10, 2 << 20} {
+			rebuildStages(b, shape.name, size, shape.binary)
 		}
-		var text []byte
-		for _, d := range docs {
-			text = append(append(text, d.Data...), Sep)
-		}
-		bwt := make([]byte, len(text))
-		for row, p := range sa.SuffixArray(text) {
-			bwt[row] = text[(int(p)+len(text)-1)%len(text)]
-		}
-		stage := func(name string, fn func()) {
-			b.Run(fmt.Sprintf("%s/%d", name, size), func(b *testing.B) {
-				b.SetBytes(int64(len(text)))
-				for i := 0; i < b.N; i++ {
-					fn()
-				}
-			})
-		}
-		var ws sa.Workspace
-		stage("materialize", func() { idx.AppendDocs(all, nil) })
-		stage("sa", func() { sa.SuffixArrayWS(text, &ws) })
-		stage("wavelet", func() { wavelet.NewHuffmanBytes(bwt, 256) })
-		stage("build", func() { Build(docs, Options{}) })
 	}
+}
+
+// rebuildStages runs BenchmarkRebuildStages at one store size over one
+// tree shape.
+func rebuildStages(b *testing.B, shape string, size int, binary bool) {
+	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(size)
+	opts := Options{BinaryTree: binary}
+	idx := Build(docs, opts)
+	all := make([]int, idx.DocCount())
+	for i := range all {
+		all[i] = i
+	}
+	var text []byte
+	for _, d := range docs {
+		text = append(append(text, d.Data...), Sep)
+	}
+	bwt := make([]byte, len(text))
+	freq := make([]int64, 256)
+	for row, p := range sa.SuffixArray(text) {
+		bwt[row] = text[(int(p)+len(text)-1)%len(text)]
+		freq[bwt[row]]++
+	}
+	stage := func(name string, fn func()) {
+		b.Run(fmt.Sprintf("%s/%s/%d", shape, name, size), func(b *testing.B) {
+			b.SetBytes(int64(len(text)))
+			for i := 0; i < b.N; i++ {
+				fn()
+			}
+		})
+	}
+	var ws sa.Workspace
+	stage("materialize", func() { idx.AppendDocs(all, nil) })
+	stage("sa", func() { sa.SuffixArrayWS(text, &ws) })
+	stage("wavelet", func() { newSequence(bwt, freq, binary) })
+	stage("build", func() { Build(docs, opts) })
 }

@@ -86,7 +86,14 @@ func (h *itemHeap) pop() item {
 // CodeLengths returns the Huffman code length for each symbol given its
 // frequency. Symbols with zero frequency get length 0. If exactly one
 // symbol occurs it is assigned length 1.
-func CodeLengths(freq []int64) []int {
+func CodeLengths(freq []int64) []int { return codeLengths(freq, 2) }
+
+// codeLengths returns arity-ary Huffman code lengths: each merge joins
+// the arity lightest nodes, after the zero-weight dummies that make
+// (leaves − 1) divisible by arity − 1 have been added (none for a
+// binary code), so every internal node but the one beside the dummies
+// is full.
+func codeLengths(freq []int64, arity int) []int {
 	lens := make([]int, len(freq))
 	nLeaves := 0
 	for s, f := range freq {
@@ -108,21 +115,29 @@ func CodeLengths(freq []int64) []int {
 		}
 		return lens
 	}
-	h := make(itemHeap, 0, nLeaves)
-	parent := make([]int, 0, 2*nLeaves-1)
+	dummies := (arity - 1 - (nLeaves-1)%(arity-1)) % (arity - 1)
+	h := make(itemHeap, 0, nLeaves+dummies)
+	parent := make([]int, 0, 2*(nLeaves+dummies)-1)
 	for _, f := range freq {
 		if f > 0 {
 			parent = append(parent, -1)
 			h.push(item{weight: f, index: len(parent) - 1})
 		}
 	}
+	for range dummies {
+		parent = append(parent, -1)
+		h.push(item{weight: 0, index: len(parent) - 1})
+	}
 	for len(h) > 1 {
-		a, b := h.pop(), h.pop()
 		parent = append(parent, -1)
 		ni := len(parent) - 1
-		parent[a.index] = ni
-		parent[b.index] = ni
-		h.push(item{weight: a.weight + b.weight, index: ni})
+		var w int64
+		for range arity {
+			x := h.pop()
+			parent[x.index] = ni
+			w += x.weight
+		}
+		h.push(item{weight: w, index: ni})
 	}
 	// Depth of each leaf = code length.
 	depth := make([]int, len(parent))
@@ -142,7 +157,11 @@ func CodeLengths(freq []int64) []int {
 // Canonical assigns canonical code values to the given code lengths.
 // The returned slice is indexed by symbol and contains only symbols with
 // non-zero length (others have Len 0).
-func Canonical(lens []int) []Code {
+func Canonical(lens []int) []Code { return canonical(lens, 1) }
+
+// canonical assigns canonical values to code lengths counted in digits
+// of digitBits bits each, shortest codes first, ties by symbol.
+func canonical(lens []int, digitBits int) []Code {
 	codes := make([]Code, len(lens))
 	type sl struct{ sym, l int }
 	var order []sl
@@ -161,7 +180,7 @@ func Canonical(lens []int) []Code {
 	var code uint64
 	prevLen := 0
 	for _, e := range order {
-		code <<= uint(e.l - prevLen)
+		code <<= uint(digitBits * (e.l - prevLen))
 		prevLen = e.l
 		codes[e.sym] = Code{Symbol: e.sym, Len: e.l, Bits: code}
 		code++
@@ -261,4 +280,66 @@ func AverageLen(codes []Code, freq []int64) float64 {
 		return 0
 	}
 	return float64(bits) / float64(n)
+}
+
+// MaxDigits bounds a 4-ary code's length in base-4 digits, so that a
+// code's 2·Len bits fit a Code's Bits with room for the Kraft sum of
+// Kraft4 in a uint64.
+const MaxDigits = 31
+
+// CodeLengths4 returns 4-ary Huffman code lengths, in base-4 digits,
+// for the given frequencies. A single occurring symbol gets length 1,
+// symbols that do not occur get 0. Should a code exceed MaxDigits — a
+// chain of 32 merges needs a total weight beyond 2³¹, since each merge
+// in it weighs at least the one before plus three times the one before
+// that — every occurring symbol gets the fixed width ⌈log₄ σ⌉ instead.
+func CodeLengths4(freq []int64) []int {
+	lens := codeLengths(freq, 4)
+	longest, occurring := 0, 0
+	for _, l := range lens {
+		longest = max(longest, l)
+		if l > 0 {
+			occurring++
+		}
+	}
+	if longest <= MaxDigits {
+		return lens
+	}
+	width := 1
+	for 1<<(2*width) < occurring {
+		width++
+	}
+	for s, l := range lens {
+		if l > 0 {
+			lens[s] = width
+		}
+	}
+	return lens
+}
+
+// Kraft4 reports whether 4-ary code lengths, each in [0, MaxDigits],
+// leave room for a prefix-free code: Σ 4^−len ≤ 1 over the nonzero
+// lengths. Canonical4 assumes it.
+func Kraft4(lens []int) bool {
+	var sum uint64 // in units of 4^−MaxDigits
+	for _, l := range lens {
+		if l < 0 || l > MaxDigits {
+			return false
+		}
+		if l > 0 {
+			sum += 1 << (2 * uint(MaxDigits-l))
+		}
+	}
+	return sum <= 1<<(2*MaxDigits)
+}
+
+// Canonical4 assigns canonical 4-ary code values to code lengths that
+// satisfy Kraft4. A Code's Len then counts base-4 digits and Bits holds
+// the 2·Len-bit value, most significant digit first.
+func Canonical4(lens []int) []Code { return canonical(lens, 2) }
+
+// Build4 computes canonical 4-ary Huffman codes for the given
+// frequencies.
+func Build4(freq []int64) []Code {
+	return Canonical4(CodeLengths4(freq))
 }

@@ -3,6 +3,7 @@ package huffman
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,85 @@ func TestQuickHkMonotoneUnderRepetition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCodeLengths4(t *testing.T) {
+	// Seven leaves need no dummy: two merges, the four lightest first.
+	lens := CodeLengths4([]int64{1, 1, 1, 1, 5, 6, 7})
+	want := []int{2, 2, 2, 2, 1, 1, 1}
+	for i := range want {
+		if lens[i] != want[i] {
+			t.Fatalf("lens=%v, want %v", lens, want)
+		}
+	}
+	// Five leaves take two zero-weight dummies beside the two lightest.
+	lens = CodeLengths4([]int64{1, 2, 9, 9, 9})
+	want = []int{2, 2, 1, 1, 1}
+	for i := range want {
+		if lens[i] != want[i] {
+			t.Fatalf("lens=%v, want %v", lens, want)
+		}
+	}
+	if lens := CodeLengths4([]int64{0, 7, 0}); lens[0] != 0 || lens[1] != 1 || lens[2] != 0 {
+		t.Fatalf("single-symbol lens=%v", lens)
+	}
+}
+
+// TestCanonical4PrefixFree checks, over random frequencies, that the
+// 4-ary codes are prefix-free, satisfy Kraft's inequality, and cost at
+// most half the binary code's bits plus one digit per symbol.
+func TestCanonical4PrefixFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		freq := make([]int64, 1+rng.Intn(256))
+		for i := range freq {
+			if rng.Intn(4) > 0 {
+				freq[i] = int64(rng.Intn(1 << uint(rng.Intn(20))))
+			}
+		}
+		lens := CodeLengths4(freq)
+		if !Kraft4(lens) {
+			t.Fatalf("lengths %v break Kraft", lens)
+		}
+		codes := Canonical4(lens)
+		for a := range codes {
+			for b := range codes {
+				ca, cb := codes[a], codes[b]
+				if a == b || ca.Len == 0 || cb.Len == 0 || ca.Len > cb.Len {
+					continue
+				}
+				if cb.Bits>>(2*uint(cb.Len-ca.Len)) == ca.Bits {
+					t.Fatalf("code of %d prefixes code of %d", a, b)
+				}
+			}
+		}
+		if digits, bits := AverageLen(codes, freq), AverageLen(Build(freq), freq); digits > bits/2+1 {
+			t.Fatalf("%.3f digits against %.3f bits", digits, bits)
+		}
+	}
+}
+
+// TestCodeLengths4Fallback builds a chain deeper than MaxDigits — each
+// merge joins the chain with three leaves of half its weight — and
+// expects the fixed-width fallback.
+func TestCodeLengths4Fallback(t *testing.T) {
+	freq := []int64{2, 2, 2, 2}
+	chain := int64(8)
+	for range 35 {
+		freq = append(freq, chain/2, chain/2, chain/2)
+		chain += 3 * (chain / 2)
+	}
+	if lens := codeLengths(freq, 4); slices.Max(lens) <= MaxDigits {
+		t.Fatalf("chain only %d digits deep", slices.Max(lens))
+	}
+	lens := CodeLengths4(freq)
+	for s, l := range lens {
+		if l != 4 { // 109 symbols: ⌈log₄ 109⌉
+			t.Fatalf("symbol %d gets %d digits, want 4", s, l)
+		}
+	}
+	if !Kraft4(lens) {
+		t.Fatal("fallback lengths break Kraft")
 	}
 }

@@ -55,6 +55,16 @@ func (t *Tree) NewDecoder() *Decoder {
 	return d
 }
 
+// ByteDecoder is a front-to-back reader of a tree's sequence over a
+// byte alphabet, the bulk path of index rebuilds.
+type ByteDecoder interface {
+	ReadBytes(dst []byte)
+}
+
+// ByteDecoder returns a reader of the sequence from its start; the
+// tree's alphabet must fit a byte.
+func (t *Tree) ByteDecoder() ByteDecoder { return t.NewDecoder() }
+
 // Next returns the next symbol of the sequence.
 func (d *Decoder) Next() uint32 {
 	var one [1]uint32

@@ -32,7 +32,7 @@ func TestMappedCollectionMatrix(t *testing.T) {
 	registerSnapTestIndex()
 	for _, tr := range []Transformation{Amortized, WorstCase} {
 		for _, shards := range []int{0, 4} {
-			for _, index := range []string{IndexFM, IndexSA, IndexCSA, "snap-suffix-table"} {
+			for _, index := range []string{IndexFM4, IndexFM, IndexSA, IndexCSA, "snap-suffix-table"} {
 				name := fmt.Sprintf("tr%d/shards%d/%s", tr, shards, index)
 				t.Run(name, func(t *testing.T) {
 					opts := []Option{

@@ -65,8 +65,8 @@ func WithTransformation(t Transformation) Option {
 }
 
 // WithIndex selects the static index backing a Collection by registry
-// name — a built-in (IndexFM, IndexSA, IndexCSA) or anything added via
-// RegisterIndex. The name is resolved when the collection is created.
+// name — a built-in (IndexFM4, the default; IndexFM, IndexSA, IndexCSA)
+// or anything added via RegisterIndex. The name is resolved when the collection is created.
 func WithIndex(name string) Option {
 	return func(c *config) error {
 		if c.kind != kindCollection {
@@ -183,7 +183,7 @@ func WithSyncRebuilds() Option {
 
 // newConfig applies opts over the defaults for the given structure.
 func newConfig(kind structKind, opts []Option) (config, error) {
-	c := config{kind: kind, transformation: WorstCase, index: IndexFM}
+	c := config{kind: kind, transformation: WorstCase, index: IndexFM4}
 	if kind != kindCollection {
 		// Relations and graphs default to the amortized cascades; their
 		// worst-case machinery is opt-in via WithTransformation.

@@ -45,9 +45,14 @@ type IndexDecoder = core.IndexDecoder
 
 // Built-in static-index names, registered at package init.
 const (
-	// IndexFM is the nHk-space FM-index (wavelet tree over the BWT; the
-	// stand-in for the Belazzougui–Navarro / Barbay et al. indexes of the
-	// paper's Tables 1–2).
+	// IndexFM4 is the nHk-space FM-index (a 4-ary Huffman-shaped
+	// wavelet tree over the BWT; the stand-in for the
+	// Belazzougui–Navarro / Barbay et al. indexes of the paper's Tables
+	// 1–2) and the default index.
+	IndexFM4 = "fm4"
+	// IndexFM is the same FM-index over a binary wavelet tree: every
+	// backward-search and LF step walks about twice the levels. Files
+	// written with it keep opening as it.
 	IndexFM = "fm"
 	// IndexSA is the O(n log σ)-bit plain suffix-array index (the
 	// Grossi–Vitter stand-in of Table 3): faster queries, more space.
@@ -183,8 +188,17 @@ func mustRegister(name string, b IndexBuilder, dec IndexDecoder) {
 }
 
 func init() {
-	mustRegister(IndexFM, func(docs []Document, cfg IndexConfig) StaticIndex {
+	mustRegister(IndexFM4, func(docs []Document, cfg IndexConfig) StaticIndex {
 		return fmindex.Build(docs, fmindex.Options{SampleRate: cfg.SampleRate})
+	}, func(data []byte) (StaticIndex, error) {
+		x := &fmindex.Index{}
+		if err := x.UnmarshalQuad(data); err != nil {
+			return nil, err
+		}
+		return x, nil
+	})
+	mustRegister(IndexFM, func(docs []Document, cfg IndexConfig) StaticIndex {
+		return fmindex.Build(docs, fmindex.Options{SampleRate: cfg.SampleRate, BinaryTree: true})
 	}, func(data []byte) (StaticIndex, error) {
 		x := &fmindex.Index{}
 		if err := x.UnmarshalBinary(data); err != nil {
@@ -209,6 +223,9 @@ func init() {
 			return nil, err
 		}
 		return x, nil
+	})
+	setMappedOpener(IndexFM4, func(mv *snap.MapView) (StaticIndex, error) {
+		return fmindex.OpenMappedQuad(mv)
 	})
 	setMappedOpener(IndexFM, func(mv *snap.MapView) (StaticIndex, error) {
 		return fmindex.OpenMappedIndex(mv)

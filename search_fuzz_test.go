@@ -82,7 +82,8 @@ func FuzzRegexPlan(f *testing.F) {
 		// amortized one as a full set of levels — the many-store shape
 		// batched ingest leaves in production, where a plan is decided
 		// sub-collection by sub-collection. The async layout is queried
-		// with its background builds still in flight.
+		// with its background builds still in flight. Every layout runs
+		// the default fm4 index but the last, which runs fm.
 		layouts := []struct {
 			opts  []Option
 			batch int
@@ -97,6 +98,7 @@ func FuzzRegexPlan(f *testing.F) {
 			{opts: []Option{WithTransformation(WorstCase), WithSyncRebuilds(), WithMinCapacity(16)}, batch: 3},
 			{opts: []Option{WithTransformation(Amortized), WithMinCapacity(16)}, batch: 3},
 			{opts: []Option{WithTransformation(WorstCase), WithMinCapacity(16), WithShards(2)}, batch: 5, async: true},
+			{opts: []Option{WithTransformation(WorstCase), WithSyncRebuilds(), WithMinCapacity(16), WithIndex(IndexFM)}, batch: 3},
 		}
 		for li, l := range layouts {
 			c := mustCollection(t, l.opts...)

@@ -97,13 +97,13 @@ func collectionsEqual(t *testing.T, label string, a, b *Collection) {
 }
 
 // TestCollectionSnapshotRoundTrip is the acceptance matrix: every
-// transformation × sharding × index (three built-ins plus a custom
+// transformation × sharding × index (four built-ins plus a custom
 // registry index) must answer identical queries after Save → Load.
 func TestCollectionSnapshotRoundTrip(t *testing.T) {
 	registerSnapTestIndex()
 	for _, tr := range []Transformation{Amortized, WorstCase} {
 		for _, shards := range []int{0, 4} {
-			for _, index := range []string{IndexFM, IndexSA, IndexCSA, "snap-suffix-table"} {
+			for _, index := range []string{IndexFM4, IndexFM, IndexSA, IndexCSA, "snap-suffix-table"} {
 				name := fmt.Sprintf("tr%d/shards%d/%s", tr, shards, index)
 				t.Run(name, func(t *testing.T) {
 					opts := []Option{
