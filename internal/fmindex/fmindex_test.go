@@ -61,10 +61,11 @@ type searcher interface {
 }
 
 var indexBuilders = map[string]func(docs []Doc) searcher{
-	"fm":  func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4, BinaryTree: true}) },
-	"fm1": func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1}) },
-	"fm4": func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4}) },
-	"sa":  func(docs []Doc) searcher { return BuildSA(docs) },
+	"fm":    func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4, BinaryTree: true}) },
+	"fm1":   func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1, BinaryTree: true}) },
+	"fm4":   func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4}) },
+	"fm4-1": func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1}) },
+	"sa":    func(docs []Doc) searcher { return BuildSA(docs) },
 }
 
 // findAll runs range + locate and returns sorted (doc, off) pairs,
@@ -202,10 +203,13 @@ func TestEmptyPatternMatchesEverything(t *testing.T) {
 func TestRangeFirstStepFromCounts(t *testing.T) {
 	byRank := func(x *Index, pattern []byte) (lo, hi int) {
 		lo, hi = 0, x.n
-		bwt := x.bwt.(interface{ Rank(c uint32, i int) int })
+		rank := func(c byte, i int) int {
+			r, _ := x.bwt.RankPair(uint32(c), i, i)
+			return r
+		}
 		for i := len(pattern) - 1; i >= 0 && lo < hi; i-- {
 			b := pattern[i]
-			lo, hi = x.c[b]+bwt.Rank(uint32(b), lo), x.c[b]+bwt.Rank(uint32(b), hi)
+			lo, hi = x.c[b]+rank(b, lo), x.c[b]+rank(b, hi)
 		}
 		return lo, hi
 	}

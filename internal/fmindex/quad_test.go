@@ -8,13 +8,26 @@ import (
 	"sync"
 	"testing"
 
+	"dyncoll/internal/huffman"
 	"dyncoll/internal/snap"
 	"dyncoll/internal/textgen"
+	"dyncoll/internal/wavelet"
 )
 
-// codeLener is what both trees report of a symbol's code: its length
-// in levels (bits for the binary tree, digits for the 4-ary one).
-type codeLener interface{ CodeLen(c uint32) int }
+// codeLens returns the length of every byte's code in x's tree — the
+// levels a walk for it visits, bits for the binary tree and digits for
+// the 4-ary one — from the BWT's counted frequencies, which fix both
+// trees' codes.
+func codeLens(x *Index) []int {
+	freq := make([]int64, 256)
+	for b := range freq {
+		freq[b] = int64(x.c[b+1] - x.c[b])
+	}
+	if _, ok := x.bwt.(*wavelet.Quad); ok {
+		return huffman.CodeLengths4(freq)
+	}
+	return huffman.CodeLengths(freq)
+}
 
 // shapePair is the same 1 MiB textgen corpus (σ 64, order 2, seed 1)
 // indexed over each tree shape.
@@ -26,10 +39,9 @@ var shapePair = sync.OnceValues(func() (fm4, fm *Index) {
 // levelsPerSymbol is the frequency-weighted code length of x's tree
 // over its BWT, separators included: the levels an average walk visits.
 func levelsPerSymbol(x *Index) float64 {
-	cl := x.bwt.(codeLener)
 	var levels int64
-	for b := 0; b < 256; b++ {
-		levels += int64(x.c[b+1]-x.c[b]) * int64(cl.CodeLen(uint32(b)))
+	for b, l := range codeLens(x) {
+		levels += int64(x.c[b+1]-x.c[b]) * int64(l)
 	}
 	return float64(levels) / float64(x.n)
 }
@@ -37,13 +49,13 @@ func levelsPerSymbol(x *Index) float64 {
 // rangeLevels runs Range's backward search on pattern and returns the
 // tree levels its rank walks visit.
 func rangeLevels(x *Index, pattern []byte) int {
-	cl := x.bwt.(codeLener)
+	lens := codeLens(x)
 	last := len(pattern) - 1
 	lo, hi := x.c[pattern[last]], x.c[int(pattern[last])+1]
 	levels := 0
 	for i := last - 1; i >= 0 && lo < hi; i-- {
 		b := pattern[i]
-		levels += cl.CodeLen(uint32(b))
+		levels += lens[b]
 		rl, rh := x.bwt.RankPair(uint32(b), lo, hi)
 		lo, hi = x.c[b]+rl, x.c[b]+rh
 	}
@@ -57,10 +69,10 @@ func rangeLevels(x *Index, pattern []byte) int {
 // levels its LF steps visit: an LF step that reads symbol b walks b's
 // code to its leaf.
 func lfLevels(x *Index, d, off, length int) int {
-	cl := x.bwt.(codeLener)
+	lens := codeLens(x)
 	levels := 0
 	lo := int(x.docStarts[d]) + off
-	x.walkRange(lo, lo+length, func(_, _ int, b byte) { levels += cl.CodeLen(uint32(b)) })
+	x.walkRange(lo, lo+length, func(_, _ int, b byte) { levels += lens[b] })
 	return levels
 }
 

@@ -283,8 +283,8 @@ func AverageLen(codes []Code, freq []int64) float64 {
 }
 
 // MaxDigits bounds a 4-ary code's length in base-4 digits, so that a
-// code's 2·Len bits fit a Code's Bits with room for the Kraft sum of
-// Kraft4 in a uint64.
+// code's 2·Len bits fit a Code's Bits and a Kraft4 term, 4^(MaxDigits−len),
+// fits a uint64.
 const MaxDigits = 31
 
 // CodeLengths4 returns 4-ary Huffman code lengths, in base-4 digits,
@@ -319,18 +319,22 @@ func CodeLengths4(freq []int64) []int {
 
 // Kraft4 reports whether 4-ary code lengths, each in [0, MaxDigits],
 // leave room for a prefix-free code: Σ 4^−len ≤ 1 over the nonzero
-// lengths. Canonical4 assumes it.
+// lengths. Canonical4 assumes it. The sum stops as soon as it passes
+// 1: a term is at most 4^(MaxDigits−1), so it never wraps.
 func Kraft4(lens []int) bool {
+	const one = 1 << (2 * MaxDigits)
 	var sum uint64 // in units of 4^−MaxDigits
 	for _, l := range lens {
 		if l < 0 || l > MaxDigits {
 			return false
 		}
 		if l > 0 {
-			sum += 1 << (2 * uint(MaxDigits-l))
+			if sum += 1 << (2 * uint(MaxDigits-l)); sum > one {
+				return false
+			}
 		}
 	}
-	return sum <= 1<<(2*MaxDigits)
+	return true
 }
 
 // Canonical4 assigns canonical 4-ary code values to code lengths that

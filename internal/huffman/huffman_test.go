@@ -236,6 +236,37 @@ func TestCanonical4PrefixFree(t *testing.T) {
 	}
 }
 
+// TestKraft4 pins the inequality at its edges, including sums of short
+// codes that would wrap a uint64 were they added up unchecked: sixteen
+// length-1 terms make 4^MaxDigits·4 = 2^64.
+func TestKraft4(t *testing.T) {
+	ones := func(k int, more ...int) []int {
+		lens := slices.Repeat([]int{1}, k)
+		return append(lens, more...)
+	}
+	for _, c := range []struct {
+		lens []int
+		want bool
+	}{
+		{nil, true},
+		{ones(4), true},
+		{ones(3, 2, 2, 2, 2), true},
+		{ones(3, 2, 2, 2, 2, 2), false},
+		{ones(5), false},
+		{ones(16), false},
+		{ones(17), false},
+		{ones(16, 2), false},
+		{ones(256), false},
+		{slices.Repeat([]int{MaxDigits}, 256), true},
+		{[]int{MaxDigits + 1}, false},
+		{[]int{-1}, false},
+	} {
+		if got := Kraft4(c.lens); got != c.want {
+			t.Fatalf("Kraft4(%v) = %v, want %v", c.lens, got, c.want)
+		}
+	}
+}
+
 // TestCodeLengths4Fallback builds a chain deeper than MaxDigits — each
 // merge joins the chain with three leaves of half its weight — and
 // expects the fixed-width fallback.

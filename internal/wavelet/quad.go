@@ -175,15 +175,6 @@ func (q *Quad) layout() (digits []int) {
 // Len reports the sequence length.
 func (q *Quad) Len() int { return q.n }
 
-// CodeLen reports the length in digits of symbol c's code — the levels
-// a walk for c visits — or 0 if c does not occur.
-func (q *Quad) CodeLen(c uint32) int {
-	if int(c) >= q.sigma {
-		return 0
-	}
-	return int(q.at[c+1] - q.at[c])
-}
-
 // AccessRank returns the symbol c at position i together with
 // Rank(c, i): AccessRanks at one position.
 func (q *Quad) AccessRank(i int) (uint32, int) {
@@ -222,13 +213,6 @@ func (q *Quad) AccessRanks(pos []int, sym []uint32) {
 	for k, ni := range sym {
 		sym[k] = ^ni
 	}
-}
-
-// Rank returns the number of occurrences of symbol c in positions
-// [0, i). i may equal Len().
-func (q *Quad) Rank(c uint32, i int) int {
-	r, _ := q.RankPair(c, i, i)
-	return r
 }
 
 // Count returns the number of occurrences of symbol c.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyncoll/internal/huffman"
@@ -230,7 +231,7 @@ func checkQuad(t *testing.T, form string, q *Quad, s []byte, sigma int) {
 		}
 		if i%7 == 0 {
 			for x := 0; x < sigma; x++ {
-				if got := q.Rank(uint32(x), i); got != rank[x] {
+				if got, _ := q.RankPair(uint32(x), i, i); got != rank[x] {
 					t.Fatalf("%s: Rank(%d, %d) = %d, want %d", form, x, i, got, rank[x])
 				}
 			}
@@ -307,13 +308,14 @@ func TestQuadCodes(t *testing.T) {
 	s := []byte("abracadabra arbadacarba")
 	q := newQuad(s, 256)
 	want := huffman.Build4(huffman.Freq(s, 256))
+	walk := func(c int) int { return int(q.at[c+1] - q.at[c]) }
 	for c := range 256 {
-		if got := q.CodeLen(uint32(c)); got != want[c].Len {
-			t.Fatalf("CodeLen(%q) = %d, want %d", c, got, want[c].Len)
+		if got := walk(c); got != want[c].Len {
+			t.Fatalf("walk of %q takes %d digits, want %d", c, got, want[c].Len)
 		}
 	}
-	if q.CodeLen('a') != 1 || q.CodeLen('z') != 0 {
-		t.Fatalf("a: %d digits, z: %d", q.CodeLen('a'), q.CodeLen('z'))
+	if walk('a') != 1 || walk('z') != 0 {
+		t.Fatalf("a: %d digits, z: %d", walk('a'), walk('z'))
 	}
 }
 
@@ -361,10 +363,25 @@ func TestQuadDecodeRejects(t *testing.T) {
 	}
 }
 
+// wrappingHeader is a header of k ≥ 16 length-1 codes, one occurrence
+// each: its Kraft sum, 16 terms of 4^(MaxDigits−1), wraps a uint64 if
+// added unchecked. level is the digit level such a header lays out —
+// symbol c writes digit c mod 4 at the root — so its counts agree with
+// the header and only the Kraft check stands between the pair and a
+// tree whose codes collide.
+func wrappingHeader(k int) (lens []int, freq []int64, level []uint64) {
+	lens, freq = slices.Repeat([]int{1}, k), slices.Repeat([]int64{1}, k)
+	level = make([]uint64, (k+31)/32)
+	for c := range k {
+		level[c/32] |= uint64(c&3) << (2 * uint(c%32))
+	}
+	return lens, freq, level
+}
+
 // TestQuadHostileHeaders: headers that describe no valid tree fail
 // before anything is sized from them.
 func TestQuadHostileHeaders(t *testing.T) {
-	header := func(sigma, n int, lens []int, freq []int64) []byte {
+	header := func(sigma, n int, lens []int, freq []int64, levels ...[]uint64) []byte {
 		e := snap.Encoder{}
 		e.Uvarint(uint64(sigma))
 		e.Uvarint(uint64(n))
@@ -374,13 +391,24 @@ func TestQuadHostileHeaders(t *testing.T) {
 		for _, f := range freq {
 			e.Uvarint(uint64(f))
 		}
+		for _, words := range levels {
+			e.Words(words)
+		}
 		return e.Bytes()
+	}
+	wraps := func(k int) []byte {
+		lens, freq, level := wrappingHeader(k)
+		return header(k, k, lens, freq, level)
 	}
 	for name, data := range map[string][]byte{
 		"empty alphabet":   header(0, 0, nil, nil),
 		"wide alphabet":    header(300, 0, nil, nil),
 		"code too long":    header(2, 3, []int{huffman.MaxDigits + 1, 1}, []int64{1, 2}),
 		"kraft broken":     header(5, 5, []int{1, 1, 1, 1, 1}, []int64{1, 1, 1, 1, 1}),
+		"kraft wraps":      wraps(16),
+		"kraft wraps past": wraps(17),
+		"kraft wraps, heavy symbol": header(17, 1<<20+16, append(slices.Repeat([]int{1}, 16), 2),
+			append(slices.Repeat([]int64{1}, 16), 1<<20)),
 		"frequency sum":    header(2, 9, []int{1, 1}, []int64{1, 2}),
 		"uncoded symbol":   header(2, 3, []int{0, 1}, []int64{1, 2}),
 		"huge length":      header(1, 1<<40, []int{1}, []int64{1 << 40}),
@@ -392,6 +420,44 @@ func TestQuadHostileHeaders(t *testing.T) {
 		d := snap.NewDecoder(data)
 		if DecodeQuadFrom(d) != nil || !errors.Is(d.Err(), snap.ErrBadSnapshot) {
 			t.Fatalf("%s: decoded, err = %v", name, d.Err())
+		}
+	}
+}
+
+// TestQuadHostileMappedHeaders is TestQuadHostileHeaders for the mapped
+// opener, whose levels carry their directories.
+func TestQuadHostileMappedHeaders(t *testing.T) {
+	header := func(n int, lens []int, freq []int64, levels ...[]uint64) []byte {
+		e := snap.MapEncoder{}
+		e.U64(uint64(len(lens)))
+		e.U64(uint64(n))
+		lens32, freq64 := make([]int32, len(lens)), make([]uint64, len(freq))
+		for c := range lens {
+			lens32[c], freq64[c] = int32(lens[c]), uint64(freq[c])
+		}
+		e.Int32s(lens32)
+		e.Words(freq64)
+		e.U64(uint64(len(levels)))
+		for _, words := range levels {
+			lv := newQuadLevel(words, n)
+			lv.encodeMapped(&e)
+		}
+		return e.Bytes()
+	}
+	wraps := func(k int) []byte {
+		lens, freq, level := wrappingHeader(k)
+		return header(k, lens, freq, level)
+	}
+	for name, data := range map[string][]byte{
+		"kraft broken":     header(5, []int{1, 1, 1, 1, 1}, []int64{1, 1, 1, 1, 1}, []uint64{0b11_10_01_00}),
+		"kraft wraps":      wraps(16),
+		"kraft wraps past": wraps(17),
+		"kraft wraps, heavy symbol": header(1<<20+16, append(slices.Repeat([]int{1}, 16), 2),
+			append(slices.Repeat([]int64{1}, 16), 1<<20)),
+	} {
+		mv := snap.NewMapView(data)
+		if ViewMappedQuad(mv) != nil || !errors.Is(mv.Err(), snap.ErrBadSnapshot) {
+			t.Fatalf("%s: opened, err = %v", name, mv.Err())
 		}
 	}
 }

@@ -272,15 +272,6 @@ func (t *Tree) Len() int { return t.n }
 // Sigma reports the alphabet size.
 func (t *Tree) Sigma() int { return t.sigma }
 
-// CodeLen reports the length in bits of symbol c's code — the levels a
-// walk for c visits — or 0 if c does not occur.
-func (t *Tree) CodeLen(c uint32) int {
-	if int(c) >= t.sigma || t.Count(c) == 0 {
-		return 0
-	}
-	return t.codes[c].Len
-}
-
 // Access returns the symbol at position i.
 func (t *Tree) Access(i int) uint32 {
 	c, _ := t.AccessRank(i)
