@@ -42,7 +42,8 @@
 // (Transformation 3 — cheaper insertions at an O(log log n) query
 // fan-out). Relations and graphs default to Amortized; selecting
 // WorstCase gives them the same engine machinery collections use —
-// true background builds behind locked copies, top-collection sweeps,
+// true background builds behind locked copies (no store ever feeds two
+// builds at once), top-collection sweeps,
 // and WaitIdle — because all three structures run on one generic
 // transformation engine (see internal/engine).
 //

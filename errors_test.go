@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -196,11 +197,18 @@ func (x *testIndex) SizeBits() int64 {
 	return int64(x.symbols)*8 + int64(len(x.rows))*3*64
 }
 
+// registerTestIndex registers testIndex under a fresh name once per
+// process: the registry is global, so a second -count run must not
+// register it again.
+var registerTestIndex = sync.OnceValue(func() error {
+	return RegisterIndex("test-suffix-table", buildTestIndex)
+})
+
 // TestCustomRegisteredIndex registers testIndex under a fresh name and
 // drives it through NewCollection across transformations: Find, Count,
 // Extract, and deletions must all be served by the custom index.
 func TestCustomRegisteredIndex(t *testing.T) {
-	if err := RegisterIndex("test-suffix-table", buildTestIndex); err != nil {
+	if err := registerTestIndex(); err != nil {
 		t.Fatalf("RegisterIndex: %v", err)
 	}
 	found := false

@@ -335,6 +335,27 @@ func TestSemiRelDirect(t *testing.T) {
 	}
 }
 
+// TestSemiRelBitmapBits checks that the deletion bitmaps D and D_a of a
+// store at the engine's automatic τ take the dense form: a Lemma 3 zero
+// list costs a slice header per τ-bit word, more than the bits it
+// covers.
+func TestSemiRelBitmapBits(t *testing.T) {
+	const n = 1 << 16
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		pairs[i] = Pair{Object: uint64(i) >> 4, Label: uint64(i) & 15}
+	}
+	r := buildSemi(pairs, 4)
+	r.Delete(Pair{Object: 7, Label: 3})
+	bits := r.alive.SizeBits()
+	for _, d := range r.perLabel {
+		bits += d.SizeBits()
+	}
+	if perPair := float64(bits) / n; perPair > 4 {
+		t.Fatalf("deletion bitmaps take %.1f bits per pair, want at most 4", perPair)
+	}
+}
+
 func TestRelationGlobalRebuildShrink(t *testing.T) {
 	r := New(Options{})
 	for i := 0; i < 1000; i++ {

@@ -12,7 +12,8 @@
 // so that listing/counting labels of an object, objects of a label, and
 // membership all reduce to rank/select/access on S and N. Deletions are
 // lazy, recorded in bitmaps D (over S) and D_a (one per label), with the
-// Lemma 3 structure making live entries reportable in O(1) each.
+// Lemma 2 or 3 structure (sparsebits.New) making live entries reportable
+// in O(1) each.
 //
 // The package is the paper's "Theorem 2 is a corollary" argument made
 // literal: it contains no transformation ladder of its own. The static

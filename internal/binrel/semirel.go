@@ -31,14 +31,14 @@ type semiRel struct {
 	// Deletion state. All four are nil on a freshly mapped store —
 	// nil means "every pair is live" — and materialize together on the
 	// first Delete (see materialize).
-	alive *sparsebits.Compressed // D: 1 = pair live (reporting)
+	alive sparsebits.Bitmap // D: 1 = pair live (reporting)
 	// aliveCnt answers counting queries on D in O(log n); it is a
 	// Fenwick-backed copy of D (the paper cites [20] for this role).
 	aliveCnt *dynbits.Vector
 
 	// perLabel[a] marks which occurrences of local label a are live
 	// (the D_a bitmaps) plus a live counter for O(1) counting.
-	perLabel  []*sparsebits.Compressed
+	perLabel  []sparsebits.Bitmap
 	liveCount []int32
 
 	live int // live pairs
@@ -106,13 +106,13 @@ func (r *semiRel) materialize() {
 		return
 	}
 	n := r.s.Len()
-	r.alive = sparsebits.NewCompressed(n, r.tau)
+	r.alive = sparsebits.New(n, r.tau)
 	r.aliveCnt = dynbits.New(n, true)
-	r.perLabel = make([]*sparsebits.Compressed, len(r.labels))
+	r.perLabel = make([]sparsebits.Bitmap, len(r.labels))
 	r.liveCount = make([]int32, len(r.labels))
 	for a := range r.labels {
 		c := r.s.Count(uint32(a))
-		r.perLabel[a] = sparsebits.NewCompressed(c, r.tau)
+		r.perLabel[a] = sparsebits.New(c, r.tau)
 		r.liveCount[a] = int32(c)
 	}
 }

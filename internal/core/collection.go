@@ -156,8 +156,8 @@ func (c *collection) Len() int { return c.eng.Len() }
 func (c *collection) DocCount() int { return c.eng.Count() }
 
 // Parts runs fn under one engine view with the ladder's sub-collections
-// — C0, levels, locked and retiring build sources, parked temps, tops —
-// as part(0) … part(n−1). Every live document is in exactly one part, so
+// — C0, levels, parked temps, tops and the sources of in-flight builds,
+// locked copies among them — as part(0) … part(n−1). Every live document is in exactly one part, so
 // a query answered part by part and unioned is answered exactly. A
 // caller visits the parts on a team (fanout.Reduce, fanout.Stream), so
 // part(i) may be called from helper goroutines while fn runs. The

@@ -13,8 +13,9 @@
 //     rebuilt on cascade. Updates cost O(u(n)·logᵋ n) amortized per
 //     symbol.
 //   - WorstCase (Transformation 2): additionally keeps locked copies of
-//     sub-collections while replacements are built in the background, plus
-//     top collections purged largest-first (Dietz–Sleator), bounding the
+//     sub-collections queryable while replacements are built in the
+//     background — no store feeding two builds at once — plus top
+//     collections purged largest-first (Dietz–Sleator), bounding the
 //     per-operation work.
 //   - Amortized with Ratio 2 (Transformation 3): O(log log n) levels for
 //     cheaper insertions at an O(log log n) query-fan-out factor.

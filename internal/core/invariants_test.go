@@ -273,7 +273,7 @@ func TestSemiDynamicDirect(t *testing.T) {
 
 // BenchmarkSemiDynamicDelete deletes every document of a 1 MiB store at
 // the engine's τ = 6 with the deletion bitmap in each of its two forms:
-// dense is what newRowBitmap picks there, compressed what it picked
+// dense is what sparsebits.New picks there, compressed what it picked
 // before the choice existed. One op is one document; building the bitmap
 // is in the figure, building the index is not.
 func BenchmarkSemiDynamicDelete(b *testing.B) {
@@ -282,13 +282,13 @@ func BenchmarkSemiDynamicDelete(b *testing.B) {
 	forms := []struct {
 		name      string
 		idx       StaticIndex
-		newBitmap func(n int) rowBitmap
+		newBitmap func(n int) sparsebits.Bitmap
 	}{
-		{"dense", idx, func(n int) rowBitmap { return newRowBitmap(n, 6) }},
-		{"compressed", idx, func(n int) rowBitmap { return sparsebits.NewCompressed(n, 6) }},
+		{"dense", idx, func(n int) sparsebits.Bitmap { return sparsebits.New(n, 6) }},
+		{"compressed", idx, func(n int) sparsebits.Bitmap { return sparsebits.NewCompressed(n, 6) }},
 		// The walk an index without ForDocRows gets: one SuffixRank per
 		// offset.
-		{"dense/per-offset", hideRowWalker{idx}, func(n int) rowBitmap { return newRowBitmap(n, 6) }},
+		{"dense/per-offset", hideRowWalker{idx}, func(n int) sparsebits.Bitmap { return sparsebits.New(n, 6) }},
 	}
 	for _, f := range forms {
 		b.Run(f.name, func(b *testing.B) {

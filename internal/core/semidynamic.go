@@ -15,7 +15,7 @@ import (
 //
 //   - a bitmap B over suffix-array rows, B[j] = 0 iff row j belongs to a
 //     deleted document, stored in the structure V of Lemma 2 or 3 (see
-//     newRowBitmap) so the live rows of any range are reported in O(1)
+//     sparsebits.New) so the live rows of any range are reported in O(1)
 //     each;
 //   - optionally (Theorem 1) a rank-capable copy of B so live rows in a
 //     range can be counted in O(log n).
@@ -27,8 +27,8 @@ import (
 // sub-collections through the configured Build function.
 type SemiDynamic struct {
 	idx   StaticIndex
-	alive rowBitmap       // nil = no deletions yet (deferred wrapper)
-	cnt   *dynbits.Vector // nil unless counting is enabled and alive exists
+	alive sparsebits.Bitmap // nil = no deletions yet (deferred wrapper)
+	cnt   *dynbits.Vector   // nil unless counting is enabled and alive exists
 
 	tau      int  // Lemma 3 word width, kept for deferred materialization
 	counting bool // Theorem 1 rank structure requested
@@ -41,27 +41,6 @@ type SemiDynamic struct {
 	// index through an interface, which would heap-allocate a closure
 	// made per call; this one is made once per wrapper.
 	zeroRow func(row int)
-}
-
-// rowBitmap is the deletion bitmap V: all ones at first, bits only ever
-// cleared.
-type rowBitmap interface {
-	Zero(i int)
-	Report(s, e int, fn func(pos int) bool)
-	Count1(s, e int) int
-	SizeBits() int64
-}
-
-// newRowBitmap picks V's representation. Lemma 3 stores each τ-bit word
-// as the list of its zeros, which undercuts Lemma 2's plain n bits only
-// once τ is well past the machine word: below that a word's list header
-// alone outweighs the word. The engine's automatic τ is log n / log log n
-// — single digits — so in practice this is the dense form.
-func newRowBitmap(n, tau int) rowBitmap {
-	if tau < 64 {
-		return sparsebits.NewDense(n)
-	}
-	return sparsebits.NewCompressed(n, tau)
 }
 
 // docRowWalker is the optional bulk delete path: an index that can list
@@ -129,7 +108,7 @@ func (s *SemiDynamic) materialize() {
 	if s.alive != nil {
 		return
 	}
-	s.alive = newRowBitmap(s.idx.SALen(), s.tau)
+	s.alive = sparsebits.New(s.idx.SALen(), s.tau)
 	if s.counting {
 		s.cnt = dynbits.New(s.idx.SALen(), true)
 	}

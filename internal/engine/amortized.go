@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -73,35 +72,11 @@ func (a *Amortized[K, I]) reschedule(n int) {
 	if a.tau == 0 {
 		a.tau = autoTau(n)
 	}
-	lg := float64(log2(n))
-	if lg < 2 {
-		lg = 2
-	}
-	max0 := float64(2*n) / (lg * lg)
-	if max0 < float64(a.cfg.MinCapacity) {
-		max0 = float64(a.cfg.MinCapacity)
-	}
-	var ratio float64
-	if a.cfg.Ratio2 {
-		ratio = 2
-	} else {
-		ratio = math.Pow(lg, a.cfg.Epsilon)
-		if ratio < 1.5 {
-			ratio = 1.5
-		}
-	}
-	a.maxes = a.maxes[:0]
-	a.maxes = append(a.maxes, int(max0))
-	cap := max0
 	// Grow the ladder until the top level can hold the entire collection
-	// twice over (so a global rebuild always fits).
-	for cap < float64(2*n)+1 && len(a.maxes) < 64 {
-		cap *= ratio
-		a.maxes = append(a.maxes, int(cap))
-	}
-	if len(a.maxes) < 2 {
-		a.maxes = append(a.maxes, int(cap*ratio))
-	}
+	// twice over (so a global rebuild always fits), and to two rungs.
+	a.maxes = a.cfg.capacities(a.maxes, n, a.cfg.Ratio2, func(max0, ratio float64) float64 {
+		return max(float64(2*n)+1, max0*ratio)
+	})
 	for len(a.levels) < len(a.maxes) {
 		a.levels = append(a.levels, nil)
 	}

@@ -14,13 +14,14 @@ import (
 // TestNoTransientDoubleCount is a regression test for a scheduling hole
 // the pre-engine worst-case implementation shipped with: a background
 // merge targeting level j keeps levels[j] (and ride-along temps at slot
-// j) queryable in place while sourcing them, but slotBusy(j) only
-// checked locked[j] and targetBusy(j+1) — so a later insert probing
-// rung j could hit the synchronous-rebuild path and takeLevelItems a
-// store the in-flight build was still reading. Its items were then
-// installed a second time while the old store kept answering queries
-// through the retiring list: Len and every query over-counted a whole
-// level until the build landed. The window only opens when builds are
+// j) queryable in place while sourcing them, but its busy check only
+// asked whether Cj was locked and whether a build targeted j+1 — so a
+// later insert probing rung j could hit the synchronous-rebuild path
+// and take the items of a store the in-flight build was still reading.
+// They were then installed a second time while the old store kept
+// answering queries as a build source: Len and every query over-counted
+// a whole level until the build landed. mergeBusy now asks the feeding
+// map, and launch panics if a store would feed a second build. The window only opens when builds are
 // slow relative to foreground updates, so the churn here runs real
 // background builds and checks Len and store-level key uniqueness
 // after every operation (run under -race in CI, which widens the

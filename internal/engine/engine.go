@@ -21,7 +21,8 @@
 //     cascading foreground rebuilds, amortized update bounds.
 //   - WorstCase (Transformation 2): bounded foreground work per update;
 //     replacements are built on background goroutines while locked
-//     copies keep answering queries, the bulk of the data lives in top
+//     copies keep answering queries (each store feeds at most one build
+//     at a time, recorded in one map), the bulk of the data lives in top
 //     collections purged largest-first (Dietz–Sleator), and a
 //     background rebalance (Section A.3) follows factor-2 size drift.
 //
@@ -33,6 +34,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dyncoll/internal/fanout"
 )
@@ -313,6 +315,28 @@ func autoTau(n int) int {
 		t = 4096
 	}
 	return t
+}
+
+// capacities re-derives a ladder's capacities for live weight n into
+// dst's storage (paper: max_0 = 2n/log²n, max_i = max_0·ratioⁱ, where
+// ratio is log^ε n for Transformations 1 and 2 and 2 for
+// Transformation 3). max_0 is at least MinCapacity and log^ε n at least
+// 1.5. Rungs are added while the last is below limit(max_0, ratio), up
+// to 64 in all.
+func (c Config[K, I]) capacities(dst []int, n int, ratio2 bool, limit func(max0, ratio float64) float64) []int {
+	lg := max(float64(log2(n)), 2)
+	max0 := max(float64(2*n)/(lg*lg), float64(c.MinCapacity))
+	ratio := 2.0
+	if !ratio2 {
+		ratio = max(math.Pow(lg, c.Epsilon), 1.5)
+	}
+	top := limit(max0, ratio)
+	dst = append(dst[:0], int(max0))
+	for cp := max0; cp < top && len(dst) < 64; {
+		cp *= ratio
+		dst = append(dst, int(cp))
+	}
+	return dst
 }
 
 // log2 returns ⌊log₂ x⌋ for x ≥ 1.

@@ -160,9 +160,9 @@ func (a *Amortized[K, I]) Restore(d Dump[K, I]) error {
 }
 
 // Dump captures the ladder's structure after closing the open top and
-// quiescing every in-flight background build (so no store is parked or
-// mid-rebuild and the retiring list is empty). The caller must not
-// mutate the ladder until the returned stores have been serialized.
+// quiescing every in-flight background build (so no store feeds a build
+// and every store sits in a slot). The caller must not mutate the
+// ladder until the returned stores have been serialized.
 func (w *WorstCase[K, I]) Dump() Dump[K, I] {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -52,7 +51,6 @@ type WorstCase[K comparable, I any] struct {
 
 	c0     Mutable[K, I]
 	levels []Store[K, I]   // Cj, j ≥ 1; index 0 unused
-	locked []Store[K, I]   // Lj, parallel to levels
 	temps  [][]Store[K, I] // parked single-item payloads per level
 	tops   []Store[K, I]   // T1…Tg
 	maxes  []int
@@ -65,9 +63,14 @@ type WorstCase[K comparable, I any] struct {
 
 	pendingMerge []bool // deletion-triggered merges waiting for a free slot
 
-	retiring []Store[K, I] // sources of in-flight builds, still queryable
-
 	owner map[K]Store[K, I]
+
+	// feeding maps each source store of an in-flight build to that
+	// build: the one record of what is being rebuilt. A store feeds one
+	// build at a time (launch panics otherwise), and it stays queryable
+	// until the build lands — in its slot if it still has one, listed
+	// through the build if it left it (a locked Lj, a rebalance source).
+	feeding map[Store[K, I]]*buildTask[K, I]
 
 	// storeCache memoizes allStores; every mutation of the store set
 	// (launch, finish, placement, sweeps, restore) invalidates it, so
@@ -110,6 +113,7 @@ const (
 type buildTask[K comparable, I any] struct {
 	kind   buildKind
 	target int // level index for buildLevel
+	from   int // level j ≥ 1 this build locked (Lj); 0 if none
 	// eager holds items already materialized (C0 contents, the newly
 	// inserted item); lazy holds snapshots whose payloads the background
 	// goroutine extracts from immutable static structures, so the
@@ -168,9 +172,10 @@ func (t *buildTask[K, I]) itemCount() int {
 func NewWorstCase[K comparable, I any](cfg Config[K, I]) *WorstCase[K, I] {
 	cfg = cfg.withDefaults()
 	w := &WorstCase[K, I]{
-		cfg:   cfg,
-		c0:    cfg.NewC0(),
-		owner: make(map[K]Store[K, I]),
+		cfg:     cfg,
+		c0:      cfg.NewC0(),
+		owner:   make(map[K]Store[K, I]),
+		feeding: make(map[Store[K, I]]*buildTask[K, I]),
 	}
 	w.reschedule(0)
 	return w
@@ -185,32 +190,11 @@ func (w *WorstCase[K, I]) reschedule(n int) {
 	if w.tau == 0 {
 		w.tau = autoTau(n)
 	}
-	lg := float64(log2(n))
-	if lg < 2 {
-		lg = 2
-	}
-	max0 := float64(2*n) / (lg * lg)
-	if max0 < float64(w.cfg.MinCapacity) {
-		max0 = float64(w.cfg.MinCapacity)
-	}
-	ratio := math.Pow(lg, w.cfg.Epsilon)
-	if ratio < 1.5 {
-		ratio = 1.5
-	}
-	topCap := float64(n) / float64(w.tau)
-	if topCap < max0*2 {
-		topCap = max0 * 2
-	}
-	w.maxes = w.maxes[:0]
-	w.maxes = append(w.maxes, int(max0))
-	cap := max0
-	for cap < topCap && len(w.maxes) < 64 {
-		cap *= ratio
-		w.maxes = append(w.maxes, int(cap))
-	}
+	w.maxes = w.cfg.capacities(w.maxes, n, false, func(max0, _ float64) float64 {
+		return max(float64(n)/float64(w.tau), 2*max0)
+	})
 	for len(w.levels) < len(w.maxes)+1 {
 		w.levels = append(w.levels, nil)
-		w.locked = append(w.locked, nil)
 		w.temps = append(w.temps, nil)
 		w.pendingMerge = append(w.pendingMerge, false)
 	}
@@ -246,47 +230,45 @@ func (w *WorstCase[K, I]) targetBusy(t int) bool {
 	return false
 }
 
-// slotBusy reports whether merging level j into j+1 must wait: the level
-// is already locked (its items belong to an in-flight build) or another
-// build is installing into j+1.
-func (w *WorstCase[K, I]) slotBusy(j int) bool {
-	if j < len(w.locked) && w.locked[j] != nil {
-		return true
-	}
-	return w.targetBusy(j + 1)
-}
-
-// ladderBusy reports whether any structure the ladder-insertion paths
-// would consume at rungs j and j+1 — the level occupants and parked
-// temps — feeds an in-flight build. A build targeting level j keeps
-// levels[j] (and ride-along temps at slot j) queryable in place while
-// sourcing them, which slotBusy(j) does not see; enlisting such a store
-// in a second build would install its items twice.
-func (w *WorstCase[K, I]) ladderBusy(j int) bool {
-	if w.targetBusy(j) {
-		return true
-	}
-	for _, idx := range [2]int{j, j + 1} {
-		if idx < len(w.levels) && w.levels[idx] != nil && w.isBuildSource(w.levels[idx]) {
+// mergeBusy reports whether merging rung j into j+1 must wait: a build
+// locked Cj, a build installs into level j or j+1, or a level occupant
+// or parked temp at rung j or j+1 feeds a build. Two builds must never
+// race for one slot, and a store enlisted in a second build would have
+// its items built and installed twice.
+func (w *WorstCase[K, I]) mergeBusy(j int) bool {
+	for _, b := range w.builds {
+		if (j > 0 && b.from == j) || (b.kind == buildLevel && (b.target == j || b.target == j+1)) {
 			return true
 		}
-		if idx < len(w.temps) {
-			for _, tmp := range w.temps[idx] {
-				if w.isBuildSource(tmp) {
-					return true
-				}
+	}
+	for _, idx := range [2]int{j, j + 1} {
+		if idx >= len(w.levels) {
+			continue
+		}
+		if w.feeding[w.levels[idx]] != nil {
+			return true
+		}
+		for _, tmp := range w.temps[idx] {
+			if w.feeding[tmp] != nil {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-// launch starts a build task, synchronously in Inline mode.
+// launch starts a build task, synchronously in Inline mode. Each source
+// is recorded as feeding the task until finish retires it.
 func (w *WorstCase[K, I]) launch(t *buildTask[K, I]) {
 	w.invalidateStores()
 	t.done = make(chan []Store[K, I], 1)
 	w.builds = append(w.builds, t)
-	w.retiring = append(w.retiring, t.sources...)
+	for _, s := range t.sources {
+		if w.feeding[s] != nil {
+			panic("engine: a store feeds two builds")
+		}
+		w.feeding[s] = t
+	}
 	w.stats.BackgroundBuilds++
 	tau, build := w.tau, w.cfg.Build
 	run := func() {
@@ -426,7 +408,7 @@ func (w *WorstCase[K, I]) reconcile() {
 		if w.pendingMerge[j] {
 			if w.levels[j] == nil || w.levels[j].DeadWeight() < w.maxes[j]/2 {
 				w.pendingMerge[j] = false
-			} else if !w.mergeBlocked(j) {
+			} else if !w.mergeBusy(j) {
 				w.pendingMerge[j] = false
 				w.mergeLevelUp(j)
 			}
@@ -448,8 +430,9 @@ func (w *WorstCase[K, I]) reconcile() {
 func (w *WorstCase[K, I]) foldTemps(t int) {
 	task := &buildTask[K, I]{}
 	size := 0
+	w.invalidateStores()
 	w.temps[t] = slices.DeleteFunc(w.temps[t], func(tmp Store[K, I]) bool {
-		if w.isBuildSource(tmp) {
+		if w.feeding[tmp] != nil {
 			return false
 		}
 		task.addStore(tmp)
@@ -457,65 +440,28 @@ func (w *WorstCase[K, I]) foldTemps(t int) {
 		return true
 	})
 	tookLevel := false
-	if t < len(w.maxes) && w.levels[t] != nil && !w.isBuildSource(w.levels[t]) {
+	if t < len(w.maxes) && w.levels[t] != nil && w.feeding[w.levels[t]] == nil {
 		task.addStore(w.levels[t])
 		size += w.levels[t].LiveWeight()
 		tookLevel = true
 	}
 	if task.itemCount() == 0 {
 		// Everything folded here was deleted in the meantime.
-		w.clearSlots(task.sources)
+		if tookLevel {
+			w.levels[t] = nil
+		}
 		return
 	}
 	// Find the smallest level ≥ t with capacity for the union.
 	for k := t; k < len(w.maxes); k++ {
 		if size <= w.maxes[k] && !w.targetBusy(k) && ((k == t && tookLevel) || w.levels[k] == nil) {
-			w.detachForBuild(task.sources)
 			task.kind, task.target = buildLevel, k
 			w.launch(task)
 			return
 		}
 	}
-	w.detachForBuild(task.sources)
 	task.kind, task.split = buildTop, w.topCap()
 	w.launch(task)
-}
-
-// detachForBuild removes sources from temp lists but leaves them
-// queryable via the retiring list (finish clears level/locked slots).
-func (w *WorstCase[K, I]) detachForBuild(sources []Store[K, I]) {
-	isSrc := storeSet(sources)
-	for j := range w.temps {
-		w.temps[j] = slices.DeleteFunc(w.temps[j], isSrc.has)
-	}
-}
-
-// storeSetOf indexes stores for membership tests. Filters drop
-// members with slices.DeleteFunc, which zeroes the vacated tail: a
-// retired store must not stay reachable through a slice's spare
-// capacity.
-type storeSetOf[K comparable, I any] map[Store[K, I]]bool
-
-func storeSet[K comparable, I any](stores []Store[K, I]) storeSetOf[K, I] {
-	set := make(storeSetOf[K, I], len(stores))
-	for _, s := range stores {
-		set[s] = true
-	}
-	return set
-}
-
-func (set storeSetOf[K, I]) has(s Store[K, I]) bool { return set[s] }
-
-// clearSlots drops empty retired structures from every slot.
-func (w *WorstCase[K, I]) clearSlots(sources []Store[K, I]) {
-	w.invalidateStores()
-	isSrc := storeSet(sources)
-	for j := range w.temps {
-		w.temps[j] = slices.DeleteFunc(w.temps[j], isSrc.has)
-		if w.levels[j] != nil && isSrc[w.levels[j]] {
-			w.levels[j] = nil
-		}
-	}
 }
 
 // finish installs the result of a completed build: snapshot items move
@@ -523,7 +469,7 @@ func (w *WorstCase[K, I]) clearSlots(sources []Store[K, I]) {
 // source structures are retired.
 func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 	w.invalidateStores()
-	isSource := storeSet(t.sources)
+	isSource := func(s Store[K, I]) bool { return w.feeding[s] == t }
 	// Apply straggler tombstones the builder missed after its seal point.
 	t.tmu.Lock()
 	for _, key := range t.tombstones[t.applied:] {
@@ -539,29 +485,30 @@ func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 	for _, res := range out {
 		for _, key := range res.LiveKeys() {
 			cur, alive := w.owner[key]
-			if alive && isSource[cur] {
+			if alive && isSource(cur) {
 				w.owner[key] = res
 			} else {
 				res.Delete(key)
 			}
 		}
 	}
-	// Retire sources from their slots.
-	for j := range w.locked {
-		if w.locked[j] != nil && isSource[w.locked[j]] {
-			w.locked[j] = nil
-		}
-		if w.levels[j] != nil && isSource[w.levels[j]] {
+	// Retire sources from the slots they still hold. slices.DeleteFunc
+	// zeroes the vacated tail: a retired store must not stay reachable
+	// through a list's spare capacity.
+	for j := range w.levels {
+		if isSource(w.levels[j]) {
 			w.levels[j] = nil
 		}
-		w.temps[j] = slices.DeleteFunc(w.temps[j], isSource.has)
+		w.temps[j] = slices.DeleteFunc(w.temps[j], isSource)
 	}
-	w.tops = slices.DeleteFunc(w.tops, isSource.has)
-	if isSource[w.c0] {
-		// Only rebalance retires C0; a fresh one was installed at launch.
-		panic("engine: C0 retired outside rebalance")
+	w.tops = slices.DeleteFunc(w.tops, isSource)
+	if isSource(w.c0) {
+		// A locked or rebalanced C0 was swapped for a fresh one at launch.
+		panic("engine: C0 feeds a build")
 	}
-	w.retiring = slices.DeleteFunc(w.retiring, isSource.has)
+	for _, s := range t.sources {
+		delete(w.feeding, s)
+	}
 
 	switch t.kind {
 	case buildLevel:
@@ -631,23 +578,21 @@ func (w *WorstCase[K, I]) allStores() []Store[K, I] {
 		if w.levels[j] != nil {
 			out = append(out, w.levels[j])
 		}
-		if w.locked[j] != nil {
-			out = append(out, w.locked[j])
-		}
 		out = append(out, w.temps[j]...)
 	}
 	out = append(out, w.open...)
 	out = append(out, w.tops...)
-	// Retiring stores not already listed (rebalance sources: old c0,
-	// old levels, old tops were removed from their slots at launch).
+	// Build sources that left their slots (a locked Lj, the old C0,
+	// folded temps, rebalance sources) answer through their build.
 	listed := make(map[Store[K, I]]bool, len(out))
 	for _, s := range out {
 		listed[s] = true
 	}
-	for _, s := range w.retiring {
-		if !listed[s] {
-			out = append(out, s)
-			listed[s] = true
+	for _, b := range w.builds {
+		for _, s := range b.sources {
+			if !listed[s] {
+				out = append(out, s)
+			}
 		}
 	}
 	w.storeCache = out
@@ -796,7 +741,7 @@ func (w *WorstCase[K, I]) insertViaLadder(item I) {
 		if szJ+w.levelSize(j+1)+weight > capNext {
 			continue
 		}
-		if w.slotBusy(j) || w.ladderBusy(j) {
+		if w.mergeBusy(j) {
 			// Don't wait for the in-flight build. Small items overflow
 			// into C0 (soft cap 2·max_0, still O(n/log²n) space); larger
 			// ones are parked in a temp payload.
@@ -811,25 +756,14 @@ func (w *WorstCase[K, I]) insertViaLadder(item I) {
 		}
 		// Background merge: park the new item alone in a temp, and build
 		// Nj+1 = Lj ∪ Cj+1 ∪ {item} behind the scenes.
-		task := &buildTask[K, I]{kind: buildLevel, target: j + 1}
-		w.lockLevel(j, task)
-		if j == r {
-			task.kind, task.split = buildTop, w.topCap()
-		} else if w.levels[j+1] != nil {
-			task.addStore(w.levels[j+1])
-		}
-		// Include any temps already parked at the target slot.
-		target := j + 1
-		for _, tmp := range w.temps[target] {
-			task.addStore(tmp)
-		}
-		w.temps[target] = nil
+		task := w.mergeTask(j)
+		w.temps[j+1] = nil
 		tmp := w.park([]I{item})
 		task.addStore(tmp)
 		// The fresh temp rides along as a source so it is retired when the
-		// merged structure lands; meanwhile it answers queries. Park it in
-		// the slot list so allStores sees it exactly once.
-		w.temps[target] = append(w.temps[target], tmp)
+		// merged structure lands; meanwhile it answers queries from the
+		// slot list.
+		w.temps[j+1] = append(w.temps[j+1], tmp)
 		w.launch(task)
 		return
 	}
@@ -853,20 +787,32 @@ func (w *WorstCase[K, I]) levelSize(j int) int {
 	return n
 }
 
-// lockLevel enlists Cj as the first source of task: C0 is swapped for
-// a fresh one, a compressed level moves to its locked slot, where it
-// answers queries as Lj until the build lands.
-func (w *WorstCase[K, I]) lockLevel(j int, task *buildTask[K, I]) {
+// mergeTask locks Cj and returns the build of Nj+1 from it, the
+// occupant of Cj+1 and the temps parked at slot j+1; from the last rung
+// the merge builds new tops instead. C0 is swapped for a fresh one; a
+// compressed level leaves its slot and answers queries as Lj, through
+// the build, until the build lands. The occupant and the temps stay in
+// their slots meanwhile.
+func (w *WorstCase[K, I]) mergeTask(j int) *buildTask[K, I] {
 	w.invalidateStores()
+	task := &buildTask[K, I]{kind: buildLevel, target: j + 1}
 	if j == 0 {
-		old := w.c0
+		task.addStore(w.c0)
 		w.c0 = w.cfg.NewC0()
-		task.addStore(old)
 	} else if w.levels[j] != nil {
-		w.locked[j] = w.levels[j]
+		task.addStore(w.levels[j])
+		task.from = j
 		w.levels[j] = nil
-		task.addStore(w.locked[j])
 	}
+	if j == len(w.maxes)-1 {
+		task.kind, task.split = buildTop, w.topCap()
+	} else if w.levels[j+1] != nil {
+		task.addStore(w.levels[j+1])
+	}
+	for _, tmp := range w.temps[j+1] {
+		task.addStore(tmp)
+	}
+	return task
 }
 
 // Delete removes the item with the given key (Section 3, "Deletions").
@@ -881,8 +827,9 @@ func (w *WorstCase[K, I]) Delete(key K) bool {
 	}
 	weight, _ := st.Delete(key)
 	delete(w.owner, key)
-	w.tombstoneInBuilds(st, key)
-
+	if b := w.feeding[st]; b != nil {
+		b.addTombstone(key) // the build result must not resurrect it
+	}
 	if st != Store[K, I](w.c0) {
 		w.afterStaticDelete(st)
 	}
@@ -914,7 +861,9 @@ func (w *WorstCase[K, I]) DeleteBatch(keys []K) int {
 		delete(w.owner, key)
 		n++
 		deletedWeight += weight
-		w.tombstoneInBuilds(st, key)
+		if b := w.feeding[st]; b != nil {
+			b.addTombstone(key)
+		}
 		if st != Store[K, I](w.c0) {
 			touched[st] = true
 		}
@@ -931,18 +880,6 @@ func (w *WorstCase[K, I]) DeleteBatch(keys []K) int {
 	return n
 }
 
-// tombstoneInBuilds records a raced deletion with every in-flight build
-// sourcing st, so the build result never resurrects the item.
-func (w *WorstCase[K, I]) tombstoneInBuilds(st Store[K, I], key K) {
-	for _, b := range w.builds {
-		for _, src := range b.sources {
-			if src == st {
-				b.addTombstone(key)
-			}
-		}
-	}
-}
-
 // afterStaticDelete enforces the dead-fraction bounds after a lazy
 // delete from a static payload.
 func (w *WorstCase[K, I]) afterStaticDelete(s Store[K, I]) {
@@ -956,7 +893,7 @@ func (w *WorstCase[K, I]) afterStaticDelete(s Store[K, I]) {
 		if s.DeadWeight() < w.maxes[j]/2 {
 			return
 		}
-		if w.mergeBlocked(j) {
+		if w.mergeBusy(j) {
 			w.pendingMerge[j] = true
 			return
 		}
@@ -965,47 +902,12 @@ func (w *WorstCase[K, I]) afterStaticDelete(s Store[K, I]) {
 	}
 }
 
-// mergeBlocked reports whether merging level j into j+1 must wait: the
-// slot machinery is busy, or either participating store already feeds an
-// in-flight build (building a store twice would duplicate its items).
-func (w *WorstCase[K, I]) mergeBlocked(j int) bool {
-	if w.slotBusy(j) {
-		return true
-	}
-	if w.levels[j] != nil && w.isBuildSource(w.levels[j]) {
-		return true
-	}
-	if j+1 < len(w.levels) && w.levels[j+1] != nil && w.isBuildSource(w.levels[j+1]) {
-		return true
-	}
-	return false
-}
-
 // mergeLevelUp locks level j and builds Nj+1 from it (plus the current
 // occupant of j+1 and any parked temps) in the background.
 func (w *WorstCase[K, I]) mergeLevelUp(j int) {
-	w.invalidateStores()
-	s := w.levels[j]
-	w.locked[j] = s
-	w.levels[j] = nil
-	task := &buildTask[K, I]{kind: buildLevel, target: j + 1}
-	task.addStore(s)
-	if j == len(w.maxes)-1 {
-		task.kind, task.split = buildTop, w.topCap()
-	} else if w.levels[j+1] != nil {
-		task.addStore(w.levels[j+1])
-	}
-	target := j + 1
-	if target < len(w.temps) {
-		for _, tmp := range w.temps[target] {
-			task.addStore(tmp)
-		}
-	}
+	task := w.mergeTask(j)
 	if task.itemCount() == 0 {
-		w.locked[j] = nil
-		if target < len(w.temps) {
-			w.temps[target] = nil
-		}
+		w.temps[j+1] = nil
 		return
 	}
 	w.launch(task)
@@ -1028,15 +930,9 @@ func (w *WorstCase[K, I]) maybeSweepTops() {
 	}
 	rounds := w.deletedSinceSweep / interval
 	w.deletedSinceSweep %= interval
-	busy := make(map[Store[K, I]]bool)
-	for _, b := range w.builds {
-		for _, s := range b.sources {
-			busy[s] = true
-		}
-	}
 	cands := make([]Store[K, I], 0, len(w.tops))
 	for _, tp := range w.tops {
-		if !busy[tp] && tp.DeadWeight() > 0 {
+		if w.feeding[tp] == nil && tp.DeadWeight() > 0 {
 			cands = append(cands, tp)
 		}
 	}
@@ -1052,7 +948,7 @@ func (w *WorstCase[K, I]) maybeSweepTops() {
 		}
 		// An earlier (inline) launch may have enlisted this candidate into
 		// a reconcile-triggered build meanwhile; never build a store twice.
-		if w.isBuildSource(worst) {
+		if w.feeding[worst] != nil {
 			continue
 		}
 		task := &buildTask[K, I]{kind: buildTop, split: w.topCap(), purge: true}
@@ -1061,18 +957,6 @@ func (w *WorstCase[K, I]) maybeSweepTops() {
 		w.stats.TopPurges++
 	}
 	w.dropEmptyTops()
-}
-
-// isBuildSource reports whether s feeds an in-flight build.
-func (w *WorstCase[K, I]) isBuildSource(s Store[K, I]) bool {
-	for _, b := range w.builds {
-		for _, src := range b.sources {
-			if src == s {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // checkRebalance triggers the Section A.3 size-maintenance rebuild when
@@ -1091,19 +975,22 @@ func (w *WorstCase[K, I]) checkRebalance() {
 	}
 }
 
+// startRebalance empties every slot into one build of fresh tops. A
+// store that already feeds a build — a locked level, the occupant or
+// temps a merge is reading, a top being purged — lands with that build
+// instead, so no item is built twice; nf still counts its weight.
 func (w *WorstCase[K, I]) startRebalance() {
 	w.closeOpen()
+	n := w.lenLocked()
 	w.invalidateStores()
 	w.rebalancing = true
 	task := &buildTask[K, I]{kind: buildRebalance}
-	n := 0
 	oldC0 := w.c0
 	take := func(s Store[K, I]) {
-		if s.LiveWeight() == 0 && len(s.LiveKeys()) == 0 && s != oldC0 {
+		if w.feeding[s] != nil || (s.LiveWeight() == 0 && len(s.LiveKeys()) == 0 && s != oldC0) {
 			return
 		}
 		task.addStore(s)
-		n += s.LiveWeight()
 	}
 	take(oldC0)
 	w.c0 = w.cfg.NewC0()
@@ -1122,7 +1009,6 @@ func (w *WorstCase[K, I]) startRebalance() {
 		take(tp)
 	}
 	w.tops = nil
-	// Locked stores stay with their in-flight builds.
 	w.reschedule(n)
 	if task.itemCount() == 0 {
 		w.rebalancing = false
@@ -1235,11 +1121,4 @@ func (w *WorstCase[K, I]) Tau() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.tau
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,7 +13,7 @@
 //     reporting.
 //
 // Both support zero(i) in O(logᵋ n)-class time (here O(log₆₄ n) via the
-// word directory) and report(s,e) in O(k).
+// word directory) and report(s,e) in O(k). New picks between them.
 package sparsebits
 
 import (
@@ -22,6 +22,30 @@ import (
 
 	"dyncoll/internal/bitsucc"
 )
+
+// Bitmap is a deletion bitmap in either representation: all ones at
+// first, bits only ever cleared.
+type Bitmap interface {
+	Len() int
+	Get(i int) bool
+	Zero(i int)
+	Report(s, e int, fn func(pos int) bool)
+	Count1(s, e int) int
+	SizeBits() int64
+}
+
+// New returns n one-bits for a structure whose lazy-deletion parameter
+// is τ. Lemma 3 stores each τ-bit word as the list of its zeros, which
+// undercuts Lemma 2's plain n bits only once τ is well past the machine
+// word: below that a word's list header alone outweighs the word. The
+// engine's automatic τ is log n / log log n — single digits — so in
+// practice this is the dense form.
+func New(n, tau int) Bitmap {
+	if tau < 64 {
+		return NewDense(n)
+	}
+	return NewCompressed(n, tau)
+}
 
 // Dense is the Lemma 2 structure: n bits, all initially one, supporting
 // Zero(i) and Report(s,e) with O(n) bits of space.
@@ -356,7 +380,7 @@ func (c *Compressed) SizeBits() int64 {
 	for _, zs := range c.words {
 		n += int64(len(zs)) * 16
 	}
-	// Slice headers count as directory overhead in this estimate.
-	n += int64(len(c.words)) * 64
+	// Each word's list costs a slice header: pointer, length, capacity.
+	n += int64(len(c.words)) * 192
 	return n + c.dir.SizeBits()
 }

@@ -341,7 +341,7 @@ func registerGatedIndex(t *testing.T) {
 // TestSearchPartsDuringBackgroundBuilds holds every build of the
 // worst-case engine — no Inline, no WaitIdle — while over-C0 batches, a
 // big item, single inserts and deletes pile up parked tops, locked
-// levels, retiring build sources and parked temps. It is the gate that
+// levels, other build sources and parked temps. It is the gate that
 // no update waits for a build: every update must return (the loop runs
 // under a deadline) with at most GOMAXPROCS parked tops launched, the
 // cap below which none waits. Every live document must still be in

@@ -165,16 +165,19 @@ func snapRelationCorpus(t *testing.T, add func(o, l uint64) error, del func(o, l
 	}
 }
 
+// registerEphemeralIndex registers the index TestSnapshotUnknownIndex
+// saves under, once per process.
+var registerEphemeralIndex = sync.OnceValue(func() error {
+	return RegisterIndex("snap-ephemeral", buildTestIndex)
+})
+
 // TestSnapshotUnknownIndex checks that loading a snapshot whose index
 // name has no registered builder fails with ErrUnknownIndex and leaves
 // the receiver untouched.
 func TestSnapshotUnknownIndex(t *testing.T) {
-	one := sync.OnceFunc(func() {
-		if err := RegisterIndex("snap-ephemeral", buildTestIndex); err != nil {
-			t.Fatal(err)
-		}
-	})
-	one()
+	if err := registerEphemeralIndex(); err != nil {
+		t.Fatal(err)
+	}
 	c := mustCollection(t, WithIndex("snap-ephemeral"), WithSyncRebuilds(), WithMinCapacity(16))
 	snapCollectionCorpus(t, c)
 	var buf bytes.Buffer
