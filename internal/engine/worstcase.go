@@ -242,9 +242,6 @@ func (w *WorstCase[K, I]) mergeBusy(j int) bool {
 		}
 	}
 	for _, idx := range [2]int{j, j + 1} {
-		if idx >= len(w.levels) {
-			continue
-		}
 		if w.feeding[w.levels[idx]] != nil {
 			return true
 		}
