@@ -12,19 +12,25 @@ import (
 	"dyncoll/internal/textgen"
 )
 
-// groupWeight mirrors the engine's G: consecutive over-C0 batches
-// gather in one open top until it weighs this many symbols.
-const groupWeight = 192 << 10
+// groupWeight mirrors the engine's G at τ = 2 for a shard of n
+// symbols: consecutive over-C0 batches gather in one open top until it
+// weighs max(192 KiB, n/(4τ)), n counted after the batch that fills it.
+func groupWeight(n int) int { return max(192<<10, n/8) }
 
-// groupedTops predicts, sorted, the live weights of the tops that
-// over-C0 batches ingested in order leave once WaitIdle has closed the
-// last open top: per shard, a batch's part joins the shard's open top,
-// which closes as soon as it weighs groupWeight. It holds when every
-// part is over C0 and a single chunk, which a τ of 2 (top capacity 2n)
-// guarantees.
-func groupedTops(batches [][]Document, shards int) []int {
+// top is a predicted top: its live weight and the G it closed at, 0
+// for the open top a shard still holds when the ingest ends.
+type top struct{ weight, g int }
+
+// groupedTops predicts, sorted by weight, the tops that over-C0 batches
+// ingested in order leave once WaitIdle has closed the last open top:
+// per shard, a batch's part joins the shard's open top, which closes as
+// soon as it weighs groupWeight of the shard's size. It holds when
+// nothing was deleted and every part is over C0 and a single chunk,
+// which a τ of 2 (top capacity 2n) guarantees.
+func groupedTops(batches [][]Document, shards int) []top {
 	open := make([]int, max(shards, 1))
-	var tops []int
+	size := make([]int, len(open))
+	var tops []top
 	for _, b := range batches {
 		part := make([]int, len(open))
 		for _, d := range b {
@@ -35,19 +41,33 @@ func groupedTops(batches [][]Document, shards int) []int {
 			part[s] += len(d.Data)
 		}
 		for s, w := range part {
-			if open[s] += w; open[s] >= groupWeight {
-				tops = append(tops, open[s])
+			if w == 0 {
+				continue // the shard gets no InsertBatch call
+			}
+			size[s] += w
+			g := groupWeight(size[s])
+			if open[s] += w; open[s] >= g {
+				tops = append(tops, top{open[s], g})
 				open[s] = 0
 			}
 		}
 	}
 	for _, w := range open {
 		if w > 0 {
-			tops = append(tops, w)
+			tops = append(tops, top{w, 0})
 		}
 	}
-	slices.Sort(tops)
+	slices.SortFunc(tops, func(x, y top) int { return cmp.Compare(x.weight, y.weight) })
 	return tops
+}
+
+// weights lists the weights of tops, in order.
+func weights(tops []top) []int {
+	out := make([]int, len(tops))
+	for i, tp := range tops {
+		out[i] = tp.weight
+	}
+	return out
 }
 
 // sortedTops returns c's top weights, sorted.
@@ -90,7 +110,7 @@ func TestBackgroundIngestBytesMatchSync(t *testing.T) {
 					}
 				}
 				c.WaitIdle()
-				if st, got := c.Stats(), sortedTops(c); st.Parked != 0 || !slices.Equal(got, want) {
+				if st, got := c.Stats(), sortedTops(c); st.Parked != 0 || !slices.Equal(got, weights(want)) {
 					t.Fatalf("%s: %d symbols parked and tops %v after WaitIdle, want 0 and %v", name, st.Parked, got, want)
 				}
 				c.cfg.syncRebuilds = true
@@ -116,20 +136,48 @@ func TestBackgroundIngestBytesMatchSync(t *testing.T) {
 	}
 }
 
+// checkBuiltTops requires, after a synchronous ingest, that exactly the
+// predicted tops that reached their G are built, each weighing between
+// that G and G plus one batch part below maxPart, and that the rest of
+// the ingest is parked in the open tops.
+func checkBuiltTops(t *testing.T, c *Collection, want []top, maxPart int) {
+	t.Helper()
+	built := slices.DeleteFunc(slices.Clone(want), func(tp top) bool { return tp.g == 0 })
+	open := 0
+	for _, tp := range want {
+		if tp.g == 0 {
+			open += tp.weight
+		}
+	}
+	st, got := c.Stats(), sortedTops(c)
+	if !slices.Equal(got, weights(built)) || st.Parked != open {
+		t.Fatalf("after the ingest: tops %v and %d symbols parked, want %v and %d", got, st.Parked, weights(built), open)
+	}
+	for _, tp := range built {
+		if tp.weight < tp.g || tp.weight >= tp.g+maxPart {
+			t.Errorf("a top built during the ingest weighs %d, want [%d, %d)", tp.weight, tp.g, tp.g+maxPart)
+		}
+	}
+}
+
+// ingestModes are the rebuild modes the grouping tests run under.
+var ingestModes = []struct {
+	name string
+	opts []Option
+}{{"sync", []Option{WithSyncRebuilds()}}, {"background", nil}}
+
 // TestIngestGroupsTops pins, by count, how over-C0 batches share tops:
 // consecutive ones gather in one open top that closes at the engine's
 // groupWeight, so each top built during the ingest weighs between G and
 // G plus one batch; an ordinary insert closes it, so a batch between
 // two is its own top; the open top answers, and takes deletes, as the
 // reference does; and WaitIdle and SaveFile leave nothing parked.
-// Synchronous and background rebuilds group alike.
+// Synchronous and background rebuilds group alike. The last cases ingest
+// past the crossover, where G grows with the shard.
 func TestIngestGroupsTops(t *testing.T) {
 	const docLen, perBatch = 2048, 32 // 64 KiB batches
 	for _, shards := range []int{0, 2} {
-		for _, mode := range []struct {
-			name string
-			opts []Option
-		}{{"sync", []Option{WithSyncRebuilds()}}, {"background", nil}} {
+		for _, mode := range ingestModes {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, mode.name), func(t *testing.T) {
 				gen := textgen.NewCollection(textgen.CollectionOptions{Sigma: 16, Seed: 47})
 				batches := make([][]Document, 10)
@@ -155,20 +203,7 @@ func TestIngestGroupsTops(t *testing.T) {
 				// now; the rest (lighter than G) are open.
 				want := groupedTops(batches, shards)
 				if mode.opts != nil {
-					built := slices.DeleteFunc(slices.Clone(want), func(w int) bool { return w < groupWeight })
-					open := 0
-					for _, w := range want[:len(want)-len(built)] {
-						open += w
-					}
-					st, got := c.Stats(), sortedTops(c)
-					if !slices.Equal(got, built) || st.Parked != open {
-						t.Fatalf("after the ingest: tops %v and %d symbols parked, want %v and %d", got, st.Parked, built, open)
-					}
-					for _, w := range got {
-						if w < groupWeight || w >= groupWeight+perBatch*docLen {
-							t.Errorf("a top built during the ingest weighs %d, want [%d, %d)", w, groupWeight, groupWeight+perBatch*docLen)
-						}
-					}
+					checkBuiltTops(t, c, want, perBatch*docLen)
 				}
 
 				// The open top answers as the reference does, before and
@@ -249,6 +284,48 @@ func TestIngestGroupsTops(t *testing.T) {
 				must(t, c.SaveFile(filepath.Join(t.TempDir(), "grouped.snap")))
 				if st := c.Stats(); st.Parked != 0 {
 					t.Fatalf("%d symbols parked after SaveFile, want 0", st.Parked)
+				}
+			})
+		}
+	}
+
+	// Past n = 768 KiB·τ, G is n/(4τ): 4 MiB of 128 KiB batches at
+	// τ = 2 puts it past 192 KiB in every shard, and each top closes at
+	// the G in force when it fills.
+	for _, shards := range []int{0, 2} {
+		for _, mode := range ingestModes {
+			t.Run(fmt.Sprintf("above-crossover/shards=%d/%s", shards, mode.name), func(t *testing.T) {
+				gen := textgen.NewCollection(textgen.CollectionOptions{Sigma: 16, Seed: 53})
+				batches := make([][]Document, 32)
+				for b := range batches {
+					for range 2 * perBatch {
+						batches[b] = append(batches[b], gen.NextDocLen(docLen))
+					}
+				}
+				want := groupedTops(batches, shards)
+				grown := 0
+				for _, tp := range want {
+					if tp.g > 192<<10 {
+						grown++
+					}
+				}
+				if grown < 2*max(shards, 1) {
+					t.Fatalf("%d tops close past G = 192 KiB in %v: the scenario barely crosses over", grown, want)
+				}
+				opts := append([]Option{WithTransformation(WorstCase), WithTau(2)}, mode.opts...)
+				if shards > 0 {
+					opts = append(opts, WithShards(shards))
+				}
+				c := mustCollection(t, opts...)
+				for _, b := range batches {
+					must(t, c.InsertBatch(b))
+				}
+				if mode.opts != nil {
+					checkBuiltTops(t, c, want, 2*perBatch*docLen)
+				}
+				c.WaitIdle()
+				if st, got := c.Stats(), sortedTops(c); st.Parked != 0 || !slices.Equal(got, weights(want)) {
+					t.Fatalf("after WaitIdle: %d symbols parked and tops %v, want 0 and %v", st.Parked, got, weights(want))
 				}
 			})
 		}

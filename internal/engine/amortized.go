@@ -262,7 +262,10 @@ func (a *Amortized[K, I]) Delete(key K) bool {
 // check run once after the whole batch instead of per deletion.
 func (a *Amortized[K, I]) DeleteBatch(keys []K) int {
 	n := 0
-	touched := make(map[Store[K, I]]bool)
+	// touched lists the static stores hit in first-touch order, so the
+	// purges run in an order the keys fix.
+	var touched []Store[K, I]
+	seen := make(map[Store[K, I]]bool)
 	for _, key := range keys {
 		st, ok := a.owner[key]
 		if !ok {
@@ -271,14 +274,15 @@ func (a *Amortized[K, I]) DeleteBatch(keys []K) int {
 		st.Delete(key)
 		delete(a.owner, key)
 		n++
-		if st != Store[K, I](a.c0) {
-			touched[st] = true
+		if st != Store[K, I](a.c0) && !seen[st] {
+			seen[st] = true
+			touched = append(touched, st)
 		}
 	}
 	if n == 0 {
 		return 0
 	}
-	for st := range touched {
+	for _, st := range touched {
 		total := st.LiveWeight() + st.DeadWeight()
 		if total > 0 && st.DeadWeight()*a.tau > total {
 			a.purgeLevel(st)

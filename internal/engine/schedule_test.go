@@ -180,14 +180,17 @@ const scheduleWindow = 100
 // The stream grows the ladder, shrinks it, and grows it again, so the
 // capacity schedule is re-derived in both directions. It mixes single
 // inserts, batches, items heavy enough to become their own top, and
-// deletes of random and of the oldest items.
+// deletes of random and of the oldest items. With batchDeletes a
+// quarter of the deletes become one DeleteBatch of 2 to 25 such items;
+// without it the stream draws nothing for them, so the older runs keep
+// their trace.
 //
 // A worst-case ladder's builds are held: after each operation each held
 // build is released with probability 0.25, and all of them once more
 // than five builds are in flight. An operation that crosses a
 // rebalance threshold first lands every build and then runs inline, so
 // no build is in flight while a rebalance chooses its sources.
-func runSchedule(t *testing.T, ladder string, seed int64, ops int) []string {
+func runSchedule(t *testing.T, ladder string, batchDeletes bool, seed int64, ops int) []string {
 	const minCap = 16
 	s := &scheduler{free: ladder != "worstcase"}
 	cfg := Config[int, int]{
@@ -215,7 +218,7 @@ func runSchedule(t *testing.T, ladder string, seed int64, ops int) []string {
 	}
 	var digests []string
 	h := sha256.New()
-	maxPending := 0
+	maxPending, multiBuild := 0, 0
 	for i := 0; i < ops; i++ {
 		pInsert := 0.75
 		if i >= ops*2/5 && i < ops*4/5 {
@@ -256,6 +259,26 @@ func runSchedule(t *testing.T, ladder string, seed int64, ops int) []string {
 					if err := l.InsertBatch(batch); err != nil {
 						t.Fatal(err)
 					}
+				}
+			}
+		case batchDeletes && rng.Float64() < 0.25:
+			var victims []int
+			for range min(len(live), 2+rng.Intn(24)) {
+				at := 0
+				if rng.Intn(2) == 0 {
+					at = rng.Intn(len(live))
+				}
+				victims = append(victims, live[at])
+				live = slices.Delete(live, at, at+1)
+				delta -= schedWeight(victims[len(victims)-1])
+			}
+			desc = fmt.Sprintf("delete batch %v", victims)
+			apply = func() {
+				if got := l.DeleteBatch(victims); got != len(victims) {
+					t.Fatalf("delete batch of %d live items removed %d", len(victims), got)
+				}
+				if w != nil && l.Stats().BackgroundBuilds-st.BackgroundBuilds >= 2 {
+					multiBuild++
 				}
 			}
 		default:
@@ -311,11 +334,17 @@ func runSchedule(t *testing.T, ladder string, seed int64, ops int) []string {
 		}
 	}
 	if w != nil {
+		// Landing a build may launch another (a deferred merge, a fold),
+		// so the last drain runs inline.
 		for _, hb := range s.held() {
 			s.release(w, hb)
 		}
+		s.setInline(w, true)
 		w.WaitIdle()
 		st := w.Stats()
+		if batchDeletes && multiBuild == 0 {
+			t.Errorf("%s seed %d: no batch delete launched two builds", ladder, seed)
+		}
 		if st.Rebalances < 2 || st.TopPurges == 0 || st.TempParks == 0 || maxPending < 3 {
 			t.Errorf("%s seed %d tests too little: %d rebalances, %d top purges, %d temp parks, at most %d builds in flight",
 				ladder, seed, st.Rebalances, st.TopPurges, st.TempParks, maxPending)
@@ -334,22 +363,31 @@ func runSchedule(t *testing.T, ladder string, seed int64, ops int) []string {
 //
 // The worst-case trace depends on neither timing nor GOMAXPROCS: builds
 // run only when released, one at a time, and GOMAXPROCS is fixed at 8,
-// which bounds the parked tops in flight (launchParkedTop).
+// which bounds the parked tops in flight (launchParkedTop). Nor does it
+// depend on map order: the runs with batch deletes, which come last in
+// the file, pin that DeleteBatch handles the stores it hit in the order
+// it first hit them.
 //
 // DYNCOLL_WRITE_SCHEDULE=1 rewrites the golden file.
 func TestWorstCaseSchedule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const ops = 2000
 	runs := []struct {
-		ladder string
-		seeds  int64
-	}{{"worstcase", 4}, {"amortized", 2}, {"ratio2", 2}}
+		ladder       string
+		batchDeletes bool
+		seeds        int64
+	}{{"worstcase", false, 4}, {"amortized", false, 2}, {"ratio2", false, 2},
+		{"worstcase", true, 4}, {"amortized", true, 2}}
 	var got []string
 	for _, r := range runs {
+		name := r.ladder
+		if r.batchDeletes {
+			name += "/deletebatch"
+		}
 		for seed := int64(1); seed <= r.seeds; seed++ {
-			for i, d := range runSchedule(t, r.ladder, seed, ops) {
+			for i, d := range runSchedule(t, r.ladder, r.batchDeletes, seed, ops) {
 				got = append(got, fmt.Sprintf("%s seed %d ops %d-%d %s",
-					r.ladder, seed, i*scheduleWindow, (i+1)*scheduleWindow-1, d))
+					name, seed, i*scheduleWindow, (i+1)*scheduleWindow-1, d))
 			}
 		}
 	}

@@ -20,7 +20,9 @@ import (
 //     per-item Temp payloads keep new arrivals queryable meanwhile;
 //   - items too heavy for the ladder (≥ nf/τ) become their own top
 //     collection immediately, and consecutive over-C0 batches gather in
-//     one open top that builds once it weighs groupWeight;
+//     one open top that builds once it weighs groupWeight() =
+//     max(192 KiB, nf/(4τ)), so a bulk ingest leaves O(τ) tops per
+//     doubling of n rather than n/192 KiB;
 //   - deletions are lazy everywhere; a sweep process purges the top
 //     collection holding the most dead weight after every
 //     nf/(2τ·log τ) deleted units, which by Dietz–Sleator (Lemma 1)
@@ -56,8 +58,9 @@ type WorstCase[K comparable, I any] struct {
 	maxes  []int
 
 	// open holds the parked chunks of the open top: consecutive over-C0
-	// batches that build as one top once they weigh groupWeight, or
-	// when anything else comes first (see closeOpen).
+	// batches that build as one top once they weigh groupWeight(), or
+	// when anything else comes first (see closeOpen). Until then reads
+	// scan it: up to nf/(4τ) plus one chunk during a bulk ingest.
 	open       []Store[K, I]
 	openWeight int
 
@@ -94,13 +97,6 @@ type WorstCase[K comparable, I any] struct {
 
 	stats Stats
 }
-
-// groupWeight is G, the weight at which InsertBatch's open top stops
-// taking chunks and builds: consecutive over-C0 batches share one top of
-// G to G + one chunk, so a bulk ingest leaves about n/G tops instead of
-// one per call. Larger tops answer a count with fewer stores but price
-// every extract by their size; DESIGN sizes G against both.
-const groupWeight = 192 << 10
 
 type buildKind int
 
@@ -207,6 +203,21 @@ func (w *WorstCase[K, I]) topCap() int {
 		c = 2 * w.cfg.MinCapacity
 	}
 	return c
+}
+
+// groupWeight is G, the weight at which InsertBatch's open top stops
+// taking chunks and builds: max(192 KiB, nf/(4τ)), a sixteenth of
+// topCap, with nf as InsertBatch has just rescheduled it. Consecutive
+// over-C0 batches share one top of G to G + one chunk, so a bulk
+// ingest leaves at most 4τ·ln 2 ≈ 2.8τ tops per doubling of n rather
+// than n/192 KiB, and a count visits that many stores. Below
+// nf ≈ 768 KiB·τ the 192 KiB floor is the whole rule, so small ladders
+// group as they did under a fixed G. A read during a bulk ingest scans
+// the open top, up to nf/(4τ) plus one chunk; a larger G would price
+// reads by that scan and make the last tops of an ingest build alone,
+// and DESIGN sizes the rule against both.
+func (w *WorstCase[K, I]) groupWeight() int {
+	return max(192<<10, w.nf/(4*w.tau))
 }
 
 // bigItem reports whether an item is heavy enough to become its own top
@@ -663,7 +674,9 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 // validated first — on any ErrDuplicateKey nothing is inserted. A batch
 // larger than C0's capacity is parked, in chunks of at most the
 // top-capacity bound, in the open top, which is bulk-built in the
-// background directly into top collections once it weighs groupWeight.
+// background directly into top collections once it weighs groupWeight()
+// — G follows nf as rescheduled for the post-batch size, so the tops of
+// a bulk ingest grow with the collection.
 // The per-item ladder cascades of looped Insert calls collapse into one
 // build per open top, run on as many cores as there are, followed by at
 // most one rebalance. Smaller batches route through the normal placement
@@ -709,7 +722,7 @@ func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 		for _, chunk := range splitItems(items, w.cfg.Weight, w.topCap()) {
 			st := w.park(chunk)
 			w.open = append(w.open, st)
-			if w.openWeight += st.LiveWeight(); w.openWeight >= groupWeight {
+			if w.openWeight += st.LiveWeight(); w.openWeight >= w.groupWeight() {
 				w.closeOpen()
 			}
 		}
@@ -848,7 +861,10 @@ func (w *WorstCase[K, I]) DeleteBatch(keys []K) int {
 	w.closeOpen()
 	n := 0
 	deletedWeight := 0
-	touched := make(map[Store[K, I]]bool)
+	// touched lists the static stores hit, in first-touch order, so the
+	// merges their dead weight triggers start in an order the keys fix.
+	var touched []Store[K, I]
+	seen := make(map[Store[K, I]]bool)
 	for _, key := range keys {
 		st, ok := w.owner[key]
 		if !ok {
@@ -861,14 +877,15 @@ func (w *WorstCase[K, I]) DeleteBatch(keys []K) int {
 		if b := w.feeding[st]; b != nil {
 			b.addTombstone(key)
 		}
-		if st != Store[K, I](w.c0) {
-			touched[st] = true
+		if st != Store[K, I](w.c0) && !seen[st] {
+			seen[st] = true
+			touched = append(touched, st)
 		}
 	}
 	if n == 0 {
 		return 0
 	}
-	for st := range touched {
+	for _, st := range touched {
 		w.afterStaticDelete(st)
 	}
 	w.deletedSinceSweep += deletedWeight
