@@ -211,11 +211,12 @@ func (w *WorstCase[K, I]) topCap() int {
 // over-C0 batches share one top of G to G + one chunk, so a bulk
 // ingest leaves at most 4τ·ln 2 ≈ 2.8τ tops per doubling of n rather
 // than n/192 KiB, and a count visits that many stores. Below
-// nf ≈ 768 KiB·τ the 192 KiB floor is the whole rule, so small ladders
-// group as they did under a fixed G. A read during a bulk ingest scans
-// the open top, up to nf/(4τ) plus one chunk; a larger G would price
-// reads by that scan and make the last tops of an ingest build alone,
-// and DESIGN sizes the rule against both.
+// nf ≈ 768 KiB·τ the 192 KiB floor is the whole rule: it keeps the
+// tops of small, churning ladders small, as a sweep purge rebuilds a
+// whole top. A read during a bulk ingest scans the open top, up to
+// nf/(4τ) plus one chunk. A larger G would lengthen that scan, price
+// every extract by a bigger store and leave an ingest's last tops to
+// build alone; DESIGN sizes the rule against these.
 func (w *WorstCase[K, I]) groupWeight() int {
 	return max(192<<10, w.nf/(4*w.tau))
 }

@@ -259,11 +259,9 @@ func checkPlan(t *testing.T, lo, hi, s, n int) int {
 // ladder does, and each extract from a random store, so the caches hold
 // little of the store it reads. 135 KB is one of that ladder's
 // 256-document batches, 280 KB a top of two of them, 550 and 1100 KB
-// tops of four and eight. On the binary tree this sweep held the
-// engine's open-top weight G at 192 KiB; on the 4-ary tree a 1.1 MB
-// store extracts about as fast as a 135 KB one did, so G now grows as
-// max(192 KiB, nf/(4τ)) and that ladder's tops reach ~0.9 MB (DESIGN,
-// "Grouped ingest"). Lanes against the scalar chain.
+// tops of four and eight. DESIGN ("Grouped ingest") sizes the engine's
+// open-top weight G = max(192 KiB, nf/(4τ)) against this sweep; that
+// ladder's tops reach ~0.9 MB. Lanes against the scalar chain.
 func BenchmarkFMExtract(b *testing.B) {
 	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 3}).GenerateTotal(16 << 20)
 	for _, shape := range treeShapes {
