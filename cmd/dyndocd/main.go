@@ -1,5 +1,5 @@
 // Command dyndocd serves the dynamic document collection over
-// HTTP/JSON (stdlib only — no dependencies). It runs in one of three
+// HTTP/JSON (stdlib only — no dependencies). It runs in one of two
 // modes:
 //
 //	-mode=backend   (default) owns a sharded Collection and serves the
@@ -26,12 +26,6 @@
 //	                circuit breakers (-breaker-failures,
 //	                -breaker-cooldown) gate routing; /readyz reports
 //	                degraded fleets.
-//	-mode=loadtest  drives a running server (-target=URL) with a
-//	                configurable writer/reader mix and reports QPS and
-//	                p50/p95/p99 latency per operation. -fault runs a
-//	                fault-injection schedule during measurement and
-//	                reports per-second availability (-min-availability
-//	                sets the pass/fail gate).
 //
 // Graceful drain: on SIGTERM (or Ctrl-C) the server stops accepting,
 // finishes in-flight requests, quiesces background rebuilds (WaitIdle),
@@ -62,7 +56,7 @@ import (
 
 func main() {
 	var (
-		mode     = flag.String("mode", "backend", "backend | frontend | loadtest")
+		mode     = flag.String("mode", "backend", "backend | frontend")
 		listen   = flag.String("listen", "127.0.0.1:7080", "listen address (backend, frontend)")
 		snapshot = flag.String("snapshot", "", "snapshot path: restored before listening if present, written on drain (backend)")
 		mapped   = flag.Bool("mmap", false, "use the v2 mapped snapshot format for -snapshot: O(1) restore, queries served from the page cache (backend)")
@@ -91,18 +85,6 @@ func main() {
 		shards    = flag.Int("shards", 1, "shard count p ≥ 1; the server requires the concurrency-safe sharded collection (backend)")
 		counting  = flag.Bool("counting", false, "enable Theorem 1 counting structures (backend)")
 		transform = flag.String("transform", "", "transformation: amortized | worstcase | fastinsert (backend; default worstcase)")
-
-		// Load test (loadtest).
-		target   = flag.String("target", "http://127.0.0.1:7080", "server URL to drive (loadtest)")
-		writers  = flag.Int("writers", 2, "concurrent writer goroutines (loadtest)")
-		readers  = flag.Int("readers", 8, "concurrent reader goroutines (loadtest)")
-		duration = flag.Duration("duration", 10*time.Second, "measurement duration (loadtest)")
-		batch    = flag.Int("batch", 16, "documents per insert batch (loadtest)")
-		docBytes = flag.Int("doc-bytes", 256, "approximate payload bytes per document (loadtest)")
-		preload  = flag.Int("preload", 500, "documents inserted before measurement starts (loadtest)")
-		idBase   = flag.Uint64("id-base", 1_000_000_000, "first document ID the load test allocates (loadtest)")
-		fault    = flag.String("fault", "", "fault schedule fired during measurement, e.g. '3s:kill:PID,6s:run:CMD' (loadtest)")
-		minAvail = flag.Float64("min-availability", 0, "overall availability fraction required to exit 0 when -fault or this flag is set (loadtest)")
 	)
 	flag.Parse()
 
@@ -122,15 +104,8 @@ func main() {
 			breakerFailures: *brkFailures, breakerCooldown: *brkCooldown,
 			hedge: *hedge,
 		})
-	case "loadtest":
-		runLoadtest(loadtestConfig{
-			target: *target, writers: *writers, readers: *readers,
-			duration: *duration, batch: *batch, docBytes: *docBytes,
-			preload: *preload, idBase: *idBase,
-			fault: *fault, minAvail: *minAvail,
-		})
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (backend | frontend | loadtest)\n", *mode)
+		fmt.Fprintf(os.Stderr, "unknown mode %q (backend | frontend)\n", *mode)
 		os.Exit(2)
 	}
 }
@@ -178,161 +153,176 @@ func buildOptions(cfg backendConfig) ([]dyncoll.Option, error) {
 }
 
 func runBackend(cfg backendConfig) {
-	if cfg.wal != "" && cfg.snapshot != "" {
-		log.Fatalf("dyndocd: -wal and -snapshot are mutually exclusive (the WAL directory subsumes drain snapshots)")
+	b, drain, err := buildBackend(cfg)
+	if err != nil {
+		log.Fatalf("dyndocd: %v", err)
 	}
-	if cfg.mapped && cfg.snapshot == "" {
-		log.Fatalf("dyndocd: -mmap needs -snapshot (it selects the snapshot format)")
+	serveUntilSignal("backend", cfg.listen, b.Handler(), cfg.drainTimeout, drain)
+}
+
+// rowStore is what the persistence modes do differently. Besides its
+// default collection, a backend hosts one collection per assignment row
+// a replicated frontend addresses (?range=N); row N lives at prefix+N.
+type rowStore struct {
+	home   string // the default collection's file or directory; "" keeps it in memory
+	prefix string // "" keeps rows in memory
+	// open restores the collection at path if it is there, else
+	// creates it, and logs which it did.
+	open func(path string) (server.Coll, error)
+	// drain quiesces the collection and makes it durable at path.
+	drain func(c server.Coll, path string)
+}
+
+// path is where row rng lives.
+func (rs rowStore) path(rng int) string {
+	if rs.prefix == "" {
+		return ""
 	}
-	if cfg.mapped && cfg.wal != "" {
-		log.Fatalf("dyndocd: -mmap and -wal are mutually exclusive (checkpoints use the v1 sectioned codec)")
+	return rs.prefix + strconv.Itoa(rng)
+}
+
+// buildBackend opens the default collection and every row already on
+// disk, and returns the backend serving them with the drain that
+// persists them all. A row first written later is opened beside them.
+func buildBackend(cfg backendConfig) (*server.Backend, func(), error) {
+	switch {
+	case cfg.wal != "" && cfg.snapshot != "":
+		return nil, nil, errors.New("-wal and -snapshot are mutually exclusive (the WAL directory subsumes drain snapshots)")
+	case cfg.mapped && cfg.snapshot == "":
+		return nil, nil, errors.New("-mmap needs -snapshot (it selects the snapshot format)")
+	case cfg.mapped && cfg.wal != "":
+		return nil, nil, errors.New("-mmap and -wal are mutually exclusive (checkpoints use the v1 sectioned codec)")
 	}
 	opts, err := buildOptions(cfg)
 	if err != nil {
-		log.Fatalf("dyndocd: %v", err)
+		return nil, nil, err
 	}
+	rs := snapshotRows(cfg, opts)
 	if cfg.wal != "" {
-		runDurableBackend(cfg, opts)
-		return
+		rs = durableRows(cfg, opts)
 	}
-	c, err := dyncoll.NewCollection(opts...)
+	def, err := rs.open(rs.home)
 	if err != nil {
-		log.Fatalf("dyndocd: %v", err)
+		return nil, nil, err
 	}
-	restore := func(dst *dyncoll.Collection, path string) error {
-		if cfg.mapped {
-			return dst.LoadMappedFile(path)
+	b := server.NewBackend(def).EnableRanges(func(rng int) (server.Coll, error) {
+		return rs.open(rs.path(rng))
+	})
+	for _, rng := range hostedRows(rs.prefix) {
+		c, err := rs.open(rs.path(rng))
+		if err != nil {
+			return nil, nil, err
 		}
-		return dst.LoadFile(path)
+		b.SetRange(rng, c)
 	}
-	save := func(src *dyncoll.Collection, path string) error {
-		if cfg.mapped {
-			return src.SaveMappedFile(path)
+	drain := func() {
+		rs.drain(def, rs.home)
+		for rng, c := range b.Ranges() {
+			rs.drain(c, rs.path(rng))
 		}
-		return src.SaveFile(path)
 	}
+	return b, drain, nil
+}
+
+// hostedRows lists the rows on disk: the entries named prefix<N>.
+func hostedRows(prefix string) []int {
+	if prefix == "" {
+		return nil
+	}
+	entries, _ := os.ReadDir(filepath.Dir(prefix))
+	base := filepath.Base(prefix)
+	var rows []int
+	for _, e := range entries {
+		name, ok := strings.CutPrefix(e.Name(), base)
+		if rng, err := strconv.Atoi(name); ok && err == nil {
+			rows = append(rows, rng)
+		}
+	}
+	return rows
+}
+
+// snapshotRows keeps collections in memory and, with -snapshot=PATH,
+// restores them from PATH and PATH.range<N> at boot and writes them
+// there on drain, in the v2 mapped format under -mmap.
+func snapshotRows(cfg backendConfig, opts []dyncoll.Option) rowStore {
+	load, save := (*dyncoll.Collection).LoadFile, (*dyncoll.Collection).SaveFile
+	if cfg.mapped {
+		load = func(c *dyncoll.Collection, path string) error { return c.LoadMappedFile(path) }
+		save = (*dyncoll.Collection).SaveMappedFile
+	}
+	rs := rowStore{home: cfg.snapshot}
 	if cfg.snapshot != "" {
-		switch err := restore(c, cfg.snapshot); {
-		case err == nil:
-			log.Printf("restored snapshot %s: %d document(s), %d symbol(s)", cfg.snapshot, c.DocCount(), c.Len())
-		case errors.Is(err, os.ErrNotExist):
-			log.Printf("snapshot %s not present yet; starting empty (it will be written on drain)", cfg.snapshot)
-		default:
-			// A corrupt snapshot must not silently serve an empty corpus.
-			log.Fatalf("dyndocd: restore %s: %v", cfg.snapshot, err)
-		}
+		rs.prefix = cfg.snapshot + ".range"
 	}
-	// Range hosting: a replicated frontend addresses writes/reads to
-	// assignment rows (?range=N); each row lives in its own collection.
-	b := server.NewBackend(server.PlainColl{Collection: c}).EnableRanges(func(rng int) (server.Coll, error) {
-		rc, err := dyncoll.NewCollection(opts...)
+	rs.open = func(path string) (server.Coll, error) {
+		c, err := dyncoll.NewCollection(opts...)
 		if err != nil {
 			return nil, err
 		}
-		return server.PlainColl{Collection: rc}, nil
-	})
-	if cfg.snapshot != "" {
-		// Row snapshots sit beside the default one as PATH.range<N>.
-		matches, _ := filepath.Glob(cfg.snapshot + ".range*")
-		for _, m := range matches {
-			rng, err := strconv.Atoi(strings.TrimPrefix(m, cfg.snapshot+".range"))
-			if err != nil {
-				continue
-			}
-			rc, err := dyncoll.NewCollection(opts...)
-			if err != nil {
-				log.Fatalf("dyndocd: %v", err)
-			}
-			if err := restore(rc, m); err != nil {
-				log.Fatalf("dyndocd: restore %s: %v", m, err)
-			}
-			b.SetRange(rng, server.PlainColl{Collection: rc})
-			log.Printf("restored range %d snapshot %s: %d document(s)", rng, m, rc.DocCount())
+		if path == "" {
+			return server.PlainColl{Collection: c}, nil
 		}
+		switch err := load(c, path); {
+		case err == nil:
+			log.Printf("restored snapshot %s: %d document(s), %d symbol(s)", path, c.DocCount(), c.Len())
+		case errors.Is(err, os.ErrNotExist):
+			log.Printf("snapshot %s not present yet; starting empty (it will be written on drain)", path)
+		default:
+			// A corrupt snapshot must not silently serve an empty corpus.
+			return nil, fmt.Errorf("restore %s: %w", path, err)
+		}
+		return server.PlainColl{Collection: c}, nil
 	}
-	serveUntilSignal("backend", cfg.listen, b.Handler(), cfg.drainTimeout, func() {
+	rs.drain = func(coll server.Coll, path string) {
+		c := coll.(server.PlainColl).Collection
 		c.WaitIdle() // background rebuilds land before the state is captured
-		if cfg.snapshot == "" {
+		if path == "" {
 			return
 		}
-		if err := save(c, cfg.snapshot); err != nil {
-			log.Fatalf("dyndocd: drain snapshot %s: %v", cfg.snapshot, err)
+		if err := save(c, path); err != nil {
+			log.Fatalf("dyndocd: drain snapshot %s: %v", path, err)
 		}
-		log.Printf("drain snapshot: %d document(s), %d symbol(s) → %s", c.DocCount(), c.Len(), cfg.snapshot)
-		for rng, rcoll := range b.Ranges() {
-			rc := rcoll.(server.PlainColl).Collection
-			rc.WaitIdle()
-			path := fmt.Sprintf("%s.range%d", cfg.snapshot, rng)
-			if err := save(rc, path); err != nil {
-				log.Fatalf("dyndocd: drain range snapshot %s: %v", path, err)
-			}
-			log.Printf("drain range %d snapshot: %d document(s) → %s", rng, rc.DocCount(), path)
-		}
-	})
+		log.Printf("drain snapshot: %d document(s), %d symbol(s) → %s", c.DocCount(), c.Len(), path)
+	}
+	return rs
 }
 
-// runDurableBackend serves a WAL-backed collection: recovery happens
-// before listening, every acknowledged mutation is fsynced before the
-// HTTP reply, and the drain closes the log — though with a WAL a drain
-// is a courtesy, not a requirement; kill -9 loses nothing acknowledged.
-func runDurableBackend(cfg backendConfig, opts []dyncoll.Option) {
+// durableRows keeps every collection in a WAL directory, -wal=DIR for
+// the default one and DIR/range-<N> per row, each with its own log and
+// checkpoints, so a replica's acknowledged writes for every row it
+// hosts survive kill -9. The drain checkpoints and closes the logs —
+// with a WAL a courtesy, not a requirement.
+func durableRows(cfg backendConfig, opts []dyncoll.Option) rowStore {
 	wopts := dyncoll.WALOptions{
 		SyncWindow:      cfg.walSyncWindow,
 		CheckpointEvery: cfg.walCheckpoint,
 	}
-	dc, err := dyncoll.OpenDurableCollection(cfg.wal, wopts, opts...)
-	if err != nil {
-		log.Fatalf("dyndocd: open durable %s: %v", cfg.wal, err)
-	}
-	rec := dc.RecoveryStats()
-	log.Printf("recovered %s in %v: checkpoint=%v, %d WAL record(s) in %d file(s), torn tail truncated=%v → %d document(s)",
-		cfg.wal, rec.Duration.Round(time.Millisecond), rec.CheckpointLoaded,
-		rec.WALRecords, rec.WALFiles, rec.TornTailTruncated, dc.DocCount())
-	// Range hosting: each assignment row gets its own durable directory
-	// (DIR/range-<N>) with a full WAL + checkpoint lifecycle, so a
-	// replica's acknowledged writes for every hosted row survive kill -9.
-	b := server.NewBackend(dc).EnableRanges(func(rng int) (server.Coll, error) {
-		rdir := filepath.Join(cfg.wal, fmt.Sprintf("range-%d", rng))
-		rc, err := dyncoll.OpenDurableCollection(rdir, wopts, opts...)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("range %d: opened durable sub-collection in %s", rng, rdir)
-		return rc, nil
-	})
-	entries, _ := os.ReadDir(cfg.wal)
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "range-") {
-			continue
-		}
-		rng, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "range-"))
-		if err != nil {
-			continue
-		}
-		rc, err := dyncoll.OpenDurableCollection(filepath.Join(cfg.wal, e.Name()), wopts, opts...)
-		if err != nil {
-			log.Fatalf("dyndocd: open durable range %d: %v", rng, err)
-		}
-		b.SetRange(rng, rc)
-		log.Printf("recovered range %d: %d document(s)", rng, rc.DocCount())
-	}
-	serveUntilSignal("backend", cfg.listen, b.Handler(), cfg.drainTimeout, func() {
-		drainDurable := func(name string, d *dyncoll.DurableCollection, dir string) {
+	return rowStore{
+		home:   cfg.wal,
+		prefix: filepath.Join(cfg.wal, "range-"),
+		open: func(dir string) (server.Coll, error) {
+			dc, err := dyncoll.OpenDurableCollection(dir, wopts, opts...)
+			if err != nil {
+				return nil, fmt.Errorf("open durable %s: %w", dir, err)
+			}
+			rec := dc.RecoveryStats()
+			log.Printf("recovered %s in %v: checkpoint=%v, %d WAL record(s) in %d file(s), torn tail truncated=%v → %d document(s)",
+				dir, rec.Duration.Round(time.Millisecond), rec.CheckpointLoaded,
+				rec.WALRecords, rec.WALFiles, rec.TornTailTruncated, dc.DocCount())
+			return dc, nil
+		},
+		drain: func(c server.Coll, dir string) {
+			d := c.(*dyncoll.DurableCollection)
 			d.WaitIdle()
 			if err := d.Checkpoint(); err != nil {
-				log.Printf("drain checkpoint %s: %v (WAL tail still replays on restart)", name, err)
+				log.Printf("drain checkpoint %s: %v (WAL tail still replays on restart)", dir, err)
 			}
 			if err := d.Close(); err != nil {
-				log.Printf("drain close %s: %v", name, err)
+				log.Printf("drain close %s: %v", dir, err)
 			}
 			log.Printf("drain: WAL closed, %d document(s) durable in %s", d.DocCount(), dir)
-		}
-		drainDurable("default", dc, cfg.wal)
-		for rng, rcoll := range b.Ranges() {
-			name := fmt.Sprintf("range-%d", rng)
-			drainDurable(name, rcoll.(*dyncoll.DurableCollection), filepath.Join(cfg.wal, name))
-		}
-	})
+		},
+	}
 }
 
 type frontendConfig struct {

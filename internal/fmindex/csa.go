@@ -1,7 +1,6 @@
 package fmindex
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -44,9 +43,7 @@ type CSA struct {
 	saMarked *bitvec.Vector
 	isaSamp  []int32
 
-	docStarts []int32
-	docIDs    []uint64
-	symbols   int
+	docTable
 
 	// sym resolves a row's first symbol without the binary search over
 	// the C array; derived from c, rebuilt on load, never serialized.
@@ -67,16 +64,7 @@ func BuildCSA(docs []Doc, opts Options) *CSA {
 	sc := scratchPool.Get().(*buildScratch)
 	text := sa.Grow(sc.text, total)[:0]
 	x := &CSA{s: opts.SampleRate}
-	for _, d := range docs {
-		if j := bytes.IndexByte(d.Data, 0); j >= 0 {
-			panic(fmt.Sprintf("fmindex: document %d contains the reserved separator byte 0x00 at offset %d", d.ID, j))
-		}
-		x.docStarts = append(x.docStarts, int32(len(text)))
-		x.docIDs = append(x.docIDs, d.ID)
-		x.symbols += len(d.Data)
-		text = append(text, d.Data...)
-		text = append(text, 0)
-	}
+	text = x.appendDocs(text, docs)
 	sc.text = text
 	x.n = len(text)
 	if x.n == 0 {
@@ -202,24 +190,6 @@ func (x *CSA) firstSymbol(row int) byte {
 // SALen reports the number of suffix-array rows.
 func (x *CSA) SALen() int { return x.n }
 
-// SymbolCount reports total payload symbols.
-func (x *CSA) SymbolCount() int { return x.symbols }
-
-// DocCount reports the number of documents.
-func (x *CSA) DocCount() int { return len(x.docIDs) }
-
-// DocID returns the application ID of the i-th document.
-func (x *CSA) DocID(i int) uint64 { return x.docIDs[i] }
-
-// DocLen returns the payload length of the i-th document.
-func (x *CSA) DocLen(i int) int {
-	end := x.n
-	if i+1 < len(x.docStarts) {
-		end = int(x.docStarts[i+1])
-	}
-	return end - int(x.docStarts[i]) - 1
-}
-
 // SampleRate reports the sampling rate s.
 func (x *CSA) SampleRate() int { return x.s }
 
@@ -277,11 +247,6 @@ func (x *CSA) Locate(row int) (doc, off int) {
 	return x.posToDoc(pos)
 }
 
-func (x *CSA) posToDoc(pos int) (doc, off int) {
-	d := sort.Search(len(x.docStarts), func(i int) bool { return int(x.docStarts[i]) > pos }) - 1
-	return d, pos - int(x.docStarts[d])
-}
-
 // SuffixRank returns the row of the suffix starting at (doc, off): jump
 // to the preceding ISA sample and walk Ψ forward (at most s-1 steps).
 func (x *CSA) SuffixRank(doc, off int) int {
@@ -316,8 +281,7 @@ func (x *CSA) Extract(d, off, length int) []byte {
 func (x *CSA) SizeBits() int64 {
 	total := int64(len(x.psiSamples))*32 + int64(len(x.psiDeltas))*8 +
 		int64(len(x.psiOffsets))*32 +
-		int64(len(x.saSamp))*32 + int64(len(x.isaSamp))*32 +
-		int64(len(x.docStarts))*32 + int64(len(x.docIDs))*64 + 257*32
-	total += x.saMarked.SizeBits()
+		int64(len(x.saSamp))*32 + int64(len(x.isaSamp))*32 + 257*32
+	total += x.saMarked.SizeBits() + x.docTable.sizeBits()
 	return total
 }

@@ -26,9 +26,7 @@
 package fmindex
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 
 	"dyncoll/internal/bitvec"
@@ -95,9 +93,7 @@ type Index struct {
 	sepRows    []int32
 	sepTargets []int32
 
-	docStarts []int32 // global start offset of each document
-	docIDs    []uint64
-	symbols   int // total document symbols, excluding separators
+	docTable
 
 	// sym resolves a row's first symbol without the binary search over
 	// the C array; derived from c, rebuilt on load, never serialized.
@@ -144,21 +140,8 @@ func Build(docs []Doc, opts Options) *Index {
 	}
 	sc := scratchPool.Get().(*buildScratch)
 	text := sa.Grow(sc.text, total)[:0]
-	idx := &Index{
-		s:         opts.SampleRate,
-		docStarts: make([]int32, len(docs)),
-		docIDs:    make([]uint64, len(docs)),
-	}
-	for i, d := range docs {
-		idx.docStarts[i] = int32(len(text))
-		idx.docIDs[i] = d.ID
-		if j := bytes.IndexByte(d.Data, Sep); j >= 0 {
-			panic(fmt.Sprintf("fmindex: document %d contains the reserved separator byte 0x00 at offset %d", d.ID, j))
-		}
-		text = append(text, d.Data...)
-		text = append(text, Sep)
-		idx.symbols += len(d.Data)
-	}
+	idx := &Index{s: opts.SampleRate}
+	text = idx.appendDocs(text, docs)
 	sc.text = text
 	idx.n = len(text)
 	if idx.n == 0 {
@@ -255,25 +238,6 @@ func divides(m uint64, p int32) bool { return uint64(p)*m <= m-1 }
 // deletion bitmap kept by the semi-dynamic wrapper).
 func (x *Index) SALen() int { return x.n }
 
-// SymbolCount reports the total number of document symbols, excluding
-// separators.
-func (x *Index) SymbolCount() int { return x.symbols }
-
-// DocCount reports the number of documents in the index.
-func (x *Index) DocCount() int { return len(x.docIDs) }
-
-// DocID returns the application identifier of the i-th document.
-func (x *Index) DocID(i int) uint64 { return x.docIDs[i] }
-
-// DocLen returns the payload length of the i-th document.
-func (x *Index) DocLen(i int) int {
-	end := x.n
-	if i+1 < len(x.docStarts) {
-		end = int(x.docStarts[i+1])
-	}
-	return end - int(x.docStarts[i]) - 1
-}
-
 // SampleRate reports the SA sampling rate s.
 func (x *Index) SampleRate() int { return x.s }
 
@@ -312,13 +276,6 @@ func (x *Index) Locate(row int) (doc, off int) {
 	return int(loc[0] >> 32), int(uint32(loc[0]))
 }
 
-func (x *Index) posToDoc(pos int) (doc, off int) {
-	doc = sort.Search(len(x.docStarts), func(i int) bool {
-		return int(x.docStarts[i]) > pos
-	}) - 1
-	return doc, pos - int(x.docStarts[doc])
-}
-
 // SuffixRank returns the suffix-array row of the suffix starting at the
 // given document offset (tSA in the paper). off may equal DocLen(doc),
 // addressing the trailing separator.
@@ -353,7 +310,7 @@ func (x *Index) SizeBits() int64 {
 	total += x.marked.SizeBits()
 	total += int64(len(x.saSamp)+len(x.isaSamp)) * 32
 	total += int64(len(x.sepRows)+len(x.sepTargets)) * 32
-	total += int64(len(x.docStarts))*32 + int64(len(x.docIDs))*64
+	total += x.docTable.sizeBits()
 	total += 257 * 64
 	return total
 }

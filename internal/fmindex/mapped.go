@@ -108,7 +108,7 @@ func openMapped(mv *snap.MapView, viewTree func(*snap.MapView) sequence) (*Index
 		}
 	}
 	if mv.Err() == nil {
-		checkDocTable(mv, nx.n, nx.docStarts, nx.docIDs, nx.symbols)
+		nx.check(mv, nx.n)
 	}
 	if mv.Remaining() != 0 {
 		mv.Fail("fm: %d trailing bytes in mapped payload", mv.Remaining())
@@ -148,7 +148,7 @@ func OpenMappedSA(mv *snap.MapView) (*SAIndex, error) {
 		mv.Fail("sa: %d/%d suffix rows for %d text bytes", len(nx.suff), len(nx.inv), n)
 	}
 	if mv.Err() == nil {
-		checkDocTable(mv, n, nx.docStarts, nx.docIDs, nx.symbols)
+		nx.check(mv, n)
 	}
 	if mv.Remaining() != 0 {
 		mv.Fail("sa: %d trailing bytes in mapped payload", mv.Remaining())
@@ -240,7 +240,7 @@ func OpenMappedCSA(mv *snap.MapView) (*CSA, error) {
 		}
 	}
 	if mv.Err() == nil {
-		checkDocTable(mv, nx.n, nx.docStarts, nx.docIDs, nx.symbols)
+		nx.check(mv, nx.n)
 	}
 	if mv.Remaining() != 0 {
 		mv.Fail("csa: %d trailing bytes in mapped payload", mv.Remaining())

@@ -16,31 +16,10 @@ import (
 // a loaded index either answers queries within bounds or the decode
 // fails with snap.ErrBadSnapshot.
 
-// checkDocTable validates the shared document table shape: docStarts
-// strictly increasing from 0, one ID per start, and symbols consistent
-// with one separator per document.
 // failer is the error sink both codecs share (snap.Decoder for the v1
 // varint form, snap.MapView for the v2 mapped form).
 type failer interface {
 	Fail(format string, args ...any)
-}
-
-func checkDocTable(d failer, n int, docStarts []int32, docIDs []uint64, symbols int) bool {
-	if len(docIDs) != len(docStarts) {
-		d.Fail("doc table: %d ids for %d starts", len(docIDs), len(docStarts))
-		return false
-	}
-	for i, s := range docStarts {
-		if int(s) < 0 || int(s) >= n || (i == 0 && s != 0) || (i > 0 && s <= docStarts[i-1]) {
-			d.Fail("doc table: start %d at position %d out of order", s, i)
-			return false
-		}
-	}
-	if symbols != n-len(docIDs) {
-		d.Fail("doc table: %d symbols for %d rows and %d docs", symbols, n, len(docIDs))
-		return false
-	}
-	return true
 }
 
 // checkRows validates that every value of rows lies in [0, n).
@@ -183,7 +162,7 @@ func (x *Index) unmarshal(data []byte, decodeTree func(*snap.Decoder) sequence) 
 		d.Fail("fm: non-empty index with no SA samples")
 	}
 	if d.Err() == nil {
-		checkDocTable(d, nx.n, nx.docStarts, nx.docIDs, nx.symbols)
+		nx.check(d, nx.n)
 	}
 	if err := d.Err(); err != nil {
 		return err
@@ -233,7 +212,7 @@ func (x *SAIndex) UnmarshalBinary(data []byte) error {
 		checkRows(d, "sa inverse", nx.inv, n)
 	}
 	if d.Err() == nil {
-		checkDocTable(d, n, nx.docStarts, nx.docIDs, nx.symbols)
+		nx.check(d, n)
 	}
 	if err := d.Err(); err != nil {
 		return err
@@ -348,7 +327,7 @@ func (x *CSA) UnmarshalBinary(data []byte) error {
 		checkRows(d, "csa ISA samples", nx.isaSamp, nx.n)
 	}
 	if d.Err() == nil {
-		checkDocTable(d, nx.n, nx.docStarts, nx.docIDs, nx.symbols)
+		nx.check(d, nx.n)
 	}
 	if err := d.Err(); err != nil {
 		return err

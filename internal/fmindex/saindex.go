@@ -21,12 +21,10 @@ import (
 // of redundancy (see DESIGN.md §2). The (doc, offset) interface matches
 // *Index exactly, so SAIndex plugs into the same transformations.
 type SAIndex struct {
-	text      []byte
-	suff      []int32
-	inv       []int32
-	docStarts []int32
-	docIDs    []uint64
-	symbols   int
+	text []byte
+	suff []int32
+	inv  []int32
+	docTable
 }
 
 // BuildSA constructs a SAIndex over the given documents.
@@ -35,23 +33,8 @@ func BuildSA(docs []Doc) *SAIndex {
 	for _, d := range docs {
 		total += len(d.Data) + 1
 	}
-	x := &SAIndex{
-		text:      make([]byte, 0, total),
-		docStarts: make([]int32, len(docs)),
-		docIDs:    make([]uint64, len(docs)),
-	}
-	for i, d := range docs {
-		x.docStarts[i] = int32(len(x.text))
-		x.docIDs[i] = d.ID
-		for _, b := range d.Data {
-			if b == Sep {
-				panic("fmindex: document contains the reserved separator byte 0x00")
-			}
-		}
-		x.text = append(x.text, d.Data...)
-		x.text = append(x.text, Sep)
-		x.symbols += len(d.Data)
-	}
+	x := &SAIndex{}
+	x.text = x.appendDocs(make([]byte, 0, total), docs)
 	if len(x.text) > 0 {
 		x.suff = sa.SuffixArray(x.text)
 		x.inv = make([]int32, len(x.suff))
@@ -64,24 +47,6 @@ func BuildSA(docs []Doc) *SAIndex {
 
 // SALen reports the number of suffix-array rows.
 func (x *SAIndex) SALen() int { return len(x.text) }
-
-// SymbolCount reports total document symbols excluding separators.
-func (x *SAIndex) SymbolCount() int { return x.symbols }
-
-// DocCount reports the number of documents.
-func (x *SAIndex) DocCount() int { return len(x.docIDs) }
-
-// DocID returns the application identifier of the i-th document.
-func (x *SAIndex) DocID(i int) uint64 { return x.docIDs[i] }
-
-// DocLen returns the payload length of the i-th document.
-func (x *SAIndex) DocLen(i int) int {
-	end := len(x.text)
-	if i+1 < len(x.docStarts) {
-		end = int(x.docStarts[i+1])
-	}
-	return end - int(x.docStarts[i]) - 1
-}
 
 // Range returns the half-open suffix-array interval of the pattern via
 // two binary searches with word-packed comparisons.
@@ -110,11 +75,7 @@ func (x *SAIndex) suffixAt(row, maxLen int) []byte {
 
 // Locate maps a suffix-array row to (document, offset) in O(log ρ) time.
 func (x *SAIndex) Locate(row int) (doc, off int) {
-	pos := int(x.suff[row])
-	doc = sort.Search(len(x.docStarts), func(i int) bool {
-		return int(x.docStarts[i]) > pos
-	}) - 1
-	return doc, pos - int(x.docStarts[doc])
+	return x.posToDoc(int(x.suff[row]))
 }
 
 // SuffixRank returns the suffix-array row of (doc, off) in O(1) time.
@@ -137,6 +98,5 @@ func (x *SAIndex) Extract(d, off, length int) []byte {
 // SizeBits estimates the index footprint in bits.
 func (x *SAIndex) SizeBits() int64 {
 	return int64(len(x.text))*8 +
-		int64(len(x.suff)+len(x.inv)+len(x.docStarts))*32 +
-		int64(len(x.docIDs))*64
+		int64(len(x.suff)+len(x.inv))*32 + x.docTable.sizeBits()
 }

@@ -50,107 +50,3 @@ func SuffixArrayDoubling(text []byte) []int32 {
 	}
 	return sa
 }
-
-// Inverse returns the inverse permutation of sa: inv[sa[i]] = i.
-func Inverse(sa []int32) []int32 {
-	inv := make([]int32, len(sa))
-	for i, p := range sa {
-		inv[p] = int32(i)
-	}
-	return inv
-}
-
-// LCP computes the longest-common-prefix array by Kasai's algorithm:
-// lcp[i] is the length of the longest common prefix of the suffixes at
-// sa[i-1] and sa[i]; lcp[0] = 0.
-func LCP(text []byte, sa []int32) []int32 {
-	n := len(text)
-	lcp := make([]int32, n)
-	if n == 0 {
-		return lcp
-	}
-	inv := Inverse(sa)
-	h := 0
-	for i := 0; i < n; i++ {
-		if inv[i] > 0 {
-			j := int(sa[inv[i]-1])
-			for i+h < n && j+h < n && text[i+h] == text[j+h] {
-				h++
-			}
-			lcp[inv[i]] = int32(h)
-			if h > 0 {
-				h--
-			}
-		} else {
-			h = 0
-		}
-	}
-	return lcp
-}
-
-// BWT computes the Burrows–Wheeler transform of text with an implicit
-// sentinel: the returned slice has length len(text)+1, the sentinel is
-// represented by the byte 0 at the row whose suffix starts at position 0,
-// and the first returned value is the index of that sentinel row.
-//
-// Concretely, row 0 of the conceptual sorted rotation matrix is the
-// sentinel suffix; bwt[i] = text[sa'[i]-1] where sa' is the suffix array
-// of text+sentinel, and bwt[i] = 0 when sa'[i] == 0.
-func BWT(text []byte) (sentinelRow int, bwt []byte) {
-	n := len(text)
-	bwt = make([]byte, n+1)
-	if n == 0 {
-		return 0, bwt
-	}
-	sa := SuffixArray(text)
-	// Row 0 is the sentinel suffix (empty): preceded by the last byte.
-	bwt[0] = text[n-1]
-	for i, p := range sa {
-		if p == 0 {
-			sentinelRow = i + 1
-			bwt[i+1] = 0
-		} else {
-			bwt[i+1] = text[p-1]
-		}
-	}
-	return sentinelRow, bwt
-}
-
-// InverseBWT reconstructs the original text from a BWT produced by BWT.
-func InverseBWT(sentinelRow int, bwt []byte) []byte {
-	n := len(bwt)
-	if n <= 1 {
-		return nil
-	}
-	// LF mapping via counting sort of (symbol, occurrence).
-	var counts [256]int
-	for _, b := range bwt {
-		counts[b]++
-	}
-	var c [256]int
-	sum := 0
-	for s := 0; s < 256; s++ {
-		c[s] = sum
-		sum += counts[s]
-	}
-	occ := make([]int, n)
-	var seen [256]int
-	for i, b := range bwt {
-		occ[i] = seen[b]
-		seen[b]++
-	}
-	// Row 0 is the sentinel suffix; its BWT char is the last text byte.
-	// Walking LF emits the text right to left and must end at the row of
-	// the suffix starting at position 0, i.e. sentinelRow.
-	out := make([]byte, n-1)
-	row := 0
-	for i := n - 2; i >= 0; i-- {
-		b := bwt[row]
-		out[i] = b
-		row = c[b] + occ[row]
-	}
-	if row != sentinelRow {
-		panic("sa: InverseBWT: inconsistent sentinel row")
-	}
-	return out
-}

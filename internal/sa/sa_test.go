@@ -185,121 +185,6 @@ func FuzzSuffixArray(f *testing.F) {
 	})
 }
 
-func TestSuffixArrayInts(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, sigma := range []int{2, 300, 100000} {
-		n := 2000
-		text := make([]int32, n)
-		bytesRep := make([]int, n)
-		for i := range text {
-			v := rng.Intn(sigma)
-			text[i] = int32(v)
-			bytesRep[i] = v
-		}
-		got := SuffixArrayInts(text, sigma)
-		// Naive check via slice comparison.
-		want := make([]int32, n)
-		for i := range want {
-			want[i] = int32(i)
-		}
-		less := func(a, b int32) bool {
-			for x, y := int(a), int(b); ; x, y = x+1, y+1 {
-				if x == n {
-					return true
-				}
-				if y == n {
-					return false
-				}
-				if text[x] != text[y] {
-					return text[x] < text[y]
-				}
-			}
-		}
-		sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
-		if !equal32(got, want) {
-			t.Fatalf("sigma=%d: SuffixArrayInts wrong", sigma)
-		}
-	}
-}
-
-func TestInverse(t *testing.T) {
-	text := []byte("the quick brown fox jumps over the lazy dog")
-	sa := SuffixArray(text)
-	inv := Inverse(sa)
-	for i, p := range sa {
-		if inv[p] != int32(i) {
-			t.Fatalf("inverse broken at %d", i)
-		}
-	}
-}
-
-func TestLCPAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, sigma := range []int{1, 2, 4, 26} {
-		text := randomText(rng, 1500, sigma)
-		saArr := SuffixArray(text)
-		lcp := LCP(text, saArr)
-		for i := 1; i < len(saArr); i++ {
-			a, b := text[saArr[i-1]:], text[saArr[i]:]
-			want := 0
-			for want < len(a) && want < len(b) && a[want] == b[want] {
-				want++
-			}
-			if int(lcp[i]) != want {
-				t.Fatalf("sigma=%d: lcp[%d]=%d, want %d", sigma, i, lcp[i], want)
-			}
-		}
-		if lcp[0] != 0 {
-			t.Fatal("lcp[0] must be 0")
-		}
-	}
-}
-
-func TestBWTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	texts := [][]byte{
-		nil,
-		[]byte("a"),
-		[]byte("banana"),
-		[]byte("mississippi"),
-		randomText(rng, 1000, 4),
-		randomText(rng, 1000, 255),
-		bytes.Repeat([]byte{42}, 500),
-	}
-	for i, text := range texts {
-		row, bwt := BWT(text)
-		back := InverseBWT(row, bwt)
-		if !bytes.Equal(back, text) {
-			t.Fatalf("text %d: BWT round trip failed: got %q want %q", i, back, text)
-		}
-	}
-}
-
-func TestBWTKnown(t *testing.T) {
-	// BWT of "banana" with sentinel: annb$aa where $ is byte 0.
-	row, bwt := BWT([]byte("banana"))
-	want := []byte{'a', 'n', 'n', 'b', 0, 'a', 'a'}
-	if !bytes.Equal(bwt, want) {
-		t.Fatalf("BWT(banana) = %q, want %q", bwt, want)
-	}
-	if bwt[row] != 0 {
-		t.Fatalf("sentinel row %d does not hold sentinel", row)
-	}
-}
-
-func TestQuickBWTRoundTrip(t *testing.T) {
-	f := func(seed int64, nRaw uint16, sigmaRaw uint8) bool {
-		n := int(nRaw) % 3000
-		sigma := int(sigmaRaw)%255 + 1
-		text := randomText(rand.New(rand.NewSource(seed)), n, sigma)
-		row, bwt := BWT(text)
-		return bytes.Equal(InverseBWT(row, bwt), text)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestWorkspaceReuse pins what the workspace is for: once it has built a
 // text, building one no larger — at any recursion depth — allocates
 // nothing. Period-3 text recurses; the random one does not.

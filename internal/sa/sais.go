@@ -1,6 +1,5 @@
-// Package sa provides suffix-array construction, the Burrows–Wheeler
-// transform, and LCP arrays — the construction substrate behind every
-// static index in this repository.
+// Package sa provides suffix-array construction, the substrate behind
+// every static index in this repository.
 //
 // Two construction algorithms are included:
 //
@@ -77,23 +76,6 @@ func SuffixArrayWS(text []byte, ws *Workspace) []int32 {
 	ws.sa = Grow(ws.sa, len(text)+1)
 	saIS(text, ws.sa, 256, ws, 0)
 	return ws.sa[1:]
-}
-
-// SuffixArrayInts is SuffixArray over an integer text with symbols in
-// [0, sigma). The end of the text is treated as a sentinel smaller than
-// any symbol.
-func SuffixArrayInts(text []int32, sigma int) []int32 {
-	if len(text) == 0 {
-		return nil
-	}
-	for _, v := range text {
-		if v < 0 || int(v) >= sigma {
-			panic("sa: symbol out of alphabet range")
-		}
-	}
-	sa := make([]int32, len(text)+1)
-	saIS(text, sa, sigma, &Workspace{}, 0)
-	return sa[1:]
 }
 
 // saIS computes the suffix array of t followed by a virtual sentinel —
