@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dyncoll/internal/oracle"
 )
 
 // Compatibility fixtures. testdata/compat holds, for an unsharded
@@ -90,10 +92,10 @@ func TestCompatFixtures(t *testing.T) {
 
 	t.Run("relation", func(t *testing.T) {
 		opts := compatOpts(0)
-		twin, err := NewRelation(opts...)
-		must(t, err)
-		compatPairs(t, twin.Add, twin.Delete, nil)
 		if compatWrite {
+			twin, err := NewRelation(opts...)
+			must(t, err)
+			compatPairs(t, twin.Add, twin.Delete, nil)
 			must(t, twin.SaveFile(file("relation.v1")))
 			must(t, twin.SaveMappedFile(file("relation.v2")))
 			dr, err := OpenDurableRelation(file("relation.dur"), compatWAL, opts...)
@@ -102,29 +104,32 @@ func TestCompatFixtures(t *testing.T) {
 			must(t, dr.Close())
 			return
 		}
+		var m oracle.PairModel
+		add, del := pairModelOps(&m)
+		compatPairs(t, add, del, nil)
 		v1, err := NewRelation()
 		must(t, err)
 		must(t, v1.LoadFile(file("relation.v1")))
-		relationsEqual(t, "v1", twin, v1)
+		checkPairs(t, "v1", &m, v1)
 		v2, err := OpenMappedRelation(file("relation.v2"), MappedVerify())
 		must(t, err)
 		defer v2.Close()
-		relationsEqual(t, "v2", twin, v2)
+		checkPairs(t, "v2", &m, v2)
 		dr, err := OpenDurableRelation(copyDir(t, file("relation.dur")), compatWAL)
 		must(t, err)
 		defer dr.Close()
 		checkTail(t, dr.RecoveryStats())
-		must(t, twin.Add(1000, 1))
-		must(t, twin.Delete(1, 1))
-		relationsEqual(t, "durable", twin, dr.Relation)
+		must(t, add(1000, 1))
+		must(t, del(1, 1))
+		checkPairs(t, "durable", &m, dr)
 	})
 
 	t.Run("graph", func(t *testing.T) {
 		opts := compatOpts(2)
-		twin, err := NewGraph(opts...)
-		must(t, err)
-		compatPairs(t, twin.AddEdge, twin.DeleteEdge, nil)
 		if compatWrite {
+			twin, err := NewGraph(opts...)
+			must(t, err)
+			compatPairs(t, twin.AddEdge, twin.DeleteEdge, nil)
 			must(t, twin.SaveFile(file("graph.v1")))
 			must(t, twin.SaveMappedFile(file("graph.v2")))
 			dg, err := OpenDurableGraph(file("graph.dur"), compatWAL, opts...)
@@ -133,24 +138,27 @@ func TestCompatFixtures(t *testing.T) {
 			must(t, dg.Close())
 			return
 		}
+		var m oracle.PairModel
+		add, del := pairModelOps(&m)
+		compatPairs(t, add, del, nil)
 		v1, err := NewGraph()
 		must(t, err)
 		must(t, v1.LoadFile(file("graph.v1")))
-		graphsEqual(t, "v1", twin, v1)
+		checkPairs(t, "v1", &m, v1)
 		if got := v1.Stats().Shards; got != 2 {
 			t.Fatalf("v1 shards = %d, want 2", got)
 		}
 		v2, err := OpenMappedGraph(file("graph.v2"), MappedVerify())
 		must(t, err)
 		defer v2.Close()
-		graphsEqual(t, "v2", twin, v2)
+		checkPairs(t, "v2", &m, v2)
 		dg, err := OpenDurableGraph(copyDir(t, file("graph.dur")), compatWAL)
 		must(t, err)
 		defer dg.Close()
 		checkTail(t, dg.RecoveryStats())
-		must(t, twin.AddEdge(1000, 1))
-		must(t, twin.DeleteEdge(1, 1))
-		graphsEqual(t, "durable", twin, dg.Graph)
+		must(t, add(1000, 1))
+		must(t, del(1, 1))
+		checkPairs(t, "durable", &m, dg)
 	})
 
 	// Collection bytes are a pure function of the operation stream
@@ -161,17 +169,18 @@ func TestCompatFixtures(t *testing.T) {
 		// The fixtures predate the 4-ary default: they are "fm" files.
 		opts := append(compatOpts(2), WithIndex(IndexFM))
 		twin := mustCollection(t, opts...)
-		snapCollectionCorpus(t, twin)
-		durable := func(dir string) (*DurableCollection, *Collection) {
+		var m oracle.Model
+		snapCollectionCorpus(t, twin, modelWriter{&m})
+		durable := func(dir string) *oracle.Model {
 			dc, err := OpenDurableCollection(dir, compatWAL, opts...)
 			must(t, err)
-			model := mustCollection(t, opts...)
-			durCorpus(t, dc, model)
+			var dm oracle.Model
+			durCorpus(t, dc, &dm)
 			must(t, dc.Checkpoint())
 			compatDocTail(t, dc.Insert, dc.Delete)
-			compatDocTail(t, model.Insert, model.Delete)
+			compatDocTail(t, modelWriter{&dm}.Insert, modelWriter{&dm}.Delete)
 			must(t, dc.Close())
-			return dc, model
+			return &dm
 		}
 		if compatWrite {
 			must(t, twin.SaveFile(file("collection.v1")))
@@ -191,12 +200,12 @@ func TestCompatFixtures(t *testing.T) {
 		resave(twin, "fresh build")
 		v1 := mustCollection(t)
 		must(t, v1.LoadFile(file("collection.v1")))
-		collectionsEqual(t, "v1", twin, v1)
+		checkDocs(t, "v1", &m, v1)
 		resave(v1, "v1 load")
 		v2, err := OpenMappedCollection(file("collection.v2"), MappedVerify())
 		must(t, err)
 		defer v2.Close()
-		collectionsEqual(t, "v2", twin, v2)
+		checkDocs(t, "v2", &m, v2)
 		resave(v2, "v2 open")
 
 		dc, err := OpenDurableCollection(copyDir(t, file("collection.dur")), compatWAL)
@@ -204,8 +213,7 @@ func TestCompatFixtures(t *testing.T) {
 		defer dc.Close()
 		checkTail(t, dc.RecoveryStats())
 		fresh := filepath.Join(tmp, "collection.dur")
-		_, model := durable(fresh)
-		collectionsEqual(t, "durable", model, dc.Collection)
+		checkDocs(t, "durable", durable(fresh), dc.Collection)
 		ents, err := os.ReadDir(file("collection.dur"))
 		must(t, err)
 		for _, e := range ents {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"dyncoll/internal/oracle"
 	"dyncoll/internal/wal"
 )
 
@@ -33,67 +34,19 @@ func mustOpenDurColl(t *testing.T, fs wal.FS, dir string, wopts WALOptions, opts
 	return c
 }
 
-// durCorpus drives the same mutation stream into a durable collection
-// and a plain in-memory model.
-func durCorpus(t *testing.T, dc *DurableCollection, model *Collection) {
+// durCorpus drives the collection corpus into a durable collection —
+// its deletes as one batch, one WAL record — and into the model.
+func durCorpus(t *testing.T, dc *DurableCollection, m *oracle.Model) {
 	t.Helper()
-	words := []string{"abracadabra", "alakazam", "avada kedavra", "hocus pocus", "sim sala bim"}
-	var docs []Document
-	for i := uint64(1); i <= 60; i++ {
-		docs = append(docs, Document{ID: i, Data: []byte(fmt.Sprintf("%s %d", words[i%uint64(len(words))], i))})
-	}
-	if err := dc.InsertBatch(docs[:40]); err != nil {
-		t.Fatalf("durable InsertBatch: %v", err)
-	}
-	if err := model.InsertBatch(docs[:40]); err != nil {
-		t.Fatalf("model InsertBatch: %v", err)
-	}
+	docs := corpusDocs()
+	must(t, dc.InsertBatch(docs[:40]))
 	for _, d := range docs[40:] {
-		if err := dc.Insert(d); err != nil {
-			t.Fatalf("durable Insert(%d): %v", d.ID, err)
-		}
-		mustInsert(t, model, d)
+		must(t, dc.Insert(d))
 	}
-	ids := []uint64{3, 17, 41, 58}
-	if n, err := dc.DeleteBatch(ids); err != nil || n != len(ids) {
-		t.Fatalf("durable DeleteBatch = (%d, %v), want (%d, nil)", n, err, len(ids))
+	if n, err := dc.DeleteBatch(corpusDeletes); err != nil || n != len(corpusDeletes) {
+		t.Fatalf("durable DeleteBatch = (%d, %v), want (%d, nil)", n, err, len(corpusDeletes))
 	}
-	if n := model.DeleteBatch(ids); n != len(ids) {
-		t.Fatalf("model DeleteBatch = %d", n)
-	}
-}
-
-// TestDurableCollectionReopen: transformation × sharding, WAL-only
-// (no checkpoint) — everything acknowledged must be there after
-// close + reopen, answered identically to an in-memory model.
-func TestDurableCollectionReopen(t *testing.T) {
-	for _, tr := range []Transformation{Amortized, WorstCase} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("tr%d/shards%d", tr, shards), func(t *testing.T) {
-				fs := wal.NewMemFS()
-				opts := durTestOpts(tr, shards)
-				dc := mustOpenDurColl(t, fs, "dur", WALOptions{CheckpointEvery: -1}, opts...)
-				if dc.RecoveryStats().CheckpointLoaded || dc.RecoveryStats().WALRecords != 0 {
-					t.Fatalf("fresh open stats = %+v", dc.RecoveryStats())
-				}
-				model := mustCollection(t, opts...)
-				durCorpus(t, dc, model)
-				if err := dc.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-
-				// Reopen with contradictory options: the WAL-logged config
-				// is not stored (no checkpoint), so options apply — but the
-				// replay must still produce the same answers.
-				re := mustOpenDurColl(t, fs, "dur", WALOptions{CheckpointEvery: -1}, opts...)
-				rec := re.RecoveryStats()
-				if rec.CheckpointLoaded || rec.WALRecords == 0 || rec.TornTailTruncated {
-					t.Fatalf("reopen stats = %+v", rec)
-				}
-				collectionsEqual(t, "reopen", model, re.Collection)
-			})
-		}
-	}
+	snapCollectionCorpus(t, modelWriter{m})
 }
 
 // TestDurableCheckpointRecovery: after a checkpoint, reopening loads
@@ -105,8 +58,8 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 			fs := wal.NewMemFS()
 			opts := durTestOpts(Amortized, shards)
 			dc := mustOpenDurColl(t, fs, "dur", WALOptions{CheckpointEvery: -1}, opts...)
-			model := mustCollection(t, opts...)
-			durCorpus(t, dc, model)
+			var m oracle.Model
+			durCorpus(t, dc, &m)
 			if err := dc.Checkpoint(); err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
@@ -116,17 +69,11 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 				{ID: 201, Data: []byte("post checkpoint kazam")},
 			}
 			for _, d := range tail {
-				if err := dc.Insert(d); err != nil {
-					t.Fatal(err)
-				}
-				mustInsert(t, model, d)
+				must(t, dc.Insert(d))
+				m.Insert(d)
 			}
-			if err := dc.Delete(5); err != nil {
-				t.Fatal(err)
-			}
-			if n := model.DeleteBatch([]uint64{5}); n != 1 {
-				t.Fatal("model delete")
-			}
+			must(t, dc.Delete(5))
+			m.Delete(5)
 			if err := dc.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +88,7 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 			if want := len(tail) + 1; rec.WALRecords != want {
 				t.Fatalf("replayed %d WAL records, want only the %d-record tail", rec.WALRecords, want)
 			}
-			collectionsEqual(t, "ckpt reopen", model, re.Collection)
+			checkDocs(t, "ckpt reopen", &m, re.Collection)
 			if got := re.Stats().Shards; got != shards {
 				t.Fatalf("reopened shards = %d, want stored %d", got, shards)
 			}

@@ -1,7 +1,6 @@
 package dyncoll
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
@@ -19,64 +18,6 @@ func mustInsert(t *testing.T, c *Collection, d Document) {
 	t.Helper()
 	if err := c.Insert(d); err != nil {
 		t.Fatalf("Insert(%d): %v", d.ID, err)
-	}
-}
-
-func TestCollectionConfigurations(t *testing.T) {
-	cases := [][]Option{
-		nil,
-		{WithTransformation(Amortized)},
-		{WithTransformation(AmortizedFastInsert)},
-		{WithTransformation(WorstCase), WithSyncRebuilds()},
-		{WithIndex(IndexSA)},
-		{WithIndex(IndexCSA)},
-		{WithIndex(IndexCSA), WithTransformation(Amortized), WithSampleRate(4)},
-		{WithCounting(), WithSyncRebuilds()},
-		{WithSampleRate(4), WithTau(8)},
-		{WithEpsilon(0.25), WithMinCapacity(32)},
-		{WithShards(1)},
-		{WithShards(4), WithSyncRebuilds()},
-		{WithShards(3), WithTransformation(Amortized)},
-		{WithShards(2), WithIndex(IndexSA), WithCounting()},
-	}
-	for i, opts := range cases {
-		t.Run(fmt.Sprintf("cfg%d", i), func(t *testing.T) {
-			c := mustCollection(t, opts...)
-			mustInsert(t, c, Document{ID: 1, Data: []byte("abracadabra")})
-			mustInsert(t, c, Document{ID: 2, Data: []byte("alakazam")})
-			mustInsert(t, c, Document{ID: 3, Data: []byte("abrakadabra")})
-			c.WaitIdle()
-			if got := c.Count([]byte("abra")); got != 4 {
-				t.Fatalf("Count(abra) = %d, want 4", got)
-			}
-			occs := c.Find([]byte("ka"))
-			if len(occs) != 2 {
-				t.Fatalf("Find(ka) = %v", occs)
-			}
-			if err := c.Delete(3); err != nil {
-				t.Fatalf("Delete(3): %v", err)
-			}
-			c.WaitIdle()
-			if got := c.Count([]byte("abra")); got != 2 {
-				t.Fatalf("Count(abra) after delete = %d, want 2", got)
-			}
-			data, ok := c.Extract(1, 1, 4)
-			if !ok || !bytes.Equal(data, []byte("brac")) {
-				t.Fatalf("Extract = %q, %v", data, ok)
-			}
-			if n, ok := c.DocLen(2); !ok || n != 8 {
-				t.Fatalf("DocLen(2) = %d, %v", n, ok)
-			}
-			if c.DocCount() != 2 || c.Len() != 11+8 {
-				t.Fatalf("DocCount=%d Len=%d", c.DocCount(), c.Len())
-			}
-			if !c.Has(1) || c.Has(3) {
-				t.Fatal("Has wrong")
-			}
-			if c.SizeBits() <= 0 {
-				t.Fatal("SizeBits not positive")
-			}
-		})
 	}
 }
 

@@ -152,7 +152,10 @@ func buildTestIndex(docs []Document, _ IndexConfig) StaticIndex {
 		}
 	}
 	sort.Slice(x.rows, func(i, j int) bool {
-		return bytes.Compare(x.suffix(x.rows[i]), x.suffix(x.rows[j])) < 0
+		// Without the terminators: a suffix that is a prefix of another
+		// sorts first either way, since 0 sorts below every payload byte.
+		a, b := x.rows[i], x.rows[j]
+		return bytes.Compare(docs[a[0]].Data[a[1]:], docs[b[0]].Data[b[1]:]) < 0
 	})
 	for pos, r := range x.rows {
 		x.rank[r] = pos

@@ -7,10 +7,12 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"dyncoll/internal/oracle"
 )
 
 // FuzzCollectionOps interprets the input as a little op program over a
-// collection and cross-checks Count against a naive scan after replay.
+// collection and holds it to the oracle's model after replay.
 func FuzzCollectionOps(f *testing.F) {
 	f.Add([]byte{1, 5, 2, 3, 1, 4, 9, 9, 0, 2, 7})
 	f.Add([]byte{0, 0, 0, 0})
@@ -20,7 +22,7 @@ func FuzzCollectionOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		docs := map[uint64][]byte{}
+		var m oracle.Model
 		var nextID uint64 = 1
 		i := 0
 		next := func() byte {
@@ -43,39 +45,27 @@ func FuzzCollectionOps(f *testing.F) {
 				if err := c.Insert(Document{ID: nextID, Data: data}); err != nil {
 					t.Fatalf("Insert(%d): %v", nextID, err)
 				}
-				docs[nextID] = data
+				m.Insert(Document{ID: nextID, Data: data})
 				nextID++
 			case 2: // delete some id (may be absent)
 				id := uint64(next()) % (nextID + 1)
-				_, present := docs[id]
 				err := c.Delete(id)
-				if present && err != nil {
+				if present := m.Delete(id); present && err != nil {
 					t.Fatalf("Delete(%d) of live doc: %v", id, err)
-				}
-				if !present && !errors.Is(err, ErrNotFound) {
+				} else if !present && !errors.Is(err, ErrNotFound) {
 					t.Fatalf("Delete(%d) of missing doc: got %v, want ErrNotFound", id, err)
 				}
-				delete(docs, id)
 			}
 		}
-		// Verify with a derived pattern.
-		p := []byte{next()%4 + 1, next()%4 + 1}
-		want := 0
-		for _, d := range docs {
-			for off := 0; off+len(p) <= len(d); off++ {
-				if bytes.Equal(d[off:off+len(p)], p) {
-					want++
-				}
-			}
-		}
-		if got := c.Count(p); got != want {
-			t.Fatalf("Count(%v) = %d, want %d", p, got, want)
+		// Verify with the model's probes and a derived pattern.
+		if err := oracle.CheckDocs[Occurrence](&m, c, []byte{next()%4 + 1, next()%4 + 1}); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
-// FuzzRelationOps replays (object, label, op) triples against a map
-// model.
+// FuzzRelationOps replays (object, label, op) triples against the
+// oracle's pair model.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 1, 2, 1, 3, 4, 0})
 	f.Add(bytes.Repeat([]byte{5, 6, 0}, 30))
@@ -84,38 +74,28 @@ func FuzzRelationOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := map[[2]uint64]bool{}
+		var m oracle.PairModel
 		for i := 0; i+2 < len(program); i += 3 {
 			o := uint64(program[i]) % 16
 			l := uint64(program[i+1]) % 16
-			k := [2]uint64{o, l}
 			if program[i+2]%2 == 0 {
 				err := r.Add(o, l)
-				if model[k] && !errors.Is(err, ErrDuplicatePair) {
+				if fresh := m.Add(o, l); !fresh && !errors.Is(err, ErrDuplicatePair) {
 					t.Fatalf("Add(%d,%d) of present pair: got %v", o, l, err)
-				}
-				if !model[k] && err != nil {
+				} else if fresh && err != nil {
 					t.Fatalf("Add(%d,%d) of fresh pair: %v", o, l, err)
 				}
-				model[k] = true
 			} else {
 				err := r.Delete(o, l)
-				if model[k] && err != nil {
+				if was := m.Delete(o, l); was && err != nil {
 					t.Fatalf("Delete(%d,%d) of present pair: %v", o, l, err)
-				}
-				if !model[k] && !errors.Is(err, ErrNotFound) {
+				} else if !was && !errors.Is(err, ErrNotFound) {
 					t.Fatalf("Delete(%d,%d) of missing pair: got %v", o, l, err)
 				}
-				delete(model, k)
 			}
 		}
-		if r.Len() != len(model) {
-			t.Fatalf("Len = %d, want %d", r.Len(), len(model))
-		}
-		for k := range model {
-			if !r.Related(k[0], k[1]) {
-				t.Fatalf("pair %v lost", k)
-			}
+		if err := oracle.CheckPairs(&m, r); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"dyncoll/internal/core"
 	"dyncoll/internal/doc"
+	"dyncoll/internal/oracle"
 	"dyncoll/internal/textgen"
 )
 
@@ -48,59 +48,6 @@ func blVariants() []blVariant {
 	}
 }
 
-// model: brute force reference.
-type model struct{ docs map[uint64][]byte }
-
-func newModel() *model { return &model{docs: map[uint64][]byte{}} }
-
-func (m *model) insert(d doc.Doc) {
-	b := make([]byte, len(d.Data))
-	copy(b, d.Data)
-	m.docs[d.ID] = b
-}
-func (m *model) delete(id uint64) { delete(m.docs, id) }
-
-func (m *model) find(p []byte) []Occurrence {
-	var out []Occurrence
-	for id, data := range m.docs {
-		if len(p) == 0 {
-			for off := range data {
-				out = append(out, Occurrence{id, off})
-			}
-			continue
-		}
-		for off := 0; off+len(p) <= len(data); off++ {
-			if bytes.Equal(data[off:off+len(p)], p) {
-				out = append(out, Occurrence{id, off})
-			}
-		}
-	}
-	return out
-}
-
-func (m *model) symbols() int {
-	n := 0
-	for _, d := range m.docs {
-		n += len(d)
-	}
-	return n
-}
-
-func sameOccs(a, b []Occurrence) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(o Occurrence) uint64 { return o.DocID<<20 | uint64(o.Off) }
-	sort.Slice(a, func(i, j int) bool { return key(a[i]) < key(a[j]) })
-	sort.Slice(b, func(i, j int) bool { return key(b[i]) < key(b[j]) })
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestBaselineConformance(t *testing.T) {
 	for _, v := range blVariants() {
 		t.Run(v.name, func(t *testing.T) {
@@ -109,13 +56,13 @@ func TestBaselineConformance(t *testing.T) {
 				Sigma: 6, MinLen: 3, MaxLen: 150, Seed: 200,
 			})
 			x := v.mk()
-			m := newModel()
+			m := new(oracle.Model)
 			var live []uint64
 			for step := 0; step < 250; step++ {
 				if len(live) == 0 || rng.Float64() < 0.6 {
 					d := gen.NextDoc()
 					x.Insert(d)
-					m.insert(d)
+					m.Insert(d)
 					live = append(live, d.ID)
 				} else {
 					i := rng.Intn(len(live))
@@ -124,37 +71,19 @@ func TestBaselineConformance(t *testing.T) {
 					if !x.Delete(id) {
 						t.Fatalf("Delete(%d) failed", id)
 					}
-					m.delete(id)
+					m.Delete(id)
 				}
-				if x.Len() != m.symbols() {
-					t.Fatalf("step %d: Len = %d, want %d", step, x.Len(), m.symbols())
+				if x.Len() != m.Len() {
+					t.Fatalf("step %d: Len = %d, want %d", step, x.Len(), m.Len())
 				}
 				if step%20 == 0 {
-					for _, p := range [][]byte{{1}, {2, 3}, {1, 1, 4}} {
-						if got, want := x.Count(p), len(m.find(p)); got != want {
-							t.Fatalf("step %d: Count(%v) = %d, want %d", step, p, got, want)
-						}
-						if !sameOccs(x.Find(p), m.find(p)) {
-							t.Fatalf("step %d: Find(%v) mismatch", step, p)
-						}
+					if err := oracle.CheckDocs[Occurrence](m, x, []byte{1}, []byte{2, 3}, []byte{1, 1, 4}); err != nil {
+						t.Fatalf("step %d: %v", step, err)
 					}
 				}
 			}
-			// Final exhaustive pass.
-			for id, data := range m.docs {
-				if !x.Has(id) {
-					t.Fatalf("Has(%d) = false", id)
-				}
-				got, ok := x.Extract(id, 0, len(data))
-				if !ok || !bytes.Equal(got, data) {
-					t.Fatalf("Extract(%d) mismatch: %v vs %v", id, got, data)
-				}
-				if n, ok := x.DocLen(id); !ok || n != len(data) {
-					t.Fatalf("DocLen(%d) wrong", id)
-				}
-			}
-			if x.DocCount() != len(m.docs) {
-				t.Fatalf("DocCount = %d, want %d", x.DocCount(), len(m.docs))
+			if err := oracle.CheckDocs[Occurrence](m, x); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -254,8 +183,8 @@ func TestDynFMExtractWindows(t *testing.T) {
 			t.Fatalf("Extract(1,%d,%d) = %v,%v", c.off, c.n, got, ok)
 		}
 	}
-	if _, ok := x.Extract(1, 5, 10); ok {
-		t.Fatal("out-of-bounds extract succeeded")
+	if got, ok := x.Extract(1, 5, 10); !ok || !bytes.Equal(got, data[5:]) {
+		t.Fatalf("Extract(1,5,10) = %v,%v; want the window clamped to %v", got, ok, data[5:])
 	}
 	if _, ok := x.Extract(3, 0, 1); ok {
 		t.Fatal("extract of unknown doc succeeded")
@@ -295,23 +224,23 @@ func TestDynFMQuick(t *testing.T) {
 			return out
 		}
 		x := NewDynFM(3)
-		m := newModel()
+		m := new(oracle.Model)
 		for i, p := range payloads {
 			d := doc.Doc{ID: uint64(i + 1), Data: clean(p)}
 			x.Insert(d)
-			m.insert(d)
+			m.Insert(d)
 		}
 		for i := range payloads {
 			if delMask&(1<<i) != 0 {
 				x.Delete(uint64(i + 1))
-				m.delete(uint64(i + 1))
+				m.Delete(uint64(i + 1))
 			}
 		}
 		p := clean(pattern)
 		if len(p) == 0 {
 			p = []byte{2}
 		}
-		return sameOccs(x.Find(p), m.find(p)) && x.Count(p) == len(m.find(p))
+		return oracle.CheckDocs[Occurrence](m, x, p) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -343,21 +272,16 @@ func TestDynFMSingleSymbolDocs(t *testing.T) {
 func TestDynFMLongRepetitive(t *testing.T) {
 	// Highly repetitive text stresses deep LF chains and rank ties.
 	x := NewDynFM(8)
-	m := newModel()
+	m := new(oracle.Model)
 	data := bytes.Repeat([]byte{1, 2}, 500)
 	d := doc.Doc{ID: 1, Data: data}
 	x.Insert(d)
-	m.insert(d)
+	m.Insert(d)
 	d2 := doc.Doc{ID: 2, Data: bytes.Repeat([]byte{2, 1}, 300)}
 	x.Insert(d2)
-	m.insert(d2)
-	for _, p := range [][]byte{{1, 2, 1}, {2, 1, 2}, {1, 1}, {2, 2}} {
-		if got, want := x.Count(p), len(m.find(p)); got != want {
-			t.Fatalf("Count(%v) = %d, want %d", p, got, want)
-		}
-	}
-	if !sameOccs(x.Find([]byte{1, 2, 1, 2}), m.find([]byte{1, 2, 1, 2})) {
-		t.Fatal("Find mismatch on repetitive text")
+	m.Insert(d2)
+	if err := oracle.CheckDocs[Occurrence](m, x, []byte{1, 2, 1}, []byte{2, 1, 2}, []byte{1, 1}, []byte{2, 2}, []byte{1, 2, 1, 2}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -311,15 +311,14 @@ func (f *DynFM) FindFunc(pattern []byte, fn func(Occurrence) bool) {
 // off by LF-walking backward from the document's separator row. The cost
 // is O((docLen - off) · log n · log σ): the baseline has no forward
 // extraction shortcut, mirroring the textract × log n factor of Table 2's
-// prior rows.
+// prior rows. The window is clamped to the payload as every Extract in
+// the module clamps it (doc.Clamp).
 func (f *DynFM) Extract(id uint64, off, length int) ([]byte, bool) {
 	md, ok := f.meta[id]
 	if !ok {
 		return nil, false
 	}
-	if off < 0 || length < 0 || off+length > md.len {
-		return nil, false
-	}
+	off, length = doc.Clamp(off, length, md.len)
 	// Find the separator row.
 	p := -1
 	for i, d := range f.sepDocs {

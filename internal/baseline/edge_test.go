@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dyncoll/internal/doc"
+	"dyncoll/internal/oracle"
 )
 
 func TestDynFMDefaults(t *testing.T) {
@@ -87,7 +88,7 @@ func TestDynFMAbsentPattern(t *testing.T) {
 
 func TestDynFMInterleavedGrowShrink(t *testing.T) {
 	x := NewDynFM(2)
-	m := newModel()
+	m := new(oracle.Model)
 	id := uint64(1)
 	payloads := [][]byte{
 		{1}, {2, 2}, {1, 2, 1}, {3, 1, 3, 1}, {2, 2, 2, 2, 2},
@@ -96,25 +97,17 @@ func TestDynFMInterleavedGrowShrink(t *testing.T) {
 		for _, p := range payloads {
 			d := doc.Doc{ID: id, Data: p}
 			x.Insert(d)
-			m.insert(d)
+			m.Insert(d)
 			id++
 		}
 		// Delete the two oldest surviving docs.
-		removed := 0
-		for did := uint64(1); did < id && removed < 2; did++ {
-			if _, ok := m.docs[did]; ok {
-				x.Delete(did)
-				m.delete(did)
-				removed++
-			}
+		for range 2 {
+			id := m.Docs()[0].ID
+			x.Delete(id)
+			m.Delete(id)
 		}
-		for _, p := range [][]byte{{1}, {2, 2}, {3, 1}} {
-			if got, want := x.Count(p), len(m.find(p)); got != want {
-				t.Fatalf("round %d: Count(%v) = %d, want %d", round, p, got, want)
-			}
-		}
-		if x.Len() != m.symbols() || x.DocCount() != len(m.docs) {
-			t.Fatalf("round %d: Len/DocCount drift", round)
+		if err := oracle.CheckDocs[Occurrence](m, x, []byte{1}, []byte{2, 2}, []byte{3, 1}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }

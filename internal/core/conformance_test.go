@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dyncoll/internal/doc"
+	"dyncoll/internal/oracle"
 	"dyncoll/internal/textgen"
 )
 
@@ -67,33 +68,19 @@ func TestConformanceRandomOps(t *testing.T) {
 				Sigma: 8, MinLen: 4, MaxLen: 200, Seed: 77,
 			})
 			d := v.mk()
-			m := newModel()
+			m := new(oracle.Model)
 			var live []uint64
 
 			checkQueries := func() {
+				t.Helper()
 				ps := [][]byte{
 					nil,
 					{1},
 					{byte(rng.Intn(8) + 1), byte(rng.Intn(8) + 1)},
 					{byte(rng.Intn(8) + 1), byte(rng.Intn(8) + 1), byte(rng.Intn(8) + 1)},
 				}
-				// Also plant a pattern from a live document, if any.
-				if len(live) > 0 {
-					data := m.docs[live[rng.Intn(len(live))]]
-					if len(data) >= 3 {
-						off := rng.Intn(len(data) - 2)
-						ps = append(ps, data[off:off+3])
-					}
-				}
-				for _, p := range ps {
-					got := d.Find(p)
-					want := m.find(p)
-					if !sameOccs(got, want) {
-						t.Fatalf("Find(%v): got %d occurrences, want %d", p, len(got), len(want))
-					}
-					if c := d.Count(p); c != len(want) {
-						t.Fatalf("Count(%v) = %d, want %d", p, c, len(want))
-					}
+				if err := oracle.CheckDocs[Occurrence](m, d, ps...); err != nil {
+					t.Fatal(err)
 				}
 			}
 
@@ -102,7 +89,7 @@ func TestConformanceRandomOps(t *testing.T) {
 				case len(live) == 0 || rng.Float64() < 0.65:
 					nd := gen.NextDoc()
 					d.Insert(nd)
-					m.insert(nd)
+					m.Insert(nd)
 					live = append(live, nd.ID)
 				default:
 					i := rng.Intn(len(live))
@@ -111,13 +98,10 @@ func TestConformanceRandomOps(t *testing.T) {
 					if !d.Delete(id) {
 						t.Fatalf("Delete(%d) returned false for live doc", id)
 					}
-					m.delete(id)
+					m.Delete(id)
 				}
-				if d.Len() != m.symbols() {
-					t.Fatalf("step %d: Len %d, want %d", step, d.Len(), m.symbols())
-				}
-				if d.DocCount() != len(m.docs) {
-					t.Fatalf("step %d: DocCount %d, want %d", step, d.DocCount(), len(m.docs))
+				if d.Len() != m.Len() || d.DocCount() != m.DocCount() {
+					t.Fatalf("step %d: Len %d, DocCount %d; want %d, %d", step, d.Len(), d.DocCount(), m.Len(), m.DocCount())
 				}
 				if step%25 == 0 {
 					checkQueries()
@@ -125,20 +109,6 @@ func TestConformanceRandomOps(t *testing.T) {
 			}
 			quiesce(d)
 			checkQueries()
-
-			// Extract and DocLen on every live document.
-			for id, data := range m.docs {
-				got, ok := d.Extract(id, 0, len(data))
-				if !ok || string(got) != string(data) {
-					t.Fatalf("Extract(%d) mismatch", id)
-				}
-				if n, ok := d.DocLen(id); !ok || n != len(data) {
-					t.Fatalf("DocLen(%d) = %d,%v want %d", id, n, ok, len(data))
-				}
-				if !d.Has(id) {
-					t.Fatalf("Has(%d) = false for live doc", id)
-				}
-			}
 		})
 	}
 }
@@ -251,27 +221,27 @@ func TestManySmallThenOneHuge(t *testing.T) {
 				Sigma: 4, MinLen: 20, MaxLen: 60, Seed: 5,
 			})
 			d := v.mk()
-			m := newModel()
+			m := new(oracle.Model)
 			for i := 0; i < 60; i++ {
 				nd := gen.NextDoc()
 				d.Insert(nd)
-				m.insert(nd)
+				m.Insert(nd)
 			}
 			huge := gen.NextDocLen(20_000)
 			d.Insert(huge)
-			m.insert(huge)
+			m.Insert(huge)
 			quiesce(d)
 
 			p := huge.Data[100:106]
-			if got, want := d.Count(p), m.count(p); got != want {
+			if got, want := d.Count(p), m.Count(p); got != want {
 				t.Fatalf("Count after huge insert = %d, want %d", got, want)
 			}
 			if !d.Delete(huge.ID) {
 				t.Fatal("deleting huge doc failed")
 			}
-			m.delete(huge.ID)
+			m.Delete(huge.ID)
 			quiesce(d)
-			if got, want := d.Count(p), m.count(p); got != want {
+			if got, want := d.Count(p), m.Count(p); got != want {
 				t.Fatalf("Count after huge delete = %d, want %d", got, want)
 			}
 		})
@@ -347,13 +317,13 @@ func TestGrowShrinkGrow(t *testing.T) {
 				Sigma: 8, MinLen: 50, MaxLen: 150, Seed: 13,
 			})
 			d := v.mk()
-			m := newModel()
+			m := new(oracle.Model)
 			var ids []uint64
 			grow := func(k int) {
 				for i := 0; i < k; i++ {
 					nd := gen.NextDoc()
 					d.Insert(nd)
-					m.insert(nd)
+					m.Insert(nd)
 					ids = append(ids, nd.ID)
 				}
 			}
@@ -362,7 +332,7 @@ func TestGrowShrinkGrow(t *testing.T) {
 					id := ids[len(ids)-1]
 					ids = ids[:len(ids)-1]
 					d.Delete(id)
-					m.delete(id)
+					m.Delete(id)
 				}
 			}
 			grow(120)
@@ -371,11 +341,11 @@ func TestGrowShrinkGrow(t *testing.T) {
 			shrink(55)
 			grow(200)
 			quiesce(d)
-			if d.Len() != m.symbols() {
-				t.Fatalf("Len = %d, want %d", d.Len(), m.symbols())
+			if d.Len() != m.Len() {
+				t.Fatalf("Len = %d, want %d", d.Len(), m.Len())
 			}
 			p := []byte{3, 5}
-			if got, want := d.Count(p), m.count(p); got != want {
+			if got, want := d.Count(p), m.Count(p); got != want {
 				t.Fatalf("Count = %d, want %d", got, want)
 			}
 		})
@@ -514,16 +484,16 @@ func TestManyPatternLengths(t *testing.T) {
 				t.Skip("short mode")
 			}
 			d := v.mk()
-			m := newModel()
+			m := new(oracle.Model)
 			for _, nd := range docs {
 				d.Insert(nd)
-				m.insert(nd)
+				m.Insert(nd)
 			}
 			quiesce(d)
 			ps := textgen.NewPatternSampler(docs, 17)
 			for _, l := range []int{1, 2, 3, 5, 8, 13, 21, 34} {
 				p := ps.Planted(l)
-				if got, want := d.Count(p), m.count(p); got != want {
+				if got, want := d.Count(p), m.Count(p); got != want {
 					t.Fatalf("len %d: Count = %d, want %d", l, got, want)
 				}
 			}
@@ -534,24 +504,24 @@ func TestManyPatternLengths(t *testing.T) {
 func TestWorstCaseConcurrentReads(t *testing.T) {
 	// Queries must be correct while background builds are in flight.
 	d := NewWorstCase(Options{Builder: fmBuilder})
-	m := newModel()
+	m := new(oracle.Model)
 	gen := textgen.NewCollection(textgen.CollectionOptions{
 		Sigma: 8, MinLen: 50, MaxLen: 200, Seed: 66,
 	})
 	for i := 0; i < 300; i++ {
 		nd := gen.NextDoc()
 		d.Insert(nd)
-		m.insert(nd)
+		m.Insert(nd)
 		if i%10 == 0 {
 			p := nd.Data[:3]
-			if got, want := d.Count(p), m.count(p); got != want {
+			if got, want := d.Count(p), m.Count(p); got != want {
 				t.Fatalf("i=%d Count = %d, want %d", i, got, want)
 			}
 		}
 	}
 	d.WaitIdle()
-	if d.Len() != m.symbols() {
-		t.Fatalf("Len = %d, want %d", d.Len(), m.symbols())
+	if d.Len() != m.Len() {
+		t.Fatalf("Len = %d, want %d", d.Len(), m.Len())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"dyncoll/internal/doc"
 	"dyncoll/internal/fmindex"
+	"dyncoll/internal/oracle"
 	"dyncoll/internal/sparsebits"
 	"dyncoll/internal/textgen"
 )
@@ -378,23 +379,23 @@ func TestQuickInsertDeleteFind(t *testing.T) {
 			return out
 		}
 		a := NewAmortized(Options{Builder: fmBuilder, MinCapacity: 16})
-		m := newModel()
+		m := new(oracle.Model)
 		for i, p := range payloads {
 			d := doc.Doc{ID: uint64(i + 1), Data: clean(p)}
 			a.Insert(d)
-			m.insert(d)
+			m.Insert(d)
 		}
 		for i := range payloads {
 			if delMask&(1<<i) != 0 {
 				a.Delete(uint64(i + 1))
-				m.delete(uint64(i + 1))
+				m.Delete(uint64(i + 1))
 			}
 		}
 		p := clean(pattern)
 		if len(p) == 0 {
 			p = []byte{1}
 		}
-		return sameOccs(a.Find(p), m.find(p))
+		return oracle.CheckDocs[Occurrence](m, a, p) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -418,23 +419,23 @@ func TestQuickWorstCase(t *testing.T) {
 			return out
 		}
 		w := NewWorstCase(Options{Builder: fmBuilder, MinCapacity: 16, Inline: true})
-		m := newModel()
+		m := new(oracle.Model)
 		for i, p := range payloads {
 			d := doc.Doc{ID: uint64(i + 1), Data: clean(p)}
 			w.Insert(d)
-			m.insert(d)
+			m.Insert(d)
 		}
 		for i := range payloads {
 			if delMask&(1<<i) != 0 {
 				w.Delete(uint64(i + 1))
-				m.delete(uint64(i + 1))
+				m.Delete(uint64(i + 1))
 			}
 		}
 		p := clean(pattern)
 		if len(p) == 0 {
 			p = []byte{1}
 		}
-		return sameOccs(w.Find(p), m.find(p)) && w.Count(p) == m.count(p)
+		return oracle.CheckDocs[Occurrence](m, w, p) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

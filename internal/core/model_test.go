@@ -1,63 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"sort"
 
 	"dyncoll/internal/doc"
 	"dyncoll/internal/fmindex"
 )
-
-// model is the brute-force reference implementation every dynamized
-// collection is checked against: a map of live documents queried by
-// scanning.
-type model struct {
-	docs map[uint64][]byte
-}
-
-func newModel() *model { return &model{docs: make(map[uint64][]byte)} }
-
-func (m *model) insert(d doc.Doc) {
-	buf := make([]byte, len(d.Data))
-	copy(buf, d.Data)
-	m.docs[d.ID] = buf
-}
-
-func (m *model) delete(id uint64) bool {
-	if _, ok := m.docs[id]; !ok {
-		return false
-	}
-	delete(m.docs, id)
-	return true
-}
-
-func (m *model) find(pattern []byte) []Occurrence {
-	var out []Occurrence
-	for id, data := range m.docs {
-		if len(pattern) == 0 {
-			for off := range data {
-				out = append(out, Occurrence{DocID: id, Off: off})
-			}
-			continue
-		}
-		for off := 0; off+len(pattern) <= len(data); off++ {
-			if bytes.Equal(data[off:off+len(pattern)], pattern) {
-				out = append(out, Occurrence{DocID: id, Off: off})
-			}
-		}
-	}
-	return out
-}
-
-func (m *model) count(pattern []byte) int { return len(m.find(pattern)) }
-
-func (m *model) symbols() int {
-	n := 0
-	for _, d := range m.docs {
-		n += len(d)
-	}
-	return n
-}
 
 // sortOccs orders occurrences canonically for comparison.
 func sortOccs(occs []Occurrence) {

@@ -929,12 +929,12 @@ func (w *WorstCase[K, I]) mergeLevelUp(j int) {
 }
 
 // maybeSweepTops purges the top collection holding the most dead weight
-// once per nf/(2τ·log τ) units deleted since the last sweep (Lemma 1
-// then bounds every top's dead fraction by O(1/τ)). A batch deletion can
-// bank several intervals at once, so each accrued interval purges one
-// more (distinct) top — matching the sweep count looped deletes would
-// have produced. Tops already feeding an in-flight build are skipped so
-// no item is built twice.
+// once per nf/(2τ·log τ) units deleted since the last sweep. Lemma 1
+// (Dietz–Sleator) bounds each top's dead weight by that times H_g, not
+// its dead fraction: purge remnants and dying tops can be over 1/τ dead.
+// A batch deletion can bank several intervals, each purging one more
+// (distinct) top, as looped deletes would. Tops already feeding an
+// in-flight build are skipped so no item is built twice.
 func (w *WorstCase[K, I]) maybeSweepTops() {
 	interval := w.nf / (2 * w.tau * max(1, log2(w.tau)))
 	if interval < w.cfg.MinCapacity {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"strings"
@@ -89,17 +90,20 @@ func (rd coverRead) check(t *testing.T, base string) {
 	}
 }
 
-// coverFleets are the tables the gate covers and the backend requests
-// one healthy fleet read sends under each.
+// coverFleets are the tables the gate covers, the backend requests one
+// healthy fleet read sends under each, and the backend insert and
+// delete requests the corpus insert and a delete touching every row
+// send — today one per row per replica.
 var coverFleets = []struct {
-	name     string
-	n, r     int
-	requests int64
+	name             string
+	n, r             int
+	requests         int64
+	inserts, deletes int64
 }{
-	{"trivial 2 backends", 2, 1, 2},
-	{"NewAssignment(2,2)", 2, 2, 1},
-	{"NewAssignment(3,2)", 3, 2, 2},
-	{"NewAssignment(4,2)", 4, 2, 2},
+	{"trivial 2 backends", 2, 1, 2, 2, 2},
+	{"NewAssignment(2,2)", 2, 2, 1, 4, 4},
+	{"NewAssignment(3,2)", 3, 2, 2, 6, 6},
+	{"NewAssignment(4,2)", 4, 2, 2, 8, 8},
 }
 
 // insertCorpus writes docs through the frontend at base.
@@ -118,19 +122,24 @@ func insertCorpus(t *testing.T, base string, docs []dyncoll.Document) {
 // find, ranked and streaming search — sends exactly one backend request
 // per group of its cover, counted by the backends' own request metrics,
 // and answers what a reference collection holding the same documents
-// answers. Hedging is off so that no duplicate read is ever sent.
+// answers. Hedging is off so that no duplicate read is ever sent. It
+// also pins what a fleet write sends today: the corpus insert and one
+// delete of a document from every row.
 func TestCoverRequests(t *testing.T) {
 	docs := coverCorpus()
 	reads := coverReads(t, docs)
 	for _, fl := range coverFleets {
 		t.Run(fl.name, func(t *testing.T) {
-			fts, _, backends, _ := newChaosCluster(t, fl.n, chaosConfig(fl.r))
-			insertCorpus(t, fts.URL, docs)
+			fts, fe, backends, _ := newChaosCluster(t, fl.n, chaosConfig(fl.r))
 			sent := func(op string) (n int64) {
 				for _, b := range backends {
 					n += b.Metrics().Requests(op)
 				}
 				return n
+			}
+			insertCorpus(t, fts.URL, docs)
+			if got := sent("insert"); got != fl.inserts {
+				t.Errorf("corpus insert sent %d backend requests, want %d", got, fl.inserts)
 			}
 			for _, rd := range reads {
 				before := sent(rd.op)
@@ -138,6 +147,14 @@ func TestCoverRequests(t *testing.T) {
 				if got := sent(rd.op) - before; got != fl.requests {
 					t.Errorf("%s sent %d backend requests, want %d", rd.path, got, fl.requests)
 				}
+			}
+			rows := map[int]uint64{} // a document of every row
+			for _, d := range docs {
+				rows[fe.Assignment().RowOf(d.ID)] = d.ID
+			}
+			deleteDocs(t, fts.URL, slices.Collect(maps.Values(rows)))
+			if got := sent("delete"); got != fl.deletes {
+				t.Errorf("a delete from %d rows sent %d backend requests, want %d", len(rows), got, fl.deletes)
 			}
 		})
 	}

@@ -8,26 +8,8 @@ import (
 	"testing"
 
 	"dyncoll/internal/doc"
+	"dyncoll/internal/oracle"
 )
-
-// scanModel is the reference the tree is held to: the live documents in
-// insertion order, every question answered by scanning them.
-type scanModel struct {
-	docs []doc.Doc
-}
-
-func (m *scanModel) find(pattern []byte) []Occurrence {
-	var out []Occurrence
-	for _, d := range m.docs {
-		for off := 0; off < len(d.Data) && off+len(pattern) <= len(d.Data); off++ {
-			if bytes.Equal(d.Data[off:off+len(pattern)], pattern) {
-				out = append(out, Occurrence{DocID: d.ID, Off: off})
-			}
-		}
-	}
-	sortOccs(out)
-	return out
-}
 
 // opRunner interprets a byte string as inserts, deletes and checks
 // against a tree and the model side by side. The seeded differential
@@ -36,7 +18,7 @@ func (m *scanModel) find(pattern []byte) []Occurrence {
 type opRunner struct {
 	t      *testing.T
 	tr     *Tree
-	m      scanModel
+	m      oracle.Model
 	in     []byte
 	nextID uint64
 	sigma  int // payload alphabet, small so that documents share substrings
@@ -63,12 +45,12 @@ func (r *opRunner) run() {
 		case 2: // unary run
 			r.insert(bytes.Repeat([]byte{r.sym()}, 1+r.byte()%97))
 		case 3: // a live document's payload again, under a new ID
-			if len(r.m.docs) > 0 {
-				r.insert(bytes.Clone(r.m.docs[r.byte()%len(r.m.docs)].Data))
+			if len(r.m.Docs()) > 0 {
+				r.insert(bytes.Clone(r.m.Docs()[r.byte()%len(r.m.Docs())].Data))
 			}
 		case 4: // a live document's suffix or prefix plus one symbol: shared paths ending at terminators
-			if len(r.m.docs) > 0 {
-				d := r.m.docs[r.byte()%len(r.m.docs)].Data
+			if len(r.m.Docs()) > 0 {
+				d := r.m.Docs()[r.byte()%len(r.m.Docs())].Data
 				cut := r.byte() % (len(d) + 1)
 				if op&16 == 0 {
 					r.insert(bytes.Clone(d[cut:]))
@@ -83,13 +65,13 @@ func (r *opRunner) run() {
 			}
 			r.insert(data)
 		case 9, 10, 11, 12: // delete a live document; runs of these cross the rebuild threshold
-			if len(r.m.docs) > 0 {
-				i := r.byte() % len(r.m.docs)
-				id := r.m.docs[i].ID
+			if len(r.m.Docs()) > 0 {
+				i := r.byte() % len(r.m.Docs())
+				id := r.m.Docs()[i].ID
 				if !r.tr.Delete(id) {
 					r.t.Fatalf("Delete(%d) of a live document reported absent", id)
 				}
-				r.m.docs = slices.Delete(r.m.docs, i, i+1)
+				r.m.Delete(id)
 			}
 		case 13: // delete what is not there
 			if r.tr.Delete(r.nextID + 1000) {
@@ -105,33 +87,23 @@ func (r *opRunner) run() {
 func (r *opRunner) insert(data []byte) {
 	r.nextID++
 	r.tr.Insert(doc.Doc{ID: r.nextID, Data: data})
-	r.m.docs = append(r.m.docs, doc.Doc{ID: r.nextID, Data: data})
+	r.m.Insert(doc.Doc{ID: r.nextID, Data: data})
 }
 
-// check compares every read the tree offers with the model.
+// check compares every read the tree offers with the oracle's model.
 func (r *opRunner) check() {
 	t, tr, m := r.t, r.tr, &r.m
 	t.Helper()
-	total := 0
-	for _, d := range m.docs {
-		total += len(d.Data)
-	}
-	if tr.DocCount() != len(m.docs) || tr.Len() != total {
-		t.Fatalf("DocCount=%d Len=%d, model has %d documents of %d symbols", tr.DocCount(), tr.Len(), len(m.docs), total)
-	}
 	if tr.DeletedSymbols() > max(tr.Len(), 64) {
 		t.Fatalf("%d deleted symbols held against %d live: rebuild overdue", tr.DeletedSymbols(), tr.Len())
 	}
 	live := tr.LiveDocs()
-	if len(live) != len(m.docs) {
-		t.Fatalf("LiveDocs lists %d documents, want %d", len(live), len(m.docs))
+	if len(live) != len(m.Docs()) {
+		t.Fatalf("LiveDocs lists %d documents, want %d", len(live), len(m.Docs()))
 	}
-	for i, d := range m.docs {
+	for i, d := range m.Docs() {
 		if live[i].ID != d.ID || !bytes.Equal(live[i].Data, d.Data) {
 			t.Fatalf("LiveDocs[%d] = %d %q, want %d %q (insertion order)", i, live[i].ID, live[i].Data, d.ID, d.Data)
-		}
-		if n, ok := tr.DocLen(d.ID); !ok || n != len(d.Data) || !tr.Has(d.ID) {
-			t.Fatalf("DocLen(%d) = %d, %v; want %d", d.ID, n, ok, len(d.Data))
 		}
 		off, length := r.byte()%(len(d.Data)+2)-1, r.byte()%(len(d.Data)+2)
 		lo := min(max(off, 0), len(d.Data))
@@ -142,18 +114,14 @@ func (r *opRunner) check() {
 	}
 	ids := tr.LiveIDs()
 	slices.Sort(ids)
-	for i, d := range m.docs { // model IDs ascend: they are handed out in insertion order
+	for i, d := range m.Docs() { // model IDs ascend: they are handed out in insertion order
 		if ids[i] != d.ID {
 			t.Fatalf("LiveIDs = %v, want the model's", ids)
 		}
 	}
-	if tr.Has(r.nextID+1) || tr.Has(0) {
-		t.Fatal("Has reports an ID never inserted")
-	}
-
 	patterns := [][]byte{nil, {r.sym()}, {r.sym(), r.sym()}, {r.sym(), r.sym(), r.sym(), r.sym()}, {0}, {r.sym(), 0}}
-	for range min(len(m.docs), 4) {
-		d := m.docs[r.byte()%len(m.docs)].Data
+	for range min(len(m.Docs()), 4) {
+		d := m.Docs()[r.byte()%len(m.Docs())].Data
 		if len(d) == 0 {
 			continue
 		}
@@ -166,16 +134,12 @@ func (r *opRunner) check() {
 			d[cut:min(cut+1+r.byte()%6, len(d))],
 		)
 	}
+	if err := oracle.CheckDocs[Occurrence](m, tr, patterns...); err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range patterns {
-		want := m.find(p)
-		if got := sortedFind(tr, p); !occsEqual(got, want) {
-			t.Fatalf("Find(%q) = %v, want %v", p, got, want)
-		}
-		if n := tr.Count(p); n != len(want) {
-			t.Fatalf("Count(%q) = %d, want %d", p, n, len(want))
-		}
-		if len(want) > 1 {
-			stopAt, seen := 1+r.byte()%len(want), 0
+		if want := m.Count(p); want > 1 {
+			stopAt, seen := 1+r.byte()%want, 0
 			tr.FindFunc(p, func(Occurrence) bool {
 				seen++
 				return seen < stopAt

@@ -8,23 +8,8 @@ import (
 	"testing/quick"
 
 	"dyncoll/internal/doc"
+	"dyncoll/internal/oracle"
 )
-
-// model is a brute-force reference collection.
-type model map[uint64][]byte
-
-func (m model) find(pattern []byte) []Occurrence {
-	var out []Occurrence
-	for id, data := range m {
-		for off := 0; off+len(pattern) <= len(data); off++ {
-			if bytes.Equal(data[off:off+len(pattern)], pattern) {
-				out = append(out, Occurrence{DocID: id, Off: off})
-			}
-		}
-	}
-	sortOccs(out)
-	return out
-}
 
 func sortOccs(o []Occurrence) {
 	sort.Slice(o, func(i, j int) bool {
@@ -114,12 +99,12 @@ func TestMultiDocAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, sigma := range []int{1, 2, 4, 26} {
 		tr := New()
-		m := model{}
+		m := new(oracle.Model)
 		for i := 0; i < 30; i++ {
 			data := randomData(rng, 1+rng.Intn(120), sigma)
 			id := uint64(i + 1)
 			tr.Insert(doc.Doc{ID: id, Data: data})
-			m[id] = data
+			m.Insert(doc.Doc{ID: id, Data: data})
 		}
 		if tr.DocCount() != 30 {
 			t.Fatalf("DocCount=%d", tr.DocCount())
@@ -128,18 +113,15 @@ func TestMultiDocAgainstModel(t *testing.T) {
 			var pattern []byte
 			if trial%2 == 0 {
 				// Planted.
-				id := uint64(1 + rng.Intn(30))
-				data := m[id]
+				data := m.Docs()[rng.Intn(30)].Data
 				off := rng.Intn(len(data))
 				l := 1 + rng.Intn(minInt(8, len(data)-off))
 				pattern = data[off : off+l]
 			} else {
 				pattern = randomData(rng, 1+rng.Intn(6), sigma)
 			}
-			got := sortedFind(tr, pattern)
-			want := m.find(pattern)
-			if !occsEqual(got, want) {
-				t.Fatalf("σ=%d pattern %q: got %v, want %v", sigma, pattern, got, want)
+			if err := oracle.CheckDocs[Occurrence](m, tr, pattern); err != nil {
+				t.Fatalf("σ=%d: %v", sigma, err)
 			}
 		}
 	}
@@ -170,26 +152,26 @@ func TestDeleteHidesOccurrences(t *testing.T) {
 func TestRebuildAfterManyDeletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr := New()
-	m := model{}
+	m := new(oracle.Model)
 	for i := 0; i < 40; i++ {
 		data := randomData(rng, 50, 4)
 		id := uint64(i + 1)
 		tr.Insert(doc.Doc{ID: id, Data: data})
-		m[id] = data
+		m.Insert(doc.Doc{ID: id, Data: data})
 	}
 	// Delete 30 of 40: forces at least one rebuild.
 	for i := 0; i < 30; i++ {
 		id := uint64(i + 1)
 		tr.Delete(id)
-		delete(m, id)
+		m.Delete(id)
 	}
 	if tr.DeletedSymbols() > tr.Len() {
 		t.Fatalf("rebuild did not trigger: deleted=%d live=%d", tr.DeletedSymbols(), tr.Len())
 	}
 	for trial := 0; trial < 60; trial++ {
 		pattern := randomData(rng, 1+rng.Intn(4), 4)
-		if !occsEqual(sortedFind(tr, pattern), m.find(pattern)) {
-			t.Fatalf("post-rebuild mismatch for %q", pattern)
+		if err := oracle.CheckDocs[Occurrence](m, tr, pattern); err != nil {
+			t.Fatalf("post-rebuild: %v", err)
 		}
 	}
 	// Live docs should round trip.
@@ -197,8 +179,8 @@ func TestRebuildAfterManyDeletes(t *testing.T) {
 	if len(live) != 10 {
 		t.Fatalf("LiveDocs returned %d docs", len(live))
 	}
-	for _, d := range live {
-		if !bytes.Equal(d.Data, m[d.ID]) {
+	for i, d := range live {
+		if want := m.Docs()[i]; d.ID != want.ID || !bytes.Equal(d.Data, want.Data) {
 			t.Fatalf("LiveDocs data mismatch for %d", d.ID)
 		}
 	}
@@ -207,7 +189,7 @@ func TestRebuildAfterManyDeletes(t *testing.T) {
 func TestInterleavedInsertDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := New()
-	m := model{}
+	m := new(oracle.Model)
 	nextID := uint64(1)
 	var ids []uint64
 	for op := 0; op < 400; op++ {
@@ -215,7 +197,7 @@ func TestInterleavedInsertDelete(t *testing.T) {
 		case len(ids) == 0 || rng.Intn(3) > 0:
 			data := randomData(rng, 1+rng.Intn(60), 3)
 			tr.Insert(doc.Doc{ID: nextID, Data: data})
-			m[nextID] = data
+			m.Insert(doc.Doc{ID: nextID, Data: data})
 			ids = append(ids, nextID)
 			nextID++
 		default:
@@ -223,12 +205,12 @@ func TestInterleavedInsertDelete(t *testing.T) {
 			id := ids[i]
 			ids = append(ids[:i], ids[i+1:]...)
 			tr.Delete(id)
-			delete(m, id)
+			m.Delete(id)
 		}
 		if op%20 == 0 {
 			pattern := randomData(rng, 1+rng.Intn(4), 3)
-			if !occsEqual(sortedFind(tr, pattern), m.find(pattern)) {
-				t.Fatalf("op %d: mismatch for %q", op, pattern)
+			if err := oracle.CheckDocs[Occurrence](m, tr, pattern); err != nil {
+				t.Fatalf("op %d: %v", op, err)
 			}
 		}
 	}
@@ -256,7 +238,7 @@ func TestReservedBytePanics(t *testing.T) {
 
 func TestPathologicalDocs(t *testing.T) {
 	tr := New()
-	m := model{}
+	m := new(oracle.Model)
 	docs := [][]byte{
 		bytes.Repeat([]byte{7}, 500),       // unary
 		bytes.Repeat([]byte{1, 2}, 250),    // period 2
@@ -266,13 +248,11 @@ func TestPathologicalDocs(t *testing.T) {
 	for i, d := range docs {
 		id := uint64(i + 1)
 		tr.Insert(doc.Doc{ID: id, Data: d})
-		m[id] = d
+		m.Insert(doc.Doc{ID: id, Data: d})
 	}
 	pats := [][]byte{{7}, {7, 7, 7}, {1, 2, 1}, {2, 1, 1}, {42}, {42, 42}, {3}}
-	for _, p := range pats {
-		if !occsEqual(sortedFind(tr, p), m.find(p)) {
-			t.Fatalf("mismatch for %v", p)
-		}
+	if err := oracle.CheckDocs[Occurrence](m, tr, pats...); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -294,27 +274,25 @@ func TestQuickAgainstModel(t *testing.T) {
 		sigma := int(sigmaRaw)%8 + 1
 		rng := rand.New(rand.NewSource(seed))
 		tr := New()
-		m := model{}
+		m := new(oracle.Model)
 		for i := 0; i < 12; i++ {
 			data := randomData(rng, 1+rng.Intn(50), sigma)
 			id := uint64(i + 1)
 			tr.Insert(doc.Doc{ID: id, Data: data})
-			m[id] = data
+			m.Insert(doc.Doc{ID: id, Data: data})
 		}
 		// A few deletions.
 		for i := 0; i < 4; i++ {
 			id := uint64(1 + rng.Intn(12))
 			if tr.Delete(id) {
-				delete(m, id)
+				m.Delete(id)
 			}
 		}
+		var pats [][]byte
 		for trial := 0; trial < 8; trial++ {
-			pattern := randomData(rng, 1+rng.Intn(5), sigma)
-			if !occsEqual(sortedFind(tr, pattern), m.find(pattern)) {
-				return false
-			}
+			pats = append(pats, randomData(rng, 1+rng.Intn(5), sigma))
 		}
-		return true
+		return oracle.CheckDocs[Occurrence](m, tr, pats...) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

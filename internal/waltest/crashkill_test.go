@@ -3,6 +3,7 @@ package waltest
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"dyncoll"
+	"dyncoll/internal/oracle"
 )
 
 // TestCrashKillChild is the re-exec target, not a test: the parent
@@ -126,93 +128,58 @@ func killOnce(t *testing.T, cfg ChildConfig, target int) (acked, ckpt int) {
 }
 
 // verifyRecovered reopens the killed child's directory and checks that
-// the recovered state equals the op stream's prefix at some point m ≥
-// the last acknowledged op, that queries over the recovered structure
-// match the model at m, and that recovery after an acknowledged
-// checkpoint loaded it and replayed only the tail.
+// the recovered state equals the oracle's model of the stream's prefix
+// at some point m ≥ the last acknowledged op, that the structure answers
+// every question as the model of that prefix does, and that recovery
+// after an acknowledged checkpoint loaded it and replayed only the tail.
 func verifyRecovered(t *testing.T, cfg ChildConfig, acked, ckpt int) {
 	t.Helper()
-	ops := GenOps(cfg.Kind, cfg.Seed, cfg.Ops)
 	target, err := openDurable(cfg, dyncoll.WALOptions{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatalf("reopen after kill (acked %d): %v", acked, err)
 	}
 	defer target.Close()
 
+	docs, pairs := cfg.Stream()
+	var dm oracle.Model
+	var pm oracle.PairModel
 	var rec dyncoll.RecoveryStats
-	model := NewModel()
+	var same func() bool // the recovered set is the model's
+	var check func() error
+	switch s := target.(type) {
+	case *dyncoll.DurableCollection:
+		rec = s.RecoveryStats()
+		got := slices.Sorted(slices.Values(s.DocIDs()))
+		same = func() bool { return slices.Equal(got, dm.DocIDs()) }
+		check = func() error { return oracle.CheckDocs[dyncoll.Occurrence](&dm, s.Collection) }
+	case *dyncoll.DurableRelation:
+		rec = s.RecoveryStats()
+		got := sortedPairs(s.Pairs())
+		same = func() bool { return slices.Equal(got, pm.Pairs()) }
+		check = func() error { return oracle.CheckPairs(&pm, s.Relation) }
+	case *dyncoll.DurableGraph:
+		rec = s.RecoveryStats()
+		got := sortedPairs(s.Edges())
+		same = func() bool { return slices.Equal(got, pm.Pairs()) }
+		check = func() error { return oracle.CheckPairs(&pm, graphReader{s.Graph}) }
+	}
 	m := -1
-	switch cfg.Kind {
-	case KindCollection:
-		dc := target.(*dyncoll.DurableCollection)
-		rec = dc.RecoveryStats()
-		dc.WaitIdle()
-		got := dc.DocIDs()
-		slices.Sort(got)
-		for k := 0; k <= len(ops); k++ {
-			if k > 0 {
-				model.Apply(cfg.Kind, ops[k-1])
-			}
-			if k < acked {
-				continue
-			}
-			if slices.Equal(got, model.SortedIDs()) {
-				m = k
-				break
-			}
+	for k := 0; k <= cfg.Ops; k++ {
+		if k > 0 && docs != nil {
+			dm.Apply(docs[k-1])
+		} else if k > 0 {
+			pm.Apply(pairs[k-1])
 		}
-		if m < 0 {
-			t.Fatalf("recovered doc set (%d docs) matches no prefix ≥ acked %d", len(got), acked)
+		if k >= acked && same() {
+			m = k
+			break
 		}
-		verifyCollectionQueries(t, dc, model)
-	default:
-		var pairs [][2]uint64
-		if cfg.Kind == KindRelation {
-			dr := target.(*dyncoll.DurableRelation)
-			rec = dr.RecoveryStats()
-			dr.WaitIdle()
-			for _, p := range dr.Pairs() {
-				pairs = append(pairs, [2]uint64{p.Object, p.Label})
-			}
-		} else {
-			dg := target.(*dyncoll.DurableGraph)
-			rec = dg.RecoveryStats()
-			dg.WaitIdle()
-			for _, p := range dg.Edges() {
-				pairs = append(pairs, [2]uint64{p.Object, p.Label})
-			}
-		}
-		slices.SortFunc(pairs, func(a, b [2]uint64) int {
-			if a[0] != b[0] {
-				if a[0] < b[0] {
-					return -1
-				}
-				return 1
-			}
-			if a[1] < b[1] {
-				return -1
-			}
-			if a[1] > b[1] {
-				return 1
-			}
-			return 0
-		})
-		for k := 0; k <= len(ops); k++ {
-			if k > 0 {
-				model.Apply(cfg.Kind, ops[k-1])
-			}
-			if k < acked {
-				continue
-			}
-			if slices.Equal(pairs, model.SortedPairs()) {
-				m = k
-				break
-			}
-		}
-		if m < 0 {
-			t.Fatalf("recovered pair set (%d pairs) matches no prefix ≥ acked %d", len(pairs), acked)
-		}
-		verifyPairQueries(t, cfg.Kind, target, model)
+	}
+	if m < 0 {
+		t.Fatalf("recovered state matches no prefix ≥ acked %d", acked)
+	}
+	if err := check(); err != nil {
+		t.Fatalf("recovered at prefix %d: %v", m, err)
 	}
 
 	// An acknowledged checkpoint is durable: recovery must have loaded
@@ -229,103 +196,26 @@ func verifyRecovered(t *testing.T, cfg ChildConfig, acked, ckpt int) {
 	}
 }
 
-// verifyCollectionQueries compares search answers between the
-// recovered collection and a fresh in-memory collection holding the
-// model's documents.
-func verifyCollectionQueries(t *testing.T, dc *dyncoll.DurableCollection, model *Model) {
-	t.Helper()
-	ref, err := dyncoll.NewCollection(dyncoll.WithSyncRebuilds(), dyncoll.WithMinCapacity(16))
-	if err != nil {
-		t.Fatal(err)
+// sortedPairs lists a relation's or graph's pairs in the model's order.
+func sortedPairs(ps []dyncoll.Pair) [][2]uint64 {
+	out := make([][2]uint64, len(ps))
+	for i, p := range ps {
+		out[i] = [2]uint64{p.Object, p.Label}
 	}
-	var docs []dyncoll.Document
-	for _, id := range model.SortedIDs() {
-		docs = append(docs, dyncoll.Document{ID: id, Data: model.Docs[id]})
-	}
-	if len(docs) > 0 {
-		if err := ref.InsertBatch(docs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref.WaitIdle()
-	for _, pat := range []string{"abra", "doc", "sesame", "zzz"} {
-		p := []byte(pat)
-		if got, want := dc.Count(p), ref.Count(p); got != want {
-			t.Fatalf("Count(%q) = %d, want %d", pat, got, want)
-		}
-		got, want := dc.Find(p), ref.Find(p)
-		sortOcc := func(o []dyncoll.Occurrence) {
-			slices.SortFunc(o, func(x, y dyncoll.Occurrence) int {
-				if x.DocID != y.DocID {
-					if x.DocID < y.DocID {
-						return -1
-					}
-					return 1
-				}
-				return x.Off - y.Off
-			})
-		}
-		sortOcc(got)
-		sortOcc(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("Find(%q) diverges: %d vs %d occurrences", pat, len(got), len(want))
-		}
-	}
-	for _, id := range model.SortedIDs()[:min(5, len(model.Docs))] {
-		data, ok := dc.Extract(id, 0, len(model.Docs[id]))
-		if !ok || !bytes.Equal(data, model.Docs[id]) {
-			t.Fatalf("Extract(%d) diverges", id)
-		}
-	}
+	slices.SortFunc(out, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	return out
 }
 
-// verifyPairQueries compares adjacency answers between the recovered
-// relation/graph and the model's pair set.
-func verifyPairQueries(t *testing.T, kind string, target durableTarget, model *Model) {
-	t.Helper()
-	byObj := map[uint64][]uint64{}
-	byLabel := map[uint64][]uint64{}
-	for p := range model.Pairs {
-		byObj[p[0]] = append(byObj[p[0]], p[1])
-		byLabel[p[1]] = append(byLabel[p[1]], p[0])
-	}
-	for _, s := range byObj {
-		slices.Sort(s)
-	}
-	for _, s := range byLabel {
-		slices.Sort(s)
-	}
-	for probe := uint64(1); probe <= 48; probe += 7 {
-		if kind == KindRelation {
-			dr := target.(*dyncoll.DurableRelation)
-			if got := dr.Labels(probe); !slices.Equal(got, byObj[probe]) {
-				t.Fatalf("Labels(%d) = %v, want %v", probe, got, byObj[probe])
-			}
-			var got []uint64
-			dr.ObjectsOf(probe, func(o uint64) bool {
-				got = append(got, o)
-				return true
-			})
-			slices.Sort(got)
-			if !slices.Equal(got, byLabel[probe]) {
-				t.Fatalf("ObjectsOf(%d) = %v, want %v", probe, got, byLabel[probe])
-			}
-		} else {
-			dg := target.(*dyncoll.DurableGraph)
-			var got []uint64
-			for v := range dg.Successors(probe) {
-				got = append(got, v)
-			}
-			slices.Sort(got)
-			if !slices.Equal(got, byObj[probe]) {
-				t.Fatalf("Successors(%d) = %v, want %v", probe, got, byObj[probe])
-			}
-			if got := dg.ReverseNeighbors(probe); !slices.Equal(got, byLabel[probe]) {
-				t.Fatalf("ReverseNeighbors(%d) = %v, want %v", probe, got, byLabel[probe])
-			}
-		}
-	}
-}
+// graphReader asks a graph the oracle's pair questions under its edge
+// names.
+type graphReader struct{ *dyncoll.Graph }
+
+func (g graphReader) Related(u, v uint64) bool  { return g.HasEdge(u, v) }
+func (g graphReader) Labels(u uint64) []uint64  { return g.Neighbors(u) }
+func (g graphReader) Objects(v uint64) []uint64 { return g.ReverseNeighbors(v) }
+func (g graphReader) CountLabels(u uint64) int  { return g.OutDegree(u) }
+func (g graphReader) CountObjects(v uint64) int { return g.InDegree(v) }
+func (g graphReader) Len() int                  { return g.EdgeCount() }
 
 // TestCrashKillRecovery is the acceptance matrix: three structures ×
 // two transformations × {unsharded, 4 shards}, each killed at

@@ -1,21 +1,21 @@
 // Package waltest is the crash-kill harness for the durable facades:
-// a child process ingests a deterministic, seeded mutation stream into
-// a durable structure — acknowledging each committed operation on
+// a child process ingests one of internal/oracle's seeded op streams
+// into a durable structure — acknowledging each committed operation on
 // stdout — and the parent SIGKILLs it at a random instant, reopens the
 // directory, and verifies that the recovered state is exactly the
 // stream's prefix up to some point at or past the last acknowledged
-// operation. Both sides regenerate the stream from the seed, so
-// nothing about the workload needs to survive the kill except the
-// durable directory itself.
+// operation, answering as the oracle's model of that prefix does. Both
+// sides regenerate the stream from the seed, so nothing about the
+// workload needs to survive the kill except the durable directory
+// itself.
 package waltest
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
 	"time"
 
 	"dyncoll"
+	"dyncoll/internal/oracle"
 )
 
 // Kinds and transformations covered by the harness matrix.
@@ -37,21 +37,13 @@ type ChildConfig struct {
 	CkptEvery int // explicit Checkpoint every this many ops; 0 = never
 }
 
-// Op is one atomic durable mutation (= one WAL record).
-type Op struct {
-	// Collection ops: exactly one of Docs/Del is non-empty.
-	Docs []dyncoll.Document
-	Del  []uint64
-	// Relation/graph ops.
-	A, B  uint64
-	IsDel bool
-}
+const minCapacity = 16
 
 // Options returns the structure options for a config.
 func (c ChildConfig) Options() []dyncoll.Option {
 	opts := []dyncoll.Option{
 		dyncoll.WithTransformation(dyncoll.Transformation(c.Tr)),
-		dyncoll.WithMinCapacity(16),
+		dyncoll.WithMinCapacity(minCapacity),
 	}
 	if c.Shards > 0 {
 		opts = append(opts, dyncoll.WithShards(c.Shards))
@@ -59,130 +51,14 @@ func (c ChildConfig) Options() []dyncoll.Option {
 	return opts
 }
 
-// Model is the in-memory ground truth both sides derive from the op
-// stream: live documents for collections, the pair set for relations
-// and graphs.
-type Model struct {
-	Docs  map[uint64][]byte
-	Pairs map[[2]uint64]bool
-}
-
-// NewModel returns an empty model.
-func NewModel() *Model {
-	return &Model{Docs: map[uint64][]byte{}, Pairs: map[[2]uint64]bool{}}
-}
-
-// Apply advances the model by one op.
-func (m *Model) Apply(kind string, op Op) {
-	if kind == KindCollection {
-		for _, d := range op.Docs {
-			m.Docs[d.ID] = d.Data
-		}
-		for _, id := range op.Del {
-			delete(m.Docs, id)
-		}
-		return
+// Stream returns the config's op stream, which depends on the seed
+// alone: the oracle's document stream for a collection (aimed at the
+// C0 capacity Options sets), its pair stream for a relation or graph.
+func (c ChildConfig) Stream() ([]oracle.DocOp, []oracle.PairOp) {
+	if c.Kind == KindCollection {
+		return oracle.DocStream(c.Seed, c.Ops, minCapacity), nil
 	}
-	if op.IsDel {
-		delete(m.Pairs, [2]uint64{op.A, op.B})
-	} else {
-		m.Pairs[[2]uint64{op.A, op.B}] = true
-	}
-}
-
-// SortedIDs returns the live document IDs, sorted.
-func (m *Model) SortedIDs() []uint64 {
-	ids := make([]uint64, 0, len(m.Docs))
-	for id := range m.Docs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-// SortedPairs returns the live pairs, sorted.
-func (m *Model) SortedPairs() [][2]uint64 {
-	ps := make([][2]uint64, 0, len(m.Pairs))
-	for p := range m.Pairs {
-		ps = append(ps, p)
-	}
-	slices.SortFunc(ps, func(a, b [2]uint64) int {
-		if a[0] != b[0] {
-			if a[0] < b[0] {
-				return -1
-			}
-			return 1
-		}
-		if a[1] < b[1] {
-			return -1
-		}
-		if a[1] > b[1] {
-			return 1
-		}
-		return 0
-	})
-	return ps
-}
-
-// GenOps deterministically generates the op stream for a config: the
-// same (kind, seed, n) always yields the same ops, on both sides of
-// the process boundary. Collection streams mix multi-document insert
-// batches with deletes of live documents; relation and graph streams
-// mix adds of new pairs with deletes of existing ones.
-func GenOps(kind string, seed int64, n int) []Op {
-	rng := rand.New(rand.NewSource(seed))
-	ops := make([]Op, 0, n)
-	if kind == KindCollection {
-		words := []string{"abracadabra", "hocus pocus", "alakazam", "open sesame", "sim sala bim"}
-		live := []uint64{}
-		next := uint64(1)
-		for len(ops) < n {
-			if len(live) > 3 && rng.Intn(4) == 0 {
-				k := 1 + rng.Intn(3)
-				del := make([]uint64, 0, k)
-				for range k {
-					i := rng.Intn(len(live))
-					del = append(del, live[i])
-					live = slices.Delete(live, i, i+1)
-				}
-				ops = append(ops, Op{Del: del})
-				continue
-			}
-			k := 1 + rng.Intn(6)
-			docs := make([]dyncoll.Document, 0, k)
-			for range k {
-				data := []byte(fmt.Sprintf("%s doc %d", words[rng.Intn(len(words))], next))
-				docs = append(docs, dyncoll.Document{ID: next, Data: data})
-				live = append(live, next)
-				next++
-			}
-			ops = append(ops, Op{Docs: docs})
-		}
-		return ops
-	}
-	pairs := map[[2]uint64]bool{}
-	var order [][2]uint64
-	for len(ops) < n {
-		if len(order) > 3 && rng.Intn(3) == 0 {
-			i := rng.Intn(len(order))
-			p := order[i]
-			order = slices.Delete(order, i, i+1)
-			delete(pairs, p)
-			ops = append(ops, Op{A: p[0], B: p[1], IsDel: true})
-			continue
-		}
-		for {
-			p := [2]uint64{uint64(1 + rng.Intn(48)), uint64(1 + rng.Intn(48))}
-			if pairs[p] {
-				continue
-			}
-			pairs[p] = true
-			order = append(order, p)
-			ops = append(ops, Op{A: p[0], B: p[1]})
-			break
-		}
-	}
-	return ops
+	return nil, oracle.PairStream(c.Seed, c.Ops)
 }
 
 // durableTarget is what the child mutates and checkpoints, whatever
@@ -192,30 +68,27 @@ type durableTarget interface {
 	Close() error
 }
 
-// applyDurable applies one op to the durable structure; the ack
-// contract is the library's — when this returns nil the op is fsynced.
-func applyDurable(target durableTarget, kind string, op Op) error {
-	switch kind {
-	case KindCollection:
-		dc := target.(*dyncoll.DurableCollection)
-		if len(op.Docs) > 0 {
-			return dc.InsertBatch(op.Docs)
+// applyDurable applies op i of the stream to the durable structure; the
+// ack contract is the library's — when this returns nil the op is
+// fsynced.
+func applyDurable(target durableTarget, docs []oracle.DocOp, pairs []oracle.PairOp, i int) error {
+	var add, del func(a, b uint64) error
+	switch t := target.(type) {
+	case *dyncoll.DurableCollection:
+		if len(docs[i].Insert) > 0 {
+			return t.InsertBatch(docs[i].Insert)
 		}
-		_, err := dc.DeleteBatch(op.Del)
+		_, err := t.DeleteBatch(docs[i].Delete)
 		return err
-	case KindRelation:
-		dr := target.(*dyncoll.DurableRelation)
-		if op.IsDel {
-			return dr.Delete(op.A, op.B)
-		}
-		return dr.Add(op.A, op.B)
-	default:
-		dg := target.(*dyncoll.DurableGraph)
-		if op.IsDel {
-			return dg.DeleteEdge(op.A, op.B)
-		}
-		return dg.AddEdge(op.A, op.B)
+	case *dyncoll.DurableRelation:
+		add, del = t.Add, t.Delete
+	case *dyncoll.DurableGraph:
+		add, del = t.AddEdge, t.DeleteEdge
 	}
+	if op := pairs[i]; op.Del {
+		return del(op.A, op.B)
+	}
+	return add(pairs[i].A, pairs[i].B)
 }
 
 // openDurable opens the config's structure kind in its directory.
@@ -242,9 +115,9 @@ func RunChild(cfg ChildConfig, printf func(format string, args ...any)) error {
 	if err != nil {
 		return err
 	}
-	ops := GenOps(cfg.Kind, cfg.Seed, cfg.Ops)
-	for i, op := range ops {
-		if err := applyDurable(target, cfg.Kind, op); err != nil {
+	docs, pairs := cfg.Stream()
+	for i := range cfg.Ops {
+		if err := applyDurable(target, docs, pairs, i); err != nil {
 			return fmt.Errorf("op %d: %w", i+1, err)
 		}
 		printf("ack %d\n", i+1)

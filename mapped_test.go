@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"dyncoll/internal/snap"
@@ -20,119 +19,6 @@ func saveMapped(t *testing.T, save func(path string) error) string {
 		t.Fatalf("SaveMappedFile: %v", err)
 	}
 	return path
-}
-
-// TestMappedCollectionMatrix is the mapped acceptance matrix: every
-// transformation × sharding × index must answer byte-identically
-// between the heap-built original and a mapped open of its v2
-// snapshot — including after further mutations, since a mapped
-// structure stays fully dynamic. The custom registry index exercises
-// the raw-items fallback (no mapped layout → rebuild at open).
-func TestMappedCollectionMatrix(t *testing.T) {
-	registerSnapTestIndex()
-	for _, tr := range []Transformation{Amortized, WorstCase} {
-		for _, shards := range []int{0, 4} {
-			for _, index := range []string{IndexFM4, IndexFM, IndexSA, IndexCSA, "snap-suffix-table"} {
-				name := fmt.Sprintf("tr%d/shards%d/%s", tr, shards, index)
-				t.Run(name, func(t *testing.T) {
-					opts := []Option{
-						WithTransformation(tr),
-						WithIndex(index),
-						WithSyncRebuilds(),
-						WithMinCapacity(16),
-					}
-					if shards > 0 {
-						opts = append(opts, WithShards(shards))
-					}
-					c := mustCollection(t, opts...)
-					snapCollectionCorpus(t, c)
-					c.WaitIdle()
-
-					path := saveMapped(t, c.SaveMappedFile)
-					m, err := OpenMappedCollection(path, MappedVerify())
-					if err != nil {
-						t.Fatalf("OpenMappedCollection: %v", err)
-					}
-					defer m.Close()
-					collectionsEqual(t, name, c, m)
-					if got := m.Stats().Shards; got != shards {
-						t.Fatalf("mapped shards = %d, want %d", got, shards)
-					}
-
-					// Identical mutations on both sides must keep the answers
-					// identical: C0 and rebuilds run in heap either way.
-					for _, cc := range []*Collection{c, m} {
-						if err := cc.Insert(Document{ID: 1000, Data: []byte("post-open abracadabra")}); err != nil {
-							t.Fatalf("post-open Insert: %v", err)
-						}
-						if err := cc.Delete(21); err != nil {
-							t.Fatalf("post-open Delete: %v", err)
-						}
-					}
-					collectionsEqual(t, name+"/mutated", c, m)
-				})
-			}
-		}
-	}
-}
-
-// relationsEqual compares query answers between two relations over the
-// snapRelationCorpus key space.
-func relationsEqual(t *testing.T, label string, a, b *Relation) {
-	t.Helper()
-	a.WaitIdle()
-	b.WaitIdle()
-	if a.Len() != b.Len() {
-		t.Fatalf("%s: Len = %d, want %d", label, b.Len(), a.Len())
-	}
-	for o := uint64(1); o <= 41; o++ {
-		if !slices.Equal(a.Labels(o), b.Labels(o)) {
-			t.Fatalf("%s: Labels(%d) diverge", label, o)
-		}
-		if a.CountLabels(o) != b.CountLabels(o) {
-			t.Fatalf("%s: CountLabels(%d) diverges", label, o)
-		}
-	}
-	for l := uint64(1); l <= 8; l++ {
-		if !slices.Equal(a.Objects(l), b.Objects(l)) {
-			t.Fatalf("%s: Objects(%d) diverge", label, l)
-		}
-		if a.CountObjects(l) != b.CountObjects(l) {
-			t.Fatalf("%s: CountObjects(%d) diverges", label, l)
-		}
-	}
-	for o := uint64(1); o <= 40; o++ {
-		if a.Related(o, 1) != b.Related(o, 1) {
-			t.Fatalf("%s: Related(%d,1) diverges", label, o)
-		}
-	}
-}
-
-// graphsEqual compares query answers between two graphs over the
-// snapRelationCorpus key space.
-func graphsEqual(t *testing.T, label string, a, b *Graph) {
-	t.Helper()
-	a.WaitIdle()
-	b.WaitIdle()
-	if a.EdgeCount() != b.EdgeCount() {
-		t.Fatalf("%s: EdgeCount = %d, want %d", label, b.EdgeCount(), a.EdgeCount())
-	}
-	for u := uint64(1); u <= 41; u++ {
-		if !slices.Equal(a.Neighbors(u), b.Neighbors(u)) {
-			t.Fatalf("%s: Neighbors(%d) diverge", label, u)
-		}
-		if a.OutDegree(u) != b.OutDegree(u) {
-			t.Fatalf("%s: OutDegree(%d) diverges", label, u)
-		}
-	}
-	for v := uint64(1); v <= 8; v++ {
-		if !slices.Equal(a.ReverseNeighbors(v), b.ReverseNeighbors(v)) {
-			t.Fatalf("%s: ReverseNeighbors(%d) diverge", label, v)
-		}
-		if a.InDegree(v) != b.InDegree(v) {
-			t.Fatalf("%s: InDegree(%d) diverges", label, v)
-		}
-	}
 }
 
 // TestMappedStatsResidency pins the Stats residency split: zero for

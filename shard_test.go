@@ -53,81 +53,6 @@ func TestShardOfDistribution(t *testing.T) {
 	}
 }
 
-// TestShardedCollectionEquivalence drives the same operation sequence
-// through an unsharded and a sharded collection and requires identical
-// observable state.
-func TestShardedCollectionEquivalence(t *testing.T) {
-	for _, p := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			plain := mustCollection(t, WithSyncRebuilds())
-			shrd := mustCollection(t, WithSyncRebuilds(), WithShards(p))
-			for i := uint64(1); i <= 60; i++ {
-				d := Document{ID: i, Data: []byte(fmt.Sprintf("payload %d abracadabra", i))}
-				mustInsert(t, plain, d)
-				mustInsert(t, shrd, d)
-			}
-			for i := uint64(3); i <= 60; i += 7 {
-				if err := plain.Delete(i); err != nil {
-					t.Fatal(err)
-				}
-				if err := shrd.Delete(i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			plain.WaitIdle()
-			shrd.WaitIdle()
-
-			if plain.DocCount() != shrd.DocCount() || plain.Len() != shrd.Len() {
-				t.Fatalf("DocCount/Len diverge: %d/%d vs %d/%d",
-					plain.DocCount(), plain.Len(), shrd.DocCount(), shrd.Len())
-			}
-			for _, pat := range []string{"abra", "payload 1", "zzz"} {
-				if a, b := plain.Count([]byte(pat)), shrd.Count([]byte(pat)); a != b {
-					t.Fatalf("Count(%q) diverges: %d vs %d", pat, a, b)
-				}
-				a, b := plain.Find([]byte(pat)), shrd.Find([]byte(pat))
-				if len(a) != len(b) {
-					t.Fatalf("Find(%q) diverges: %d vs %d occurrences", pat, len(a), len(b))
-				}
-				seen := map[Occurrence]int{}
-				for _, o := range a {
-					seen[o]++
-				}
-				for _, o := range b {
-					if seen[o] == 0 {
-						t.Fatalf("Find(%q): sharded reported %v not in unsharded result", pat, o)
-					}
-					seen[o]--
-				}
-			}
-			ids := shrd.DocIDs()
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			want := plain.DocIDs()
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if len(ids) != len(want) {
-				t.Fatalf("DocIDs diverge: %v vs %v", ids, want)
-			}
-			for i := range ids {
-				if ids[i] != want[i] {
-					t.Fatalf("DocIDs diverge at %d: %v vs %v", i, ids, want)
-				}
-			}
-			for _, id := range ids {
-				pa, oka := plain.Extract(id, 0, 7)
-				pb, okb := shrd.Extract(id, 0, 7)
-				if oka != okb || !bytes.Equal(pa, pb) {
-					t.Fatalf("Extract(%d) diverges: %q/%v vs %q/%v", id, pa, oka, pb, okb)
-				}
-				la, _ := plain.DocLen(id)
-				lb, _ := shrd.DocLen(id)
-				if la != lb {
-					t.Fatalf("DocLen(%d) diverges: %d vs %d", id, la, lb)
-				}
-			}
-		})
-	}
-}
-
 // TestShardedBatchAtomicity checks that an invalid batch inserts nothing
 // on any shard, even when the offending document lands on the last shard
 // validated.

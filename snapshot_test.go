@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
+
+	"dyncoll/internal/oracle"
 )
 
 // registerSnapTestIndex registers the suffix-table test index (defined
@@ -19,131 +20,46 @@ var registerSnapTestIndex = sync.OnceFunc(func() {
 	}
 })
 
-// snapCollectionCorpus fills c with documents across several ladder
-// levels and deletes a few so lazy-deletion state must round-trip.
-func snapCollectionCorpus(t *testing.T, c *Collection) {
-	t.Helper()
+// corpusDocs are the collection corpus's 60 documents; corpusDeletes the
+// IDs it deletes after inserting them.
+func corpusDocs() []Document {
 	words := []string{"abracadabra", "alakazam", "avada kedavra", "hocus pocus", "sim sala bim"}
 	var docs []Document
 	for i := uint64(1); i <= 60; i++ {
 		docs = append(docs, Document{ID: i, Data: []byte(fmt.Sprintf("%s %d", words[i%uint64(len(words))], i))})
 	}
-	if err := c.InsertBatch(docs[:40]); err != nil {
-		t.Fatalf("InsertBatch: %v", err)
-	}
-	for _, d := range docs[40:] {
-		mustInsert(t, c, d)
-	}
-	for _, id := range []uint64{3, 17, 41, 58} {
-		if err := c.Delete(id); err != nil {
-			t.Fatalf("Delete(%d): %v", id, err)
-		}
-	}
+	return docs
 }
 
-// collectionsEqual compares query answers between two collections.
-func collectionsEqual(t *testing.T, label string, a, b *Collection) {
+var corpusDeletes = []uint64{3, 17, 41, 58}
+
+// snapCollectionCorpus fills each writer with documents across several
+// ladder levels and deletes a few so lazy-deletion state must
+// round-trip.
+func snapCollectionCorpus(t *testing.T, ws ...docWriter) {
 	t.Helper()
-	a.WaitIdle()
-	b.WaitIdle()
-	if a.DocCount() != b.DocCount() || a.Len() != b.Len() {
-		t.Fatalf("%s: %d docs/%d symbols, want %d/%d", label, b.DocCount(), b.Len(), a.DocCount(), a.Len())
-	}
-	idsA, idsB := a.DocIDs(), b.DocIDs()
-	slices.Sort(idsA)
-	slices.Sort(idsB)
-	if !slices.Equal(idsA, idsB) {
-		t.Fatalf("%s: DocIDs diverge", label)
-	}
-	for _, p := range []string{"abra", "kazam", "a", "pocus", "zzz", "13"} {
-		if ca, cb := a.Count([]byte(p)), b.Count([]byte(p)); ca != cb {
-			t.Fatalf("%s: Count(%q) = %d, want %d", label, p, cb, ca)
+	docs := corpusDocs()
+	for _, w := range ws {
+		must(t, w.InsertBatch(docs[:40]))
+		for _, d := range docs[40:] {
+			must(t, w.Insert(d))
 		}
-		occA, occB := a.Find([]byte(p)), b.Find([]byte(p))
-		sortOcc := func(o []Occurrence) {
-			slices.SortFunc(o, func(x, y Occurrence) int {
-				if x.DocID != y.DocID {
-					if x.DocID < y.DocID {
-						return -1
-					}
-					return 1
-				}
-				return x.Off - y.Off
-			})
-		}
-		sortOcc(occA)
-		sortOcc(occB)
-		if !slices.Equal(occA, occB) {
-			t.Fatalf("%s: Find(%q) diverges (%d vs %d occs)", label, p, len(occB), len(occA))
-		}
-	}
-	for _, id := range idsA {
-		la, oka := a.DocLen(id)
-		lb, okb := b.DocLen(id)
-		if la != lb || oka != okb {
-			t.Fatalf("%s: DocLen(%d) = (%d,%v), want (%d,%v)", label, id, lb, okb, la, oka)
-		}
-		da, _ := a.Extract(id, 0, la)
-		db, _ := b.Extract(id, 0, lb)
-		if !bytes.Equal(da, db) {
-			t.Fatalf("%s: Extract(%d) diverges", label, id)
-		}
-	}
-	for _, id := range []uint64{3, 17, 41, 58, 9999} {
-		if a.Has(id) != b.Has(id) {
-			t.Fatalf("%s: Has(%d) diverges", label, id)
+		for _, id := range corpusDeletes {
+			must(t, w.Delete(id))
 		}
 	}
 }
 
-// TestCollectionSnapshotRoundTrip is the acceptance matrix: every
-// transformation × sharding × index (four built-ins plus a custom
-// registry index) must answer identical queries after Save → Load.
-func TestCollectionSnapshotRoundTrip(t *testing.T) {
-	registerSnapTestIndex()
-	for _, tr := range []Transformation{Amortized, WorstCase} {
-		for _, shards := range []int{0, 4} {
-			for _, index := range []string{IndexFM4, IndexFM, IndexSA, IndexCSA, "snap-suffix-table"} {
-				name := fmt.Sprintf("tr%d/shards%d/%s", tr, shards, index)
-				t.Run(name, func(t *testing.T) {
-					opts := []Option{
-						WithTransformation(tr),
-						WithIndex(index),
-						WithSyncRebuilds(),
-						WithMinCapacity(16),
-					}
-					if shards > 0 {
-						opts = append(opts, WithShards(shards))
-					}
-					c := mustCollection(t, opts...)
-					snapCollectionCorpus(t, c)
-					c.WaitIdle()
+// modelWriter lets a corpus written for a collection fill the model.
+type modelWriter struct{ *oracle.Model }
 
-					var buf bytes.Buffer
-					if err := c.Save(&buf); err != nil {
-						t.Fatalf("Save: %v", err)
-					}
-					loaded := mustCollection(t) // default config: Load must replace it
-					if err := loaded.Load(bytes.NewReader(buf.Bytes())); err != nil {
-						t.Fatalf("Load: %v", err)
-					}
-					collectionsEqual(t, name, c, loaded)
-					if got := loaded.Stats().Shards; got != shards {
-						t.Fatalf("loaded shards = %d, want %d", got, shards)
-					}
-
-					// The loaded collection stays fully mutable.
-					if err := loaded.Insert(Document{ID: 1000, Data: []byte("post-load abra")}); err != nil {
-						t.Fatalf("post-load Insert: %v", err)
-					}
-					loaded.WaitIdle()
-					if got, want := loaded.Count([]byte("abra")), c.Count([]byte("abra"))+1; got != want {
-						t.Fatalf("post-load Count = %d, want %d", got, want)
-					}
-				})
-			}
-		}
+func (m modelWriter) Insert(d Document) error { m.Model.Insert(d); return nil }
+func (m modelWriter) Delete(id uint64) error  { m.Model.Delete(id); return nil }
+func (m modelWriter) InsertBatch(docs []Document) error {
+	for _, d := range docs {
+		m.Model.Insert(d)
 	}
+	return nil
 }
 
 func snapRelationCorpus(t *testing.T, add func(o, l uint64) error, del func(o, l uint64) error) {
@@ -277,12 +193,15 @@ func TestSnapshotFiles(t *testing.T) {
 	path := filepath.Join(dir, "coll.snap")
 
 	c := mustCollection(t, WithSyncRebuilds(), WithMinCapacity(16))
-	snapCollectionCorpus(t, c)
+	var m oracle.Model
+	snapCollectionCorpus(t, c, modelWriter{&m})
 	if err := c.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
 	// Overwrite with more data; the rename must replace the old bytes.
-	mustInsert(t, c, Document{ID: 500, Data: []byte("second save")})
+	for _, w := range []docWriter{c, modelWriter{&m}} {
+		must(t, w.Insert(Document{ID: 500, Data: []byte("second save")}))
+	}
 	if err := c.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile overwrite: %v", err)
 	}
@@ -290,7 +209,7 @@ func TestSnapshotFiles(t *testing.T) {
 	if err := loaded.LoadFile(path); err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	collectionsEqual(t, "file", c, loaded)
+	checkDocs(t, "file", &m, loaded)
 	// No temp files left behind.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -351,13 +270,16 @@ func TestSaveFileDurableRename(t *testing.T) {
 	}
 	path := filepath.Join(dir, "coll.snap")
 	c := mustCollection(t, WithShards(2), WithSyncRebuilds(), WithMinCapacity(16))
-	snapCollectionCorpus(t, c)
+	var m oracle.Model
+	snapCollectionCorpus(t, c, modelWriter{&m})
 	if err := c.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
 	// Overwrite: the rename path must replace, not fail on, an existing
 	// destination.
-	mustInsert(t, c, Document{ID: 900, Data: []byte("post-first-save")})
+	for _, w := range []docWriter{c, modelWriter{&m}} {
+		must(t, w.Insert(Document{ID: 900, Data: []byte("post-first-save")}))
+	}
 	if err := c.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile over existing: %v", err)
 	}
@@ -377,7 +299,7 @@ func TestSaveFileDurableRename(t *testing.T) {
 	if err := loaded.LoadFile(path); err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	collectionsEqual(t, "durable rename", c, loaded)
+	checkDocs(t, "durable rename", &m, loaded)
 }
 
 // TestSyncDir checks the directory-fsync helper both on a real
