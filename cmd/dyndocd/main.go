@@ -13,14 +13,17 @@
 //	                fsynced before the HTTP reply, checkpoints are
 //	                incremental, and recovery (checkpoint + WAL tail)
 //	                runs before listening — kill -9 loses nothing
-//	                acknowledged.
+//	                acknowledged. Each assignment row a frontend names
+//	                (?range=N) is a collection of its own, persisted at
+//	                PATH.range<N> or DIR/range-<N>; the default
+//	                collection serves direct clients.
 //	-mode=frontend  stateless query router over -backends=h1,h2,…:
 //	                keyed ops proxy to the replica set owning the
-//	                document (versioned assignment table, -replication R
-//	                or an explicit -assignment file), un-routable queries
-//	                fan out one request per assignment row and the NDJSON
-//	                streams merge with propagated early break. Every
-//	                backend call carries a deadline (-op-timeout), reads
+//	                document (one assignment row per backend, each held
+//	                by -replication R backends), un-routable queries fan
+//	                out one request per group of rows a live backend
+//	                hosts, and the NDJSON streams merge with propagated
+//	                early break. Every backend call carries a deadline (-op-timeout), reads
 //	                retry with backoff (-retries, -retry-base) and hedge
 //	                against slow replicas (-hedge), and per-backend
 //	                circuit breakers (-breaker-failures,
@@ -51,7 +54,6 @@ import (
 
 	"dyncoll"
 	"dyncoll/internal/server"
-	"dyncoll/internal/shardmap"
 )
 
 func main() {
@@ -65,7 +67,6 @@ func main() {
 
 		// Fault tolerance (frontend).
 		replication = flag.Int("replication", 1, "replica count R per assignment row; writes reach all R, reads any live one (frontend)")
-		assignFile  = flag.String("assignment", "", "explicit JSON assignment table file; overrides -replication (frontend)")
 		opTimeout   = flag.Duration("op-timeout", 5*time.Second, "per-backend-call deadline, also the stream stall watchdog (frontend)")
 		retries     = flag.Int("retries", 3, "max attempts per retryable backend call (frontend)")
 		retryBase   = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff; doubles per attempt with jitter (frontend)")
@@ -99,8 +100,8 @@ func main() {
 	case "frontend":
 		runFrontend(frontendConfig{
 			listen: *listen, backends: *backends, drainTimeout: *drainFor,
-			replication: *replication, assignment: *assignFile,
-			opTimeout: *opTimeout, retries: *retries, retryBase: *retryBase,
+			replication: *replication,
+			opTimeout:   *opTimeout, retries: *retries, retryBase: *retryBase,
 			breakerFailures: *brkFailures, breakerCooldown: *brkCooldown,
 			hedge: *hedge,
 		})
@@ -162,7 +163,7 @@ func runBackend(cfg backendConfig) {
 
 // rowStore is what the persistence modes do differently. Besides its
 // default collection, a backend hosts one collection per assignment row
-// a replicated frontend addresses (?range=N); row N lives at prefix+N.
+// a frontend addresses (?range=N); row N lives at prefix+N.
 type rowStore struct {
 	home   string // the default collection's file or directory; "" keeps it in memory
 	prefix string // "" keeps rows in memory
@@ -326,12 +327,12 @@ func durableRows(cfg backendConfig, opts []dyncoll.Option) rowStore {
 }
 
 type frontendConfig struct {
-	listen, backends, assignment string
-	replication                  int
-	retries, breakerFailures     int
-	opTimeout, retryBase         time.Duration
-	breakerCooldown, hedge       time.Duration
-	drainTimeout                 time.Duration
+	listen, backends         string
+	replication              int
+	retries, breakerFailures int
+	opTimeout, retryBase     time.Duration
+	breakerCooldown, hedge   time.Duration
+	drainTimeout             time.Duration
 }
 
 func runFrontend(cfg frontendConfig) {
@@ -341,32 +342,20 @@ func runFrontend(cfg frontendConfig) {
 			addrs = append(addrs, a)
 		}
 	}
-	fc := server.FrontendConfig{
+	f, err := server.NewFrontendConfig(server.FrontendConfig{
 		Backends:    addrs,
 		Replication: cfg.replication,
 		OpTimeout:   cfg.opTimeout,
 		Retry:       server.RetryPolicy{Attempts: cfg.retries, Base: cfg.retryBase},
 		Breaker:     server.BreakerConfig{Failures: cfg.breakerFailures, Cooldown: cfg.breakerCooldown},
 		HedgeDelay:  cfg.hedge,
-	}
-	if cfg.assignment != "" {
-		data, err := os.ReadFile(cfg.assignment)
-		if err != nil {
-			log.Fatalf("dyndocd: -assignment: %v", err)
-		}
-		a, err := shardmap.ParseAssignment(data)
-		if err != nil {
-			log.Fatalf("dyndocd: -assignment %s: %v", cfg.assignment, err)
-		}
-		fc.Assignment = &a
-	}
-	f, err := server.NewFrontendConfig(fc)
+	})
 	if err != nil {
 		log.Fatalf("dyndocd: %v (use -backends=host1:port,host2:port,…)", err)
 	}
 	asg := f.Assignment()
-	log.Printf("routing %d row(s) across %d backend(s), replication %d (assignment v%d): %s",
-		asg.Rows(), len(f.Backends()), asg.Replication, asg.Version, strings.Join(f.Backends(), ", "))
+	log.Printf("routing %d row(s) across %d backend(s), replication %d: %s",
+		asg.Rows(), len(f.Backends()), asg.Replication, strings.Join(f.Backends(), ", "))
 	serveUntilSignal("frontend", cfg.listen, f.Handler(), cfg.drainTimeout, nil)
 }
 

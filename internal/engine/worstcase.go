@@ -23,10 +23,13 @@ import (
 //     one open top that builds once it weighs groupWeight() =
 //     max(192 KiB, nf/(4τ)), so a bulk ingest leaves O(τ) tops per
 //     doubling of n rather than n/192 KiB;
-//   - deletions are lazy everywhere; a sweep process purges the top
-//     collection holding the most dead weight after every
-//     nf/(2τ·log τ) deleted units, which by Dietz–Sleator (Lemma 1)
-//     bounds every top's dead fraction by O(1/τ);
+//   - deletions are lazy everywhere. A level merges up once half its
+//     capacity is dead, so no level holds more dead weight than that;
+//     a sweep process purges the top collection holding the most dead
+//     weight after every nf/(2τ·log τ) deleted units, which by
+//     Dietz–Sleator (Lemma 1) bounds every top's dead weight by that
+//     interval times H_g — a bound on weight, not on a top's dead
+//     fraction, which a small top can exceed 1/τ by far;
 //   - when n drifts a factor 2 from nf, a background rebalance rebuilds
 //     the whole collection into fresh top collections (Section A.3).
 //

@@ -11,13 +11,13 @@ import (
 )
 
 // TestFrontendFindAllocBytes gates the bytes one frontend find of 20
-// lines allocates — client, frontend and both backends of the trivial
-// table together, all in this process — so a per-stream buffer sized
+// lines allocates — client, frontend and both backends of an R=1 table
+// together, all in this process — so a per-stream buffer sized
 // for the worst line, not the typical one, cannot come back: with a
 // 64 KiB scanner buffer per backend stream a find allocated about
 // 185 KB here, with the scanner's own 4 KiB start about 62 KB.
 func TestFrontendFindAllocBytes(t *testing.T) {
-	fts, _, _ := newCluster(t, 2)
+	fts, _, _ := newRangedCluster(t, 2, 1)
 	var docs []string
 	for id := 1; id <= 20; id++ {
 		docs = append(docs, fmt.Sprintf(`{"id":%d,"text":"alloc gate document %d with one needle"}`, id, id))

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,9 +157,11 @@ func TestChaosKillReviveUnderLoad(t *testing.T) {
 
 	// Mixed load: one writer (fresh IDs, never reused — a failed insert's
 	// ID is abandoned, so an ambiguous partial write can never collide),
-	// one reader asserting the correctness bound on every count.
-	var acked, attempted, writeFails atomic.Int64
+	// one reader asserting the correctness bound on every count. The
+	// writer inserts under writeGate's read lock, so the test can hold it.
+	var acked, attempted, writeFails, reads atomic.Int64
 	var readErr atomic.Pointer[string]
+	var writeGate sync.RWMutex
 	stop := make(chan struct{})
 	writerDone := make(chan struct{})
 	readerDone := make(chan struct{})
@@ -172,12 +175,14 @@ func TestChaosKillReviveUnderLoad(t *testing.T) {
 			default:
 			}
 			id++
+			writeGate.RLock()
 			attempted.Add(1)
 			if insertDoc(t, fts.URL, id, fmt.Sprintf("needle w%d", id)) {
 				acked.Add(1)
 			} else {
 				writeFails.Add(1)
 			}
+			writeGate.RUnlock()
 		}
 	}()
 	go func() {
@@ -219,11 +224,22 @@ func TestChaosKillReviveUnderLoad(t *testing.T) {
 				readErr.CompareAndSwap(nil, &msg)
 				return
 			}
+			reads.Add(1)
 		}
 	}()
 
 	time.Sleep(150 * time.Millisecond) // healthy load
+	// Hold the writer from the kill until a read begun after it has
+	// answered. Three failed writes would trip backend 0's breaker, and
+	// reads would then skip backend 0 without a retry; held, at most one
+	// read was cut, so the next one still finds the breaker closed, tries
+	// backend 0 first, fails and retries on backend 1.
+	writeGate.Lock()
 	kill(proxies[0])
+	for n := reads.Load(); reads.Load() < n+2 && readErr.Load() == nil; {
+		time.Sleep(time.Millisecond)
+	}
+	writeGate.Unlock()
 
 	// Degraded: /readyz must flip to 503 naming the dead backend once its
 	// breaker trips.

@@ -100,7 +100,7 @@ var coverFleets = []struct {
 	requests         int64
 	inserts, deletes int64
 }{
-	{"trivial 2 backends", 2, 1, 2, 2, 2},
+	{"NewAssignment(2,1)", 2, 1, 2, 2, 2},
 	{"NewAssignment(2,2)", 2, 2, 1, 4, 4},
 	{"NewAssignment(3,2)", 3, 2, 2, 6, 6},
 	{"NewAssignment(4,2)", 4, 2, 2, 8, 8},
@@ -123,8 +123,10 @@ func insertCorpus(t *testing.T, base string, docs []dyncoll.Document) {
 // per group of its cover, counted by the backends' own request metrics,
 // and answers what a reference collection holding the same documents
 // answers. Hedging is off so that no duplicate read is ever sent. It
-// also pins what a fleet write sends today: the corpus insert and one
-// delete of a document from every row.
+// also pins what a fleet write sends today — the corpus insert and one
+// delete of a document from every row — and where it lands: in its
+// row's collection on every replica of the row, never in a backend's
+// default collection.
 func TestCoverRequests(t *testing.T) {
 	docs := coverCorpus()
 	reads := coverReads(t, docs)
@@ -141,6 +143,20 @@ func TestCoverRequests(t *testing.T) {
 			if got := sent("insert"); got != fl.inserts {
 				t.Errorf("corpus insert sent %d backend requests, want %d", got, fl.inserts)
 			}
+			for i, b := range backends {
+				if n := b.Collection().DocCount(); n != 0 {
+					t.Errorf("backend %d's default collection holds %d documents, want 0", i, n)
+				}
+			}
+			asg := fe.Assignment()
+			for _, d := range docs {
+				row := asg.RowOf(d.ID)
+				for _, b := range asg.Replicas(row) {
+					if c := backends[b].Ranges()[row]; c == nil || !c.Has(d.ID) {
+						t.Errorf("document %d is not in row %d on its replica, backend %d", d.ID, row, b)
+					}
+				}
+			}
 			for _, rd := range reads {
 				before := sent(rd.op)
 				rd.check(t, fts.URL)
@@ -150,7 +166,7 @@ func TestCoverRequests(t *testing.T) {
 			}
 			rows := map[int]uint64{} // a document of every row
 			for _, d := range docs {
-				rows[fe.Assignment().RowOf(d.ID)] = d.ID
+				rows[asg.RowOf(d.ID)] = d.ID
 			}
 			deleteDocs(t, fts.URL, slices.Collect(maps.Values(rows)))
 			if got := sent("delete"); got != fl.deletes {

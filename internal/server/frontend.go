@@ -20,16 +20,17 @@ import (
 )
 
 // Frontend is the stateless query router over a replicated fleet. The
-// versioned assignment table maps every document ID to an assignment
-// row — one of the paper's sub-collections — and every row to its
-// ordered replica set of R backends. Writes go to ALL replicas of the
+// assignment table NewAssignment(n, R) maps every document ID to an
+// assignment row — one of the paper's sub-collections — and every row
+// to its ordered replica set of R backends; every backend request names
+// its rows with ?range=. Writes go to ALL replicas of the
 // owning row (quorum = all), reads to any single live replica per row,
 // and un-routable queries fan out over a cover of the rows: one request
 // per group of rows that one live backend hosts together, merging the
 // groups' NDJSON streams through the same fanout contract the
-// in-process sharding layer uses. The table is a pure function of (key,
-// table), so any number of frontend replicas handed the same table
-// agree with no coordination.
+// in-process sharding layer uses. Placement is a pure function of the
+// key, the backend count and R, so any number of frontend replicas
+// handed the same backends and R agree with no coordination.
 //
 // Every backend call runs through the call engine (call.go): per-op
 // deadline, circuit-breaker gating, idempotent retries with backoff,
@@ -38,7 +39,6 @@ type Frontend struct {
 	backends  []string // normalized base URLs, index = backend number
 	asg       shardmap.Assignment
 	all       []int // every assignment row: what a fan-out read covers
-	ranged    bool  // false for the trivial 1:1 table: omit ?range=, bytes land in the default collections
 	cfg       FrontendConfig
 	opTimeout time.Duration
 	retry     RetryPolicy
@@ -57,12 +57,8 @@ type FrontendConfig struct {
 	// The order is the placement domain: every frontend replica must be
 	// handed the same list in the same order.
 	Backends []string
-	// Assignment, when non-nil, is the explicit placement table; its
-	// Backends must equal len(Backends). Nil derives the default table
-	// NewAssignment(len(Backends), Replication).
-	Assignment *shardmap.Assignment
-	// Replication is the replica count per assignment row when
-	// Assignment is nil; ≤ 1 means unreplicated.
+	// Replication is the replica count R per assignment row of the table
+	// NewAssignment(len(Backends), R); ≤ 1 means one replica per row.
 	Replication int
 	// OpTimeout is the per-backend-call deadline, and doubles as the
 	// stream stall watchdog (progress deadline per NDJSON line). ≤ 0
@@ -77,12 +73,6 @@ type FrontendConfig struct {
 	// a positive value hedges after that fixed delay, negative disables
 	// hedging.
 	HedgeDelay time.Duration
-}
-
-// NewFrontend builds an unreplicated frontend with default tuning —
-// the placement-compatible convenience constructor.
-func NewFrontend(backends []string) (*Frontend, error) {
-	return NewFrontendConfig(FrontendConfig{Backends: backends})
 }
 
 // NewFrontendConfig builds a frontend from an explicit configuration.
@@ -101,27 +91,11 @@ func NewFrontendConfig(cfg FrontendConfig) (*Frontend, error) {
 		}
 		norm[i] = b
 	}
-	var asg shardmap.Assignment
-	if cfg.Assignment != nil {
-		asg = *cfg.Assignment
-		if err := asg.Validate(); err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		if asg.Backends != len(norm) {
-			return nil, fmt.Errorf("server: assignment covers %d backends, fleet has %d", asg.Backends, len(norm))
-		}
-	} else {
-		r := cfg.Replication
-		if r < 1 {
-			r = 1
-		}
-		asg = shardmap.NewAssignment(len(norm), r)
-	}
+	asg := shardmap.NewAssignment(len(norm), cfg.Replication)
 	f := &Frontend{
 		backends:  norm,
 		asg:       asg,
 		all:       make([]int, asg.Rows()),
-		ranged:    !trivialAssignment(asg),
 		cfg:       cfg,
 		opTimeout: cfg.OpTimeout,
 		retry:     cfg.Retry.withDefaults(),
@@ -147,23 +121,6 @@ func NewFrontendConfig(cfg FrontendConfig) (*Frontend, error) {
 	return f, nil
 }
 
-// trivialAssignment reports whether asg is the identity table (one row
-// per backend, row i served only by backend i). Requests under it omit
-// the ?range= parameter, preserving the unreplicated wire protocol —
-// and with it the on-disk layout of existing unreplicated deployments.
-func trivialAssignment(asg shardmap.Assignment) bool {
-	if asg.Replication != 1 || asg.Rows() != asg.Backends {
-		return false
-	}
-	for i := 0; i < asg.Rows(); i++ {
-		rs := asg.Replicas(i)
-		if len(rs) != 1 || rs[0] != i {
-			return false
-		}
-	}
-	return true
-}
-
 // Backends returns the normalized backend base URLs.
 func (f *Frontend) Backends() []string { return f.backends }
 
@@ -182,13 +139,9 @@ func (f *Frontend) Handler() http.Handler {
 }
 
 // rowsURL addresses path (with its query string, if any) on backend b,
-// scoped to rows by one ?range= per row; trivial tables omit it (see
-// trivialAssignment).
+// scoped to rows by one ?range= per row.
 func (f *Frontend) rowsURL(b int, rows []int, path string) string {
 	u := f.backends[b] + path
-	if !f.ranged {
-		return u
-	}
 	sep := "?"
 	if strings.Contains(path, "?") {
 		sep = "&"
@@ -603,7 +556,7 @@ func (f *Frontend) handleExtract(w http.ResponseWriter, r *http.Request) {
 
 // handleAssignment serves the placement table verbatim: operators and
 // sibling frontends can fetch it to verify every router agrees on
-// placement (same version ⇒ same table ⇒ same routing).
+// placement.
 func (f *Frontend) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, f.asg)
 }
@@ -672,13 +625,12 @@ func (f *Frontend) handleVarz(w http.ResponseWriter, r *http.Request) {
 	}
 	lat := QuantilesOf(&f.beLat)
 	writeJSON(w, http.StatusOK, Varz{
-		Role:              "frontend",
-		UptimeSeconds:     f.met.Uptime().Seconds(),
-		Endpoints:         f.met.Snapshot(),
-		Counters:          f.met.Counters(),
-		Backends:          views,
-		AssignmentVersion: f.asg.Version,
-		Replication:       f.asg.Replication,
-		BackendLatencyMs:  &lat,
+		Role:             "frontend",
+		UptimeSeconds:    f.met.Uptime().Seconds(),
+		Endpoints:        f.met.Snapshot(),
+		Counters:         f.met.Counters(),
+		Backends:         views,
+		Replication:      f.asg.Replication,
+		BackendLatencyMs: &lat,
 	})
 }

@@ -14,34 +14,11 @@ import (
 	"dyncoll/internal/shardmap"
 )
 
-// newCluster starts nBackends backend servers and a frontend routing
-// over them, returning the frontend's test server plus the backends for
-// direct inspection.
-func newCluster(t *testing.T, nBackends int) (*httptest.Server, []*Backend, []*httptest.Server) {
-	t.Helper()
-	var backends []*Backend
-	var servers []*httptest.Server
-	var addrs []string
-	for i := 0; i < nBackends; i++ {
-		b, ts := newTestBackend(t)
-		backends = append(backends, b)
-		servers = append(servers, ts)
-		addrs = append(addrs, ts.URL)
-	}
-	fe, err := NewFrontend(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fts := httptest.NewServer(fe.Handler())
-	t.Cleanup(fts.Close)
-	return fts, backends, servers
-}
-
-// TestFrontendRouting: documents inserted through the frontend must land
-// on exactly the backend shardmap.BackendFor assigns, and extract must
-// route back to that owner.
+// TestFrontendRouting: documents inserted through an R=1 frontend must
+// land in exactly the row shardmap.BackendFor assigns, on the backend of
+// that row, and extract must route back to that owner.
 func TestFrontendRouting(t *testing.T) {
-	fts, backends, _ := newCluster(t, 2)
+	fts, backends, _ := newRangedCluster(t, 2, 1)
 
 	const nDocs = 60
 	var docs []string
@@ -53,17 +30,18 @@ func TestFrontendRouting(t *testing.T) {
 		t.Fatalf("insert via frontend: status %d, reply %v", status, out)
 	}
 
+	rows := []Coll{backends[0].Ranges()[0], backends[1].Ranges()[1]}
+	if rows[0] == nil || rows[1] == nil || rows[0].DocCount()+rows[1].DocCount() != nDocs {
+		t.Fatalf("backends hold %d documents, want %d over both rows", backends[0].DocCountAll()+backends[1].DocCountAll(), nDocs)
+	}
 	for id := uint64(1); id <= nDocs; id++ {
 		owner := shardmap.BackendFor(id, 2)
-		if !backends[owner].Collection().Has(id) {
-			t.Errorf("doc %d missing from its owner, backend %d", id, owner)
+		if !rows[owner].Has(id) {
+			t.Errorf("doc %d missing from its row on backend %d", id, owner)
 		}
-		if backends[1-owner].Collection().Has(id) {
-			t.Errorf("doc %d duplicated on non-owner backend %d", id, 1-owner)
+		if rows[1-owner].Has(id) {
+			t.Errorf("doc %d duplicated in row %d", id, 1-owner)
 		}
-	}
-	if c0, c1 := backends[0].Collection().DocCount(), backends[1].Collection().DocCount(); c0 == 0 || c1 == 0 || c0+c1 != nDocs {
-		t.Fatalf("placement %d + %d, want both non-zero summing to %d", c0, c1, nDocs)
 	}
 
 	// Extract through the frontend proxies to the owner.
@@ -83,9 +61,9 @@ func TestFrontendRouting(t *testing.T) {
 	if status != http.StatusOK || out["deleted"] != float64(3) {
 		t.Fatalf("delete via frontend: status %d reply %v", status, out)
 	}
-	for _, b := range backends {
+	for _, row := range rows {
 		for _, id := range []uint64{1, 2, 3} {
-			if b.Collection().Has(id) {
+			if row.Has(id) {
 				t.Errorf("doc %d survived a frontend delete", id)
 			}
 		}
@@ -95,7 +73,7 @@ func TestFrontendRouting(t *testing.T) {
 // TestFrontendMergedQueries: count must sum across backends and find
 // must merge both NDJSON streams.
 func TestFrontendMergedQueries(t *testing.T) {
-	fts, backends, _ := newCluster(t, 2)
+	fts, backends, _ := newRangedCluster(t, 2, 1)
 	var docs []string
 	for id := uint64(1); id <= 40; id++ {
 		docs = append(docs, fmt.Sprintf(`{"id":%d,"text":"needle and thread %d"}`, id, id))
@@ -106,7 +84,7 @@ func TestFrontendMergedQueries(t *testing.T) {
 	if s := getJSON(t, fts.URL+"/v1/count?q=needle", &count); s != http.StatusOK || count.Count != 40 {
 		t.Fatalf("merged count: status %d count %d, want 40", s, count.Count)
 	}
-	perBackend := backends[0].Collection().Count([]byte("needle")) + backends[1].Collection().Count([]byte("needle"))
+	perBackend := backends[0].Ranges()[0].Count([]byte("needle")) + backends[1].Ranges()[1].Count([]byte("needle"))
 	if count.Count != perBackend {
 		t.Fatalf("frontend count %d != per-backend sum %d", count.Count, perBackend)
 	}
@@ -134,7 +112,7 @@ func TestFrontendMergedQueries(t *testing.T) {
 
 	// R=2 over three ranged backends: every row is answered by one of
 	// its two replicas, so nothing is counted or streamed twice.
-	rts, _ := newRangedCluster(t, 3, 2)
+	rts, _, _ := newRangedCluster(t, 3, 2)
 	postJSON(t, rts.URL+"/v1/insert", `{"docs":[`+strings.Join(docs, ",")+`]}`)
 	if s := getJSON(t, rts.URL+"/v1/count?q=needle", &count); s != http.StatusOK || count.Count != 40 || count.Partial {
 		t.Fatalf("R=2 merged count: status %d %+v, want 40", s, count)
@@ -153,7 +131,7 @@ func TestFrontendMergedQueries(t *testing.T) {
 // stream exactly, and the early break propagates so backends stop
 // streaming shortly after.
 func TestFrontendFindLimit(t *testing.T) {
-	fts, backends, _ := newCluster(t, 2)
+	fts, backends, _ := newRangedCluster(t, 2, 1)
 	var docs []string
 	for id := uint64(1); id <= 20; id++ {
 		docs = append(docs, fmt.Sprintf(`{"id":%d,"text":"%s"}`, id, strings.Repeat("qq ", 2000)))
@@ -194,7 +172,7 @@ func TestFrontendFindLimit(t *testing.T) {
 	// R=2 over three ranged backends: one request per group of the rows'
 	// cover — rows {0,2} on backend 0, row {1} on backend 1 — each bounded
 	// by the limit.
-	rts, ranged := newRangedCluster(t, 3, 2)
+	rts, ranged, _ := newRangedCluster(t, 3, 2)
 	postJSON(t, rts.URL+"/v1/insert", `{"docs":[`+strings.Join(docs, ",")+`]}`)
 	if lines, trailer, status := findLines(t, rts.URL+"/v1/find?q=qq&limit=5"); status != http.StatusOK || trailer != nil || len(lines) != 5 {
 		t.Fatalf("R=2 limit=5: status %d trailer %v, %d lines", status, trailer, len(lines))
@@ -225,7 +203,7 @@ func TestFrontendFindLimit(t *testing.T) {
 // TestFrontendBatchAtomicityLocalChecks: batches the frontend can reject
 // locally (in-batch duplicates, reserved bytes) must reach no backend.
 func TestFrontendBatchAtomicityLocalChecks(t *testing.T) {
-	fts, backends, _ := newCluster(t, 2)
+	fts, backends, _ := newRangedCluster(t, 2, 1)
 	status, out := postJSON(t, fts.URL+"/v1/insert", `{"docs":[{"id":10,"text":"x"},{"id":10,"text":"y"}]}`)
 	if status != http.StatusConflict || out["error"] != CodeDuplicateID {
 		t.Fatalf("in-batch dup via frontend: status %d reply %v", status, out)
@@ -235,7 +213,7 @@ func TestFrontendBatchAtomicityLocalChecks(t *testing.T) {
 		t.Fatalf("reserved byte via frontend: status %d reply %v", status, out)
 	}
 	for i, b := range backends {
-		if n := b.Collection().DocCount(); n != 0 {
+		if n := b.DocCountAll(); n != 0 {
 			t.Errorf("backend %d holds %d doc(s) after rejected batches, want 0", i, n)
 		}
 	}
@@ -245,7 +223,7 @@ func TestFrontendBatchAtomicityLocalChecks(t *testing.T) {
 // backend and whole-fleet queries must fail loudly — never a silently
 // partial count.
 func TestFrontendBackendDown(t *testing.T) {
-	fts, _, servers := newCluster(t, 2)
+	fts, _, servers := newRangedCluster(t, 2, 1)
 	postJSON(t, fts.URL+"/v1/insert", `{"docs":[{"id":1,"text":"before the fall"}]}`)
 	servers[1].Close() // backend 1 goes away
 
@@ -278,7 +256,7 @@ func TestFrontendBackendDown(t *testing.T) {
 
 // TestFrontendVarz: the frontend's varz must report per-backend health.
 func TestFrontendVarz(t *testing.T) {
-	fts, _, servers := newCluster(t, 2)
+	fts, _, servers := newRangedCluster(t, 2, 1)
 	postJSON(t, fts.URL+"/v1/insert", `{"docs":[{"id":1,"text":"hello"},{"id":2,"text":"world"},{"id":3,"text":"again"}]}`)
 
 	var v Varz
@@ -320,7 +298,7 @@ func TestFrontendVarz(t *testing.T) {
 // document's row alone — a range parameter the client adds cannot
 // redirect the backend request to another row.
 func TestFrontendExtractRouting(t *testing.T) {
-	fts, _ := newRangedCluster(t, 3, 2)
+	fts, _, _ := newRangedCluster(t, 3, 2)
 	postJSON(t, fts.URL+"/v1/insert", `{"docs":[{"id":1,"text":"hello world"}]}`)
 	row := shardmap.NewAssignment(3, 2).RowOf(1)
 	for _, rng := range []int{0, 1, 2} {
@@ -334,9 +312,10 @@ func TestFrontendExtractRouting(t *testing.T) {
 
 // TestFrontendVarzRanged: under replication a backend's ladder report
 // covers the row collections it hosts, so the frontend sees every
-// backend's symbols.
+// backend's symbols, and each hosted row reports its own documents and
+// ladder.
 func TestFrontendVarzRanged(t *testing.T) {
-	fts, backends := newRangedCluster(t, 2, 2)
+	fts, backends, _ := newRangedCluster(t, 2, 2)
 	postJSON(t, fts.URL+"/v1/insert", `{"docs":[{"id":1,"text":"hello"},{"id":2,"text":"world!"}]}`)
 	for i, b := range backends {
 		ts := httptest.NewServer(b.Handler())
@@ -349,6 +328,17 @@ func TestFrontendVarzRanged(t *testing.T) {
 		if v.Ladder.Live != 11 || v.Ladder.SizeBits <= 0 || v.Ladder.BitsPerUnit <= 0 {
 			t.Errorf("backend %d ladder: live %d size_bits %d bits_per_unit %v, want 11 live symbols and a size",
 				i, v.Ladder.Live, v.Ladder.SizeBits, v.Ladder.BitsPerUnit)
+		}
+		docs, live := 0, 0
+		for rng, row := range v.RangeDocs {
+			if len(row.Ladder.Levels) == 0 || len(row.Ladder.ShardSizes) != 2 {
+				t.Errorf("backend %d row %s ladder: %d levels, shard sizes %v", i, rng, len(row.Ladder.Levels), row.Ladder.ShardSizes)
+			}
+			docs += row.Docs
+			live += row.Ladder.Live
+		}
+		if docs != 2 || live != 11 {
+			t.Errorf("backend %d rows hold %d docs and %d symbols, want 2 and 11", i, docs, live)
 		}
 	}
 	var v Varz
@@ -375,7 +365,7 @@ func TestFrontendExtractOversizedReply(t *testing.T) {
 		io.WriteString(w, strings.Repeat("A", 1<<10)+`"}`+"\n")
 	}))
 	t.Cleanup(fake.Close)
-	fe, err := NewFrontend([]string{fake.URL})
+	fe, err := NewFrontendConfig(FrontendConfig{Backends: []string{fake.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func applyFleet(t *testing.T, base string, m *oracle.Model, ops []oracle.DocOp) 
 }
 
 // TestOracleFleet is the oracle matrix's fleet leg: the document stream
-// written through the frontend of a trivial 2-backend fleet and of
+// written through the frontend of NewAssignment(2,1) and of
 // NewAssignment(3,2), whose count, find, extract and presence answers
 // must be the scanning model's after the stream, after the stream's
 // last quarter, and — under R=2 — with one replica's proxy killed.
@@ -86,7 +86,7 @@ func TestOracleFleet(t *testing.T) {
 	for _, fl := range []struct {
 		name string
 		n, r int
-	}{{"trivial 2 backends", 2, 1}, {"NewAssignment(3,2)", 3, 2}} {
+	}{{"NewAssignment(2,1)", 2, 1}, {"NewAssignment(3,2)", 3, 2}} {
 		t.Run(fl.name, func(t *testing.T) {
 			fts, _, _, proxies := newChaosCluster(t, fl.n, chaosConfig(fl.r))
 			var m oracle.Model

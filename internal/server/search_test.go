@@ -130,7 +130,7 @@ func TestBackendSearchUnionK(t *testing.T) {
 // streaming starts, on backend and frontend alike.
 func TestSearchBadPlan(t *testing.T) {
 	_, bts := newTestBackend(t)
-	fts, _, _ := newCluster(t, 2)
+	fts, _, _ := newRangedCluster(t, 2, 1)
 	for _, base := range []string{bts.URL, fts.URL} {
 		for _, q := range []string{"q=a(&regex=1", "q=x&k=-1", "q=" + "%5B" + "&regex=true"} {
 			var out map[string]any
@@ -145,7 +145,7 @@ func TestSearchBadPlan(t *testing.T) {
 // the per-backend exact top-k lists into the exact global top-k — docs
 // from both backends, unique, best-first.
 func TestFrontendSearchRankedMerge(t *testing.T) {
-	fts, backends, _ := newCluster(t, 2)
+	fts, backends, _ := newRangedCluster(t, 2, 1)
 	// Doc i contains "needle" i times; higher IDs score higher on match
 	// count but all docs share the same length band.
 	var docs []string
@@ -180,9 +180,9 @@ func TestFrontendSearchRankedMerge(t *testing.T) {
 	// spread by hash, both must hold at least one top-5 doc or the test
 	// corpus needs reshaping — assert the placement assumption holds.
 	bothServed := 0
-	for _, b := range backends {
+	for i, b := range backends {
 		for id := range seen {
-			if b.Collection().Has(id) {
+			if b.Ranges()[i].Has(id) {
 				bothServed++
 				break
 			}
@@ -199,7 +199,7 @@ func TestFrontendSearchRankedMerge(t *testing.T) {
 // ~20000 matching occurrences, because the k-bound travels inside the
 // plan and the executor stops enumerating once it is met.
 func TestFrontendSearchEarlyBreak(t *testing.T) {
-	fts, backends, _ := newCluster(t, 2)
+	fts, backends, _ := newRangedCluster(t, 2, 1)
 	var docs []string
 	for id := uint64(1); id <= 20; id++ {
 		docs = append(docs, fmt.Sprintf(`{"id":%d,"text":"%s"}`, id, strings.Repeat("qq ", 2000)))

@@ -262,18 +262,18 @@ func (p PlainColl) DeleteBatch(ids []uint64) (int, error) {
 // for concurrent use.
 //
 // A backend hosts one default collection plus, when range hosting is
-// enabled, one lazily-created collection per assignment row it
-// replicates (the ?range=N parameter names the row). A row is one of
-// the paper's sub-collections; replication places the same row on R
-// backends, and keeping rows in separate collections is what lets a
-// replica answer for exactly the rows a frontend asks about — a
-// backend-level count cannot tell which row a document belongs to, so
-// under replication the row must be the addressable unit. A read may
-// name several rows (?range=0&range=1) and answers for their union, so
-// a frontend asks one backend once for every row it hosts; writes and
-// extract name at most one. Requests without ?range= hit the default
-// collection (writes) or the union of everything hosted (reads), so
-// direct backend access keeps working.
+// enabled, one lazily-created collection per assignment row it hosts
+// (the ?range=N parameter names the row; a frontend names it on every
+// request). A row is one of the paper's sub-collections; replication
+// places the same row on R backends, and keeping rows in separate
+// collections is what lets a replica answer for exactly the rows a
+// frontend asks about — a backend-level count cannot tell which row a
+// document belongs to, so the row must be the addressable unit. A read
+// may name several rows (?range=0&range=1) and answers for their union,
+// so a frontend asks one backend once for every row it hosts; writes
+// and extract name at most one. Requests without ?range= hit the
+// default collection (writes) or the union of everything hosted
+// (reads): the default collection serves direct clients only.
 type Backend struct {
 	coll    Coll
 	factory func(rng int) (Coll, error)
@@ -687,7 +687,8 @@ func (b *Backend) handleExtract(w http.ResponseWriter, r *http.Request) {
 
 // handleVarz reports the backend's metrics. Docs, the ladder's live
 // symbols and its size cover every hosted collection; the ladder's
-// levels and shard sizes describe the default collection.
+// levels and shard sizes describe the default collection, and each
+// hosted row has its own entry.
 func (b *Backend) handleVarz(w http.ResponseWriter, r *http.Request) {
 	v := Varz{
 		Role:          "backend",
@@ -701,14 +702,20 @@ func (b *Backend) handleVarz(w http.ResponseWriter, r *http.Request) {
 		live += c.Len()
 		bits += c.SizeBits()
 	}
-	lv := NewLadderVarz(b.coll.Stats(), "symbol", live, bits)
-	lv.ShardSizes = b.coll.ShardSizes()
+	lv := ladderVarz(b.coll, live, bits)
 	v.Ladder = &lv
 	if rngs := b.Ranges(); len(rngs) > 0 {
-		v.RangeDocs = make(map[string]int, len(rngs))
+		v.RangeDocs = make(map[string]RowVarz, len(rngs))
 		for rng, c := range rngs {
-			v.RangeDocs[strconv.Itoa(rng)] = c.DocCount()
+			v.RangeDocs[strconv.Itoa(rng)] = RowVarz{Docs: c.DocCount(), Ladder: ladderVarz(c, c.Len(), c.SizeBits())}
 		}
 	}
 	writeJSON(w, http.StatusOK, v)
+}
+
+// ladderVarz reports c's ladder, with live symbols and size as given.
+func ladderVarz(c Coll, live int, bits int64) LadderVarz {
+	lv := NewLadderVarz(c.Stats(), "symbol", live, bits)
+	lv.ShardSizes = c.ShardSizes()
+	return lv
 }

@@ -22,16 +22,15 @@ type Varz struct {
 
 	// Backend role. RangeDocs breaks Docs down by hosted assignment row
 	// (JSON object keys must be strings, hence the stringified row ids).
-	Docs      int            `json:"docs,omitempty"`
-	RangeDocs map[string]int `json:"range_docs,omitempty"`
-	Ladder    *LadderVarz    `json:"ladder,omitempty"`
+	Docs      int                `json:"docs,omitempty"`
+	RangeDocs map[string]RowVarz `json:"range_docs,omitempty"`
+	Ladder    *LadderVarz        `json:"ladder,omitempty"`
 
 	// Frontend role.
 	Backends []BackendVarz `json:"backends,omitempty"`
-	// AssignmentVersion/Replication describe the placement table the
-	// frontend routes by (see /v1/assignment for the full table).
-	AssignmentVersion uint64 `json:"assignment_version,omitempty"`
-	Replication       int    `json:"replication,omitempty"`
+	// Replication is the R of the table the frontend routes by (see
+	// /v1/assignment for the full table).
+	Replication int `json:"replication,omitempty"`
 	// BackendLatencyMs is the per-backend-call latency distribution the
 	// adaptive hedge delay derives from.
 	BackendLatencyMs *Quantiles `json:"backend_latency_ms,omitempty"`
@@ -53,7 +52,7 @@ type LadderVarz struct {
 	// Shards is the shard count (0 when unsharded); ShardSizes is the
 	// per-shard live-weight occupancy, when the caller provides it. On a
 	// backend these, like every field below, describe the default
-	// collection only.
+	// collection only; each hosted row's are in Varz.RangeDocs.
 	Shards     int   `json:"shards,omitempty"`
 	ShardSizes []int `json:"shard_sizes,omitempty"`
 	// MappedBytes/HeapBytes split the footprint into snapshot pages
@@ -82,6 +81,12 @@ type LadderVarz struct {
 	Levels []LevelVarz `json:"levels"`
 	// TopSizes lists live weights of the worst-case top collections.
 	TopSizes []int `json:"top_sizes,omitempty"`
+}
+
+// RowVarz is one hosted assignment row: its documents and its ladder.
+type RowVarz struct {
+	Docs   int        `json:"docs"`
+	Ladder LadderVarz `json:"ladder"`
 }
 
 // LevelVarz is one ladder slot's occupancy.

@@ -15,8 +15,8 @@ import (
 
 // newRangedCluster starts n range-hosting backends and a frontend that
 // replicates every assignment row on r of them, returning the
-// frontend's test server plus the backends.
-func newRangedCluster(t *testing.T, n, r int) (*httptest.Server, []*Backend) {
+// frontend's test server plus the backends and their test servers.
+func newRangedCluster(t *testing.T, n, r int) (*httptest.Server, []*Backend, []*httptest.Server) {
 	t.Helper()
 	factory := func(int) (Coll, error) {
 		c, err := dyncoll.NewCollection(
@@ -27,6 +27,7 @@ func newRangedCluster(t *testing.T, n, r int) (*httptest.Server, []*Backend) {
 		return PlainColl{c}, err
 	}
 	var backends []*Backend
+	var servers []*httptest.Server
 	var addrs []string
 	for i := 0; i < n; i++ {
 		def, err := factory(-1)
@@ -37,6 +38,7 @@ func newRangedCluster(t *testing.T, n, r int) (*httptest.Server, []*Backend) {
 		ts := httptest.NewServer(b.Handler())
 		t.Cleanup(ts.Close)
 		backends = append(backends, b)
+		servers = append(servers, ts)
 		addrs = append(addrs, ts.URL)
 	}
 	fe, err := NewFrontendConfig(FrontendConfig{Backends: addrs, Replication: r})
@@ -45,7 +47,7 @@ func newRangedCluster(t *testing.T, n, r int) (*httptest.Server, []*Backend) {
 	}
 	fts := httptest.NewServer(fe.Handler())
 	t.Cleanup(fts.Close)
-	return fts, backends
+	return fts, backends, servers
 }
 
 // wireReply is one HTTP reply as a client receives it.
@@ -85,8 +87,8 @@ func sortedLines(body string) []string {
 }
 
 // TestWireShape pins the exact bytes a client receives from a backend
-// alone, from a frontend over the trivial R=1 table and from a frontend
-// over an R=2 table: all three answer one corpus identically. Streamed
+// alone, from a frontend over an R=1 table and from a frontend over an
+// R=2 table: all three answer one corpus identically. Streamed
 // lines compare as sorted sets, because the order in which shards and
 // rows interleave varies.
 func TestWireShape(t *testing.T) {
@@ -134,8 +136,8 @@ func TestWireShape(t *testing.T) {
 		start func(t *testing.T) string
 	}{
 		{"backend", func(t *testing.T) string { _, ts := newTestBackend(t); return ts.URL }},
-		{"frontend R=1", func(t *testing.T) string { fts, _, _ := newCluster(t, 2); return fts.URL }},
-		{"frontend R=2", func(t *testing.T) string { fts, _ := newRangedCluster(t, 3, 2); return fts.URL }},
+		{"frontend R=1", func(t *testing.T) string { fts, _, _ := newRangedCluster(t, 2, 1); return fts.URL }},
+		{"frontend R=2", func(t *testing.T) string { fts, _, _ := newRangedCluster(t, 3, 2); return fts.URL }},
 	}
 	for _, s := range setups {
 		t.Run(s.name, func(t *testing.T) {

@@ -1,42 +1,28 @@
 package shardmap
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
-// Assignment is the explicit, versioned key-range → replica-set table
-// the replicated fleet routes through. The key space is partitioned
-// into len(Table) ranges ("rows") by the same pinned BackendFor mixing
-// that places keys on backends, so a default table with one row per
-// backend is placement-compatible with the fixed pre-assignment
-// contract: row b's primary is backend b. Each row lists the ordered
-// replica set holding that range — primary first, then R−1 replicas —
-// and writes must reach every member (quorum = all) while reads may be
-// served by any live member.
+// Assignment is the key-range → replica-set table the fleet routes
+// through. The key space is partitioned into len(Table) ranges ("rows")
+// by the same pinned BackendFor mixing that places keys on backends, so
+// row b's primary is backend b. Each row lists the ordered replica set
+// holding that range — primary first, then R−1 replicas — and writes
+// must reach every member (quorum = all) while reads may be served by
+// any live member. R = 1 is the same table with one-member sets.
 //
-// The table is a data-placement contract exactly like BackendFor:
-// default tables are pinned by golden tests, and an operator-supplied
-// table (the -assignment flag) must carry a bumped Version so frontends
-// can detect that they disagree about placement.
+// The table is a data-placement contract exactly like BackendFor: it is
+// a pure function of (n, R), pinned by golden tests.
 type Assignment struct {
-	// Version identifies the placement epoch. NewAssignment tables are
-	// version 1; explicit tables bump it on every change.
-	Version uint64 `json:"version"`
 	// Backends is the fleet size n; every table entry is in [0, n).
 	Backends int `json:"backends"`
-	// Replication is the declared replication factor R (row length for
-	// default tables; informational for explicit ones).
+	// Replication is the replication factor R, the length of every row.
 	Replication int `json:"replication"`
 	// Table maps each key range (row) to its ordered replica set,
 	// primary first. Keys map to rows via RowOf.
 	Table [][]int `json:"table"`
 }
 
-// NewAssignment builds the default version-1 table for n backends with
-// replication factor r: one row per backend, row b = [b, (b+1)%n, …]
-// with min(r, n) ring successors. r ≤ 1 yields the unreplicated table
-// whose placement is identical to the fixed BackendFor contract.
+// NewAssignment builds the table for n backends with replication factor
+// r: one row per backend, row b = [b, (b+1)%n, …] with min(r, n) ring
+// successors.
 func NewAssignment(n, r int) Assignment {
 	if n < 1 {
 		n = 1
@@ -55,59 +41,17 @@ func NewAssignment(n, r int) Assignment {
 		}
 		table[b] = row
 	}
-	return Assignment{Version: 1, Backends: n, Replication: r, Table: table}
-}
-
-// ParseAssignment decodes and validates an explicit JSON table.
-func ParseAssignment(data []byte) (Assignment, error) {
-	var a Assignment
-	if err := json.Unmarshal(data, &a); err != nil {
-		return a, fmt.Errorf("shardmap: parsing assignment: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return a, err
-	}
-	return a, nil
-}
-
-// Validate checks the structural invariants every router relies on:
-// at least one row, every entry a distinct backend in [0, Backends).
-func (a Assignment) Validate() error {
-	if a.Backends < 1 {
-		return fmt.Errorf("shardmap: assignment needs backends ≥ 1, got %d", a.Backends)
-	}
-	if len(a.Table) == 0 {
-		return fmt.Errorf("shardmap: assignment table has no rows")
-	}
-	for row, set := range a.Table {
-		if len(set) == 0 {
-			return fmt.Errorf("shardmap: assignment row %d has no replicas", row)
-		}
-		seen := make(map[int]bool, len(set))
-		for _, b := range set {
-			if b < 0 || b >= a.Backends {
-				return fmt.Errorf("shardmap: assignment row %d names backend %d outside [0,%d)", row, b, a.Backends)
-			}
-			if seen[b] {
-				return fmt.Errorf("shardmap: assignment row %d lists backend %d twice", row, b)
-			}
-			seen[b] = true
-		}
-	}
-	return nil
+	return Assignment{Backends: n, Replication: r, Table: table}
 }
 
 // Rows returns the number of key ranges the table partitions into.
 func (a Assignment) Rows() int { return len(a.Table) }
 
 // RowOf maps a key to its range. It reuses the pinned BackendFor mixing
-// with n = Rows(), so a default one-row-per-backend table places every
-// key exactly where the fixed contract already did.
+// with n = Rows(), so a key's row is the backend the fixed contract
+// places it on.
 func (a Assignment) RowOf(key uint64) int { return BackendFor(key, len(a.Table)) }
 
 // Replicas returns row's ordered replica set (primary first). The
 // returned slice aliases the table; callers must not mutate it.
 func (a Assignment) Replicas(row int) []int { return a.Table[row] }
-
-// Primary returns the first replica of the row owning key.
-func (a Assignment) Primary(key uint64) int { return a.Table[a.RowOf(key)][0] }

@@ -103,11 +103,15 @@ kill -TERM "$b1_pid"
 if ! wait "$b1_pid"; then fail "backend 1 exited non-zero on SIGTERM (log: $(cat "$workdir/b1.log"))"; fi
 [ -s "$workdir/b1.snap" ] || fail "drain did not write the snapshot"
 grep -q 'drain snapshot:' "$workdir/b1.log" || fail "drain log missing snapshot line: $(cat "$workdir/b1.log")"
+# Backend 1 is the frontend's backend 0: the fleet's documents live in
+# its assignment row 0, which drains to a file of its own.
+[ -s "$workdir/b1.snap.range0" ] || fail "drain did not write row 0's snapshot b1.snap.range0"
 
 echo "== restart backend 1 from the drain snapshot; counts must match"
 "$workdir/dyndocd" -listen "$B1" -shards 2 -snapshot "$workdir/b1.snap" >"$workdir/b1b.log" 2>&1 &
 pids="$pids $!"
 wait_healthy "$B1"
+grep -q "restored snapshot $workdir/b1.snap.range0:" "$workdir/b1b.log" || fail "restart did not restore row 0: $(cat "$workdir/b1b.log")"
 b1_count2=$(curl -fsS "http://$B1/v1/count?q=needle" | sed 's/.*"count"://;s/[^0-9].*//')
 [ "$b1_count" = "$b1_count2" ] || fail "count after restore: $b1_count2, want $b1_count"
 out=$(curl -fsS "http://$FE/v1/count?q=needle")
