@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"dyncoll/internal/fanout"
 	"dyncoll/internal/fmindex"
 	"dyncoll/internal/textgen"
 )
@@ -68,11 +67,10 @@ func TestCountZeroAllocs(t *testing.T) {
 			}
 		})
 	}
-	// A ladder of about a hundred parts, where a Count's pass borrows a
-	// helper: the team is its one allocation, and a helper's goroutine
-	// one more when the runtime has no dead goroutine to reuse.
-	// testing.AllocsPerRun runs at GOMAXPROCS 1, where there is no
-	// helper to borrow, so the mallocs are counted here at 2 or more.
+	// A ladder of about a hundred parts, read with a second core free:
+	// a Count visits every part on the caller's goroutine and allocates
+	// nothing, however many parts there are. testing.AllocsPerRun runs at
+	// GOMAXPROCS 1, so the mallocs are counted here at 2 or more.
 	t.Run("manystore", func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 		docs := benchDocs(1<<19, 16, 41)
@@ -82,15 +80,9 @@ func TestCountZeroAllocs(t *testing.T) {
 		for i, p := range pats {
 			want[i] = c.Count(p)
 		}
-		// Warm up: the runtime's free list of dead goroutines, from which
-		// a helper's goroutine is taken, fills over the first few hundred.
-		for i := 0; i < 500; i++ {
-			c.Count(pats[i%len(pats)])
-		}
 		// The mallocs are the process's: a goroutine an earlier test left
 		// behind can only add to them, so the least of three rounds counts.
 		const runs = 500
-		before := fanout.ReadTeamCounts()
 		least := uint64(math.MaxUint64)
 		for range 3 {
 			var m0, m1 runtime.MemStats
@@ -103,20 +95,38 @@ func TestCountZeroAllocs(t *testing.T) {
 			runtime.ReadMemStats(&m1)
 			least = min(least, m1.Mallocs-m0.Mallocs)
 		}
-		if avg := float64(least) / runs; avg > 2 {
-			t.Fatalf("Count over a team allocates %.3f objects/op, want ≤ 2", avg)
-		}
-		// A helper ran: one that starts after the caller has claimed the
-		// last part visits nothing, so count on until one has visited a part.
-		for i := 0; fanout.ReadTeamCounts().HelperParts == before.HelperParts && i < 10000; i++ {
-			c.Count(pats[i%len(pats)])
-		}
-		after := fanout.ReadTeamCounts()
-		if after.Passes == before.Passes || after.HelperParts == before.HelperParts {
-			t.Fatalf("%d team passes, %d parts visited by helpers: no helper ran",
-				after.Passes-before.Passes, after.HelperParts-before.HelperParts)
+		if least != 0 {
+			t.Fatalf("Count over %d tops at GOMAXPROCS %d allocates %.3f objects/op, want 0",
+				c.Stats().Tops, runtime.GOMAXPROCS(0), float64(least)/runs)
 		}
 	})
+}
+
+// TestManyPartReadsStayInline: a read of an unsharded ladder of about a
+// hundred parts, with a second core free, starts no goroutine — the
+// caller visits every part itself — and FindFunc stops at the first
+// false from its callback.
+func TestManyPartReadsStayInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	docs := benchDocs(1<<19, 16, 41)
+	c := manyStoreCollection(t, docs)
+	p := textgen.NewPatternSampler(docs, 43).PlantedSet(1, 2)[0]
+	const want = 3
+	if n := c.Count(p); n < want {
+		t.Fatalf("%q occurs %d times, want at least %d", p, n, want)
+	}
+	before := runtime.NumGoroutine()
+	calls := 0
+	c.FindFunc(p, func(Occurrence) bool {
+		calls++
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("callback runs beside %d goroutines, the caller had %d", n, before)
+		}
+		return calls < want
+	})
+	if calls != want {
+		t.Fatalf("FindFunc called back %d times after a false at %d", calls, want)
+	}
 }
 
 // TestKeyedReadAllocs pins the routed reads of an unsharded collection:

@@ -1,10 +1,9 @@
 package dyncoll
 
-// Benchmarks regenerating the paper's tables as Go testing.B targets.
-// Each BenchmarkTableN / BenchmarkFigN group corresponds to one table or
-// figure of the paper; cmd/benchtables prints the same measurements as
-// formatted rows, and DESIGN.md records how the implementation maps onto
-// the paper. Run with:
+// Go testing.B targets for the paper's Tables 1–2 and Theorem 2 and for
+// the layers built on them. cmd/benchtables prints every table and
+// figure of the paper as formatted rows, and DESIGN.md records how the
+// implementation maps onto the paper. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -64,18 +63,6 @@ func BenchmarkTable1Locate(b *testing.B) {
 		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				idx.Locate(i % idx.SALen())
-			}
-		})
-	}
-}
-
-func BenchmarkTable1Extract(b *testing.B) {
-	docs := benchDocs(1<<17, 16, 1)
-	for _, s := range []int{4, 16, 64} {
-		idx := fmindex.Build(docs, fmindex.Options{SampleRate: s})
-		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				idx.Extract(i%idx.DocCount(), 8, 64)
 			}
 		})
 	}
@@ -180,7 +167,7 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 }
 
-// --- Table 2: dynamic count/locate/update, ours vs baseline ---
+// --- Table 2: dynamic count, ours vs baseline ---
 
 type bench2Index interface {
 	Insert(doc.Doc) error
@@ -220,140 +207,6 @@ func BenchmarkTable2Count(b *testing.B) {
 	}
 }
 
-func BenchmarkTable2Update(b *testing.B) {
-	const s = 8
-	for name, mk := range table2Indexes(s) {
-		b.Run(name, func(b *testing.B) {
-			gen := textgen.NewCollection(textgen.CollectionOptions{
-				Sigma: 16, MinLen: 256, MaxLen: 1024, Seed: 4,
-			})
-			idx := mk()
-			syms := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := gen.NextDoc()
-				idx.Insert(d)
-				syms += len(d.Data)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(syms), "ns/symbol")
-		})
-	}
-}
-
-func BenchmarkTable2Locate(b *testing.B) {
-	const s = 8
-	docs := benchDocs(1<<16, 16, 5)
-	ps := textgen.NewPatternSampler(docs, 6)
-	pats := ps.PlantedSet(32, 6)
-
-	ours := core.NewWorstCase(core.Options{Builder: benchFM(s), Inline: true})
-	for _, d := range docs {
-		ours.Insert(d)
-	}
-	b.Run("T2+FM", func(b *testing.B) {
-		occ := 0
-		for i := 0; i < b.N; i++ {
-			ours.FindFunc(pats[i%len(pats)], func(core.Occurrence) bool {
-				occ++
-				return occ%64 != 0 // sample a bounded prefix per query
-			})
-		}
-	})
-
-	base := baseline.NewDynFM(s)
-	for _, d := range docs {
-		base.Insert(d)
-	}
-	b.Run("DynFM-baseline", func(b *testing.B) {
-		occ := 0
-		for i := 0; i < b.N; i++ {
-			base.FindFunc(pats[i%len(pats)], func(baseline.Occurrence) bool {
-				occ++
-				return occ%64 != 0
-			})
-		}
-	})
-}
-
-// --- Table 3: O(n log σ)-bit indexes, σ=4, long patterns ---
-
-func BenchmarkTable3LongPatterns(b *testing.B) {
-	docs := benchDocs(1<<16, 4, 7)
-	ps := textgen.NewPatternSampler(docs, 8)
-
-	ours := core.NewWorstCase(core.Options{
-		Builder: func(ds []doc.Doc) core.StaticIndex { return fmindex.BuildSA(ds) },
-		Inline:  true,
-	})
-	base := baseline.NewDynFM(16)
-	for _, d := range docs {
-		ours.Insert(d)
-		base.Insert(d)
-	}
-	for _, plen := range []int{8, 128} {
-		pats := ps.PlantedSet(32, plen)
-		b.Run(fmt.Sprintf("T2+SA/P=%d", plen), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ours.Count(pats[i%len(pats)])
-			}
-		})
-		b.Run(fmt.Sprintf("DynFM/P=%d", plen), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				base.Count(pats[i%len(pats)])
-			}
-		})
-	}
-}
-
-// --- Table 4: counting with and without the Theorem 1 structures ---
-
-func BenchmarkTable4Counting(b *testing.B) {
-	docs := benchDocs(1<<17, 16, 9)
-	ps := textgen.NewPatternSampler(docs, 10)
-	pats := ps.PlantedSet(32, 2) // short → occ ≫ log n
-	for _, counting := range []bool{true, false} {
-		a := core.NewAmortized(core.Options{Builder: benchFM(8), Counting: counting})
-		for _, d := range docs {
-			a.Insert(d)
-		}
-		b.Run(fmt.Sprintf("counting=%v", counting), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a.Count(pats[i%len(pats)])
-			}
-		})
-	}
-}
-
-// --- Figures 2–3: per-update foreground work, T1 vs T2 ---
-
-func BenchmarkFig23UpdateLatency(b *testing.B) {
-	mks := map[string]func() bench2Index{
-		"T1": func() bench2Index {
-			return core.NewAmortized(core.Options{Builder: benchFM(8)})
-		},
-		"T2": func() bench2Index {
-			return core.NewWorstCase(core.Options{Builder: benchFM(8)})
-		},
-	}
-	for name, mk := range mks {
-		b.Run(name, func(b *testing.B) {
-			gen := textgen.NewCollection(textgen.CollectionOptions{
-				Sigma: 16, MinLen: 128, MaxLen: 512, Seed: 11,
-			})
-			idx := mk()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.Insert(gen.NextDoc())
-			}
-			b.StopTimer()
-			if w, ok := idx.(*core.WorstCase); ok {
-				w.WaitIdle()
-			}
-		})
-	}
-}
-
 // --- Theorem 2: binary relation operations ---
 
 func BenchmarkTheorem2Relation(b *testing.B) {
@@ -389,40 +242,6 @@ func BenchmarkTheorem2Relation(b *testing.B) {
 			o, l := uint64(1<<20+i), uint64(i%256)
 			r.Add(o, l)
 			r.Delete(o, l)
-		}
-	})
-}
-
-// --- Theorem 3: graph operations ---
-
-func BenchmarkTheorem3Graph(b *testing.B) {
-	g, err := NewGraph()
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := textgen.NewSource(255, 0, 0.6, 13)
-	stream := src.Generate(1 << 18)
-	added := 0
-	for i := 0; added < 1<<15 && i+1 < len(stream); i += 2 {
-		u := uint64(stream[i]) << 4
-		v := uint64(stream[i+1]) + uint64(i%16)<<8
-		if g.AddEdge(u, v) == nil {
-			added++
-		}
-	}
-	b.Run("has-edge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.HasEdge(uint64(i%4096), uint64(i%4096))
-		}
-	})
-	b.Run("neighbors", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.NeighborsFunc(uint64(i%4096), func(uint64) bool { return true })
-		}
-	})
-	b.Run("in-degree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.InDegree(uint64(i % 4096))
 		}
 	})
 }
@@ -524,16 +343,6 @@ func BenchmarkTable1CSARange(b *testing.B) {
 	b.Run("FM", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fm.Range(pats[i%len(pats)])
-		}
-	})
-}
-
-func BenchmarkTable1CSAExtract(b *testing.B) {
-	docs := benchDocs(1<<17, 16, 1)
-	csa := fmindex.BuildCSA(docs, fmindex.Options{SampleRate: 16})
-	b.Run("CSA", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			csa.Extract(i%csa.DocCount(), 8, 64)
 		}
 	})
 }
@@ -745,8 +554,8 @@ func BenchmarkRegexSearch(b *testing.B) {
 }
 
 // manyStoreCollection ingests docs unsharded in 96 batches, closing the
-// open top after each so every batch is one top collection, so a pass
-// over its parts is long enough to get a team.
+// open top after each so every batch is one top collection: a ladder of
+// about a hundred parts.
 func manyStoreCollection(tb testing.TB, docs []Document) *Collection {
 	tb.Helper()
 	c, err := NewCollection(WithSyncRebuilds())
@@ -759,15 +568,14 @@ func manyStoreCollection(tb testing.TB, docs []Document) *Collection {
 		}
 		c.WaitIdle()
 	}
-	if st := c.Stats(); st.Tops < 2*fanout.PartsPerWorker {
-		tb.Fatalf("batched ingest left %d tops, want ≥ %d", st.Tops, 2*fanout.PartsPerWorker)
+	if st := c.Stats(); st.Tops < 64 {
+		tb.Fatalf("batched ingest left %d tops, want ≥ 64", st.Tops)
 	}
 	return c
 }
 
 // BenchmarkCountManyStores counts planted patterns over the manystore
-// ladder, about a hundred parts: at -cpu 1 the caller visits every part,
-// at -cpu 2 and 4 the pass borrows helpers.
+// ladder: one serial pass over about a hundred parts.
 func BenchmarkCountManyStores(b *testing.B) {
 	docs := benchDocs(1<<19, 16, 41)
 	c := manyStoreCollection(b, docs)

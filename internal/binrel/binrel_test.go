@@ -399,24 +399,3 @@ func TestRelationTauBoundsDeadFraction(t *testing.T) {
 		t.Fatal("expected purges")
 	}
 }
-
-func BenchmarkRelationAdd(b *testing.B) {
-	r := New(Options{})
-	rng := rand.New(rand.NewSource(10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Add(uint64(rng.Intn(1<<20)), uint64(rng.Intn(1<<10)))
-	}
-}
-
-func BenchmarkRelationRelated(b *testing.B) {
-	r := New(Options{})
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 100_000; i++ {
-		r.Add(uint64(rng.Intn(1<<16)), uint64(rng.Intn(1<<8)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Related(uint64(rng.Intn(1<<16)), uint64(rng.Intn(1<<8)))
-	}
-}

@@ -240,35 +240,6 @@ func TestLargeUniverseDepth(t *testing.T) {
 	}
 }
 
-func BenchmarkAdd(b *testing.B) {
-	s := New(1 << 24)
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]int, 4096)
-	for i := range xs {
-		xs[i] = rng.Intn(1 << 24)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(xs[i&4095])
-	}
-}
-
-func BenchmarkNext(b *testing.B) {
-	s := New(1 << 24)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1<<16; i++ {
-		s.Add(rng.Intn(1 << 24))
-	}
-	xs := make([]int, 4096)
-	for i := range xs {
-		xs[i] = rng.Intn(1 << 24)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Next(xs[i&4095])
-	}
-}
-
 func TestAccessorsUniverse(t *testing.T) {
 	s := New(1000)
 	if s.Universe() != 1000 || s.Len() != 0 {

@@ -228,29 +228,3 @@ func TestSizeBits(t *testing.T) {
 		t.Fatalf("SizeBits=%d smaller than payload", v.SizeBits())
 	}
 }
-
-func BenchmarkRank1(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	v := FromBools(randomBits(rng, 1<<20, 0.5))
-	idx := make([]int, 1024)
-	for i := range idx {
-		idx[i] = rng.Intn(v.Len())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Rank1(idx[i&1023])
-	}
-}
-
-func BenchmarkSelect1(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	v := FromBools(randomBits(rng, 1<<20, 0.5))
-	idx := make([]int, 1024)
-	for i := range idx {
-		idx[i] = 1 + rng.Intn(v.Ones())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Select1(idx[i&1023])
-	}
-}

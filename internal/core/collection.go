@@ -6,7 +6,6 @@ import (
 
 	"dyncoll/internal/doc"
 	"dyncoll/internal/engine"
-	"dyncoll/internal/fanout"
 )
 
 // Stats reports the engine's ladder state and rebuild counters; it is
@@ -155,30 +154,37 @@ func (c *collection) Len() int { return c.eng.Len() }
 // DocCount reports the number of live documents.
 func (c *collection) DocCount() int { return c.eng.Count() }
 
-// Parts runs fn under one engine view with the ladder's sub-collections
-// — C0, levels, parked temps, tops and the sources of in-flight builds,
-// locked copies among them — as part(0) … part(n−1). Every live document is in exactly one part, so
-// a query answered part by part and unioned is answered exactly. A
-// caller visits the parts on a team (fanout.Reduce, fanout.Stream), so
-// part(i) may be called from helper goroutines while fn runs. The
-// worst-case engine holds its mutex throughout: fn must not re-enter the
-// ladder.
-func (c *collection) Parts(fn func(n int, part func(i int) Part)) {
+// Parts yields, under one engine view and in order, the ladder's
+// sub-collections: C0, levels, parked temps, tops and the sources of
+// in-flight builds, locked copies among them. Every live document is in
+// exactly one part, so a query answered part by part and unioned is
+// answered exactly. The worst-case engine holds its mutex throughout:
+// the loop body must not re-enter the ladder.
+func (c *collection) Parts(yield func(Part) bool) {
 	c.eng.View(func(stores []engine.Store[uint64, doc.Doc]) {
-		fn(len(stores), func(i int) Part { return stores[i].(Part) })
+		for _, st := range stores {
+			if !yield(st.(Part)) {
+				return
+			}
+		}
 	})
 }
 
 // FindFunc calls fn for every occurrence of pattern across all live
 // documents; enumeration stops early if fn returns false. An empty
-// pattern matches at every live position. The parts are enumerated by a
-// team whose streams merge into fn on the caller's goroutine.
+// pattern matches at every live position.
 func (c *collection) FindFunc(pattern []byte, fn func(Occurrence) bool) {
-	c.Parts(func(n int, part func(int) Part) {
-		fanout.Stream(n, func(i int, emit func(Occurrence) bool) {
-			part(i).FindFunc(pattern, emit)
-		}, fn)
-	})
+	more := true
+	each := func(o Occurrence) bool {
+		more = fn(o)
+		return more
+	}
+	for pt := range c.Parts {
+		pt.FindFunc(pattern, each)
+		if !more {
+			return
+		}
+	}
 }
 
 // Find returns every occurrence of pattern.

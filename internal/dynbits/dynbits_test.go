@@ -148,32 +148,3 @@ func TestQuickRankSelectInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkRank1(b *testing.B) {
-	v := New(1<<20, true)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1<<16; i++ {
-		v.Set(rng.Intn(1<<20), false)
-	}
-	idx := make([]int, 4096)
-	for i := range idx {
-		idx[i] = rng.Intn(1 << 20)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Rank1(idx[i&4095])
-	}
-}
-
-func BenchmarkSet(b *testing.B) {
-	v := New(1<<20, true)
-	rng := rand.New(rand.NewSource(2))
-	idx := make([]int, 4096)
-	for i := range idx {
-		idx[i] = rng.Intn(1 << 20)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Set(idx[i&4095], i&1 == 0)
-	}
-}

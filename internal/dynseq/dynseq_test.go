@@ -458,36 +458,3 @@ func TestSizeBitsGrow(t *testing.T) {
 		t.Fatal("array SizeBits not positive")
 	}
 }
-
-func BenchmarkBitVectorInsert(b *testing.B) {
-	v := NewBitVector()
-	rng := rand.New(rand.NewSource(7))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Insert(rng.Intn(v.Len()+1), i&1 == 0)
-	}
-}
-
-func BenchmarkBitVectorRank(b *testing.B) {
-	v := NewBitVector()
-	for i := 0; i < 1<<20; i++ {
-		v.Insert(i, i%7 == 0)
-	}
-	rng := rand.New(rand.NewSource(8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Rank1(rng.Intn(v.Len()))
-	}
-}
-
-func BenchmarkWaveletRank(b *testing.B) {
-	w := NewWavelet()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 1<<18; i++ {
-		w.Insert(i, byte(rng.Intn(64)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Rank(byte(i&63), rng.Intn(w.Len()))
-	}
-}

@@ -35,8 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"dyncoll/internal/fanout"
 )
 
 // ErrDuplicateKey reports an insert whose key is already live. Adapters
@@ -264,9 +262,7 @@ type Ladder[K comparable, I any] interface {
 	// query path free of closure allocations (View requires a capturing
 	// closure to carry the pattern and accumulator); combined with the
 	// engines' cached store lists this makes counting queries
-	// zero-allocation. The stores are summed by a team (sumStores), so fn
-	// may run on a helper goroutine: it must not re-enter the ladder, and
-	// must keep no state but its result.
+	// zero-allocation. fn must not re-enter the ladder.
 	Query(arg []byte, fn func(st Store[K, I], arg []byte) int) int
 	// WaitIdle blocks until background builds have landed (worst-case
 	// engine; a no-op for the amortized engine).
@@ -280,20 +276,12 @@ type Ladder[K comparable, I any] interface {
 	Stats() Stats
 }
 
-// storeSum is Query's pass: fn summed over the stores by a team of
-// workers (fanout.Reduce), each adding up the stores it claims. It is
-// passed by value, so a pass without helpers allocates nothing.
-type storeSum[K comparable, I any] struct {
-	stores []Store[K, I]
-	arg    []byte
-	fn     func(st Store[K, I], arg []byte) int
-}
-
-func (s storeSum[K, I]) Fold(n, i int) int  { return n + s.fn(s.stores[i], s.arg) }
-func (s storeSum[K, I]) Merge(a, b int) int { return a + b }
-
 func sumStores[K comparable, I any](stores []Store[K, I], arg []byte, fn func(st Store[K, I], arg []byte) int) int {
-	return fanout.Reduce[int](len(stores), storeSum[K, I]{stores, arg, fn})
+	n := 0
+	for _, st := range stores {
+		n += fn(st, arg)
+	}
+	return n
 }
 
 // autoTau computes τ = max(2, log₂ n / log₂ log₂ n) as the paper's

@@ -12,14 +12,12 @@ import (
 // sub-collections, plus random-access extraction. The core
 // transformations satisfy it directly.
 type Source interface {
-	// Parts runs fn with the sub-collections, part(0) … part(n−1), under
-	// one consistent view. Every live document is in exactly one part,
-	// which is what lets each plan be evaluated part by part — and the
-	// parts be visited by a team (fanout.Reduce, fanout.Stream), so
-	// part(i) may be called from helper goroutines while fn runs. fn must
-	// not call back into the Source: the worst-case engine holds its lock
+	// Parts yields the sub-collections, in order, under one consistent
+	// view. Every live document is in exactly one part, which is what
+	// lets each plan be evaluated part by part. The loop body must not
+	// call back into the Source: the worst-case engine holds its lock
 	// while it runs.
-	Parts(fn func(n int, part func(i int) core.Part))
+	Parts(yield func(core.Part) bool)
 	// Extract clamps the range to the payload.
 	Extract(id uint64, off, length int) ([]byte, bool)
 }
@@ -92,66 +90,45 @@ func limited(k int, emit func(Match) bool) func(Match) bool {
 }
 
 // exactStream is the classic workload: every occurrence of the pattern,
-// the parts' enumerations merged into emit on the caller's goroutine.
+// the parts enumerated into emit one after another.
 func (e Single) exactStream(p *Plan, emit func(Match) bool) {
 	fn := limited(p.K(), emit)
-	e.src.Parts(func(n int, part func(int) core.Part) {
-		fanout.Stream(n, func(i int, emit func(core.Occurrence) bool) {
-			part(i).FindFunc(p.pattern, emit)
-		}, func(o core.Occurrence) bool {
-			return fn(Match{Doc: o.DocID, Off: o.Off, Len: len(p.pattern)})
-		})
-	})
+	more := true
+	each := func(o core.Occurrence) bool {
+		more = fn(Match{Doc: o.DocID, Off: o.Off, Len: len(p.pattern)})
+		return more
+	}
+	for pt := range e.src.Parts {
+		pt.FindFunc(p.pattern, each)
+		if !more {
+			return
+		}
+	}
 }
 
 // exactRanked aggregates each part's grouped enumeration per document —
 // match count and earliest offset are exactly what the scorer needs, and
 // the grouped order delivers both in O(1) state per document. A document
 // is scored as soon as its group ends: the part that enumerates it also
-// knows its length, so nothing re-enters the ladder. Each worker of the
-// team ranks into its own TopK; the workers' lists merge as shards' do.
+// knows its length, so nothing re-enters the ladder.
 func (e Single) exactRanked(p *Plan, emit func(Match) bool) {
-	var lists [][]Match
-	e.src.Parts(func(n int, part func(int) core.Part) {
-		rankers := fanout.Reduce[[]*ranker](n, rankPass{p, part})
-		for _, r := range rankers {
-			lists = append(lists, r.top.Sorted())
-		}
-	})
-	MergeRanked(lists, p.K(), emit)
-}
-
-// rankPass is what an exactRanked pass shares between its workers.
-type rankPass struct {
-	p    *Plan
-	part func(int) core.Part
-}
-
-// Fold ranks part i into the worker's ranker, acc[0], made at the
-// worker's first part.
-func (s rankPass) Fold(acc []*ranker, i int) []*ranker {
-	if acc == nil {
-		r := &ranker{top: NewTopK(s.p.K()), plen: len(s.p.pattern)}
-		r.each = r.occurrence
-		acc = []*ranker{r}
+	r := &ranker{top: NewTopK(p.K()), plen: len(p.pattern)}
+	each := r.occurrence
+	for pt := range e.src.Parts {
+		r.pt = pt
+		pt.FindGroupedFunc(p.pattern, each)
+		r.flush()
 	}
-	r := acc[0]
-	r.pt = s.part(i)
-	r.pt.FindGroupedFunc(s.p.pattern, r.each)
-	r.flush()
-	return acc
+	emitSorted(r.top, emit)
 }
 
-func (rankPass) Merge(a, b []*ranker) []*ranker { return append(a, b...) }
-
-// ranker is one worker's ranked aggregation.
+// ranker is exactRanked's aggregation.
 type ranker struct {
 	top   *TopK
 	plen  int
-	each  func(core.Occurrence) bool // occurrence, bound once per worker
-	pt    core.Part                  // the part being read
-	cur   Match                      // the document whose group is being read
-	count int                        // its matches so far; 0 = no open group
+	pt    core.Part // the part being read
+	cur   Match     // the document whose group is being read
+	count int       // its matches so far; 0 = no open group
 }
 
 func (r *ranker) occurrence(o core.Occurrence) bool {
@@ -230,30 +207,17 @@ func (e Single) docText(id uint64) ([]byte, bool) {
 }
 
 // candidateDocs returns the ascending list of documents a regex plan
-// must verify: the union of each part's candidates, gathered by a team
-// whose workers keep one list each. Only the index work runs inside the
-// view; extraction and the regexp engine run after it, so a pathological
-// expression never extends the engine's lock hold.
+// must verify: the union of each part's candidates. Only the index work
+// runs inside the view; extraction and the regexp engine run after it,
+// so a pathological expression never extends the engine's lock hold.
 func (e Single) candidateDocs(p *Plan) []uint64 {
 	var docs []uint64
-	e.src.Parts(func(n int, part func(int) core.Part) {
-		docs = fanout.Reduce[[]uint64](n, candidatePass{p, part})
-	})
+	for pt := range e.src.Parts {
+		docs = p.partCandidates(pt, docs)
+	}
 	slices.Sort(docs)
 	return docs
 }
-
-// candidatePass is what a candidateDocs pass shares between its workers.
-type candidatePass struct {
-	p    *Plan
-	part func(int) core.Part
-}
-
-func (s candidatePass) Fold(docs []uint64, i int) []uint64 {
-	return s.p.partCandidates(s.part(i), docs)
-}
-
-func (candidatePass) Merge(a, b []uint64) []uint64 { return append(a, b...) }
 
 // partCandidates appends to docs the documents of one part that a regex
 // plan must verify. Every match contains at least one literal of each

@@ -3,12 +3,10 @@ package query
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"dyncoll/internal/core"
 	"dyncoll/internal/doc"
-	"dyncoll/internal/fanout"
 	"dyncoll/internal/fmindex"
 )
 
@@ -131,50 +129,6 @@ func TestRegexWorkGate(t *testing.T) {
 		if bound := len(built) + 2*c.groups*len(survivors); total > bound {
 			t.Errorf("%q cost %d backward searches, want ≤ parts + 2·groups·survivors = %d", c.expr, total, bound)
 		}
-	}
-}
-
-// TestRegexWorkGateTeam: on a ladder of three times the gate's tops,
-// where a plan's pass gets a team, every store does exactly the index
-// work it does when the caller visits every part alone. The work is
-// distributed, not added.
-func TestRegexWorkGateTeam(t *testing.T) {
-	lad, built := gateLadder(t, 3*gateTops, map[int]string{
-		5: "NEEDLE..HAYSTK", 20: "HAYSTK NEEDLE", 9: "NEEDLE", 13: "HAYSTK",
-		70: "NEEDLE..HAYSTK", 81: "NEEDLE",
-	})
-	p, err := Compile(Spec{Pattern: `NEEDLE.{0,2}HAYSTK`, Regex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	work := func() ([]int, []Match) {
-		for _, x := range built {
-			x.ranges, x.locates = 0, 0
-		}
-		got := collect(lad, p)
-		var w []int
-		for _, x := range built {
-			w = append(w, x.ranges, x.locates)
-		}
-		return w, got
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	serial, want := work()
-	runtime.GOMAXPROCS(4)
-	// A helper that starts after the caller has claimed every part does
-	// nothing; repeat until helpers did visit parts.
-	before := fanout.ReadTeamCounts().HelperParts
-	for r := 0; r < 200 && fanout.ReadTeamCounts().HelperParts == before; r++ {
-		team, got := work()
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("matches with a team %v, serial %v", got, want)
-		}
-		if fmt.Sprint(team) != fmt.Sprint(serial) {
-			t.Fatalf("per-store (backward searches, locates) with a team:\n%v\nserial:\n%v", team, serial)
-		}
-	}
-	if fanout.ReadTeamCounts().HelperParts == before {
-		t.Fatal("no helper visited a part in 200 passes")
 	}
 }
 

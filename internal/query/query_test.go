@@ -30,9 +30,7 @@ func newFakeSource(docs map[uint64][]byte) *fakeSource {
 	return f
 }
 
-func (f *fakeSource) Parts(fn func(n int, part func(int) core.Part)) {
-	fn(1, func(int) core.Part { return f })
-}
+func (f *fakeSource) Parts(yield func(core.Part) bool) { yield(f) }
 
 func (f *fakeSource) FindFunc(pattern []byte, fn func(core.Occurrence) bool) {
 	for _, id := range f.ids {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dyncoll"
-	"dyncoll/internal/fanout"
 )
 
 // Varz is the /varz document: per-endpoint request metrics plus the
@@ -73,10 +72,6 @@ type LadderVarz struct {
 	// cause; Built.Total() over the weight inserted is the structure's
 	// write amplification.
 	Built dyncoll.BuiltWeight `json:"built_weight"`
-	// Teams counts, process-wide, the read passes over a ladder's parts
-	// that borrowed helper goroutines and the parts those helpers
-	// visited: whether reads used more than one core.
-	Teams fanout.TeamCounts `json:"teams"`
 	// Levels is the sub-collection ladder, level 0 the uncompressed C0.
 	Levels []LevelVarz `json:"levels"`
 	// TopSizes lists live weights of the worst-case top collections.
@@ -126,7 +121,6 @@ func NewLadderVarz(st dyncoll.IndexStats, unit string, live int, sizeBits int64)
 		PendingBuilds:  st.PendingBuilds,
 		Parked:         st.Parked,
 		Built:          st.BuiltWeight,
-		Teams:          fanout.ReadTeamCounts(),
 		TopSizes:       st.TopSizes,
 	}
 	for j, sz := range st.LevelSizes {
@@ -153,8 +147,6 @@ func (v *LadderVarz) WriteText(w io.Writer) {
 		"engine:", v.Tau, v.Rebuilds, v.GlobalRebuilds, v.PendingBuilds, v.Parked)
 	fmt.Fprintf(w, "%-10s %d %ss: level merges %d, tops %d, purges %d, rebalances %d\n",
 		"built:", v.Built.Total(), v.Unit, v.Built.LevelMerge, v.Built.Top, v.Built.Purge, v.Built.Rebalance)
-	fmt.Fprintf(w, "%-10s %d passes with helpers, %d parts visited by helpers (process-wide)\n",
-		"teams:", v.Teams.Passes, v.Teams.HelperParts)
 	fmt.Fprintf(w, "%-10s %d slots (occupancy/capacity, level 0 = uncompressed C0)\n", "ladder:", len(v.Levels))
 	for j, lv := range v.Levels {
 		fmt.Fprintf(w, "  level %-3d %12d / %d\n", j, lv.Size, lv.Cap)

@@ -240,46 +240,3 @@ func TestQuickDenseVsCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkDenseZero(b *testing.B) {
-	d := NewDense(1 << 20)
-	rng := rand.New(rand.NewSource(9))
-	xs := make([]int, 4096)
-	for i := range xs {
-		xs[i] = rng.Intn(1 << 20)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Zero(xs[i&4095])
-	}
-}
-
-func BenchmarkDenseReport(b *testing.B) {
-	d := NewDense(1 << 20)
-	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 1<<14; i++ {
-		d.Zero(rng.Intn(1 << 20))
-	}
-	b.ResetTimer()
-	var sink []int
-	for i := 0; i < b.N; i++ {
-		s := rng.Intn(1<<20 - 1024)
-		sink = d.AppendRange(sink[:0], s, s+1023)
-	}
-	_ = sink
-}
-
-func BenchmarkCompressedReport(b *testing.B) {
-	c := NewCompressed(1<<20, 64)
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 1<<14; i++ {
-		c.Zero(rng.Intn(1 << 20))
-	}
-	b.ResetTimer()
-	var sink []int
-	for i := 0; i < b.N; i++ {
-		s := rng.Intn(1<<20 - 1024)
-		sink = c.AppendRange(sink[:0], s, s+1023)
-	}
-	_ = sink
-}

@@ -325,35 +325,3 @@ func minInt(a, b int) int {
 	}
 	return b
 }
-
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	data := randomData(rng, 1000, 26)
-	b.SetBytes(1000)
-	b.ResetTimer()
-	tr := New()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(doc.Doc{ID: uint64(i + 1), Data: data})
-		if tr.Len() > 1<<22 {
-			b.StopTimer()
-			tr = New()
-			b.StartTimer()
-		}
-	}
-}
-
-func BenchmarkFind(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	tr := New()
-	for i := 0; i < 100; i++ {
-		tr.Insert(doc.Doc{ID: uint64(i + 1), Data: randomData(rng, 2000, 26)})
-	}
-	pats := make([][]byte, 64)
-	for i := range pats {
-		pats[i] = randomData(rng, 6, 26)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Count(pats[i&63])
-	}
-}

@@ -247,10 +247,6 @@ func BenchmarkRankBalanced(b *testing.B) {
 	benchRank(b, NewBalanced)
 }
 
-func BenchmarkRankHuffman(b *testing.B) {
-	benchRank(b, NewHuffman)
-}
-
 func benchRank(b *testing.B, mk func([]uint32, int) *Tree) {
 	rng := rand.New(rand.NewSource(4))
 	s := randomSeq(rng, 1<<20, 256)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"dyncoll/internal/core"
 	"dyncoll/internal/query"
 )
 
@@ -469,18 +468,15 @@ func checkPartsExclusive(t *testing.T, c *Collection, live []uint64) {
 	seen := map[uint64]bool{}
 	weight := 0
 	for _, lad := range c.union.cores {
-		lad.Parts(func(n int, part func(int) core.Part) {
-			for i := range n {
-				p := part(i)
-				weight += p.LiveWeight()
-				for _, id := range p.LiveKeys() {
-					if seen[id] {
-						t.Errorf("document %d is live in two parts", id)
-					}
-					seen[id] = true
+		for p := range lad.Parts {
+			weight += p.LiveWeight()
+			for _, id := range p.LiveKeys() {
+				if seen[id] {
+					t.Errorf("document %d is live in two parts", id)
 				}
+				seen[id] = true
 			}
-		})
+		}
 	}
 	if len(seen) != len(live) || weight != c.Len() {
 		t.Errorf("parts hold %d documents of weight %d, want %d of weight %d", len(seen), weight, len(live), c.Len())

@@ -1,16 +1,15 @@
 package dyncoll
 
 import (
-	"errors"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"syscall"
 
 	"dyncoll/internal/fanout"
 	"dyncoll/internal/mmap"
 	"dyncoll/internal/snap"
+	"dyncoll/internal/wal"
 )
 
 // Snapshot persistence: Save writes a structure's complete state —
@@ -223,7 +222,9 @@ func guard(err *error) {
 // directory is fsynced: the rename updates a directory entry, and
 // without the directory sync a crash right after a "successful" save
 // could lose the entry even though the file's own blocks were synced —
-// the snapshot would simply not exist on reboot.
+// the snapshot would simply not exist on reboot. A filesystem that cannot
+// fsync a directory handle degrades to the pre-sync behaviour rather
+// than failing the save (wal.OS.SyncDir).
 func atomicWriteFile(path string, save func(w io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -256,24 +257,7 @@ func atomicWriteFile(path string, save func(w io.Writer) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry inside it is
-// durable. Filesystems that cannot fsync a directory handle (it is
-// valid for open directories to reject Sync on some platforms) degrade
-// to the pre-sync behaviour rather than failing the save.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil &&
-		!errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) && !errors.Is(err, syscall.EBADF) {
-		return err
-	}
-	return nil
+	return wal.OS.SyncDir(dir)
 }
 
 func loadFile(path string, load func(r io.Reader) error) error {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dyncoll/internal/oracle"
+	"dyncoll/internal/wal"
 )
 
 // registerSnapTestIndex registers the suffix-table test index (defined
@@ -302,13 +303,13 @@ func TestSaveFileDurableRename(t *testing.T) {
 	checkDocs(t, "durable rename", &m, loaded)
 }
 
-// TestSyncDir checks the directory-fsync helper both on a real
-// directory and on a missing one.
+// TestSyncDir checks the directory fsync that follows a snapshot's
+// rename both on a real directory and on a missing one.
 func TestSyncDir(t *testing.T) {
-	if err := syncDir(t.TempDir()); err != nil {
-		t.Fatalf("syncDir on a real directory: %v", err)
+	if err := wal.OS.SyncDir(t.TempDir()); err != nil {
+		t.Fatalf("SyncDir on a real directory: %v", err)
 	}
-	if err := syncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("syncDir on a missing directory: expected error")
+	if err := wal.OS.SyncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("SyncDir on a missing directory: expected error")
 	}
 }
