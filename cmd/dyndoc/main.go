@@ -61,7 +61,7 @@ func main() {
 	var (
 		mode      = flag.String("mode", "collection", "structure: collection | relation | graph")
 		transform = flag.String("transform", "", "transformation: amortized | worstcase | fastinsert (default: worstcase for collections, amortized for relations/graphs)")
-		index     = flag.String("index", dyncoll.IndexFM4, "static index by registry name: fm4 | fm | sa | csa | any RegisterIndex name (collection mode)")
+		index     = flag.String("index", dyncoll.IndexFMZ, "static index by registry name: fmz | fm4 | fm | sa | csa | any RegisterIndex name (collection mode)")
 		sample    = flag.Int("s", 16, "suffix-array sample rate s (collection mode)")
 		tau       = flag.Int("tau", 0, "lazy-deletion parameter τ (0 = automatic)")
 		shards    = flag.Int("shards", 0, "shard count p (0 = unsharded; p ≥ 1 partitions by key hash with parallel fan-out queries)")

@@ -14,9 +14,11 @@ import (
 // v2 mapped snapshot and a checkpointed durable directory with a
 // two-record WAL tail — all written by commit f55a4a6, the parent of
 // the change that put every structure behind one ladder walker and one
-// shard front. They are never regenerated in place: a format revision
-// writes a new set at *its* parent commit (DYNCOLL_WRITE_COMPAT=1 go
-// test -run TestCompatFixtures .) and keeps reading this one.
+// shard front — plus a second collection set, collection-fm4.*, in the
+// 4-ary "fm4" index, written by 717e898. They are never regenerated in
+// place: a format revision writes a new set at *its* parent commit
+// (DYNCOLL_WRITE_COMPAT=1 go test -run TestCompatFixtures/<leg> .) and
+// keeps reading the old ones.
 
 var (
 	compatDir   = filepath.Join("testdata", "compat")
@@ -161,73 +163,88 @@ func TestCompatFixtures(t *testing.T) {
 		checkPairs(t, "durable", &m, dg)
 	})
 
-	// Collection bytes are a pure function of the operation stream
-	// (index bytes are reproducible and C0 is dumped in ID order), so
-	// beyond answering alike, a fresh build and a re-save of what was
-	// read must both reproduce the parent's files byte for byte.
-	t.Run("collection", func(t *testing.T) {
-		// The fixtures predate the 4-ary default: they are "fm" files.
-		opts := append(compatOpts(2), WithIndex(IndexFM))
-		twin := mustCollection(t, opts...)
-		var m oracle.Model
-		snapCollectionCorpus(t, twin, modelWriter{&m})
-		durable := func(dir string) *oracle.Model {
-			dc, err := OpenDurableCollection(dir, compatWAL, opts...)
-			must(t, err)
-			var dm oracle.Model
-			durCorpus(t, dc, &dm)
-			must(t, dc.Checkpoint())
-			compatDocTail(t, dc.Insert, dc.Delete)
-			compatDocTail(t, modelWriter{&dm}.Insert, modelWriter{&dm}.Delete)
-			must(t, dc.Close())
-			return &dm
-		}
-		if compatWrite {
-			must(t, twin.SaveFile(file("collection.v1")))
-			must(t, twin.SaveMappedFile(file("collection.v2")))
-			durable(file("collection.dur"))
-			return
-		}
-		tmp := t.TempDir()
-		resave := func(c *Collection, form string) {
-			t.Helper()
-			v1, v2 := filepath.Join(tmp, form+".v1"), filepath.Join(tmp, form+".v2")
-			must(t, c.SaveFile(v1))
-			sameFile(t, form+" saved as v1", v1, file("collection.v1"))
-			must(t, c.SaveMappedFile(v2))
-			sameFile(t, form+" saved as v2", v2, file("collection.v2"))
-		}
-		resave(twin, "fresh build")
-		v1 := mustCollection(t)
-		must(t, v1.LoadFile(file("collection.v1")))
-		checkDocs(t, "v1", &m, v1)
-		resave(v1, "v1 load")
-		v2, err := OpenMappedCollection(file("collection.v2"), MappedVerify())
-		must(t, err)
-		defer v2.Close()
-		checkDocs(t, "v2", &m, v2)
-		resave(v2, "v2 open")
-
-		dc, err := OpenDurableCollection(copyDir(t, file("collection.dur")), compatWAL)
-		must(t, err)
-		defer dc.Close()
-		checkTail(t, dc.RecoveryStats())
-		fresh := filepath.Join(tmp, "collection.dur")
-		checkDocs(t, "durable", durable(fresh), dc.Collection)
-		ents, err := os.ReadDir(file("collection.dur"))
-		must(t, err)
-		for _, e := range ents {
-			sameFile(t, "durable directory", filepath.Join(fresh, e.Name()), file(filepath.Join("collection.dur", e.Name())))
-		}
-	})
+	// The first collection set predates the 4-ary tree: "fm" files. The
+	// second holds "fm4" files, written by 717e898, the parent of the
+	// change that made "fmz" the default.
+	t.Run("collection", func(t *testing.T) { compatCollection(t, IndexFM, "collection") })
+	t.Run("collection-fm4", func(t *testing.T) { compatCollection(t, IndexFM4, "collection-fm4") })
 }
 
-// TestFM4Deterministic holds the default fm4 index to the rule the
-// fixtures above hold fm to: collection bytes are a pure function of
-// the operation stream. Two fresh builds, a v1 load re-saved and a v2
-// open re-saved all write the same v1 and v2 files.
-func TestFM4Deterministic(t *testing.T) {
-	opts := compatOpts(2)
+// compatCollection checks the collection fixtures named name, written
+// with index. Collection bytes are a pure function of the operation
+// stream (index bytes are reproducible and C0 is dumped in ID order),
+// so beyond answering alike, a fresh build and a re-save of what was
+// read must both reproduce the committed files byte for byte.
+func compatCollection(t *testing.T, index, name string) {
+	file := func(form string) string { return filepath.Join(compatDir, name+form) }
+	opts := append(compatOpts(2), WithIndex(index))
+	twin := mustCollection(t, opts...)
+	var m oracle.Model
+	snapCollectionCorpus(t, twin, modelWriter{&m})
+	durable := func(dir string) *oracle.Model {
+		dc, err := OpenDurableCollection(dir, compatWAL, opts...)
+		must(t, err)
+		var dm oracle.Model
+		durCorpus(t, dc, &dm)
+		must(t, dc.Checkpoint())
+		compatDocTail(t, dc.Insert, dc.Delete)
+		compatDocTail(t, modelWriter{&dm}.Insert, modelWriter{&dm}.Delete)
+		must(t, dc.Close())
+		return &dm
+	}
+	if compatWrite {
+		must(t, twin.SaveFile(file(".v1")))
+		must(t, twin.SaveMappedFile(file(".v2")))
+		durable(file(".dur"))
+		return
+	}
+	tmp := t.TempDir()
+	resave := func(c *Collection, form string) {
+		t.Helper()
+		v1, v2 := filepath.Join(tmp, form+".v1"), filepath.Join(tmp, form+".v2")
+		must(t, c.SaveFile(v1))
+		sameFile(t, form+" saved as v1", v1, file(".v1"))
+		must(t, c.SaveMappedFile(v2))
+		sameFile(t, form+" saved as v2", v2, file(".v2"))
+	}
+	resave(twin, "fresh build")
+	v1 := mustCollection(t)
+	must(t, v1.LoadFile(file(".v1")))
+	checkDocs(t, "v1", &m, v1)
+	resave(v1, "v1 load")
+	v2, err := OpenMappedCollection(file(".v2"), MappedVerify())
+	must(t, err)
+	defer v2.Close()
+	checkDocs(t, "v2", &m, v2)
+	resave(v2, "v2 open")
+
+	dc, err := OpenDurableCollection(copyDir(t, file(".dur")), compatWAL)
+	must(t, err)
+	defer dc.Close()
+	checkTail(t, dc.RecoveryStats())
+	fresh := filepath.Join(tmp, name+".dur")
+	checkDocs(t, "durable", durable(fresh), dc.Collection)
+	ents, err := os.ReadDir(file(".dur"))
+	must(t, err)
+	for _, e := range ents {
+		sameFile(t, "durable directory", filepath.Join(fresh, e.Name()), filepath.Join(file(".dur"), e.Name()))
+	}
+}
+
+// TestFM4Deterministic holds the fm4 index to the rule the fixtures
+// above hold fm to: collection bytes are a pure function of the
+// operation stream. Two fresh builds, a v1 load re-saved and a v2 open
+// re-saved all write the same v1 and v2 files.
+func TestFM4Deterministic(t *testing.T) { checkDeterministic(t, IndexFM4, WithIndex(IndexFM4)) }
+
+// TestFMZDeterministic holds the default index, fmz, to the same rule.
+func TestFMZDeterministic(t *testing.T) { checkDeterministic(t, IndexFMZ) }
+
+// checkDeterministic builds the snapshot corpus twice with opts, whose
+// index must be index, and checks that both builds, a v1 load and a v2
+// open all save the same bytes.
+func checkDeterministic(t *testing.T, index string, opts ...Option) {
+	opts = append(compatOpts(2), opts...)
 	tmp := t.TempDir()
 	save := func(c *Collection, form string) (v1, v2 string) {
 		t.Helper()
@@ -238,8 +255,8 @@ func TestFM4Deterministic(t *testing.T) {
 	}
 	first := mustCollection(t, opts...)
 	snapCollectionCorpus(t, first)
-	if got := first.cfg.index; got != IndexFM4 {
-		t.Fatalf("default index %q, want %q", got, IndexFM4)
+	if got := first.cfg.index; got != index {
+		t.Fatalf("index %q, want %q", got, index)
 	}
 	v1, v2 := save(first, "first")
 	second := mustCollection(t, opts...)

@@ -110,6 +110,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 5, 2, 3, 1, 4, 9, 9, 0, 2, 7}, uint8(3))
 	f.Add(bytes.Repeat([]byte{3, 1, 2, 9}, 30), uint8(200))
 	f.Add([]byte{0}, uint8(0))
+	// 40 inserts of 6 bytes and two deletes: the snapshot holds static
+	// stores of the default fmz index, packed samples and all.
+	f.Add(append(bytes.Repeat([]byte{0, 5, 1, 2, 3, 4, 1, 2}, 40), 2, 7, 2, 9), uint8(77))
 	f.Fuzz(func(t *testing.T, program []byte, mutByte uint8) {
 		c, err := NewCollection(WithSyncRebuilds(), WithMinCapacity(16), WithSampleRate(3))
 		if err != nil {

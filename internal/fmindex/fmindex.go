@@ -4,7 +4,8 @@
 // Index is an FM-index over a document collection: the Burrows–Wheeler
 // transform of the concatenated documents stored in a Huffman-shaped
 // wavelet tree — 4-ary by default, binary on request — plus
-// suffix-array and inverse-suffix-array samples with sampling rate s.
+// suffix-array and inverse-suffix-array samples with sampling rate s,
+// each packed into ⌈log₂ r⌉ bits for its range r (packed.go).
 // It answers
 //
 //   - Range (range-finding): the suffix-array interval of a pattern via
@@ -82,8 +83,10 @@ type Index struct {
 	bwt     sequence
 	c       [257]int // c[b] = number of BWT symbols < b; c[256] = n
 	marked  *bitvec.Vector
-	saSamp  []int32 // SA values at marked rows, ordered by row
-	isaSamp []int32 // rows of positions 0, s, 2s, …, and n-1
+	saSamp  packed // SA values at marked rows, ordered by row, each divided by saScale
+	saScale int    // s, or 1 for samples read from an "fm" or "fm4" file, which stores them whole
+	isaSamp packed // rows of positions 0, s, 2s, …, and n-1
+	layout  Layout
 
 	// Separator rows need explicit LF targets: with a shared separator
 	// byte, the rank-based LF formula can be off by one at rows whose BWT
@@ -109,15 +112,29 @@ func (x *Index) buildSymTable() {
 	x.sym.build(bound, x.n)
 }
 
+// Layout is the form of an FM index: its tree and its codec, one per
+// registered FM index name. In memory all three hold their samples
+// packed; they differ in the tree and in how files store the samples.
+type Layout uint8
+
+const (
+	// FMZ, the default ("fmz"): the 4-ary tree, and files store the
+	// samples packed, as in memory.
+	FMZ Layout = iota
+	// FM4 ("fm4"): the 4-ary tree, and files store the samples as
+	// int32 arrays, which a read views as width-32 vectors.
+	FM4
+	// FM ("fm"): FM4's codec over the binary Huffman-shaped tree.
+	FM
+)
+
 // Options configure index construction.
 type Options struct {
 	// SampleRate is the suffix-array sampling rate s; locate costs O(s)
 	// rank operations and the samples take O(n/s·log n) bits. Default 16.
 	SampleRate int
-	// BinaryTree stores the BWT in the binary Huffman-shaped wavelet
-	// tree instead of the default 4-ary one: the index registered as
-	// "fm", whose files predate the 4-ary tree.
-	BinaryTree bool
+	// Layout picks the tree and the codec; the zero value is FMZ.
+	Layout Layout
 }
 
 func (o Options) withDefaults() Options {
@@ -140,13 +157,14 @@ func Build(docs []Doc, opts Options) *Index {
 	}
 	sc := scratchPool.Get().(*buildScratch)
 	text := sa.Grow(sc.text, total)[:0]
-	idx := &Index{s: opts.SampleRate}
+	idx := &Index{s: opts.SampleRate, saScale: opts.SampleRate, layout: opts.Layout}
 	text = idx.appendDocs(text, docs)
 	sc.text = text
 	idx.n = len(text)
 	if idx.n == 0 {
-		idx.bwt = newSequence(nil, make([]int64, 256), opts.BinaryTree)
+		idx.bwt = newSequence(nil, make([]int64, 256), opts.Layout)
 		idx.marked = bitvec.FromBools(nil)
+		idx.saSamp, idx.isaSamp = newPacked(0, 0), newPacked(0, 0)
 		idx.buildSymTable()
 		scratchPool.Put(sc)
 		return idx
@@ -179,9 +197,12 @@ func Build(docs []Doc, opts Options) *Index {
 	sc.bwt = bwtBytes
 	var freq [256]int64
 	marks := make([]uint64, (n+63)/64)
-	idx.saSamp = make([]int32, 0, (n-1)/rate+1)
-	idx.isaSamp = make([]int32, (n-1)/rate+2)
-	idx.isaSamp[len(idx.isaSamp)-1] = sepRowOf[nDocs-1]
+	// Sampled positions are the multiples of s below n, so an SA sample
+	// is stored as p/s < ⌈n/s⌉; an ISA sample is a row below n.
+	idx.saSamp = newPacked(saBound(n, rate), saBound(n, rate))
+	idx.isaSamp = newPacked(isaCount(n, rate), n)
+	idx.isaSamp.set(idx.isaSamp.n-1, uint64(sepRowOf[nDocs-1]))
+	sampled := 0
 	idx.sepRows = make([]int32, 0, nDocs)
 	idx.sepTargets = make([]int32, 0, nDocs)
 	m := reciprocal(rate)
@@ -195,8 +216,9 @@ func Build(docs []Doc, opts Options) *Index {
 		freq[b]++
 		if divides(m, p) {
 			marks[row>>6] |= 1 << (uint(row) & 63)
-			idx.saSamp = append(idx.saSamp, p)
-			idx.isaSamp[int(p)/rate] = int32(row)
+			idx.saSamp.set(sampled, uint64(int(p)/rate))
+			idx.isaSamp.set(int(p)/rate, uint64(row))
+			sampled++
 		}
 		if b == Sep {
 			d, _ := idx.posToDoc(int(p))
@@ -212,14 +234,14 @@ func Build(docs []Doc, opts Options) *Index {
 	idx.c[256] = sum
 	idx.buildSymTable()
 	idx.marked = bitvec.FromWords(marks, n)
-	idx.bwt = newSequence(bwtBytes, freq[:], opts.BinaryTree)
+	idx.bwt = newSequence(bwtBytes, freq[:], opts.Layout)
 	scratchPool.Put(sc)
 	return idx
 }
 
 // newSequence builds the BWT's wavelet tree from its counted bytes.
-func newSequence(bwt []byte, freq []int64, binary bool) sequence {
-	if binary {
+func newSequence(bwt []byte, freq []int64, l Layout) sequence {
+	if l == FM {
 		return wavelet.NewHuffmanBytesCounted(bwt, freq)
 	}
 	return wavelet.NewQuadBytesCounted(bwt, freq)
@@ -233,6 +255,19 @@ func newSequence(bwt []byte, freq []int64, binary bool) sequence {
 func reciprocal(s int) uint64 { return ^uint64(0)/uint64(s) + 1 }
 
 func divides(m uint64, p int32) bool { return uint64(p)*m <= m-1 }
+
+// saBound is the number of positions below n sampled at rate s, ⌈n/s⌉:
+// the number of SA samples, and the bound of each stored as p/s.
+func saBound(n, s int) int { return (n + s - 1) / s }
+
+// isaCount is the number of ISA samples of n rows at rate s: one per
+// multiple of s below n, and one for n-1.
+func isaCount(n, s int) int {
+	if n == 0 {
+		return 0
+	}
+	return (n-1)/s + 2
+}
 
 // SALen reports the number of suffix-array rows (the universe of the
 // deletion bitmap kept by the semi-dynamic wrapper).
@@ -303,14 +338,35 @@ func (x *Index) Extract(d, off, length int) []byte {
 	return out
 }
 
-// SizeBits estimates the index footprint in bits for space accounting.
-func (x *Index) SizeBits() int64 {
-	var total int64
-	total += x.bwt.SizeBits()
-	total += x.marked.SizeBits()
-	total += int64(len(x.saSamp)+len(x.isaSamp)) * 32
-	total += int64(len(x.sepRows)+len(x.sepTargets)) * 32
-	total += x.docTable.sizeBits()
-	total += 257 * 64
-	return total
+// Space is an index's footprint in bits, section by section.
+type Space struct {
+	Tree       int64 // the BWT's wavelet tree with its rank directories
+	Marks      int64 // the sampled-row bit vector with its rank directory
+	SASamples  int64
+	ISASamples int64
+	SepTables  int64 // separator rows and their LF targets
+	DocTable   int64 // document starts and IDs
+	Symbols    int64 // the C array and the row→symbol table derived from it
 }
+
+// Total is the sum of the sections.
+func (sp Space) Total() int64 {
+	return sp.Tree + sp.Marks + sp.SASamples + sp.ISASamples + sp.SepTables + sp.DocTable + sp.Symbols
+}
+
+// Space reports the index's footprint section by section.
+func (x *Index) Space() Space {
+	return Space{
+		Tree:       x.bwt.SizeBits(),
+		Marks:      x.marked.SizeBits(),
+		SASamples:  x.saSamp.sizeBits(),
+		ISASamples: x.isaSamp.sizeBits(),
+		SepTables:  int64(len(x.sepRows)+len(x.sepTargets)) * 32,
+		DocTable:   x.docTable.sizeBits(),
+		Symbols:    int64(len(x.c))*64 + x.sym.sizeBits(),
+	}
+}
+
+// SizeBits is the index footprint in bits for space accounting: the
+// sum of its Space sections.
+func (x *Index) SizeBits() int64 { return x.Space().Total() }

@@ -61,8 +61,8 @@ type searcher interface {
 }
 
 var indexBuilders = map[string]func(docs []Doc) searcher{
-	"fm":    func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4, BinaryTree: true}) },
-	"fm1":   func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1, BinaryTree: true}) },
+	"fm":    func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4, Layout: FM}) },
+	"fm1":   func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1, Layout: FM}) },
 	"fm4":   func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4}) },
 	"fm4-1": func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1}) },
 	"sa":    func(docs []Doc) searcher { return BuildSA(docs) },
@@ -369,8 +369,8 @@ func min(a, b int) int {
 // that price both.
 var treeShapes = []struct {
 	name   string
-	binary bool
-}{{"fm4", false}, {"fm", true}}
+	layout Layout
+}{{"fm4", FM4}, {"fm", FM}}
 
 func BenchmarkFMRange(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
@@ -382,7 +382,7 @@ func BenchmarkFMRange(b *testing.B) {
 		pats[i] = docs[d].Data[off : off+8]
 	}
 	for _, shape := range treeShapes {
-		x := Build(docs, Options{SampleRate: 16, BinaryTree: shape.binary})
+		x := Build(docs, Options{SampleRate: 16, Layout: shape.layout})
 		b.Run(shape.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x.Range(pats[i&63])

@@ -65,9 +65,9 @@ func sampleAfter(pos, s, n int) int {
 // sampleRow is the row of the sampled position j.
 func (x *Index) sampleRow(j int) int {
 	if j%x.s == 0 {
-		return int(x.isaSamp[j/x.s])
+		return x.isaSamp.get(j / x.s)
 	}
-	return int(x.isaSamp[len(x.isaSamp)-1]) // j == n-1
+	return x.isaSamp.get(x.isaSamp.n - 1) // j == n-1
 }
 
 // lfSteps takes one LF step in every lane: rows[k] becomes LF(rows[k])
@@ -168,7 +168,7 @@ func (x *Index) LocateRows(rows []uint64) {
 				k++
 				continue
 			}
-			d, off := x.posToDoc(int(x.saSamp[r]) + steps[k])
+			d, off := x.posToDoc(x.saSamp.get(r)*x.saScale + steps[k])
 			rows[slot[k]] = uint64(d)<<32 | uint64(uint32(off))
 			active--
 			cur[k], slot[k], steps[k] = cur[active], slot[active], steps[active]

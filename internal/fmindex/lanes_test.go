@@ -62,7 +62,7 @@ func (x *Index) scalarLocate(row int) (int, int) {
 		row = x.scalarLF(row)
 		steps++
 	}
-	return x.posToDoc(int(x.saSamp[x.marked.Rank1(row)]) + steps)
+	return x.posToDoc(x.saSamp.get(x.marked.Rank1(row))*x.saScale + steps)
 }
 
 // scalarDocRows is the single-chain delete walk: from the separator's
@@ -266,21 +266,21 @@ func BenchmarkFMExtract(b *testing.B) {
 	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 3}).GenerateTotal(16 << 20)
 	for _, shape := range treeShapes {
 		for _, size := range []int{135 << 10, 280 << 10, 550 << 10, 1100 << 10} {
-			benchExtract(b, shape.name, docs, size, shape.binary)
+			benchExtract(b, shape.name, docs, size, shape.layout)
 		}
 	}
 }
 
 // benchExtract runs BenchmarkFMExtract's sweep at one store size over
 // one tree shape.
-func benchExtract(b *testing.B, shape string, docs []doc.Doc, size int, binary bool) {
+func benchExtract(b *testing.B, shape string, docs []doc.Doc, size int, layout Layout) {
 	var stores []*Index
 	for rest := docs; len(rest) > 0; {
 		n, sz := 0, 0
 		for ; n < len(rest) && sz < size; n++ {
 			sz += len(rest[n].Data)
 		}
-		stores = append(stores, Build(rest[:n], Options{BinaryTree: binary}))
+		stores = append(stores, Build(rest[:n], Options{Layout: layout}))
 		rest = rest[n:]
 	}
 	rng := rand.New(rand.NewSource(5))

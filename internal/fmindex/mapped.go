@@ -17,7 +17,8 @@ import (
 // open O(n) again — full payload integrity is the opt-in CRC verify
 // pass one layer up.
 
-// EncodeMapped writes the FM-index in mapped form.
+// EncodeMapped writes the FM-index in mapped form. An FMZ index writes
+// its samples as packed word sections; FM and FM4 write int32 arrays.
 func (x *Index) EncodeMapped(e *snap.MapEncoder) {
 	e.U64(uint64(x.n))
 	e.U64(uint64(x.s))
@@ -29,83 +30,68 @@ func (x *Index) EncodeMapped(e *snap.MapEncoder) {
 	e.Int64s(c)
 	x.bwt.EncodeMapped(e)
 	x.marked.EncodeMapped(e)
-	e.Int32s(x.saSamp)
-	e.Int32s(x.isaSamp)
+	if x.layout == FMZ {
+		x.saSamp.encodeMapped(e)
+		x.isaSamp.encodeMapped(e)
+	} else {
+		e.Int32s(x.saSamp.int32s(x.saScale))
+		e.Int32s(x.isaSamp.int32s(1))
+	}
 	e.Int32s(x.sepRows)
 	e.Int32s(x.sepTargets)
 	e.Int32s(x.docStarts)
 	e.Words(x.docIDs)
 }
 
-// OpenMappedIndex reconstructs an FM-index over the binary tree (the
-// "fm" index) from a mapped payload.
-func OpenMappedIndex(mv *snap.MapView) (*Index, error) {
-	return openMapped(mv, func(mv *snap.MapView) sequence { return wavelet.ViewMapped(mv) })
-}
-
-// OpenMappedQuad reconstructs an FM-index over the 4-ary tree (the
-// "fm4" index) from a mapped payload.
-func OpenMappedQuad(mv *snap.MapView) (*Index, error) {
-	return openMapped(mv, func(mv *snap.MapView) sequence { return wavelet.ViewMappedQuad(mv) })
-}
-
-// openMapped opens an index whose tree viewTree reads.
-func openMapped(mv *snap.MapView, viewTree func(*snap.MapView) sequence) (*Index, error) {
-	nx := &Index{}
+// OpenMapped reconstructs an FM-index of layout l from a mapped
+// payload. The samples are views either way: an FMZ file's packed
+// words, or an FM or FM4 file's int32 arrays as width-32 vectors.
+func OpenMapped(mv *snap.MapView, l Layout) (*Index, error) {
+	nx := &Index{layout: l}
 	nx.n = mv.Int()
 	nx.s = mv.Int()
 	nx.symbols = mv.Int()
 	c := mv.Int64s()
-	bwt := viewTree(mv)
-	marked := bitvec.ViewMapped(mv)
-	nx.saSamp = mv.Int32s()
-	nx.isaSamp = mv.Int32s()
-	nx.sepRows = mv.Int32s()
-	nx.sepTargets = mv.Int32s()
-	nx.docStarts = mv.Int32s()
-	nx.docIDs = mv.Words()
+	if l == FM {
+		nx.bwt = wavelet.ViewMapped(mv)
+	} else {
+		nx.bwt = wavelet.ViewMappedQuad(mv)
+	}
+	nx.marked = bitvec.ViewMapped(mv)
 	if err := mv.Err(); err != nil {
 		return nil, err
 	}
-	nx.bwt, nx.marked = bwt, marked
 	if len(c) != len(nx.c) {
 		mv.Fail("fm: C array has %d entries", len(c))
 		return nil, mv.Err()
 	}
-	prev := int64(0)
 	for b, v := range c {
-		if v < prev || v > int64(nx.n) {
-			mv.Fail("fm: C array not monotone at symbol %d", b)
+		if v < 0 || v > int64(nx.n) {
+			mv.Fail("fm: C array entry %d out of range at symbol %d", v, b)
 			return nil, mv.Err()
 		}
-		prev = v
 		nx.c[b] = int(v)
 	}
-	switch {
-	case nx.s < 1:
-		mv.Fail("fm: sample rate %d", nx.s)
-	case nx.c[256] != nx.n:
-		mv.Fail("fm: C[256] = %d, want %d", nx.c[256], nx.n)
-	case bwt.Len() != nx.n || marked.Len() != nx.n:
-		mv.Fail("fm: BWT %d / marks %d rows for n=%d", bwt.Len(), marked.Len(), nx.n)
-	case len(nx.saSamp) != marked.Ones():
-		mv.Fail("fm: %d SA samples for %d marked rows", len(nx.saSamp), marked.Ones())
-	case nx.n > 0 && len(nx.isaSamp) != (nx.n-1)/nx.s+2:
-		mv.Fail("fm: %d ISA samples, want %d", len(nx.isaSamp), (nx.n-1)/nx.s+2)
-	case len(nx.sepRows) != len(nx.sepTargets):
-		mv.Fail("fm: %d separator rows for %d targets", len(nx.sepRows), len(nx.sepTargets))
-	case bwt.Count(uint32(Sep)) != len(nx.sepRows):
-		mv.Fail("fm: %d separator rows listed, BWT holds %d", len(nx.sepRows), bwt.Count(uint32(Sep)))
-	case nx.n > 0 && marked.Ones() == 0:
-		mv.Fail("fm: non-empty index with no SA samples")
+	nx.checkHeader(mv)
+	if err := mv.Err(); err != nil {
+		return nil, err
 	}
-	if mv.Err() == nil {
-		for i := 1; i < len(nx.sepRows); i++ {
-			if nx.sepRows[i] <= nx.sepRows[i-1] {
-				mv.Fail("fm: separator rows not increasing at %d", i)
-				break
-			}
+	if l == FMZ {
+		nx.saSamp = readPacked(mv, "fm SA samples", nx.marked.Ones(), saBound(nx.n, nx.s))
+		nx.isaSamp = readPacked(mv, "fm ISA samples", isaCount(nx.n, nx.s), nx.n)
+		nx.saScale = nx.s
+	} else {
+		nx.saSamp, nx.isaSamp, nx.saScale = viewInt32s(mv), viewInt32s(mv), 1
+		if mv.Err() == nil {
+			nx.checkSampleCounts(mv, nx.saSamp.n, nx.isaSamp.n)
 		}
+	}
+	nx.sepRows = mv.Int32s()
+	nx.sepTargets = mv.Int32s()
+	nx.docStarts = mv.Int32s()
+	nx.docIDs = mv.Words()
+	if mv.Err() == nil {
+		nx.checkSeparators(mv)
 	}
 	if mv.Err() == nil {
 		nx.check(mv, nx.n)

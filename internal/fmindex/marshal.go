@@ -33,7 +33,9 @@ func checkRows(d failer, what string, rows []int32, n int) bool {
 	return true
 }
 
-// EncodeTo writes the FM-index's portable form into an encoder.
+// EncodeTo writes the FM-index's portable form into an encoder. An
+// FMZ index writes its samples packed; FM and FM4 write them as the
+// int32 arrays their files have always held.
 func (x *Index) EncodeTo(e *snap.Encoder) {
 	e.Uvarint(uint64(x.n))
 	e.Uvarint(uint64(x.s))
@@ -43,8 +45,13 @@ func (x *Index) EncodeTo(e *snap.Encoder) {
 	}
 	x.bwt.EncodeTo(e)
 	x.marked.EncodeTo(e)
-	e.Int32s(x.saSamp)
-	e.Int32s(x.isaSamp)
+	if x.layout == FMZ {
+		x.saSamp.encodeTo(e)
+		x.isaSamp.encodeTo(e)
+	} else {
+		e.Int32s(x.saSamp.int32s(x.saScale))
+		e.Int32s(x.isaSamp.int32s(1))
+	}
 	e.Int32s(x.sepRows)
 	e.Int32s(x.sepTargets)
 	e.Int32s(x.docStarts)
@@ -59,117 +66,134 @@ func (x *Index) AppendBinary(buf []byte) ([]byte, error) {
 	return append(buf, e.Bytes()...), nil
 }
 
-// UnmarshalBinary replaces x with the index encoded in data, one built
-// over the binary tree (Options.BinaryTree, the "fm" index). Corrupt or
+// Decode reads an FM-index in the portable form of layout l. Corrupt or
 // truncated input returns an error wrapping snap.ErrBadSnapshot; it
 // never panics.
-func (x *Index) UnmarshalBinary(data []byte) error {
-	return x.unmarshal(data, func(d *snap.Decoder) sequence { return wavelet.DecodeFrom(d) })
-}
-
-// UnmarshalQuad is UnmarshalBinary for an index over the default 4-ary
-// tree (the "fm4" index).
-func (x *Index) UnmarshalQuad(data []byte) error {
-	return x.unmarshal(data, func(d *snap.Decoder) sequence { return wavelet.DecodeQuadFrom(d) })
-}
-
-// unmarshal decodes an index whose tree decodeTree reads; the rest of
-// the encoding is the same for both shapes.
-func (x *Index) unmarshal(data []byte, decodeTree func(*snap.Decoder) sequence) error {
+func Decode(data []byte, l Layout) (*Index, error) {
 	d := snap.NewDecoder(data)
-	nx := &Index{}
+	nx := &Index{layout: l}
 	nx.n = d.Int()
 	nx.s = d.Int()
 	nx.symbols = d.Int()
 	for i := range nx.c {
 		nx.c[i] = d.Int()
 	}
-	bwt := decodeTree(d)
-	marked := bitvec.DecodeFrom(d)
-	nx.saSamp = d.Int32s()
-	nx.isaSamp = d.Int32s()
+	if l == FM {
+		nx.bwt = wavelet.DecodeFrom(d)
+	} else {
+		nx.bwt = wavelet.DecodeQuadFrom(d)
+	}
+	nx.marked = bitvec.DecodeFrom(d)
+	if d.Err() == nil {
+		nx.checkHeader(d)
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if l == FMZ {
+		nx.saSamp = readPacked(d, "fm SA samples", nx.marked.Ones(), saBound(nx.n, nx.s))
+		nx.isaSamp = readPacked(d, "fm ISA samples", isaCount(nx.n, nx.s), nx.n)
+		nx.saSamp.checkBelow(d, "fm SA samples", saBound(nx.n, nx.s))
+		nx.isaSamp.checkBelow(d, "fm ISA samples", nx.n)
+		nx.saScale = nx.s
+	} else {
+		sa, isa := d.Int32s(), d.Int32s()
+		if d.Err() == nil && nx.checkSampleCounts(d, len(sa), len(isa)) {
+			checkRows(d, "fm SA samples", sa, nx.n)
+			checkRows(d, "fm ISA samples", isa, nx.n)
+		}
+		nx.saSamp, nx.isaSamp, nx.saScale = packInt32s(sa), packInt32s(isa), 1
+	}
 	nx.sepRows = d.Int32s()
 	nx.sepTargets = d.Int32s()
 	nx.docStarts = d.Int32s()
 	nx.docIDs = d.Uint64s()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	nx.bwt, nx.marked = bwt, marked
-	if nx.s < 1 {
-		d.Fail("fm: sample rate %d", nx.s)
-	}
-	if bwt.Len() != nx.n || marked.Len() != nx.n {
-		d.Fail("fm: BWT %d / marks %d rows for n=%d", bwt.Len(), marked.Len(), nx.n)
-	}
 	if d.Err() == nil {
-		prev := 0
-		for b, c := range nx.c {
-			if c < prev || c > nx.n {
-				d.Fail("fm: C array not monotone at symbol %d", b)
-				break
-			}
-			prev = c
-		}
-		if nx.c[256] != nx.n {
-			d.Fail("fm: C[256] = %d, want %d", nx.c[256], nx.n)
-		}
-	}
-	if d.Err() == nil && len(nx.saSamp) != marked.Ones() {
-		d.Fail("fm: %d SA samples for %d marked rows", len(nx.saSamp), marked.Ones())
-	}
-	if d.Err() == nil && nx.n > 0 {
-		if want := (nx.n-1)/nx.s + 2; len(nx.isaSamp) != want {
-			d.Fail("fm: %d ISA samples, want %d", len(nx.isaSamp), want)
-		}
-	}
-	if d.Err() == nil {
-		checkRows(d, "fm SA samples", nx.saSamp, nx.n)
-		checkRows(d, "fm ISA samples", nx.isaSamp, nx.n)
 		checkRows(d, "fm separator rows", nx.sepRows, nx.n)
 		checkRows(d, "fm separator targets", nx.sepTargets, nx.n)
 	}
-	if d.Err() == nil && len(nx.sepRows) != len(nx.sepTargets) {
-		d.Fail("fm: %d separator rows for %d targets", len(nx.sepRows), len(nx.sepTargets))
-	}
 	if d.Err() == nil {
-		for i := 1; i < len(nx.sepRows); i++ {
-			if nx.sepRows[i] <= nx.sepRows[i-1] {
-				d.Fail("fm: separator rows not increasing at %d", i)
-				break
-			}
-		}
+		nx.checkSeparators(d)
 	}
-	// Every separator row must be listed with an LF target, or the LF
-	// step, which indexes the target table by the row's rank among the
-	// separators, would index past it; listed rows strictly increase
-	// and must actually carry the separator, so equal counts pin the
-	// listed set to exactly the BWT's separator positions.
+	// Every listed row must actually carry the separator: with the
+	// counts equal and the rows increasing, that pins the listed set to
+	// exactly the BWT's separator positions.
 	if d.Err() == nil {
-		if bwt.Count(uint32(Sep)) != len(nx.sepRows) {
-			d.Fail("fm: %d separator rows listed, BWT holds %d", len(nx.sepRows), bwt.Count(uint32(Sep)))
-		}
 		for _, r := range nx.sepRows {
-			if b, _ := bwt.AccessRank(int(r)); b != uint32(Sep) {
+			if b, _ := nx.bwt.AccessRank(int(r)); b != uint32(Sep) {
 				d.Fail("fm: listed separator row %d is not a separator", r)
 				break
 			}
 		}
 	}
-	// Locate walks LF until it hits a marked row; a non-empty index with
-	// no marks would never terminate.
-	if d.Err() == nil && nx.n > 0 && marked.Ones() == 0 {
-		d.Fail("fm: non-empty index with no SA samples")
-	}
 	if d.Err() == nil {
 		nx.check(d, nx.n)
 	}
 	if err := d.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	nx.buildSymTable()
-	*x = *nx
-	return nil
+	return nx, nil
+}
+
+// checkHeader validates what both codecs read before the samples: the
+// sample rate, the C array, and a tree and marks of n rows, at least one
+// of them marked when n > 0 (Locate walks LF until it hits a marked
+// row, so an index with none would never terminate).
+func (x *Index) checkHeader(f failer) {
+	prev := 0
+	for b, c := range x.c {
+		if c < prev || c > x.n {
+			f.Fail("fm: C array not monotone at symbol %d", b)
+			return
+		}
+		prev = c
+	}
+	switch {
+	case x.s < 1:
+		f.Fail("fm: sample rate %d", x.s)
+	case x.c[256] != x.n:
+		f.Fail("fm: C[256] = %d, want %d", x.c[256], x.n)
+	case x.bwt.Len() != x.n || x.marked.Len() != x.n:
+		f.Fail("fm: BWT %d / marks %d rows for n=%d", x.bwt.Len(), x.marked.Len(), x.n)
+	case x.n > 0 && x.marked.Ones() == 0:
+		f.Fail("fm: non-empty index with no SA samples")
+	}
+}
+
+// checkSampleCounts validates the lengths of int32 sample arrays: one
+// SA sample per marked row, and isaCount ISA samples.
+func (x *Index) checkSampleCounts(f failer, sa, isa int) bool {
+	switch {
+	case sa != x.marked.Ones():
+		f.Fail("fm: %d SA samples for %d marked rows", sa, x.marked.Ones())
+	case isa != isaCount(x.n, x.s):
+		f.Fail("fm: %d ISA samples, want %d", isa, isaCount(x.n, x.s))
+	default:
+		return true
+	}
+	return false
+}
+
+// checkSeparators validates the separator tables: one target per row,
+// rows strictly increasing, and as many rows as the BWT holds
+// separators. Every separator row must be listed with an LF target, or
+// the LF step, which indexes the target table by the row's rank among
+// the separators, would index past it.
+func (x *Index) checkSeparators(f failer) {
+	if len(x.sepRows) != len(x.sepTargets) {
+		f.Fail("fm: %d separator rows for %d targets", len(x.sepRows), len(x.sepTargets))
+		return
+	}
+	for i := 1; i < len(x.sepRows); i++ {
+		if x.sepRows[i] <= x.sepRows[i-1] {
+			f.Fail("fm: separator rows not increasing at %d", i)
+			return
+		}
+	}
+	if seps := x.bwt.Count(uint32(Sep)); seps != len(x.sepRows) {
+		f.Fail("fm: %d separator rows listed, BWT holds %d", len(x.sepRows), seps)
+	}
 }
 
 // EncodeTo writes the suffix-array index's portable form into an

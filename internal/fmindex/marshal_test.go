@@ -53,13 +53,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 		}
 		fresh func(data []byte) (any, error)
 	}{
-		{"fm4", Build(docs, Options{SampleRate: 4}), func(data []byte) (any, error) {
-			y := &Index{}
-			return y, y.UnmarshalQuad(data)
+		{"fmz", Build(docs, Options{SampleRate: 4}), func(data []byte) (any, error) {
+			return Decode(data, FMZ)
 		}},
-		{"fm", Build(docs, Options{SampleRate: 4, BinaryTree: true}), func(data []byte) (any, error) {
-			y := &Index{}
-			return y, y.UnmarshalBinary(data)
+		{"fm4", Build(docs, Options{SampleRate: 4, Layout: FM4}), func(data []byte) (any, error) {
+			return Decode(data, FM4)
+		}},
+		{"fm", Build(docs, Options{SampleRate: 4, Layout: FM}), func(data []byte) (any, error) {
+			return Decode(data, FM)
 		}},
 		{"sa", BuildSA(docs), func(data []byte) (any, error) {
 			y := &SAIndex{}
@@ -124,14 +125,23 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeFM returns Decode for layout l with its index dropped.
+func decodeFM(l Layout) func([]byte) error {
+	return func(p []byte) error {
+		_, err := Decode(p, l)
+		return err
+	}
+}
+
 // TestMarshalEmpty round-trips indexes built over zero documents.
 func TestMarshalEmpty(t *testing.T) {
 	for _, c := range []struct {
 		x      marshalable
 		decode func([]byte) error
 	}{
-		{Build(nil, Options{}), new(Index).UnmarshalQuad},
-		{Build(nil, Options{BinaryTree: true}), new(Index).UnmarshalBinary},
+		{Build(nil, Options{}), decodeFM(FMZ)},
+		{Build(nil, Options{Layout: FM4}), decodeFM(FM4)},
+		{Build(nil, Options{Layout: FM}), decodeFM(FM)},
 		{BuildSA(nil), new(SAIndex).UnmarshalBinary},
 		{BuildCSA(nil, Options{}), new(CSA).UnmarshalBinary},
 	} {
@@ -155,8 +165,9 @@ func TestMarshalCorrupt(t *testing.T) {
 		x      marshalable
 		decode func([]byte) error
 	}{
-		{Build(docs, Options{SampleRate: 4}), func(p []byte) error { return new(Index).UnmarshalQuad(p) }},
-		{Build(docs, Options{SampleRate: 4, BinaryTree: true}), func(p []byte) error { return new(Index).UnmarshalBinary(p) }},
+		{Build(docs, Options{SampleRate: 4}), decodeFM(FMZ)},
+		{Build(docs, Options{SampleRate: 4, Layout: FM4}), decodeFM(FM4)},
+		{Build(docs, Options{SampleRate: 4, Layout: FM}), decodeFM(FM)},
 		{BuildSA(docs), func(p []byte) error { return new(SAIndex).UnmarshalBinary(p) }},
 		{BuildCSA(docs, Options{SampleRate: 4}), func(p []byte) error { return new(CSA).UnmarshalBinary(p) }},
 	} {
@@ -194,7 +205,7 @@ func TestBuildSeparatorTargetsUnchanged(t *testing.T) {
 		4:  "76c8cbfd6c77644ddcac697d1f848d5e61eca5ecca767f2c095c886865ddd610",
 		16: "ccb95be84090166a49c3af48725ca8fb6dcf52b82dcb2c66351cb9fd44799ab7",
 	} {
-		wire, err := Build(fixture, Options{SampleRate: s, BinaryTree: true}).AppendBinary(nil)
+		wire, err := Build(fixture, Options{SampleRate: s, Layout: FM}).AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,28 +12,24 @@ import (
 
 // indexForms returns the three ways an Index comes to exist — built on
 // the heap, decoded from the v1 wire form, and viewed over a mapped (v2)
-// payload — over each tree shape, the binary one's under "fm/", since
-// AppendDocs must read all of them alike.
+// payload — in each layout, FM4's under "fm4/" and FM's under "fm/",
+// since AppendDocs must read all of them alike.
 func indexForms(t *testing.T, docs []doc.Doc, s int) map[string]*Index {
 	t.Helper()
 	forms := make(map[string]*Index)
-	for _, binary := range []bool{false, true} {
-		built := Build(docs, Options{SampleRate: s, BinaryTree: binary})
+	for layout, prefix := range map[Layout]string{FMZ: "", FM4: "fm4/", FM: "fm/"} {
+		built := Build(docs, Options{SampleRate: s, Layout: layout})
 		wire, err := built.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded := &Index{}
-		unmarshal, open, prefix := decoded.UnmarshalQuad, OpenMappedQuad, ""
-		if binary {
-			unmarshal, open, prefix = decoded.UnmarshalBinary, OpenMappedIndex, "fm/"
-		}
-		if err := unmarshal(wire); err != nil {
+		decoded, err := Decode(wire, layout)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var enc snap.MapEncoder
 		built.EncodeMapped(&enc)
-		mapped, err := open(snap.NewMapView(enc.Bytes()))
+		mapped, err := OpenMapped(snap.NewMapView(enc.Bytes()), layout)
 		if err != nil {
 			t.Fatal(err)
 		}

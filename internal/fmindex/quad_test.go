@@ -33,7 +33,7 @@ func codeLens(x *Index) []int {
 // indexed over each tree shape.
 var shapePair = sync.OnceValues(func() (fm4, fm *Index) {
 	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(1 << 20)
-	return Build(docs, Options{}), Build(docs, Options{BinaryTree: true})
+	return Build(docs, Options{}), Build(docs, Options{Layout: FM})
 })
 
 // levelsPerSymbol is the frequency-weighted code length of x's tree
@@ -170,7 +170,7 @@ func allocated(fn func()) uint64 {
 // multiple of itself beyond the alphabet-sized tables (code book, node
 // and step tables, C array) every decode sets up.
 func TestQuadIndexTruncationSweep(t *testing.T) {
-	x := Build(testDocs(5, rand.New(rand.NewSource(38))), Options{SampleRate: 4})
+	x := Build(testDocs(5, rand.New(rand.NewSource(38))), Options{SampleRate: 4, Layout: FM4})
 	v1, err := x.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +182,12 @@ func TestQuadIndexTruncationSweep(t *testing.T) {
 		data   []byte
 		decode func([]byte) error
 	}{
-		"v1": {v1, new(Index).UnmarshalQuad},
+		"v1": {v1, func(p []byte) error {
+			_, err := Decode(p, FM4)
+			return err
+		}},
 		"mapped": {me.Bytes(), func(p []byte) error {
-			_, err := OpenMappedQuad(snap.NewMapView(p))
+			_, err := OpenMapped(snap.NewMapView(p), FM4)
 			return err
 		}},
 	} {

@@ -19,16 +19,16 @@ import (
 func BenchmarkRebuildStages(b *testing.B) {
 	for _, shape := range treeShapes {
 		for _, size := range []int{26 << 10, 108 << 10, 460 << 10, 2 << 20} {
-			rebuildStages(b, shape.name, size, shape.binary)
+			rebuildStages(b, shape.name, size, shape.layout)
 		}
 	}
 }
 
 // rebuildStages runs BenchmarkRebuildStages at one store size over one
 // tree shape.
-func rebuildStages(b *testing.B, shape string, size int, binary bool) {
+func rebuildStages(b *testing.B, shape string, size int, layout Layout) {
 	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(size)
-	opts := Options{BinaryTree: binary}
+	opts := Options{Layout: layout}
 	idx := Build(docs, opts)
 	all := make([]int, idx.DocCount())
 	for i := range all {
@@ -55,6 +55,6 @@ func rebuildStages(b *testing.B, shape string, size int, binary bool) {
 	var ws sa.Workspace
 	stage("materialize", func() { idx.AppendDocs(all, nil) })
 	stage("sa", func() { sa.SuffixArrayWS(text, &ws) })
-	stage("wavelet", func() { newSequence(bwt, freq, binary) })
+	stage("wavelet", func() { newSequence(bwt, freq, layout) })
 	stage("build", func() { Build(docs, opts) })
 }

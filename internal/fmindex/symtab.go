@@ -57,3 +57,9 @@ func (st *symTable) at(row int) byte {
 	}
 	return byte(b)
 }
+
+// sizeBits is the table's footprint: the sampled symbols, the
+// boundaries and the shift.
+func (st *symTable) sizeBits() int64 {
+	return int64(len(st.tab))*8 + int64(len(st.bound))*32 + 64
+}

@@ -180,6 +180,14 @@ func (v *MapView) Words() []uint64 {
 	if v.err != nil || n == 0 {
 		return nil
 	}
+	return asWords(p)
+}
+
+// asWords returns p, a whole number of little-endian words, as
+// []uint64: an alias when the host is little-endian and p aligned, a
+// copy otherwise.
+func asWords(p []byte) []uint64 {
+	n := len(p) / 8
 	if hostLittle && aligned8(p) {
 		return unsafe.Slice((*uint64)(unsafe.Pointer(&p[0])), n)
 	}
@@ -188,6 +196,19 @@ func (v *MapView) Words() []uint64 {
 		out[i] = binary.LittleEndian.Uint64(p[8*i:])
 	}
 	return out
+}
+
+// Int32Words reads a length-prefixed []int32 as the ⌈n/2⌉ words its
+// 4n bytes and their padding fill (zero-copy when possible), for a
+// reader that holds the array as a vector of 32-bit fields: value i is
+// bits 32·(i%2) … of word i/2.
+func (v *MapView) Int32Words() (n int, words []uint64) {
+	n = v.count(4)
+	p := v.take(8 * ((n + 1) / 2))
+	if v.err != nil || n == 0 {
+		return 0, nil
+	}
+	return n, asWords(p)
 }
 
 // Int64s reads a length-prefixed []int64 (zero-copy when possible).

@@ -151,8 +151,8 @@ func diffBuild[S byte | uint32](t *testing.T, s []S, sigma int) {
 	for _, c := range s {
 		freq[c]++
 	}
-	sameBuild(t, build(s, sigma, true), buildPingPong(s, sigma, huffman.Build(freq)))
-	sameBuild(t, build(s, sigma, false), buildPingPong(s, sigma, balancedCodes(sigma)))
+	sameBuild(t, build(s, sigma), buildPingPong(s, sigma, huffman.Build(freq)))
+	sameBuild(t, scatter(s, balancedCodes(sigma), freq), buildPingPong(s, sigma, balancedCodes(sigma)))
 }
 
 func TestScatterMatchesPingPong(t *testing.T) {
@@ -227,7 +227,11 @@ func FuzzWaveletBuild(f *testing.F) {
 		for _, c := range s {
 			sigma = max(sigma, int(c)+1)
 		}
-		tr := build(s, sigma, huff)
+		newTree := NewBalancedBytes
+		if huff {
+			newTree = NewHuffmanBytes
+		}
+		tr := newTree(s, sigma)
 		seen := make([]int, sigma)
 		for i, c := range s {
 			if got := tr.Access(i); got != uint32(c) {

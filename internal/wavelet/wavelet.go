@@ -28,7 +28,6 @@ package wavelet
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"dyncoll/internal/bitvec"
@@ -85,36 +84,14 @@ func (t *Tree) select0(nd *node, k int) int {
 	return t.levels[nd.depth].Select0(zerosBefore+k) - int(nd.off)
 }
 
-// balancedCodes assigns every symbol of [0, sigma) its fixed-width
-// ⌈log₂ σ⌉-bit code (zero-length codes for the single-symbol alphabet,
-// which yields a leaf-only tree).
-func balancedCodes(sigma int) []huffman.Code {
-	if sigma < 1 {
-		panic("wavelet: sigma must be ≥ 1")
-	}
-	w := bits.Len(uint(sigma - 1))
-	codes := make([]huffman.Code, sigma)
-	for c := range codes {
-		codes[c] = huffman.Code{Symbol: c, Len: w, Bits: uint64(c)}
-	}
-	return codes
-}
-
-// NewBalanced builds a balanced wavelet tree of s over alphabet [0, sigma).
-func NewBalanced(s []uint32, sigma int) *Tree { return build(s, sigma, false) }
-
 // NewHuffman builds a Huffman-shaped wavelet tree of s over [0, sigma);
 // code lengths follow symbol frequencies in s.
-func NewHuffman(s []uint32, sigma int) *Tree { return build(s, sigma, true) }
-
-// NewBalancedBytes builds a balanced tree over a byte string with
-// alphabet [0, sigma).
-func NewBalancedBytes(s []byte, sigma int) *Tree { return build(s, sigma, false) }
+func NewHuffman(s []uint32, sigma int) *Tree { return build(s, sigma) }
 
 // NewHuffmanBytes builds a Huffman-shaped tree over a byte string with
 // alphabet [0, sigma). The byte path skips the []uint32 conversion the
 // general constructors pay, so index rebuilds feed the BWT in directly.
-func NewHuffmanBytes(s []byte, sigma int) *Tree { return build(s, sigma, true) }
+func NewHuffmanBytes(s []byte, sigma int) *Tree { return build(s, sigma) }
 
 // NewHuffmanBytesCounted is NewHuffmanBytes over [0, len(freq)) for a
 // caller that has already counted s: freq[c] must be the number of
@@ -123,7 +100,13 @@ func NewHuffmanBytesCounted(s []byte, freq []int64) *Tree {
 	return scatter(s, huffman.Build(freq), freq)
 }
 
-func build[S byte | uint32](s []S, sigma int, huff bool) *Tree {
+func build[S byte | uint32](s []S, sigma int) *Tree {
+	freq := frequencies(s, sigma)
+	return scatter(s, huffman.Build(freq), freq)
+}
+
+// frequencies counts the symbols of s over [0, sigma).
+func frequencies[S byte | uint32](s []S, sigma int) []int64 {
 	if sigma < 1 {
 		panic("wavelet: sigma must be ≥ 1")
 	}
@@ -134,10 +117,7 @@ func build[S byte | uint32](s []S, sigma int, huff bool) *Tree {
 		}
 		freq[c]++
 	}
-	if huff {
-		return scatter(s, huffman.Build(freq), freq)
-	}
-	return scatter(s, balancedCodes(sigma), freq)
+	return freq
 }
 
 // scatter builds the tree of s under prefix-free codes in one pass over

@@ -209,27 +209,33 @@ func TestMappedCorruptInput(t *testing.T) {
 
 // FuzzMappedOpen feeds arbitrary bytes to the v2 open path of all three
 // structures: open must never panic and must fail with ErrBadSnapshot
-// or ErrUnknownIndex when it fails.
+// or ErrUnknownIndex when it fails. The collection seeds hold stores of
+// the default fmz index, with packed sample words, and of fm4, with
+// int32 sample arrays.
 func FuzzMappedOpen(f *testing.F) {
-	c, err := NewCollection(WithSyncRebuilds(), WithMinCapacity(16))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := uint64(1); i <= 20; i++ {
-		if err := c.Insert(Document{ID: i, Data: []byte(fmt.Sprintf("fuzz seed doc %d abra", i))}); err != nil {
+	seedCollection := func(index string) *Collection {
+		c, err := NewCollection(WithSyncRebuilds(), WithMinCapacity(16), WithIndex(index))
+		if err != nil {
 			f.Fatal(err)
 		}
+		for i := uint64(1); i <= 20; i++ {
+			if err := c.Insert(Document{ID: i, Data: []byte(fmt.Sprintf("fuzz seed doc %d abra", i))}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		_ = c.Delete(3)
+		c.WaitIdle()
+		return c
 	}
-	_ = c.Delete(3)
-	c.WaitIdle()
 	r, _ := NewRelation(WithMinCapacity(8))
 	for o := uint64(1); o <= 12; o++ {
 		_ = r.Add(o, o%5)
 	}
 	dir := f.TempDir()
 	for name, save := range map[string]func(string) error{
-		"coll.v2": c.SaveMappedFile,
-		"rel.v2":  r.SaveMappedFile,
+		"coll.v2":     seedCollection(IndexFMZ).SaveMappedFile,
+		"coll-fm4.v2": seedCollection(IndexFM4).SaveMappedFile,
+		"rel.v2":      r.SaveMappedFile,
 	} {
 		path := filepath.Join(dir, name)
 		if err := save(path); err != nil {

@@ -45,12 +45,15 @@ type IndexDecoder = core.IndexDecoder
 
 // Built-in static-index names, registered at package init.
 const (
-	// IndexFM4 is the nHk-space FM-index (a 4-ary Huffman-shaped
-	// wavelet tree over the BWT; the stand-in for the
-	// Belazzougui–Navarro / Barbay et al. indexes of the paper's Tables
-	// 1–2) and the default index.
+	// IndexFMZ is the nHk-space FM-index (a 4-ary Huffman-shaped
+	// wavelet tree over the BWT, with its SA and ISA samples packed to
+	// ⌈log₂ n⌉ bits; the stand-in for the Belazzougui–Navarro / Barbay
+	// et al. indexes of the paper's Tables 1–2) and the default index.
+	IndexFMZ = "fmz"
+	// IndexFM4 is the same FM-index, whose files store the samples as
+	// 32-bit integers. Files written with it keep opening as it.
 	IndexFM4 = "fm4"
-	// IndexFM is the same FM-index over a binary wavelet tree: every
+	// IndexFM is IndexFM4 over a binary wavelet tree: every
 	// backward-search and LF step walks about twice the levels. Files
 	// written with it keep opening as it.
 	IndexFM = "fm"
@@ -188,24 +191,27 @@ func mustRegister(name string, b IndexBuilder, dec IndexDecoder) {
 }
 
 func init() {
-	mustRegister(IndexFM4, func(docs []Document, cfg IndexConfig) StaticIndex {
-		return fmindex.Build(docs, fmindex.Options{SampleRate: cfg.SampleRate})
-	}, func(data []byte) (StaticIndex, error) {
-		x := &fmindex.Index{}
-		if err := x.UnmarshalQuad(data); err != nil {
-			return nil, err
-		}
-		return x, nil
-	})
-	mustRegister(IndexFM, func(docs []Document, cfg IndexConfig) StaticIndex {
-		return fmindex.Build(docs, fmindex.Options{SampleRate: cfg.SampleRate, BinaryTree: true})
-	}, func(data []byte) (StaticIndex, error) {
-		x := &fmindex.Index{}
-		if err := x.UnmarshalBinary(data); err != nil {
-			return nil, err
-		}
-		return x, nil
-	})
+	for _, fm := range []struct {
+		name   string
+		layout fmindex.Layout
+	}{{IndexFMZ, fmindex.FMZ}, {IndexFM4, fmindex.FM4}, {IndexFM, fmindex.FM}} {
+		mustRegister(fm.name, func(docs []Document, cfg IndexConfig) StaticIndex {
+			return fmindex.Build(docs, fmindex.Options{SampleRate: cfg.SampleRate, Layout: fm.layout})
+		}, func(data []byte) (StaticIndex, error) {
+			x, err := fmindex.Decode(data, fm.layout)
+			if err != nil {
+				return nil, err
+			}
+			return x, nil
+		})
+		setMappedOpener(fm.name, func(mv *snap.MapView) (StaticIndex, error) {
+			x, err := fmindex.OpenMapped(mv, fm.layout)
+			if err != nil {
+				return nil, err
+			}
+			return x, nil
+		})
+	}
 	mustRegister(IndexSA, func(docs []Document, cfg IndexConfig) StaticIndex {
 		return fmindex.BuildSA(docs)
 	}, func(data []byte) (StaticIndex, error) {
@@ -223,12 +229,6 @@ func init() {
 			return nil, err
 		}
 		return x, nil
-	})
-	setMappedOpener(IndexFM4, func(mv *snap.MapView) (StaticIndex, error) {
-		return fmindex.OpenMappedQuad(mv)
-	})
-	setMappedOpener(IndexFM, func(mv *snap.MapView) (StaticIndex, error) {
-		return fmindex.OpenMappedIndex(mv)
 	})
 	setMappedOpener(IndexSA, func(mv *snap.MapView) (StaticIndex, error) {
 		return fmindex.OpenMappedSA(mv)

@@ -83,7 +83,7 @@ func FuzzRegexPlan(f *testing.F) {
 		// batched ingest leaves in production, where a plan is decided
 		// sub-collection by sub-collection. The async layout is queried
 		// with its background builds still in flight. Every layout runs
-		// the default fm4 index but the last, which runs fm.
+		// the default fmz index but the last, which runs fm.
 		layouts := []struct {
 			opts  []Option
 			batch int
