@@ -34,7 +34,7 @@ func ablationTau(quick bool) {
 		n = 1 << 14
 	}
 	fmt.Printf("\n%6s %12s %14s %10s %16s\n", "τ", "bits/sym", "count(µs/qry)", "purges", "delete(ns/sym)")
-	for _, tau := range []int{2, 4, 8, 16, 64} {
+	for _, tau := range []int{2, 4, 8, 16, 64, 256} {
 		gen := textgen.NewCollection(textgen.CollectionOptions{
 			Sigma: 16, MinLen: 200, MaxLen: 800, Seed: 77,
 		})

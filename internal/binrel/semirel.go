@@ -3,7 +3,6 @@ package binrel
 import (
 	"sort"
 
-	"dyncoll/internal/dynbits"
 	"dyncoll/internal/sparsebits"
 	"dyncoll/internal/wavelet"
 )
@@ -26,15 +25,15 @@ type semiRel struct {
 
 	s *wavelet.Tree // labels of S in the local alphabet
 
-	tau int // Lemma 3 word width, kept for deferred materialization
+	tau int // Lemma 3 word width, kept for the first Delete
 
-	// Deletion state. All four are nil on a freshly mapped store —
-	// nil means "every pair is live" — and materialize together on the
-	// first Delete (see materialize).
-	alive sparsebits.Bitmap // D: 1 = pair live (reporting)
-	// aliveCnt answers counting queries on D in O(log n); it is a
-	// Fenwick-backed copy of D (the paper cites [20] for this role).
-	aliveCnt *dynbits.Vector
+	// Deletion state. All three are nil until the store's first Delete
+	// — nil means "every pair is live" — and materialize together then
+	// (see materialize), whether the store was built, loaded or mapped.
+	//
+	// alive is D: 1 = pair live. It carries a rank structure (the paper
+	// cites [20] for this role), so countLabels counts in O(log n).
+	alive sparsebits.Bitmap
 
 	// perLabel[a] marks which occurrences of local label a are live
 	// (the D_a bitmaps) plus a live counter for O(1) counting.
@@ -94,25 +93,21 @@ func buildSemi(pairs []Pair, tau int) *semiRel {
 	}
 	r.s = wavelet.NewHuffman(syms, len(r.labels))
 	r.tau = tau
-	r.materialize()
 	return r
 }
 
-// materialize allocates the all-live deletion bitmaps of a deferred
-// (mapped) structure; no-op once they exist. O(n) in the pair count,
-// paid on the first deletion rather than at open.
+// materialize allocates the all-live deletion state on the first
+// Delete; no-op once it exists. O(n) in the pair count.
 func (r *semiRel) materialize() {
 	if r.alive != nil {
 		return
 	}
-	n := r.s.Len()
-	r.alive = sparsebits.New(n, r.tau)
-	r.aliveCnt = dynbits.New(n, true)
+	r.alive = sparsebits.New(r.s.Len(), r.tau, true)
 	r.perLabel = make([]sparsebits.Bitmap, len(r.labels))
 	r.liveCount = make([]int32, len(r.labels))
 	for a := range r.labels {
 		c := r.s.Count(uint32(a))
-		r.perLabel[a] = sparsebits.New(c, r.tau)
+		r.perLabel[a] = sparsebits.New(c, r.tau, false)
 		r.liveCount[a] = int32(c)
 	}
 }
@@ -177,7 +172,6 @@ func (r *semiRel) Delete(p Pair) (int, bool) {
 		return 0, false
 	}
 	r.alive.Zero(pos)
-	r.aliveCnt.Set(pos, false)
 	sym, j := r.s.AccessRank(pos) // symbol and its occurrences before pos
 	a := int(sym)
 	r.perLabel[a].Zero(j)
@@ -250,10 +244,10 @@ func (r *semiRel) countLabels(object uint64) int {
 		return 0
 	}
 	lo, hi := int(r.starts[oi]), int(r.starts[oi+1])
-	if r.aliveCnt == nil { // no deletions
+	if r.alive == nil { // no deletions
 		return hi - lo
 	}
-	return r.aliveCnt.Count1(lo, hi-1)
+	return r.alive.Count1(lo, hi-1)
 }
 
 // countObjects counts live objects related to label in O(1).
@@ -332,9 +326,6 @@ func (r *semiRel) SizeBits() int64 {
 	total += int64(len(r.liveCount)) * 32
 	if r.alive != nil {
 		total += r.alive.SizeBits()
-	}
-	if r.aliveCnt != nil {
-		total += r.aliveCnt.SizeBits()
 	}
 	for _, d := range r.perLabel {
 		total += d.SizeBits()

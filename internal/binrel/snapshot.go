@@ -17,8 +17,8 @@ import (
 // see internal/core.) The v2 mapped form writes the already-built
 // structure — object and label tables, the N boundaries, and the
 // Huffman-shaped wavelet tree of S — so a mapped open is an aliasing
-// pass plus O(σ) table validation, with deletion bitmaps deferred until
-// the first Delete.
+// pass plus O(σ) table validation. Deletion bitmaps wait for the first
+// Delete, as in every store.
 
 // Persister is the engine's format walkers bound to a relation.
 type Persister = engine.Persister[Pair, Pair]

@@ -45,6 +45,28 @@ func New(u int) *Set {
 	return s
 }
 
+// NewFull creates the set holding all of [0, u). Each level is written
+// directly — level l+1 has one bit per word of level l, all of them
+// non-empty — so it costs O(u/64) word stores.
+func NewFull(u int) *Set {
+	s := New(u)
+	s.count = u
+	members := u // level l+1 holds one member per word of level l
+	for _, words := range s.levels {
+		if members == 0 {
+			break // the empty universe's one leaf word stays empty
+		}
+		for i := range words {
+			words[i] = ^uint64(0)
+		}
+		if rem := members % 64; rem != 0 {
+			words[len(words)-1] = 1<<uint(rem) - 1
+		}
+		members = len(words)
+	}
+	return s
+}
+
 // Universe reports the universe size u.
 func (s *Set) Universe() int { return s.universe }
 

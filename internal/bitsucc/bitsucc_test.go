@@ -2,6 +2,7 @@ package bitsucc
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -252,5 +253,29 @@ func TestAccessorsUniverse(t *testing.T) {
 	}
 	if s.Min() != 0 || s.Max() != 999 {
 		t.Fatalf("Min=%d Max=%d", s.Min(), s.Max())
+	}
+}
+
+// TestNewFullMatchesAdds checks the bulk all-members constructor against
+// adding every member one at a time, level word by level word, at
+// universes on either side of each level's word boundary.
+func TestNewFullMatchesAdds(t *testing.T) {
+	for _, u := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097, 64*4096 + 1} {
+		want := New(u)
+		for x := 0; x < u; x++ {
+			want.Add(x)
+		}
+		got := NewFull(u)
+		if got.Len() != want.Len() {
+			t.Fatalf("u=%d: Len %d, want %d", u, got.Len(), want.Len())
+		}
+		for l := range want.levels {
+			if !slices.Equal(got.levels[l], want.levels[l]) {
+				t.Fatalf("u=%d: level %d differs", u, l)
+			}
+		}
+		if u > 0 && (got.Min() != 0 || got.Max() != u-1) {
+			t.Fatalf("u=%d: Min %d Max %d", u, got.Min(), got.Max())
+		}
 	}
 }

@@ -9,7 +9,7 @@
 // case and close to O(1) in practice.
 //
 // Vectors in this package are immutable after Seal; the dynamic variants
-// used for lazy deletion live in packages sparsebits and dynbits.
+// used for lazy deletion live in package sparsebits.
 package bitvec
 
 import (

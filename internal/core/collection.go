@@ -204,8 +204,9 @@ func countStore(s engine.Store[uint64, doc.Doc], pattern []byte) int {
 	return s.(Part).Count(pattern)
 }
 
-// Count returns the number of occurrences of pattern (Theorem 1 when
-// Options.Counting is set; otherwise it enumerates).
+// Count returns the number of occurrences of pattern: each store's
+// suffix-array range, less its deleted rows, counted by rank when
+// Options.Counting is set and by word popcounts otherwise.
 func (c *collection) Count(pattern []byte) int {
 	return c.eng.Query(pattern, countStore)
 }

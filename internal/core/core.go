@@ -141,9 +141,13 @@ type Options struct {
 	// cheaper and queries fan out over more sub-collections.
 	Ratio2 bool
 
-	// Counting attaches the Theorem 1 structures so Count runs in
-	// O(tcount) instead of enumerating occurrences. It increases update
-	// cost by O(log n / log log n) per symbol.
+	// Counting attaches Theorem 1's rank structure to each store's
+	// deletion bitmap, so a store with deletions counts the live rows
+	// of a pattern's range in O(log n) instead of popcounting the
+	// bitmap's words, O(range/64). A store with no deletions answers
+	// from the range alone either way. It costs half a bit per row,
+	// from the store's first deletion, and O(log n) more per deleted
+	// symbol.
 	Counting bool
 
 	// MinCapacity bounds max_0 from below so small collections behave

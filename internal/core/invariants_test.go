@@ -223,13 +223,14 @@ func TestSemiDynamicDirect(t *testing.T) {
 		{ID: 20, Data: []byte("swiss")},
 		{ID: 30, Data: []byte("miss")},
 	}
-	// τ = 4 keeps the deletion bitmap in Lemma 2's dense form, τ = 64 in
-	// Lemma 3's zero lists.
+	// The first delete makes the deletion bitmap: τ = 4 gets Lemma 2's
+	// dense form, τ = 256 Lemma 3's zero lists unless counting needs the
+	// dense form's rank structure.
 	for i, counting := range []bool{false, true, false, true} {
-		tau := []int{4, 64}[i/2]
+		tau := []int{4, 256}[i/2]
 		s := NewSemiDynamic(fmBuilder(docs), tau, counting)
-		if _, dense := s.alive.(*sparsebits.Dense); dense != (tau < 64) {
-			t.Fatalf("τ=%d: deletion bitmap is a %T", tau, s.alive)
+		if s.alive != nil {
+			t.Fatalf("τ=%d: a store with no deletions holds a %T", tau, s.alive)
 		}
 		if s.DocCount() != 3 {
 			t.Fatalf("DocCount = %d", s.DocCount())
@@ -239,6 +240,9 @@ func TestSemiDynamicDirect(t *testing.T) {
 		}
 		if wt, ok := s.Delete(20); !ok || wt != len("swiss") {
 			t.Fatalf("Delete(20) = %d,%v", wt, ok)
+		}
+		if _, dense := s.alive.(*sparsebits.Dense); dense != (tau < 256 || counting) {
+			t.Fatalf("τ=%d counting=%v: deletion bitmap is a %T", tau, counting, s.alive)
 		}
 		if _, ok := s.Delete(20); ok {
 			t.Fatal("double delete succeeded")
@@ -285,11 +289,11 @@ func BenchmarkSemiDynamicDelete(b *testing.B) {
 		idx       StaticIndex
 		newBitmap func(n int) sparsebits.Bitmap
 	}{
-		{"dense", idx, func(n int) sparsebits.Bitmap { return sparsebits.New(n, 6) }},
+		{"dense", idx, func(n int) sparsebits.Bitmap { return sparsebits.New(n, 6, false) }},
 		{"compressed", idx, func(n int) sparsebits.Bitmap { return sparsebits.NewCompressed(n, 6) }},
 		// The walk an index without ForDocRows gets: one SuffixRank per
 		// offset.
-		{"dense/per-offset", hideRowWalker{idx}, func(n int) sparsebits.Bitmap { return sparsebits.New(n, 6) }},
+		{"dense/per-offset", hideRowWalker{idx}, func(n int) sparsebits.Bitmap { return sparsebits.New(n, 6, false) }},
 	}
 	for _, f := range forms {
 		b.Run(f.name, func(b *testing.B) {
@@ -298,7 +302,7 @@ func BenchmarkSemiDynamicDelete(b *testing.B) {
 			symbols := 0
 			for i := 0; i < b.N; i++ {
 				if i%len(docs) == 0 {
-					s = NewSemiDynamicDeferred(f.idx, 6, false)
+					s = NewSemiDynamic(f.idx, 6, false)
 					s.alive = f.newBitmap(idx.SALen())
 				}
 				n, ok := s.Delete(docs[i%len(docs)].ID)

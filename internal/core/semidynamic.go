@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"dyncoll/internal/doc"
-	"dyncoll/internal/dynbits"
 	"dyncoll/internal/engine"
 	"dyncoll/internal/sparsebits"
 )
@@ -17,8 +16,13 @@ import (
 //     deleted document, stored in the structure V of Lemma 2 or 3 (see
 //     sparsebits.New) so the live rows of any range are reported in O(1)
 //     each;
-//   - optionally (Theorem 1) a rank-capable copy of B so live rows in a
-//     range can be counted in O(log n).
+//   - optionally (Theorem 1) a rank structure over the same B, so live
+//     rows in a range can be counted in O(log n).
+//
+// A store with no deletions needs neither: B is made, all ones, by the
+// store's first Delete, under the write serialization every mutation
+// already holds. Until then every row is live, and a store — built,
+// loaded or mapped — costs only its index.
 //
 // Deleting a document costs tSA + O(logᵋ n) per symbol: each of its
 // suffix rows is located with SuffixRank and cleared in V. The wrapper
@@ -27,19 +31,18 @@ import (
 // sub-collections through the configured Build function.
 type SemiDynamic struct {
 	idx   StaticIndex
-	alive sparsebits.Bitmap // nil = no deletions yet (deferred wrapper)
-	cnt   *dynbits.Vector   // nil unless counting is enabled and alive exists
+	alive sparsebits.Bitmap // B; nil = no deletions yet
 
-	tau      int  // Lemma 3 word width, kept for deferred materialization
-	counting bool // Theorem 1 rank structure requested
+	tau      int  // Lemma 3 word width, kept for B's first Delete
+	counting bool // B carries Theorem 1's rank structure
 
 	byID    map[uint64]int // live doc ID → doc index within idx
 	live    int            // live payload symbols
 	deleted int            // deleted payload symbols
 
-	// zeroRow clears one row in alive and cnt. Delete hands it to the
-	// index through an interface, which would heap-allocate a closure
-	// made per call; this one is made once per wrapper.
+	// zeroRow clears one row of B. Delete hands it to the index through
+	// an interface, which would heap-allocate a closure made per call;
+	// this one is made once per wrapper.
 	zeroRow func(row int)
 }
 
@@ -63,20 +66,9 @@ type rowLocator interface {
 const locateChunk = 16
 
 // NewSemiDynamic wraps idx. tau sets the Lemma 3 word width; counting
-// attaches the Theorem 1 rank structure.
+// attaches the Theorem 1 rank structure. Neither is allocated until the
+// first Delete.
 func NewSemiDynamic(idx StaticIndex, tau int, counting bool) *SemiDynamic {
-	s := NewSemiDynamicDeferred(idx, tau, counting)
-	s.materialize()
-	return s
-}
-
-// NewSemiDynamicDeferred wraps idx like NewSemiDynamic but without
-// allocating the deletion bitmaps: a nil bitmap means "every row is
-// live", so a mapped store with no deletions costs O(docs) heap to
-// open instead of O(n) bits. The bitmaps materialize on the first
-// Delete, under the same external write serialization every mutation
-// already requires.
-func NewSemiDynamicDeferred(idx StaticIndex, tau int, counting bool) *SemiDynamic {
 	if tau < 2 {
 		tau = 2
 	}
@@ -89,29 +81,12 @@ func NewSemiDynamicDeferred(idx StaticIndex, tau int, counting bool) *SemiDynami
 		counting: counting,
 		byID:     make(map[uint64]int, idx.DocCount()),
 	}
-	s.zeroRow = func(row int) {
-		s.alive.Zero(row)
-		if s.cnt != nil {
-			s.cnt.Set(row, false)
-		}
-	}
+	s.zeroRow = func(row int) { s.alive.Zero(row) }
 	for i := 0; i < idx.DocCount(); i++ {
 		s.byID[idx.DocID(i)] = i
 		s.live += idx.DocLen(i)
 	}
 	return s
-}
-
-// materialize allocates the all-ones deletion bitmaps of a deferred
-// wrapper; no-op once they exist.
-func (s *SemiDynamic) materialize() {
-	if s.alive != nil {
-		return
-	}
-	s.alive = sparsebits.New(s.idx.SALen(), s.tau)
-	if s.counting {
-		s.cnt = dynbits.New(s.idx.SALen(), true)
-	}
 }
 
 // Index exposes the wrapped static index.
@@ -133,7 +108,9 @@ func (s *SemiDynamic) Delete(id uint64) (int, bool) {
 		return 0, false
 	}
 	delete(s.byID, id)
-	s.materialize()
+	if s.alive == nil {
+		s.alive = sparsebits.New(s.idx.SALen(), s.tau, s.counting)
+	}
 	dl := s.idx.DocLen(d)
 	// Clear every suffix row of the document, separator included, so
 	// neither reporting nor counting ever sees it again.
@@ -291,12 +268,8 @@ func (s *SemiDynamic) Count(pattern []byte) int {
 	if s.alive == nil { // no deletions: the whole range is live
 		return hi - lo
 	}
-	if s.cnt != nil {
-		return s.cnt.Count1(lo, hi-1)
-	}
-	// Counting through the deletion bitmap directly (per-word popcounts,
-	// no per-position callback) keeps the enumeration fallback cheap and
-	// allocation-free.
+	// B's own count: a Fenwick rank with counting on, otherwise one
+	// popcount per word of the range. Neither calls back or allocates.
 	return s.alive.Count1(lo, hi-1)
 }
 
@@ -396,9 +369,6 @@ func (s *SemiDynamic) SizeBits() int64 {
 	total := s.idx.SizeBits()
 	if s.alive != nil {
 		total += s.alive.SizeBits()
-	}
-	if s.cnt != nil {
-		total += s.cnt.SizeBits()
 	}
 	return total
 }

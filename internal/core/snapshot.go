@@ -173,7 +173,7 @@ func (c docCodec) OpenMapped(meta *snap.Decoder, payload []byte, level, tau int)
 	if err != nil {
 		return nil, snap.Corruptf("level %d mapped index: %v", level, err)
 	}
-	return adopt(NewSemiDynamicDeferred(idx, tau, c.opts.Counting), idx.DocCount(), dead, level)
+	return adopt(NewSemiDynamic(idx, tau, c.opts.Counting), idx.DocCount(), dead, level)
 }
 
 // adopt vets a freshly wrapped index that should hold docs documents

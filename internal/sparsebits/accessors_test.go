@@ -3,7 +3,7 @@ package sparsebits
 import "testing"
 
 func TestDenseAccessors(t *testing.T) {
-	d := NewDense(130)
+	d := NewDense(130, true)
 	if d.Len() != 130 || d.Zeros() != 0 {
 		t.Fatalf("Len=%d Zeros=%d", d.Len(), d.Zeros())
 	}
@@ -21,8 +21,12 @@ func TestDenseAccessors(t *testing.T) {
 	if d.Zeros() != 3 {
 		t.Fatalf("Zeros after repeat = %d", d.Zeros())
 	}
-	if d.SizeBits() <= 0 {
-		t.Fatal("SizeBits not positive")
+	if got := d.Count1(1, 128); got != 127 {
+		t.Fatalf("Count1(1, 128) = %d, want 127", got)
+	}
+	// The rank structure is one int32 per word, plus the unused slot 0.
+	if got, want := d.SizeBits()-NewDense(130, false).SizeBits(), int64(4*32); got != want {
+		t.Fatalf("rank structure takes %d bits, want %d", got, want)
 	}
 }
 
@@ -44,10 +48,10 @@ func TestCompressedAccessors(t *testing.T) {
 	if c.Zeros() != 5 {
 		t.Fatalf("Zeros after repeat = %d", c.Zeros())
 	}
-	// AppendRange over the whole vector skips zeros.
-	got := c.AppendRange(nil, 0, 499)
+	// Reporting the whole vector skips zeros.
+	got := positions(c, 0, 499)
 	if len(got) != 495 {
-		t.Fatalf("AppendRange returned %d positions", len(got))
+		t.Fatalf("Report gave %d positions", len(got))
 	}
 }
 
@@ -63,7 +67,7 @@ func TestCompressedZeroLength(t *testing.T) {
 }
 
 func TestDenseSingleBit(t *testing.T) {
-	d := NewDense(1)
+	d := NewDense(1, false)
 	seen := 0
 	d.Report(0, 0, func(pos int) bool {
 		if pos != 0 {

@@ -6,7 +6,10 @@
 // Two representations are provided:
 //
 //   - Dense (Lemma 2): one machine word per 64 bits plus a bitsucc.Set of
-//     non-empty word indices; O(n) bits.
+//     non-empty word indices; O(n) bits. It can carry Theorem 1's rank
+//     structure over B as well: a Fenwick tree (Fenwick, "A new data
+//     structure for cumulative frequency tables", 1994) over its words'
+//     popcounts, so counting the ones of a range costs O(log n).
 //   - Compressed (Lemma 3): for a vector with at most n/τ zeros, words of
 //     τ bits are stored as sorted lists of their zero positions, so total
 //     space is O(n·log τ/τ) bits; the same non-empty-word directory drives
@@ -34,15 +37,21 @@ type Bitmap interface {
 	SizeBits() int64
 }
 
+// compressedMinTau is the least τ at which Lemma 3's form is smaller
+// than Lemma 2's by Compressed's own SizeBits accounting. A τ-word costs
+// a 192-bit slice header plus 16 bits per zero, at most one zero per τ
+// bits: ≈ 208/τ bits per row, against Dense's ≈ 1.02. τ = 128 still
+// loses (≈ 1.6); τ = 256 wins (≈ 0.82).
+const compressedMinTau = 256
+
 // New returns n one-bits for a structure whose lazy-deletion parameter
-// is τ. Lemma 3 stores each τ-bit word as the list of its zeros, which
-// undercuts Lemma 2's plain n bits only once τ is well past the machine
-// word: below that a word's list header alone outweighs the word. The
+// is τ, with Theorem 1's rank structure when counting is set. It picks
+// the smaller form, and Dense whenever counting: only Dense ranks. The
 // engine's automatic τ is log n / log log n — single digits — so in
 // practice this is the dense form.
-func New(n, tau int) Bitmap {
-	if tau < 64 {
-		return NewDense(n)
+func New(n, tau int, counting bool) Bitmap {
+	if tau < compressedMinTau || counting {
+		return NewDense(n, counting)
 	}
 	return NewCompressed(n, tau)
 }
@@ -54,27 +63,35 @@ type Dense struct {
 	words []uint64
 	dir   *bitsucc.Set // indices of non-empty (≠0) words
 	zeros int
+	// rank is the Fenwick tree over word popcounts, 1-based: rank[i]
+	// sums words (i − lowbit(i), i]. nil unless asked for; 32 bits per
+	// word, so half a bit per row.
+	rank []int32
 }
 
-// NewDense creates a Dense vector of n one-bits.
-func NewDense(n int) *Dense {
+// NewDense creates a Dense vector of n one-bits, with the rank
+// structure if rank is set.
+func NewDense(n int, rank bool) *Dense {
 	if n < 0 {
 		panic("sparsebits: negative length")
 	}
 	nw := (n + 63) / 64
-	d := &Dense{n: n, words: make([]uint64, nw), dir: bitsucc.New(nw)}
-	for i := 0; i < nw; i++ {
+	d := &Dense{n: n, words: make([]uint64, nw), dir: bitsucc.NewFull(nw)}
+	for i := range d.words {
 		d.words[i] = ^uint64(0)
-		d.dir.Add(i)
 	}
-	if rem := n % 64; rem != 0 && nw > 0 {
+	if rem := n % 64; rem != 0 {
 		d.words[nw-1] = 1<<uint(rem) - 1
-		if d.words[nw-1] == 0 {
-			d.dir.Remove(nw - 1)
-		}
 	}
-	if n == 0 && nw == 0 {
-		d.words = nil
+	if rank {
+		// Linear Fenwick build: each node adds itself into its parent.
+		d.rank = make([]int32, nw+1)
+		for i := 1; i <= nw; i++ {
+			d.rank[i] += int32(bits.OnesCount64(d.words[i-1]))
+			if p := i + i&-i; p <= nw {
+				d.rank[p] += d.rank[i]
+			}
+		}
 	}
 	return d
 }
@@ -106,6 +123,9 @@ func (d *Dense) Zero(i int) {
 	d.zeros++
 	if d.words[w] == 0 {
 		d.dir.Remove(w)
+	}
+	for i := w + 1; i < len(d.rank); i += i & -i {
+		d.rank[i]--
 	}
 }
 
@@ -145,8 +165,10 @@ func (d *Dense) Report(s, e int, fn func(pos int) bool) {
 	}
 }
 
-// Count1 returns the number of set bits in [s, e]: one popcount per
-// machine word of the span, no directory probe and no callback.
+// Count1 returns the number of set bits in [s, e], with no directory
+// probe and no callback. With the rank structure it walks the Fenwick
+// tree from both ends of the span until they meet, O(log(span/64))
+// steps; without, it popcounts every word of the span.
 func (d *Dense) Count1(s, e int) int {
 	if s < 0 {
 		s = 0
@@ -164,24 +186,30 @@ func (d *Dense) Count1(s, e int) int {
 		return bits.OnesCount64(d.words[ws] & first & last)
 	}
 	n := bits.OnesCount64(d.words[ws]&first) + bits.OnesCount64(d.words[we]&last)
-	for _, w := range d.words[ws+1 : we] {
-		n += bits.OnesCount64(w)
+	if d.rank == nil {
+		for _, w := range d.words[ws+1 : we] {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+	// Words ws+1 … we−1 hold prefix(we) − prefix(ws+1) ones. Both prefix
+	// walks clear low bits, so they meet where the two indices' high bits
+	// agree, and the shared rest of the walk cancels.
+	lo, hi := ws+1, we
+	for hi > lo {
+		n += int(d.rank[hi])
+		hi &= hi - 1
+	}
+	for lo > hi {
+		n -= int(d.rank[lo])
+		lo &= lo - 1
 	}
 	return n
 }
 
-// AppendRange appends all set positions in [s, e] to dst and returns it.
-func (d *Dense) AppendRange(dst []int, s, e int) []int {
-	d.Report(s, e, func(pos int) bool {
-		dst = append(dst, pos)
-		return true
-	})
-	return dst
-}
-
 // SizeBits estimates the memory footprint in bits.
 func (d *Dense) SizeBits() int64 {
-	return int64(len(d.words))*64 + d.dir.SizeBits()
+	return int64(len(d.words))*64 + int64(len(d.rank))*32 + d.dir.SizeBits()
 }
 
 // Compressed is the Lemma 3 structure: n bits with an expected O(n/τ)
@@ -206,11 +234,7 @@ func NewCompressed(n, tau int) *Compressed {
 		panic(fmt.Sprintf("sparsebits: tau %d out of range [1,65536]", tau))
 	}
 	nw := (n + tau - 1) / tau
-	c := &Compressed{n: n, tau: tau, words: make([][]uint16, nw), dir: bitsucc.New(nw)}
-	for i := 0; i < nw; i++ {
-		c.dir.Add(i)
-	}
-	return c
+	return &Compressed{n: n, tau: tau, words: make([][]uint16, nw), dir: bitsucc.NewFull(nw)}
 }
 
 // Len reports the number of bits.
@@ -363,15 +387,6 @@ func sortedSearch(zs []uint16, v int) int {
 		}
 	}
 	return lo
-}
-
-// AppendRange appends all set positions in [s, e] to dst and returns it.
-func (c *Compressed) AppendRange(dst []int, s, e int) []int {
-	c.Report(s, e, func(pos int) bool {
-		dst = append(dst, pos)
-		return true
-	})
-	return dst
 }
 
 // SizeBits estimates the memory footprint in bits.

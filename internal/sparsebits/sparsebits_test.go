@@ -9,12 +9,18 @@ import (
 // reporter is the common interface of Dense and Compressed, used to share
 // test drivers.
 type reporter interface {
-	Len() int
+	Bitmap
 	Zeros() int
-	Get(i int) bool
-	Zero(i int)
-	AppendRange(dst []int, s, e int) []int
-	Count1(s, e int) int
+}
+
+// positions lists b's set positions in [s, e] through Report.
+func positions(b Bitmap, s, e int) []int {
+	var out []int
+	b.Report(s, e, func(pos int) bool {
+		out = append(out, pos)
+		return true
+	})
+	return out
 }
 
 // refVec is the reference model.
@@ -85,7 +91,7 @@ func driveAgainstModel(t *testing.T, name string, mk func(n int) reporter) {
 				if s > e {
 					s, e = e, s
 				}
-				got := v.AppendRange(nil, s, e)
+				got := positions(v, s, e)
 				want := ref.report(s, e)
 				if !equalInts(got, want) {
 					t.Fatalf("%s n=%d: Report(%d,%d)=%v, want %v", name, n, s, e, got, want)
@@ -104,8 +110,12 @@ func driveAgainstModel(t *testing.T, name string, mk func(n int) reporter) {
 	}
 }
 
+// TestDenseAgainstModel drives the dense form without and with its
+// rank structure; with it, every Count1 of a span over two words goes
+// through the Fenwick tree.
 func TestDenseAgainstModel(t *testing.T) {
-	driveAgainstModel(t, "Dense", func(n int) reporter { return NewDense(n) })
+	driveAgainstModel(t, "Dense", func(n int) reporter { return NewDense(n, false) })
+	driveAgainstModel(t, "Dense+rank", func(n int) reporter { return NewDense(n, true) })
 }
 
 func TestCompressedAgainstModel(t *testing.T) {
@@ -116,28 +126,32 @@ func TestCompressedAgainstModel(t *testing.T) {
 }
 
 func TestDenseAllOnesInitially(t *testing.T) {
-	d := NewDense(130)
-	got := d.AppendRange(nil, 0, 129)
-	if len(got) != 130 {
-		t.Fatalf("fresh Dense reported %d positions, want 130", len(got))
-	}
-	for i, p := range got {
-		if p != i {
-			t.Fatalf("position %d: got %d", i, p)
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 1000} {
+		for _, rank := range []bool{false, true} {
+			d := NewDense(n, rank)
+			got := positions(d, 0, n-1)
+			if len(got) != n || d.Count1(0, n-1) != n {
+				t.Fatalf("fresh Dense(%d, rank %v) reported %d positions and counted %d", n, rank, len(got), d.Count1(0, n-1))
+			}
+			for i, p := range got {
+				if p != i {
+					t.Fatalf("position %d: got %d", i, p)
+				}
+			}
 		}
 	}
 }
 
 func TestDenseZeroEverything(t *testing.T) {
-	d := NewDense(200)
+	d := NewDense(200, true)
 	for i := 0; i < 200; i++ {
 		d.Zero(i)
 	}
 	if d.Zeros() != 200 {
 		t.Fatalf("Zeros=%d, want 200", d.Zeros())
 	}
-	if got := d.AppendRange(nil, 0, 199); len(got) != 0 {
-		t.Fatalf("fully-zeroed Dense reported %v", got)
+	if got := positions(d, 0, 199); len(got) != 0 || d.Count1(0, 199) != 0 {
+		t.Fatalf("fully-zeroed Dense reported %v and counted %d", got, d.Count1(0, 199))
 	}
 	// Idempotent re-zeroing.
 	d.Zero(5)
@@ -154,13 +168,13 @@ func TestCompressedZeroEverything(t *testing.T) {
 	if c.Zeros() != 200 {
 		t.Fatalf("Zeros=%d, want 200", c.Zeros())
 	}
-	if got := c.AppendRange(nil, 0, 199); len(got) != 0 {
+	if got := positions(c, 0, 199); len(got) != 0 {
 		t.Fatalf("fully-zeroed Compressed reported %v", got)
 	}
 }
 
 func TestReportEarlyStop(t *testing.T) {
-	d := NewDense(100)
+	d := NewDense(100, false)
 	var seen []int
 	d.Report(0, 99, func(pos int) bool {
 		seen = append(seen, pos)
@@ -181,15 +195,15 @@ func TestReportEarlyStop(t *testing.T) {
 }
 
 func TestReportRangeClamping(t *testing.T) {
-	d := NewDense(10)
-	if got := d.AppendRange(nil, -5, 100); len(got) != 10 {
-		t.Fatalf("clamped report got %v", got)
+	d := NewDense(10, true)
+	if got := positions(d, -5, 100); len(got) != 10 || d.Count1(-5, 100) != 10 {
+		t.Fatalf("clamped report got %v, count %d", got, d.Count1(-5, 100))
 	}
-	if got := d.AppendRange(nil, 7, 3); len(got) != 0 {
-		t.Fatalf("inverted range reported %v", got)
+	if got := positions(d, 7, 3); len(got) != 0 || d.Count1(7, 3) != 0 {
+		t.Fatalf("inverted range reported %v, count %d", got, d.Count1(7, 3))
 	}
 	c := NewCompressed(10, 4)
-	if got := c.AppendRange(nil, -5, 100); len(got) != 10 {
+	if got := positions(c, -5, 100); len(got) != 10 {
 		t.Fatalf("clamped compressed report got %v", got)
 	}
 }
@@ -210,33 +224,115 @@ func TestCompressedSpaceShrinksWithTau(t *testing.T) {
 	if !(s16 > s256 && s256 > s4096) {
 		t.Fatalf("space not decreasing with tau: %d, %d, %d", s16, s256, s4096)
 	}
-	d := NewDense(n)
+	d := NewDense(n, false)
 	if s4096 >= d.SizeBits() {
 		t.Fatalf("compressed (tau=4096) %d bits not below dense %d bits", s4096, d.SizeBits())
 	}
 }
 
 func TestQuickDenseVsCompressed(t *testing.T) {
-	// Property: Dense and Compressed must agree on every query after the
-	// same sequence of Zero operations.
+	// Property: Dense, with and without its rank structure, and
+	// Compressed must agree on every query after the same sequence of
+	// Zero operations.
 	f := func(seed int64, nRaw uint16, tauRaw uint8) bool {
 		n := int(nRaw)%4000 + 1
 		tau := int(tauRaw)%255 + 2
 		rng := rand.New(rand.NewSource(seed))
-		d := NewDense(n)
+		d := NewDense(n, false)
+		r := NewDense(n, true)
 		c := NewCompressed(n, tau)
 		for i := 0; i < n/2; i++ {
 			x := rng.Intn(n)
 			d.Zero(x)
+			r.Zero(x)
 			c.Zero(x)
 		}
 		s, e := rng.Intn(n), rng.Intn(n)
 		if s > e {
 			s, e = e, s
 		}
-		return equalInts(d.AppendRange(nil, s, e), c.AppendRange(nil, s, e))
+		k := d.Count1(s, e)
+		return equalInts(positions(d, s, e), positions(c, s, e)) &&
+			r.Count1(s, e) == k && c.Count1(s, e) == k
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFormCrossover holds New's choice to the two forms' own SizeBits:
+// with the most zeros a store keeps before it purges (one per τ bits),
+// Dense is smaller at τ = 128 and Compressed at τ = 256, and New picks
+// the smaller one on either side; counting always gets Dense.
+func TestFormCrossover(t *testing.T) {
+	const n = 1 << 16
+	for _, c := range []struct {
+		tau            int
+		compressedWins bool
+	}{{128, false}, {256, true}} {
+		d, z := NewDense(n, false), NewCompressed(n, c.tau)
+		for i := 0; i < n; i += c.tau {
+			d.Zero(i)
+			z.Zero(i)
+		}
+		if wins := z.SizeBits() < d.SizeBits(); wins != c.compressedWins {
+			t.Fatalf("τ=%d: Compressed %d bits, Dense %d bits", c.tau, z.SizeBits(), d.SizeBits())
+		}
+		if _, dense := New(n, c.tau, false).(*Dense); dense == c.compressedWins {
+			t.Fatalf("τ=%d: New picked the larger form", c.tau)
+		}
+		if d, ok := New(n, c.tau, true).(*Dense); !ok || d.rank == nil {
+			t.Fatalf("τ=%d: New with counting did not return a ranked Dense", c.tau)
+		}
+	}
+}
+
+// FuzzDeletionBitmap holds each form — Dense with and without its rank
+// structure, and Compressed at a random τ — to a []bool model under a
+// random stream of Zero, Get, Count1 and Report calls.
+func FuzzDeletionBitmap(f *testing.F) {
+	f.Add(uint16(1), uint8(0), uint16(4), []byte{0, 1, 2, 3})
+	f.Add(uint16(130), uint8(1), uint16(7), []byte{9, 200, 17, 3, 64, 1})
+	f.Add(uint16(4097), uint8(2), uint16(300), []byte("zero get count report"))
+	f.Fuzz(func(t *testing.T, nRaw uint16, form uint8, tauRaw uint16, ops []byte) {
+		n := int(nRaw)%5000 + 1
+		var b Bitmap
+		switch form % 3 {
+		case 0:
+			b = NewDense(n, false)
+		case 1:
+			b = NewDense(n, true)
+		default:
+			b = NewCompressed(n, int(tauRaw)%1024+1)
+		}
+		ref := newRef(n)
+		rng := rand.New(rand.NewSource(int64(nRaw)<<16 | int64(tauRaw)))
+		for _, op := range ops {
+			i, j := rng.Intn(n), rng.Intn(n)
+			switch op % 4 {
+			case 0:
+				b.Zero(i)
+				ref[i] = false
+			case 1:
+				if b.Get(i) != ref[i] {
+					t.Fatalf("%T n=%d: Get(%d) = %v", b, n, i, !ref[i])
+				}
+			case 2:
+				// Spans run past both ends now and then, to check clamping.
+				s, e := min(i, j)-int(op>>6), max(i, j)+int(op>>6)
+				if got, want := b.Count1(s, e), len(ref.report(s, e)); got != want {
+					t.Fatalf("%T n=%d: Count1(%d, %d) = %d, want %d", b, n, s, e, got, want)
+				}
+			case 3:
+				s, e := min(i, j), max(i, j)
+				got := positions(b, s, e)
+				if want := ref.report(s, e); !equalInts(got, want) {
+					t.Fatalf("%T n=%d: Report(%d, %d) = %v, want %v", b, n, s, e, got, want)
+				}
+			}
+		}
+		if got, want := b.Count1(0, n-1), len(ref.report(0, n-1)); got != want {
+			t.Fatalf("%T n=%d: Count1 over everything = %d, want %d", b, n, got, want)
+		}
+	})
 }

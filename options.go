@@ -132,9 +132,12 @@ func WithMinCapacity(n int) Option {
 	}
 }
 
-// WithCounting attaches Theorem 1's structures so Collection.Count
-// answers in O(tcount) without enumerating matches, at
-// +O(log n/log log n) update cost per symbol. Collection only.
+// WithCounting attaches Theorem 1's rank structure to each store's
+// deletion bitmap, so Collection.Count counts a store's live matches in
+// O(log n) instead of popcounting the bitmap over the match range, one
+// word per 64 rows. A store with no deletions has no bitmap and answers
+// from the range either way. It costs half a bit per row once a store
+// has a deletion, and O(log n) more per deleted symbol. Collection only.
 func WithCounting() Option {
 	return func(c *config) error {
 		if c.kind != kindCollection {
