@@ -9,6 +9,7 @@ package dyncoll
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -224,4 +225,95 @@ func bitsLen(v int) int {
 		n++
 	}
 	return n
+}
+
+// TestSingleUpdateAllocs pins what one update of an unsharded structure
+// allocates: Collection.Delete of a document in C0 and of one in a
+// compressed top, and Relation.Add of a pair that lands in C0. A single
+// update runs through the engine as a batch of one, so a per-call map
+// or a second copy of the item would show here. No measured update
+// reaches a merge, purge or rebalance (the build counters hold still),
+// so the counts are the update path's own.
+func TestSingleUpdateAllocs(t *testing.T) {
+	// 4,096 documents of 16 symbols fill the tops; 21 deletes of them
+	// stay below the sweep interval nf/(2τ·log τ) = 4,096 symbols.
+	// Then 100 documents of 4 symbols go into C0 (max₀ = 512).
+	rng := rand.New(rand.NewSource(5))
+	doc := func(id uint64, n int) Document {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(1 + rng.Intn(16))
+		}
+		return Document{ID: id, Data: data}
+	}
+	c, err := NewCollection(WithSyncRebuilds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []Document
+	for id := range uint64(4096) {
+		docs = append(docs, doc(id, 16))
+	}
+	if err := c.InsertBatch(docs); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(10000); id < 10100; id++ {
+		if err := c.Insert(doc(id, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.WaitIdle()
+	const runs = 20
+	for _, tc := range []struct {
+		name    string
+		first   uint64
+		ceiling float64
+	}{
+		// The one allocation is the one-key batch, which escapes through
+		// the engine.Ladder interface.
+		{"delete/c0", 10000, 1},
+		{"delete/top", 0, 1},
+	} {
+		built := c.Stats().BuiltWeight.Total()
+		id := tc.first
+		avg := testing.AllocsPerRun(runs, func() {
+			if err := c.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		})
+		if got := c.Stats().BuiltWeight.Total(); got != built {
+			t.Fatalf("%s: the deletes built %d symbols", tc.name, got-built)
+		}
+		if avg > tc.ceiling {
+			t.Errorf("%s: Collection.Delete allocates %.1f objects/op, ceiling %.0f", tc.name, avg, tc.ceiling)
+		}
+	}
+
+	r, err := NewRelation(WithSyncRebuilds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range uint64(1 << 14) {
+		if err := r.Add(i>>4, i&15); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.WaitIdle()
+	built := r.Stats().BuiltWeight.Total()
+	next := uint64(1 << 20)
+	avg := testing.AllocsPerRun(runs, func() {
+		if err := r.Add(next, 1); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if got := r.Stats().BuiltWeight.Total(); got != built {
+		t.Fatalf("the adds built %d pairs", got-built)
+	}
+	// The one-pair batch, and what C0 allocates to hold a new object.
+	const ceiling = 2
+	if avg > ceiling {
+		t.Errorf("Relation.Add allocates %.1f objects/op, ceiling %d", avg, ceiling)
+	}
 }

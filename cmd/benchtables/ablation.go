@@ -33,7 +33,7 @@ func ablationTau(quick bool) {
 	if quick {
 		n = 1 << 14
 	}
-	fmt.Printf("\n%6s %12s %14s %10s %16s\n", "τ", "bits/sym", "count(µs/qry)", "purges", "delete(ns/sym)")
+	fmt.Printf("\n%6s %12s %14s %10s %16s\n", "τ", "bits/sym avg", "count(µs/qry)", "purges", "delete(ns/sym)")
 	for _, tau := range []int{2, 4, 8, 16, 64, 256} {
 		gen := textgen.NewCollection(textgen.CollectionOptions{
 			Sigma: 16, MinLen: 200, MaxLen: 800, Seed: 77,
@@ -46,17 +46,24 @@ func ablationTau(quick bool) {
 			ids = append(ids, d.ID)
 		}
 		// Delete 40% of documents in random order; each level purges once
-		// its dead fraction crosses 1/τ.
+		// its dead fraction crosses 1/τ. The space is sampled after every
+		// delete and averaged: read once at the end, it shows only whether
+		// the last purge happened to land.
 		rng := rand.New(rand.NewSource(7))
+		victims := rng.Perm(len(ids))[:len(ids)*2/5]
 		delSyms := 0
-		delStart := time.Now()
-		for _, i := range rng.Perm(len(ids))[:len(ids)*2/5] {
+		var delTime time.Duration
+		bits := 0.0
+		for _, i := range victims {
 			if n, ok := a.DocLen(ids[i]); ok {
 				delSyms += n
 			}
+			start := time.Now()
 			a.Delete(ids[i])
+			delTime += time.Since(start)
+			bits += float64(a.SizeBits()) / float64(a.Len()) / float64(len(victims))
 		}
-		delNs := time.Since(delStart).Nanoseconds() / int64(delSyms)
+		delNs := delTime.Nanoseconds() / int64(delSyms)
 		st := a.Stats()
 		ps := textgen.NewPatternSampler(gen.Docs, 3)
 		pats := ps.PlantedSet(30, 8)
@@ -65,7 +72,6 @@ func ablationTau(quick bool) {
 				a.Count(p)
 			}
 		}) / time.Duration(len(pats))
-		bits := float64(a.SizeBits()) / float64(a.Len())
 		fmt.Printf("%6d %12.2f %14.2f %10d %16d\n",
 			tau, bits, float64(tCount.Nanoseconds())/1e3, st.Purges, delNs)
 	}

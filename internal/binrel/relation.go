@@ -257,14 +257,14 @@ func (r *Relation) Tau() int { return r.eng.Tau() }
 // Add inserts the pair (object, label). It reports false if the pair is
 // already present.
 func (r *Relation) Add(object, label uint64) bool {
-	return r.eng.Insert(Pair{Object: object, Label: label}) == nil
+	return r.eng.InsertBatch([]Pair{{Object: object, Label: label}}) == nil
 }
 
 // Delete removes the pair (object, label), reporting whether it was
 // present. Deletions in compressed levels are lazy; the engine purges
 // or merges structures that cross their dead-fraction thresholds.
 func (r *Relation) Delete(object, label uint64) bool {
-	return r.eng.Delete(Pair{Object: object, Label: label})
+	return r.eng.DeleteBatch([]Pair{{Object: object, Label: label}}) == 1
 }
 
 // Related reports whether object and label are related — one owner-map

@@ -104,7 +104,7 @@ func (c *collection) Insert(d doc.Doc) error {
 	if !d.Valid() {
 		return fmt.Errorf("core: insert id %d: %w", d.ID, ErrReservedByte)
 	}
-	return wrapInsertErr(c.eng.Insert(d), d.ID)
+	return wrapInsertErr(c.eng.InsertBatch([]doc.Doc{d}), d.ID)
 }
 
 // InsertBatch adds many documents in one ingest. The whole batch is
@@ -135,7 +135,7 @@ func (c *collection) InsertBatch(docs []doc.Doc) error {
 // Delete removes the document with the given ID, reporting whether it
 // was present. Deletions are lazy; the engine purges or merges
 // structures that cross their dead-fraction thresholds.
-func (c *collection) Delete(id uint64) bool { return c.eng.Delete(id) }
+func (c *collection) Delete(id uint64) bool { return c.eng.DeleteBatch([]uint64{id}) == 1 }
 
 // DeleteBatch removes every listed document that is live, returning the
 // number actually removed. Purge checks and rebuild triggers run once

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Amortized is Transformation 1 (and, with Config.Ratio2, Transformation
 // 3): a fully-dynamic structure with amortized update bounds.
@@ -111,43 +108,19 @@ func (a *Amortized[K, I]) Has(key K) bool {
 	return ok
 }
 
-// Insert adds an item. It fails with ErrDuplicateKey if the key is
-// already live.
-func (a *Amortized[K, I]) Insert(item I) error {
-	k := a.cfg.Key(item)
-	if _, dup := a.owner[k]; dup {
-		return fmt.Errorf("engine: insert %v: %w", k, ErrDuplicateKey)
-	}
-	a.insertBulk([]I{item}, a.cfg.Weight(item))
-	return nil
-}
-
-// InsertBatch adds many items in one ingest. The whole batch is
-// validated first — on any ErrDuplicateKey nothing is inserted — and
-// then placed with at most one ladder rebuild cascade, instead of the
-// cascade-per-item cost of looped Insert calls.
+// InsertBatch adds items in one ingest. The whole batch is validated
+// first — on any ErrDuplicateKey nothing is inserted — and then placed
+// with at most one ladder rebuild cascade: into C0 if it fits, otherwise
+// into the first level whose capacity absorbs it together with all
+// smaller sub-collections (one rebuild), otherwise via a global rebuild.
 func (a *Amortized[K, I]) InsertBatch(items []I) error {
 	if len(items) == 0 {
 		return nil
 	}
-	seen := make(map[K]bool, len(items))
-	total := 0
-	for _, it := range items {
-		k := a.cfg.Key(it)
-		if _, dup := a.owner[k]; dup || seen[k] {
-			return fmt.Errorf("engine: insert %v: %w", k, ErrDuplicateKey)
-		}
-		seen[k] = true
-		total += a.cfg.Weight(it)
+	total, err := a.cfg.newWeight(a.owner, items)
+	if err != nil {
+		return err
 	}
-	a.insertBulk(items, total)
-	return nil
-}
-
-// insertBulk places validated items: into C0 if they all fit, otherwise
-// into the first level whose capacity absorbs them together with all
-// smaller sub-collections (one rebuild), otherwise via a global rebuild.
-func (a *Amortized[K, I]) insertBulk(items []I, total int) {
 	prefix := a.c0.LiveWeight() + total
 	if prefix <= a.maxes[0] {
 		for _, it := range items {
@@ -155,7 +128,7 @@ func (a *Amortized[K, I]) insertBulk(items []I, total int) {
 			a.owner[a.cfg.Key(it)] = a.c0
 		}
 		a.maybeGlobalRebuild()
-		return
+		return nil
 	}
 	for j := 1; j < len(a.maxes); j++ {
 		if a.levels[j] != nil {
@@ -164,11 +137,12 @@ func (a *Amortized[K, I]) insertBulk(items []I, total int) {
 		if prefix <= a.maxes[j] {
 			a.mergeInto(j, items)
 			a.maybeGlobalRebuild()
-			return
+			return nil
 		}
 	}
 	// Nothing fits: global rebuild with the new items included.
 	a.globalRebuild(items)
+	return nil
 }
 
 // mergeInto rebuilds level j from C0 ∪ C1 ∪ … ∪ Cj ∪ extra.
@@ -237,63 +211,25 @@ func (a *Amortized[K, I]) globalRebuild(extra []I) {
 	a.globalRebuilds++
 }
 
-// Delete removes the item with the given key, reporting whether it was
-// live. Deletions are lazy; a level holding too many dead symbols
-// (> total/τ of that level) is purged.
-func (a *Amortized[K, I]) Delete(key K) bool {
-	st, ok := a.owner[key]
-	if !ok {
-		return false
-	}
-	st.Delete(key)
-	delete(a.owner, key)
-	if st != Store[K, I](a.c0) {
-		total := st.LiveWeight() + st.DeadWeight()
-		if total > 0 && st.DeadWeight()*a.tau > total {
-			a.purgeLevel(st)
-		}
-	}
-	a.maybeGlobalRebuild()
-	return true
-}
-
 // DeleteBatch removes every listed item that is live, returning the
-// number actually removed. Dead-fraction purges and the global-rebuild
-// check run once after the whole batch instead of per deletion.
+// number actually removed. Deletions are lazy; once the batch is done,
+// each level it hit that holds too many dead symbols (> total/τ of that
+// level) is purged, and the global-rebuild check runs once.
 func (a *Amortized[K, I]) DeleteBatch(keys []K) int {
-	n := 0
-	// touched lists the static stores hit in first-touch order, so the
-	// purges run in an order the keys fix.
-	var touched []Store[K, I]
-	seen := make(map[Store[K, I]]bool)
-	for _, key := range keys {
-		st, ok := a.owner[key]
-		if !ok {
-			continue
-		}
-		st.Delete(key)
-		delete(a.owner, key)
-		n++
-		if st != Store[K, I](a.c0) && !seen[st] {
-			seen[st] = true
-			touched = append(touched, st)
-		}
-	}
+	n, _ := deleteKeys(a.owner, Store[K, I](a.c0), keys, a.purgeLevel)
 	if n == 0 {
 		return 0
-	}
-	for _, st := range touched {
-		total := st.LiveWeight() + st.DeadWeight()
-		if total > 0 && st.DeadWeight()*a.tau > total {
-			a.purgeLevel(st)
-		}
 	}
 	a.maybeGlobalRebuild()
 	return n
 }
 
-// purgeLevel rebuilds the given level without its deleted items.
+// purgeLevel rebuilds level lvl without its deleted items once more
+// than 1/τ of its weight is dead.
 func (a *Amortized[K, I]) purgeLevel(lvl Store[K, I]) {
+	if total := lvl.LiveWeight() + lvl.DeadWeight(); total == 0 || lvl.DeadWeight()*a.tau <= total {
+		return
+	}
 	defer a.rebuildStores()
 	for j := 1; j < len(a.levels); j++ {
 		if a.levels[j] != lvl {

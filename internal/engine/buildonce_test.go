@@ -50,13 +50,13 @@ func TestRebalanceBuildsEachStoreOnce(t *testing.T) {
 	mu.Unlock()
 	k := 0
 	for ; w.Stats().TopPurges == 0; k++ {
-		w.Delete(k)
+		w.DeleteBatch([]int{k})
 	}
 	if w.Stats().PendingBuilds == 0 {
 		t.Fatal("the top purge is not in flight")
 	}
 	for ; w.Len() > nf/2; k++ {
-		w.Delete(k)
+		w.DeleteBatch([]int{k})
 	}
 	close(gate)
 	w.WaitIdle()

@@ -92,8 +92,8 @@ func runRandomOps[K comparable, I any](t *testing.T, p payload[K, I], worstCase,
 	for step := 0; step < 600; step++ {
 		if len(liveIdx) == 0 || rng.Float64() < 0.65 {
 			it := p.item(next)
-			if err := eng.Insert(it); err != nil {
-				t.Fatalf("step %d: Insert: %v", step, err)
+			if err := eng.InsertBatch([]I{it}); err != nil {
+				t.Fatalf("step %d: insert: %v", step, err)
 			}
 			model[p.key(next)] = p.weight(it)
 			modelWeight += p.weight(it)
@@ -103,8 +103,8 @@ func runRandomOps[K comparable, I any](t *testing.T, p payload[K, I], worstCase,
 			j := rng.Intn(len(liveIdx))
 			i := liveIdx[j]
 			liveIdx = append(liveIdx[:j], liveIdx[j+1:]...)
-			if !eng.Delete(p.key(i)) {
-				t.Fatalf("step %d: Delete of live key returned false", step)
+			if eng.DeleteBatch([]K{p.key(i)}) != 1 {
+				t.Fatalf("step %d: delete of a live key removed nothing", step)
 			}
 			modelWeight -= model[p.key(i)]
 			delete(model, p.key(i))
@@ -220,10 +220,10 @@ func TestGenericRandomOpsRelationPayload(t *testing.T) {
 func runDuplicateAndBatch[K comparable, I any](t *testing.T, p payload[K, I], worstCase, inline bool) {
 	t.Helper()
 	eng := p.mk(worstCase, inline, 0)
-	if err := eng.Insert(p.item(1)); err != nil {
+	if err := eng.InsertBatch([]I{p.item(1)}); err != nil {
 		t.Fatalf("first insert: %v", err)
 	}
-	if err := eng.Insert(p.item(1)); !errors.Is(err, engine.ErrDuplicateKey) {
+	if err := eng.InsertBatch([]I{p.item(1)}); !errors.Is(err, engine.ErrDuplicateKey) {
 		t.Fatalf("duplicate insert: got %v, want ErrDuplicateKey", err)
 	}
 	// Batch with a live duplicate: nothing inserted.
@@ -274,7 +274,7 @@ func runNFDrift[K comparable, I any](t *testing.T, p payload[K, I], worstCase, i
 	const minCap = 64 // the default MinCapacity the schedule floors at
 	eng := p.mk(worstCase, inline, 0)
 	for i := 0; i < 400; i++ {
-		if err := eng.Insert(p.item(i)); err != nil {
+		if err := eng.InsertBatch([]I{p.item(i)}); err != nil {
 			t.Fatal(err)
 		}
 		eng.WaitIdle() // rebalances may be in flight; quiesce before judging nf
@@ -283,7 +283,7 @@ func runNFDrift[K comparable, I any](t *testing.T, p payload[K, I], worstCase, i
 		}
 	}
 	for i := 0; i < 400; i++ {
-		eng.Delete(p.key(i))
+		eng.DeleteBatch([]K{p.key(i)})
 		eng.WaitIdle()
 		if n, nf := eng.Len(), eng.Stats().NF; n > 2*minCap && nf > 2*minCap &&
 			(nf > 2*n+minCap || n > 2*nf) {
@@ -314,12 +314,12 @@ func TestGenericWorstCaseMachineryEngages(t *testing.T) {
 		t.Helper()
 		eng := relPayload().mk(true, true, 4)
 		for i := 0; i < 4000; i++ {
-			if err := eng.Insert(relPayload().item(i)); err != nil {
+			if err := eng.InsertBatch([]binrel.Pair{relPayload().item(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 3000; i++ {
-			eng.Delete(relPayload().key(i))
+			eng.DeleteBatch([]binrel.Pair{relPayload().key(i)})
 		}
 		eng.WaitIdle()
 		check(eng.Stats())
@@ -360,12 +360,12 @@ func TestBuiltWeightCountsEveryBuild(t *testing.T) {
 			for i := 0; i < 1500; i++ {
 				it := dp.item(i)
 				inserted += len(it.Data)
-				if err := eng.Insert(it); err != nil {
+				if err := eng.InsertBatch([]doc.Doc{it}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 0; i < 1200; i++ {
-				eng.Delete(dp.key(i))
+				eng.DeleteBatch([]uint64{dp.key(i)})
 			}
 			batch := make([]doc.Doc, 0, 400)
 			for i := 2000; i < 2400; i++ {

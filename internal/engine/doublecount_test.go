@@ -42,7 +42,7 @@ func TestNoTransientDoubleCount(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			if len(live) == 0 || rng.Float64() < 0.65 {
 				d := gen.NextDoc()
-				if err := eng.Insert(d); err != nil {
+				if err := eng.InsertBatch([]doc.Doc{d}); err != nil {
 					t.Fatal(err)
 				}
 				model[d.ID] = len(d.Data)
@@ -52,7 +52,7 @@ func TestNoTransientDoubleCount(t *testing.T) {
 				i := rng.Intn(len(live))
 				id := live[i]
 				live = append(live[:i], live[i+1:]...)
-				eng.Delete(id)
+				eng.DeleteBatch([]uint64{id})
 				weight -= model[id]
 				delete(model, id)
 			}

@@ -221,6 +221,62 @@ func (b *BuiltWeight) Add(o BuiltWeight) {
 	b.Rebalance += o.Rebalance
 }
 
+// newWeight returns the total weight of items to insert, or
+// ErrDuplicateKey naming the first key that owner holds live or that
+// repeats within items.
+func (c Config[K, I]) newWeight(owner map[K]Store[K, I], items []I) (int, error) {
+	var seen map[K]bool
+	if len(items) > 1 {
+		seen = make(map[K]bool, len(items))
+	}
+	total := 0
+	for _, it := range items {
+		k := c.Key(it)
+		if _, dup := owner[k]; dup || seen[k] {
+			return 0, fmt.Errorf("engine: insert %v: %w", k, ErrDuplicateKey)
+		}
+		if seen != nil {
+			seen[k] = true
+		}
+		total += c.Weight(it)
+	}
+	return total, nil
+}
+
+// deleteKeys lazily deletes each live key from the store owner maps it
+// to and drops it from owner. It then calls settle once on every store
+// other than c0 that it hit, in the order it first hit them, so the
+// purges and merges their dead weight triggers start in an order the
+// keys fix. It returns the number of keys removed and their weight.
+func deleteKeys[K comparable, I any](owner map[K]Store[K, I], c0 Store[K, I], keys []K, settle func(Store[K, I])) (n, weight int) {
+	var seen map[Store[K, I]]bool
+	if len(keys) > 1 {
+		seen = make(map[Store[K, I]]bool)
+	}
+	var buf [1]Store[K, I] // a one-key delete touches one store: no allocation
+	touched := buf[:0]
+	for _, key := range keys {
+		st, ok := owner[key]
+		if !ok {
+			continue
+		}
+		w, _ := st.Delete(key)
+		delete(owner, key)
+		n++
+		weight += w
+		if st != c0 && !seen[st] {
+			if seen != nil {
+				seen[st] = true
+			}
+			touched = append(touched, st)
+		}
+	}
+	for _, st := range touched {
+		settle(st)
+	}
+	return n, weight
+}
+
 // weightOf sums the weights of items.
 func weightOf[I any](items []I, weight func(I) int) int64 {
 	var n int64
@@ -232,17 +288,19 @@ func weightOf[I any](items []I, weight func(I) int) int64 {
 
 // Ladder is the interface shared by the Amortized and WorstCase
 // engines; payload adapters program against it so every scheduling
-// regime is available to every payload.
+// regime is available to every payload. There is one write path: a
+// single update is a batch of one.
 type Ladder[K comparable, I any] interface {
-	// Insert adds an item; it fails with ErrDuplicateKey if the key is
-	// live. InsertBatch validates the whole batch first — on error
-	// nothing is inserted — and places it with at most one cascade.
-	Insert(item I) error
+	// InsertBatch adds items. It validates the whole batch first — a key
+	// that is live or repeats in the batch fails with ErrDuplicateKey and
+	// nothing is inserted — and places it with at most one cascade. A
+	// batch of one item is placed as a single insert (WorstCase: C0, its
+	// own top, or the ladder).
 	InsertBatch(items []I) error
-	// Delete removes the item with the given key, reporting whether it
-	// was live. DeleteBatch skips missing keys and returns the number
-	// removed, running purge/rebalance checks once for the batch.
-	Delete(key K) bool
+	// DeleteBatch removes the listed keys that are live and returns the
+	// number removed; missing keys are skipped. The stores it hit are
+	// checked for purges and merges once, in the order it first hit them,
+	// and the rebalance check runs once for the batch.
 	DeleteBatch(keys []K) int
 	// Has reports whether key is live; Keys lists all live keys.
 	Has(key K) bool

@@ -95,13 +95,13 @@ func TestRetiredStoresUnreachable(t *testing.T) {
 			}
 			continue
 		}
-		if err := w.Insert(k); err != nil {
+		if err := w.InsertBatch([]int{k}); err != nil {
 			t.Fatal(err)
 		}
 		k++
 	}
 	for k := 0; k < n-2000; k++ {
-		if !w.Delete(k) {
+		if w.DeleteBatch([]int{k}) != 1 {
 			t.Fatalf("Delete(%d) of a live key failed", k)
 		}
 	}
@@ -120,17 +120,17 @@ func TestRetiredStoresUnreachable(t *testing.T) {
 				parked <- errors.New("no insert parked a temp while every build was held")
 				return
 			}
-			if err := w.Insert(k); err != nil {
+			if err := w.InsertBatch([]int{k}); err != nil {
 				parked <- err
 				return
 			}
 			held = append(held, k)
 		}
 		for _, k := range held {
-			w.Delete(k)
+			w.DeleteBatch([]int{k})
 		}
 		for k := n - 2000; k < n-100; k++ {
-			w.Delete(k)
+			w.DeleteBatch([]int{k})
 		}
 		parked <- nil
 	}()

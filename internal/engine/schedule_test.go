@@ -249,7 +249,7 @@ func runSchedule(t *testing.T, ladder string, batchDeletes bool, seed int64, ops
 			if len(batch) == 1 {
 				desc = fmt.Sprintf("insert %d", batch[0])
 				apply = func() {
-					if err := l.Insert(batch[0]); err != nil {
+					if err := l.InsertBatch(batch); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -291,7 +291,7 @@ func runSchedule(t *testing.T, ladder string, batchDeletes bool, seed int64, ops
 			delta = -schedWeight(victim)
 			desc = fmt.Sprintf("delete %d", victim)
 			apply = func() {
-				if !l.Delete(victim) {
+				if l.DeleteBatch([]int{victim}) != 1 {
 					t.Fatalf("delete %d of a live item failed", victim)
 				}
 			}

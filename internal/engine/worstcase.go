@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -23,13 +22,16 @@ import (
 //     one open top that builds once it weighs groupWeight() =
 //     max(192 KiB, nf/(4τ)), so a bulk ingest leaves O(τ) tops per
 //     doubling of n rather than n/192 KiB;
-//   - deletions are lazy everywhere. A level merges up once half its
-//     capacity is dead, so no level holds more dead weight than that;
-//     a sweep process purges the top collection holding the most dead
-//     weight after every nf/(2τ·log τ) deleted units, which by
-//     Dietz–Sleator (Lemma 1) bounds every top's dead weight by that
-//     interval times H_g — a bound on weight, not on a top's dead
-//     fraction, which a small top can exceed 1/τ by far;
+//   - deletions are lazy everywhere, also in a store that feeds a
+//     build: the build's result still holds the item, and the install
+//     step drops it (Transformation 2's rule for a deletion in Lj while
+//     Nj+1 is built). A level merges up once half its capacity is
+//     dead, so no level holds more dead weight than that; a sweep
+//     process purges the top collection holding the most dead weight
+//     after every nf/(2τ·log τ) deleted units, which by Dietz–Sleator
+//     (Lemma 1) bounds every top's dead weight by that interval times
+//     H_g — a bound on weight, not on a top's dead fraction, which a
+//     small top can exceed 1/τ by far;
 //   - when n drifts a factor 2 from nf, a background rebalance rebuilds
 //     the whole collection into fresh top collections (Section A.3).
 //
@@ -109,6 +111,11 @@ const (
 	buildRebalance                  // result replaces the whole collection's tops
 )
 
+// buildTask is one background build. Its result holds every item its
+// sources held live at launch; finish keeps an item only while the owner
+// map still assigns its key to one of the sources, so a deletion that
+// raced the build — and a key deleted and inserted again meanwhile —
+// needs no record of its own.
 type buildTask[K comparable, I any] struct {
 	kind   buildKind
 	target int // level index for buildLevel
@@ -128,21 +135,6 @@ type buildTask[K comparable, I any] struct {
 	// parkedTop marks a buildTop over parked stores only: the open top's
 	// chunks or a big item. These install in launch order.
 	parkedTop bool
-
-	// tombstones records items deleted from the sources while the build
-	// is in flight. The background goroutine applies the ones it sees
-	// before publishing, so the foreground install step only has to
-	// process stragglers — keeping finish() cheap even after long builds.
-	tmu        sync.Mutex
-	tombstones []K
-	applied    int // prefix of tombstones already applied by the builder
-}
-
-// addTombstone records a raced deletion.
-func (t *buildTask[K, I]) addTombstone(key K) {
-	t.tmu.Lock()
-	t.tombstones = append(t.tombstones, key)
-	t.tmu.Unlock()
 }
 
 // addStore appends a store's live items to the task: stores exposing a
@@ -298,18 +290,6 @@ func (w *WorstCase[K, I]) launch(t *buildTask[K, I]) {
 		} else {
 			out = append(out, build(items, tau))
 		}
-		// Pre-apply the deletions that raced with the build; stragglers
-		// arriving after this point are handled by finish().
-		t.tmu.Lock()
-		for _, key := range t.tombstones {
-			for _, res := range out {
-				if _, ok := res.Delete(key); ok {
-					break
-				}
-			}
-		}
-		t.applied = len(t.tombstones)
-		t.tmu.Unlock()
 		t.done <- out
 	}
 	if w.cfg.Inline {
@@ -476,24 +456,14 @@ func (w *WorstCase[K, I]) foldTemps(t int) {
 	w.launch(task)
 }
 
-// finish installs the result of a completed build: snapshot items move
-// to the new structures unless they were deleted mid-build, and the
-// source structures are retired.
+// finish installs the result of a completed build and retires its
+// sources. A result item whose key the owner map still assigns to a
+// source moves to the result; any other was deleted while the build ran
+// (and may live again elsewhere, reinserted or in a second build), so
+// it is deleted from the result.
 func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 	w.invalidateStores()
 	isSource := func(s Store[K, I]) bool { return w.feeding[s] == t }
-	// Apply straggler tombstones the builder missed after its seal point.
-	t.tmu.Lock()
-	for _, key := range t.tombstones[t.applied:] {
-		for _, res := range out {
-			if _, ok := res.Delete(key); ok {
-				break
-			}
-		}
-	}
-	t.applied = len(t.tombstones)
-	t.tmu.Unlock()
-	// Reassign ownership; weed out any remaining raced deletions.
 	for _, res := range out {
 		for _, key := range res.LiveKeys() {
 			cur, alive := w.owner[key]
@@ -638,22 +608,6 @@ func (w *WorstCase[K, I]) Has(key K) bool {
 	return ok
 }
 
-// Insert adds an item (Section 3, "Insertions"). It fails with
-// ErrDuplicateKey if the key is already live.
-func (w *WorstCase[K, I]) Insert(item I) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	k := w.cfg.Key(item)
-	if _, dup := w.owner[k]; dup {
-		return fmt.Errorf("engine: insert %v: %w", k, ErrDuplicateKey)
-	}
-	w.drainLocked(false)
-	w.closeOpen()
-	w.placeOne(item)
-	w.checkRebalance()
-	return nil
-}
-
 // placeOne routes a validated item: into C0 if it fits, into its own
 // top collection if huge, through the ladder otherwise. Callers hold
 // w.mu and run checkRebalance afterwards.
@@ -674,50 +628,35 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 	}
 }
 
-// InsertBatch adds many items in one ingest. The whole batch is
-// validated first — on any ErrDuplicateKey nothing is inserted. A batch
-// larger than C0's capacity is parked, in chunks of at most the
-// top-capacity bound, in the open top, which is bulk-built in the
-// background directly into top collections once it weighs groupWeight()
-// — G follows nf as rescheduled for the post-batch size, so the tops of
-// a bulk ingest grow with the collection.
-// The per-item ladder cascades of looped Insert calls collapse into one
-// build per open top, run on as many cores as there are, followed by at
-// most one rebalance. Smaller batches route through the normal placement
-// machinery: the first overflow empties C0 into the ladder and the rest
-// of the batch fits in the fresh C0, so C0 keeps draining and tops
-// never accumulate per call.
+// InsertBatch adds items in one ingest (Section 3, "Insertions"). The
+// whole batch is validated first — on any ErrDuplicateKey nothing is
+// inserted and nothing runs. A single item, and a batch no heavier than
+// C0's capacity, go through placeOne one by one: the first overflow
+// empties C0 into the ladder and the rest of the batch fits in the
+// fresh C0, so C0 keeps draining and tops never accumulate per call. A heavier batch is parked, in chunks of at
+// most the top-capacity bound, in the open top, which is bulk-built in
+// the background directly into top collections once it weighs
+// groupWeight() — G follows nf as rescheduled for the post-batch size,
+// so the tops of a bulk ingest grow with the collection. The per-item
+// ladder cascades collapse into one build per open top, run on as many
+// cores as there are, followed by at most one rebalance.
 func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 	if len(items) == 0 {
 		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	total, err := w.cfg.newWeight(w.owner, items)
+	if err != nil {
+		return err
+	}
 	w.drainLocked(false)
-	seen := make(map[K]bool, len(items))
-	total := 0
-	for _, it := range items {
-		k := w.cfg.Key(it)
-		if _, dup := w.owner[k]; dup || seen[k] {
-			return fmt.Errorf("engine: insert %v: %w", k, ErrDuplicateKey)
-		}
-		seen[k] = true
-		total += w.cfg.Weight(it)
-	}
-	if total <= w.maxes[0] {
+	if len(items) == 1 || total <= w.maxes[0] {
 		w.closeOpen()
-	}
-	switch {
-	case w.c0.LiveWeight()+total <= w.maxes[0]:
-		for _, it := range items {
-			w.c0.Insert(it)
-			w.owner[w.cfg.Key(it)] = w.c0
-		}
-	case total <= w.maxes[0]:
 		for _, it := range items {
 			w.placeOne(it)
 		}
-	default:
+	} else {
 		// Re-derive the capacity schedule from the post-batch size first:
 		// chunks are then sized by the correct (larger) top capacity, and
 		// the post-ingest rebalance check is a no-op instead of
@@ -829,70 +768,23 @@ func (w *WorstCase[K, I]) mergeTask(j int) *buildTask[K, I] {
 	return task
 }
 
-// Delete removes the item with the given key (Section 3, "Deletions").
-func (w *WorstCase[K, I]) Delete(key K) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.drainLocked(false)
-	w.closeOpen()
-	st, ok := w.owner[key]
-	if !ok {
-		return false
-	}
-	weight, _ := st.Delete(key)
-	delete(w.owner, key)
-	if b := w.feeding[st]; b != nil {
-		b.addTombstone(key) // the build result must not resurrect it
-	}
-	if st != Store[K, I](w.c0) {
-		w.afterStaticDelete(st)
-	}
-	// The sweep counter tracks every deleted unit (the paper purges the
-	// worst top after each series of nf/(2τ·log τ) deleted symbols).
-	w.deletedSinceSweep += weight
-	w.maybeSweepTops()
-	w.checkRebalance()
-	return true
-}
-
-// DeleteBatch removes every listed item that is live, returning the
-// number actually removed. Dead-fraction checks, the top sweep, and the
-// rebalance check run once after the whole batch.
+// DeleteBatch removes every listed item that is live (Section 3,
+// "Deletions"), returning the number actually removed. Deletions are
+// lazy everywhere, also from a store that feeds a build: finish drops
+// the item from the build's result. Dead-fraction checks, the top
+// sweep, and the rebalance check run once after the whole batch.
 func (w *WorstCase[K, I]) DeleteBatch(keys []K) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.drainLocked(false)
 	w.closeOpen()
-	n := 0
-	deletedWeight := 0
-	// touched lists the static stores hit, in first-touch order, so the
-	// merges their dead weight triggers start in an order the keys fix.
-	var touched []Store[K, I]
-	seen := make(map[Store[K, I]]bool)
-	for _, key := range keys {
-		st, ok := w.owner[key]
-		if !ok {
-			continue
-		}
-		weight, _ := st.Delete(key)
-		delete(w.owner, key)
-		n++
-		deletedWeight += weight
-		if b := w.feeding[st]; b != nil {
-			b.addTombstone(key)
-		}
-		if st != Store[K, I](w.c0) && !seen[st] {
-			seen[st] = true
-			touched = append(touched, st)
-		}
-	}
+	n, weight := deleteKeys(w.owner, Store[K, I](w.c0), keys, w.afterStaticDelete)
 	if n == 0 {
 		return 0
 	}
-	for _, st := range touched {
-		w.afterStaticDelete(st)
-	}
-	w.deletedSinceSweep += deletedWeight
+	// The sweep counter tracks every deleted unit (the paper purges the
+	// worst top after each series of nf/(2τ·log τ) deleted symbols).
+	w.deletedSinceSweep += weight
 	w.maybeSweepTops()
 	w.checkRebalance()
 	return n
