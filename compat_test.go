@@ -14,11 +14,12 @@ import (
 // v2 mapped snapshot and a checkpointed durable directory with a
 // two-record WAL tail — all written by commit f55a4a6, the parent of
 // the change that put every structure behind one ladder walker and one
-// shard front — plus a second collection set, collection-fm4.*, in the
-// 4-ary "fm4" index, written by 717e898. They are never regenerated in
-// place: a format revision writes a new set at *its* parent commit
-// (DYNCOLL_WRITE_COMPAT=1 go test -run TestCompatFixtures/<leg> .) and
-// keeps reading the old ones.
+// shard front — plus two more collection sets: collection-fm4.*, in the
+// 4-ary "fm4" index, written by 717e898, and collection-fmz.*, in
+// "fmz", written by 003a1a7, the parent of the change that made "fmp"
+// the default. They are never regenerated in place: a format revision
+// writes a new set at *its* parent commit (DYNCOLL_WRITE_COMPAT=1 go
+// test -run TestCompatFixtures/<leg> .) and keeps reading the old ones.
 
 var (
 	compatDir   = filepath.Join("testdata", "compat")
@@ -165,9 +166,11 @@ func TestCompatFixtures(t *testing.T) {
 
 	// The first collection set predates the 4-ary tree: "fm" files. The
 	// second holds "fm4" files, written by 717e898, the parent of the
-	// change that made "fmz" the default.
+	// change that made "fmz" the default; the third "fmz" files, written
+	// by 003a1a7, the parent of the change that made "fmp" the default.
 	t.Run("collection", func(t *testing.T) { compatCollection(t, IndexFM, "collection") })
 	t.Run("collection-fm4", func(t *testing.T) { compatCollection(t, IndexFM4, "collection-fm4") })
+	t.Run("collection-fmz", func(t *testing.T) { compatCollection(t, IndexFMZ, "collection-fmz") })
 }
 
 // compatCollection checks the collection fixtures named name, written
@@ -237,8 +240,12 @@ func compatCollection(t *testing.T, index, name string) {
 // re-saved all write the same v1 and v2 files.
 func TestFM4Deterministic(t *testing.T) { checkDeterministic(t, IndexFM4, WithIndex(IndexFM4)) }
 
-// TestFMZDeterministic holds the default index, fmz, to the same rule.
-func TestFMZDeterministic(t *testing.T) { checkDeterministic(t, IndexFMZ) }
+// TestFMZDeterministic holds fmz, the default index before fmp, to the
+// same rule.
+func TestFMZDeterministic(t *testing.T) { checkDeterministic(t, IndexFMZ, WithIndex(IndexFMZ)) }
+
+// TestFMPDeterministic holds the default index, fmp, to the same rule.
+func TestFMPDeterministic(t *testing.T) { checkDeterministic(t, IndexFMP) }
 
 // checkDeterministic builds the snapshot corpus twice with opts, whose
 // index must be index, and checks that both builds, a v1 load and a v2

@@ -6,6 +6,7 @@ import (
 
 	"dyncoll/internal/core"
 	"dyncoll/internal/doc"
+	"dyncoll/internal/fmindex"
 	"dyncoll/internal/query"
 )
 
@@ -316,7 +317,16 @@ type IndexStats struct {
 	// never-mapped structure it is the whole estimate.
 	MappedBytes int64
 	HeapBytes   int64
+	// Space is the footprint of the collection's FM-indexed stores, in
+	// bits, section by section: each store's fmindex Space, summed. It
+	// is zero for other indexes and for relations and graphs.
+	Space IndexSpace
 }
+
+// IndexSpace is an FM index's footprint in bits, section by section:
+// the wavelet tree, the marks, the SA samples, the ISA samples, the
+// separator tables, the document table and the symbol tables.
+type IndexSpace = fmindex.Space
 
 // BuiltWeight splits the weight a structure has built into static
 // indexes by cause: level merges, new top collections, purges of
@@ -357,7 +367,23 @@ func (c *Collection) Stats() IndexStats {
 	st := indexStatsFrom(aggStats(perCore(&c.union, docCore.Stats, apply)))
 	st.Shards = c.cfg.shards
 	st.fillResidency(c.mapped, c.SizeBits())
+	for _, sp := range perCore(&c.union, fmSpace, apply) {
+		st.Space = st.Space.Add(sp)
+	}
 	return st
+}
+
+// fmSpace sums the Space sections of a core's FM-indexed stores.
+func fmSpace(c docCore) IndexSpace {
+	var sp IndexSpace
+	for pt := range c.Parts {
+		if sd, ok := pt.(*core.SemiDynamic); ok {
+			if x, ok := sd.Index().(*fmindex.Index); ok {
+				sp = sp.Add(x.Space())
+			}
+		}
+	}
+	return sp
 }
 
 // ShardSizes reports live payload symbols per shard, in shard order —

@@ -4,8 +4,9 @@
 // Index is an FM-index over a document collection: the Burrows–Wheeler
 // transform of the concatenated documents stored in a Huffman-shaped
 // wavelet tree — 4-ary by default, binary on request — plus
-// suffix-array and inverse-suffix-array samples with sampling rate s,
-// each packed into ⌈log₂ r⌉ bits for its range r (packed.go).
+// suffix-array samples with sampling rate s, packed into ⌈log₂⌈n/s⌉⌉
+// bits each (packed.go), and the inverse-suffix-array samples as
+// shortcuts through them (shortcuts.go).
 // It answers
 //
 //   - Range (range-finding): the suffix-array interval of a pattern via
@@ -83,9 +84,14 @@ type Index struct {
 	bwt     sequence
 	c       [257]int // c[b] = number of BWT symbols < b; c[256] = n
 	marked  *bitvec.Vector
-	saSamp  packed // SA values at marked rows, ordered by row, each divided by saScale
-	saScale int    // s, or 1 for samples read from an "fm" or "fm4" file, which stores them whole
-	isaSamp packed // rows of positions 0, s, 2s, …, and n-1
+	saSamp  packed    // SA values at marked rows, ordered by row, each divided by saScale
+	saScale int       // s, or 1 for samples an "fm" or "fm4" file stores whole, viewed by a mapped open
+	isa     shortcuts // the rows of positions 0, s, 2s, … through saSamp
+	lastRow int       // the row of position n-1
+	// isaSamp is the ISA array of an "fm", "fm4" or "fmz" file, viewed
+	// in place by a mapped open, which then leaves isa empty: the rows
+	// of positions 0, s, 2s, …, and n-1. Empty otherwise.
+	isaSamp packed
 	layout  Layout
 
 	// Separator rows need explicit LF targets: with a shared separator
@@ -113,14 +119,18 @@ func (x *Index) buildSymTable() {
 }
 
 // Layout is the form of an FM index: its tree and its codec, one per
-// registered FM index name. In memory all three hold their samples
-// packed; they differ in the tree and in how files store the samples.
+// registered FM index name. In memory all four hold their SA samples
+// packed and their ISA samples as shortcuts; they differ in the tree
+// and in how files store the samples.
 type Layout uint8
 
 const (
-	// FMZ, the default ("fmz"): the 4-ary tree, and files store the
-	// samples packed, as in memory.
-	FMZ Layout = iota
+	// FMP, the default ("fmp"): the 4-ary tree, and files store the
+	// samples as in memory, the ISA samples as shortcuts.
+	FMP Layout = iota
+	// FMZ ("fmz"): the 4-ary tree, and files store the SA samples
+	// packed and the ISA samples as a packed array of rows.
+	FMZ
 	// FM4 ("fm4"): the 4-ary tree, and files store the samples as
 	// int32 arrays, which a read views as width-32 vectors.
 	FM4
@@ -133,7 +143,7 @@ type Options struct {
 	// SampleRate is the suffix-array sampling rate s; locate costs O(s)
 	// rank operations and the samples take O(n/s·log n) bits. Default 16.
 	SampleRate int
-	// Layout picks the tree and the codec; the zero value is FMZ.
+	// Layout picks the tree and the codec; the zero value is FMP.
 	Layout Layout
 }
 
@@ -164,7 +174,8 @@ func Build(docs []Doc, opts Options) *Index {
 	if idx.n == 0 {
 		idx.bwt = newSequence(nil, make([]int64, 256), opts.Layout)
 		idx.marked = bitvec.FromBools(nil)
-		idx.saSamp, idx.isaSamp = newPacked(0, 0), newPacked(0, 0)
+		idx.saSamp = newPacked(0, 0)
+		idx.isa, _ = newShortcuts(idx.saSamp, idx.marked)
 		idx.buildSymTable()
 		scratchPool.Put(sc)
 		return idx
@@ -189,7 +200,7 @@ func Build(docs []Doc, opts Options) *Index {
 	// separator, so suffix order is well defined; see package comment)
 	// and its symbol counts, which give C and the Huffman code lengths;
 	// SA samples and mark bits at rows whose suffix position is ≡ 0
-	// (mod s) and ISA samples at positions 0, s, 2s, … and n-1; and the
+	// (mod s), from which the ISA samples follow; and the
 	// exact LF target of every row whose BWT symbol is the separator —
 	// such a row holds a document start, and its target is the row of
 	// the preceding document's separator (cyclically).
@@ -198,10 +209,9 @@ func Build(docs []Doc, opts Options) *Index {
 	var freq [256]int64
 	marks := make([]uint64, (n+63)/64)
 	// Sampled positions are the multiples of s below n, so an SA sample
-	// is stored as p/s < ⌈n/s⌉; an ISA sample is a row below n.
+	// is stored as p/s < ⌈n/s⌉.
 	idx.saSamp = newPacked(saBound(n, rate), saBound(n, rate))
-	idx.isaSamp = newPacked(isaCount(n, rate), n)
-	idx.isaSamp.set(idx.isaSamp.n-1, uint64(sepRowOf[nDocs-1]))
+	idx.lastRow = int(sepRowOf[nDocs-1])
 	sampled := 0
 	idx.sepRows = make([]int32, 0, nDocs)
 	idx.sepTargets = make([]int32, 0, nDocs)
@@ -217,7 +227,6 @@ func Build(docs []Doc, opts Options) *Index {
 		if divides(m, p) {
 			marks[row>>6] |= 1 << (uint(row) & 63)
 			idx.saSamp.set(sampled, uint64(int(p)/rate))
-			idx.isaSamp.set(int(p)/rate, uint64(row))
 			sampled++
 		}
 		if b == Sep {
@@ -234,6 +243,7 @@ func Build(docs []Doc, opts Options) *Index {
 	idx.c[256] = sum
 	idx.buildSymTable()
 	idx.marked = bitvec.FromWords(marks, n)
+	idx.isa, _ = newShortcuts(idx.saSamp, idx.marked)
 	idx.bwt = newSequence(bwtBytes, freq[:], opts.Layout)
 	scratchPool.Put(sc)
 	return idx
@@ -343,10 +353,23 @@ type Space struct {
 	Tree       int64 // the BWT's wavelet tree with its rank directories
 	Marks      int64 // the sampled-row bit vector with its rank directory
 	SASamples  int64
-	ISASamples int64
+	ISASamples int64 // the shortcuts with their select samples, or a mapped file's ISA array; and the row of n-1
 	SepTables  int64 // separator rows and their LF targets
 	DocTable   int64 // document starts and IDs
 	Symbols    int64 // the C array and the row→symbol table derived from it
+}
+
+// Add returns the section-by-section sum of two footprints.
+func (sp Space) Add(o Space) Space {
+	return Space{
+		Tree:       sp.Tree + o.Tree,
+		Marks:      sp.Marks + o.Marks,
+		SASamples:  sp.SASamples + o.SASamples,
+		ISASamples: sp.ISASamples + o.ISASamples,
+		SepTables:  sp.SepTables + o.SepTables,
+		DocTable:   sp.DocTable + o.DocTable,
+		Symbols:    sp.Symbols + o.Symbols,
+	}
 }
 
 // Total is the sum of the sections.
@@ -360,7 +383,7 @@ func (x *Index) Space() Space {
 		Tree:       x.bwt.SizeBits(),
 		Marks:      x.marked.SizeBits(),
 		SASamples:  x.saSamp.sizeBits(),
-		ISASamples: x.isaSamp.sizeBits(),
+		ISASamples: x.isa.sizeBits() + x.isaSamp.sizeBits() + 64,
 		SepTables:  int64(len(x.sepRows)+len(x.sepTargets)) * 32,
 		DocTable:   x.docTable.sizeBits(),
 		Symbols:    int64(len(x.c))*64 + x.sym.sizeBits(),

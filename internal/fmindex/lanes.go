@@ -16,8 +16,19 @@ import "dyncoll/internal/wavelet"
 // way, the text symbol at q. Rows are known without walking only at the
 // ISA-sampled positions — the multiples of s, and n-1 — so the walk is
 // cut there: a segment starts at the row of a sampled position and ends
-// at the next sampled position below it (or at lo), and no segment
-// depends on another.
+// at a sampled position below it (or at lo), and no segment depends on
+// another.
+//
+// The sampled positions cut the range into intervals of s positions,
+// but for the bottom one, which lo may cut short, and the top one when
+// it starts at n-1. A plan groups them into at most walkLanes segments
+// of consecutive intervals, as evenly as it can: with more intervals
+// than lanes, a short top interval rides along with the top segment
+// uncounted, and the longer segments are the bottom ones, where the
+// short bottom interval is. So the lanes start at once and finish as
+// soon as walkLanes segments of one interval each, taken in turn,
+// would, while no more rows are looked up than there are lanes: each
+// costs several dependent loads (sampleRows).
 //
 // The top segment starts where SuffixRank(hi-1) would: at the first
 // sampled position at or after hi-1. When that is hi-1 itself, its row
@@ -25,21 +36,32 @@ import "dyncoll/internal/wavelet"
 // direct); otherwise the first steps of the top segment pass positions
 // at or above hi that nobody asked for, exactly the steps SuffixRank
 // pays. So a plan takes the same number of steps as the scalar chain —
-// SuffixRank's walk to hi-1, then one step per position below it — in
-// ⌈(hi-lo)/s⌉ + 1 or fewer segments.
+// SuffixRank's walk to hi-1, then one step per position below it.
 //
 // A plan depends on (lo, hi, s, n) alone: the document boundaries do not
 // matter, because a step across a separator is an ordinary LF step.
 type walkPlan struct {
 	lo, s int
 	from  int // start of the next segment; lo when none is left
+	size  int // intervals per segment
+	left  int // segments left
+	extra int // how many of the last segments take one interval more
+	short int // 1 while the top segment, which starts with a short interval, is next
 }
 
 // planWalk returns the plan of the walk over [lo, hi), lo < hi ≤ n, and
 // whether hi-1 is itself sampled (direct).
 func planWalk(lo, hi, s, n int) (p walkPlan, direct bool) {
 	top := sampleAfter(hi-1, s, n)
-	return walkPlan{lo: lo, s: s, from: top}, top == hi-1
+	// From top down to the first multiple of s below it, then from one
+	// multiple to the next, down to lo; none when top is lo.
+	intervals, short := 1+(top-1)/s-lo/s, 0
+	if top%s != 0 && intervals > walkLanes {
+		intervals, short = intervals-1, 1
+	}
+	lanes := max(min(intervals, walkLanes), 1)
+	p = walkPlan{lo: lo, s: s, from: top, size: intervals / lanes, left: lanes, extra: intervals % lanes, short: short}
+	return p, top == hi-1
 }
 
 // next returns the next segment, top down: start at the row of the
@@ -50,7 +72,12 @@ func (p *walkPlan) next() (from, steps int, ok bool) {
 		return 0, 0, false
 	}
 	from = p.from
-	p.from = max(p.lo, (from-1)/p.s*p.s)
+	k := p.size + p.short
+	if p.left <= p.extra {
+		k++
+	}
+	p.left, p.short = p.left-1, 0
+	p.from = max(p.lo, ((from-1)/p.s-(k-1))*p.s)
 	return from, from - p.from, true
 }
 
@@ -62,12 +89,71 @@ func sampleAfter(pos, s, n int) int {
 	return n - 1
 }
 
+// sampleRows sets rows[i] to the row of the sampled position js[i], for
+// at most walkLanes positions: lastRow for n-1, and for j = k·s the row
+// of mark π⁻¹(k) (shortcuts.go). The lookups advance together, a read
+// of π each per round, so that their cache misses overlap, and every
+// lookup takes shortcutStep rounds: from k it follows π, jumping back
+// along the first back pointer it meets; π⁻¹(k) is the element it
+// reads k at, which in a cycle longer than shortcutStep happens in the
+// last round. A mapped file of an older name reads the rows from its
+// ISA array instead, held below n whatever the file says; a corrupt
+// mapped payload can lead a lookup astray, but only to an element
+// below M.
+func (x *Index) sampleRows(js, rows []int) {
+	if x.isaSamp.n != 0 {
+		for i, j := range js {
+			rows[i] = x.lastRow
+			if j%x.s == 0 {
+				rows[i] = min(x.isaSamp.get(j/x.s), x.n-1)
+			}
+		}
+		return
+	}
+	var k, e, pre, sel [walkLanes]int
+	jumped := uint(0)
+	for i, j := range js {
+		k[i] = j / x.s
+		e[i] = k[i]
+	}
+	last, has := x.saSamp.n-1, x.isa.has.Words()
+	for range shortcutStep {
+		for i := range js {
+			c := e[i]
+			if jumped&(1<<i) == 0 && has[c>>6]&(1<<(c&63)) != 0 {
+				c, jumped = x.isa.back.get(x.isa.has.Rank1(c)), jumped|1<<i
+				if c > last {
+					c = 0
+				}
+			}
+			next := x.saSamp.get(c)
+			if next == k[i] {
+				pre[i] = c
+			}
+			if next > last {
+				next = 0
+			}
+			e[i] = next
+		}
+	}
+	// Read every lane's select sample before any lane counts marks, so
+	// that those misses overlap too.
+	for i := range js {
+		sel[i] = x.isa.sel.get(pre[i] / markSample)
+	}
+	for i, j := range js {
+		rows[i] = x.lastRow
+		if k[i]*x.s == j {
+			rows[i] = x.markRowFrom(pre[i], sel[i])
+		}
+	}
+}
+
 // sampleRow is the row of the sampled position j.
 func (x *Index) sampleRow(j int) int {
-	if j%x.s == 0 {
-		return x.isaSamp.get(j / x.s)
-	}
-	return x.isaSamp.get(x.isaSamp.n - 1) // j == n-1
+	var row [1]int
+	x.sampleRows([]int{j}, row[:])
+	return row[0]
 }
 
 // lfSteps takes one LF step in every lane: rows[k] becomes LF(rows[k])
@@ -107,17 +193,19 @@ func (x *Index) walkRange(lo, hi int, visit func(q, row int, b byte)) {
 	var sym [walkLanes]uint32
 	active := 0
 	for {
+		first := active
 		for active < walkLanes {
 			from, steps, ok := p.next()
 			if !ok {
 				break
 			}
-			rows[active], at[active], stop[active] = x.sampleRow(from), from, from-steps
+			at[active], stop[active] = from, from-steps
 			active++
 		}
 		if active == 0 {
 			return
 		}
+		x.sampleRows(at[first:active], rows[first:active])
 		x.lfSteps(rows[:active], sym[:active])
 		for k := 0; k < active; {
 			at[k]--

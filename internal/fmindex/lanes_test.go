@@ -214,8 +214,12 @@ func TestWalkPlanSteps(t *testing.T) {
 }
 
 // checkPlan runs the plan of [lo, hi) symbolically, asserts that it
-// starts every segment at a sampled position and reaches each position
-// of the range exactly once, and returns its LF steps.
+// starts every segment at a sampled position, reaches each position of
+// the range exactly once, starts at most walkLanes segments, and that
+// its longest segment takes no more steps than walkLanes lanes taking
+// the one-interval segments between sampled positions in turn would
+// (the rows it looks up are fewer, not the lanes' steps more), and
+// returns its LF steps.
 func checkPlan(t *testing.T, lo, hi, s, n int) int {
 	t.Helper()
 	sampled := func(j int) bool { return j%s == 0 || j == n-1 }
@@ -227,7 +231,7 @@ func checkPlan(t *testing.T, lo, hi, s, n int) int {
 		}
 		seen[hi-1]++
 	}
-	steps := 0
+	steps, segments, longest := 0, 0, 0
 	for {
 		from, k, ok := p.next()
 		if !ok {
@@ -236,6 +240,7 @@ func checkPlan(t *testing.T, lo, hi, s, n int) int {
 		if !sampled(from) || k < 1 || from-k < lo {
 			t.Fatalf("[%d,%d) s=%d n=%d: segment from %d for %d steps", lo, hi, s, n, from, k)
 		}
+		segments, longest = segments+1, max(longest, k)
 		for q := from - 1; q >= from-k; q-- {
 			if q < hi {
 				seen[q]++
@@ -250,6 +255,17 @@ func checkPlan(t *testing.T, lo, hi, s, n int) int {
 	}
 	if len(seen) != hi-lo {
 		t.Fatalf("[%d,%d) s=%d n=%d: plan reaches %d positions", lo, hi, s, n, len(seen))
+	}
+	var free [walkLanes]int // when each lane is done, taking intervals in turn
+	for from := sampleAfter(hi-1, s, n); from > lo; {
+		to := max(lo, (from-1)/s*s)
+		i := slices.Index(free[:], slices.Min(free[:]))
+		free[i] += from - to
+		from = to
+	}
+	if segments > walkLanes || longest > slices.Max(free[:]) {
+		t.Fatalf("[%d,%d) s=%d n=%d: %d segments, the longest %d steps; lanes taking intervals in turn finish after %d",
+			lo, hi, s, n, segments, longest, slices.Max(free[:]))
 	}
 	return steps
 }

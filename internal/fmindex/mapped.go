@@ -17,8 +17,11 @@ import (
 // open O(n) again — full payload integrity is the opt-in CRC verify
 // pass one layer up.
 
-// EncodeMapped writes the FM-index in mapped form. An FMZ index writes
-// its samples as packed word sections; FM and FM4 write int32 arrays.
+// EncodeMapped writes the FM-index in mapped form. An FMP index writes
+// its SA samples, its shortcuts and their select samples as word
+// sections, then the row of n-1; the older names write the ISA array,
+// regenerated as EncodeTo does: FMZ packs both arrays, FM and FM4 write
+// int32 arrays.
 func (x *Index) EncodeMapped(e *snap.MapEncoder) {
 	e.U64(uint64(x.n))
 	e.U64(uint64(x.s))
@@ -30,12 +33,21 @@ func (x *Index) EncodeMapped(e *snap.MapEncoder) {
 	e.Int64s(c)
 	x.bwt.EncodeMapped(e)
 	x.marked.EncodeMapped(e)
-	if x.layout == FMZ {
+	switch x.layout {
+	case FMP:
 		x.saSamp.encodeMapped(e)
-		x.isaSamp.encodeMapped(e)
-	} else {
+		x.isa.has.EncodeMapped(e)
+		x.isa.back.encodeMapped(e)
+		x.isa.sel.encodeMapped(e)
+		e.U64(uint64(x.lastRow))
+	case FMZ:
+		x.saSamp.encodeMapped(e)
+		isa := x.isaRows()
+		isa.encodeMapped(e)
+	default:
 		e.Int32s(x.saSamp.int32s(x.saScale))
-		e.Int32s(x.isaSamp.int32s(1))
+		isa := x.isaRows()
+		e.Int32s(isa.int32s(1))
 	}
 	e.Int32s(x.sepRows)
 	e.Int32s(x.sepTargets)
@@ -44,8 +56,10 @@ func (x *Index) EncodeMapped(e *snap.MapEncoder) {
 }
 
 // OpenMapped reconstructs an FM-index of layout l from a mapped
-// payload. The samples are views either way: an FMZ file's packed
-// words, or an FM or FM4 file's int32 arrays as width-32 vectors.
+// payload. The samples are views: an FMP file's packed words and
+// shortcuts; an FMZ file's packed arrays, or an FM or FM4 file's int32
+// arrays as width-32 vectors, of which the ISA array serves sampleRow
+// in place of shortcuts, since deriving them would read every sample.
 func OpenMapped(mv *snap.MapView, l Layout) (*Index, error) {
 	nx := &Index{layout: l}
 	nx.n = mv.Int()
@@ -76,15 +90,36 @@ func OpenMapped(mv *snap.MapView, l Layout) (*Index, error) {
 	if err := mv.Err(); err != nil {
 		return nil, err
 	}
-	if l == FMZ {
-		nx.saSamp = readPacked(mv, "fm SA samples", nx.marked.Ones(), saBound(nx.n, nx.s))
+	m := saBound(nx.n, nx.s)
+	switch l {
+	case FMP:
+		nx.saSamp = readPacked(mv, "fm SA samples", m, m)
+		if nx.isa.has = bitvec.ViewMapped(mv); mv.Err() != nil {
+			return nil, mv.Err()
+		}
+		if nx.isa.has.Len() != m {
+			mv.Fail("fm shortcuts: %d elements, want %d", nx.isa.has.Len(), m)
+			return nil, mv.Err()
+		}
+		nx.isa.back = readPacked(mv, "fm back pointers", nx.isa.has.Ones(), m)
+		nx.isa.sel = readPacked(mv, "fm select samples", selCount(m), nx.n)
+		nx.lastRow = mv.Int()
+		nx.saScale = nx.s
+	case FMZ:
+		nx.saSamp = readPacked(mv, "fm SA samples", m, m)
 		nx.isaSamp = readPacked(mv, "fm ISA samples", isaCount(nx.n, nx.s), nx.n)
 		nx.saScale = nx.s
-	} else {
+	default:
 		nx.saSamp, nx.isaSamp, nx.saScale = viewInt32s(mv), viewInt32s(mv), 1
 		if mv.Err() == nil {
 			nx.checkSampleCounts(mv, nx.saSamp.n, nx.isaSamp.n)
 		}
+	}
+	if mv.Err() == nil && l != FMP && nx.n > 0 {
+		nx.lastRow = nx.isaSamp.get(nx.isaSamp.n - 1)
+	}
+	if mv.Err() == nil && nx.n > 0 && (nx.lastRow < 0 || nx.lastRow >= nx.n) {
+		mv.Fail("fm: row %d of position n-1 outside [0,%d)", nx.lastRow, nx.n)
 	}
 	nx.sepRows = mv.Int32s()
 	nx.sepTargets = mv.Int32s()

@@ -1,6 +1,8 @@
 package fmindex
 
 import (
+	"slices"
+
 	"dyncoll/internal/bitvec"
 	"dyncoll/internal/snap"
 	"dyncoll/internal/wavelet"
@@ -34,8 +36,10 @@ func checkRows(d failer, what string, rows []int32, n int) bool {
 }
 
 // EncodeTo writes the FM-index's portable form into an encoder. An
-// FMZ index writes its samples packed; FM and FM4 write them as the
-// int32 arrays their files have always held.
+// FMP index writes its samples as in memory: the SA samples packed, the
+// shortcuts and the row of n-1. The older names write the ISA array
+// their files have always held, regenerated from the SA samples: FMZ
+// packs both arrays, FM and FM4 write int32 arrays.
 func (x *Index) EncodeTo(e *snap.Encoder) {
 	e.Uvarint(uint64(x.n))
 	e.Uvarint(uint64(x.s))
@@ -45,12 +49,20 @@ func (x *Index) EncodeTo(e *snap.Encoder) {
 	}
 	x.bwt.EncodeTo(e)
 	x.marked.EncodeTo(e)
-	if x.layout == FMZ {
+	switch x.layout {
+	case FMP:
 		x.saSamp.encodeTo(e)
-		x.isaSamp.encodeTo(e)
-	} else {
+		x.isa.has.EncodeTo(e)
+		x.isa.back.encodeTo(e)
+		e.Uvarint(uint64(x.lastRow))
+	case FMZ:
+		x.saSamp.encodeTo(e)
+		isa := x.isaRows()
+		isa.encodeTo(e)
+	default:
 		e.Int32s(x.saSamp.int32s(x.saScale))
-		e.Int32s(x.isaSamp.int32s(1))
+		isa := x.isaRows()
+		e.Int32s(isa.int32s(1))
 	}
 	e.Int32s(x.sepRows)
 	e.Int32s(x.sepTargets)
@@ -68,7 +80,10 @@ func (x *Index) AppendBinary(buf []byte) ([]byte, error) {
 
 // Decode reads an FM-index in the portable form of layout l. Corrupt or
 // truncated input returns an error wrapping snap.ErrBadSnapshot; it
-// never panics.
+// never panics. Every layout decodes to the same form: the SA samples
+// packed as p/s and the ISA samples as shortcuts, derived from the SA
+// samples and checked against what the file stores — an FMP file's
+// shortcuts, or the ISA array of the older names.
 func Decode(data []byte, l Layout) (*Index, error) {
 	d := snap.NewDecoder(data)
 	nx := &Index{layout: l}
@@ -90,19 +105,30 @@ func Decode(data []byte, l Layout) (*Index, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if l == FMZ {
-		nx.saSamp = readPacked(d, "fm SA samples", nx.marked.Ones(), saBound(nx.n, nx.s))
-		nx.isaSamp = readPacked(d, "fm ISA samples", isaCount(nx.n, nx.s), nx.n)
-		nx.saSamp.checkBelow(d, "fm SA samples", saBound(nx.n, nx.s))
-		nx.isaSamp.checkBelow(d, "fm ISA samples", nx.n)
-		nx.saScale = nx.s
-	} else {
-		sa, isa := d.Int32s(), d.Int32s()
-		if d.Err() == nil && nx.checkSampleCounts(d, len(sa), len(isa)) {
-			checkRows(d, "fm SA samples", sa, nx.n)
-			checkRows(d, "fm ISA samples", isa, nx.n)
+	m := saBound(nx.n, nx.s)
+	var stored shortcuts // an FMP file's
+	var isa []int32      // an older name's ISA array
+	switch l {
+	case FMP:
+		nx.saSamp = readPacked(d, "fm SA samples", m, m)
+		if stored.has = bitvec.DecodeFrom(d); d.Err() == nil {
+			stored.back = readPacked(d, "fm back pointers", stored.has.Ones(), m)
 		}
-		nx.saSamp, nx.isaSamp, nx.saScale = packInt32s(sa), packInt32s(isa), 1
+		nx.lastRow = d.Int()
+	case FMZ:
+		nx.saSamp = readPacked(d, "fm SA samples", m, m)
+		rows := readPacked(d, "fm ISA samples", isaCount(nx.n, nx.s), nx.n)
+		isa = rows.int32s(1)
+	default:
+		sa, rows := d.Int32s(), d.Int32s()
+		if d.Err() == nil && nx.checkSampleCounts(d, len(sa), len(rows)) {
+			nx.saSamp = nx.divideSamples(d, sa)
+			isa = rows
+		}
+	}
+	nx.saScale = nx.s
+	if d.Err() == nil {
+		nx.deriveShortcuts(d, &stored, isa)
 	}
 	nx.sepRows = d.Int32s()
 	nx.sepTargets = d.Int32s()
@@ -156,8 +182,50 @@ func (x *Index) checkHeader(f failer) {
 		f.Fail("fm: C[256] = %d, want %d", x.c[256], x.n)
 	case x.bwt.Len() != x.n || x.marked.Len() != x.n:
 		f.Fail("fm: BWT %d / marks %d rows for n=%d", x.bwt.Len(), x.marked.Len(), x.n)
-	case x.n > 0 && x.marked.Ones() == 0:
-		f.Fail("fm: non-empty index with no SA samples")
+	case x.marked.Ones() != saBound(x.n, x.s):
+		f.Fail("fm: %d marked rows, want ⌈%d/%d⌉", x.marked.Ones(), x.n, x.s)
+	}
+}
+
+// divideSamples packs the SA samples an "fm" or "fm4" file stores whole
+// as p/s, the form in memory, failing f unless every one is a multiple
+// of s below n.
+func (x *Index) divideSamples(f failer, sa []int32) packed {
+	p := newPacked(len(sa), saBound(x.n, x.s))
+	for i, v := range sa {
+		if v < 0 || int(v) >= x.n || int(v)%x.s != 0 {
+			f.Fail("fm SA samples: %d at %d is not a multiple of %d below %d", v, i, x.s, x.n)
+			break
+		}
+		p.set(i, uint64(int(v)/x.s))
+	}
+	return p
+}
+
+// deriveShortcuts derives the shortcuts from the SA samples, failing f
+// unless those are a permutation and what the file stores agrees:
+// stored, an FMP file's shortcuts, element for element and pointer for
+// pointer; or isa, the ISA array of an older name, row for row, its
+// last row, that of n-1, below n.
+func (x *Index) deriveShortcuts(f failer, stored *shortcuts, isa []int32) {
+	sc, ok := newShortcuts(x.saSamp, x.marked)
+	if !ok {
+		f.Fail("fm SA samples: not a permutation of [0,%d)", x.saSamp.n)
+		return
+	}
+	x.isa = sc
+	if stored.has != nil {
+		if !stored.equal(&sc) {
+			f.Fail("fm shortcuts: not those the SA samples give")
+		}
+	} else if x.n > 0 {
+		x.lastRow = int(isa[len(isa)-1])
+		if want := x.isaRows(); !slices.Equal(want.int32s(1), isa) {
+			f.Fail("fm ISA samples: not the rows the SA samples give")
+		}
+	}
+	if x.n > 0 && (x.lastRow < 0 || x.lastRow >= x.n) {
+		f.Fail("fm: row %d of position n-1 outside [0,%d)", x.lastRow, x.n)
 	}
 }
 

@@ -53,7 +53,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 		}
 		fresh func(data []byte) (any, error)
 	}{
-		{"fmz", Build(docs, Options{SampleRate: 4}), func(data []byte) (any, error) {
+		{"fmp", Build(docs, Options{SampleRate: 4}), func(data []byte) (any, error) {
+			return Decode(data, FMP)
+		}},
+		{"fmz", Build(docs, Options{SampleRate: 4, Layout: FMZ}), func(data []byte) (any, error) {
 			return Decode(data, FMZ)
 		}},
 		{"fm4", Build(docs, Options{SampleRate: 4, Layout: FM4}), func(data []byte) (any, error) {
@@ -139,7 +142,8 @@ func TestMarshalEmpty(t *testing.T) {
 		x      marshalable
 		decode func([]byte) error
 	}{
-		{Build(nil, Options{}), decodeFM(FMZ)},
+		{Build(nil, Options{}), decodeFM(FMP)},
+		{Build(nil, Options{Layout: FMZ}), decodeFM(FMZ)},
 		{Build(nil, Options{Layout: FM4}), decodeFM(FM4)},
 		{Build(nil, Options{Layout: FM}), decodeFM(FM)},
 		{BuildSA(nil), new(SAIndex).UnmarshalBinary},
@@ -165,7 +169,8 @@ func TestMarshalCorrupt(t *testing.T) {
 		x      marshalable
 		decode func([]byte) error
 	}{
-		{Build(docs, Options{SampleRate: 4}), decodeFM(FMZ)},
+		{Build(docs, Options{SampleRate: 4}), decodeFM(FMP)},
+		{Build(docs, Options{SampleRate: 4, Layout: FMZ}), decodeFM(FMZ)},
 		{Build(docs, Options{SampleRate: 4, Layout: FM4}), decodeFM(FM4)},
 		{Build(docs, Options{SampleRate: 4, Layout: FM}), decodeFM(FM)},
 		{BuildSA(docs), func(p []byte) error { return new(SAIndex).UnmarshalBinary(p) }},

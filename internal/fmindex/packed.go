@@ -9,9 +9,10 @@ import (
 // packed is a vector of unsigned integers of one fixed width, 1 to 32
 // bits, laid end to end in little-endian words: value i occupies bits
 // i·width … i·width+width-1 of the word stream. It holds the FM index's
-// SA and ISA samples at their information bound instead of 32 bits
-// each. A width-32 vector has exactly the bytes of an int32 array, so
-// the samples of files that store int32 arrays are viewed in place.
+// SA samples, back pointers and select samples, and an fmz file's ISA
+// samples, at their information bound instead of 32 bits each. A
+// width-32 vector has exactly the bytes of an int32 array, so the
+// samples of files that store int32 arrays are viewed in place.
 type packed struct {
 	words []uint64
 	width uint
@@ -48,14 +49,17 @@ func (p *packed) set(i int, v uint64) {
 }
 
 // get returns value i. It reads the word holding the value's low bits
-// and, only when the value straddles a word boundary, the next one,
-// which then holds the rest of the value and so lies inside the words.
+// and, unless that is the last word, the next one, which holds the rest
+// of a value that straddles the boundary: reading it whether or not the
+// value does spares a branch that mispredicts on random reads. A value
+// that straddles a boundary starts before the last word, so the next
+// word is read whenever it is needed.
 func (p *packed) get(i int) int {
 	bit := uint(i) * p.width
 	w, off := bit>>6, bit&63
 	v := p.words[w] >> off
-	if off+p.width > 64 {
-		v |= p.words[w+1] << (64 - off)
+	if w+1 < uint(len(p.words)) {
+		v |= p.words[w+1] << (64 - off) // off = 0 shifts everything out
 	}
 	return int(v & (1<<p.width - 1))
 }
@@ -71,16 +75,6 @@ func (p *packed) int32s(scale int) []int32 {
 		out[i] = int32(p.get(i) * scale)
 	}
 	return out
-}
-
-// packInt32s holds an int32 array, every value non-negative, as a
-// width-32 vector.
-func packInt32s(vs []int32) packed {
-	p := packed{words: make([]uint64, wordsFor(len(vs), 32)), width: 32, n: len(vs)}
-	for i, v := range vs {
-		p.set(i, uint64(uint32(v)))
-	}
-	return p
 }
 
 // encodeTo writes the v1 form: the width, then the words.
@@ -120,17 +114,6 @@ func readPacked(d interface {
 		return packed{words: words, width: want, n: n}
 	}
 	return packed{}
-}
-
-// checkBelow fails d unless every value is below bound: the v1
-// decoder's per-value scan, which the mapped open skips.
-func (p *packed) checkBelow(d failer, what string, bound int) {
-	for i := range p.n {
-		if v := p.get(i); v >= bound {
-			d.Fail("%s: value %d at %d not below %d", what, v, i, bound)
-			return
-		}
-	}
 }
 
 // viewInt32s views a mapped int32 array as a width-32 vector, in

@@ -75,13 +75,6 @@ func FuzzPackedInts(f *testing.F) {
 				t.Fatalf("width-32 view: get(%d) = %d, want %d", i, got, r)
 			}
 		}
-		whole := packInt32s(rows)
-		widened := whole.int32s(1)
-		for i, r := range rows {
-			if widened[i] != r {
-				t.Fatalf("packInt32s∘int32s: %d at %d, want %d", widened[i], i, r)
-			}
-		}
 	})
 }
 
@@ -109,9 +102,12 @@ func TestPackedGetStaysInside(t *testing.T) {
 // TestFMZHostileSamples: an fmz payload whose sample width is 0, over
 // 32 or not the one n and s give, or whose word count is not
 // ⌈len·width/64⌉, fails both codecs with ErrBadSnapshot; the v1 codec
-// also refuses a sample at or above its bound.
+// also refuses a sample at or above its bound. The mutated ISA array
+// is set as the one a mapped fmz file holds, which the encoders write
+// as they find it.
 func TestFMZHostileSamples(t *testing.T) {
-	x := Build(testDocs(40, rand.New(rand.NewSource(45))), Options{SampleRate: 4})
+	x := Build(testDocs(40, rand.New(rand.NewSource(45))), Options{SampleRate: 4, Layout: FMZ})
+	x.isaSamp = x.isaRows()
 	v1 := func(y *Index) error {
 		data, _ := y.AppendBinary(nil)
 		_, err := Decode(data, FMZ)
@@ -179,11 +175,13 @@ func TestFMZHostileSamples(t *testing.T) {
 	}
 }
 
-// TestMappedSamplesAreViews: opening an fmz payload or a legacy fm4 one
-// aliases both sample arrays in the payload instead of copying them.
+// TestMappedSamplesAreViews: opening an fmp payload aliases its SA
+// samples, shortcuts and select samples in the payload, and opening an
+// fmz or a legacy fm4 one aliases both sample arrays, instead of
+// copying them.
 func TestMappedSamplesAreViews(t *testing.T) {
 	docs := testDocs(200, rand.New(rand.NewSource(46)))
-	for _, l := range []Layout{FMZ, FM4, FM} {
+	for _, l := range []Layout{FMP, FMZ, FM4, FM} {
 		var e snap.MapEncoder
 		Build(docs, Options{Layout: l}).EncodeMapped(&e)
 		// The words alias only where the payload is 8-aligned.
@@ -195,8 +193,12 @@ func TestMappedSamplesAreViews(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo, hi := uintptr(unsafe.Pointer(&payload[0])), uintptr(unsafe.Pointer(&payload[len(payload)-1]))
-		for name, p := range map[string]packed{"SA": x.saSamp, "ISA": x.isaSamp} {
-			if at := uintptr(unsafe.Pointer(&p.words[0])); at < lo || at > hi {
+		views := map[string][]uint64{"SA": x.saSamp.words, "ISA": x.isaSamp.words}
+		if l == FMP {
+			views = map[string][]uint64{"SA": x.saSamp.words, "shortcut": x.isa.has.Words(), "back pointer": x.isa.back.words, "select": x.isa.sel.words}
+		}
+		for name, words := range views {
+			if at := uintptr(unsafe.Pointer(&words[0])); at < lo || at > hi {
 				t.Errorf("layout %d: %s samples copied out of the payload", l, name)
 			}
 		}
@@ -204,9 +206,10 @@ func TestMappedSamplesAreViews(t *testing.T) {
 }
 
 // TestSpaceSections pins each section of Space on a seeded textgen
-// corpus, holds SizeBits to their sum, and the two sample sections to
-// (⌈log₂ n⌉ + ⌈log₂⌈n/s⌉⌉)/s bits per row plus two words per array:
-// one for the ISA sample of n-1 and the ceilings, one for rounding up.
+// corpus, holds SizeBits to their sum, the two sample sections to
+// (⌈log₂ n⌉ + ⌈log₂⌈n/s⌉⌉)/s bits per row plus two words per array —
+// the bound of packed SA and ISA arrays — and the ISA section alone to
+// 0.35 bits per symbol.
 func TestSpaceSections(t *testing.T) {
 	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(256 << 10)
 	x := Build(docs, Options{})
@@ -216,7 +219,7 @@ func TestSpaceSections(t *testing.T) {
 		Tree:       1812896,
 		Marks:      312352,
 		SASamples:  246528, // 16 431 values of 15 bits
-		ISASamples: 312256, // 16 432 values of 19 bits
+		ISASamples: 86400,  // 16 431 marker bits and their directory, 4 109 pointers of 15 bits, 257 select samples of 19 bits, the row of n-1
 		SepTables:  31744,
 		DocTable:   47616,
 		Symbols:    41168,
@@ -234,14 +237,28 @@ func TestSpaceSections(t *testing.T) {
 	if samples := float64(sp.SASamples + sp.ISASamples); samples > bound {
 		t.Errorf("samples take %.0f bits, above %.0f", samples, bound)
 	}
-	// An fm4 file's samples, read back, are width-32 views: 64 bits per
-	// s rows, as the int32 arrays were.
-	data, _ := Build(docs, Options{Layout: FM4}).AppendBinary(nil)
+	if perSym := float64(sp.ISASamples) / float64(x.SymbolCount()); perSym > 0.35 {
+		t.Errorf("ISA samples take %.3f bits per symbol, above 0.35", perSym)
+	}
+	// An fm4 file read back by the v1 codec takes the sections of a
+	// fresh build; mapped, its samples are width-32 views, 64 bits per s
+	// rows as the int32 arrays were, and the row of n-1.
+	var e snap.MapEncoder
+	fm4 := Build(docs, Options{Layout: FM4})
+	fm4.EncodeMapped(&e)
+	data, _ := fm4.AppendBinary(nil)
 	y, err := Decode(data, FM4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := y.Space().SASamples+y.Space().ISASamples, int64(wordsFor(saBound(x.n, x.s), 32)+wordsFor(isaCount(x.n, x.s), 32))*64; got != want {
-		t.Errorf("fm4 samples read back take %d bits, want %d", got, want)
+	if got := y.Space(); got.SASamples != sp.SASamples || got.ISASamples != sp.ISASamples {
+		t.Errorf("fm4 samples read back take %d+%d bits, want %d+%d", got.SASamples, got.ISASamples, sp.SASamples, sp.ISASamples)
+	}
+	z, err := OpenMapped(snap.NewMapView(e.Bytes()), FM4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := z.Space().SASamples+z.Space().ISASamples, int64(wordsFor(saBound(x.n, x.s), 32)+wordsFor(isaCount(x.n, x.s), 32)+1)*64; got != want {
+		t.Errorf("fm4 samples mapped take %d bits, want %d", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dyncoll/internal/snap"
+	"dyncoll/internal/textgen"
 )
 
 // saveMapped writes c's v2 snapshot into a fresh temp dir and returns
@@ -269,4 +270,38 @@ func FuzzMappedOpen(f *testing.F) {
 		fg, _ := NewGraph()
 		check("graph", loadMapped(&fg.r, data, &mappedFile{}, nil))
 	})
+}
+
+// TestStatsSpace pins the Space sections IndexStats reports, summed
+// over the stores of a small seeded collection in the default index,
+// fmp, inserted in two batches, and holds its ISA
+// samples to 0.35 bits per symbol. The same collection in fmz, saved
+// mapped and opened, views the ISA array its file stores: at least 0.8
+// bits per symbol more in total.
+func TestStatsSpace(t *testing.T) {
+	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(256 << 10)
+	build := func(opts ...Option) *Collection {
+		c := mustCollection(t, append(opts, WithSyncRebuilds())...)
+		must(t, c.InsertBatch(docs[:len(docs)/2]))
+		must(t, c.InsertBatch(docs[len(docs)/2:]))
+		c.WaitIdle()
+		return c
+	}
+	c := build()
+	sp, live := c.Stats().Space, float64(c.Len())
+	want := IndexSpace{Tree: 1812896, Marks: 312352, SASamples: 246528, ISASamples: 86400, SepTables: 31744, DocTable: 47616, Symbols: 41168}
+	if sp != want {
+		t.Errorf("Stats().Space = %+v, want %+v", sp, want)
+	}
+	if perSym := float64(sp.ISASamples) / live; perSym > 0.35 {
+		t.Errorf("ISA samples take %.3f bits per symbol, above 0.35", perSym)
+	}
+	path := filepath.Join(t.TempDir(), "fmz.v2")
+	must(t, build(WithIndex(IndexFMZ)).SaveMappedFile(path))
+	fmz, err := OpenMappedCollection(path)
+	must(t, err)
+	defer fmz.Close()
+	if saved := float64(fmz.Stats().Space.Total()-sp.Total()) / live; saved < 0.8 {
+		t.Errorf("fmp takes %.3f bits per symbol less than a mapped fmz, want at least 0.8", saved)
+	}
 }

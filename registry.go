@@ -45,10 +45,18 @@ type IndexDecoder = core.IndexDecoder
 
 // Built-in static-index names, registered at package init.
 const (
-	// IndexFMZ is the nHk-space FM-index (a 4-ary Huffman-shaped
-	// wavelet tree over the BWT, with its SA and ISA samples packed to
-	// ⌈log₂ n⌉ bits; the stand-in for the Belazzougui–Navarro / Barbay
-	// et al. indexes of the paper's Tables 1–2) and the default index.
+	// IndexFMP is the FM-index and the default index: a 4-ary
+	// Huffman-shaped wavelet tree over the BWT, so about nH₀ bits for
+	// the sequence, not nH_k; its SA samples packed to ⌈log₂⌈n/s⌉⌉ bits;
+	// and its ISA samples kept as shortcuts through the SA samples,
+	// about ⌈log₂⌈n/s⌉⌉/4 + 1 bits per sample (the stand-in for the
+	// Belazzougui–Navarro / Barbay et al. indexes of the paper's Tables
+	// 1–2).
+	IndexFMP = "fmp"
+	// IndexFMZ is the same FM-index, whose files store the ISA samples
+	// as a second array of rows, packed to ⌈log₂ n⌉ bits, beside SA
+	// samples packed to ⌈log₂⌈n/s⌉⌉ bits. Files written with it keep
+	// opening as it.
 	IndexFMZ = "fmz"
 	// IndexFM4 is the same FM-index, whose files store the samples as
 	// 32-bit integers. Files written with it keep opening as it.
@@ -194,7 +202,7 @@ func init() {
 	for _, fm := range []struct {
 		name   string
 		layout fmindex.Layout
-	}{{IndexFMZ, fmindex.FMZ}, {IndexFM4, fmindex.FM4}, {IndexFM, fmindex.FM}} {
+	}{{IndexFMP, fmindex.FMP}, {IndexFMZ, fmindex.FMZ}, {IndexFM4, fmindex.FM4}, {IndexFM, fmindex.FM}} {
 		mustRegister(fm.name, func(docs []Document, cfg IndexConfig) StaticIndex {
 			return fmindex.Build(docs, fmindex.Options{SampleRate: cfg.SampleRate, Layout: fm.layout})
 		}, func(data []byte) (StaticIndex, error) {

@@ -527,6 +527,7 @@ func TestAggStatsEveryField(t *testing.T) {
 		want := indexStatsFrom(x.Stats())
 		want.Shards = c.cfg.shards
 		want.fillResidency(nil, x.SizeBits())
+		want.Space = fmSpace(x)
 		if got := c.Stats(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%d shards: Stats() = %+v, want the core's own %+v", c.cfg.shards, got, want)
 		}

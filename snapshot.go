@@ -29,7 +29,7 @@ import (
 // Each ladder blob holds the engine's schedule anchors, C0's raw items,
 // and every static store tagged with its ladder slot. Collection levels
 // whose index implements the AppendBinary contract and has a registered
-// decoder (the built-in fmz, fm4, fm, sa and csa indexes do) are
+// decoder (the built-in fmp, fmz, fm4, fm, sa and csa indexes do) are
 // embedded in binary form with their lazy-deletion state, so Load skips
 // the O(n·u(n)) rebuild; all other stores travel as raw items and are
 // rebuilt through the registered IndexBuilder — which is how custom
