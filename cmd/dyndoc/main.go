@@ -61,7 +61,7 @@ func main() {
 	var (
 		mode      = flag.String("mode", "collection", "structure: collection | relation | graph")
 		transform = flag.String("transform", "", "transformation: amortized | worstcase | fastinsert (default: worstcase for collections, amortized for relations/graphs)")
-		index     = flag.String("index", dyncoll.IndexFMP, "static index by registry name: fmp | fmz | fm4 | fm | sa | csa | any RegisterIndex name (collection mode)")
+		index     = flag.String("index", dyncoll.IndexFMM, "static index by registry name: fmm | fmp | fmz | fm4 | fm | sa | csa | any RegisterIndex name (collection mode)")
 		sample    = flag.Int("s", 16, "suffix-array sample rate s (collection mode)")
 		tau       = flag.Int("tau", 0, "lazy-deletion parameter τ (0 = automatic)")
 		shards    = flag.Int("shards", 0, "shard count p (0 = unsharded; p ≥ 1 partitions by key hash with parallel fan-out queries)")
@@ -172,18 +172,6 @@ func printStats(st dyncoll.IndexStats, unit string, live int, sizeBits int64, sh
 	v := server.NewLadderVarz(st, unit, live, sizeBits)
 	v.ShardSizes = shardSizes
 	v.WriteText(os.Stdout)
-}
-
-// printSpace renders the FM-indexed stores' footprint section by
-// section, in bits per live symbol.
-func printSpace(sp dyncoll.IndexSpace, live int) {
-	if sp.Total() == 0 {
-		return
-	}
-	perSym := func(bits int64) float64 { return float64(bits) / float64(max(live, 1)) }
-	fmt.Printf("%-10s %.3f bits/symbol: tree %.3f, marks %.3f, SA samples %.3f, ISA samples %.3f, separators %.3f, doc table %.3f, symbols %.3f\n",
-		"fm space:", perSym(sp.Total()), perSym(sp.Tree), perSym(sp.Marks), perSym(sp.SASamples),
-		perSym(sp.ISASamples), perSym(sp.SepTables), perSym(sp.DocTable), perSym(sp.Symbols))
 }
 
 func runCollection(c *dyncoll.Collection, cmd, rest string) error {
@@ -330,9 +318,7 @@ func runCollection(c *dyncoll.Collection, cmd, rest string) error {
 	case "stats":
 		c.WaitIdle()
 		fmt.Printf("%-10s %d\n", "documents:", c.DocCount())
-		st := c.Stats()
-		printStats(st, "symbol", c.Len(), c.SizeBits(), c.ShardSizes())
-		printSpace(st.Space, c.Len())
+		printStats(c.Stats(), "symbol", c.Len(), c.SizeBits(), c.ShardSizes())
 
 	default:
 		return fmt.Errorf("unknown command %q (add addfile del find findn grep top rtop count extract save load stats quit)", cmd)

@@ -80,7 +80,7 @@ func main() {
 		walWindow = flag.Duration("wal-sync-window", time.Millisecond, "group-commit fsync batching window (backend)")
 
 		// Collection construction (backend).
-		index     = flag.String("index", dyncoll.IndexFMP, "static index by registry name: fmp | fmz | fm4 | fm | sa | csa (backend)")
+		index     = flag.String("index", dyncoll.IndexFMM, "static index by registry name: fmm | fmp | fmz | fm4 | fm | sa | csa (backend)")
 		sample    = flag.Int("s", 16, "suffix-array sample rate s (backend)")
 		tau       = flag.Int("tau", 0, "lazy-deletion parameter τ, 0 = automatic (backend)")
 		shards    = flag.Int("shards", 1, "shard count p ≥ 1; the server requires the concurrency-safe sharded collection (backend)")

@@ -14,12 +14,15 @@ import (
 // v2 mapped snapshot and a checkpointed durable directory with a
 // two-record WAL tail — all written by commit f55a4a6, the parent of
 // the change that put every structure behind one ladder walker and one
-// shard front — plus two more collection sets: collection-fm4.*, in the
-// 4-ary "fm4" index, written by 717e898, and collection-fmz.*, in
+// shard front — plus four more collection sets: collection-fm4.*, in
+// the 4-ary "fm4" index, written by 717e898; collection-fmz.*, in
 // "fmz", written by 003a1a7, the parent of the change that made "fmp"
-// the default. They are never regenerated in place: a format revision
-// writes a new set at *its* parent commit (DYNCOLL_WRITE_COMPAT=1 go
-// test -run TestCompatFixtures/<leg> .) and keeps reading the old ones.
+// the default; collection-fmp.*, in "fmp", written by 6cf3c6b, the
+// parent of the change that made "fmm" the default; and
+// collection-fmm.*, in "fmm", written by that change. They are never
+// regenerated in place: a format revision writes a new set at *its*
+// parent commit (DYNCOLL_WRITE_COMPAT=1 go test -run
+// TestCompatFixtures/<leg> .) and keeps reading the old ones.
 
 var (
 	compatDir   = filepath.Join("testdata", "compat")
@@ -167,10 +170,15 @@ func TestCompatFixtures(t *testing.T) {
 	// The first collection set predates the 4-ary tree: "fm" files. The
 	// second holds "fm4" files, written by 717e898, the parent of the
 	// change that made "fmz" the default; the third "fmz" files, written
-	// by 003a1a7, the parent of the change that made "fmp" the default.
+	// by 003a1a7, the parent of the change that made "fmp" the default;
+	// the fourth "fmp" files, written by 6cf3c6b, the parent of the
+	// change that made "fmm" the default; the fifth "fmm" files, written
+	// by that change.
 	t.Run("collection", func(t *testing.T) { compatCollection(t, IndexFM, "collection") })
 	t.Run("collection-fm4", func(t *testing.T) { compatCollection(t, IndexFM4, "collection-fm4") })
 	t.Run("collection-fmz", func(t *testing.T) { compatCollection(t, IndexFMZ, "collection-fmz") })
+	t.Run("collection-fmp", func(t *testing.T) { compatCollection(t, IndexFMP, "collection-fmp") })
+	t.Run("collection-fmm", func(t *testing.T) { compatCollection(t, IndexFMM, "collection-fmm") })
 }
 
 // compatCollection checks the collection fixtures named name, written
@@ -244,8 +252,12 @@ func TestFM4Deterministic(t *testing.T) { checkDeterministic(t, IndexFM4, WithIn
 // same rule.
 func TestFMZDeterministic(t *testing.T) { checkDeterministic(t, IndexFMZ, WithIndex(IndexFMZ)) }
 
-// TestFMPDeterministic holds the default index, fmp, to the same rule.
-func TestFMPDeterministic(t *testing.T) { checkDeterministic(t, IndexFMP) }
+// TestFMPDeterministic holds fmp, the default index before fmm, to the
+// same rule.
+func TestFMPDeterministic(t *testing.T) { checkDeterministic(t, IndexFMP, WithIndex(IndexFMP)) }
+
+// TestFMMDeterministic holds the default index, fmm, to the same rule.
+func TestFMMDeterministic(t *testing.T) { checkDeterministic(t, IndexFMM) }
 
 // checkDeterministic builds the snapshot corpus twice with opts, whose
 // index must be index, and checks that both builds, a v1 load and a v2

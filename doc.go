@@ -48,7 +48,7 @@
 // transformation engine (see internal/engine).
 //
 // WithIndex picks the static index backing a Collection by registry name
-// — built-ins IndexFMP (the default), IndexFMZ, IndexFM4, IndexFM, IndexSA, IndexCSA, or
+// — built-ins IndexFMM (the default), IndexFMP, IndexFMZ, IndexFM4, IndexFM, IndexSA, IndexCSA, or
 // anything added via RegisterIndex; this is the paper's index-agnosticism made concrete.
 // WithSampleRate, WithTau, WithEpsilon, WithMinCapacity, and
 // WithCounting tune the machinery; WithSyncRebuilds makes worst-case

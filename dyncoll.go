@@ -58,6 +58,7 @@ type docCore interface {
 	SizeBits() int64
 	WaitIdle()
 	Stats() core.Stats
+	SortedWeight() int64
 	Persister(core.IndexDecoder, core.IndexOpener) core.Persister
 }
 
@@ -330,8 +331,14 @@ type IndexSpace = fmindex.Space
 
 // BuiltWeight splits the weight a structure has built into static
 // indexes by cause: level merges, new top collections, purges of
-// deleted items and whole-structure rebalances.
-type BuiltWeight = core.BuiltWeight
+// deleted items and whole-structure rebalances. Sorted is the part of
+// it built from the items themselves: the weight a collection
+// suffix-sorted, where it merged or filtered the rest out of indexes
+// already built (the fmm index's rebuilds), and all a relation built.
+type BuiltWeight struct {
+	core.BuiltWeight
+	Sorted int64 `json:"sorted"`
+}
 
 // fillResidency splits the estimated footprint into mapped (snapshot
 // pages served in place) and heap parts. Mapped payload bytes count
@@ -356,7 +363,7 @@ func indexStatsFrom(st core.Stats) IndexStats {
 		TopSizes:       st.TopSizes,
 		PendingBuilds:  st.PendingBuilds,
 		Parked:         st.Parked,
-		BuiltWeight:    st.BuiltWeight,
+		BuiltWeight:    BuiltWeight{BuiltWeight: st.BuiltWeight},
 		Tau:            st.Tau,
 	}
 }
@@ -365,6 +372,7 @@ func indexStatsFrom(st core.Stats) IndexStats {
 // On a sharded collection the counters are aggregated across shards.
 func (c *Collection) Stats() IndexStats {
 	st := indexStatsFrom(aggStats(perCore(&c.union, docCore.Stats, apply)))
+	st.BuiltWeight.Sorted = sum(&c.union, docCore.SortedWeight, apply)
 	st.Shards = c.cfg.shards
 	st.fillResidency(c.mapped, c.SizeBits())
 	for _, sp := range perCore(&c.union, fmSpace, apply) {

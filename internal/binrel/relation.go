@@ -208,9 +208,9 @@ func ladderConfig(opts Options) engine.Config[Pair, Pair] {
 		Key:    func(p Pair) Pair { return p },
 		Weight: func(Pair) int { return 1 },
 		NewC0:  func() engine.Mutable[Pair, Pair] { return newC0rel() },
-		Build: func(pairs []Pair, tau int) engine.Store[Pair, Pair] {
+		Build: engine.BuildItems(func(pairs []Pair, tau int) engine.Store[Pair, Pair] {
 			return buildSemi(pairs, tau)
-		},
+		}),
 		Tau:         opts.Tau,
 		Epsilon:     opts.Epsilon,
 		MinCapacity: opts.MinCapacity,

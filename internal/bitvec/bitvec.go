@@ -333,7 +333,7 @@ func (v *Vector) Select1(k int) int {
 		rem -= c
 		w++
 	}
-	return w*wordBits + selectInWord(v.words[w], rem)
+	return w*wordBits + SelectInWord(v.words[w], rem-1)
 }
 
 // Select0 returns the position of the k-th unset bit (1-based k).
@@ -342,11 +342,14 @@ func (v *Vector) Select0(k int) int {
 	if k < 1 || k > zeros {
 		panic(fmt.Sprintf("bitvec: Select0(%d) out of range [1,%d]", k, zeros))
 	}
-	h := (k - 1) / selectSample0
-	lo := int(v.selHint0[h])
-	hi := len(v.superRank) - 2
-	if h+1 < len(v.selHint0) {
-		hi = int(v.selHint0[h+1])
+	// A vector without select-0 hints (WithoutSelect0) searches every
+	// superblock.
+	lo, hi := 0, len(v.superRank)-2
+	if h := (k - 1) / selectSample0; len(v.selHint0) > 0 {
+		lo = int(v.selHint0[h])
+		if h+1 < len(v.selHint0) {
+			hi = int(v.selHint0[h+1])
+		}
 	}
 	zerosBefore := func(s int) int { return s*superBits - int(v.superRank[s]) }
 	for lo < hi {
@@ -371,7 +374,20 @@ func (v *Vector) Select0(k int) int {
 		rem -= c
 		w++
 	}
-	return w*wordBits + selectInWord(^v.words[w], rem)
+	return w*wordBits + SelectInWord(^v.words[w], rem-1)
+}
+
+// WithoutSelect0 returns v without its select-0 hints, for a vector
+// that is never or seldom Select0'd: they cost 32 bits per 512 zeros,
+// and Select0 on the result binary-searches every superblock. v must be
+// sealed; the two share their words and rank directory.
+func (v *Vector) WithoutSelect0() *Vector {
+	if !v.sealed {
+		panic("bitvec: WithoutSelect0 before Seal")
+	}
+	nv := *v
+	nv.selHint0 = nil
+	return &nv
 }
 
 // Words exposes the underlying words (read-only by convention).
@@ -393,23 +409,33 @@ func lowMask(n int) uint64 {
 	return 1<<uint(n) - 1
 }
 
-// selectInWord returns the position (0..63) of the k-th set bit of w, 1-based.
-func selectInWord(w uint64, k int) int {
-	// Process byte by byte using popcount; k is small (≤64).
-	for i := 0; i < 8; i++ {
-		b := byte(w >> uint(8*i))
-		c := bits.OnesCount8(b)
-		if k <= c {
-			for j := 0; j < 8; j++ {
-				if b&(1<<uint(j)) != 0 {
-					k--
-					if k == 0 {
-						return 8*i + j
-					}
-				}
+// SelectInWord is the position of the one of word that has r ones
+// below it (r is 0-based and below the word's popcount), without a
+// branch on the bits: the byte that holds it comes from the bytes'
+// running popcounts compared with r all at once (Vigna, "Broadword
+// implementation of rank/select queries", WEA 2008), the bit from a
+// table over bytes.
+func SelectInWord(word uint64, r int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	c := word - word>>1&0x5555555555555555
+	c = c&0x3333333333333333 + c>>2&0x3333333333333333
+	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f * ones // byte i: the ones of bytes 0…i
+	at := bits.OnesCount64((uint64(r)*ones|highs-c)&highs) * 8
+	below := int(c << 8 >> at & 0xff)
+	return at + int(selectInByte[(r-below)<<8|int(word>>at&0xff)])
+}
+
+// selectInByte[r<<8 | b] is the position of the one of byte b that has
+// r ones below it.
+var selectInByte = func() (t [8 << 8]uint8) {
+	for b := range 256 {
+		r := 0
+		for i := range 8 {
+			if b>>i&1 != 0 {
+				t[r<<8|b] = uint8(i)
+				r++
 			}
 		}
-		k -= c
 	}
-	panic("bitvec: selectInWord: not enough set bits")
-}
+	return t
+}()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"dyncoll/internal/doc"
 	"dyncoll/internal/engine"
@@ -19,15 +20,19 @@ type BuiltWeight = engine.BuiltWeight
 // ladderConfig assembles the engine's payload contract for documents:
 // keys are document IDs, weights are payload symbol counts, C0 is the
 // uncompressed generalized suffix tree, static sub-collections are
-// SemiDynamic wrappers over the configured index builder, and an update
+// SemiDynamic wrappers over the configured index builder — or over
+// indexes merged from their sources' (buildFrom) — and an update
 // the worst-case engine cannot put into C0 is parked unbuilt (parked).
-func ladderConfig(opts Options) engine.Config[uint64, doc.Doc] {
+// Every build adds the weight it sorted to sorted.
+func ladderConfig(opts Options, sorted *atomic.Int64) engine.Config[uint64, doc.Doc] {
 	return engine.Config[uint64, doc.Doc]{
 		Key:    func(d doc.Doc) uint64 { return d.ID },
 		Weight: func(d doc.Doc) int { return len(d.Data) },
 		NewC0:  func() engine.Mutable[uint64, doc.Doc] { return newC0() },
-		Build: func(docs []doc.Doc, tau int) engine.Store[uint64, doc.Doc] {
-			return NewSemiDynamic(opts.Builder(docs), tau, opts.Counting)
+		Build: func(src []engine.Snapshot[doc.Doc], tau int) engine.Store[uint64, doc.Doc] {
+			idx, n := buildFrom(opts.Builder, src)
+			sorted.Add(int64(n))
+			return NewSemiDynamic(idx, tau, opts.Counting)
 		},
 		Park: func(docs []doc.Doc) engine.Store[uint64, doc.Doc] {
 			return newParked(docs)
@@ -47,17 +52,18 @@ func ladderConfig(opts Options) engine.Config[uint64, doc.Doc] {
 func NewLadder(opts Options, worstCase bool) engine.Ladder[uint64, doc.Doc] {
 	opts = opts.withDefaults()
 	if worstCase {
-		return engine.NewWorstCase(ladderConfig(opts))
+		return engine.NewWorstCase(ladderConfig(opts, new(atomic.Int64)))
 	}
-	return engine.NewAmortized(ladderConfig(opts))
+	return engine.NewAmortized(ladderConfig(opts, new(atomic.Int64)))
 }
 
 // collection adapts a generic engine ladder to the document collection
 // API: validation and typed errors on updates, pattern queries fanned
 // out over the ladder's live stores.
 type collection struct {
-	eng  engine.Ladder[uint64, doc.Doc]
-	opts Options
+	eng    engine.Ladder[uint64, doc.Doc]
+	opts   Options
+	sorted *atomic.Int64 // the weight the ladder's builds sorted
 }
 
 // Amortized is Transformation 1 (and, with Options.Ratio2,
@@ -68,7 +74,8 @@ type Amortized struct{ collection }
 // NewAmortized creates an empty collection with amortized update bounds.
 func NewAmortized(opts Options) *Amortized {
 	opts = opts.withDefaults()
-	return &Amortized{collection{eng: engine.NewAmortized(ladderConfig(opts)), opts: opts}}
+	sorted := new(atomic.Int64)
+	return &Amortized{collection{eng: engine.NewAmortized(ladderConfig(opts, sorted)), opts: opts, sorted: sorted}}
 }
 
 // WorstCase is Transformation 2: a fully-dynamic compressed document
@@ -83,7 +90,8 @@ type WorstCase struct{ collection }
 // bounds.
 func NewWorstCase(opts Options) *WorstCase {
 	opts = opts.withDefaults()
-	return &WorstCase{collection{eng: engine.NewWorstCase(ladderConfig(opts)), opts: opts}}
+	sorted := new(atomic.Int64)
+	return &WorstCase{collection{eng: engine.NewWorstCase(ladderConfig(opts, sorted)), opts: opts, sorted: sorted}}
 }
 
 // wrapInsertErr translates the engine's duplicate-key error into the
@@ -245,6 +253,12 @@ func (c *collection) SizeBits() int64 { return c.eng.SizeBits() }
 
 // Stats returns the engine's rebuild counters and current layout.
 func (c *collection) Stats() Stats { return c.eng.Stats() }
+
+// SortedWeight is the part of the weight the ladder's builds were handed
+// (Stats().BuiltWeight) that they suffix-sorted; they merged or
+// filtered the rest from their sources' indexes (buildFrom). A build
+// in flight counts here before it counts there.
+func (c *collection) SortedWeight() int64 { return c.sorted.Load() }
 
 // Tau reports the τ currently in effect.
 func (c *collection) Tau() int { return c.eng.Tau() }

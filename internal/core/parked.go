@@ -110,7 +110,8 @@ func (p *parked) LiveItems() []doc.Doc {
 func (p *parked) Snapshot() engine.Snapshot[doc.Doc] {
 	idxs := p.liveIdxs()
 	return engine.Snapshot[doc.Doc]{
-		Count: len(idxs),
+		Count:  len(idxs),
+		Weight: p.live,
 		Materialize: func(dst []doc.Doc) []doc.Doc {
 			for _, i := range idxs {
 				dst = append(dst, p.doc(i))

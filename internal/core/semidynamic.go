@@ -352,10 +352,12 @@ func appendDocs(idx StaticIndex, idxs []int, dst []doc.Doc) []doc.Doc {
 func (s *SemiDynamic) Snapshot() engine.Snapshot[doc.Doc] {
 	idxs, idx := s.liveDocIdxs(), s.idx
 	return engine.Snapshot[doc.Doc]{
-		Count: len(idxs),
+		Count:  len(idxs),
+		Weight: s.live,
 		Materialize: func(dst []doc.Doc) []doc.Doc {
 			return appendDocs(idx, idxs, dst)
 		},
+		Source: liveIndex{idx: idx, live: idxs},
 	}
 }
 

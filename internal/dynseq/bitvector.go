@@ -16,7 +16,11 @@
 // leaf operations.
 package dynseq
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"dyncoll/internal/bitvec"
+)
 
 const (
 	leafMaxWords = 64 // 4096 bits per full leaf
@@ -132,7 +136,7 @@ func (v *BitVector) Select1(k int) int {
 	for w := 0; ; w++ {
 		c := bits.OnesCount64(n.words[w])
 		if k < c {
-			return pos + w<<6 + selectInWord(n.words[w], k)
+			return pos + w<<6 + bitvec.SelectInWord(n.words[w], k)
 		}
 		k -= c
 	}
@@ -163,23 +167,10 @@ func (v *BitVector) Select0(k int) int {
 		}
 		c := nbits - bits.OnesCount64(n.words[w]<<(64-uint(nbits))>>(64-uint(nbits)))
 		if k < c {
-			return pos + w<<6 + selectInWord(^n.words[w], k)
+			return pos + w<<6 + bitvec.SelectInWord(^n.words[w], k)
 		}
 		k -= c
 	}
-}
-
-// selectInWord returns the position of the k-th set bit in w (0-based).
-func selectInWord(w uint64, k int) int {
-	for i := 0; i < 64; i++ {
-		if w>>uint(i)&1 == 1 {
-			if k == 0 {
-				return i
-			}
-			k--
-		}
-	}
-	return -1
 }
 
 // Insert inserts bit b at position i (0 ≤ i ≤ Len).

@@ -158,12 +158,17 @@ func (a *Amortized[K, I]) mergeInto(j int, extra []I) {
 	}
 	items = append(items, extra...)
 	a.built.LevelMerge += weightOf(items, a.cfg.Weight)
-	lvl := a.cfg.Build(items, a.tau)
+	lvl := a.build(items)
 	a.levels[j] = lvl
 	for _, it := range items {
 		a.owner[a.cfg.Key(it)] = lvl
 	}
 	a.rebuilds++
+}
+
+// build builds a static store over items already materialized.
+func (a *Amortized[K, I]) build(items []I) Store[K, I] {
+	return a.cfg.Build([]Snapshot[I]{Items(items, a.cfg.Weight)}, a.tau)
 }
 
 // maybeGlobalRebuild triggers the paper's global rebuild once the live
@@ -201,7 +206,7 @@ func (a *Amortized[K, I]) globalRebuild(extra []I) {
 	}
 	top := len(a.maxes) - 1
 	a.built.Rebalance += int64(n)
-	lvl := a.cfg.Build(items, a.tau)
+	lvl := a.build(items)
 	a.levels[top] = lvl
 	owner := make(map[K]Store[K, I], len(items))
 	for _, it := range items {
@@ -242,7 +247,7 @@ func (a *Amortized[K, I]) purgeLevel(lvl Store[K, I]) {
 			return
 		}
 		a.built.Purge += weightOf(items, a.cfg.Weight)
-		fresh := a.cfg.Build(items, a.tau)
+		fresh := a.build(items)
 		a.levels[j] = fresh
 		for _, it := range items {
 			a.owner[a.cfg.Key(it)] = fresh

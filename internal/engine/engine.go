@@ -71,12 +71,51 @@ type Mutable[K comparable, I any] interface {
 }
 
 // Snapshot defers live-item extraction to a background build goroutine:
-// Count items will be appended by Materialize. Materialize must only
-// read state that lazy deletions never mutate (e.g. an immutable static
-// index), so it is race-free off-thread.
+// Count items of total weight Weight will be appended by Materialize.
+// Materialize must only read state that lazy deletions never mutate
+// (e.g. an immutable static index), so it is race-free off-thread.
 type Snapshot[I any] struct {
 	Count       int
+	Weight      int
 	Materialize func(dst []I) []I
+	// Source is the payload's own description of the items, opaque to
+	// the engine: a Config.Build that recognizes it may build from it
+	// without calling Materialize (a document store's sorted index and
+	// its live documents). nil for a store that has none.
+	Source any
+}
+
+// Items is the snapshot of items already materialized.
+func Items[I any](items []I, weight func(I) int) Snapshot[I] {
+	return Snapshot[I]{
+		Count:       len(items),
+		Weight:      int(weightOf(items, weight)),
+		Materialize: func(dst []I) []I { return append(dst, items...) },
+	}
+}
+
+// BuildItems adapts a builder over materialized items to Config.Build:
+// it materializes every source.
+func BuildItems[K comparable, I any](build func(items []I, tau int) Store[K, I]) func(src []Snapshot[I], tau int) Store[K, I] {
+	return func(src []Snapshot[I], tau int) Store[K, I] {
+		items, _ := Materialize(src)
+		return build(items, tau)
+	}
+}
+
+// Materialize appends the items of every source, in order, and returns
+// them with their total weight.
+func Materialize[I any](src []Snapshot[I]) ([]I, int) {
+	count, weight := 0, 0
+	for _, sn := range src {
+		count += sn.Count
+		weight += sn.Weight
+	}
+	items := make([]I, 0, count)
+	for _, sn := range src {
+		items = sn.Materialize(items)
+	}
+	return items, weight
 }
 
 // Snapshotter is an optional Store capability. If a static payload
@@ -95,9 +134,13 @@ type Config[K comparable, I any] struct {
 	Weight func(item I) int
 	// NewC0 creates an empty uncompressed fully-dynamic store.
 	NewC0 func() Mutable[K, I]
-	// Build constructs a deletion-only static payload over items; tau
-	// is the lazy-deletion parameter in effect (Lemma 3 word width).
-	Build func(items []I, tau int) Store[K, I]
+	// Build constructs a deletion-only static payload over the items of
+	// src, in order; tau is the lazy-deletion parameter in effect (Lemma
+	// 3 word width). It may build from the sources' own static form
+	// (Snapshot.Source) instead of their items, as the document payload
+	// merges and filters sorted indexes rather than sort their text
+	// again. BuildItems adapts a builder that always materializes.
+	Build func(src []Snapshot[I], tau int) Store[K, I]
 	// Park makes items queryable without building anything: the
 	// worst-case engine holds an update's items in a parked store while
 	// the build that replaces it runs in the background. The store must

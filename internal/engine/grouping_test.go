@@ -26,7 +26,7 @@ func TestBulkIngestGroupsTops(t *testing.T) {
 			Key:    func(it int) int { return it },
 			Weight: schedWeight,
 			NewC0:  func() Mutable[int, int] { return s.newStore(nil) },
-			Build:  s.build,
+			Build:  BuildItems(s.build),
 			Inline: true,
 		})
 		next, fixed, fixedOpen := 0, 0, 0

@@ -19,7 +19,7 @@ func TestRacedDeleteDuringBuild(t *testing.T) {
 		Key:         func(it int) int { return it },
 		Weight:      schedWeight,
 		NewC0:       func() Mutable[int, int] { return s.newStore(nil) },
-		Build:       s.build,
+		Build:       BuildItems(s.build),
 		MinCapacity: 16,
 	})
 	item := func(k int) int { return k<<16 | 1 }

@@ -75,12 +75,12 @@ func TestRetiredStoresUnreachable(t *testing.T) {
 		Weight:      func(int) int { return 1 },
 		NewC0:       func() Mutable[int, int] { return track(nil) },
 		MinCapacity: 16,
-		Build: func(items []int, _ int) Store[int, int] {
+		Build: BuildItems(func(items []int, _ int) Store[int, int] {
 			if hold.Load() {
 				<-gate
 			}
 			return track(items)
-		},
+		}),
 	})
 	const n = 20000
 	for k := 0; k < n; {

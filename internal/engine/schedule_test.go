@@ -197,7 +197,7 @@ func runSchedule(t *testing.T, ladder string, batchDeletes bool, seed int64, ops
 		Key:         func(it int) int { return it },
 		Weight:      schedWeight,
 		NewC0:       func() Mutable[int, int] { return s.newStore(nil) },
-		Build:       s.build,
+		Build:       BuildItems(s.build),
 		MinCapacity: minCap,
 		Ratio2:      ladder == "ratio2",
 	}

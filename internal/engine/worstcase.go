@@ -159,6 +159,16 @@ func (t *buildTask[K, I]) itemCount() int {
 	return n
 }
 
+// snapshots lists what the task builds over, in order: the eager items
+// first, then each lazy snapshot.
+func (t *buildTask[K, I]) snapshots(weight func(I) int) []Snapshot[I] {
+	src := make([]Snapshot[I], 0, 1+len(t.lazy))
+	if len(t.eager) > 0 {
+		src = append(src, Items(t.eager, weight))
+	}
+	return append(src, t.lazy...)
+}
+
 // NewWorstCase creates an empty ladder with worst-case update bounds.
 func NewWorstCase[K comparable, I any](cfg Config[K, I]) *WorstCase[K, I] {
 	cfg = cfg.withDefaults()
@@ -274,21 +284,21 @@ func (w *WorstCase[K, I]) launch(t *buildTask[K, I]) {
 		w.feeding[s] = t
 	}
 	w.stats.BackgroundBuilds++
-	tau, build := w.tau, w.cfg.Build
+	tau, build, weight := w.tau, w.cfg.Build, w.cfg.Weight
 	run := func() {
-		items := make([]I, 0, t.itemCount())
-		items = append(items, t.eager...)
-		for _, l := range t.lazy {
-			items = l.Materialize(items)
-		}
-		t.built = weightOf(items, w.cfg.Weight)
+		src := t.snapshots(weight)
 		var out []Store[K, I]
-		if t.split > 0 {
-			for _, chunk := range splitItems(items, w.cfg.Weight, t.split) {
-				out = append(out, build(chunk, tau))
+		for _, sn := range src {
+			t.built += int64(sn.Weight)
+		}
+		if t.split > 0 && (t.built > int64(t.split) || t.itemCount() == 0) {
+			// Split across tops: the chunks are cut from the items.
+			items, _ := Materialize(src)
+			for _, chunk := range splitItems(items, weight, t.split) {
+				out = append(out, build([]Snapshot[I]{Items(chunk, weight)}, tau))
 			}
 		} else {
-			out = append(out, build(items, tau))
+			out = append(out, build(src, tau))
 		}
 		t.done <- out
 	}

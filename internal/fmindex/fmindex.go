@@ -67,6 +67,10 @@ type buildScratch struct {
 	inv  []int32 // row-indexed int32 table: CSA inverse SA, FM separator rows, AppendDocs' LF array
 	psi  []int32 // CSA builds only
 	saws sa.Workspace
+	// A merge's (merge.go): the walked side's and the base's BWT, the
+	// LF array of whichever it walks, and the walked rows' positions.
+	mergeW, mergeB    []byte
+	mergeLF, mergePos []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -87,7 +91,7 @@ type Index struct {
 	saSamp  packed    // SA values at marked rows, ordered by row, each divided by saScale
 	saScale int       // s, or 1 for samples an "fm" or "fm4" file stores whole, viewed by a mapped open
 	isa     shortcuts // the rows of positions 0, s, 2s, … through saSamp
-	lastRow int       // the row of position n-1
+	lastRow int       // the row of position n-1; an fmm index needs none (docSpan)
 	// isaSamp is the ISA array of an "fm", "fm4" or "fmz" file, viewed
 	// in place by a mapped open, which then leaves isa empty: the rows
 	// of positions 0, s, 2s, …, and n-1. Empty otherwise.
@@ -136,6 +140,11 @@ const (
 	FM4
 	// FM ("fm"): FM4's codec over the binary Huffman-shaped tree.
 	FM
+	// FMM ("fmm"): FMP's tree and samples over rows in multi-string
+	// order and documents in a padded layout, so that an index over a
+	// list of documents is the same however it was produced, and
+	// indexes merge and purge without sorting (merge.go).
+	FMM
 )
 
 // Options configure index construction.
@@ -161,6 +170,9 @@ func (o Options) withDefaults() Options {
 // BWT bytes) through a pool shared across builds.
 func Build(docs []Doc, opts Options) *Index {
 	opts = opts.withDefaults()
+	if opts.Layout == FMM {
+		return buildFMM(docs, opts.SampleRate)
+	}
 	total := 0
 	for _, d := range docs {
 		total += len(d.Data) + 1
@@ -325,12 +337,13 @@ func (x *Index) Locate(row int) (doc, off int) {
 // given document offset (tSA in the paper). off may equal DocLen(doc),
 // addressing the trailing separator.
 func (x *Index) SuffixRank(doc, off int) int {
-	pos := int(x.docStarts[doc]) + off
-	if pos < 0 || pos >= x.n {
+	start, end, endRow := x.docSpan(doc)
+	pos := start + off
+	if off < 0 || off > x.DocLen(doc) {
 		panic(fmt.Sprintf("fmindex: SuffixRank position %d out of range", pos))
 	}
 	row := 0
-	x.walkRange(pos, pos+1, func(_, r int, _ byte) { row = r })
+	x.walkRange(pos, pos+1, end, endRow, func(_, r int, _ byte) { row = r })
 	return row
 }
 
@@ -342,10 +355,24 @@ func (x *Index) Extract(d, off, length int) []byte {
 	if length == 0 {
 		return nil
 	}
-	lo := int(x.docStarts[d]) + off
+	start, end, endRow := x.docSpan(d)
+	lo := start + off
 	out := make([]byte, length)
-	x.walkRange(lo, lo+length, func(q, _ int, b byte) { out[q-lo] = b })
+	x.walkRange(lo, lo+length, end, endRow, func(q, _ int, b byte) { out[q-lo] = b })
 	return out
+}
+
+// docSpan is what a walk over document d needs: the position of its
+// first symbol, one past the last position a walk over it may start
+// at, and the row of that position, the one sampled position that need
+// not be a multiple of s — in the concatenation n-1, whose row is
+// lastRow; in the padded layout d's separator, whose row is d, as the
+// separators sort first and by document.
+func (x *Index) docSpan(d int) (start, end, endRow int) {
+	if x.pad == 0 {
+		return int(x.docStarts[d]), x.n, x.lastRow
+	}
+	return x.start(d), x.ends.get(d), d
 }
 
 // Space is an index's footprint in bits, section by section.
@@ -353,7 +380,7 @@ type Space struct {
 	Tree       int64 // the BWT's wavelet tree with its rank directories
 	Marks      int64 // the sampled-row bit vector with its rank directory
 	SASamples  int64
-	ISASamples int64 // the shortcuts with their select samples, or a mapped file's ISA array; and the row of n-1
+	ISASamples int64 // the shortcuts with their select samples, or a mapped file's ISA array; and the row of n-1 but in fmm
 	SepTables  int64 // separator rows and their LF targets
 	DocTable   int64 // document starts and IDs
 	Symbols    int64 // the C array and the row→symbol table derived from it
@@ -383,11 +410,20 @@ func (x *Index) Space() Space {
 		Tree:       x.bwt.SizeBits(),
 		Marks:      x.marked.SizeBits(),
 		SASamples:  x.saSamp.sizeBits(),
-		ISASamples: x.isa.sizeBits() + x.isaSamp.sizeBits() + 64,
+		ISASamples: x.isa.sizeBits() + x.isaSamp.sizeBits() + x.lastRowBits(),
 		SepTables:  int64(len(x.sepRows)+len(x.sepTargets)) * 32,
 		DocTable:   x.docTable.sizeBits(),
 		Symbols:    int64(len(x.c))*64 + x.sym.sizeBits(),
 	}
+}
+
+// lastRowBits is what the row of n-1 costs: a word, but in fmm, which
+// keeps none.
+func (x *Index) lastRowBits() int64 {
+	if x.layout == FMM {
+		return 0
+	}
+	return 64
 }
 
 // SizeBits is the index footprint in bits for space accounting: the

@@ -65,6 +65,8 @@ var indexBuilders = map[string]func(docs []Doc) searcher{
 	"fm1":   func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1, Layout: FM}) },
 	"fm4":   func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4}) },
 	"fm4-1": func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1}) },
+	"fmm":   func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 4, Layout: FMM}) },
+	"fmm-1": func(docs []Doc) searcher { return Build(docs, Options{SampleRate: 1, Layout: FMM}) },
 	"sa":    func(docs []Doc) searcher { return BuildSA(docs) },
 }
 

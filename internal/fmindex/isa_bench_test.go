@@ -25,7 +25,7 @@ func BenchmarkSampleRow(b *testing.B) {
 		}
 		for name, row := range map[string]func(j int) int{
 			"array":     func(j int) int { return isa.get(j / x.s) },
-			"shortcuts": x.sampleRow,
+			"shortcuts": func(j int) int { return x.sampleRow(j, x.lastRow) },
 		} {
 			b.Run(fmt.Sprintf("%s/%dMB", name, size>>20), func(b *testing.B) {
 				sink := 0

@@ -90,7 +90,8 @@ func sampleAfter(pos, s, n int) int {
 }
 
 // sampleRows sets rows[i] to the row of the sampled position js[i], for
-// at most walkLanes positions: lastRow for n-1, and for j = k·s the row
+// at most walkLanes positions: endRow for the one position that is no
+// multiple of s (docSpan), and for j = k·s the row
 // of mark π⁻¹(k) (shortcuts.go). The lookups advance together, a read
 // of π each per round, so that their cache misses overlap, and every
 // lookup takes shortcutStep rounds: from k it follows π, jumping back
@@ -100,10 +101,10 @@ func sampleAfter(pos, s, n int) int {
 // ISA array instead, held below n whatever the file says; a corrupt
 // mapped payload can lead a lookup astray, but only to an element
 // below M.
-func (x *Index) sampleRows(js, rows []int) {
+func (x *Index) sampleRows(js, rows []int, endRow int) {
 	if x.isaSamp.n != 0 {
 		for i, j := range js {
-			rows[i] = x.lastRow
+			rows[i] = endRow
 			if j%x.s == 0 {
 				rows[i] = min(x.isaSamp.get(j/x.s), x.n-1)
 			}
@@ -142,7 +143,7 @@ func (x *Index) sampleRows(js, rows []int) {
 		sel[i] = x.isa.sel.get(pre[i] / markSample)
 	}
 	for i, j := range js {
-		rows[i] = x.lastRow
+		rows[i] = endRow
 		if k[i]*x.s == j {
 			rows[i] = x.markRowFrom(pre[i], sel[i])
 		}
@@ -150,9 +151,9 @@ func (x *Index) sampleRows(js, rows []int) {
 }
 
 // sampleRow is the row of the sampled position j.
-func (x *Index) sampleRow(j int) int {
+func (x *Index) sampleRow(j, endRow int) int {
 	var row [1]int
-	x.sampleRows([]int{j}, row[:])
+	x.sampleRows([]int{j}, row[:], endRow)
 	return row[0]
 }
 
@@ -182,11 +183,12 @@ func (x *Index) lfSteps(rows []int, sym []uint32) {
 
 // walkRange runs the plan of [lo, hi) in lanes and calls visit(q, row,
 // b) once for every position q of the range, with q's row and the text
-// symbol at q, in no particular order.
-func (x *Index) walkRange(lo, hi int, visit func(q, row int, b byte)) {
-	p, direct := planWalk(lo, hi, x.s, x.n)
+// symbol at q, in no particular order. end and endRow are the span's
+// of the document the range lies in (docSpan).
+func (x *Index) walkRange(lo, hi, end, endRow int, visit func(q, row int, b byte)) {
+	p, direct := planWalk(lo, hi, x.s, end)
 	if direct {
-		row := x.sampleRow(hi - 1)
+		row := x.sampleRow(hi-1, endRow)
 		visit(hi-1, row, x.sym.at(row))
 	}
 	var rows, at, stop [walkLanes]int // a lane's row, its text position, where its segment ends
@@ -205,7 +207,7 @@ func (x *Index) walkRange(lo, hi int, visit func(q, row int, b byte)) {
 		if active == 0 {
 			return
 		}
-		x.sampleRows(at[first:active], rows[first:active])
+		x.sampleRows(at[first:active], rows[first:active], endRow)
 		x.lfSteps(rows[:active], sym[:active])
 		for k := 0; k < active; {
 			at[k]--
@@ -226,8 +228,8 @@ func (x *Index) walkRange(lo, hi int, visit func(q, row int, b byte)) {
 // its separator's included — DocLen(d)+1 rows, in no particular order.
 // Deleting a document clears exactly these rows.
 func (x *Index) ForDocRows(d int, fn func(row int)) {
-	lo := int(x.docStarts[d])
-	x.walkRange(lo, lo+x.DocLen(d)+1, func(_, row int, _ byte) { fn(row) })
+	lo, end, endRow := x.docSpan(d)
+	x.walkRange(lo, lo+x.DocLen(d)+1, end, endRow, func(_, row int, _ byte) { fn(row) })
 }
 
 // LocateRows replaces each rows[k], a suffix-array row, by its location

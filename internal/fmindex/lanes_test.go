@@ -28,9 +28,10 @@ func (x *Index) scalarLF(row int) int {
 
 // scalarSuffixRank walks from the first sample at or after the position.
 func (x *Index) scalarSuffixRank(d, off int) int {
-	pos := int(x.docStarts[d]) + off
-	j := sampleAfter(pos, x.s, x.n)
-	row := x.sampleRow(j)
+	start, end, endRow := x.docSpan(d)
+	pos := start + off
+	j := sampleAfter(pos, x.s, end)
+	row := x.sampleRow(j, endRow)
 	for ; j > pos; j-- {
 		row = x.scalarLF(row)
 	}

@@ -34,12 +34,14 @@ func (x *Index) EncodeMapped(e *snap.MapEncoder) {
 	x.bwt.EncodeMapped(e)
 	x.marked.EncodeMapped(e)
 	switch x.layout {
-	case FMP:
+	case FMP, FMM:
 		x.saSamp.encodeMapped(e)
 		x.isa.has.EncodeMapped(e)
 		x.isa.back.encodeMapped(e)
 		x.isa.sel.encodeMapped(e)
-		e.U64(uint64(x.lastRow))
+		if x.layout == FMP {
+			e.U64(uint64(x.lastRow))
+		}
 	case FMZ:
 		x.saSamp.encodeMapped(e)
 		isa := x.isaRows()
@@ -51,6 +53,11 @@ func (x *Index) EncodeMapped(e *snap.MapEncoder) {
 	}
 	e.Int32s(x.sepRows)
 	e.Int32s(x.sepTargets)
+	if x.layout == FMM {
+		e.Words(x.docIDs)
+		x.ends.encodeMapped(e)
+		return
+	}
 	e.Int32s(x.docStarts)
 	e.Words(x.docIDs)
 }
@@ -90,9 +97,9 @@ func OpenMapped(mv *snap.MapView, l Layout) (*Index, error) {
 	if err := mv.Err(); err != nil {
 		return nil, err
 	}
-	m := saBound(nx.n, nx.s)
+	m := nx.sampleCount()
 	switch l {
-	case FMP:
+	case FMP, FMM:
 		nx.saSamp = readPacked(mv, "fm SA samples", m, m)
 		if nx.isa.has = bitvec.ViewMapped(mv); mv.Err() != nil {
 			return nil, mv.Err()
@@ -103,7 +110,9 @@ func OpenMapped(mv *snap.MapView, l Layout) (*Index, error) {
 		}
 		nx.isa.back = readPacked(mv, "fm back pointers", nx.isa.has.Ones(), m)
 		nx.isa.sel = readPacked(mv, "fm select samples", selCount(m), nx.n)
-		nx.lastRow = mv.Int()
+		if l == FMP {
+			nx.lastRow = mv.Int()
+		}
 		nx.saScale = nx.s
 	case FMZ:
 		nx.saSamp = readPacked(mv, "fm SA samples", m, m)
@@ -115,7 +124,7 @@ func OpenMapped(mv *snap.MapView, l Layout) (*Index, error) {
 			nx.checkSampleCounts(mv, nx.saSamp.n, nx.isaSamp.n)
 		}
 	}
-	if mv.Err() == nil && l != FMP && nx.n > 0 {
+	if mv.Err() == nil && nx.isaSamp.n > 0 {
 		nx.lastRow = nx.isaSamp.get(nx.isaSamp.n - 1)
 	}
 	if mv.Err() == nil && nx.n > 0 && (nx.lastRow < 0 || nx.lastRow >= nx.n) {
@@ -123,8 +132,14 @@ func OpenMapped(mv *snap.MapView, l Layout) (*Index, error) {
 	}
 	nx.sepRows = mv.Int32s()
 	nx.sepTargets = mv.Int32s()
-	nx.docStarts = mv.Int32s()
-	nx.docIDs = mv.Words()
+	if l == FMM {
+		if nx.docIDs = mv.Words(); mv.Err() == nil {
+			nx.readEnds(mv)
+		}
+	} else {
+		nx.docStarts = mv.Int32s()
+		nx.docIDs = mv.Words()
+	}
 	if mv.Err() == nil {
 		nx.checkSeparators(mv)
 	}

@@ -37,7 +37,9 @@ func checkRows(d failer, what string, rows []int32, n int) bool {
 
 // EncodeTo writes the FM-index's portable form into an encoder. An
 // FMP index writes its samples as in memory: the SA samples packed, the
-// shortcuts and the row of n-1. The older names write the ISA array
+// shortcuts and the row of n-1. An FMM index writes them the same way
+// but for the row of n-1, and its padded document table as the IDs,
+// then the document ends packed. The older names write the ISA array
 // their files have always held, regenerated from the SA samples: FMZ
 // packs both arrays, FM and FM4 write int32 arrays.
 func (x *Index) EncodeTo(e *snap.Encoder) {
@@ -50,11 +52,13 @@ func (x *Index) EncodeTo(e *snap.Encoder) {
 	x.bwt.EncodeTo(e)
 	x.marked.EncodeTo(e)
 	switch x.layout {
-	case FMP:
+	case FMP, FMM:
 		x.saSamp.encodeTo(e)
 		x.isa.has.EncodeTo(e)
 		x.isa.back.encodeTo(e)
-		e.Uvarint(uint64(x.lastRow))
+		if x.layout == FMP {
+			e.Uvarint(uint64(x.lastRow))
+		}
 	case FMZ:
 		x.saSamp.encodeTo(e)
 		isa := x.isaRows()
@@ -66,6 +70,11 @@ func (x *Index) EncodeTo(e *snap.Encoder) {
 	}
 	e.Int32s(x.sepRows)
 	e.Int32s(x.sepTargets)
+	if x.layout == FMM {
+		e.Uint64s(x.docIDs)
+		x.ends.encodeTo(e)
+		return
+	}
 	e.Int32s(x.docStarts)
 	e.Uint64s(x.docIDs)
 }
@@ -105,16 +114,20 @@ func Decode(data []byte, l Layout) (*Index, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	m := saBound(nx.n, nx.s)
-	var stored shortcuts // an FMP file's
+	m := nx.sampleCount()
+	var stored shortcuts // an FMP or FMM file's
 	var isa []int32      // an older name's ISA array
 	switch l {
-	case FMP:
+	case FMP, FMM:
 		nx.saSamp = readPacked(d, "fm SA samples", m, m)
 		if stored.has = bitvec.DecodeFrom(d); d.Err() == nil {
 			stored.back = readPacked(d, "fm back pointers", stored.has.Ones(), m)
 		}
-		nx.lastRow = d.Int()
+		if l == FMP {
+			nx.lastRow = d.Int()
+		} else {
+			nx.marked = nx.marked.WithoutSelect0()
+		}
 	case FMZ:
 		nx.saSamp = readPacked(d, "fm SA samples", m, m)
 		rows := readPacked(d, "fm ISA samples", isaCount(nx.n, nx.s), nx.n)
@@ -132,8 +145,15 @@ func Decode(data []byte, l Layout) (*Index, error) {
 	}
 	nx.sepRows = d.Int32s()
 	nx.sepTargets = d.Int32s()
-	nx.docStarts = d.Int32s()
-	nx.docIDs = d.Uint64s()
+	if l == FMM {
+		nx.docIDs = d.Uint64s()
+		if d.Err() == nil {
+			nx.readEnds(d)
+		}
+	} else {
+		nx.docStarts = d.Int32s()
+		nx.docIDs = d.Uint64s()
+	}
 	if d.Err() == nil {
 		checkRows(d, "fm separator rows", nx.sepRows, nx.n)
 		checkRows(d, "fm separator targets", nx.sepTargets, nx.n)
@@ -182,8 +202,35 @@ func (x *Index) checkHeader(f failer) {
 		f.Fail("fm: C[256] = %d, want %d", x.c[256], x.n)
 	case x.bwt.Len() != x.n || x.marked.Len() != x.n:
 		f.Fail("fm: BWT %d / marks %d rows for n=%d", x.bwt.Len(), x.marked.Len(), x.n)
-	case x.marked.Ones() != saBound(x.n, x.s):
+	case x.layout != FMM && x.marked.Ones() != saBound(x.n, x.s):
 		f.Fail("fm: %d marked rows, want ⌈%d/%d⌉", x.marked.Ones(), x.n, x.s)
+	}
+}
+
+// sampleCount is the number of SA samples a file of the index's layout
+// holds: ⌈n/s⌉, or in FMM one per marked row, which the document table
+// must then account for (readEnds).
+func (x *Index) sampleCount() int {
+	if x.layout == FMM {
+		return x.marked.Ones()
+	}
+	return saBound(x.n, x.s)
+}
+
+// readEnds reads an FMM file's document ends, after its IDs, and
+// checks that the padded layout they give has a sampled position for
+// every marked row.
+func (x *Index) readEnds(d interface {
+	failer
+	Int() int
+	Words() []uint64
+	Err() error
+}) {
+	m := x.marked.Ones()
+	x.pad = x.s
+	x.ends = readPacked(d, "fm document ends", len(x.docIDs), m*x.s+1)
+	if d.Err() == nil && x.span() != m*x.s {
+		d.Fail("fm: documents span %d positions, %d marked rows at rate %d", x.span(), m, x.s)
 	}
 }
 

@@ -83,9 +83,10 @@ func (x *Index) walk(lf []int32, docIdxs []int, out []Doc) {
 				continue
 			}
 			// SuffixRank of the segment's end, over the flat array.
-			end := int(x.docStarts[docIdxs[k]]) + rest
-			j := sampleAfter(end, x.s, x.n)
-			row := x.sampleRow(j)
+			start, docEnd, endRow := x.docSpan(docIdxs[k])
+			end := start + rest
+			j := sampleAfter(end, x.s, docEnd)
+			row := x.sampleRow(j, endRow)
 			for ; j > end; j-- {
 				row = int(lf[row])
 			}

@@ -17,7 +17,7 @@ import (
 func indexForms(t *testing.T, docs []doc.Doc, s int) map[string]*Index {
 	t.Helper()
 	forms := make(map[string]*Index)
-	for layout, prefix := range map[Layout]string{FMZ: "", FM4: "fm4/", FM: "fm/"} {
+	for layout, prefix := range map[Layout]string{FMZ: "", FM4: "fm4/", FM: "fm/", FMM: "fmm/"} {
 		built := Build(docs, Options{SampleRate: s, Layout: layout})
 		wire, err := built.AppendBinary(nil)
 		if err != nil {

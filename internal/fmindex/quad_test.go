@@ -71,8 +71,9 @@ func rangeLevels(x *Index, pattern []byte) int {
 func lfLevels(x *Index, d, off, length int) int {
 	lens := codeLens(x)
 	levels := 0
-	lo := int(x.docStarts[d]) + off
-	x.walkRange(lo, lo+length, func(_, _ int, b byte) { levels += lens[b] })
+	start, end, endRow := x.docSpan(d)
+	lo := start + off
+	x.walkRange(lo, lo+length, end, endRow, func(_, _ int, b byte) { levels += lens[b] })
 	return levels
 }
 

@@ -72,42 +72,12 @@ func newShortcuts(pi packed, marks *bitvec.Vector) (sc shortcuts, ok bool) {
 	for w, word := range marks.Words() {
 		c := bits.OnesCount64(word)
 		for ; next < m+c; next += markSample {
-			sc.sel.set(next/markSample, uint64(w<<6|selectInWord(word, next-m)))
+			sc.sel.set(next/markSample, uint64(w<<6|bitvec.SelectInWord(word, next-m)))
 		}
 		m += c
 	}
 	return sc, true
 }
-
-// selectInWord is the position of the one of word that has r ones
-// below it, without a branch on the bits: the byte that holds it
-// comes from the bytes' running popcounts compared with r all at once
-// (Vigna, "Broadword implementation of rank/select queries", WEA
-// 2008), the bit from a table over bytes.
-func selectInWord(word uint64, r int) int {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	c := word - word>>1&0x5555555555555555
-	c = c&0x3333333333333333 + c>>2&0x3333333333333333
-	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f * ones // byte i: the ones of bytes 0…i
-	at := bits.OnesCount64((uint64(r)*ones|highs-c)&highs) * 8
-	below := int(c << 8 >> at & 0xff)
-	return at + int(selectInByte[(r-below)<<8|int(word>>at&0xff)])
-}
-
-// selectInByte[r<<8 | b] is the position of the one of byte b that has
-// r ones below it.
-var selectInByte = func() (t [8 << 8]uint8) {
-	for b := range 256 {
-		r := 0
-		for i := range 8 {
-			if b>>i&1 != 0 {
-				t[r<<8|b] = uint8(i)
-				r++
-			}
-		}
-	}
-	return t
-}()
 
 // selCount is the number of select samples over ones marks.
 func selCount(ones int) int { return (ones + markSample - 1) / markSample }
@@ -188,7 +158,7 @@ func (x *Index) markRowFrom(m, row int) int {
 			if c := bits.OnesCount64(word); rem >= c {
 				rem -= c
 			} else {
-				return w<<6 | selectInWord(word, rem)
+				return w<<6 | bitvec.SelectInWord(word, rem)
 			}
 			if w++; w == end {
 				break

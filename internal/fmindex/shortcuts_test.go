@@ -2,7 +2,6 @@ package fmindex
 
 import (
 	"errors"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -65,7 +64,7 @@ func FuzzISAShortcuts(f *testing.F) {
 			t.Fatal("a permutation refused")
 		}
 		for e, k := range perm {
-			if got := x.sampleRow(k); got != rows[e] {
+			if got := x.sampleRow(k, x.lastRow); got != rows[e] {
 				t.Fatalf("row of position %d = %d, want %d, mark π⁻¹(%d) = %d's", k, got, rows[e], k, e)
 			}
 		}
@@ -292,28 +291,5 @@ func TestFMPHostileSamples(t *testing.T) {
 			}},
 			{"ISA row out of range", func(x, y *Index) { y.isaSamp.set(1, uint64(x.n)) }},
 		}, nil)
-	}
-}
-
-// TestSelectInWord holds the broadword select to clearing the lowest
-// ones one at a time, on sparse and dense random words.
-func TestSelectInWord(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	for range 100000 {
-		w := rng.Uint64()
-		if rng.Intn(2) == 0 {
-			w &= rng.Uint64() & rng.Uint64()
-		}
-		if w == 0 {
-			continue
-		}
-		r := rng.Intn(bits.OnesCount64(w))
-		x := w
-		for range r {
-			x &= x - 1
-		}
-		if got, want := selectInWord(w, r), bits.TrailingZeros64(x); got != want {
-			t.Fatalf("selectInWord(%#x, %d) = %d, want %d", w, r, got, want)
-		}
 	}
 }

@@ -58,3 +58,51 @@ func rebuildStages(b *testing.B, shape string, size int, layout Layout) {
 	stage("wavelet", func() { newSequence(bwt, freq, layout) })
 	stage("build", func() { Build(docs, opts) })
 }
+
+// BenchmarkMergeStages prices the rebuilds of fmm indexes that do not
+// sort (merge.go) on the bench corpus: a merge of a store into one four
+// times its size, the larger holding an eighth of its documents dead,
+// and a purge of a quarter of a store's documents; beside them, a
+// fresh build over what the rebuild keeps. Bytes are the rows kept.
+func BenchmarkMergeStages(b *testing.B) {
+	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(5 << 19)
+	opts := Options{Layout: FMM}
+	cut := len(docs) / 5
+	small, large := Build(docs[:cut], opts), Build(docs[cut:], opts)
+	keep := func(x *Index, every int) []int {
+		var k []int
+		for d := range x.DocCount() {
+			if every == 0 || d%every != 0 {
+				k = append(k, d)
+			}
+		}
+		return k
+	}
+	for _, c := range []struct {
+		name  string
+		parts []Part
+	}{
+		{"merge", []Part{{small, keep(small, 0)}, {large, keep(large, 8)}}},
+		{"purge", []Part{{large, keep(large, 4)}}},
+	} {
+		var kept []Doc
+		rows := 0
+		for _, p := range c.parts {
+			for _, d := range p.Keep {
+				kept = append(kept, Doc{ID: p.X.DocID(d), Data: p.X.Extract(d, 0, p.X.DocLen(d))})
+				rows += p.X.DocLen(d) + 1
+			}
+		}
+		for name, fn := range map[string]func(){
+			"rebuild": func() { Rebuild(c.parts) },
+			"build":   func() { Build(kept, opts) },
+		} {
+			b.Run(c.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(int64(rows))
+				for range b.N {
+					fn()
+				}
+			})
+		}
+	}
+}

@@ -250,3 +250,56 @@ func BenchmarkDoubling(b *testing.B) {
 		SuffixArrayDoubling(text)
 	}
 }
+
+// naiveMultiSA sorts the suffixes of a collection text in multi-string
+// order: each compares through its own terminator, terminators by
+// position.
+func naiveMultiSA(text []byte) []int32 {
+	sa := make([]int32, len(text))
+	for i := range sa {
+		sa[i] = int32(i)
+	}
+	tail := func(p int32) []byte { return text[p : int(p)+bytes.IndexByte(text[p:], 0)] }
+	sort.Slice(sa, func(a, b int) bool {
+		if c := bytes.Compare(tail(sa[a]), tail(sa[b])); c != 0 {
+			// A tail that is a proper prefix of the other meets its
+			// terminator first, and a terminator is the smallest byte.
+			return c < 0
+		}
+		return sa[a] < sa[b] // equal tails: the earlier terminator first
+	})
+	return sa
+}
+
+func TestMultiSuffixArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var ws Workspace
+	for it := 0; it < 2000; it++ {
+		var text []byte
+		docs := 1 + rng.Intn(8)
+		pool := [][]byte{nil, []byte("a"), []byte("ab"), []byte("abab")}
+		for range docs {
+			var d []byte
+			switch rng.Intn(3) {
+			case 0: // a repeat of an earlier shape: equal tails across documents
+				d = pool[rng.Intn(len(pool))]
+			default:
+				n := rng.Intn(40)
+				if it%10 == 0 { // long enough to recurse
+					n = rng.Intn(400)
+				}
+				d = randomText(rng, n, 1+rng.Intn(4))
+				pool = append(pool, d)
+			}
+			text = append(append(text, d...), 0)
+		}
+		want := naiveMultiSA(text)
+		if got := MultiSuffixArrayWS(text, &ws); !slices.Equal(got, want) {
+			t.Fatalf("text %q:\n got %v\nwant %v", text, got, want)
+		}
+		// The plain order still comes out of the same workspace.
+		if got := SuffixArrayWS(text, &ws); !slices.Equal(got, naiveSA(text)) {
+			t.Fatalf("plain order of %q changed", text)
+		}
+	}
+}

@@ -61,7 +61,7 @@ func SuffixArray(text []byte) []int32 {
 		return nil
 	}
 	sa := make([]int32, len(text)+1)
-	saIS(text, sa, 256, &Workspace{}, 0)
+	saIS(text, sa, 256, &Workspace{}, 0, false)
 	return sa[1:]
 }
 
@@ -74,7 +74,33 @@ func SuffixArrayWS(text []byte, ws *Workspace) []int32 {
 		return nil
 	}
 	ws.sa = Grow(ws.sa, len(text)+1)
-	saIS(text, ws.sa, 256, ws, 0)
+	saIS(text, ws.sa, 256, ws, 0, false)
+	return ws.sa[1:]
+}
+
+// MultiSuffixArrayWS is SuffixArrayWS in multi-string order, for a
+// text that is a collection of strings each ended by a 0 byte (the
+// last byte of text must be 0). A suffix compares as its string's tail
+// through the string's own terminator, and the terminators order by
+// position: each 0 byte is smaller than every later one and than every
+// other byte. So the terminator suffixes are rows 0 … k-1 in text
+// order, and suffixes whose tails agree through their terminators
+// order by string index. Deleting a string then leaves the order of
+// the other rows as it was, and appending strings interleaves rows
+// without reordering any. The cost is plain SA-IS's: the terminators
+// each get a bucket of their own, filled before every induction and
+// never written by it, and no LMS substring that holds one equals
+// another (Louza, Gog & Telles, "Induced suffix sorting for string
+// collections", DCC 2016).
+func MultiSuffixArrayWS(text []byte, ws *Workspace) []int32 {
+	if len(text) == 0 {
+		return nil
+	}
+	if text[len(text)-1] != 0 {
+		panic("sa: multi-string text does not end with a terminator")
+	}
+	ws.sa = Grow(ws.sa, len(text)+1)
+	saIS(text, ws.sa, 256, ws, 0, true)
 	return ws.sa[1:]
 }
 
@@ -83,8 +109,9 @@ func SuffixArrayWS(text []byte, ws *Workspace) []int32 {
 // n+1 entries; sa[0] is always n. Symbols lie in [0, sigma). The text is
 // read as the caller holds it: the top level runs over the []byte
 // itself, the recursion over []int32 names. Scratch comes from ws's
-// buffers for this recursion depth.
-func saIS[T byte | int32](t []T, sa []int32, sigma int, ws *Workspace, depth int) {
+// buffers for this recursion depth. multi asks for multi-string order
+// (MultiSuffixArrayWS): symbol 0 is then a terminator.
+func saIS[T byte | int32](t []T, sa []int32, sigma int, ws *Workspace, depth int, multi bool) {
 	n := len(t)
 	if n == 0 {
 		sa[0] = 0
@@ -122,6 +149,9 @@ func saIS[T byte | int32](t []T, sa []int32, sigma int, ws *Workspace, depth int
 				s = 1
 			}
 		}
+		if multi && c == 0 {
+			s = 1 // a terminator is smaller than what follows it, a later terminator too
+		}
 		typ[i] = s
 		lms[w-1] = int32(i + 1)
 		w -= int(after &^ s)
@@ -131,15 +161,22 @@ func saIS[T byte | int32](t []T, sa []int32, sigma int, ws *Workspace, depth int
 	m := len(lms) // LMS suffixes, the sentinel included
 
 	// Step 1: place LMS suffixes at bucket tails in text order, induce.
+	// In multi-string order the terminators' bucket is filled whole.
 	fill(sa, -1)
 	bucketTails(bkt, cnt)
 	for _, p := range lms[:m-1] {
 		c := t[p]
+		if multi && c == 0 {
+			continue
+		}
 		bkt[c]--
 		sa[bkt[c]] = p
 	}
 	sa[0] = int32(n)
-	induce(t, sa, typ, cnt, bkt)
+	if multi {
+		placeTerminators(t, sa)
+	}
+	induce(t, sa, typ, cnt, bkt, multi)
 
 	// Step 2: compact the sorted LMS substrings and name them. Names
 	// live in the upper half of sa, indexed by position/2 (LMS positions
@@ -169,7 +206,7 @@ func saIS[T byte | int32](t []T, sa []int32, sigma int, ws *Workspace, depth int
 		l := names[p/2]
 		same := l != 0 && l == prevLen
 		for i := int32(0); same && i < l; i++ {
-			same = t[p+i] == t[prev+i]
+			same = t[p+i] == t[prev+i] && !(multi && t[p+i] == 0)
 		}
 		if !same {
 			name++
@@ -194,7 +231,7 @@ func saIS[T byte | int32](t []T, sa []int32, sigma int, ws *Workspace, depth int
 			sub[nm+1] = int32(i)
 		}
 	} else {
-		saIS(reduced, sub, int(name), ws, depth+1)
+		saIS(reduced, sub, int(name), ws, depth+1, false)
 	}
 
 	// Step 4: place LMS suffixes in their final relative order, induce.
@@ -203,11 +240,29 @@ func saIS[T byte | int32](t []T, sa []int32, sigma int, ws *Workspace, depth int
 	for i := m - 1; i >= 1; i-- {
 		p := lms[sub[i]]
 		c := t[p]
+		if multi && c == 0 {
+			continue
+		}
 		bkt[c]--
 		sa[bkt[c]] = p
 	}
 	sa[0] = int32(n)
-	induce(t, sa, typ, cnt, bkt)
+	if multi {
+		placeTerminators(t, sa)
+	}
+	induce(t, sa, typ, cnt, bkt, multi)
+}
+
+// placeTerminators writes the positions of t's 0 bytes, in text order,
+// to rows 1, 2, …: their final rows in multi-string order.
+func placeTerminators[T byte | int32](t []T, sa []int32) {
+	k := 1
+	for i, c := range t {
+		if c == 0 {
+			sa[k] = int32(i)
+			k++
+		}
+	}
 }
 
 func fill(s []int32, v int32) {
@@ -235,12 +290,17 @@ func bucketTails(bkt, cnt []int32) {
 }
 
 // induce sorts the L-type suffixes left to right from the LMS suffixes
-// already placed, then the S-type suffixes right to left from those.
-func induce[T byte | int32](t []T, sa []int32, typ []uint8, cnt, bkt []int32) {
+// already placed, then the S-type suffixes right to left from those. In
+// multi-string order the terminators are in place already and neither
+// pass moves one.
+func induce[T byte | int32](t []T, sa []int32, typ []uint8, cnt, bkt []int32, multi bool) {
 	bucketHeads(bkt, cnt)
 	for i := 0; i < len(sa); i++ {
 		if j := sa[i] - 1; j >= 0 && typ[j] == 0 {
 			c := t[j]
+			if multi && c == 0 {
+				continue
+			}
 			sa[bkt[c]] = j
 			bkt[c]++
 		}
@@ -249,6 +309,9 @@ func induce[T byte | int32](t []T, sa []int32, typ []uint8, cnt, bkt []int32) {
 	for i := len(sa) - 1; i >= 0; i-- {
 		if j := sa[i] - 1; j >= 0 && typ[j] == 1 {
 			c := t[j]
+			if multi && c == 0 {
+				continue
+			}
 			bkt[c]--
 			sa[bkt[c]] = j
 		}

@@ -345,3 +345,39 @@ func TestHistogram(t *testing.T) {
 		t.Error("empty histogram quantile should be 0")
 	}
 }
+
+// TestLadderVarzSpace: the ladder report carries the FM stores' space
+// sections and the sorted weight, in JSON and in the text the CLI
+// prints.
+func TestLadderVarzSpace(t *testing.T) {
+	c, err := dyncoll.NewCollection(dyncoll.WithSyncRebuilds(), dyncoll.WithMinCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 64 {
+		if err := c.Insert(dyncoll.Document{ID: uint64(i), Data: []byte(fmt.Sprintf("payload %d of the ladder report", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	v := NewLadderVarz(st, "symbol", c.Len(), c.SizeBits())
+	if v.Space != st.Space || v.Space.Total() == 0 || v.Built != st.BuiltWeight || v.Built.Total() == 0 {
+		t.Fatalf("ladder report space %+v built %+v, stats %+v %+v", v.Space, v.Built, st.Space, st.BuiltWeight)
+	}
+	js, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"space":{`, `"sorted":`} {
+		if !strings.Contains(string(js), key) {
+			t.Errorf("JSON lacks %s: %s", key, js)
+		}
+	}
+	var text strings.Builder
+	v.WriteText(&text)
+	for _, line := range []string{"fm space:", fmt.Sprintf("sorted %d", st.BuiltWeight.Sorted)} {
+		if !strings.Contains(text.String(), line) {
+			t.Errorf("text lacks %q:\n%s", line, text.String())
+		}
+	}
+}

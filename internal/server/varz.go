@@ -70,8 +70,11 @@ type LadderVarz struct {
 	Parked int `json:"parked"`
 	// Built is the weight handed to the static-index builder so far, by
 	// cause; Built.Total() over the weight inserted is the structure's
-	// write amplification.
+	// write amplification, and Built.Sorted the part of it sorted.
 	Built dyncoll.BuiltWeight `json:"built_weight"`
+	// Space is the FM-indexed stores' footprint in bits, section by
+	// section; zero for other indexes, relations and graphs.
+	Space dyncoll.IndexSpace `json:"space"`
 	// Levels is the sub-collection ladder, level 0 the uncompressed C0.
 	Levels []LevelVarz `json:"levels"`
 	// TopSizes lists live weights of the worst-case top collections.
@@ -121,6 +124,7 @@ func NewLadderVarz(st dyncoll.IndexStats, unit string, live int, sizeBits int64)
 		PendingBuilds:  st.PendingBuilds,
 		Parked:         st.Parked,
 		Built:          st.BuiltWeight,
+		Space:          st.Space,
 		TopSizes:       st.TopSizes,
 	}
 	for j, sz := range st.LevelSizes {
@@ -145,13 +149,19 @@ func (v *LadderVarz) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "%-10s τ=%d, rebuilds=%d, global=%d, pending builds=%d, parked=%d\n",
 		"engine:", v.Tau, v.Rebuilds, v.GlobalRebuilds, v.PendingBuilds, v.Parked)
-	fmt.Fprintf(w, "%-10s %d %ss: level merges %d, tops %d, purges %d, rebalances %d\n",
-		"built:", v.Built.Total(), v.Unit, v.Built.LevelMerge, v.Built.Top, v.Built.Purge, v.Built.Rebalance)
+	fmt.Fprintf(w, "%-10s %d %ss: level merges %d, tops %d, purges %d, rebalances %d; sorted %d\n",
+		"built:", v.Built.Total(), v.Unit, v.Built.LevelMerge, v.Built.Top, v.Built.Purge, v.Built.Rebalance, v.Built.Sorted)
 	fmt.Fprintf(w, "%-10s %d slots (occupancy/capacity, level 0 = uncompressed C0)\n", "ladder:", len(v.Levels))
 	for j, lv := range v.Levels {
 		fmt.Fprintf(w, "  level %-3d %12d / %d\n", j, lv.Size, lv.Cap)
 	}
 	if len(v.TopSizes) > 0 {
 		fmt.Fprintf(w, "%-10s %d collections, sizes %v\n", "tops:", len(v.TopSizes), v.TopSizes)
+	}
+	if sp := v.Space; sp.Total() > 0 {
+		perSym := func(bits int64) float64 { return float64(bits) / float64(max(v.Live, 1)) }
+		fmt.Fprintf(w, "%-10s %.3f bits/%s: tree %.3f, marks %.3f, SA samples %.3f, ISA samples %.3f, separators %.3f, doc table %.3f, symbols %.3f\n",
+			"fm space:", perSym(sp.Total()), v.Unit, perSym(sp.Tree), perSym(sp.Marks), perSym(sp.SASamples),
+			perSym(sp.ISASamples), perSym(sp.SepTables), perSym(sp.DocTable), perSym(sp.Symbols))
 	}
 }

@@ -215,6 +215,37 @@ func (q *Quad) AccessRanks(pos []int, sym []uint32) {
 	}
 }
 
+// Ranks replaces each pos[k] by Rank(sym[k], pos[k]), advancing all
+// the walks together one level at a time, as AccessRanks does, so that
+// their rank-directory loads overlap. len(sym) must be at least
+// len(pos), and every pos[k] at most Len().
+func (q *Quad) Ranks(sym []byte, pos []int) {
+	sym = sym[:len(pos)]
+	for k, c := range sym {
+		if pos[k] < 0 || pos[k] > q.n {
+			panic(fmt.Sprintf("wavelet: Ranks position %d out of range [0,%d]", pos[k], q.n))
+		}
+		if int(c) >= q.sigma || q.at[c] == q.at[int(c)+1] {
+			pos[k] = 0 // a symbol that does not occur
+		}
+	}
+	for depth, walking := int32(0), true; walking; depth++ {
+		walking = false
+		for k, c := range sym {
+			if int(c) >= q.sigma {
+				continue
+			}
+			at := q.at[c] + depth
+			if at >= q.at[int(c)+1] {
+				continue
+			}
+			walking = true
+			st := &q.steps[at]
+			pos[k] = q.levels[depth].rank(uint(st.digit), int(st.off)+pos[k]) - int(st.before)
+		}
+	}
+}
+
 // Count returns the number of occurrences of symbol c.
 func (q *Quad) Count(c uint32) int {
 	if int(c) >= q.sigma {

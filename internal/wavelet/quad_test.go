@@ -302,6 +302,30 @@ func TestQuadMatchesBinaryRanks(t *testing.T) {
 	}
 }
 
+// TestQuadRanks holds the batched Ranks to RankPair, over symbols that
+// occur and symbols that do not, in batches of one to nine walks.
+func TestQuadRanks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	seqs, sigmas := quadSequences(rng)
+	for k, s := range seqs {
+		q := newQuad(s, sigmas[k])
+		for range 500 {
+			n := 1 + rng.Intn(9)
+			sym, pos, want := make([]byte, n), make([]int, n), make([]int, n)
+			for i := range pos {
+				sym[i], pos[i] = byte(rng.Intn(256)), rng.Intn(len(s)+1)
+				want[i], _ = q.RankPair(uint32(sym[i]), pos[i], pos[i])
+			}
+			q.Ranks(sym, pos)
+			for i := range pos {
+				if pos[i] != want[i] {
+					t.Fatalf("seq %d: Ranks gave %d for symbol %d, RankPair %d", k, pos[i], sym[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestQuadCodes pins the code shape: canonical 4-ary Huffman codes,
 // one leaf per occurring symbol, and a walk as long as the code.
 func TestQuadCodes(t *testing.T) {

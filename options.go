@@ -65,7 +65,7 @@ func WithTransformation(t Transformation) Option {
 }
 
 // WithIndex selects the static index backing a Collection by registry
-// name — a built-in (IndexFMP, the default; IndexFMZ, IndexFM4, IndexFM, IndexSA, IndexCSA)
+// name — a built-in (IndexFMM, the default; IndexFMP, IndexFMZ, IndexFM4, IndexFM, IndexSA, IndexCSA)
 // or anything added via RegisterIndex. The name is resolved when the collection is created.
 func WithIndex(name string) Option {
 	return func(c *config) error {
@@ -186,7 +186,7 @@ func WithSyncRebuilds() Option {
 
 // newConfig applies opts over the defaults for the given structure.
 func newConfig(kind structKind, opts []Option) (config, error) {
-	c := config{kind: kind, transformation: WorstCase, index: IndexFMP}
+	c := config{kind: kind, transformation: WorstCase, index: IndexFMM}
 	if kind != kindCollection {
 		// Relations and graphs default to the amortized cascades; their
 		// worst-case machinery is opt-in via WithTransformation.

@@ -88,7 +88,7 @@ func oracleForm(t *testing.T, kind structKind, form string, seed int64, n int) {
 					pairCell(t, kind, form, shards, seed, n, opts...)
 					return
 				}
-				for _, index := range []string{IndexFMP, IndexFMZ, IndexFM4, IndexFM, IndexSA, IndexCSA, "snap-suffix-table"} {
+				for _, index := range []string{IndexFMM, IndexFMP, IndexFMZ, IndexFM4, IndexFM, IndexSA, IndexCSA, "snap-suffix-table"} {
 					t.Run(index, func(t *testing.T) { docCell(t, form, shards, seed, n, append(opts, WithIndex(index))...) })
 				}
 			})

@@ -45,13 +45,20 @@ type IndexDecoder = core.IndexDecoder
 
 // Built-in static-index names, registered at package init.
 const (
-	// IndexFMP is the FM-index and the default index: a 4-ary
+	// IndexFMM is the FM-index and the default index: a 4-ary
 	// Huffman-shaped wavelet tree over the BWT, so about nH₀ bits for
 	// the sequence, not nH_k; its SA samples packed to ⌈log₂⌈n/s⌉⌉ bits;
 	// and its ISA samples kept as shortcuts through the SA samples,
 	// about ⌈log₂⌈n/s⌉⌉/4 + 1 bits per sample (the stand-in for the
 	// Belazzougui–Navarro / Barbay et al. indexes of the paper's Tables
-	// 1–2).
+	// 1–2). Its rows are in multi-string order and its documents start
+	// at multiples of s, so the index over a list of documents is the
+	// same however it was produced, and the collection merges and purges
+	// its stores without sorting them again.
+	IndexFMM = "fmm"
+	// IndexFMP is the same FM-index over the concatenation's row order,
+	// which every rebuild sorts again. Files written with it keep
+	// opening as it.
 	IndexFMP = "fmp"
 	// IndexFMZ is the same FM-index, whose files store the ISA samples
 	// as a second array of rows, packed to ⌈log₂ n⌉ bits, beside SA
@@ -202,7 +209,7 @@ func init() {
 	for _, fm := range []struct {
 		name   string
 		layout fmindex.Layout
-	}{{IndexFMP, fmindex.FMP}, {IndexFMZ, fmindex.FMZ}, {IndexFM4, fmindex.FM4}, {IndexFM, fmindex.FM}} {
+	}{{IndexFMM, fmindex.FMM}, {IndexFMP, fmindex.FMP}, {IndexFMZ, fmindex.FMZ}, {IndexFM4, fmindex.FM4}, {IndexFM, fmindex.FM}} {
 		mustRegister(fm.name, func(docs []Document, cfg IndexConfig) StaticIndex {
 			return fmindex.Build(docs, fmindex.Options{SampleRate: cfg.SampleRate, Layout: fm.layout})
 		}, func(data []byte) (StaticIndex, error) {

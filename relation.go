@@ -224,6 +224,7 @@ func (r *Relation) WaitIdle() {
 // shards.
 func (r *Relation) Stats() IndexStats {
 	st := indexStatsFrom(aggStats(perCore(&r.union, relCore.Stats, apply)))
+	st.BuiltWeight.Sorted = st.BuiltWeight.Total()
 	st.Shards = r.cfg.shards
 	st.fillResidency(r.mapped, r.SizeBits())
 	return st

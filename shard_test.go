@@ -525,6 +525,7 @@ func TestAggStatsEveryField(t *testing.T) {
 		c.DeleteBatch([]uint64{3, 5, 7, 11, 13})
 		x := c.union.cores[0]
 		want := indexStatsFrom(x.Stats())
+		want.BuiltWeight.Sorted = x.SortedWeight()
 		want.Shards = c.cfg.shards
 		want.fillResidency(nil, x.SizeBits())
 		want.Space = fmSpace(x)
