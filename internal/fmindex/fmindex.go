@@ -67,10 +67,11 @@ type buildScratch struct {
 	inv  []int32 // row-indexed int32 table: CSA inverse SA, FM separator rows, AppendDocs' LF array
 	psi  []int32 // CSA builds only
 	saws sa.Workspace
-	// A merge's (merge.go): the walked side's and the base's BWT, the
-	// LF array of whichever it walks, and the walked rows' positions.
-	mergeW, mergeB    []byte
-	mergeLF, mergePos []int32
+	// A merge's (merge.go): the walked side's and the base's BWT, a
+	// decode's scratch, the LF array of whichever it walks, and the
+	// walked rows' positions.
+	mergeW, mergeB, decode []byte
+	mergeLF, mergePos      []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}

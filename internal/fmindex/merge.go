@@ -253,7 +253,7 @@ func mergeParts(parts []Part, sc *buildScratch) *rowData {
 	switch len(rest) {
 	case 0:
 	case 1:
-		m.walked, m.walkedKeep = fromIndex(rest[0].X, sc.mergeW), rest[0].Keep
+		m.walked, m.walkedKeep = fromIndex(rest[0].X, sc), rest[0].Keep
 		sc.mergeW = m.walked.bwt
 	default:
 		m.walked = mergeParts(rest, new(buildScratch))
@@ -262,10 +262,11 @@ func mergeParts(parts []Part, sc *buildScratch) *rowData {
 }
 
 // fromIndex lays an fmm index out as rowData: its BWT decoded into
-// buf's storage, its samples widened, the rest shared.
-func fromIndex(x *Index, buf []byte) *rowData {
-	rd := &rowData{s: x.s, bwt: sa.Grow(buf, x.n), marks: x.marked.Words(), sepRows: x.sepRows, sepTargets: x.sepTargets, ids: x.docIDs}
-	x.decodeBWT(rd.bwt)
+// sc.mergeW, its samples widened, the rest shared.
+func fromIndex(x *Index, sc *buildScratch) *rowData {
+	sc.mergeW = sa.Grow(sc.mergeW, x.n)
+	rd := &rowData{s: x.s, bwt: sc.mergeW, marks: x.marked.Words(), sepRows: x.sepRows, sepTargets: x.sepTargets, ids: x.docIDs}
+	x.decodeBWT(rd.bwt, sc)
 	for b := range rd.freq {
 		rd.freq[b] = int64(x.c[b+1] - x.c[b])
 	}
@@ -280,9 +281,10 @@ func fromIndex(x *Index, buf []byte) *rowData {
 	return rd
 }
 
-// decodeBWT reads the whole BWT into dst, front to back.
-func (x *Index) decodeBWT(dst []byte) {
-	x.bwt.ByteDecoder().ReadBytes(dst[:x.n])
+// decodeBWT reads the whole BWT of an fmm index into dst, with
+// sc.decode as the tree's scratch.
+func (x *Index) decodeBWT(dst []byte, sc *buildScratch) {
+	sc.decode = x.bwt.(*wavelet.Quad).ReadAll(dst, sc.decode)
 }
 
 // merger interleaves the rows of walked's documents walkedKeep (all
@@ -300,7 +302,7 @@ func (m *merger) run(sc *buildScratch) *rowData {
 	b := m.base.X
 	bBytes := sa.Grow(sc.mergeB, b.n)
 	sc.mergeB = bBytes
-	b.decodeBWT(bBytes)
+	b.decodeBWT(bBytes, sc)
 
 	// The output's documents and their padded starts: walked's first
 	// split, base's, walked's rest.

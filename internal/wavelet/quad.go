@@ -315,6 +315,63 @@ func (q *Quad) ByteDecoder() ByteDecoder {
 	return d
 }
 
+// ReadAll writes the whole sequence to dst[:Len()] a level at a time,
+// from the deepest: an internal node's symbols are its digits, each
+// replaced by the next symbol of the child it names, or by the symbol
+// of a leaf child. A level is then one sequential pass over its digits
+// and over the child runs it reads, with no branch on a digit, where
+// ByteDecoder walks every symbol down the tree on its own. The levels
+// alternate between dst and scratch, which ReadAll grows to Len() and
+// returns for reuse.
+func (q *Quad) ReadAll(dst, scratch []byte) []byte {
+	if q.n == 0 {
+		return scratch
+	}
+	if cap(scratch) < q.n {
+		scratch = make([]byte, q.n)
+	}
+	bufs := [2][]byte{dst[:q.n], scratch[:q.n]}
+	end := len(q.nodes)
+	for d := len(q.levels) - 1; d >= 0; d-- {
+		out, in, lv := bufs[d&1], bufs[(d+1)&1], &q.levels[d]
+		first := end
+		for first > 0 && q.nodes[first-1].depth == int32(d) {
+			first--
+		}
+		for ni := first; ni < end; ni++ {
+			nd := &q.nodes[ni]
+			runEnd := lv.n
+			if ni+1 < end {
+				runEnd = int(q.nodes[ni+1].off)
+			}
+			var src [4][]byte
+			var step, cur [4]int
+			for k, ch := range nd.child {
+				if ch < 0 {
+					src[k] = symbolBytes[^ch : ^ch+1]
+				} else {
+					src[k], step[k] = in[q.nodes[ch].off:], 1
+				}
+			}
+			for p := int(nd.off); p < runEnd; p++ {
+				dg := lv.words[p>>5] >> (uint(p) & 31 << 1) & 3
+				out[p] = src[dg][cur[dg]]
+				cur[dg] += step[dg]
+			}
+		}
+		end = first
+	}
+	return scratch
+}
+
+// symbolBytes[c] is c: a leaf's one-symbol run for ReadAll.
+var symbolBytes = func() (t [256]byte) {
+	for c := range t {
+		t[c] = byte(c)
+	}
+	return t
+}()
+
 // ReadBytes fills dst with the next len(dst) symbols.
 func (d *quadDecoder) ReadBytes(dst []byte) {
 	if len(dst) > d.left {

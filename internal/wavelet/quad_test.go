@@ -302,6 +302,22 @@ func TestQuadMatchesBinaryRanks(t *testing.T) {
 	}
 }
 
+// TestQuadReadAll holds the level-at-a-time decode to the sequence, with
+// scratch too short, long enough and reused.
+func TestQuadReadAll(t *testing.T) {
+	seqs, sigmas := quadSequences(rand.New(rand.NewSource(4)))
+	var scratch []byte
+	for k, s := range seqs {
+		for form, q := range quadForms(t, newQuad(s, sigmas[k])) {
+			got := make([]byte, len(s)+3)
+			scratch = q.ReadAll(got, scratch)
+			if !bytes.Equal(got[:len(s)], s) {
+				t.Fatalf("seq %d %s: ReadAll differs from the sequence", k, form)
+			}
+		}
+	}
+}
+
 // TestQuadRanks holds the batched Ranks to RankPair, over symbols that
 // occur and symbols that do not, in batches of one to nine walks.
 func TestQuadRanks(t *testing.T) {
