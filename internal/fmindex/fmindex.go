@@ -68,10 +68,10 @@ type buildScratch struct {
 	psi  []int32 // CSA builds only
 	saws sa.Workspace
 	// A merge's (merge.go): the walked side's and the base's BWT, a
-	// decode's scratch, the LF array of whichever it walks, and the
-	// walked rows' positions.
+	// decode's scratch, the LF array of whichever it walks, the walked
+	// rows' positions and the base's symbol counts by block.
 	mergeW, mergeB, decode []byte
-	mergeLF, mergePos      []int32
+	mergeLF, mergePos, occ []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}

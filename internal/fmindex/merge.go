@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"dyncoll/internal/bitvec"
@@ -208,11 +209,14 @@ func Rebuild(parts []Part) (*Index, bool) {
 // returns the *Index, or false, having built nothing, when x or an
 // *Index part is no fmm index of x's rate, or a part is neither.
 func (x *Index) MergeDocs(parts []any, keep [][]int) (any, bool) {
+	if x.layout != FMM {
+		return nil, false
+	}
 	ps := make([]Part, len(parts))
 	for i, p := range parts {
 		switch p := p.(type) {
 		case *Index:
-			if p.layout != FMM || x.layout != FMM || p.s != x.s {
+			if p.layout != FMM || p.s != x.s {
 				return nil, false
 			}
 			ps[i] = Part{X: p, Keep: keep[i]}
@@ -237,11 +241,10 @@ func (x *Index) MergeDocs(parts []any, keep [][]int) (any, bool) {
 // the largest part is the base the others are ranked in, and those
 // others, merged first when there are several, are walked.
 func mergeParts(parts []Part, sc *buildScratch) *rowData {
-	base := 0
-	weights := make([]int, len(parts))
+	base, most := 0, -1
 	for i, p := range parts {
-		if weights[i] = p.weight(); weights[i] > weights[base] {
-			base = i
+		if w := p.weight(); w > most {
+			base, most = i, w
 		}
 	}
 	var m merger
@@ -254,9 +257,13 @@ func mergeParts(parts []Part, sc *buildScratch) *rowData {
 	case 0:
 	case 1:
 		m.walked, m.walkedKeep = fromIndex(rest[0].X, sc), rest[0].Keep
-		sc.mergeW = m.walked.bwt
 	default:
-		m.walked = mergeParts(rest, new(buildScratch))
+		inner := scratchPool.Get().(*buildScratch)
+		m.walked = mergeParts(rest, inner)
+		out := m.run(sc)
+		inner.text = m.walked.bwt
+		scratchPool.Put(inner)
+		return out
 	}
 	return m.run(sc)
 }
@@ -352,7 +359,7 @@ func (m *merger) run(sc *buildScratch) *rowData {
 		out.freq[c] = int64(b.c[c+1] - b.c[c])
 	}
 	dead := m.deadBaseRows(newDocB, bBytes, bLens, &out.freq, sc)
-	pos := m.walk(wKeep, sc)
+	pos := m.walk(wKeep, bBytes, sc)
 	base := baseRows{x: b, bwt: bBytes, marks: b.marked.Words(), dead: dead, remap: remapB, newDoc: newDocB}
 	kw, sw := 0, 0
 	for r, p := range pos {
@@ -466,7 +473,7 @@ func rangeMask(w, from, to int) uint64 {
 // C[c] plus the rank of c at the old count, as a backward search
 // step. walkLanes documents advance together, their ranks in one
 // batch (wavelet.Quad.Ranks), so that the base's cache misses overlap.
-func (m *merger) walk(wKeep []int, sc *buildScratch) []int32 {
+func (m *merger) walk(wKeep []int, bBytes []byte, sc *buildScratch) []int32 {
 	w, b := m.walked, m.base.X
 	if w == nil {
 		return nil
@@ -477,6 +484,13 @@ func (m *merger) walk(wKeep []int, sc *buildScratch) []int32 {
 	lf := lfOf(w, sa.Grow(sc.mergeLF, n))
 	sc.mergeLF = lf
 	tree := b.bwt.(*wavelet.Quad) // every fmm index's
+	// A walk of more than a sixteenth of the base's rows pays for a
+	// table that ranks with two independent loads instead of a walk
+	// down the tree.
+	var table *rankTable
+	if n*16 >= b.n {
+		table = newRankTable(bBytes, &b.c, sc)
+	}
 	var row, p, left [walkLanes]int
 	var sym [walkLanes]byte
 	active, next := 0, 0
@@ -499,7 +513,13 @@ func (m *merger) walk(wKeep []int, sc *buildScratch) []int32 {
 		for k := range active {
 			sym[k] = w.bwt[row[k]]
 		}
-		tree.Ranks(sym[:active], p[:active])
+		if table != nil {
+			for k := range active {
+				p[k] = table.rank(sym[k], p[k])
+			}
+		} else {
+			tree.Ranks(sym[:active], p[:active])
+		}
 		for k := 0; k < active; {
 			p[k] += b.c[sym[k]]
 			row[k] = int(lf[row[k]])
@@ -512,6 +532,77 @@ func (m *merger) walk(wKeep []int, sc *buildScratch) []int32 {
 			row[k], p[k], left[k], sym[k] = row[active], p[active], left[active], sym[active]
 		}
 	}
+}
+
+// rankTable counts a BWT's symbols at every block boundary, so that a
+// rank is a table entry plus a count over at most a block of bytes: two
+// loads that do not depend on each other. A block holds 64 rows per 64
+// symbols the BWT uses, so the table takes about 4 bytes per row.
+type rankTable struct {
+	bwt   []byte
+	shift uint
+	code  [256]int32 // a symbol's column, or -1 when it does not occur
+	width int        // symbols that occur
+	table []int32    // table[b·width + code[c]]: the c before block b
+}
+
+// newRankTable counts bwt, whose symbol counts c gives, into sc.occ's
+// storage.
+func newRankTable(bwt []byte, c *[257]int, sc *buildScratch) *rankTable {
+	o := &rankTable{bwt: bwt, shift: 6}
+	var present []byte
+	for s := range 256 {
+		o.code[s] = -1
+		if c[s+1] > c[s] {
+			o.code[s] = int32(len(present))
+			present = append(present, byte(s))
+		}
+	}
+	o.width = len(present)
+	for 1<<o.shift < 64*((o.width+63)/64) {
+		o.shift++
+	}
+	blocks := len(bwt)>>o.shift + 1
+	o.table = sa.Grow(sc.occ, blocks*o.width)
+	sc.occ = o.table
+	var count [256]int32
+	for b := range blocks {
+		row := o.table[b*o.width : (b+1)*o.width]
+		for i, s := range present {
+			row[i] = count[s]
+		}
+		for _, s := range bwt[b<<o.shift : min((b+1)<<o.shift, len(bwt))] {
+			count[s]++
+		}
+	}
+	return o
+}
+
+// rank is the number of c in the first p rows.
+func (o *rankTable) rank(c byte, p int) int {
+	col := o.code[c]
+	if col < 0 {
+		return 0
+	}
+	b := p >> o.shift
+	return int(o.table[b*o.width+int(col)]) + countByte(o.bwt[b<<o.shift:p], c)
+}
+
+// countByte counts the bytes of s equal to c, eight at a time: a byte
+// of s^c·0x01… is zero exactly where its high bit survives the mask.
+func countByte(s []byte, c byte) int {
+	const lows, highs = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	pat, n := uint64(c)*0x0101010101010101, 0
+	for ; len(s) >= 8; s = s[8:] {
+		x := binary.LittleEndian.Uint64(s) ^ pat
+		n += bits.OnesCount64(^((x&lows + lows) | x | lows) & highs)
+	}
+	for _, b := range s {
+		if b == c {
+			n++
+		}
+	}
+	return n
 }
 
 // deadBaseRows marks the rows of the base's documents that the merge

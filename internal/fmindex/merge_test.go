@@ -151,3 +151,27 @@ func FuzzMergeEqualsBuild(f *testing.F) {
 		mergeCase(t, docs, s, cuts, dead)
 	})
 }
+
+// TestRankTable holds the block table's ranks to counting, for
+// alphabets that take one to four blocks of 64 rows per 64 symbols.
+func TestRankTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, sigma := range []int{1, 3, 64, 65, 200, 256} {
+		bwt := make([]byte, 3000+rng.Intn(500))
+		var c [257]int
+		for i := range bwt {
+			bwt[i] = byte(rng.Intn(sigma))
+			c[int(bwt[i])+1]++
+		}
+		for s := range 256 {
+			c[s+1] += c[s]
+		}
+		table := newRankTable(bwt, &c, new(buildScratch))
+		for range 2000 {
+			sym, p := byte(rng.Intn(256)), rng.Intn(len(bwt)+1)
+			if got, want := table.rank(sym, p), bytes.Count(bwt[:p], []byte{sym}); got != want {
+				t.Fatalf("σ=%d: rank(%d, %d) = %d, want %d", sigma, sym, p, got, want)
+			}
+		}
+	}
+}
