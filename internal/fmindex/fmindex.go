@@ -49,7 +49,7 @@ type sequence interface {
 	Count(c uint32) int
 	RankPair(c uint32, i, j int) (int, int)
 	AccessRank(i int) (uint32, int)
-	ByteDecoder() wavelet.ByteDecoder
+	ReadAll(dst, scratch []byte) []byte
 	SizeBits() int64
 	EncodeTo(e *snap.Encoder)
 	EncodeMapped(e *snap.MapEncoder)

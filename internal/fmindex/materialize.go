@@ -12,9 +12,9 @@ import (
 // does): instead of one wavelet-tree rank walk per symbol it inverts
 // the BWT once.
 //
-//  1. The BWT is decoded front to back through the tree's ByteDecoder,
-//     which touches no rank directory, and in the same pass a counting sort
-//     over the C array turns each row's symbol into its LF target —
+//  1. The BWT is decoded whole (ReadAll), which touches no rank
+//     directory, and then a counting sort over the C array turns each
+//     row's symbol into its LF target —
 //     row's symbol b is the k-th b so far, so LF(row) = c[b] + k. The
 //     separator rows are then patched from sepTargets, as the LF step
 //     (lfSteps) patches them.
@@ -22,9 +22,9 @@ import (
 //     flat array from its separator's row; the symbol at each step is
 //     the first column of the row reached.
 //
-// The LF array (4 bytes per row) and the decoder state are transient:
-// the array is checked out of the build-scratch pool and the index
-// retains nothing. All payloads share one slab allocation, so a store
+// The LF array (4 bytes per row) and the decoded BWT are transient:
+// both are checked out of the build-scratch pool and the index retains
+// nothing. All payloads share one slab allocation, so a store
 // costs O(1) allocations however many documents it holds. Like Extract
 // it reads only immutable index state and is safe on any goroutine.
 func (x *Index) AppendDocs(docIdxs []int, dst []Doc) []Doc {
@@ -120,7 +120,8 @@ func (x *Index) walk(lf []int32, docIdxs []int, out []Doc) {
 	}
 }
 
-// lfArray materializes the LF mapping of every row into sc.inv.
+// lfArray materializes the LF mapping of every row into sc.inv,
+// decoding the BWT into sc.bwt.
 func (x *Index) lfArray(sc *buildScratch) []int32 {
 	lf := sa.Grow(sc.inv, x.n)
 	sc.inv = lf
@@ -128,16 +129,11 @@ func (x *Index) lfArray(sc *buildScratch) []int32 {
 	for b := range next {
 		next[b] = int32(x.c[b])
 	}
-	dec := x.bwt.ByteDecoder()
-	var chunk [4096]byte
-	for row := 0; row < x.n; {
-		m := min(x.n-row, len(chunk))
-		dec.ReadBytes(chunk[:m])
-		for _, b := range chunk[:m] {
-			lf[row] = next[b]
-			next[b]++
-			row++
-		}
+	sc.bwt = sa.Grow(sc.bwt, x.n)
+	sc.text = x.bwt.ReadAll(sc.bwt, sc.text)
+	for row, b := range sc.bwt {
+		lf[row] = next[b]
+		next[b]++
 	}
 	for i, r := range x.sepRows {
 		lf[r] = x.sepTargets[i]

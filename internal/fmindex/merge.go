@@ -6,7 +6,6 @@ import (
 
 	"dyncoll/internal/bitvec"
 	"dyncoll/internal/sa"
-	"dyncoll/internal/wavelet"
 )
 
 // Rebuilds that do not re-sort.
@@ -134,30 +133,34 @@ func buildFMM(docs []Doc, s int) *Index {
 	rd := newRowData(s, n, sc.bwt, t.docIDs, lens)
 	if n > 0 {
 		suff := sa.MultiSuffixArrayWS(text, &sc.saws)
-		// A rank over the documents' starts finds each row's document,
-		// and shift[d] takes a position of d from the concatenation to
-		// the padded layout.
-		starts := make([]uint64, n/64+1)
-		shift := make([]int32, len(docs))
-		v := 0
+		// Mark the positions at offsets 0, s, 2s, … of their documents.
+		// In text order the k-th of them is at k·s in the padded layout,
+		// so a sampled row's sample is its position's rank among them.
+		words := make([]uint64, n/64+1)
 		for d, st := range t.docStarts {
-			starts[st>>6] |= 1 << (st & 63)
-			shift[d] = int32(v) - st
-			v = roundUp(v+int(lens[d])+1, s)
+			for p := int(st); p <= int(st)+int(lens[d]); p += s {
+				words[p>>6] |= 1 << (p & 63)
+			}
 		}
-		docOf := bitvec.FromWords(starts, n)
-		m := reciprocal(s)
-		for _, p := range suff {
+		sampled := bitvec.FromWords(words, n)
+		rd.bwt = rd.bwt[:n]
+		for row, p := range suff {
 			before := int(p) - 1
 			if before < 0 {
 				before = n - 1
 			}
-			d := docOf.Rank1(int(p)+1) - 1
-			sample := int32(-1)
-			if vp := p + shift[d]; divides(m, vp) {
-				sample = vp / int32(s)
+			b := text[before]
+			rd.bwt[row] = b
+			rd.freq[b]++
+			if words[p>>6]>>(p&63)&1 != 0 {
+				rd.marks[row>>6] |= 1 << (row & 63)
+				rd.samples = append(rd.samples, int32(sampled.Rank1(int(p))))
 			}
-			rd.appendRow(text[before], sample, int32(d))
+			if b == Sep {
+				d, _ := t.posToDoc(int(p))
+				rd.sepRows = append(rd.sepRows, int32(row))
+				rd.sepTargets = append(rd.sepTargets, int32(d))
+			}
 		}
 	}
 	x := rd.finish()
@@ -288,10 +291,10 @@ func fromIndex(x *Index, sc *buildScratch) *rowData {
 	return rd
 }
 
-// decodeBWT reads the whole BWT of an fmm index into dst, with
-// sc.decode as the tree's scratch.
+// decodeBWT reads the whole BWT into dst, with sc.decode as the tree's
+// scratch.
 func (x *Index) decodeBWT(dst []byte, sc *buildScratch) {
-	sc.decode = x.bwt.(*wavelet.Quad).ReadAll(dst, sc.decode)
+	sc.decode = x.bwt.ReadAll(dst, sc.decode)
 }
 
 // merger interleaves the rows of walked's documents walkedKeep (all
@@ -483,7 +486,6 @@ func (m *merger) walk(wKeep []int, bBytes []byte, sc *buildScratch) []int32 {
 	sc.mergePos = pos
 	lf := lfOf(w, sa.Grow(sc.mergeLF, n))
 	sc.mergeLF = lf
-	tree := b.bwt.(*wavelet.Quad) // every fmm index's
 	// A walk of more than a sixteenth of the base's rows pays for a
 	// table that ranks with two independent loads instead of a walk
 	// down the tree.
@@ -513,12 +515,12 @@ func (m *merger) walk(wKeep []int, bBytes []byte, sc *buildScratch) []int32 {
 		for k := range active {
 			sym[k] = w.bwt[row[k]]
 		}
-		if table != nil {
-			for k := range active {
+		for k := range active {
+			if table != nil {
 				p[k] = table.rank(sym[k], p[k])
+			} else {
+				p[k], _ = b.bwt.RankPair(uint32(sym[k]), p[k], p[k])
 			}
-		} else {
-			tree.Ranks(sym[:active], p[:active])
 		}
 		for k := 0; k < active; {
 			p[k] += b.c[sym[k]]

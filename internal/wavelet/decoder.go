@@ -55,15 +55,13 @@ func (t *Tree) NewDecoder() *Decoder {
 	return d
 }
 
-// ByteDecoder is a front-to-back reader of a tree's sequence over a
-// byte alphabet, the bulk path of index rebuilds.
-type ByteDecoder interface {
-	ReadBytes(dst []byte)
+// ReadAll writes the whole sequence to dst[:Len()] through a Decoder,
+// as Quad.ReadAll does for the 4-ary tree; the alphabet must fit a
+// byte. It needs no scratch and returns scratch as it is.
+func (t *Tree) ReadAll(dst, scratch []byte) []byte {
+	t.NewDecoder().ReadBytes(dst[:t.n])
+	return scratch
 }
-
-// ByteDecoder returns a reader of the sequence from its start; the
-// tree's alphabet must fit a byte.
-func (t *Tree) ByteDecoder() ByteDecoder { return t.NewDecoder() }
 
 // Next returns the next symbol of the sequence.
 func (d *Decoder) Next() uint32 {

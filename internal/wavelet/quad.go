@@ -215,37 +215,6 @@ func (q *Quad) AccessRanks(pos []int, sym []uint32) {
 	}
 }
 
-// Ranks replaces each pos[k] by Rank(sym[k], pos[k]), advancing all
-// the walks together one level at a time, as AccessRanks does, so that
-// their rank-directory loads overlap. len(sym) must be at least
-// len(pos), and every pos[k] at most Len().
-func (q *Quad) Ranks(sym []byte, pos []int) {
-	sym = sym[:len(pos)]
-	for k, c := range sym {
-		if pos[k] < 0 || pos[k] > q.n {
-			panic(fmt.Sprintf("wavelet: Ranks position %d out of range [0,%d]", pos[k], q.n))
-		}
-		if int(c) >= q.sigma || q.at[c] == q.at[int(c)+1] {
-			pos[k] = 0 // a symbol that does not occur
-		}
-	}
-	for depth, walking := int32(0), true; walking; depth++ {
-		walking = false
-		for k, c := range sym {
-			if int(c) >= q.sigma {
-				continue
-			}
-			at := q.at[c] + depth
-			if at >= q.at[int(c)+1] {
-				continue
-			}
-			walking = true
-			st := &q.steps[at]
-			pos[k] = q.levels[depth].rank(uint(st.digit), int(st.off)+pos[k]) - int(st.before)
-		}
-	}
-}
-
 // Count returns the number of occurrences of symbol c.
 func (q *Quad) Count(c uint32) int {
 	if int(c) >= q.sigma {
@@ -293,36 +262,14 @@ func (q *Quad) SizeBits() int64 {
 	return total
 }
 
-// quadDecoder reads a Quad front to back, one digit per level, with one
-// cursor per internal node — Decoder's scheme with four children.
-type quadDecoder struct {
-	cursors []quadCursor
-	left    int
-}
-
-type quadCursor struct {
-	words []uint64 // the node's level
-	pos   int      // digit position of the node's next unread digit
-	child [4]int32
-}
-
-// ByteDecoder returns a reader of the sequence from its start.
-func (q *Quad) ByteDecoder() ByteDecoder {
-	d := &quadDecoder{left: q.n, cursors: make([]quadCursor, len(q.nodes))}
-	for i, nd := range q.nodes {
-		d.cursors[i] = quadCursor{words: q.levels[nd.depth].words, pos: int(nd.off), child: nd.child}
-	}
-	return d
-}
-
 // ReadAll writes the whole sequence to dst[:Len()] a level at a time,
 // from the deepest: an internal node's symbols are its digits, each
 // replaced by the next symbol of the child it names, or by the symbol
 // of a leaf child. A level is then one sequential pass over its digits
-// and over the child runs it reads, with no branch on a digit, where
-// ByteDecoder walks every symbol down the tree on its own. The levels
-// alternate between dst and scratch, which ReadAll grows to Len() and
-// returns for reuse.
+// and over the child runs it reads, with no branch on a digit, where a
+// symbol-by-symbol reader would walk each down the tree on its own. The
+// levels alternate between dst and scratch, which ReadAll grows to
+// Len() and returns for reuse.
 func (q *Quad) ReadAll(dst, scratch []byte) []byte {
 	if q.n == 0 {
 		return scratch
@@ -371,25 +318,6 @@ var symbolBytes = func() (t [256]byte) {
 	}
 	return t
 }()
-
-// ReadBytes fills dst with the next len(dst) symbols.
-func (d *quadDecoder) ReadBytes(dst []byte) {
-	if len(dst) > d.left {
-		panic(fmt.Sprintf("wavelet: decoding %d symbols with %d left", len(dst), d.left))
-	}
-	d.left -= len(dst)
-	cursors := d.cursors
-	for i := range dst {
-		ni := int32(0)
-		for ni >= 0 {
-			c := &cursors[ni]
-			p := c.pos
-			c.pos = p + 1
-			ni = c.child[c.words[p>>5]>>(uint(p)&31<<1)&3]
-		}
-		dst[i] = byte(^ni)
-	}
-}
 
 const (
 	quadBlockDigits = 256 // digits per directory block: 8 words

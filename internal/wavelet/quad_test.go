@@ -244,11 +244,9 @@ func checkQuad(t *testing.T, form string, q *Quad, s []byte, sigma int) {
 		}
 	}
 	got := make([]byte, len(s))
-	dec := q.ByteDecoder()
-	dec.ReadBytes(got[:len(got)/3])
-	dec.ReadBytes(got[len(got)/3:])
+	q.ReadAll(got, nil)
 	if !bytes.Equal(got, s) {
-		t.Fatalf("%s: decoder reads a different sequence", form)
+		t.Fatalf("%s: ReadAll reads a different sequence", form)
 	}
 }
 
@@ -297,46 +295,6 @@ func TestQuadMatchesBinaryRanks(t *testing.T) {
 			bi, bj := b.RankPair(c, i, j)
 			if qi != bi || qj != bj {
 				t.Fatalf("seq %d: RankPair(%d, %d, %d) = %d,%d, binary %d,%d", k, c, i, j, qi, qj, bi, bj)
-			}
-		}
-	}
-}
-
-// TestQuadReadAll holds the level-at-a-time decode to the sequence, with
-// scratch too short, long enough and reused.
-func TestQuadReadAll(t *testing.T) {
-	seqs, sigmas := quadSequences(rand.New(rand.NewSource(4)))
-	var scratch []byte
-	for k, s := range seqs {
-		for form, q := range quadForms(t, newQuad(s, sigmas[k])) {
-			got := make([]byte, len(s)+3)
-			scratch = q.ReadAll(got, scratch)
-			if !bytes.Equal(got[:len(s)], s) {
-				t.Fatalf("seq %d %s: ReadAll differs from the sequence", k, form)
-			}
-		}
-	}
-}
-
-// TestQuadRanks holds the batched Ranks to RankPair, over symbols that
-// occur and symbols that do not, in batches of one to nine walks.
-func TestQuadRanks(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	seqs, sigmas := quadSequences(rng)
-	for k, s := range seqs {
-		q := newQuad(s, sigmas[k])
-		for range 500 {
-			n := 1 + rng.Intn(9)
-			sym, pos, want := make([]byte, n), make([]int, n), make([]int, n)
-			for i := range pos {
-				sym[i], pos[i] = byte(rng.Intn(256)), rng.Intn(len(s)+1)
-				want[i], _ = q.RankPair(uint32(sym[i]), pos[i], pos[i])
-			}
-			q.Ranks(sym, pos)
-			for i := range pos {
-				if pos[i] != want[i] {
-					t.Fatalf("seq %d: Ranks gave %d for symbol %d, RankPair %d", k, pos[i], sym[i], want[i])
-				}
 			}
 		}
 	}
