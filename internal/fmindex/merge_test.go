@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyncoll/internal/snap"
@@ -174,4 +175,25 @@ func TestRankTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFMMHostile: an fmm payload whose padded document table
+// contradicts its rows or its marks, or whose SA samples are not a
+// permutation, fails the v1 decoder with ErrBadSnapshot, and the mapped
+// open refuses the table cases alike.
+func TestFMMHostile(t *testing.T) {
+	x := Build(testDocs(40, rand.New(rand.NewSource(53))), Options{SampleRate: 4, Layout: FMM})
+	ends := func(y *Index) *packed {
+		y.ends.words = slices.Clone(y.ends.words)
+		return &y.ends
+	}
+	last := x.DocCount() - 1
+	checkHostile(t, x, FMM, []hostileCase{
+		{"document ending at its start", func(x, y *Index) { ends(y).set(1, uint64(x.start(1))) }},
+		{"last document one symbol longer", func(x, y *Index) { ends(y).set(last, uint64(x.ends.get(last)+1)) }},
+		{"last document a stride longer", func(x, y *Index) { ends(y).set(last, uint64(x.ends.get(last)+x.s)) }},
+		{"SA sample repeated", func(_, y *Index) { y.saSamp.set(0, uint64(y.saSamp.get(1))) }},
+	}, map[string]bool{
+		"document ending at its start": true, "last document one symbol longer": true, "last document a stride longer": true,
+	})
 }
