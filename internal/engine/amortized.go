@@ -168,7 +168,7 @@ func (a *Amortized[K, I]) mergeInto(j int, extra []I) {
 
 // build builds a static store over items already materialized.
 func (a *Amortized[K, I]) build(items []I) Store[K, I] {
-	return a.cfg.Build([]Snapshot[I]{Items(items, a.cfg.Weight)}, a.tau)
+	return a.cfg.Build([]Snapshot[I]{itemsSnapshot(items, a.cfg.Weight)}, a.tau)
 }
 
 // maybeGlobalRebuild triggers the paper's global rebuild once the live

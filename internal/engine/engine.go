@@ -85,8 +85,8 @@ type Snapshot[I any] struct {
 	Source any
 }
 
-// Items is the snapshot of items already materialized.
-func Items[I any](items []I, weight func(I) int) Snapshot[I] {
+// itemsSnapshot is the snapshot of items already materialized.
+func itemsSnapshot[I any](items []I, weight func(I) int) Snapshot[I] {
 	return Snapshot[I]{
 		Count:       len(items),
 		Weight:      int(weightOf(items, weight)),

@@ -164,7 +164,7 @@ func (t *buildTask[K, I]) itemCount() int {
 func (t *buildTask[K, I]) snapshots(weight func(I) int) []Snapshot[I] {
 	src := make([]Snapshot[I], 0, 1+len(t.lazy))
 	if len(t.eager) > 0 {
-		src = append(src, Items(t.eager, weight))
+		src = append(src, itemsSnapshot(t.eager, weight))
 	}
 	return append(src, t.lazy...)
 }
@@ -295,7 +295,7 @@ func (w *WorstCase[K, I]) launch(t *buildTask[K, I]) {
 			// Split across tops: the chunks are cut from the items.
 			items, _ := Materialize(src)
 			for _, chunk := range splitItems(items, weight, t.split) {
-				out = append(out, build([]Snapshot[I]{Items(chunk, weight)}, tau))
+				out = append(out, build([]Snapshot[I]{itemsSnapshot(chunk, weight)}, tau))
 			}
 		} else {
 			out = append(out, build(src, tau))
