@@ -34,7 +34,7 @@ import (
 //     arrays for massive data", SPIRE 2009). A sample of the second
 //     list moves up by the padded length of the first.
 //
-// Rebuild merges and purges at once: it walks every part but the
+// rebuild merges and purges at once: it walks every part but the
 // largest through its own LF and ranks in the largest, then writes all
 // rows in one sequential pass and builds the tree and the shortcuts
 // over them, as a build does after sorting (rowData.finish).
@@ -88,7 +88,7 @@ func (rd *rowData) appendRow(b byte, sample, doc int32) {
 }
 
 // finish builds the index over the rows: the tree, the marks, the SA
-// samples and the shortcuts through them. Build, Rebuild and nothing
+// samples and the shortcuts through them. Build, rebuild and nothing
 // else make fmm indexes, both through here.
 func (rd *rowData) finish() *Index {
 	n := len(rd.bwt)
@@ -168,15 +168,15 @@ func buildFMM(docs []Doc, s int) *Index {
 	return x
 }
 
-// Part is one input of Rebuild: an fmm index, and the documents of it
+// part is one input of rebuild: an fmm index, and the documents of it
 // that the result keeps, ascending.
-type Part struct {
+type part struct {
 	X    *Index
 	Keep []int
 }
 
 // weight is the number of rows the part keeps.
-func (p Part) weight() int {
+func (p part) weight() int {
 	w := 0
 	for _, d := range p.Keep {
 		w += p.X.DocLen(d) + 1
@@ -184,12 +184,12 @@ func (p Part) weight() int {
 	return w
 }
 
-// Rebuild returns the fmm index over the documents parts[0].Keep of
+// rebuild returns the fmm index over the documents parts[0].Keep of
 // parts[0].X, then parts[1].Keep of parts[1].X, and so on: byte for
 // byte the index Build makes of those documents in that order, made
 // without sorting anything. It reports false, and builds nothing,
 // unless every part is an fmm index of one sample rate.
-func Rebuild(parts []Part) (*Index, bool) {
+func rebuild(parts []part) (*Index, bool) {
 	if len(parts) == 0 {
 		return nil, false
 	}
@@ -206,7 +206,7 @@ func Rebuild(parts []Part) (*Index, bool) {
 	return x, true
 }
 
-// MergeDocs is Rebuild for a caller that holds indexes as interface
+// MergeDocs is rebuild for a caller that holds indexes as interface
 // values: each of parts is an *Index, of which it keeps the documents
 // keep[i], or a []Doc, which it builds at x's sample rate first. It
 // returns the *Index, or false, having built nothing, when x or an
@@ -215,14 +215,14 @@ func (x *Index) MergeDocs(parts []any, keep [][]int) (any, bool) {
 	if x.layout != FMM {
 		return nil, false
 	}
-	ps := make([]Part, len(parts))
+	ps := make([]part, len(parts))
 	for i, p := range parts {
 		switch p := p.(type) {
 		case *Index:
 			if p.layout != FMM || p.s != x.s {
 				return nil, false
 			}
-			ps[i] = Part{X: p, Keep: keep[i]}
+			ps[i] = part{X: p, Keep: keep[i]}
 		case []Doc:
 		default:
 			return nil, false
@@ -230,20 +230,20 @@ func (x *Index) MergeDocs(parts []any, keep [][]int) (any, bool) {
 	}
 	for i, p := range parts {
 		if docs, ok := p.([]Doc); ok {
-			ps[i] = Part{X: buildFMM(docs, x.s), Keep: make([]int, len(docs))}
+			ps[i] = part{X: buildFMM(docs, x.s), Keep: make([]int, len(docs))}
 			for d := range docs {
 				ps[i].Keep[d] = d
 			}
 		}
 	}
-	out, ok := Rebuild(ps)
+	out, ok := rebuild(ps)
 	return out, ok
 }
 
 // mergeParts lays out the rows of the parts' kept documents, in order:
 // the largest part is the base the others are ranked in, and those
 // others, merged first when there are several, are walked.
-func mergeParts(parts []Part, sc *buildScratch) *rowData {
+func mergeParts(parts []part, sc *buildScratch) *rowData {
 	base, most := 0, -1
 	for i, p := range parts {
 		if w := p.weight(); w > most {
@@ -301,7 +301,7 @@ func (x *Index) decodeBWT(dst []byte, sc *buildScratch) {
 // of them when nil) with those of base's kept documents: walked's
 // first split kept documents go before base's, the rest after.
 type merger struct {
-	base       Part
+	base       part
 	walked     *rowData
 	walkedKeep []int
 	split      int
@@ -474,8 +474,10 @@ func rangeMask(w, from, to int) uint64 {
 // when its document goes after the base's and before all of them
 // otherwise; each step back prepends a symbol c, and the count becomes
 // C[c] plus the rank of c at the old count, as a backward search
-// step. walkLanes documents advance together, their ranks in one
-// batch (wavelet.Quad.Ranks), so that the base's cache misses overlap.
+// step. The ranks come from a block table of the base's symbol counts
+// (rankTable): two loads that do not depend on each other, where the
+// tree's rank walks its levels one after another. walkLanes documents
+// advance together, so that the base's cache misses overlap.
 func (m *merger) walk(wKeep []int, bBytes []byte, sc *buildScratch) []int32 {
 	w, b := m.walked, m.base.X
 	if w == nil {
@@ -486,13 +488,7 @@ func (m *merger) walk(wKeep []int, bBytes []byte, sc *buildScratch) []int32 {
 	sc.mergePos = pos
 	lf := lfOf(w, sa.Grow(sc.mergeLF, n))
 	sc.mergeLF = lf
-	// A walk of more than a sixteenth of the base's rows pays for a
-	// table that ranks with two independent loads instead of a walk
-	// down the tree.
-	var table *rankTable
-	if n*16 >= b.n {
-		table = newRankTable(bBytes, &b.c, sc)
-	}
+	table := newRankTable(bBytes, &b.c, sc)
 	var row, p, left [walkLanes]int
 	var sym [walkLanes]byte
 	active, next := 0, 0
@@ -516,11 +512,7 @@ func (m *merger) walk(wKeep []int, bBytes []byte, sc *buildScratch) []int32 {
 			sym[k] = w.bwt[row[k]]
 		}
 		for k := range active {
-			if table != nil {
-				p[k] = table.rank(sym[k], p[k])
-			} else {
-				p[k], _ = b.bwt.RankPair(uint32(sym[k]), p[k], p[k])
-			}
+			p[k] = table.rank(sym[k], p[k])
 		}
 		for k := 0; k < active; {
 			p[k] += b.c[sym[k]]
@@ -609,9 +601,8 @@ func countByte(s []byte, c byte) int {
 
 // deadBaseRows marks the rows of the base's documents that the merge
 // drops, and takes their symbols off freq; nil when it keeps them all.
-// A few are found as a delete finds them (ForDocRows); more, walking
-// each from its separator through an LF array of the base, walkLanes
-// documents at a time.
+// It walks each from its separator through an LF array of the base,
+// walkLanes documents at a time.
 func (m *merger) deadBaseRows(newDocB []int32, bBytes []byte, bLens []int32, freq *[256]int64, sc *buildScratch) []uint64 {
 	b := m.base.X
 	if len(m.base.Keep) == b.DocCount() {
@@ -623,18 +614,10 @@ func (m *merger) deadBaseRows(newDocB []int32, bBytes []byte, bLens []int32, fre
 		freq[bBytes[row]]--
 	}
 	var docs []int
-	rows := 0
 	for d, nd := range newDocB {
 		if nd < 0 {
 			docs = append(docs, d)
-			rows += int(bLens[d]) + 1
 		}
-	}
-	if rows*16 < b.n {
-		for _, d := range docs {
-			b.ForDocRows(d, mark)
-		}
-		return dead
 	}
 	rd := &rowData{bwt: bBytes, sepRows: b.sepRows, sepTargets: b.sepTargets}
 	for c := range rd.freq {

@@ -20,19 +20,19 @@ func encodings(x *Index) (v1, v2 []byte) {
 }
 
 // mergeCase splits docs into parts at the given cuts, keeps the
-// documents keep says to, and holds Rebuild to Build over the kept
+// documents keep says to, and holds rebuild to Build over the kept
 // documents in order: the same v1 and v2 bytes, and no row of the
 // result more than s-1 LF steps from a sample.
 func mergeCase(t *testing.T, docs []Doc, s int, cuts []int, dead []bool) {
 	t.Helper()
-	var parts []Part
+	var parts []part
 	var kept []Doc
 	for i, lo := range cuts {
 		hi := len(docs)
 		if i+1 < len(cuts) {
 			hi = cuts[i+1]
 		}
-		p := Part{X: Build(docs[lo:hi], Options{SampleRate: s, Layout: FMM}), Keep: []int{}}
+		p := part{X: Build(docs[lo:hi], Options{SampleRate: s, Layout: FMM}), Keep: []int{}}
 		for d := lo; d < hi; d++ {
 			if !dead[d] {
 				p.Keep = append(p.Keep, d-lo)
@@ -41,9 +41,9 @@ func mergeCase(t *testing.T, docs []Doc, s int, cuts []int, dead []bool) {
 		}
 		parts = append(parts, p)
 	}
-	got, ok := Rebuild(parts)
+	got, ok := rebuild(parts)
 	if !ok {
-		t.Fatal("Rebuild refused fmm parts")
+		t.Fatal("rebuild refused fmm parts")
 	}
 	want := Build(kept, Options{SampleRate: s, Layout: FMM})
 	g1, g2 := encodings(got)
@@ -116,15 +116,15 @@ func TestRebuildRefusesOtherLayouts(t *testing.T) {
 	docs := []Doc{{ID: 1, Data: []byte("abc")}}
 	fmm := Build(docs, Options{SampleRate: 4, Layout: FMM})
 	for _, other := range []*Index{Build(docs, Options{SampleRate: 4}), Build(docs, Options{SampleRate: 8, Layout: FMM})} {
-		if _, ok := Rebuild([]Part{{X: fmm, Keep: []int{0}}, {X: other, Keep: []int{0}}}); ok {
-			t.Fatalf("Rebuild took a %v index of rate %d beside an fmm one of rate 4", other.layout, other.s)
+		if _, ok := rebuild([]part{{X: fmm, Keep: []int{0}}, {X: other, Keep: []int{0}}}); ok {
+			t.Fatalf("rebuild took a %v index of rate %d beside an fmm one of rate 4", other.layout, other.s)
 		}
 	}
 }
 
 // FuzzMergeEqualsBuild is the merge oracle: documents cut out of data
 // at 0xff bytes, split into parts and thinned by ctl, a sample rate of
-// 1 to 17, and Rebuild held to Build over what survives.
+// 1 to 17, and rebuild held to Build over what survives.
 func FuzzMergeEqualsBuild(f *testing.F) {
 	f.Add([]byte("abracadabra\xffabracadabra\xff\xffa\xffbanana"), uint64(0x5a5a), uint8(3))
 	f.Add([]byte("aaaa\xffaaaa\xffaaaa\xffa\xff\xff"), uint64(0xf0f0), uint8(3))

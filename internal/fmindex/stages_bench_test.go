@@ -60,15 +60,16 @@ func rebuildStages(b *testing.B, shape string, size int, layout Layout) {
 }
 
 // BenchmarkMergeStages prices the rebuilds of fmm indexes that do not
-// sort (merge.go) on the bench corpus: a merge of a store into one four
-// times its size, the larger holding an eighth of its documents dead,
-// and a purge of a quarter of a store's documents; beside them, a
-// fresh build over what the rebuild keeps. Bytes are the rows kept.
+// sort (merge.go) on the bench corpus, over a 2 MiB base: merges of a
+// store a sixty-fourth and a quarter of the base's size into it, and
+// purges of a sixty-fourth and a quarter of its documents; beside each,
+// a fresh build over what the rebuild keeps. Bytes are the rows kept.
 func BenchmarkMergeStages(b *testing.B) {
 	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 1}).GenerateTotal(5 << 19)
 	opts := Options{Layout: FMM}
 	cut := len(docs) / 5
-	small, large := Build(docs[:cut], opts), Build(docs[cut:], opts)
+	base := Build(docs[cut:], opts)
+	quarter, tiny := Build(docs[:cut], opts), Build(docs[:(len(docs)-cut)/64], opts)
 	keep := func(x *Index, every int) []int {
 		var k []int
 		for d := range x.DocCount() {
@@ -78,12 +79,15 @@ func BenchmarkMergeStages(b *testing.B) {
 		}
 		return k
 	}
+	all := keep(base, 0)
 	for _, c := range []struct {
 		name  string
-		parts []Part
+		parts []part
 	}{
-		{"merge", []Part{{small, keep(small, 0)}, {large, keep(large, 8)}}},
-		{"purge", []Part{{large, keep(large, 4)}}},
+		{"merge64", []part{{tiny, keep(tiny, 0)}, {base, all}}},
+		{"merge4", []part{{quarter, keep(quarter, 0)}, {base, all}}},
+		{"purge64", []part{{base, keep(base, 64)}}},
+		{"purge4", []part{{base, keep(base, 4)}}},
 	} {
 		var kept []Doc
 		rows := 0
@@ -93,14 +97,17 @@ func BenchmarkMergeStages(b *testing.B) {
 				rows += p.X.DocLen(d) + 1
 			}
 		}
-		for name, fn := range map[string]func(){
-			"rebuild": func() { Rebuild(c.parts) },
-			"build":   func() { Build(kept, opts) },
+		for _, stage := range []struct {
+			name string
+			fn   func()
+		}{
+			{"rebuild", func() { rebuild(c.parts) }},
+			{"build", func() { Build(kept, opts) }},
 		} {
-			b.Run(c.name+"/"+name, func(b *testing.B) {
+			b.Run(c.name+"/"+stage.name, func(b *testing.B) {
 				b.SetBytes(int64(rows))
 				for range b.N {
-					fn()
+					stage.fn()
 				}
 			})
 		}
