@@ -23,9 +23,11 @@ func ablation(quick bool) {
 }
 
 // ablationTau sweeps τ: larger τ ⇒ purge at a smaller dead fraction, so
-// less space is wasted on dead symbols and bookkeeping (O(n·log τ/τ)
-// bits) but deletions trigger rebuilds more often — the paper's
-// O(u(n)·τ) term in the deletion cost.
+// less space is wasted on dead symbols but deletions trigger rebuilds
+// more often — the paper's O(u(n)·τ) term in the deletion cost. The
+// deletion bitmap is Lemma 2's n bits at every τ; the paper's Lemma 3
+// would shrink it to O(n·log τ/τ) bits, which this library does not
+// implement (DESIGN, "Lemma 2 or Lemma 3 for V").
 func ablationTau(quick bool) {
 	fmt.Println("=== Ablation: τ (space overhead vs deletion rebuild work) ===")
 	fmt.Println("paper: space overhead O((log σ+log τ)/τ)/sym; deletion cost carries O(u·τ)")
@@ -76,7 +78,7 @@ func ablationTau(quick bool) {
 			tau, bits, float64(tCount.Nanoseconds())/1e3, st.Purges, delNs)
 	}
 	fmt.Println("\nshape check: purges (and so deletion rebuild work) rise with τ while the")
-	fmt.Println("space overhead — dead weight plus V bookkeeping — falls, the paper's trade.")
+	fmt.Println("space overhead — dead weight; V is n bits throughout — falls, the paper's trade.")
 }
 
 // ablationEpsilon sweeps ε: smaller ε ⇒ more levels, cheaper per-level

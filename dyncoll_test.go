@@ -1,7 +1,9 @@
 package dyncoll
 
 import (
+	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -263,5 +265,89 @@ func TestCollectionStats(t *testing.T) {
 	}
 	if w.Stats().Tops == 0 && a.Stats().Tops != 0 {
 		t.Fatal("Tops should only apply to worst-case") // sanity of zero-field contract
+	}
+}
+
+// TestHugeTau runs collections at τ = 2⁶² through inserts, deletes,
+// counts, a save and load and a mapped open, in both transformations.
+// Any product with such a τ overflows, so the engine divides by τ
+// instead: the worst-case sweep interval and group weight once wrapped
+// to zero and were divided by.
+func TestHugeTau(t *testing.T) {
+	const tau = 1 << 62
+	for name, tr := range map[string]Transformation{"worstcase": WorstCase, "amortized": Amortized} {
+		t.Run(name, func(t *testing.T) {
+			c := mustCollection(t, WithTransformation(tr), WithTau(tau), WithSyncRebuilds())
+			live := map[uint64][]byte{}
+			for i := uint64(0); i < 200; i++ {
+				data := []byte(fmt.Sprintf("doc %d abra%dcadabra", i, i%7))
+				mustInsert(t, c, Document{ID: i, Data: data})
+				live[i] = data
+			}
+			check := func(c *Collection, stage string) {
+				t.Helper()
+				for _, p := range []string{"abra", "abra3", "doc 1", "cadabra"} {
+					want := 0
+					for _, d := range live {
+						want += bytes.Count(d, []byte(p))
+					}
+					if got := c.Count([]byte(p)); got != want {
+						t.Fatalf("%s: Count(%q) = %d, want %d", stage, p, got, want)
+					}
+				}
+				if got := c.Stats().Tau; got != tau {
+					t.Fatalf("%s: τ = %d, want %d", stage, got, tau)
+				}
+			}
+			del := func(c *Collection, from, step uint64) {
+				t.Helper()
+				for id := from; id < 200; id += step {
+					if _, ok := live[id]; !ok {
+						continue
+					}
+					if err := c.Delete(id); err != nil {
+						t.Fatalf("Delete(%d): %v", id, err)
+					}
+					delete(live, id)
+				}
+			}
+			del(c, 0, 3)
+			check(c, "after deletes")
+
+			var buf bytes.Buffer
+			if err := c.Save(&buf); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			loaded := mustCollection(t)
+			if err := loaded.Load(&buf); err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			path := filepath.Join(t.TempDir(), "huge-tau.dcm")
+			if err := c.SaveMappedFile(path); err != nil {
+				t.Fatalf("SaveMappedFile: %v", err)
+			}
+			mapped, err := OpenMappedCollection(path)
+			if err != nil {
+				t.Fatalf("OpenMappedCollection: %v", err)
+			}
+			defer mapped.Close()
+			for stage, c := range map[string]*Collection{"loaded": loaded, "mapped": mapped} {
+				check(c, stage)
+			}
+			// Deletes after a reopen run the restored τ through the same
+			// thresholds.
+			snapshot := map[uint64][]byte{}
+			for id, d := range live {
+				snapshot[id] = d
+			}
+			for stage, c := range map[string]*Collection{"loaded": loaded, "mapped": mapped} {
+				live = map[uint64][]byte{}
+				for id, d := range snapshot {
+					live[id] = d
+				}
+				del(c, 1, 4)
+				check(c, stage+" then deletes")
+			}
+		})
 	}
 }

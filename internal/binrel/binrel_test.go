@@ -289,7 +289,7 @@ func TestSemiRelDirect(t *testing.T) {
 	pairs := []Pair{
 		{1, 10}, {1, 20}, {2, 10}, {3, 30}, {3, 10}, {3, 20},
 	}
-	r := buildSemi(pairs, 4)
+	r := buildSemi(pairs)
 	if r.live != 6 {
 		t.Fatalf("live = %d", r.live)
 	}
@@ -336,16 +336,15 @@ func TestSemiRelDirect(t *testing.T) {
 }
 
 // TestSemiRelBitmapBits checks that the deletion bitmaps D and D_a of a
-// store at the engine's automatic τ take the dense form: a Lemma 3 zero
-// list costs a slice header per τ-bit word, more than the bits it
-// covers.
+// store cost a few bits per pair: D with its rank structure and the
+// D_a together stay under 4.
 func TestSemiRelBitmapBits(t *testing.T) {
 	const n = 1 << 16
 	pairs := make([]Pair, n)
 	for i := range pairs {
 		pairs[i] = Pair{Object: uint64(i) >> 4, Label: uint64(i) & 15}
 	}
-	r := buildSemi(pairs, 4)
+	r := buildSemi(pairs)
 	r.Delete(Pair{Object: 7, Label: 3})
 	bits := r.alive.SizeBits()
 	for _, d := range r.perLabel {

@@ -1,21 +1,23 @@
 package binrel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"dyncoll/internal/engine"
 	"dyncoll/internal/snap"
 	"dyncoll/internal/sparsebits"
 )
 
-// TestSemiRelBitmapLifecycle holds a relation store — heap-built,
-// v1-decoded and mapped-opened — to the deletion state's lifecycle: none
-// until the first Delete, so SizeBits is the static encoding's alone;
-// exactly D (with its rank structure), the D_a bitmaps and their live
-// counters after it; and counts after random deletes that equal a
+// TestSemiRelBitmapLifecycle holds a relation store — built by a ladder
+// at τ, heap-built, v1-decoded and mapped-opened — to the deletion
+// state's lifecycle: none until the first Delete, so SizeBits is the
+// static encoding's alone; exactly D (a ranked Dense), the D_a (Dense)
+// and their live counters after it, whatever τ is (256 and 4096 once got
+// Lemma 3's zero lists); and counts after random deletes that equal a
 // count of the live pairs in a model.
 func TestSemiRelBitmapLifecycle(t *testing.T) {
-	const tau = 6
 	rng := rand.New(rand.NewSource(47))
 	seen := map[Pair]bool{}
 	var pairs []Pair
@@ -30,28 +32,37 @@ func TestSemiRelBitmapLifecycle(t *testing.T) {
 		}
 	}
 	var c pairCodec
-	built, _ := c.BuildStore(append([]Pair(nil), pairs...), 0, tau)
+	built, _ := c.BuildStore(append([]Pair(nil), pairs...), 0)
 	var v1 snap.Encoder
 	c.EncodeStore(&v1, built)
-	decoded, err := c.DecodeStore(snap.NewDecoder(v1.Bytes()), 0, tau)
+	decoded, err := c.DecodeStore(snap.NewDecoder(v1.Bytes()), 0)
 	if err != nil {
 		t.Fatalf("v1 decode: %v", err)
 	}
 	var meta snap.Encoder
 	payload := c.EncodeMapped(&meta, built)
-	mapped, err := c.OpenMapped(snap.NewDecoder(meta.Bytes()), payload, 0, tau)
+	mapped, err := c.OpenMapped(snap.NewDecoder(meta.Bytes()), payload, 0)
 	if err != nil {
 		t.Fatalf("mapped open: %v", err)
 	}
-	for form, st := range map[string]any{"heap": built, "v1": decoded, "mapped": mapped} {
+	forms := map[string]any{"heap": built, "v1": decoded, "mapped": mapped}
+	for _, tau := range []int{6, 256, 4096} {
+		src := []engine.Snapshot[Pair]{{
+			Count:       len(pairs),
+			Weight:      len(pairs),
+			Materialize: func(dst []Pair) []Pair { return append(dst, pairs...) },
+		}}
+		forms[fmt.Sprintf("ladder-tau%d", tau)] = ladderConfig(Options{Tau: tau}).Build(src)
+	}
+	for form, st := range forms {
 		r := st.(*semiRel)
 		static := r.s.SizeBits() + int64(len(r.objects))*64 + int64(len(r.labels))*64 + int64(len(r.starts))*32
 		if got := r.SizeBits(); got != static {
 			t.Fatalf("%s: %d bits before any delete, the static encoding is %d", form, got, static)
 		}
-		deletion := sparsebits.New(r.s.Len(), tau, true).SizeBits() + int64(len(r.labels))*32
+		deletion := sparsebits.NewDense(r.s.Len(), true).SizeBits() + int64(len(r.labels))*32
 		for a := range r.labels {
-			deletion += sparsebits.New(r.s.Count(uint32(a)), tau, false).SizeBits()
+			deletion += sparsebits.NewDense(r.s.Count(uint32(a)), false).SizeBits()
 		}
 		live := map[Pair]bool{}
 		for _, p := range pairs {

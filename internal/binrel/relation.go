@@ -12,8 +12,8 @@
 // so that listing/counting labels of an object, objects of a label, and
 // membership all reduce to rank/select/access on S and N. Deletions are
 // lazy, recorded in bitmaps D (over S) and D_a (one per label), with the
-// Lemma 2 or 3 structure (sparsebits.New) making live entries reportable
-// in O(1) each.
+// Lemma 2 structure (sparsebits.Dense) making live entries reportable in
+// O(1) each.
 //
 // The package is the paper's "Theorem 2 is a corollary" argument made
 // literal: it contains no transformation ladder of its own. The static
@@ -37,9 +37,11 @@ import (
 // Options configure a dynamic Relation.
 type Options struct {
 	// Tau is the lazy-deletion trade-off parameter τ; a sub-collection is
-	// purged once more than a 1/τ fraction of its pairs is dead. 0 means
-	// automatic (τ = log n / log log n, the paper's choice, recomputed at
-	// global rebuilds).
+	// purged once more than a 1/τ fraction of its pairs is dead. The
+	// deletion bitmaps are Lemma 2's whatever τ is: about 1.5 bits per
+	// pair for D with its rank structure, and one for the D_a, once a
+	// store has a deletion. 0 means automatic (τ = log n / log log n, the
+	// paper's choice, recomputed at global rebuilds).
 	Tau int
 
 	// Epsilon is the geometric growth exponent of sub-collection
@@ -208,8 +210,8 @@ func ladderConfig(opts Options) engine.Config[Pair, Pair] {
 		Key:    func(p Pair) Pair { return p },
 		Weight: func(Pair) int { return 1 },
 		NewC0:  func() engine.Mutable[Pair, Pair] { return newC0rel() },
-		Build: engine.BuildItems(func(pairs []Pair, tau int) engine.Store[Pair, Pair] {
-			return buildSemi(pairs, tau)
+		Build: engine.BuildItems(func(pairs []Pair) engine.Store[Pair, Pair] {
+			return buildSemi(pairs)
 		}),
 		Tau:         opts.Tau,
 		Epsilon:     opts.Epsilon,

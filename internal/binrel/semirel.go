@@ -25,19 +25,17 @@ type semiRel struct {
 
 	s *wavelet.Tree // labels of S in the local alphabet
 
-	tau int // Lemma 3 word width, kept for the first Delete
-
 	// Deletion state. All three are nil until the store's first Delete
 	// — nil means "every pair is live" — and materialize together then
 	// (see materialize), whether the store was built, loaded or mapped.
 	//
 	// alive is D: 1 = pair live. It carries a rank structure (the paper
 	// cites [20] for this role), so countLabels counts in O(log n).
-	alive sparsebits.Bitmap
+	alive *sparsebits.Dense
 
 	// perLabel[a] marks which occurrences of local label a are live
 	// (the D_a bitmaps) plus a live counter for O(1) counting.
-	perLabel  []sparsebits.Bitmap
+	perLabel  []*sparsebits.Dense
 	liveCount []int32
 
 	live int // live pairs
@@ -45,16 +43,8 @@ type semiRel struct {
 }
 
 // buildSemi constructs the deletion-only structure over pairs. The pair
-// slice is sorted in place by (object, label). tau is clamped to the
-// range the lazy-deletion bitmaps accept (as NewSemiDynamic does for
-// the document payload), so deserialized values cannot panic downstream.
-func buildSemi(pairs []Pair, tau int) *semiRel {
-	if tau < 2 {
-		tau = 2
-	}
-	if tau > 4096 {
-		tau = 4096
-	}
+// slice is sorted in place by (object, label).
+func buildSemi(pairs []Pair) *semiRel {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].Object != pairs[j].Object {
 			return pairs[i].Object < pairs[j].Object
@@ -92,7 +82,6 @@ func buildSemi(pairs []Pair, tau int) *semiRel {
 		counts[a]++
 	}
 	r.s = wavelet.NewHuffman(syms, len(r.labels))
-	r.tau = tau
 	return r
 }
 
@@ -102,12 +91,12 @@ func (r *semiRel) materialize() {
 	if r.alive != nil {
 		return
 	}
-	r.alive = sparsebits.New(r.s.Len(), r.tau, true)
-	r.perLabel = make([]sparsebits.Bitmap, len(r.labels))
+	r.alive = sparsebits.NewDense(r.s.Len(), true)
+	r.perLabel = make([]*sparsebits.Dense, len(r.labels))
 	r.liveCount = make([]int32, len(r.labels))
 	for a := range r.labels {
 		c := r.s.Count(uint32(a))
-		r.perLabel[a] = sparsebits.New(c, r.tau, false)
+		r.perLabel[a] = sparsebits.NewDense(c, false)
 		r.liveCount[a] = int32(c)
 	}
 }

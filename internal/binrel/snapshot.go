@@ -68,23 +68,22 @@ func (c pairCodec) EncodeStore(e *snap.Encoder, st engine.Store[Pair, Pair]) {
 	c.EncodeItems(e, st.LiveItems())
 }
 
-func (c pairCodec) DecodeStore(dec *snap.Decoder, level, tau int) (engine.Store[Pair, Pair], error) {
+func (c pairCodec) DecodeStore(dec *snap.Decoder, level int) (engine.Store[Pair, Pair], error) {
 	pairs := c.DecodeItems(dec)
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	return c.BuildStore(pairs, level, tau)
+	return c.BuildStore(pairs, level)
 }
 
 // BuildStore rebuilds the compressed level from its pairs. An empty
 // store contributes nothing (and the compressed encoding requires a
-// non-empty alphabet). tau is the ladder's lazy-deletion parameter
-// (buildSemi clamps out-of-range values itself).
-func (pairCodec) BuildStore(pairs []Pair, _, tau int) (engine.Store[Pair, Pair], error) {
+// non-empty alphabet).
+func (pairCodec) BuildStore(pairs []Pair, _ int) (engine.Store[Pair, Pair], error) {
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	return buildSemi(pairs, tau), nil
+	return buildSemi(pairs), nil
 }
 
 func (c pairCodec) EncodeMapped(meta *snap.Encoder, st engine.Store[Pair, Pair]) []byte {
@@ -98,13 +97,13 @@ func (c pairCodec) EncodeMapped(meta *snap.Encoder, st engine.Store[Pair, Pair])
 	return me.Bytes()
 }
 
-func (c pairCodec) OpenMapped(meta *snap.Decoder, payload []byte, level, tau int) (engine.Store[Pair, Pair], error) {
+func (c pairCodec) OpenMapped(meta *snap.Decoder, payload []byte, level int) (engine.Store[Pair, Pair], error) {
 	dead := c.DecodeItems(meta)
 	if err := meta.Err(); err != nil {
 		return nil, err
 	}
 	mv := snap.NewMapView(payload)
-	sr := openMappedSemi(mv, tau)
+	sr := openMappedSemi(mv)
 	if sr == nil {
 		return nil, snap.Corruptf("level %d mapped relation: %v", level, mv.Err())
 	}
@@ -143,13 +142,7 @@ func (r *semiRel) deadPairs() []Pair {
 // openMappedSemi reconstructs a semiRel over a mapped payload. The
 // tables are validated structurally (sorted, consistent boundaries,
 // alphabet size matching the wavelet tree) in O(σ + objects).
-func openMappedSemi(mv *snap.MapView, tau int) *semiRel {
-	if tau < 2 {
-		tau = 2
-	}
-	if tau > 4096 {
-		tau = 4096
-	}
+func openMappedSemi(mv *snap.MapView) *semiRel {
 	objects := mv.Words()
 	labels := mv.Words()
 	starts := mv.Int32s()
@@ -192,6 +185,6 @@ func openMappedSemi(mv *snap.MapView, tau int) *semiRel {
 	}
 	return &semiRel{
 		objects: objects, labels: labels, starts: starts,
-		s: s, tau: tau, live: n,
+		s: s, live: n,
 	}
 }

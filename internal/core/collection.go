@@ -29,10 +29,10 @@ func ladderConfig(opts Options, sorted *atomic.Int64) engine.Config[uint64, doc.
 		Key:    func(d doc.Doc) uint64 { return d.ID },
 		Weight: func(d doc.Doc) int { return len(d.Data) },
 		NewC0:  func() engine.Mutable[uint64, doc.Doc] { return newC0() },
-		Build: func(src []engine.Snapshot[doc.Doc], tau int) engine.Store[uint64, doc.Doc] {
+		Build: func(src []engine.Snapshot[doc.Doc]) engine.Store[uint64, doc.Doc] {
 			idx, n := buildFrom(opts.Builder, src)
 			sorted.Add(int64(n))
-			return NewSemiDynamic(idx, tau, opts.Counting)
+			return NewSemiDynamic(idx, opts.Counting)
 		},
 		Park: func(docs []doc.Doc) engine.Store[uint64, doc.Doc] {
 			return newParked(docs)

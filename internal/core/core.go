@@ -21,7 +21,7 @@
 //     cheaper insertions at an O(log log n) query-fan-out factor.
 //
 // Deletions everywhere are lazy (Section 2): a deletion bitmap B over the
-// suffix array plus the Lemma 3 reporting structure V filter matches in
+// suffix array plus the Lemma 2 reporting structure V filter matches in
 // O(1) per reported occurrence, and a structure is purged once a 1/τ
 // fraction of it is dead.
 //
@@ -124,9 +124,9 @@ type Options struct {
 	Builder Builder
 
 	// Tau is the space/overhead trade-off parameter τ: each semi-dynamic
-	// structure is purged once a 1/τ fraction of its symbols is deleted,
-	// and the Lemma 3 bitmap spends O(log τ/τ) bits per suffix. 0 means
-	// automatic: τ = max(2, log n / log log n) recomputed at global
+	// structure is purged once a 1/τ fraction of its symbols is deleted.
+	// Its deletion bitmap is Lemma 2's whatever τ is: about one bit per
+	// suffix once the store has a deletion. 0 means automatic: τ = max(2, log n / log log n) recomputed at global
 	// rebuilds.
 	Tau int
 

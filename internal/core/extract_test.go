@@ -37,9 +37,9 @@ func TestExtractClampAcrossParts(t *testing.T) {
 	}
 	parts := map[string]Part{"c0": c0, "parked": newParked(docs)}
 	for name, build := range map[string]Builder{"fm": fmBuilder, "sa": saBuilder, "csa": csaBuilder} {
-		parts[name] = NewSemiDynamic(build(docs), 4, false)
+		parts[name] = NewSemiDynamic(build(docs), false)
 	}
-	parts["strict"] = NewSemiDynamic(strictIndex{fmBuilder(docs), t}, 4, false)
+	parts["strict"] = NewSemiDynamic(strictIndex{fmBuilder(docs), t}, false)
 	dl := len(payload)
 	for _, off := range []int{math.MinInt, -3, 0, dl, dl + 1, math.MaxInt} {
 		for _, length := range []int{math.MinInt, -1, 0, 5, math.MaxInt} {

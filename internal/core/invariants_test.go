@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"dyncoll/internal/doc"
+	"dyncoll/internal/engine"
 	"dyncoll/internal/fmindex"
 	"dyncoll/internal/oracle"
 	"dyncoll/internal/sparsebits"
@@ -215,6 +217,21 @@ func TestGlobalRebuildResetsSchedule(t *testing.T) {
 	}
 }
 
+// ladderStore builds docs into one store through the Build of a ladder
+// configured by opts, as the engine does.
+func ladderStore(opts Options, docs []doc.Doc) *SemiDynamic {
+	weight := 0
+	for _, d := range docs {
+		weight += len(d.Data)
+	}
+	src := []engine.Snapshot[doc.Doc]{{
+		Count:       len(docs),
+		Weight:      weight,
+		Materialize: func(dst []doc.Doc) []doc.Doc { return append(dst, docs...) },
+	}}
+	return ladderConfig(opts, new(atomic.Int64)).Build(src).(*SemiDynamic)
+}
+
 // TestSemiDynamicDirect exercises the deletion-only wrapper in isolation
 // (Section 2's first construction).
 func TestSemiDynamicDirect(t *testing.T) {
@@ -223,14 +240,14 @@ func TestSemiDynamicDirect(t *testing.T) {
 		{ID: 20, Data: []byte("swiss")},
 		{ID: 30, Data: []byte("miss")},
 	}
-	// The first delete makes the deletion bitmap: τ = 4 gets Lemma 2's
-	// dense form, τ = 256 Lemma 3's zero lists unless counting needs the
-	// dense form's rank structure.
-	for i, counting := range []bool{false, true, false, true} {
-		tau := []int{4, 256}[i/2]
-		s := NewSemiDynamic(fmBuilder(docs), tau, counting)
+	// The first delete makes the deletion bitmap, Lemma 2's at every τ
+	// and ranked exactly when counting: τ = 256 and 4096 once got
+	// Lemma 3's zero lists instead.
+	for i, counting := range []bool{false, true, false, true, false, true} {
+		tau := []int{4, 256, 4096}[i/2]
+		s := ladderStore(Options{Builder: fmBuilder, Tau: tau, Counting: counting}, docs)
 		if s.alive != nil {
-			t.Fatalf("τ=%d: a store with no deletions holds a %T", tau, s.alive)
+			t.Fatalf("τ=%d: a store with no deletions holds a bitmap", tau)
 		}
 		if s.DocCount() != 3 {
 			t.Fatalf("DocCount = %d", s.DocCount())
@@ -241,8 +258,8 @@ func TestSemiDynamicDirect(t *testing.T) {
 		if wt, ok := s.Delete(20); !ok || wt != len("swiss") {
 			t.Fatalf("Delete(20) = %d,%v", wt, ok)
 		}
-		if _, dense := s.alive.(*sparsebits.Dense); dense != (tau < 256 || counting) {
-			t.Fatalf("τ=%d counting=%v: deletion bitmap is a %T", tau, counting, s.alive)
+		if got, want := s.alive.SizeBits(), sparsebits.NewDense(s.idx.SALen(), counting).SizeBits(); got != want {
+			t.Fatalf("τ=%d counting=%v: deletion bitmap takes %d bits, a Dense %d", tau, counting, got, want)
 		}
 		if _, ok := s.Delete(20); ok {
 			t.Fatal("double delete succeeded")
@@ -276,34 +293,29 @@ func TestSemiDynamicDirect(t *testing.T) {
 	}
 }
 
-// BenchmarkSemiDynamicDelete deletes every document of a 1 MiB store at
-// the engine's τ = 6 with the deletion bitmap in each of its two forms:
-// dense is what sparsebits.New picks there, compressed what it picked
-// before the choice existed. One op is one document; building the bitmap
-// is in the figure, building the index is not.
+// BenchmarkSemiDynamicDelete deletes every document of a 1 MiB store,
+// through the index's bulk row walk and through one SuffixRank per
+// offset. One op is one document; building the bitmap is in the figure,
+// building the index is not.
 func BenchmarkSemiDynamicDelete(b *testing.B) {
 	docs := textgen.NewCollection(textgen.CollectionOptions{Seed: 6}).GenerateTotal(1 << 20)
 	idx := fmBuilder(docs)
-	forms := []struct {
-		name      string
-		idx       StaticIndex
-		newBitmap func(n int) sparsebits.Bitmap
+	walks := []struct {
+		name string
+		idx  StaticIndex
 	}{
-		{"dense", idx, func(n int) sparsebits.Bitmap { return sparsebits.New(n, 6, false) }},
-		{"compressed", idx, func(n int) sparsebits.Bitmap { return sparsebits.NewCompressed(n, 6) }},
-		// The walk an index without ForDocRows gets: one SuffixRank per
-		// offset.
-		{"dense/per-offset", hideRowWalker{idx}, func(n int) sparsebits.Bitmap { return sparsebits.New(n, 6, false) }},
+		{"dense", idx},
+		// The walk an index without ForDocRows gets.
+		{"dense/per-offset", hideRowWalker{idx}},
 	}
-	for _, f := range forms {
+	for _, f := range walks {
 		b.Run(f.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var s *SemiDynamic
 			symbols := 0
 			for i := 0; i < b.N; i++ {
 				if i%len(docs) == 0 {
-					s = NewSemiDynamic(f.idx, 6, false)
-					s.alive = f.newBitmap(idx.SALen())
+					s = NewSemiDynamic(f.idx, false)
 				}
 				n, ok := s.Delete(docs[i%len(docs)].ID)
 				if !ok {
@@ -330,8 +342,8 @@ func TestDeleteWalkClearsSameRows(t *testing.T) {
 	docs = append(docs, doc.Doc{ID: 1 << 40}, doc.Doc{ID: 1<<40 + 1, Data: []byte{3}})
 	for _, s := range []int{1, 4, 16} {
 		idx := fmindex.Build(docs, fmindex.Options{SampleRate: s})
-		lanes := NewSemiDynamic(idx, 4, false)
-		perOffset := NewSemiDynamic(hideRowWalker{idx}, 4, false)
+		lanes := NewSemiDynamic(idx, false)
+		perOffset := NewSemiDynamic(hideRowWalker{idx}, false)
 		live := idx.SALen()
 		for _, k := range rand.New(rand.NewSource(int64(s))).Perm(len(docs)) {
 			id := docs[k].ID
@@ -353,7 +365,7 @@ func TestDeleteWalkClearsSameRows(t *testing.T) {
 
 // TestSemiDynamicEmptyPattern checks the all-positions semantics.
 func TestSemiDynamicEmptyPattern(t *testing.T) {
-	s := NewSemiDynamic(fmBuilder([]doc.Doc{{ID: 1, Data: []byte("abc")}}), 4, false)
+	s := NewSemiDynamic(fmBuilder([]doc.Doc{{ID: 1, Data: []byte("abc")}}), false)
 	if got := s.Count(nil); got != 3 {
 		t.Fatalf("count(nil) = %d, want 3", got)
 	}
@@ -474,5 +486,24 @@ func TestCountingMatchesEnumeration(t *testing.T) {
 				t.Fatalf("len %d: counting %d != enumeration %d", l, a, b)
 			}
 		}
+	}
+}
+
+// TestFindAfterDeleteAllocs pins that reporting through a store's
+// deletion bitmap allocates nothing: the bitmap is a concrete Dense, so
+// the callback FindFunc hands its Report stays on the stack.
+func TestFindAfterDeleteAllocs(t *testing.T) {
+	docs := textgen.NewCollection(textgen.CollectionOptions{Sigma: 4, MinLen: 20, MaxLen: 60, Seed: 3}).GenerateTotal(4000)
+	s := NewSemiDynamic(fmBuilder(docs), false)
+	s.Delete(docs[0].ID)
+	pat := docs[1].Data[:2]
+	n := 0
+	fn := func(Occurrence) bool { n++; return true }
+	s.FindFunc(pat, fn) // warm the chunk pool
+	if avg := testing.AllocsPerRun(100, func() { s.FindFunc(pat, fn) }); avg != 0 {
+		t.Fatalf("FindFunc over a store with a deletion allocates %.1f times", avg)
+	}
+	if n == 0 {
+		t.Fatal("the pattern matched nothing")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,47 +46,53 @@ func lifecycleIndexes() map[string]docCodec {
 	}
 }
 
-// TestBitmapLifecycle holds every store form — heap-built, v1-decoded
-// and mapped-opened, over each built-in index, with and without
-// counting — to one deletion-bitmap lifecycle: no bitmap until the
-// first Delete, so SizeBits is the index's alone; exactly the bitmap
-// sparsebits.New makes for the store after it; and a Count after
-// random deletes that equals a popcount of the live rows over a model.
+// TestBitmapLifecycle holds every store form — built by a ladder at τ,
+// heap-built, v1-decoded and mapped-opened, over each built-in index,
+// with and without counting — to one deletion-bitmap lifecycle: no
+// bitmap until the first Delete, so SizeBits is the index's alone;
+// exactly a Dense after it, ranked when counting, whatever τ is (256 and
+// 4096 once got Lemma 3's zero lists); and a Count after random deletes
+// that equals a popcount of the live rows over a model.
 func TestBitmapLifecycle(t *testing.T) {
-	const tau = 6
 	docs := materializeDocs(60, 23)
 	for name, codec := range lifecycleIndexes() {
 		for _, counting := range []bool{false, true} {
 			codec.opts.Counting = counting
-			built, err := codec.BuildStore(docs, 0, tau)
+			built, err := codec.BuildStore(docs, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var v1 snap.Encoder
 			codec.EncodeStore(&v1, built)
-			decoded, err := codec.DecodeStore(snap.NewDecoder(v1.Bytes()), 0, tau)
+			decoded, err := codec.DecodeStore(snap.NewDecoder(v1.Bytes()), 0)
 			if err != nil {
 				t.Fatalf("%s: v1 decode: %v", name, err)
 			}
 			var meta snap.Encoder
 			payload := codec.EncodeMapped(&meta, built)
-			mapped, err := codec.OpenMapped(snap.NewDecoder(meta.Bytes()), payload, 0, tau)
+			mapped, err := codec.OpenMapped(snap.NewDecoder(meta.Bytes()), payload, 0)
 			if err != nil {
 				t.Fatalf("%s: mapped open: %v", name, err)
 			}
-			for form, st := range map[string]any{"heap": built, "v1": decoded, "mapped": mapped} {
+			forms := map[string]any{"heap": built, "v1": decoded, "mapped": mapped}
+			for _, tau := range []int{6, 256, 4096} {
+				opts := codec.opts
+				opts.Tau = tau
+				forms[fmt.Sprintf("ladder-tau%d", tau)] = ladderStore(opts, docs)
+			}
+			for form, st := range forms {
 				s := st.(*SemiDynamic)
 				where := name + "/" + form
 				if counting {
 					where += "/counting"
 				}
-				checkLifecycle(t, where, s, docs, counting, tau)
+				checkLifecycle(t, where, s, docs, counting)
 			}
 		}
 	}
 }
 
-func checkLifecycle(t *testing.T, where string, s *SemiDynamic, docs []doc.Doc, counting bool, tau int) {
+func checkLifecycle(t *testing.T, where string, s *SemiDynamic, docs []doc.Doc, counting bool) {
 	t.Helper()
 	static := s.Index().SizeBits()
 	if got := s.SizeBits(); got != static {
@@ -106,7 +113,7 @@ func checkLifecycle(t *testing.T, where string, s *SemiDynamic, docs []doc.Doc, 
 			t.Fatalf("%s: Delete(%d) failed", where, docs[di].ID)
 		}
 		if k == 0 {
-			bitmap := sparsebits.New(len(live), tau, counting).SizeBits()
+			bitmap := sparsebits.NewDense(len(live), counting).SizeBits()
 			if got := s.SizeBits() - static; got != bitmap {
 				t.Fatalf("%s: the first delete added %d bits, the bitmap is %d", where, got, bitmap)
 			}

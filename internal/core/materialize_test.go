@@ -29,7 +29,7 @@ func materializeDocs(n int, seed int64) []doc.Doc {
 func TestMaterializeOrderAndPaths(t *testing.T) {
 	docs := materializeDocs(120, 3)
 	for name, build := range map[string]Builder{"fm": fmBuilder, "sa": saBuilder, "csa": csaBuilder} {
-		s := NewSemiDynamic(build(docs), 4, false)
+		s := NewSemiDynamic(build(docs), false)
 		snapBefore := s.Snapshot()
 		var want []doc.Doc
 		for i, d := range docs {
@@ -68,7 +68,7 @@ func TestMaterializeOrderAndPaths(t *testing.T) {
 // every document it captured.
 func TestMaterializeRaceFree(t *testing.T) {
 	docs := materializeDocs(300, 9)
-	s := NewSemiDynamic(fmBuilder(docs), 4, true)
+	s := NewSemiDynamic(fmBuilder(docs), true)
 	const builders = 3
 	results := make([][]doc.Doc, builders)
 	var wg sync.WaitGroup
@@ -108,7 +108,7 @@ func TestMaterializeRaceFree(t *testing.T) {
 // slab and the decoder — whether the store holds 8 documents or 800.
 func TestMaterializeAllocsPerStore(t *testing.T) {
 	allocs := func(n int) float64 {
-		s := NewSemiDynamic(fmBuilder(materializeDocs(n, 17)), 4, false)
+		s := NewSemiDynamic(fmBuilder(materializeDocs(n, 17)), false)
 		dst := make([]doc.Doc, 0, n)
 		return testing.AllocsPerRun(20, func() { s.Snapshot().Materialize(dst) })
 	}

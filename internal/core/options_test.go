@@ -44,15 +44,3 @@ func TestWorstCaseOptionsShareValidation(t *testing.T) {
 	}()
 	NewWorstCase(Options{})
 }
-
-func TestSemiDynamicTauClamps(t *testing.T) {
-	idx := fmBuilder(nil)
-	s := NewSemiDynamic(idx, 0, false)
-	if s == nil {
-		t.Fatal("nil SemiDynamic")
-	}
-	s2 := NewSemiDynamic(idx, 1<<20, false)
-	if s2 == nil {
-		t.Fatal("nil SemiDynamic for huge tau")
-	}
-}

@@ -32,7 +32,7 @@ func TestParkedAnswersAsBuilt(t *testing.T) {
 			docs = []doc.Doc{{ID: 1, Data: []byte("aaaaaaa")}, {ID: 2, Data: []byte("a")}, {ID: 3}}
 		}
 		p := newParked(docs)
-		built := NewSemiDynamic(fmBuilder(docs), 4, false)
+		built := NewSemiDynamic(fmBuilder(docs), false)
 		checkParkedAgainst(t, seed, p, built, rng, sigma)
 		for _, d := range docs {
 			if rng.Intn(3) == 0 {

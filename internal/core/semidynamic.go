@@ -13,9 +13,9 @@ import (
 // machinery (Section 2, "Supporting Document Deletions"):
 //
 //   - a bitmap B over suffix-array rows, B[j] = 0 iff row j belongs to a
-//     deleted document, stored in the structure V of Lemma 2 or 3 (see
-//     sparsebits.New) so the live rows of any range are reported in O(1)
-//     each;
+//     deleted document, stored in the structure V of Lemma 2 (see
+//     sparsebits.Dense) so the live rows of any range are reported in
+//     O(1) each;
 //   - optionally (Theorem 1) a rank structure over the same B, so live
 //     rows in a range can be counted in O(log n).
 //
@@ -30,11 +30,9 @@ import (
 // static payload contract, and the engine purges and rebuilds whole
 // sub-collections through the configured Build function.
 type SemiDynamic struct {
-	idx   StaticIndex
-	alive sparsebits.Bitmap // B; nil = no deletions yet
-
-	tau      int  // Lemma 3 word width, kept for B's first Delete
-	counting bool // B carries Theorem 1's rank structure
+	idx      StaticIndex
+	alive    *sparsebits.Dense // B; nil = no deletions yet
+	counting bool              // B carries Theorem 1's rank structure
 
 	byID    map[uint64]int // live doc ID → doc index within idx
 	live    int            // live payload symbols
@@ -65,19 +63,11 @@ type rowLocator interface {
 // first occurrence wastes little.
 const locateChunk = 16
 
-// NewSemiDynamic wraps idx. tau sets the Lemma 3 word width; counting
-// attaches the Theorem 1 rank structure. Neither is allocated until the
-// first Delete.
-func NewSemiDynamic(idx StaticIndex, tau int, counting bool) *SemiDynamic {
-	if tau < 2 {
-		tau = 2
-	}
-	if tau > 4096 {
-		tau = 4096
-	}
+// NewSemiDynamic wraps idx. counting attaches the Theorem 1 rank
+// structure to B; neither is allocated until the first Delete.
+func NewSemiDynamic(idx StaticIndex, counting bool) *SemiDynamic {
 	s := &SemiDynamic{
 		idx:      idx,
-		tau:      tau,
 		counting: counting,
 		byID:     make(map[uint64]int, idx.DocCount()),
 	}
@@ -109,7 +99,7 @@ func (s *SemiDynamic) Delete(id uint64) (int, bool) {
 	}
 	delete(s.byID, id)
 	if s.alive == nil {
-		s.alive = sparsebits.New(s.idx.SALen(), s.tau, s.counting)
+		s.alive = sparsebits.NewDense(s.idx.SALen(), s.counting)
 	}
 	dl := s.idx.DocLen(d)
 	// Clear every suffix row of the document, separator included, so

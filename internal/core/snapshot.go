@@ -108,7 +108,7 @@ func (c docCodec) EncodeStore(e *snap.Encoder, st engine.Store[uint64, doc.Doc])
 	c.EncodeItems(e, st.LiveItems())
 }
 
-func (c docCodec) DecodeStore(dec *snap.Decoder, level, tau int) (engine.Store[uint64, doc.Doc], error) {
+func (c docCodec) DecodeStore(dec *snap.Decoder, level int) (engine.Store[uint64, doc.Doc], error) {
 	mode := dec.Byte()
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -119,7 +119,7 @@ func (c docCodec) DecodeStore(dec *snap.Decoder, level, tau int) (engine.Store[u
 		if err := dec.Err(); err != nil {
 			return nil, err
 		}
-		return c.BuildStore(docs, level, tau)
+		return c.BuildStore(docs, level)
 	case snap.ModeBinary:
 		blob := dec.Blob()
 		dead := dec.Uint64s()
@@ -133,17 +133,15 @@ func (c docCodec) DecodeStore(dec *snap.Decoder, level, tau int) (engine.Store[u
 		if err != nil {
 			return nil, snap.Corruptf("level %d index: %v", level, err)
 		}
-		return adopt(NewSemiDynamic(idx, tau, c.opts.Counting), idx.DocCount(), dead, level)
+		return adopt(NewSemiDynamic(idx, c.opts.Counting), idx.DocCount(), dead, level)
 	default:
 		return nil, snap.Corruptf("unknown store mode %d", mode)
 	}
 }
 
-// BuildStore rebuilds a store through the configured Builder. tau is
-// the ladder's lazy-deletion parameter (NewSemiDynamic clamps
-// out-of-range values itself).
-func (c docCodec) BuildStore(docs []doc.Doc, level, tau int) (engine.Store[uint64, doc.Doc], error) {
-	return adopt(NewSemiDynamic(c.opts.Builder(docs), tau, c.opts.Counting), len(docs), nil, level)
+// BuildStore rebuilds a store through the configured Builder.
+func (c docCodec) BuildStore(docs []doc.Doc, level int) (engine.Store[uint64, doc.Doc], error) {
+	return adopt(NewSemiDynamic(c.opts.Builder(docs), c.opts.Counting), len(docs), nil, level)
 }
 
 func (docCodec) EncodeMapped(meta *snap.Encoder, st engine.Store[uint64, doc.Doc]) []byte {
@@ -161,7 +159,7 @@ func (docCodec) EncodeMapped(meta *snap.Encoder, st engine.Store[uint64, doc.Doc
 	return me.Bytes()
 }
 
-func (c docCodec) OpenMapped(meta *snap.Decoder, payload []byte, level, tau int) (engine.Store[uint64, doc.Doc], error) {
+func (c docCodec) OpenMapped(meta *snap.Decoder, payload []byte, level int) (engine.Store[uint64, doc.Doc], error) {
 	dead := meta.Uint64s()
 	if err := meta.Err(); err != nil {
 		return nil, err
@@ -173,7 +171,7 @@ func (c docCodec) OpenMapped(meta *snap.Decoder, payload []byte, level, tau int)
 	if err != nil {
 		return nil, snap.Corruptf("level %d mapped index: %v", level, err)
 	}
-	return adopt(NewSemiDynamic(idx, tau, c.opts.Counting), idx.DocCount(), dead, level)
+	return adopt(NewSemiDynamic(idx, c.opts.Counting), idx.DocCount(), dead, level)
 }
 
 // adopt vets a freshly wrapped index that should hold docs documents

@@ -168,7 +168,7 @@ func (a *Amortized[K, I]) mergeInto(j int, extra []I) {
 
 // build builds a static store over items already materialized.
 func (a *Amortized[K, I]) build(items []I) Store[K, I] {
-	return a.cfg.Build([]Snapshot[I]{itemsSnapshot(items, a.cfg.Weight)}, a.tau)
+	return a.cfg.Build([]Snapshot[I]{itemsSnapshot(items, a.cfg.Weight)})
 }
 
 // maybeGlobalRebuild triggers the paper's global rebuild once the live
@@ -230,9 +230,10 @@ func (a *Amortized[K, I]) DeleteBatch(keys []K) int {
 }
 
 // purgeLevel rebuilds level lvl without its deleted items once more
-// than 1/τ of its weight is dead.
+// than 1/τ of its weight is dead: dead > ⌊total/τ⌋, which is dead·τ >
+// total without a product that overflows at a large τ.
 func (a *Amortized[K, I]) purgeLevel(lvl Store[K, I]) {
-	if total := lvl.LiveWeight() + lvl.DeadWeight(); total == 0 || lvl.DeadWeight()*a.tau <= total {
+	if total := lvl.LiveWeight() + lvl.DeadWeight(); total == 0 || lvl.DeadWeight() <= total/a.tau {
 		return
 	}
 	defer a.rebuildStores()

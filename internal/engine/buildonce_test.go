@@ -20,7 +20,7 @@ func TestRebalanceBuildsEachStoreOnce(t *testing.T) {
 		Weight:      func(int) int { return 1 },
 		NewC0:       func() Mutable[int, int] { return newToyStore(nil) },
 		MinCapacity: 16,
-		Build: BuildItems(func(items []int, _ int) Store[int, int] {
+		Build: BuildItems(func(items []int) Store[int, int] {
 			mu.Lock()
 			hold := holding
 			if hold {

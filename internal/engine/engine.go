@@ -96,10 +96,10 @@ func itemsSnapshot[I any](items []I, weight func(I) int) Snapshot[I] {
 
 // BuildItems adapts a builder over materialized items to Config.Build:
 // it materializes every source.
-func BuildItems[K comparable, I any](build func(items []I, tau int) Store[K, I]) func(src []Snapshot[I], tau int) Store[K, I] {
-	return func(src []Snapshot[I], tau int) Store[K, I] {
+func BuildItems[K comparable, I any](build func(items []I) Store[K, I]) func(src []Snapshot[I]) Store[K, I] {
+	return func(src []Snapshot[I]) Store[K, I] {
 		items, _ := Materialize(src)
-		return build(items, tau)
+		return build(items)
 	}
 }
 
@@ -135,12 +135,12 @@ type Config[K comparable, I any] struct {
 	// NewC0 creates an empty uncompressed fully-dynamic store.
 	NewC0 func() Mutable[K, I]
 	// Build constructs a deletion-only static payload over the items of
-	// src, in order; tau is the lazy-deletion parameter in effect (Lemma
-	// 3 word width). It may build from the sources' own static form
+	// src, in order. It may build from the sources' own static form
 	// (Snapshot.Source) instead of their items, as the document payload
 	// merges and filters sorted indexes rather than sort their text
-	// again. BuildItems adapts a builder that always materializes.
-	Build func(src []Snapshot[I], tau int) Store[K, I]
+	// again. BuildItems adapts a builder that always materializes. τ is
+	// the engine's alone: a store does not see it.
+	Build func(src []Snapshot[I]) Store[K, I]
 	// Park makes items queryable without building anything: the
 	// worst-case engine holds an update's items in a parked store while
 	// the build that replaces it runs in the background. The store must
@@ -386,24 +386,14 @@ func sumStores[K comparable, I any](stores []Store[K, I], arg []byte, fn func(st
 }
 
 // autoTau computes τ = max(2, log₂ n / log₂ log₂ n) as the paper's
-// default trade-off, capped so the Lemma 3 word width stays sane.
+// default trade-off: from n = 16 on the quotient is at least 4/2, and
+// it is at most 62/5 = 12 for any int n.
 func autoTau(n int) int {
 	if n < 16 {
 		return 2
 	}
 	lg := log2(n)
-	lglg := log2(lg)
-	if lglg < 1 {
-		lglg = 1
-	}
-	t := lg / lglg
-	if t < 2 {
-		t = 2
-	}
-	if t > 4096 {
-		t = 4096
-	}
-	return t
+	return lg / log2(lg)
 }
 
 // capacities re-derives a ladder's capacities for live weight n into

@@ -25,15 +25,15 @@ type Codec[K comparable, I any] interface {
 	// EncodeStore and DecodeStore are the body of a v1 store section.
 	// DecodeStore returns a nil store for one that holds nothing.
 	EncodeStore(e *snap.Encoder, st Store[K, I])
-	DecodeStore(dec *snap.Decoder, level, tau int) (Store[K, I], error)
+	DecodeStore(dec *snap.Decoder, level int) (Store[K, I], error)
 	// BuildStore rebuilds a store from raw items (nil when empty).
-	BuildStore(items []I, level, tau int) (Store[K, I], error)
+	BuildStore(items []I, level int) (Store[K, I], error)
 	// EncodeMapped returns the store's in-place layout, having written
 	// its lazily-deleted keys to meta; a nil payload means the store has
 	// no such layout and travels as raw items. OpenMapped is the
 	// inverse over the mapped payload bytes.
 	EncodeMapped(meta *snap.Encoder, st Store[K, I]) []byte
-	OpenMapped(meta *snap.Decoder, payload []byte, level, tau int) (Store[K, I], error)
+	OpenMapped(meta *snap.Decoder, payload []byte, level int) (Store[K, I], error)
 }
 
 // Persister binds a ladder to its payload codec. Every decode path
@@ -117,7 +117,7 @@ func (p Persister[K, I]) restoreV1(d Dump[K, I], n int, section func(i int) (dec
 	for i := 0; i < n; i++ {
 		dec, gen, whole := section(i)
 		level := int(dec.Varint())
-		st, err := p.Codec.DecodeStore(dec, level, d.Tau)
+		st, err := p.Codec.DecodeStore(dec, level)
 		if err != nil {
 			return err
 		}
@@ -204,14 +204,14 @@ func (p Persister[K, I]) RestoreMapped(spine []byte, stores []snap.MappedStore, 
 		var st Store[K, I]
 		switch mode {
 		case snap.ModeMapped:
-			st, err = p.Codec.OpenMapped(mdec, ms.Payload, level, d.Tau)
+			st, err = p.Codec.OpenMapped(mdec, ms.Payload, level)
 			if err == nil && retain != nil {
 				retain(ms.Payload, st)
 			}
 		case snap.ModeItems:
 			items := p.Codec.DecodeItems(mdec)
 			if err = mdec.Err(); err == nil {
-				st, err = p.Codec.BuildStore(items, level, d.Tau)
+				st, err = p.Codec.BuildStore(items, level)
 			}
 		default:
 			err = snap.Corruptf("unknown mapped store mode %d", mode)

@@ -75,7 +75,7 @@ func TestRetiredStoresUnreachable(t *testing.T) {
 		Weight:      func(int) int { return 1 },
 		NewC0:       func() Mutable[int, int] { return track(nil) },
 		MinCapacity: 16,
-		Build: BuildItems(func(items []int, _ int) Store[int, int] {
+		Build: BuildItems(func(items []int) Store[int, int] {
 			if hold.Load() {
 				<-gate
 			}

@@ -87,7 +87,7 @@ func (s *scheduler) newStoreLocked(items []int) *schedStore {
 	return st
 }
 
-func (s *scheduler) build(items []int, _ int) Store[int, int] {
+func (s *scheduler) build(items []int) Store[int, int] {
 	s.mu.Lock()
 	if !s.free {
 		h := &heldBuild{first: slices.Min(items), release: make(chan struct{})}

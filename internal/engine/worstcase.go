@@ -223,7 +223,9 @@ func (w *WorstCase[K, I]) topCap() int {
 // every extract by a bigger store and leave an ingest's last tops to
 // build alone; DESIGN sizes the rule against these.
 func (w *WorstCase[K, I]) groupWeight() int {
-	return max(192<<10, w.nf/(4*w.tau))
+	// τ may be any positive int (WithTau, a restored spine), so the
+	// divisions are taken in steps: a product with τ can overflow.
+	return max(192<<10, w.nf/w.tau/4)
 }
 
 // bigItem reports whether an item is heavy enough to become its own top
@@ -284,7 +286,7 @@ func (w *WorstCase[K, I]) launch(t *buildTask[K, I]) {
 		w.feeding[s] = t
 	}
 	w.stats.BackgroundBuilds++
-	tau, build, weight := w.tau, w.cfg.Build, w.cfg.Weight
+	build, weight := w.cfg.Build, w.cfg.Weight
 	run := func() {
 		src := t.snapshots(weight)
 		var out []Store[K, I]
@@ -295,10 +297,10 @@ func (w *WorstCase[K, I]) launch(t *buildTask[K, I]) {
 			// Split across tops: the chunks are cut from the items.
 			items, _ := Materialize(src)
 			for _, chunk := range splitItems(items, weight, t.split) {
-				out = append(out, build([]Snapshot[I]{itemsSnapshot(chunk, weight)}, tau))
+				out = append(out, build([]Snapshot[I]{itemsSnapshot(chunk, weight)}))
 			}
 		} else {
-			out = append(out, build(src, tau))
+			out = append(out, build(src))
 		}
 		t.done <- out
 	}
@@ -841,7 +843,7 @@ func (w *WorstCase[K, I]) mergeLevelUp(j int) {
 // (distinct) top, as looped deletes would. Tops already feeding an
 // in-flight build are skipped so no item is built twice.
 func (w *WorstCase[K, I]) maybeSweepTops() {
-	interval := w.nf / (2 * w.tau * max(1, log2(w.tau)))
+	interval := w.nf / w.tau / (2 * max(1, log2(w.tau))) // in steps, as in groupWeight
 	if interval < w.cfg.MinCapacity {
 		interval = w.cfg.MinCapacity
 	}

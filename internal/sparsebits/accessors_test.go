@@ -30,42 +30,6 @@ func TestDenseAccessors(t *testing.T) {
 	}
 }
 
-func TestCompressedAccessors(t *testing.T) {
-	c := NewCompressed(500, 8)
-	if c.Len() != 500 || c.Tau() != 8 || c.Zeros() != 0 {
-		t.Fatalf("accessors wrong: %d %d %d", c.Len(), c.Tau(), c.Zeros())
-	}
-	for _, i := range []int{0, 7, 8, 255, 499} {
-		c.Zero(i)
-		if c.Get(i) {
-			t.Fatalf("Get(%d) still true", i)
-		}
-	}
-	if c.Zeros() != 5 {
-		t.Fatalf("Zeros = %d", c.Zeros())
-	}
-	c.Zero(7) // idempotent
-	if c.Zeros() != 5 {
-		t.Fatalf("Zeros after repeat = %d", c.Zeros())
-	}
-	// Reporting the whole vector skips zeros.
-	got := positions(c, 0, 499)
-	if len(got) != 495 {
-		t.Fatalf("Report gave %d positions", len(got))
-	}
-}
-
-func TestCompressedZeroLength(t *testing.T) {
-	c := NewCompressed(0, 4)
-	if c.Len() != 0 {
-		t.Fatal("Len != 0")
-	}
-	c.Report(0, -1, func(int) bool {
-		t.Fatal("Report on empty vector visited something")
-		return false
-	})
-}
-
 func TestDenseSingleBit(t *testing.T) {
 	d := NewDense(1, false)
 	seen := 0

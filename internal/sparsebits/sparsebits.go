@@ -1,22 +1,17 @@
-// Package sparsebits implements the deletion bitmaps of Lemmas 2 and 3 of
-// the paper: a bit vector B of n bits, initially all ones, in which bits
-// are only ever cleared (zero(i)) and the set positions of any range can be
+// Package sparsebits implements the deletion bitmap of Lemma 2 of the
+// paper: a bit vector B of n bits, initially all ones, in which bits are
+// only ever cleared (zero(i)) and the set positions of any range can be
 // reported in O(k) time, k the output size.
 //
-// Two representations are provided:
-//
-//   - Dense (Lemma 2): one machine word per 64 bits plus a bitsucc.Set of
-//     non-empty word indices; O(n) bits. It can carry Theorem 1's rank
-//     structure over B as well: a Fenwick tree (Fenwick, "A new data
-//     structure for cumulative frequency tables", 1994) over its words'
-//     popcounts, so counting the ones of a range costs O(log n).
-//   - Compressed (Lemma 3): for a vector with at most n/τ zeros, words of
-//     τ bits are stored as sorted lists of their zero positions, so total
-//     space is O(n·log τ/τ) bits; the same non-empty-word directory drives
-//     reporting.
-//
-// Both support zero(i) in O(logᵋ n)-class time (here O(log₆₄ n) via the
-// word directory) and report(s,e) in O(k). New picks between them.
+// Dense stores one machine word per 64 bits plus a bitsucc.Set of
+// non-empty word indices; O(n) bits, zero(i) in O(logᵋ n)-class time
+// (here O(log₆₄ n) via the word directory) and report(s,e) in O(k). It
+// can carry Theorem 1's rank structure over B as well: a Fenwick tree
+// (Fenwick, "A new data structure for cumulative frequency tables",
+// 1994) over its words' popcounts, so counting the ones of a range costs
+// O(log n). Lemma 3's O(n·log τ/τ)-bit form is not implemented: it is
+// smaller than this one only from τ = 256, and the engine's automatic τ
+// is at most 12 (DESIGN, "Lemma 2 or Lemma 3 for V").
 package sparsebits
 
 import (
@@ -25,36 +20,6 @@ import (
 
 	"dyncoll/internal/bitsucc"
 )
-
-// Bitmap is a deletion bitmap in either representation: all ones at
-// first, bits only ever cleared.
-type Bitmap interface {
-	Len() int
-	Get(i int) bool
-	Zero(i int)
-	Report(s, e int, fn func(pos int) bool)
-	Count1(s, e int) int
-	SizeBits() int64
-}
-
-// compressedMinTau is the least τ at which Lemma 3's form is smaller
-// than Lemma 2's by Compressed's own SizeBits accounting. A τ-word costs
-// a 192-bit slice header plus 16 bits per zero, at most one zero per τ
-// bits: ≈ 208/τ bits per row, against Dense's ≈ 1.02. τ = 128 still
-// loses (≈ 1.6); τ = 256 wins (≈ 0.82).
-const compressedMinTau = 256
-
-// New returns n one-bits for a structure whose lazy-deletion parameter
-// is τ, with Theorem 1's rank structure when counting is set. It picks
-// the smaller form, and Dense whenever counting: only Dense ranks. The
-// engine's automatic τ is log n / log log n — single digits — so in
-// practice this is the dense form.
-func New(n, tau int, counting bool) Bitmap {
-	if tau < compressedMinTau || counting {
-		return NewDense(n, counting)
-	}
-	return NewCompressed(n, tau)
-}
 
 // Dense is the Lemma 2 structure: n bits, all initially one, supporting
 // Zero(i) and Report(s,e) with O(n) bits of space.
@@ -210,192 +175,4 @@ func (d *Dense) Count1(s, e int) int {
 // SizeBits estimates the memory footprint in bits.
 func (d *Dense) SizeBits() int64 {
 	return int64(len(d.words))*64 + int64(len(d.rank))*32 + d.dir.SizeBits()
-}
-
-// Compressed is the Lemma 3 structure: n bits with an expected O(n/τ)
-// zeros, stored in O(n·log τ/τ) bits. The vector is partitioned into
-// words of τ bits; each word stores only the sorted positions of its
-// zeros (log τ bits each in principle; uint16 here, requiring τ ≤ 65536).
-// A directory tracks which τ-words still contain at least one set bit.
-type Compressed struct {
-	n     int
-	tau   int
-	words [][]uint16 // zero positions within each τ-word, sorted
-	dir   *bitsucc.Set
-	zeros int
-}
-
-// NewCompressed creates a Compressed vector of n one-bits with word size τ.
-func NewCompressed(n, tau int) *Compressed {
-	if n < 0 {
-		panic("sparsebits: negative length")
-	}
-	if tau < 1 || tau > 1<<16 {
-		panic(fmt.Sprintf("sparsebits: tau %d out of range [1,65536]", tau))
-	}
-	nw := (n + tau - 1) / tau
-	return &Compressed{n: n, tau: tau, words: make([][]uint16, nw), dir: bitsucc.NewFull(nw)}
-}
-
-// Len reports the number of bits.
-func (c *Compressed) Len() int { return c.n }
-
-// Zeros reports how many bits have been cleared.
-func (c *Compressed) Zeros() int { return c.zeros }
-
-// Tau reports the word size τ.
-func (c *Compressed) Tau() int { return c.tau }
-
-// wordLen reports the number of bits in word w (the last word may be short).
-func (c *Compressed) wordLen(w int) int {
-	if (w+1)*c.tau <= c.n {
-		return c.tau
-	}
-	return c.n - w*c.tau
-}
-
-// Get reports the bit at position i.
-func (c *Compressed) Get(i int) bool {
-	if i < 0 || i >= c.n {
-		panic(fmt.Sprintf("sparsebits: Get(%d) out of range [0,%d)", i, c.n))
-	}
-	w, off := i/c.tau, uint16(i%c.tau)
-	for _, z := range c.words[w] {
-		if z == off {
-			return false
-		}
-		if z > off {
-			break
-		}
-	}
-	return true
-}
-
-// Zero clears bit i. Clearing an already-cleared bit is a no-op.
-func (c *Compressed) Zero(i int) {
-	if i < 0 || i >= c.n {
-		panic(fmt.Sprintf("sparsebits: Zero(%d) out of range [0,%d)", i, c.n))
-	}
-	w, off := i/c.tau, uint16(i%c.tau)
-	zs := c.words[w]
-	// Insert off into the sorted list if absent.
-	lo := sortedSearch(zs, int(off))
-	if lo < len(zs) && zs[lo] == off {
-		return
-	}
-	zs = append(zs, 0)
-	copy(zs[lo+1:], zs[lo:])
-	zs[lo] = off
-	c.words[w] = zs
-	c.zeros++
-	if len(zs) == c.wordLen(w) {
-		c.dir.Remove(w)
-	}
-}
-
-// Report calls fn for every set bit position in [s, e] in increasing order.
-// If fn returns false, reporting stops.
-func (c *Compressed) Report(s, e int, fn func(pos int) bool) {
-	if s < 0 {
-		s = 0
-	}
-	if e >= c.n {
-		e = c.n - 1
-	}
-	if s > e {
-		return
-	}
-	ws, we := s/c.tau, e/c.tau
-	w := c.dir.Next(ws)
-	for w >= 0 && w <= we {
-		base := w * c.tau
-		zs := c.words[w]
-		zi := 0
-		lo, hi := 0, c.wordLen(w)-1
-		if w == ws {
-			lo = s - base
-		}
-		if w == we {
-			hi = e - base
-		}
-		// Advance zi to the first zero ≥ lo.
-		for zi < len(zs) && int(zs[zi]) < lo {
-			zi++
-		}
-		for pos := lo; pos <= hi; pos++ {
-			if zi < len(zs) && int(zs[zi]) == pos {
-				zi++
-				continue
-			}
-			if !fn(base + pos) {
-				return
-			}
-		}
-		w = c.dir.Next(w + 1)
-	}
-}
-
-// Count1 returns the number of set bits in [s, e]. Unlike counting via
-// Report, it works per τ-word — span length minus the zeros falling in
-// the span, found by two binary searches in the word's sorted zero
-// list — so the cost is O(words touched · log τ) instead of O(bits),
-// and no callback is involved.
-func (c *Compressed) Count1(s, e int) int {
-	if s < 0 {
-		s = 0
-	}
-	if e >= c.n {
-		e = c.n - 1
-	}
-	if s > e {
-		return 0
-	}
-	ws, we := s/c.tau, e/c.tau
-	n := 0
-	w := c.dir.Next(ws)
-	for w >= 0 && w <= we {
-		base := w * c.tau
-		lo, hi := 0, c.wordLen(w)-1
-		if w == ws {
-			lo = s - base
-		}
-		if w == we {
-			hi = e - base
-		}
-		if hi >= lo {
-			zs := c.words[w]
-			// Zeros in [lo, hi]: first zero ≥ lo to first zero > hi.
-			zlo := sortedSearch(zs, lo)
-			zhi := sortedSearch(zs, hi+1)
-			n += (hi - lo + 1) - (zhi - zlo)
-		}
-		w = c.dir.Next(w + 1)
-	}
-	return n
-}
-
-// sortedSearch returns the index of the first element of zs that is
-// ≥ v (a closure-free sort.Search).
-func sortedSearch(zs []uint16, v int) int {
-	lo, hi := 0, len(zs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(zs[mid]) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// SizeBits estimates the memory footprint in bits.
-func (c *Compressed) SizeBits() int64 {
-	var n int64
-	for _, zs := range c.words {
-		n += int64(len(zs)) * 16
-	}
-	// Each word's list costs a slice header: pointer, length, capacity.
-	n += int64(len(c.words)) * 192
-	return n + c.dir.SizeBits()
 }

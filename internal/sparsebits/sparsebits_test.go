@@ -3,18 +3,10 @@ package sparsebits
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-// reporter is the common interface of Dense and Compressed, used to share
-// test drivers.
-type reporter interface {
-	Bitmap
-	Zeros() int
-}
-
 // positions lists b's set positions in [s, e] through Report.
-func positions(b Bitmap, s, e int) []int {
+func positions(b *Dense, s, e int) []int {
 	var out []int
 	b.Report(s, e, func(pos int) bool {
 		out = append(out, pos)
@@ -62,7 +54,7 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-func driveAgainstModel(t *testing.T, name string, mk func(n int) reporter) {
+func driveAgainstModel(t *testing.T, name string, mk func(n int) *Dense) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 63, 64, 65, 100, 1000, 5000} {
@@ -114,15 +106,8 @@ func driveAgainstModel(t *testing.T, name string, mk func(n int) reporter) {
 // rank structure; with it, every Count1 of a span over two words goes
 // through the Fenwick tree.
 func TestDenseAgainstModel(t *testing.T) {
-	driveAgainstModel(t, "Dense", func(n int) reporter { return NewDense(n, false) })
-	driveAgainstModel(t, "Dense+rank", func(n int) reporter { return NewDense(n, true) })
-}
-
-func TestCompressedAgainstModel(t *testing.T) {
-	for _, tau := range []int{1, 2, 7, 16, 64, 256} {
-		tau := tau
-		driveAgainstModel(t, "Compressed", func(n int) reporter { return NewCompressed(n, tau) })
-	}
+	driveAgainstModel(t, "Dense", func(n int) *Dense { return NewDense(n, false) })
+	driveAgainstModel(t, "Dense+rank", func(n int) *Dense { return NewDense(n, true) })
 }
 
 func TestDenseAllOnesInitially(t *testing.T) {
@@ -160,19 +145,6 @@ func TestDenseZeroEverything(t *testing.T) {
 	}
 }
 
-func TestCompressedZeroEverything(t *testing.T) {
-	c := NewCompressed(200, 16)
-	for i := 199; i >= 0; i-- { // reverse order stresses sorted insertion
-		c.Zero(i)
-	}
-	if c.Zeros() != 200 {
-		t.Fatalf("Zeros=%d, want 200", c.Zeros())
-	}
-	if got := positions(c, 0, 199); len(got) != 0 {
-		t.Fatalf("fully-zeroed Compressed reported %v", got)
-	}
-}
-
 func TestReportEarlyStop(t *testing.T) {
 	d := NewDense(100, false)
 	var seen []int
@@ -183,14 +155,13 @@ func TestReportEarlyStop(t *testing.T) {
 	if len(seen) != 5 || seen[4] != 4 {
 		t.Fatalf("early stop collected %v", seen)
 	}
-	c := NewCompressed(100, 8)
 	seen = nil
-	c.Report(10, 99, func(pos int) bool {
+	d.Report(10, 99, func(pos int) bool {
 		seen = append(seen, pos)
 		return len(seen) < 5
 	})
 	if len(seen) != 5 || seen[0] != 10 || seen[4] != 14 {
-		t.Fatalf("compressed early stop collected %v", seen)
+		t.Fatalf("early stop from 10 collected %v", seen)
 	}
 }
 
@@ -202,111 +173,20 @@ func TestReportRangeClamping(t *testing.T) {
 	if got := positions(d, 7, 3); len(got) != 0 || d.Count1(7, 3) != 0 {
 		t.Fatalf("inverted range reported %v, count %d", got, d.Count1(7, 3))
 	}
-	c := NewCompressed(10, 4)
-	if got := positions(c, -5, 100); len(got) != 10 {
-		t.Fatalf("clamped compressed report got %v", got)
-	}
 }
 
-func TestCompressedSpaceShrinksWithTau(t *testing.T) {
-	// With few zeros, a larger τ must yield a smaller footprint: this is
-	// the O(n log τ/τ) claim of Lemma 3 made measurable.
-	n := 1 << 16
-	rng := rand.New(rand.NewSource(3))
-	sizeAt := func(tau int) int64 {
-		c := NewCompressed(n, tau)
-		for i := 0; i < n/64; i++ {
-			c.Zero(rng.Intn(n))
-		}
-		return c.SizeBits()
-	}
-	s16, s256, s4096 := sizeAt(16), sizeAt(256), sizeAt(4096)
-	if !(s16 > s256 && s256 > s4096) {
-		t.Fatalf("space not decreasing with tau: %d, %d, %d", s16, s256, s4096)
-	}
-	d := NewDense(n, false)
-	if s4096 >= d.SizeBits() {
-		t.Fatalf("compressed (tau=4096) %d bits not below dense %d bits", s4096, d.SizeBits())
-	}
-}
-
-func TestQuickDenseVsCompressed(t *testing.T) {
-	// Property: Dense, with and without its rank structure, and
-	// Compressed must agree on every query after the same sequence of
-	// Zero operations.
-	f := func(seed int64, nRaw uint16, tauRaw uint8) bool {
-		n := int(nRaw)%4000 + 1
-		tau := int(tauRaw)%255 + 2
-		rng := rand.New(rand.NewSource(seed))
-		d := NewDense(n, false)
-		r := NewDense(n, true)
-		c := NewCompressed(n, tau)
-		for i := 0; i < n/2; i++ {
-			x := rng.Intn(n)
-			d.Zero(x)
-			r.Zero(x)
-			c.Zero(x)
-		}
-		s, e := rng.Intn(n), rng.Intn(n)
-		if s > e {
-			s, e = e, s
-		}
-		k := d.Count1(s, e)
-		return equalInts(positions(d, s, e), positions(c, s, e)) &&
-			r.Count1(s, e) == k && c.Count1(s, e) == k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFormCrossover holds New's choice to the two forms' own SizeBits:
-// with the most zeros a store keeps before it purges (one per τ bits),
-// Dense is smaller at τ = 128 and Compressed at τ = 256, and New picks
-// the smaller one on either side; counting always gets Dense.
-func TestFormCrossover(t *testing.T) {
-	const n = 1 << 16
-	for _, c := range []struct {
-		tau            int
-		compressedWins bool
-	}{{128, false}, {256, true}} {
-		d, z := NewDense(n, false), NewCompressed(n, c.tau)
-		for i := 0; i < n; i += c.tau {
-			d.Zero(i)
-			z.Zero(i)
-		}
-		if wins := z.SizeBits() < d.SizeBits(); wins != c.compressedWins {
-			t.Fatalf("τ=%d: Compressed %d bits, Dense %d bits", c.tau, z.SizeBits(), d.SizeBits())
-		}
-		if _, dense := New(n, c.tau, false).(*Dense); dense == c.compressedWins {
-			t.Fatalf("τ=%d: New picked the larger form", c.tau)
-		}
-		if d, ok := New(n, c.tau, true).(*Dense); !ok || d.rank == nil {
-			t.Fatalf("τ=%d: New with counting did not return a ranked Dense", c.tau)
-		}
-	}
-}
-
-// FuzzDeletionBitmap holds each form — Dense with and without its rank
-// structure, and Compressed at a random τ — to a []bool model under a
-// random stream of Zero, Get, Count1 and Report calls.
+// FuzzDeletionBitmap holds Dense, with and without its rank structure,
+// to a []bool model under a random stream of Zero, Get, Count1 and
+// Report calls.
 func FuzzDeletionBitmap(f *testing.F) {
-	f.Add(uint16(1), uint8(0), uint16(4), []byte{0, 1, 2, 3})
-	f.Add(uint16(130), uint8(1), uint16(7), []byte{9, 200, 17, 3, 64, 1})
-	f.Add(uint16(4097), uint8(2), uint16(300), []byte("zero get count report"))
-	f.Fuzz(func(t *testing.T, nRaw uint16, form uint8, tauRaw uint16, ops []byte) {
+	f.Add(uint16(1), false, uint16(4), []byte{0, 1, 2, 3})
+	f.Add(uint16(130), true, uint16(7), []byte{9, 200, 17, 3, 64, 1})
+	f.Add(uint16(4097), false, uint16(300), []byte("zero get count report"))
+	f.Fuzz(func(t *testing.T, nRaw uint16, rank bool, seed uint16, ops []byte) {
 		n := int(nRaw)%5000 + 1
-		var b Bitmap
-		switch form % 3 {
-		case 0:
-			b = NewDense(n, false)
-		case 1:
-			b = NewDense(n, true)
-		default:
-			b = NewCompressed(n, int(tauRaw)%1024+1)
-		}
+		b := NewDense(n, rank)
 		ref := newRef(n)
-		rng := rand.New(rand.NewSource(int64(nRaw)<<16 | int64(tauRaw)))
+		rng := rand.New(rand.NewSource(int64(nRaw)<<16 | int64(seed)))
 		for _, op := range ops {
 			i, j := rng.Intn(n), rng.Intn(n)
 			switch op % 4 {
@@ -315,24 +195,24 @@ func FuzzDeletionBitmap(f *testing.F) {
 				ref[i] = false
 			case 1:
 				if b.Get(i) != ref[i] {
-					t.Fatalf("%T n=%d: Get(%d) = %v", b, n, i, !ref[i])
+					t.Fatalf("rank %v n=%d: Get(%d) = %v", rank, n, i, !ref[i])
 				}
 			case 2:
 				// Spans run past both ends now and then, to check clamping.
 				s, e := min(i, j)-int(op>>6), max(i, j)+int(op>>6)
 				if got, want := b.Count1(s, e), len(ref.report(s, e)); got != want {
-					t.Fatalf("%T n=%d: Count1(%d, %d) = %d, want %d", b, n, s, e, got, want)
+					t.Fatalf("rank %v n=%d: Count1(%d, %d) = %d, want %d", rank, n, s, e, got, want)
 				}
 			case 3:
 				s, e := min(i, j), max(i, j)
 				got := positions(b, s, e)
 				if want := ref.report(s, e); !equalInts(got, want) {
-					t.Fatalf("%T n=%d: Report(%d, %d) = %v, want %v", b, n, s, e, got, want)
+					t.Fatalf("rank %v n=%d: Report(%d, %d) = %v, want %v", rank, n, s, e, got, want)
 				}
 			}
 		}
 		if got, want := b.Count1(0, n-1), len(ref.report(0, n-1)); got != want {
-			t.Fatalf("%T n=%d: Count1 over everything = %d, want %d", b, n, got, want)
+			t.Fatalf("rank %v n=%d: Count1 over everything = %d, want %d", rank, n, got, want)
 		}
 	})
 }

@@ -94,9 +94,11 @@ func WithSampleRate(s int) Option {
 }
 
 // WithTau sets the paper's lazy-deletion parameter τ: a sub-collection
-// is purged once a 1/τ fraction of it is dead, costing O(n·log τ/τ) bits
-// of bookkeeping. 0 (the default) derives τ = log n / log log n
-// automatically at global rebuilds.
+// is purged once a 1/τ fraction of it is dead, so a larger τ keeps less
+// dead data and rebuilds more often. The deletion bookkeeping does not
+// depend on τ: about one bit per indexed symbol of a sub-collection that
+// has a deletion, 1.5 with WithCounting. 0 (the default) derives
+// τ = log n / log log n automatically at global rebuilds.
 func WithTau(tau int) Option {
 	return func(c *config) error {
 		if tau < 0 {
